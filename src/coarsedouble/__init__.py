@@ -27,8 +27,8 @@ from .projection import (CmFunction, LevelFunction, TypeSearchParams,
                          unit_levels, zero_levels)
 from .asymptotics import (TransferTable, equivalent, is_zero, sweep,
                           sweep_radii, transfer)
-from .verdicts import (AffineWitness, LogWitness, PowerLawWitness, Status,
-                       TabulatedWitness, Verdict, revalidate)
+from .verdicts import (AffineWitness, Status, TabulatedWitness, Verdict,
+                       revalidate)
 from .boolalg import (AtomPattern, FilterBase, FormalSum, TwoValuedHom,
                       atom_nonzero, check_hom, enumerate_atoms, extend_hom,
                       homs, powers_tail_base, separating_set, tau)

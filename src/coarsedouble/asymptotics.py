@@ -1,13 +1,13 @@
 """Window-certified verdicts for asymptotic comparisons of level functions.
 
-Certification policy.  Every claim is evaluated at three nested radii
-(R/4, R/2, R).  A transfer entry is *stable* when its value agrees at the
-two largest radii; sublevel sets only gain points as the radius grows, so a
-stable entry has stopped moving.  Equivalence is certified only when the
-stable entries dominate the comparison (at least the fraction
-STABLE_FRACTION of the common table, including its smallest entry);
-quasi-equivalence additionally requires the minimal affine witness itself
-to be stable.  Escape evidence means some fixed entry grew strictly at
+Certification policy.  Every claim is evaluated at the three nested radii
+of ``sweep_radii`` (R/16, R/4, R).  A transfer entry is *stable* when its
+value agrees at the two largest radii; sublevel sets only gain points as the
+radius grows, so a stable entry has stopped moving.  Equivalence is
+certified only when the stable entries dominate the comparison (at least
+the fraction STABLE_FRACTION of the common table, including its smallest
+entry); quasi-equivalence additionally requires the minimal affine witness
+itself to be stable.  Escape evidence means some fixed entry grew strictly at
 every radius step.  None of this claims a limit: a certificate is always a
 finite inequality system that re-validates by substitution.
 """
@@ -88,12 +88,6 @@ class TransferTable:
 
     def jumps(self):
         return [n for n, _ in self.entries]
-
-    def max_n(self):
-        return self.entries[-1][0] if self.entries else None
-
-    def series(self):
-        return list(self.entries)
 
     def to_json(self):
         return [[rational_to_json(n), rational_to_json(v)] for n, v in self.entries]

@@ -1,7 +1,7 @@
 """Command-line front end: batch commands, JSON/CSV reports, scenario runs.
 
 Exit codes: 0 ok, 1 expected-vs-actual mismatch, 2 usage error,
-3 inconclusive verdict under --strict.
+3 inconclusive verdict or inexact evaluation under --strict.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact window-certified computations on metrics of doubles "
                     "of discrete spaces.")
     p.add_argument("--strict", action="store_true",
-                   help="exit 3 when any verdict is inconclusive")
+                   help="exit 3 when any verdict is inconclusive or an "
+                        "evaluation is inexact")
     p.add_argument("--csv", action="store_true", help="emit CSV series")
     p.add_argument("--out", help="also write the report to this file")
     sub = p.add_subparsers(dest="command", required=True)
@@ -305,7 +306,9 @@ def main(argv=None) -> int:
             fh.write(text if text.endswith("\n") else text + "\n")
     if not report.passed:
         return 1
-    if args.strict and any(v.status is Status.INCONCLUSIVE for v in report.verdicts):
+    inexact = report.results.get("evaluation", {}).get("exact") is False
+    if args.strict and (inexact or any(v.status is Status.INCONCLUSIVE
+                                       for v in report.verdicts)):
         return 3
     return 0
 

@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
-from .space import (Evaluation, MetricSpace, Point, PointSet, Rational,
-                    Window, dist_to_set, rational_to_json, window_points)
+from .space import (UNBOUNDED, Evaluation, MetricSpace, Point, PointSet,
+                    Rational, Window, dist_to_set, rational_to_json,
+                    window_points)
 
 try:
     import numpy as _np
@@ -23,7 +24,6 @@ except ImportError:  # pragma: no cover - numpy is a declared dependency
     _np = None
 
 _INT_SAFE = 1 << 60
-_SEARCH_CAP = 1 << 62
 
 
 class DeltaFunction:
@@ -270,7 +270,7 @@ class SubsetMetric(DoubleMetric):
     def set_distance(self, x: Point) -> Rational:
         v = self._dist_cache.get(x)
         if v is None:
-            v = _expanding_dist_to_set(self.space, x, self.A)
+            v = dist_to_set(self.space, x, self.A, UNBOUNDED).value
             self._dist_cache[x] = v
         return v
 
@@ -565,23 +565,6 @@ def _max_required(a: Evaluation, b: Evaluation):
     return max(reqs) if reqs else None
 
 
-def _expanding_dist_to_set(space: MetricSpace, x: Point, A: PointSet) -> Rational:
-    """Exact d_X(x, A) by doubling search; terminates on proper spaces."""
-    if A.points is not None:
-        members = [p for p in A.points if space.contains(p)]
-        if not members:
-            raise DomainError(f"set {A.name} has no members in {space.name}")
-        return min(space.distance(x, p) for p in members)
-    r = 1
-    while r < _SEARCH_CAP:
-        try:
-            ev = dist_to_set(space, x, A, Window(r, basepoint=x))
-            return ev.value
-        except SearchInconclusive:
-            r *= 2
-    raise SearchInconclusive(f"no member of {A.name} near {x}", window_radius=r)
-
-
 def _generic_dist_to_copy(d: DoubleMetric, x: Point, window: Window) -> Evaluation:
     space = d.space
     probe = d.cross(x, x, window)
@@ -622,19 +605,32 @@ def evaluate_exact(d: DoubleMetric, x: Point, y: Point,
     Raises SearchInconclusive for kernels that cannot certify (no coercive
     lower bound) once the doubling budget is exhausted.
     """
+    return _escalate(d, lambda w: d.cross(x, y, w), (x, y), "evaluation",
+                     start_radius, max_doublings)
+
+
+def _escalate(d: DoubleMetric, evaluate: Callable[[Window], Evaluation],
+              points: tuple, what: str, start_radius: Rational = 8,
+              max_doublings: int = 80) -> Evaluation:
+    """evaluate(Window(r)) from the smallest r >= start_radius whose window
+    holds the points, doubling r (or jumping to the required radius) until
+    the result is certified.  A kernel without a coercive bound stops after
+    its first window, since a larger window cannot certify it either.
+    """
     base = d.space.basepoint
-    r = max(start_radius, d.space.distance(x, base), d.space.distance(y, base))
+    r = max(start_radius, *(d.space.distance(p, base) for p in points))
     last = None
     for _ in range(max_doublings):
-        ev = d.cross(x, y, Window(r))
+        ev = evaluate(Window(r))
         if ev.exact:
             return ev
         last = ev
         r = max(2 * r, ev.required_radius if ev.required_radius is not None else 0)
         if d.coercive_c is None:
             break
+    where = ",".join(str(p) for p in points)
     raise SearchInconclusive(
-        f"evaluation of {d.kind} kernel at ({x},{y}) not certifiable",
+        f"{what} of {d.kind} kernel at ({where}) not certifiable",
         window_radius=r, required_radius=last.required_radius if last else None)
 
 

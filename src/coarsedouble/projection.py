@@ -16,11 +16,10 @@ from typing import Callable, Optional
 
 from .asymptotics import equivalent, sweep_radii
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
-                     MinGlueMetric, SubsetMetric, _expanding_dist_to_set,
-                     evaluate_exact)
+                     MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
-from .space import (Evaluation, MetricSpace, Point, PointSet, Rational, Window,
-                    rational_to_json, window_points)
+from .space import (UNBOUNDED, MetricSpace, Point, PointSet, Rational, Window,
+                    dist_to_set, rational_to_json, window_points)
 from .verdicts import (CHECK_DOMINATES, AffineWitness, Status, TabulatedWitness,
                        Verdict)
 
@@ -115,7 +114,7 @@ def levels_from_subset(space: MetricSpace, A: PointSet) -> LevelFunction:
     """Levels of the expanding sequence A_n = N_{n/2}(A): max(1, ceil(2 d(x,A)))."""
 
     def fn(x):
-        return max(1, math.ceil(2 * _expanding_dist_to_set(space, x, A)))
+        return max(1, math.ceil(2 * dist_to_set(space, x, A, UNBOUNDED).value))
 
     payload = None
     try:
@@ -173,20 +172,6 @@ def subset_metric(space: MetricSpace, A: PointSet) -> SubsetMetric:
 # -- projection criterion ----------------------------------------------------
 
 
-def _dist_to_copy_exact(d: DoubleMetric, x: Point,
-                        start_radius: Rational = 8, max_doublings: int = 80) -> Evaluation:
-    base = d.space.basepoint
-    r = max(start_radius, d.space.distance(x, base))
-    for _ in range(max_doublings):
-        ev = d.dist_to_copy(x, Window(r))
-        if ev.exact:
-            return ev
-        if d.coercive_c is None and not isinstance(d, SubsetMetric):
-            break
-        r = max(2 * r, ev.required_radius if ev.required_radius is not None else 0)
-    raise SearchInconclusive(f"dist-to-copy at {x} not certifiable", window_radius=r)
-
-
 def projection_criterion(d: DoubleMetric, window: Window,
                          grid: Optional[list] = None) -> Verdict:
     """Search for (alpha, beta) with -alpha + d(x,x')/beta <= d(x,X') on the window.
@@ -204,7 +189,7 @@ def projection_criterion(d: DoubleMetric, window: Window,
     for x in pts:
         try:
             diag = evaluate_exact(d, x, x)
-            copy = _dist_to_copy_exact(d, x)
+            copy = _escalate(d, lambda w: d.dist_to_copy(x, w), (x,), "dist-to-copy")
         except SearchInconclusive:
             certifiable = False
             diag = d.cross(x, x, window)
@@ -361,7 +346,7 @@ def source_projection(d: DoubleMetric, window: Window,
         if on_inexact == "window":
             ev = d.dist_to_copy(x, window)
         else:
-            ev = _dist_to_copy_exact(d, x)
+            ev = _escalate(d, lambda w: d.dist_to_copy(x, w), (x,), "dist-to-copy")
         return max(1, math.ceil(ev.value))
 
     return LevelFunction(d.space, fn, f"src[{d.kind}]", "from-metric")
@@ -415,7 +400,7 @@ def classify_type(e: LevelFunction, window: Window,
                 pts_m = [x for x, lv in big_tab.items() if lv <= m]
                 if not pts_m:
                     continue
-                dmax = max(_expanding_dist_to_set(space, x, core) for x in pts_m)
+                dmax = max(dist_to_set(space, x, core, UNBOUNDED).value for x in pts_m)
                 k = math.ceil(dmax)
                 if k > params.k_max:
                     ok = False
@@ -463,6 +448,6 @@ def _required_k_series(e, n, radii, window, params):
         pts_m = [x for x, lv in tab.items() if lv <= m_star]
         if not pts_m:
             continue
-        dmax = max(_expanding_dist_to_set(space, x, core) for x in pts_m)
+        dmax = max(dist_to_set(space, x, core, UNBOUNDED).value for x in pts_m)
         out.append((r, math.ceil(dmax)))
     return out

@@ -12,8 +12,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 from . import boolalg, measure
-from .asymptotics import equivalent
-from .boolalg import FilterBase, powers_tail_base, tau
+from .boolalg import FilterBase, _below, powers_tail_base, tau
 from .double import compose
 from .errors import DomainError
 from .projection import (classify_type, f_map, check_cm, cm_join, cm_meet,
@@ -31,10 +30,6 @@ SCENARIO_NAMES = ("typeI", "ex1", "ex2", "lattice-laws", "measure-demo")
 def expected_tables() -> dict:
     text = resources.files("coarsedouble.data").joinpath("scenarios.json").read_text()
     return json.loads(text)
-
-
-def _below(e, f, window, radii=None):
-    return equivalent(meet(e, f), e, "coarse", window, radii=radii)
 
 
 def scenario_typeI(radii=(30, 110, 420)) -> dict:

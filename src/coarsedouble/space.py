@@ -553,21 +553,29 @@ class Evaluation:
         return doc
 
 
+# Window for dist_to_set whose radius is the search cap: search until a
+# member is found, which on a proper space happens at the nearest member.
+UNBOUNDED = Window(1 << 62)
+
+
 def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Evaluation:
     """Exact d_X(x, A), searched within radius window.radius around x.
 
-    Once a member is found at distance D <= r with the ball of radius r fully
-    enumerated, no point outside the ball can be closer, so the minimum is
-    certified.  If no member lies within the budget the search is
-    inconclusive and raises.
+    This is the library's only set-distance search.  Balls around x double
+    in radius until one holds a member; once a member is found at distance
+    D <= r with the ball of radius r fully enumerated, no point outside the
+    ball can be closer, so the minimum is certified.  If no member lies
+    within the budget the search is inconclusive and raises.  Passing
+    ``UNBOUNDED``, whose radius is the search cap, means "search until a
+    member is found".  Explicit sets are scanned directly, whatever the
+    budget, and raise DomainError when no member lies in the space.
     """
     if not space.contains(x):
         raise DomainError(f"{x} is not a point of {space.name}")
     if A.points is not None:
         members = [p for p in A.points if space.contains(p)]
         if not members:
-            raise SearchInconclusive("set has no members in the space",
-                                     window_radius=window.radius)
+            raise DomainError(f"set {A.name} has no members in {space.name}")
         best = min(members, key=lambda a: (space.distance(x, a), a))
         return Evaluation(space.distance(x, best), True, witness=best)
     budget = window.radius

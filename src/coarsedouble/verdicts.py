@@ -99,44 +99,6 @@ class TabulatedWitness(Witness):
                 "table": [[rational_to_json(n), rational_to_json(v)] for n, v in self.table]}
 
 
-@dataclass(frozen=True)
-class PowerLawWitness(Witness):
-    """n -> scale * n^exponent (exponent a nonnegative rational p/q, ceil value)."""
-
-    scale: Rational
-    exponent: Fraction
-    kind = "power"
-
-    def bound(self, n):
-        # exact rational bound: scale * ceil(n^exponent) via integer root bound
-        if n <= 0:
-            return self.scale
-        p, q = self.exponent.numerator, self.exponent.denominator
-        v = n ** p
-        root = _iroot_ceil(v, q)
-        return self.scale * root
-
-    def to_json(self):
-        return {"kind": "power", "scale": rational_to_json(self.scale),
-                "exponent": rational_to_json(Fraction(self.exponent))}
-
-
-@dataclass(frozen=True)
-class LogWitness(Witness):
-    """n -> scale * (1 + floor(log2(n)))."""
-
-    scale: Rational
-    kind = "log"
-
-    def bound(self, n):
-        if n < 1:
-            return self.scale
-        return self.scale * (1 + int(n).bit_length() - 1)
-
-    def to_json(self):
-        return {"kind": "log", "scale": rational_to_json(self.scale)}
-
-
 def _iroot_ceil(v: int, q: int) -> int:
     if q == 1:
         return v
@@ -159,11 +121,6 @@ def witness_from_json(doc) -> Witness:
     if kind == "tabulated":
         return TabulatedWitness(tuple((as_rational(n), as_rational(v))
                                       for n, v in doc["table"]))
-    if kind == "power":
-        return PowerLawWitness(as_rational(doc["scale"]),
-                               Fraction(as_rational(doc["exponent"])))
-    if kind == "log":
-        return LogWitness(as_rational(doc["scale"]))
     raise DomainError(f"unknown witness kind {kind!r}")
 
 

@@ -1,12 +1,15 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Everything is exact rational arithmetic; no tolerance is floating.
-Certified verdicts produced anywhere in this module are collected and
-re-validated through the independent substitution checker at the end.
+The runs behind criteria 04, 07, 08 and 09 are module fixtures, so their
+certified verdicts are re-validated through the independent substitution
+checker by criterion 12 whether it runs with them or on its own.
 """
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from coarsedouble import (MinGlueMetric, PointMetric, check_axioms, compose,
                           evaluate, evaluate_exact, join, levels_from_metric,
@@ -23,8 +26,6 @@ from coarsedouble.serialize import expression_levels
 from coarsedouble.space import Window, set_family, space_by_name, window_points
 from coarsedouble.verdicts import revalidate
 from conftest import brute_delta_cross
-
-VERDICTS = []
 
 
 def _report(num, ok, text):
@@ -165,7 +166,8 @@ def test_criterion_03_sandwich():
     _report(3, ok, "reconstruction sandwich n-1 <= d_A(x,x') <= n on 10 kernels")
 
 
-def test_criterion_04_projection_criterion():
+@pytest.fixture(scope="module")
+def projection_verdicts():
     nat = space_by_name("NatLine")
     intl = space_by_name("IntLine")
     deltas = [
@@ -183,13 +185,15 @@ def test_criterion_04_projection_criterion():
         (deltas[4], deltas[5]),
     ]
     kernels = deltas + [MinGlueMetric(a, b) for a, b in glue_pairs]
+    return [projection_criterion(d, Window(24), grid=[(0, 2)]) for d in kernels]
+
+
+def test_criterion_04_projection_criterion(projection_verdicts):
     ok = True
-    for d in kernels:
-        v = projection_criterion(d, Window(24), grid=[(0, 2)])
-        VERDICTS.append(v)
+    for v in projection_verdicts:
         ok = ok and v.certified
         ok = ok and v.witness.to_json() == {"kind": "affine", "alpha": 0, "beta": 2}
-    _report(4, ok, f"witness (0,2) certifies all {len(kernels)} delta and "
+    _report(4, ok, f"witness (0,2) certifies all {len(projection_verdicts)} delta and "
                    f"min-glue kernels")
 
 
@@ -239,9 +243,18 @@ def test_criterion_06_lattice_laws():
     _report(6, ok, f"lattice laws hold pointwise on {checked} random triples")
 
 
-def test_criterion_07_example_type_one_product():
-    rep = run_scenario("typeI")
-    VERDICTS.extend(rep.verdicts)
+@pytest.fixture(scope="module")
+def typeI_report():
+    return run_scenario("typeI")
+
+
+@pytest.fixture(scope="module")
+def ex2_report():
+    return run_scenario("ex2")
+
+
+def test_criterion_07_example_type_one_product(typeI_report):
+    rep = typeI_report
     ok = rep.passed
     growth = rep.results["details"]["product"]["diagnostics"].get("growth", {})
     ok = ok and bool(growth)
@@ -252,9 +265,8 @@ def test_criterion_07_example_type_one_product():
                    "k-requirement strictly grows across {30,110,420}")
 
 
-def test_criterion_08_example_geometric_line():
-    rep = run_scenario("ex2")
-    VERDICTS.extend(rep.verdicts)
+def test_criterion_08_example_geometric_line(ex2_report):
+    rep = ex2_report
     s = rep.summary()
     ok = (rep.passed and s["neighborhood_stable_max_k"] == 8
           and s["complement_meet_zero"] and s["complement_join_one"]
@@ -264,25 +276,32 @@ def test_criterion_08_example_geometric_line():
                    "complement pair splits, tau = (1, 0)")
 
 
-def test_criterion_09_boolean_atoms():
+@pytest.fixture(scope="module")
+def atom_runs():
+    """Atoms and homs of the scaled-power pair on NatLine, and the atoms of
+    the same pair on GeomLine."""
     # the scaled-power pair realized where all three escape families exist
     nat = space_by_name("NatLine")
     e1 = levels_from_subset(nat, set_family("powers", base=4))
     e2 = levels_from_subset(nat, set_family("powers", base=4, scale=2))
     w = Window(1024)
     atoms = enumerate_atoms([e1, e2], w)
-    VERDICTS.extend(v for _, v in atoms)
-    nonzero = [p.bits() for p, v in atoms if v.certified and v.value == "nonzero"]
     hs = homs([e1, e2], w)
-    ok = (sorted(nonzero) == ["00", "01", "10"] and len(hs) == 3
-          and all(check_hom(h, [e1, e2], w)["passed"] for h in hs))
+    hom_checks = [check_hom(h, [e1, e2], w)["passed"] for h in hs]
     # companion fact: on the geometric line itself the two tails cover the
     # space, the join is the unit, and only two atoms survive
     geo = space_by_name("GeomLine")
     g1 = levels_from_subset(geo, set_family("powers", base=4))
     g2 = levels_from_subset(geo, set_family("powers", base=4, scale=2))
     gatoms = enumerate_atoms([g1, g2], w)
-    VERDICTS.extend(v for _, v in gatoms)
+    return atoms, hom_checks, gatoms
+
+
+def test_criterion_09_boolean_atoms(atom_runs):
+    atoms, hom_checks, gatoms = atom_runs
+    nonzero = [p.bits() for p, v in atoms if v.certified and v.value == "nonzero"]
+    ok = (sorted(nonzero) == ["00", "01", "10"] and len(hom_checks) == 3
+          and all(hom_checks))
     gnonzero = [p.bits() for p, v in gatoms if v.certified and v.value == "nonzero"]
     ok = ok and sorted(gnonzero) == ["01", "10"]
     _report(9, ok, "scaled-power pair: exactly 3 nonzero atoms and 3 verified "
@@ -337,8 +356,12 @@ def test_criterion_11_ideals():
                     f"projections, {strict_total} strict (au2) pairs listed")
 
 
-def test_criterion_12_witness_revalidation():
-    certified = [v for v in VERDICTS if v.certified]
+def test_criterion_12_witness_revalidation(projection_verdicts, typeI_report,
+                                           ex2_report, atom_runs):
+    atoms, _, gatoms = atom_runs
+    verdicts = (projection_verdicts + typeI_report.verdicts + ex2_report.verdicts
+                + [v for _, v in atoms + gatoms])
+    certified = [v for v in verdicts if v.certified]
     ok = bool(certified) and all(revalidate(v) for v in certified)
     _report(12, ok, f"all {len(certified)} certified verdicts re-validate by "
                     f"substitution")

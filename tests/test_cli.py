@@ -63,6 +63,21 @@ def test_compare_power_law_strict_exit(capsys):
     assert json.loads(out)["results"]["verdict"]["status"] == "inconclusive"
 
 
+def test_inexact_eval_strict_exit(capsys):
+    # the candidate ball around x=3 reaches past the radius-8 window
+    args = ["eval", "--space", "NatLine", "--metric", "delta:subset:evens",
+            "--x", "3", "--y", "500", "--radius", "8"]
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["results"]["evaluation"]["exact"] is False
+    code, out = run_cli(capsys, "--strict", *args)
+    assert code == 3
+    assert json.loads(out)["results"]["evaluation"]["exact"] is False
+    code, _ = run_cli(capsys, "--strict", "eval", "--space", "NatLine",
+                      "--metric", "zero:0", "--x", "3", "--y", "5")
+    assert code == 0
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["eval", "--space", "NatLine"])

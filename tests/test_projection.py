@@ -12,10 +12,10 @@ from coarsedouble import (CmFunction, PointMetric, check_axioms, check_cm,
                           metric_join, metric_meet, projection_criterion,
                           range_projection, source_projection, subset_metric,
                           transfer, unit_levels, zero_levels)
-from coarsedouble.double import DeltaMetric, _expanding_dist_to_set
+from coarsedouble.double import DeltaMetric
 from coarsedouble.errors import DomainError
-from coarsedouble.space import (PointSet, Window, set_family, space_by_name,
-                                window_points)
+from coarsedouble.space import (UNBOUNDED, PointSet, Window, dist_to_set,
+                                set_family, space_by_name, window_points)
 
 
 def test_levels_from_metric_examples(natline):
@@ -34,8 +34,8 @@ def test_levels_from_subset_examples(natline, geomline):
     assert [e0.level((x,)) for x in range(5)] == [1, 2, 4, 6, 8]
     eg = levels_from_subset(geomline, set_family("powers", base=4))
     # oracle-frozen: d(2*4^k, {4^j}) = 4^k, so the level is 2*4^k
-    assert eg.level((8,)) == 2 * _expanding_dist_to_set(
-        geomline, (8,), set_family("powers", base=4))
+    assert eg.level((8,)) == 2 * dist_to_set(
+        geomline, (8,), set_family("powers", base=4), UNBOUNDED).value
     assert eg.level((8,)) == 8
     assert eg.level((32,)) == 32
     # and the mirror computation the other way round

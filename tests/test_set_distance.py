@@ -1,0 +1,118 @@
+"""The single set-distance search against brute-force scans, per set family.
+
+For each case a member of the set is built in closed form; the brute window
+around x of radius d(x, member) then provably holds the nearest member, so
+the brute minimum over that window is d_X(x, A).
+"""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from coarsedouble.double import SubsetMetric
+from coarsedouble.errors import DomainError
+from coarsedouble.projection import levels_from_subset
+from coarsedouble.space import (UNBOUNDED, PointSet, Window, dist_to_set,
+                                set_family, space_by_name)
+from conftest import BRUTE_WINDOWS, brute_set_distance
+
+
+def _member_from(doc, v):
+    """Coordinate of some member of the line set ``doc``, derived from v
+    without searching for the nearest one."""
+    fam = doc["family"]
+    if fam == "multiples":
+        return v + (doc["r"] - v) % doc["k"]
+    if fam == "squares":
+        return (math.isqrt(max(v, 0)) + 1) ** 2
+    if fam in ("powers", "powers_tail"):
+        m = doc["scale"] * doc["base"] ** max(1, doc.get("k0", 1))
+        while m < v:
+            m *= doc["base"]
+        return m
+    if fam == "half_line":
+        return max(v, doc["bound"]) if doc["sign"] > 0 else min(v, doc["bound"])
+    if fam == "explicit":
+        return max(p[0] for p in doc["points"])
+    inner = doc["of"]  # complement
+    if inner["family"] == "half_line":
+        b = inner["bound"]
+        return min(v, b - 1) if inner["sign"] > 0 else max(v, b + 1)
+    inside = set_family(inner["family"], **{k: a for k, a in inner.items()
+                                            if k != "family"})
+    u = max(v, 0)
+    while inside.contains((u,)):
+        u += 1
+    return u
+
+
+def _assert_single_search(space, A, x, member):
+    assert A.contains(member) and space.contains(member)
+    pts = BRUTE_WINDOWS[space.name](x, space.distance(x, member))
+    want = brute_set_distance(space, x, [p for p in pts if A.contains(p)])
+    ev = dist_to_set(space, x, A, UNBOUNDED)
+    assert ev.exact and ev.value == want
+    assert A.contains(ev.witness) and space.distance(x, ev.witness) == want
+    assert SubsetMetric(space, A).set_distance(x) == want
+    assert levels_from_subset(space, A).level(x) == max(1, math.ceil(2 * want))
+
+
+_multiples = st.builds(lambda k, r: ("multiples", {"k": k, "r": r % k}),
+                       st.integers(1, 9), st.integers(0, 8))
+_squares = st.just(("squares", {}))
+_half_line = st.builds(lambda s, b: ("half_line", {"sign": s, "bound": b}),
+                       st.sampled_from([-1, 1]), st.integers(-60, 60))
+_powers = st.builds(lambda b, s: ("powers", {"base": b, "scale": s}),
+                    st.integers(2, 5), st.integers(1, 3))
+LINE_FAMILIES = st.one_of(
+    _multiples, st.just(("evens", {})), st.just(("odds", {})), _squares,
+    _half_line, _powers,
+    st.builds(lambda b, s, k0: ("powers_tail", {"base": b, "scale": s, "k0": k0}),
+              st.integers(2, 5), st.integers(1, 3), st.integers(0, 4)),
+    st.builds(lambda pts: ("explicit", {"points": [[p] for p in pts]}),
+              st.lists(st.integers(-20, 400), min_size=1, max_size=6)),
+    st.builds(lambda spec: ("complement", {"of": set_family(spec[0], **spec[1]).family}),
+              st.one_of(_multiples.filter(lambda s: s[1]["k"] > 1), _squares,
+                        _half_line, _powers)),
+)
+
+
+@given(name=st.sampled_from(["NatLine", "IntLine"]), spec=LINE_FAMILIES,
+       v=st.integers(-1500, 1500))
+@settings(max_examples=200, deadline=None)
+def test_line_families_match_brute_force(name, spec, v):
+    space = space_by_name(name)
+    x = (abs(v),) if name == "NatLine" else (v,)
+    A = set_family(spec[0], **spec[1])
+    member = (_member_from(A.family, x[0]),)
+    assume(space.contains(member))  # the family has members in this space
+    _assert_single_search(space, A, x, member)
+
+
+@given(base_log=st.integers(1, 3), scale_log=st.integers(0, 2), n=st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_powers_on_geometric_line(base_log, scale_log, n):
+    space = space_by_name("GeomLine")
+    A = set_family("powers", base=2 ** base_log, scale=2 ** scale_log)
+    x = (2 ** n,)
+    _assert_single_search(space, A, x, (_member_from(A.family, x[0]),))
+
+
+@given(n=st.integers(1, 300), sign=st.sampled_from([-1, 1]),
+       family=st.sampled_from(["tail_plus", "tail_minus"]))
+@settings(max_examples=60, deadline=None)
+def test_tails_on_two_tails(n, sign, family):
+    space = space_by_name("TwoTails")
+    A = set_family(family)
+    member = space.tail_point(n, 1 if family == "tail_plus" else -1)
+    _assert_single_search(space, A, space.tail_point(n, sign), member)
+
+
+@pytest.mark.parametrize("window", [Window(8), UNBOUNDED])
+def test_explicit_set_outside_the_space_raises(window):
+    nat = space_by_name("NatLine")
+    A = PointSet.from_points([(-3,), (-7,)])
+    with pytest.raises(DomainError, match="no members in NatLine"):
+        dist_to_set(nat, (5,), A, window)
