@@ -60,22 +60,17 @@ class TransferTable:
 
     @classmethod
     def from_levels(cls, pairs: Iterable) -> "TransferTable":
-        by_source = sorted(pairs)
+        # one running-max pass over the pairs by source level; an entry is
+        # kept only where the running maximum rises
         entries = []
-        running = None
-        for n, v in by_source:
-            if running is None or v > running:
-                running = v if running is None else max(running, v)
+        for n, v in sorted(pairs):
+            if entries and v <= entries[-1][1]:
+                continue
             if entries and entries[-1][0] == n:
-                entries[-1] = (n, running)
+                entries[-1] = (n, v)
             else:
-                entries.append((n, running))
-        # drop interior entries that repeat the running maximum
-        compact = []
-        for n, v in entries:
-            if not compact or v != compact[-1][1]:
-                compact.append((n, v))
-        return cls(tuple(compact))
+                entries.append((n, v))
+        return cls(tuple(entries))
 
     def value_at(self, n) -> Optional[Rational]:
         out = None

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .asymptotics import equivalent, sweep_radii
 from .errors import DomainError, SearchInconclusive
 from .projection import (LevelFunction, join, meet, unit_levels, zero_levels)
-from .space import (MetricSpace, Point, PointSet, Window, rational_to_json,
+from .space import (MetricSpace, PointSet, Window, rational_to_json,
                     window_points)
 from .verdicts import (CHECK_DOMINATES, CHECK_STABLE, CHECK_STRICT_GROWTH,
                        Status, TabulatedWitness, Verdict)

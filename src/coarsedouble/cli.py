@@ -9,9 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-from . import __version__, boolalg, ideals, measure
+from . import __version__, ideals, measure
 from .asymptotics import equivalent
 from .boolalg import FormalSum, enumerate_atoms, check_hom, homs, powers_tail_base, tau
 from .double import compose, evaluate
@@ -146,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> RunReport:
-    t0 = time.perf_counter()
     if args.command == "space":
         if args.space_cmd == "list":
             return RunReport("space list",

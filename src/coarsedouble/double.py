@@ -10,20 +10,18 @@ window.  Values are exact ints or Fractions throughout.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
 from .space import (UNBOUNDED, Evaluation, MetricSpace, Point, PointSet,
                     Rational, Window, dist_to_set, rational_to_json,
                     window_points)
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 _INT_SAFE = 1 << 60
+# width of the inner-index chunks of the int64 min-plus product
+_CHUNK = 128
 
 
 class DeltaFunction:
@@ -102,7 +100,18 @@ class DoubleMetric:
 
     def dist_to_copy(self, x: Point, window: Window) -> Evaluation:
         """inf over y of d(x, y'), certified through the lower bound."""
-        return _generic_dist_to_copy(self, x, window)
+        probe = self.cross(x, x, window)
+        c = self.coercive_c
+
+        def term(y):
+            if y == x:
+                return None  # the probe
+            ev = self.cross(x, y, window)
+            return ev.value, ev.exact
+
+        return _certified_min(self.space, x, window,
+                              Evaluation(probe.value, probe.exact, witness=x),
+                              None if c is None else probe.value - c, term)
 
     def to_json(self):
         raise NotImplementedError
@@ -120,7 +129,12 @@ class DoubleMetric:
     # -- batch evaluation (reports) -----------------------------------------
 
     def cross_matrix(self, pts: list, window: Window):
-        """Matrix of cross values on pts x pts; (matrix, all_exact)."""
+        """Matrix of cross values on pts x pts; (matrix, all_exact).
+
+        A batch matrix certifies by the same candidate-ball rule as single
+        evaluations: all_exact holds only when the candidate ball of every
+        cell was enumerated completely and every sub-evaluation was exact.
+        """
         exact = True
         rows = []
         for x in pts:
@@ -133,24 +147,56 @@ class DoubleMetric:
         return rows, exact
 
 
-def _ball_candidates(space: MetricSpace, x: Point, radius: Rational, window: Window):
-    """Points of ball(x, radius) that lie in the window.
-
-    Returns (candidates, complete) where complete means the whole ball was
-    enumerated (certified when the ball is inside the window ball).
+def _certified(dxb: Rational, r_cand: Rational, radius: Rational) -> bool:
+    """The certificate rule.  A minimum found by scanning the candidate ball
+    of radius r_cand around x is exact when that ball lies inside the
+    completely enumerated ball of the given radius around the window base;
+    dxb is d_X(x, base).
     """
-    if radius < 0:
-        return [x], True
+    return dxb + r_cand <= radius
+
+
+def _certified_min(space: MetricSpace, x: Point, window: Window, probe: Evaluation,
+                   r_cand: Optional[Rational],
+                   term: Callable[[Point], Optional[tuple]]) -> Evaluation:
+    """The single-pair search: improve the probe over candidate points u.
+
+    term(u) is (value, exact) for a candidate, or None when u cannot beat
+    the probe.  With r_cand the candidates are the points of ball(x, r_cand)
+    in the window; the minimum is exact when the ball passes the
+    certificate rule and every sub-evaluation is exact, and otherwise
+    required_radius is the window radius that would hold the ball.  With
+    r_cand None (no coercive bound) the whole window is scanned and nothing
+    is certified.  Ties go to the smaller point.  x is checked against the
+    space once here; candidates come from the enumerations, so they are
+    members and their distances use ``_dist``.
+    """
     base = window.resolve_base(space)
-    inside = space.distance(x, base) + radius <= window.radius
-    try:
-        pts = space.points_within(x, radius)
-    except IncompleteEnumeration:
-        wpts = window_points(space, window)
-        return [p for p in wpts if space.distance(x, p) <= radius], inside
-    if inside:
-        return pts, True
-    return [p for p in pts if space.distance(p, base) <= window.radius], False
+    dxb = space.distance(x, base)
+    best, arg, exact = probe.value, probe.witness, probe.exact
+    if r_cand is None:
+        cand, complete = window_points(space, window), False
+    elif r_cand < 0:
+        cand, complete = [x], True
+    else:
+        complete = _certified(dxb, r_cand, window.radius)
+        try:
+            cand = space.points_within(x, r_cand)
+        except IncompleteEnumeration:
+            cand = [p for p in window_points(space, window) if space._dist(x, p) <= r_cand]
+        else:
+            if not complete:
+                cand = [p for p in cand if space._dist(p, base) <= window.radius]
+    for u in cand:
+        t = term(u)
+        if t is None:
+            continue
+        v, e = t
+        exact = exact and e
+        if v < best or (v == best and u < arg):
+            best, arg = v, u
+    required = None if complete or r_cand is None else dxb + r_cand
+    return Evaluation(best, complete and exact, required, witness=arg)
 
 
 class DeltaMetric(DoubleMetric):
@@ -165,24 +211,18 @@ class DeltaMetric(DoubleMetric):
         self.delta = delta
 
     def cross(self, x, y, window):
-        space = self.space
-        dxy = space.distance(x, y)
-        v0 = dxy + min(self.delta(x), self.delta(y))
+        space, delta = self.space, self.delta
+        v0 = space.distance(x, y) + min(delta(x), delta(y))
         r_cand = v0 - 1
-        cand, complete = _ball_candidates(space, x, r_cand, window)
-        best = v0
-        arg = x if self.delta(x) <= self.delta(y) else y
-        for u in cand:
-            du = space.distance(x, u)
-            duy = space.distance(u, y)
+
+        def term(u):
+            du, duy = space._dist(x, u), space._dist(u, y)
             if du + duy > r_cand:
-                continue
-            val = du + self.delta(u) + duy
-            if val < best or (val == best and u < arg):
-                best, arg = val, u
-        base = window.resolve_base(space)
-        required = space.distance(x, base) + r_cand
-        return Evaluation(best, complete, None if complete else required, witness=arg)
+                return None
+            return du + delta(u) + duy, True
+
+        probe = Evaluation(v0, True, witness=x if delta(x) <= delta(y) else y)
+        return _certified_min(space, x, window, probe, r_cand, term)
 
     def lower_bound(self, x, y):
         return self.space.distance(x, y) + 1
@@ -196,28 +236,17 @@ class DeltaMetric(DoubleMetric):
 
     def dist_to_copy(self, x, window):
         # inf_y d(x, y') = inf_u [d_X(x,u) + delta(u)], taking y = u
-        space = self.space
-        v0 = self.delta(x)
-        r_cand = v0 - 1
-        cand, complete = _ball_candidates(space, x, r_cand, window)
-        best, arg = v0, x
-        for u in cand:
-            du = space.distance(x, u)
-            if du > r_cand:
-                continue
-            val = du + self.delta(u)
-            if val < best or (val == best and u < arg):
-                best, arg = val, u
-        base = window.resolve_base(space)
-        required = space.distance(x, base) + r_cand
-        return Evaluation(best, complete, None if complete else required, witness=arg)
+        space, delta = self.space, self.delta
+        v0 = delta(x)
+        return _certified_min(space, x, window, Evaluation(v0, True, witness=x), v0 - 1,
+                              lambda u: (space._dist(x, u) + delta(u), True))
 
     def to_json(self):
         return {"kind": "delta", "space": self.space.to_json(),
                 "delta": self.delta.to_json()}
 
     def cross_matrix(self, pts, window):
-        return _delta_cross_matrix(self, pts, window), True
+        return _delta_cross_matrix(self, pts, window)
 
 
 class PointMetric(DoubleMetric):
@@ -470,50 +499,34 @@ class ComposedMetric(DoubleMetric):
         return hit
 
     def cross(self, x, z, window):
-        space = self.space
+        space, d, rho = self.space, self.d, self.rho
         if self._separable:
             glue, arg = self._glue_constant(window)
-            value = (self.d.set_distance(x) + self.rho.set_distance(z)
-                     + 2 + glue)
+            value = d.set_distance(x) + rho.set_distance(z) + 2 + glue
             return Evaluation(value, False, witness=arg)
-        probe_exact = True
-        best, arg = None, None
-        for y in ([x] if x == z else [x, z]):
-            a = self.d.cross(x, y, window)
-            b = self.rho.cross(y, z, window)
-            probe_exact = probe_exact and a.exact and b.exact
-            v = a.value + b.value
-            if best is None or v < best or (v == best and y < arg):
-                best, arg = v, y
-        cd, cr = self.d.coercive_c, self.rho.coercive_c
-        if cd is not None and cr is not None:
-            # y can only improve if d_X(x,y)+cd + d_X(y,z)+cr <= best
-            r_cand = best - cd - cr
-            cand, complete = _ball_candidates(space, x, r_cand, window)
-            sub_exact = probe_exact
-            for y in cand:
-                if space.distance(x, y) + space.distance(y, z) > r_cand:
-                    continue
-                a = self.d.cross(x, y, window)
-                b = self.rho.cross(y, z, window)
-                sub_exact = sub_exact and a.exact and b.exact
-                v = a.value + b.value
-                if v < best or (v == best and y < arg):
-                    best, arg = v, y
-            base = window.resolve_base(space)
-            required = space.distance(x, base) + r_cand
-            return Evaluation(best, complete and sub_exact,
-                              None if complete else required, witness=arg)
-        # no coercive pruning available: scan the window, never certified
-        sub_exact = True
-        for y in window_points(space, window):
-            a = self.d.cross(x, y, window)
-            b = self.rho.cross(y, z, window)
-            sub_exact = sub_exact and a.exact and b.exact
-            v = a.value + b.value
-            if v < best or (v == best and y < arg):
-                best, arg = v, y
-        return Evaluation(best, False, witness=arg)
+        if not space.contains(z):
+            raise DomainError(f"{z} is not a point of {space.name}")
+
+        def through(y):
+            a = d.cross(x, y, window)
+            b = rho.cross(y, z, window)
+            return a.value + b.value, a.exact and b.exact
+
+        probes = [(y, through(y)) for y in ([x] if x == z else [x, z])]
+        best, arg = min((v, y) for y, (v, _) in probes)
+        probe = Evaluation(best, all(e for _, (_, e) in probes), witness=arg)
+        c = self.coercive_c
+        if c is None:
+            return _certified_min(space, x, window, probe, None, through)
+        # y can only improve if d_X(x,y) + d_X(y,z) + c <= best
+        r_cand = best - c
+
+        def term(y):
+            if space._dist(x, y) + space._dist(y, z) > r_cand:
+                return None
+            return through(y)
+
+        return _certified_min(space, x, window, probe, r_cand, term)
 
     def lower_bound(self, x, z):
         cd, cr = self.d.coercive_c, self.rho.coercive_c
@@ -539,54 +552,29 @@ class ComposedMetric(DoubleMetric):
         return {"kind": "compose", "of": [self.d.to_json(), self.rho.to_json()]}
 
     def cross_matrix(self, pts, window):
-        md, ed = self.d.cross_matrix(pts, window)
-        mr, er = self.rho.cross_matrix(pts, window)
-        n = len(pts)
-        out = [[min(md[i][y] + mr[y][j] for y in range(n)) for j in range(n)]
-               for i in range(n)]
-        certified = self.coercive_c is not None and ed and er
-        return out, certified and _composition_matrix_certified(self, pts, window, out)
-
-
-def _composition_matrix_certified(comp, pts, window, out) -> bool:
-    # certified when every pair's candidate ball stays inside the window
-    space = comp.space
-    base = window.resolve_base(space)
-    c = comp.coercive_c
-    for i, x in enumerate(pts):
-        for j, _ in enumerate(pts):
-            if space.distance(x, base) + out[i][j] - c > window.radius:
-                return False
-    return True
+        # midpoints range over the whole window; rows and columns are pts
+        space = self.space
+        mid = window_points(space, window)
+        inside = set(mid)
+        full = mid + [p for p in pts if p not in inside]
+        md, ed = self.d.cross_matrix(full, window)
+        mr, er = self.rho.cross_matrix(full, window)
+        at = {p: i for i, p in enumerate(full)}
+        rows = [at[p] for p in pts]
+        n_mid = len(mid)
+        out = _min_plus([md[i][:n_mid] for i in rows],
+                        [[mr[k][j] for j in rows] for k in range(n_mid)]).tolist()
+        c = self.coercive_c
+        base = window.resolve_base(space)
+        exact = (c is not None and ed and er
+                 and all(_certified(space.distance(x, base), max(row) - c, window.radius)
+                         for x, row in zip(pts, out)))
+        return out, exact
 
 
 def _max_required(a: Evaluation, b: Evaluation):
     reqs = [r for r in (a.required_radius, b.required_radius) if r is not None]
     return max(reqs) if reqs else None
-
-
-def _generic_dist_to_copy(d: DoubleMetric, x: Point, window: Window) -> Evaluation:
-    space = d.space
-    probe = d.cross(x, x, window)
-    best, arg, sub_exact = probe.value, x, probe.exact
-    c = d.coercive_c
-    if c is not None:
-        r_cand = best - c
-        cand, complete = _ball_candidates(space, x, r_cand, window)
-        for y in cand:
-            ev = d.cross(x, y, window)
-            sub_exact = sub_exact and ev.exact
-            if ev.value < best or (ev.value == best and y < arg):
-                best, arg = ev.value, y
-        base = window.resolve_base(space)
-        required = space.distance(x, base) + r_cand
-        return Evaluation(best, complete and sub_exact,
-                          None if complete else required, witness=arg)
-    for y in window_points(space, window):
-        ev = d.cross(x, y, window)
-        if ev.value < best or (ev.value == best and y < arg):
-            best, arg = ev.value, y
-    return Evaluation(best, False, witness=arg)
 
 
 # ---------------------------------------------------------------------------
@@ -692,52 +680,28 @@ def _check_json(c):
 
 
 def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
-    """Exact cross matrix for a delta kernel over an enlarged candidate ball."""
+    """Cross matrix of a delta kernel: one min-plus product over an enlarged
+    ball around the window base, which holds the candidate ball of every
+    cell whose row point lies in the window.  Returns (matrix, exact)."""
     space = d.space
     base = window.resolve_base(space)
+    dxb = [space.distance(x, base) for x in pts]
     deltas = [d.delta(p) for p in pts]
-    bmat = _distance_matrix(space, pts, pts)
-    vmax = 0
-    n = len(pts)
-    for i in range(n):
-        for j in range(n):
-            v = bmat[i][j] + min(deltas[i], deltas[j])
-            if v > vmax:
-                vmax = v
+    seed = [[dxy + min(dx, dy) for dxy, dy in zip(row, deltas)]
+            for row, dx in zip(_distance_matrix(space, pts, pts), deltas)]
+    vmax = max(max(row) for row in seed)
+    radius = window.radius + vmax - 1
     try:
-        universe = space.points_within(base, window.radius + vmax - 1)
+        universe = space.points_within(base, radius)
     except IncompleteEnumeration:
-        universe = window_points(space, window)
+        universe, radius = window_points(space, window), window.radius
     # midpoints with delta(u) >= vmax can never beat the u=x candidate
-    universe = [u for u in universe if d.delta(u) < vmax]
-    if not universe:
-        universe = [pts[0]]
-    udeltas = [d.delta(u) for u in universe]
-    bxu = _distance_matrix(space, pts, universe)
-    if _np is not None and _ints_safe(bmat) and _ints_safe(bxu) and _ints_safe([udeltas]):
-        B = _np.asarray(bxu, dtype=_np.int64)
-        dl = _np.asarray(udeltas, dtype=_np.int64)
-        cols = B + dl[None, :]
-        out = None
-        for chunk in range(0, len(universe), 128):
-            part = cols[:, chunk:chunk + 128, None] + B.T[None, chunk:chunk + 128, :]
-            m = part.min(axis=1)
-            out = m if out is None else _np.minimum(out, m)
-        seed = _np.asarray([[bmat[i][j] + min(deltas[i], deltas[j]) for j in range(n)]
-                            for i in range(n)], dtype=_np.int64)
-        return _np.minimum(out, seed).tolist()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            best = bmat[i][j] + min(deltas[i], deltas[j])
-            for k, u in enumerate(universe):
-                v = bxu[i][k] + udeltas[k] + bxu[j][k]
-                if v < best:
-                    best = v
-            row.append(best)
-        rows.append(row)
-    return rows
+    universe = [u for u in universe if d.delta(u) < vmax] or [pts[0]]
+    out = _min_plus(_distance_matrix(space, pts, universe),
+                    weights=[d.delta(u) for u in universe], init=seed)
+    # each row's largest probe bounds the radius of its candidate balls
+    exact = all(_certified(dx, max(row) - 1, radius) for dx, row in zip(dxb, seed))
+    return out.tolist(), exact
 
 
 def _ints_safe(mat) -> bool:
@@ -748,8 +712,37 @@ def _ints_safe(mat) -> bool:
     return True
 
 
+def _min_plus(a, b=None, weights=None, init=None):
+    """Exact min-plus product as a numpy array:
+    out[i, j] = min(init[i][j], min over k of a[i][k] + weights[k] + b[k][j]).
+
+    a, b and init are lists of rows and weights a list; b defaults to the
+    transpose of a, and weights and init may be left out.  The dtype is
+    int64 when every input is an int within _INT_SAFE, so no sum of three
+    overflows, and object otherwise, which keeps int and Fraction values
+    exact.  k runs in chunks of _CHUNK (one at a time for object arrays,
+    whose cells are Python objects), so no temporary exceeds
+    len(a) x _CHUNK x len(b[0]) cells.
+    """
+    inputs = [m for m in (a, b, init) if m is not None]
+    if weights is not None:
+        inputs.append([weights])
+    dtype = np.int64 if all(_ints_safe(m) for m in inputs) else object
+    A = np.asarray(a, dtype=dtype)
+    B = A.T if b is None else np.asarray(b, dtype=dtype)
+    if weights is not None:
+        A = A + np.asarray(weights, dtype=dtype)[None, :]
+    out = None if init is None else np.asarray(init, dtype=dtype)
+    step = _CHUNK if dtype is np.int64 else 1
+    for k in range(0, A.shape[1], step):
+        part = (A[:, k:k + step, None] + B[None, k:k + step, :]).min(axis=1)
+        out = part if out is None else np.minimum(out, part)
+    return out
+
+
 def _distance_matrix(space: MetricSpace, pts_a: list, pts_b: list):
-    return [[space.distance(a, b) for b in pts_b] for a in pts_a]
+    # callers pass checked points or enumerated ones
+    return [[space._dist(a, b) for b in pts_b] for a in pts_a]
 
 
 def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
@@ -791,67 +784,30 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
             break
     checks["lower_bound"] = {"passed": viol is None, "violation": viol}
 
-    use_np = (_np is not None and _ints_safe(bmat) and _ints_safe(dmat))
-    if use_np:
-        B = _np.asarray(bmat, dtype=_np.int64)
-        D = _np.asarray(dmat, dtype=_np.int64)
-        # d_X(x1,x2) <= d(x1,y') + d(x2,y') for every y
-        m1 = None
-        for y in range(n):
-            s = D[:, y][:, None] + D[:, y][None, :]
-            m1 = s if m1 is None else _np.minimum(m1, s)
-        ok1 = bool((B <= m1).all())
-        # d(x1,y') <= d_X(x1,x2) + d(x2,y') for every x2
-        m2 = None
-        for j in range(n):
-            s = B[:, j][:, None] + D[j, :][None, :]
-            m2 = s if m2 is None else _np.minimum(m2, s)
-        ok2 = bool((D <= m2).all())
-    else:
-        ok1 = ok2 = True
-        for i in range(n):
-            if not ok1:
-                break
-            for j in range(n):
-                if any(bmat[i][j] > dmat[i][y] + dmat[j][y] for y in range(n)):
-                    ok1 = False
-                    break
-        for i in range(n):
-            if not ok2:
-                break
-            for y in range(n):
-                if any(dmat[i][y] > bmat[i][j] + dmat[j][y] for j in range(n)):
-                    ok2 = False
-                    break
-
-    checks["triangle_base_vs_cross"] = {
-        "passed": ok1,
-        "violation": None if ok1 else _first_triangle1_violation(pts, bmat, dmat)}
-    checks["triangle_cross_vs_base"] = {
-        "passed": ok2,
-        "violation": None if ok2 else _first_triangle2_violation(pts, bmat, dmat)}
+    # d_X(x1,x2) <= d(x1,y') + d(x2,y') for every y
+    checks["triangle_base_vs_cross"] = _triangle(
+        pts, bmat, _min_plus(dmat), lambda i, j, k: dmat[i][k] + dmat[j][k],
+        ("x1", "x2", "y"))
+    # d(x1,y') <= d_X(x1,x2) + d(x2,y') for every x2
+    checks["triangle_cross_vs_base"] = _triangle(
+        pts, dmat, _min_plus(bmat, dmat), lambda i, j, k: bmat[i][k] + dmat[k][j],
+        ("x1", "y", "x2"))
     return AxiomReport(d, window, n, exact, checks)
 
 
-def _first_triangle1_violation(pts, bmat, dmat):
-    n = len(pts)
-    for i in range(n):
-        for j in range(n):
-            for y in range(n):
-                if bmat[i][j] > dmat[i][y] + dmat[j][y]:
-                    return {"x1": list(pts[i]), "x2": list(pts[j]), "y": list(pts[y]),
-                            "lhs": rational_to_json(bmat[i][j]),
-                            "rhs": rational_to_json(dmat[i][y] + dmat[j][y])}
-    return None
+def _triangle(pts, lhs, mins, rhs, names):
+    """Check lhs[i][j] <= mins[i, j], the minimum over k of rhs(i, j, k).
 
-
-def _first_triangle2_violation(pts, bmat, dmat):
-    n = len(pts)
-    for i in range(n):
-        for y in range(n):
-            for j in range(n):
-                if dmat[i][y] > bmat[i][j] + dmat[j][y]:
-                    return {"x1": list(pts[i]), "x2": list(pts[j]), "y": list(pts[y]),
-                            "lhs": rational_to_json(dmat[i][y]),
-                            "rhs": rational_to_json(bmat[i][j] + dmat[j][y])}
-    return None
+    A failure reports the first violating (i, j, k) in that order, naming
+    pts[i], pts[j], pts[k] by names.
+    """
+    bad = np.argwhere(np.asarray(lhs) > mins)
+    if len(bad) == 0:
+        return {"passed": True, "violation": None}
+    i, j = (int(v) for v in bad[0])
+    k = next(k for k in range(len(pts)) if lhs[i][j] > rhs(i, j, k))
+    at = dict(zip(names, (pts[i], pts[j], pts[k])))
+    return {"passed": False,
+            "violation": {"x1": list(at["x1"]), "x2": list(at["x2"]), "y": list(at["y"]),
+                          "lhs": rational_to_json(lhs[i][j]),
+                          "rhs": rational_to_json(rhs(i, j, k))}}

@@ -154,19 +154,13 @@ def level_set_identities(u: ApproximateUnit, v: ApproximateUnit, n: int,
     return out
 
 
-def recovered_levels(unit: ApproximateUnit, cap: int = 1 << 20) -> LevelFunction:
+def recovered_levels(unit: ApproximateUnit) -> LevelFunction:
     """Reconstruct a level function from the unit family alone:
-    lambda'(x) = min{n : u_n(x) = 1}.  Recovers the sequence at half index."""
-
-    def fn(x):
-        n = 1
-        while n <= cap:
-            if unit.value(n, x) == 1:
-                return n
-            n += 1
-        raise DomainError(f"unit never reaches 1 at {x}")
-
-    return LevelFunction(unit.space, fn, f"rec[{unit.levels.name}]", "recovered")
+    lambda'(x) = min{n >= 1 : u_n(x) = 1}.  Recovers the sequence at half
+    index: u_n(x) = 1 exactly when lambda(x) <= 2n, so lambda'(x) is
+    ceil(lambda(x) / 2), which is at least 1 since lambda(x) >= 1."""
+    return LevelFunction(unit.space, lambda x: -(-unit.levels.level(x) // 2),
+                         f"rec[{unit.levels.name}]", "recovered")
 
 
 def recovery_transfer(unit: ApproximateUnit, window: Window) -> dict:

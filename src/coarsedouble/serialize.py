@@ -15,7 +15,8 @@ from .projection import (LevelFunction, delta_from_levels, join,
                          levels_from_expression, levels_from_subset, meet,
                          metric_from_levels, subset_metric, unit_levels,
                          zero_levels)
-from .space import MetricSpace, Window, as_rational, set_from_json
+from .space import (MetricSpace, PointSet, Window, as_rational, set_family,
+                    set_from_json)
 from .verdicts import _iroot_ceil
 
 PROBE_RADIUS = 8
@@ -124,32 +125,25 @@ def parse_set(spec: str):
     parts = spec.split(":")
     fam = parts[0]
     if fam in ("evens", "odds", "squares"):
-        from .space import set_family
         return set_family(fam)
     if fam == "powers":
-        from .space import set_family
         base = int(parts[1])
         scale = int(parts[2]) if len(parts) > 2 else 1
         return set_family("powers", base=base, scale=scale)
     if fam == "multiples":
-        from .space import set_family
         return set_family("multiples", k=int(parts[1]),
                           r=int(parts[2]) if len(parts) > 2 else 0)
     if fam == "halfline":
-        from .space import set_family
         sign = -1 if parts[1] == "-" else 1
         bound = int(parts[2]) if len(parts) > 2 else 0
         return set_family("half_line", sign=sign, bound=bound)
     if fam == "tailplus":
-        from .space import set_family
         return set_family("tail_plus")
     if fam == "tailminus":
-        from .space import set_family
         return set_family("tail_minus")
     if fam == "points":
         pts = [tuple(int(c) for c in chunk.split(","))
                for chunk in parts[1].split(";")]
-        from .space import PointSet
         return PointSet.from_points(pts)
     raise DomainError(f"unknown set spec {spec!r}")
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,8 +8,10 @@ from coarsedouble import (ClosedFormMetric, DeltaMetric, MaxMetric,
                           compose, const_delta, dist_to_copy, evaluate,
                           evaluate_exact, levels_from_subset, metric_from_levels,
                           subset_metric, zero_levels)
+from coarsedouble.double import DeltaFunction
 from coarsedouble.errors import DomainError
-from coarsedouble.space import Window, set_family, window_points
+from coarsedouble.space import (CustomSpace, PredicateSpace, Window, set_family,
+                                window_points)
 from conftest import brute_delta_cross
 
 
@@ -18,6 +21,8 @@ def test_eval_examples(natline):
     assert evaluate(d1, (3,), (7,), w).value == 5
     z = PointMetric(natline, (0,))
     assert evaluate(z, (3,), (5,), w).value == 9
+    # every midpoint of [3, 7] attains 5; ties go to the smallest
+    assert evaluate(d1, (7,), (3,), w).witness == (3,)
     m0 = metric_from_levels(zero_levels(natline))
     # oracle-frozen: min over u of 2|4-u| + delta(u), delta = (1,2,4,6,8,...)
     assert evaluate(m0, (4,), (4,), w).value == 8
@@ -70,6 +75,20 @@ def test_compose_examples(natline, twotails):
     prod = compose(bp, bm)
     # paper-checked closed form at x = (4, 2): 0 + 4 + 4
     assert evaluate(prod, (4, 2), (4, 2), Window(60)).value == 8
+
+
+def test_compose_inexact_sub_evaluation(natline):
+    # the candidate ball of (1, 2) lies in the window and both probes are
+    # exact, but the candidate midpoint 3 needs m0(3, 2'), which this window
+    # cannot certify, so the composition is not certified either
+    m0 = metric_from_levels(zero_levels(natline))
+    z = PointMetric(natline, (0,))
+    w = Window(5)
+    assert evaluate(m0, (1,), (2,), w).exact and evaluate(m0, (2,), (2,), w).exact
+    assert not evaluate(m0, (3,), (2,), w).exact
+    ev = evaluate(compose(z, m0), (1,), (2,), w)
+    assert ev.value == 5 and ev.witness == (0,)
+    assert not ev.exact and ev.required_radius is None
 
 
 def test_compose_adjoint_law(natline):
@@ -171,3 +190,79 @@ def test_space_mismatch_rejected(natline, intline):
         compose(PointMetric(natline, (0,)), PointMetric(intline, (0,)))
     with pytest.raises(DomainError):
         MaxMetric(PointMetric(natline, (0,)), PointMetric(intline, (0,)))
+
+
+def test_delta_batch_does_not_certify_truncated_scan():
+    # balls past radius 10 cannot be enumerated, so the batch scan falls back
+    # to the window, where every midpoint costs 40; u = 8 gives 2 + 1 + 2 = 5
+    sp = PredicateSpace(lambda p: True, 1, 10, (0,))
+    d = DeltaMetric(sp, DeltaFunction(sp, lambda u: 1 if abs(u[0]) >= 8 else 40, "far"))
+    w = Window(6)
+    single = evaluate(d, (6,), (6,), w)
+    assert not single.exact and single.required_radius == 45
+    pts = window_points(sp, w)
+    mat, exact = d.cross_matrix(pts, w)
+    assert mat[pts.index((6,))][pts.index((6,))] == 40
+    assert not exact
+    assert not check_axioms(d, Window(10)).exact
+
+
+def test_composed_batch_ranges_over_window(natline):
+    # the best midpoint of (10, 20) is 0, which is not among the rows
+    z = PointMetric(natline, (0,))
+    c = compose(z, z)
+    pts = [(10,), (20,)]
+    w = Window(200)
+    mat, exact = c.cross_matrix(pts, w)
+    single = [[evaluate(c, x, y, w) for y in pts] for x in pts]
+    assert mat == [[ev.value for ev in row] for row in single] == [[22, 32], [32, 42]]
+    assert exact and all(ev.exact for row in single for ev in row)
+
+
+def _assert_batch_matches(d, space, w, want):
+    pts = window_points(space, w)
+    mat, _ = d.cross_matrix(pts, w)
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            assert mat[i][j] == want(x, y, pts), (x, y)
+
+
+def test_fraction_kernel_batch(natline):
+    # Fraction values take the object-dtype min-plus
+    d = DeltaMetric(natline, const_delta(natline, Fraction(3, 2)))
+    w = Window(12)
+    _assert_batch_matches(d, natline, w,
+                          lambda x, y, pts: brute_delta_cross(natline, d.delta, x, y, pts))
+    rep = check_axioms(d, w)
+    assert rep.passed and rep.exact
+    assert rep.checks["positivity"]["stat"] == Fraction(3, 2)
+
+
+def test_kernel_above_int64_guard_batch():
+    # 2**61 exceeds the int64 guard; a finite space keeps every ball small
+    sp = CustomSpace([(i,) for i in range(13)])
+    d = DeltaMetric(sp, const_delta(sp, 2 ** 61))
+    w = Window(8)
+    _assert_batch_matches(d, sp, w,
+                          lambda x, y, pts: brute_delta_cross(sp, d.delta, x, y, pts))
+    rep = check_axioms(d, w)
+    assert rep.passed and rep.checks["positivity"]["stat"] == 2 ** 61
+
+
+def test_fraction_triangle_violation(natline):
+    flat = ClosedFormMetric(natline, lambda x, y: Fraction(1, 2), "half", symmetric=True)
+    rep = check_axioms(flat, Window(3))
+    assert not rep.passed
+    v = rep.first_violation()
+    assert v["check"] == "lower_bound" and v["value"] == "1/2"
+    tri = rep.checks["triangle_base_vs_cross"]["violation"]
+    assert tri == {"x1": [0], "x2": [2], "y": [0], "lhs": 2, "rhs": 1}
+    assert rep.checks["triangle_cross_vs_base"]["passed"]
+
+
+@pytest.mark.parametrize("value", [2, Fraction(3, 2)])
+def test_composed_batch_matches_single_pairs(natline, value):
+    d = metric_from_levels(levels_from_subset(natline, set_family("evens")))
+    c = compose(d, DeltaMetric(natline, const_delta(natline, value)))
+    w = Window(10)
+    _assert_batch_matches(c, natline, w, lambda x, y, pts: evaluate(c, x, y, w).value)

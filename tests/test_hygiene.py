@@ -1,0 +1,57 @@
+"""Source hygiene checks that need no linter.
+
+Every name a library module imports must be used in that module.
+``__init__.py`` is skipped: its imports are the package's public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "coarsedouble"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {name for ann in _annotations(tree) for name in _string_names(ann)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _string_names(annotation):
+    """Names inside string annotations such as ``"DoubleMetric"``."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            inner = ast.parse(node.value, mode="eval")
+            yield from (n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+
+
+def test_modules_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = _unused_imports(tree)
+    assert not unused, f"{path.name}: unused imports " + ", ".join(
+        f"{name} (line {line})" for line, name in unused)
