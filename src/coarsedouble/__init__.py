@@ -18,13 +18,13 @@ from .double import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                      MinGlueMetric, PointMetric, SubsetMetric, adjoint,
                      check_axioms, compose, const_delta, dist_to_copy,
                      evaluate, evaluate_exact)
-from .projection import (CmFunction, LevelFunction, TypeSearchParams,
-                         check_cm, classify_type, cm_join, cm_meet,
-                         delta_from_levels, f_map, join, levels_from_metric,
-                         levels_from_subset, meet, metric_from_levels,
-                         metric_join, metric_meet, projection_criterion,
-                         range_projection, source_projection, subset_metric,
-                         unit_levels, zero_levels)
+from .projection import (CmFunction, LevelFunction, check_cm, classify_type,
+                         cm_join, cm_meet, delta_from_levels, f_map, join,
+                         levels_from_metric, levels_from_subset, meet,
+                         metric_from_levels, metric_join, metric_meet,
+                         projection_criterion, range_projection,
+                         source_projection, subset_metric, unit_levels,
+                         zero_levels)
 from .asymptotics import (TransferTable, equivalent, is_zero, sweep,
                           sweep_radii, transfer)
 from .verdicts import (AffineWitness, Status, TabulatedWitness, Verdict,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError
-from .space import MetricSpace, Rational, Window, rational_to_json, window_points
+from .space import MetricSpace, Rational, Window, rational_to_json
 from .verdicts import (CHECK_DOMINATES, AffineWitness, Status, TabulatedWitness,
                        Verdict)
 
@@ -88,14 +88,10 @@ class TransferTable:
         return [[rational_to_json(n), rational_to_json(v)] for n, v in self.entries]
 
 
-def level_table(e, space: MetricSpace, window: Window) -> dict:
-    return {x: e.level(x) for x in window_points(space, window)}
-
-
 def transfer(e1, e2, window: Window) -> TransferTable:
     """Transfer table of e1 against e2 on the window; exact."""
-    space = _common_space(e1, e2)
-    tab1 = level_table(e1, space, window)
+    _common_space(e1, e2)
+    tab1 = e1.tabulate(window)
     if not tab1:
         return TransferTable(())
     tab2 = {x: e2.level(x) for x in tab1}
@@ -161,31 +157,35 @@ def _escape_entries(samples_by_radius: Sequence[dict]):
     return out
 
 
-def _direction_escapes(tables: Sequence[TransferTable]):
-    """Fixed levels whose transfer value grows strictly at every radius step,
-    evaluated directionwise on the step tables."""
-    if len(tables) < 3:
-        return []
+def _jump_samples(tables: Sequence[TransferTable]) -> list:
+    """Each step table sampled at the union of all their jumps, where defined."""
     ns = sorted({n for t in tables for n in t.jumps()})
-    out = []
-    for n in ns:
-        vals = [t.value_at(n) for t in tables]
-        if any(v is None for v in vals):
-            continue
-        if all(b > a for a, b in zip(vals, vals[1:])):
-            out.append((n, vals))
-    return out
+    samples = []
+    for t in tables:
+        values = {n: t.value_at(n) for n in ns}
+        samples.append({n: v for n, v in values.items() if v is not None})
+    return samples
 
 
-def _minimal_affine(series, grid) -> Optional[AffineWitness]:
-    for alpha, beta in grid:
+def _minimal_affine(series) -> Optional[AffineWitness]:
+    for alpha, beta in default_grid():
         if all(v <= beta * n + alpha for n, v in series):
             return AffineWitness(alpha, beta)
     return None
 
 
+def _stable_affine(samples_by_radius: Sequence[dict], diagnostics: dict):
+    """Quasi-mode rule: the minimal affine witness at each radius (recorded in
+    the diagnostics), accepted only when the last two radii agree on it.
+    Returns the last witness and whether it was accepted."""
+    witnesses = [_minimal_affine(sorted(s.items())) for s in samples_by_radius]
+    diagnostics["minimal_witnesses"] = [w.to_json() if w else None for w in witnesses]
+    w_mid = witnesses[-2] if len(witnesses) > 1 else None
+    w_last = witnesses[-1]
+    return w_last, w_last is not None and w_mid == w_last
+
+
 def equivalent(e1, e2, mode: str, window: Window,
-               grid: Optional[list] = None,
                radii: Optional[list] = None) -> Verdict:
     """Certify [e1] == [e2] (quasi or coarse) from transfer tables.
 
@@ -195,8 +195,6 @@ def equivalent(e1, e2, mode: str, window: Window,
     """
     if mode not in ("quasi", "coarse"):
         raise DomainError(f"unknown equivalence mode {mode!r}")
-    if grid is None:
-        grid = default_grid()
     _common_space(e1, e2)
     if radii is None:
         radii = sweep_radii(window)
@@ -210,8 +208,8 @@ def equivalent(e1, e2, mode: str, window: Window,
     merged_list = [p["merged"] for p in per_radius]
     mid, last = merged_list[-2] if len(merged_list) > 1 else {}, merged_list[-1]
     stable, unstable, frac = _stability(mid, last)
-    escapes = (_direction_escapes([p["t12"] for p in per_radius])
-               + _direction_escapes([p["t21"] for p in per_radius]))
+    escapes = (_escape_entries(_jump_samples([p["t12"] for p in per_radius]))
+               + _escape_entries(_jump_samples([p["t21"] for p in per_radius])))
     claim = f"equivalent[{mode}]({_name(e1)}, {_name(e2)})"
     series = sorted(last.items())
     diagnostics = {
@@ -238,10 +236,8 @@ def equivalent(e1, e2, mode: str, window: Window,
         reason = "escape" if escapes and not stable else "unstable transfer"
         return Verdict(Status.INCONCLUSIVE, claim, window=window, value=mode,
                        diagnostics=dict(diagnostics, reason=reason))
-    witnesses = [_minimal_affine(sorted(m.items()), grid) for m in merged_list]
-    diagnostics["minimal_witnesses"] = [w.to_json() if w else None for w in witnesses]
-    w_mid, w_last = witnesses[-2] if len(witnesses) > 1 else None, witnesses[-1]
-    if table_stable and w_last is not None and w_mid == w_last:
+    w_last, agreed = _stable_affine(merged_list, diagnostics)
+    if table_stable and agreed:
         return Verdict(Status.CERTIFIED, claim, window=window, value=mode,
                        witness=w_last, diagnostics=diagnostics,
                        check_kind=CHECK_DOMINATES)
@@ -259,9 +255,7 @@ def _name(e):
     return getattr(e, "name", repr(e))
 
 
-def is_zero(e, mode: str, window: Window, n_max: int = 8,
-            grid: Optional[list] = None,
-            radii: Optional[list] = None) -> Verdict:
+def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
     """Certify that e is the zero class: every sublevel set stays bounded.
 
     The boundedness surrogate is the per-level radius sup around the space
@@ -271,15 +265,12 @@ def is_zero(e, mode: str, window: Window, n_max: int = 8,
     """
     if mode not in ("quasi", "coarse"):
         raise DomainError(f"unknown zero-test mode {mode!r}")
-    if grid is None:
-        grid = default_grid()
     space = e.space
     x0 = space.basepoint
-    if radii is None:
-        radii = sweep_radii(window)
+    radii = sweep_radii(window)
     sups_by_radius = []
     for r in radii:
-        tab = level_table(e, space, Window(r, window.basepoint))
+        tab = e.tabulate(Window(r, window.basepoint))
         sups = {}
         for n in range(1, n_max + 1):
             ds = [space.distance(x, x0) for x, lv in tab.items() if lv <= n]
@@ -322,10 +313,8 @@ def is_zero(e, mode: str, window: Window, n_max: int = 8,
             return Verdict(Status.CERTIFIED, claim, window=window, value="zero",
                            witness=TabulatedWitness(tuple(series)),
                            diagnostics=diagnostics, check_kind=CHECK_DOMINATES)
-        witnesses = [_minimal_affine(sorted(s.items()), grid) for s in sups_by_radius]
-        diagnostics["minimal_witnesses"] = [w.to_json() if w else None for w in witnesses]
-        w_mid, w_last = witnesses[-2] if len(witnesses) > 1 else None, witnesses[-1]
-        if w_last is not None and w_mid == w_last:
+        w_last, agreed = _stable_affine(sups_by_radius, diagnostics)
+        if agreed:
             return Verdict(Status.CERTIFIED, claim, window=window, value="zero",
                            witness=w_last, diagnostics=diagnostics,
                            check_kind=CHECK_DOMINATES)

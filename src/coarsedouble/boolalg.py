@@ -11,16 +11,20 @@ claimed to be constructed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .asymptotics import equivalent, sweep_radii
 from .errors import DomainError, SearchInconclusive
 from .projection import (LevelFunction, join, meet, unit_levels, zero_levels)
 from .space import (MetricSpace, PointSet, Window, rational_to_json,
-                    window_points)
+                    set_family, window_points)
 from .verdicts import (CHECK_DOMINATES, CHECK_STABLE, CHECK_STRICT_GROWTH,
                        Status, TabulatedWitness, Verdict)
+
+# sublevels A_1..A_TAU_N_MAX examined by tau
+TAU_N_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -89,34 +93,20 @@ class TwoValuedHom:
         return {"assignment": {n: v for n, v in zip(self.names, self.assignment)}}
 
 
-def _meet_over(gens: Sequence[LevelFunction], indices, space: MetricSpace) -> LevelFunction:
+def _fold(op, gens: Sequence[LevelFunction], indices,
+          empty: LevelFunction) -> LevelFunction:
+    """op over the generators at the 1-based indices, or empty when there are none."""
     chosen = [gens[i - 1] for i in sorted(indices)]
-    if not chosen:
-        return unit_levels(space)
-    out = chosen[0]
-    for e in chosen[1:]:
-        out = meet(out, e)
-    return out
+    return functools.reduce(op, chosen) if chosen else empty
 
 
-def _join_over(gens: Sequence[LevelFunction], indices, space: MetricSpace) -> LevelFunction:
-    chosen = [gens[i - 1] for i in sorted(indices)]
-    if not chosen:
-        return zero_levels(space)
-    out = chosen[0]
-    for e in chosen[1:]:
-        out = join(out, e)
-    return out
-
-
-def _below(e: LevelFunction, f: LevelFunction, window: Window,
-           radii: Optional[list] = None) -> Verdict:
+def _below(e: LevelFunction, f: LevelFunction, window: Window) -> Verdict:
     """Order test e <= f via meet(e, f) ~ e (coarse)."""
-    return equivalent(meet(e, f), e, "coarse", window, radii=radii)
+    return equivalent(meet(e, f), e, "coarse", window)
 
 
 def atom_nonzero(pattern: AtomPattern, gens: Sequence[LevelFunction],
-                 window: Window, radii: Optional[list] = None) -> Verdict:
+                 window: Window) -> Verdict:
     """Decide whether the atom is nonzero: NOT (meet over S <= join over S^c).
 
     S empty tests join != 1; S full tests meet != 0.
@@ -124,10 +114,10 @@ def atom_nonzero(pattern: AtomPattern, gens: Sequence[LevelFunction],
     if pattern.width != len(gens):
         raise DomainError("pattern width does not match generator count")
     space = gens[0].space
-    M = _meet_over(gens, pattern.members, space)
+    M = _fold(meet, gens, pattern.members, unit_levels(space))
     comp = set(range(1, pattern.width + 1)) - pattern.members
-    J = _join_over(gens, comp, space)
-    order = _below(M, J, window, radii=radii)
+    J = _fold(join, gens, comp, zero_levels(space))
+    order = _below(M, J, window)
     claim = f"atom({pattern.bits()})"
     diagnostics = {"pattern": pattern.bits(), "order_test": order.to_json()}
     if order.certified:
@@ -148,8 +138,8 @@ def atom_nonzero(pattern: AtomPattern, gens: Sequence[LevelFunction],
                    diagnostics=diagnostics)
 
 
-def enumerate_atoms(gens: Sequence[LevelFunction], window: Window,
-                    radii: Optional[list] = None) -> List[Tuple[AtomPattern, Verdict]]:
+def enumerate_atoms(gens: Sequence[LevelFunction],
+                    window: Window) -> List[Tuple[AtomPattern, Verdict]]:
     """All 2^k atom patterns with verdicts, in binary order of the bit string."""
     k = len(gens)
     if k > 16:
@@ -160,16 +150,15 @@ def enumerate_atoms(gens: Sequence[LevelFunction], window: Window,
     for s in range(2 ** k):
         bits = format(s, f"0{k}b")
         pattern = AtomPattern.from_bits(bits)
-        out.append((pattern, atom_nonzero(pattern, gens, window, radii=radii)))
+        out.append((pattern, atom_nonzero(pattern, gens, window)))
     return out
 
 
-def homs(gens: Sequence[LevelFunction], window: Window,
-         radii: Optional[list] = None) -> List[TwoValuedHom]:
+def homs(gens: Sequence[LevelFunction], window: Window) -> List[TwoValuedHom]:
     """One two-valued homomorphism per certified-nonzero atom."""
     names = tuple(e.name for e in gens)
     out = []
-    for pattern, verdict in enumerate_atoms(gens, window, radii=radii):
+    for pattern, verdict in enumerate_atoms(gens, window):
         if verdict.certified and verdict.value == "nonzero":
             out.append(TwoValuedHom(
                 names, tuple(1 if i in pattern.members else 0
@@ -188,8 +177,7 @@ def extend_hom(phi: TwoValuedHom, s: FormalSum) -> int:
     return total
 
 
-def check_hom(phi: TwoValuedHom, gens: Sequence[LevelFunction], window: Window,
-              pairs: Optional[list] = None, radii: Optional[list] = None) -> dict:
+def check_hom(phi: TwoValuedHom, gens: Sequence[LevelFunction], window: Window) -> dict:
     """Verify lattice-hom consistency of an assignment against window verdicts.
 
     Checks: meets certified zero force min(phi) = 0; joins certified full
@@ -200,29 +188,28 @@ def check_hom(phi: TwoValuedHom, gens: Sequence[LevelFunction], window: Window,
     space = gens[0].space
     unit = unit_levels(space)
     violations = []
-    if pairs is None:
-        pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     for i, j in pairs:
         m = meet(gens[i], gens[j])
-        zero_v = _below(m, zero_levels(space), window, radii=radii)
+        zero_v = _below(m, zero_levels(space), window)
         if zero_v.certified and min(phi.value(i), phi.value(j)) == 1:
             violations.append({"pair": [gens[i].name, gens[j].name],
                                "check": "meet-zero", "min": 1, "expected": 0})
         jn = join(gens[i], gens[j])
-        one_v = _below(unit, jn, window, radii=radii)
+        one_v = _below(unit, jn, window)
         if one_v.certified and max(phi.value(i), phi.value(j)) == 0:
             violations.append({"pair": [gens[i].name, gens[j].name],
                                "check": "join-one", "max": 0, "expected": 1})
-        le = _below(gens[i], gens[j], window, radii=radii)
+        le = _below(gens[i], gens[j], window)
         if le.certified and phi.value(i) > phi.value(j):
             violations.append({"pair": [gens[i].name, gens[j].name],
                                "check": "order", "phi": [phi.value(i), phi.value(j)]})
-    full_join = _join_over(gens, range(1, len(gens) + 1), space)
-    if _below(unit, full_join, window, radii=radii).certified \
+    full_join = _fold(join, gens, range(1, len(gens) + 1), zero_levels(space))
+    if _below(unit, full_join, window).certified \
             and max(phi.assignment, default=0) == 0:
         violations.append({"check": "unitality", "expected": "phi(1) = 1"})
-    full_meet = _meet_over(gens, range(1, len(gens) + 1), space)
-    if _below(full_meet, zero_levels(space), window, radii=radii).certified \
+    full_meet = _fold(meet, gens, range(1, len(gens) + 1), unit)
+    if _below(full_meet, zero_levels(space), window).certified \
             and min(phi.assignment, default=1) == 1:
         violations.append({"check": "full-meet-zero", "expected": "phi(0) = 0"})
     return {"passed": not violations, "violations": violations,
@@ -261,24 +248,21 @@ class FilterBase:
 
 
 def powers_tail_base(base: int, scale: int = 1, depth: int = 8) -> FilterBase:
-    from .space import set_family
     return FilterBase(
         f"tails({scale}*{base}^j)",
         lambda k: set_family("powers_tail", base=base, scale=scale, k0=k),
         depth=depth)
 
 
-def tau(F: FilterBase, e: LevelFunction, window: Window, n_max: int = 8,
-        radii: Optional[list] = None) -> Verdict:
+def tau(F: FilterBase, e: LevelFunction, window: Window) -> Verdict:
     """Limit of the base's membership decisions along the expanding sequence.
 
     1: some F_k is eventually inside some A_n (remainder count stable under
-    the sweep).  0: for every n <= n_max some F_k meets A_n in a
+    the sweep).  0: for every n <= TAU_N_MAX some F_k meets A_n in a
     stable-finite set.  Otherwise undetermined, with the count matrix.
     """
     space = e.space
-    if radii is None:
-        radii = sweep_radii(window)
+    radii = sweep_radii(window)
     base = window.basepoint
 
     def counts(k: int, n: int):
@@ -294,7 +278,7 @@ def tau(F: FilterBase, e: LevelFunction, window: Window, n_max: int = 8,
 
     matrix = {}
     for k in range(1, F.depth + 1):
-        for n in range(1, n_max + 1):
+        for n in range(1, TAU_N_MAX + 1):
             matrix[(k, n)] = counts(k, n)
 
     claim = f"tau({F.name}, {e.name})"
@@ -302,7 +286,7 @@ def tau(F: FilterBase, e: LevelFunction, window: Window, n_max: int = 8,
                    for (k, n), (rem, hits) in sorted(matrix.items())}
     # value 1: remainder stabilizes (F_k eventually inside A_n plus a fixed
     # finite exceptional set)
-    for n in range(1, n_max + 1):
+    for n in range(1, TAU_N_MAX + 1):
         for k in range(1, F.depth + 1):
             rem, _ = matrix[(k, n)]
             if len(set(rem)) == 1 and any(h > 0 for h in matrix[(k, n)][1]):
@@ -314,7 +298,7 @@ def tau(F: FilterBase, e: LevelFunction, window: Window, n_max: int = 8,
                                check_kind=CHECK_STABLE)
     # value 0: every sublevel is eventually avoided up to a stable finite set
     chosen = {}
-    for n in range(1, n_max + 1):
+    for n in range(1, TAU_N_MAX + 1):
         got = None
         for k in range(1, F.depth + 1):
             _, hits = matrix[(k, n)]
@@ -340,8 +324,7 @@ def tau(F: FilterBase, e: LevelFunction, window: Window, n_max: int = 8,
                    diagnostics={"matrix": diag_matrix})
 
 
-def separating_set(e: LevelFunction, window: Window,
-                   n_cap: Optional[int] = None) -> Tuple[PointSet, dict]:
+def separating_set(e: LevelFunction, window: Window) -> Tuple[PointSet, dict]:
     """Greedy pick of window points far from successive sublevel sets.
 
     Picks x_n with d_X(x_n, A_n cap W) > n for n as far as the window allows;
@@ -351,8 +334,7 @@ def separating_set(e: LevelFunction, window: Window,
     space = e.space
     pts = window_points(space, window)
     levels = {x: e.level(x) for x in pts}
-    if n_cap is None:
-        n_cap = max(levels.values(), default=1)
+    n_cap = max(levels.values(), default=1)
     picked, margins = [], {}
     for n in range(1, n_cap + 1):
         members = [x for x in pts if levels[x] <= n]

@@ -1,7 +1,8 @@
 """Command-line front end: batch commands, JSON/CSV reports, scenario runs.
 
 Exit codes: 0 ok, 1 expected-vs-actual mismatch, 2 usage error,
-3 inconclusive verdict or inexact evaluation under --strict.
+3 inconclusive search (always), or an inconclusive verdict or inexact
+evaluation under --strict.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def _dispatch(args) -> RunReport:
         w = Window(args.radius)
         return RunReport(
             f"proj define {args.levels}",
-            {"levels": lf.serialize_window(w, tail=lf.kind),
+            {"levels": lf.serialize_window(w),
              "validation": lf.validate(w)})
 
     if args.command == "eval":
@@ -204,7 +205,7 @@ def _dispatch(args) -> RunReport:
         lf = op(e1, e2)
         w = Window(args.radius)
         return RunReport(args.command,
-                         {"levels": lf.serialize_window(w, tail=lf.kind)})
+                         {"levels": lf.serialize_window(w)})
 
     if args.command == "classify":
         space = space_by_name(args.space)
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
         report = _dispatch(args)
     except (DomainError, SearchInconclusive) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, SearchInconclusive) else 2
     report.meta.setdefault("version", __version__)
     doc = report.to_json()
     if args.csv:

@@ -22,6 +22,8 @@ from .space import (UNBOUNDED, Evaluation, MetricSpace, Point, PointSet,
 _INT_SAFE = 1 << 60
 # width of the inner-index chunks of the int64 min-plus product
 _CHUNK = 128
+# doubling budget of _escalate
+_MAX_DOUBLINGS = 80
 
 
 class DeltaFunction:
@@ -53,10 +55,10 @@ class DeltaFunction:
         return f"DeltaFunction({self.name})"
 
 
-def const_delta(space: MetricSpace, value: Rational = 1, name: Optional[str] = None) -> DeltaFunction:
+def const_delta(space: MetricSpace, value: Rational = 1) -> DeltaFunction:
     if value < 1:
         raise DomainError("constant delta must be >= 1")
-    return DeltaFunction(space, lambda u: value, name or f"const({value})",
+    return DeltaFunction(space, lambda u: value, f"const({value})",
                          payload={"kind": "const", "value": rational_to_json(value)})
 
 
@@ -72,9 +74,6 @@ class DoubleMetric:
 
     def cross(self, x: Point, y: Point, window: Window) -> Evaluation:
         raise NotImplementedError
-
-    def diagonal(self, x: Point, window: Window) -> Evaluation:
-        return self.cross(x, x, window)
 
     def lower_bound(self, x: Point, y: Point) -> Rational:
         """Certified bound: lower_bound(x, y) <= d(x, y') always."""
@@ -329,30 +328,18 @@ class ClosedFormMetric(DoubleMetric):
     kind = "closed_form"
 
     def __init__(self, space: MetricSpace, fn: Callable[[Point, Point], Rational],
-                 name: str, symmetric: bool = False,
-                 coercive: Optional[Rational] = None, eps: Rational = 1):
+                 name: str, symmetric: bool = False):
         super().__init__(space)
         self.fn = fn
         self.name = name
         self.symmetric = symmetric
-        self._coercive = coercive
-        self._eps = eps
 
     def cross(self, x, y, window):
         return Evaluation(self.fn(x, y), True)
 
     def lower_bound(self, x, y):
-        if self._coercive is not None:
-            return self.space.distance(x, y) + self._coercive
-        return self._eps
-
-    @property
-    def coercive_c(self):
-        return self._coercive
-
-    @property
-    def eps(self):
-        return self._eps
+        # not coercive: only the positivity floor is promised
+        return self.eps
 
     def adjoint(self):
         if self.symmetric:
@@ -587,19 +574,18 @@ def evaluate(d: DoubleMetric, x: Point, y: Point, window: Window) -> Evaluation:
 
 
 def evaluate_exact(d: DoubleMetric, x: Point, y: Point,
-                   start_radius: Rational = 8, max_doublings: int = 80) -> Evaluation:
+                   start_radius: Rational = 8) -> Evaluation:
     """Evaluate with expanding windows until the result is certified.
 
     Raises SearchInconclusive for kernels that cannot certify (no coercive
     lower bound) once the doubling budget is exhausted.
     """
     return _escalate(d, lambda w: d.cross(x, y, w), (x, y), "evaluation",
-                     start_radius, max_doublings)
+                     start_radius)
 
 
 def _escalate(d: DoubleMetric, evaluate: Callable[[Window], Evaluation],
-              points: tuple, what: str, start_radius: Rational = 8,
-              max_doublings: int = 80) -> Evaluation:
+              points: tuple, what: str, start_radius: Rational = 8) -> Evaluation:
     """evaluate(Window(r)) from the smallest r >= start_radius whose window
     holds the points, doubling r (or jumping to the required radius) until
     the result is certified.  A kernel without a coercive bound stops after
@@ -608,7 +594,7 @@ def _escalate(d: DoubleMetric, evaluate: Callable[[Window], Evaluation],
     base = d.space.basepoint
     r = max(start_radius, *(d.space.distance(p, base) for p in points))
     last = None
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         ev = evaluate(Window(r))
         if ev.exact:
             return ev

@@ -42,8 +42,8 @@ class ApproximateUnit:
         return max(0, 1 - self.set_distance_capped(x, n))
 
 
-def unit_eval(unit: ApproximateUnit, n: int, x: Point, window: Window) -> Rational:
-    """Exact u_n(x); the window is the reporting scope, the scan radius is 1."""
+def unit_eval(unit: ApproximateUnit, n: int, x: Point) -> Rational:
+    """Exact u_n(x), checked to be a point of the space; the scan radius is 1."""
     if not unit.space.contains(x):
         raise DomainError(f"{x} not in {unit.space.name}")
     return unit.value(n, x)

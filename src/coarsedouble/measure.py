@@ -107,8 +107,7 @@ class DensityMeasure:
             ball = self.ball(r)
             inside = [p for p in ball if members(p)]
             m_in, m_all = self.mass(inside), self.mass(ball)
-            ratio = Fraction(m_in, m_all) if self.weight is None else m_in / m_all
-            out.append((r, ratio, m_in))
+            out.append((r, Fraction(m_in, m_all), m_in))
         return out
 
     def to_json(self):
@@ -233,8 +232,7 @@ def _am2_slack(mu: DensityMeasure, reports: Sequence[NuHatReport],
     for rep in reports:
         for m in rep.bounded_masses:
             if total:
-                slack = max(slack, Fraction(m, total) if mu.weight is None
-                            else m / total)
+                slack = max(slack, Fraction(m, total))
     return slack
 
 
@@ -272,8 +270,7 @@ def check_modularity(mu: DensityMeasure, e: LevelFunction, f: LevelFunction,
         rhs = he.interval.series[i][1] + hf.interval.series[i][1]
         gap = abs(lhs - rhs)
         total = mu.mass(mu.ball(r))
-        slack_r = (Fraction(hidden, total) if mu.weight is None
-                   else hidden / total) if total else Fraction(0)
+        slack_r = Fraction(hidden, total) if total else Fraction(0)
         slack = max(slack, slack_r)
         worst = max(worst, gap)
         adjusted_ok = adjusted_ok and gap <= slack_r
@@ -326,5 +323,4 @@ def _fattening_slack(mu: DensityMeasure, schedule, n_max: int) -> Rational:
         return Fraction(0)
     unit = 1 if mu.weight is None else max(mu.weight(p) for p in ball)
     width = n_max // 2 + 1
-    return Fraction(width * unit, total) if mu.weight is None \
-        else (width * unit) / total
+    return Fraction(width * unit, total)

@@ -10,11 +10,10 @@ x -> d(x, x').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .asymptotics import equivalent, sweep_radii
+from .asymptotics import default_grid, equivalent, sweep_radii
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
@@ -83,11 +82,11 @@ class LevelFunction:
     def tabulate(self, window: Window) -> dict:
         return {x: self.level(x) for x in window_points(self.space, window)}
 
-    def serialize_window(self, window: Window, tail: str = "") -> dict:
-        """Tabulated form: explicit window levels plus a tail description."""
+    def serialize_window(self, window: Window) -> dict:
+        """Tabulated form: explicit window levels plus the kind as tail description."""
         return {"space": self.space.to_json(),
                 "levels": [[list(x), v] for x, v in sorted(self.tabulate(window).items())],
-                "tail": tail}
+                "tail": self.kind}
 
     def __repr__(self):
         return f"LevelFunction({self.name})"
@@ -182,7 +181,7 @@ def projection_criterion(d: DoubleMetric, window: Window,
     if not d.is_selfadjoint():
         raise DomainError("projection criterion needs a selfadjoint kernel")
     if grid is None:
-        grid = [(a, b) for b in range(1, 9) for a in range(0, 9)]
+        grid = default_grid()
     pts = window_points(d.space, window)
     rows = []
     certifiable = True
@@ -240,7 +239,7 @@ class CmFunction:
         return f"CmFunction({self.name})"
 
 
-def f_map(d: DoubleMetric, window: Window) -> CmFunction:
+def f_map(d: DoubleMetric) -> CmFunction:
     """F(d): x -> d(x, x'), the copy-gap function of a kernel."""
 
     def fn(x):
@@ -363,15 +362,13 @@ def range_projection(d: DoubleMetric, window: Window,
 # -- type classification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeSearchParams:
-    n_max: int = 8
-    k_max: int = 64
-    m_max: int = 24
+# search bounds of classify_type: cores A_n, table k(m) and its cap on k
+TYPE_N_MAX = 8
+TYPE_K_MAX = 64
+TYPE_M_MAX = 24
 
 
 def classify_type(e: LevelFunction, window: Window,
-                  params: TypeSearchParams = TypeSearchParams(),
                   radii: Optional[list] = None) -> Verdict:
     """Type I: e is equivalent to the neighborhood sequence of one of its own
     sublevel sets (stable across the radius sweep), reported with the
@@ -385,7 +382,7 @@ def classify_type(e: LevelFunction, window: Window,
     if not big_tab:
         return Verdict(Status.INCONCLUSIVE, f"classify({e.name})", window=window,
                        diagnostics={"reason": "empty window"})
-    usable = [n for n in range(1, params.n_max + 1)
+    usable = [n for n in range(1, TYPE_N_MAX + 1)
               if any(v <= n for v in big_tab.values())]
     claim = f"classify({e.name})"
     growth = {}
@@ -396,13 +393,13 @@ def classify_type(e: LevelFunction, window: Window,
         if v.certified:
             k_table, realized = [], []
             ok = True
-            for m in range(1, params.m_max + 1):
+            for m in range(1, TYPE_M_MAX + 1):
                 pts_m = [x for x, lv in big_tab.items() if lv <= m]
                 if not pts_m:
                     continue
                 dmax = max(dist_to_set(space, x, core, UNBOUNDED).value for x in pts_m)
                 k = math.ceil(dmax)
-                if k > params.k_max:
+                if k > TYPE_K_MAX:
                     ok = False
                     break
                 k_table.append((m, k))
@@ -415,26 +412,23 @@ def classify_type(e: LevelFunction, window: Window,
                                  "series": realized,
                                  "equivalence": v.to_json()},
                     check_kind=CHECK_DOMINATES)
-        growth[n] = _required_k_series(e, n, radii, window, params)
+        growth[n] = _required_k_series(e, n, radii, window)
     all_grow = usable and all(
         len(g) >= 3 and all(b > a for a, b in zip(g, g[1:]))
         for g in (tuple(v for _, v in growth[n]) for n in usable))
+    diagnostics = {"growth": {str(n): [[rational_to_json(r), rational_to_json(k)]
+                                       for r, k in growth[n]]
+                              for n in usable}}
     if all_grow:
         return Verdict(Status.INCONCLUSIVE, claim, window=window,
                        value="type-II-evidence",
-                       diagnostics={"growth": {str(n): [[rational_to_json(r),
-                                                         rational_to_json(k)]
-                                                        for r, k in growth[n]]
-                                               for n in usable},
-                                    "radii": [rational_to_json(r) for r in radii]})
+                       diagnostics=dict(diagnostics,
+                                        radii=[rational_to_json(r) for r in radii]))
     return Verdict(Status.INCONCLUSIVE, claim, window=window, value="unclassified",
-                   diagnostics={"growth": {str(n): [[rational_to_json(r),
-                                                     rational_to_json(k)]
-                                                    for r, k in growth[n]]
-                                           for n in usable}})
+                   diagnostics=diagnostics)
 
 
-def _required_k_series(e, n, radii, window, params):
+def _required_k_series(e, n, radii, window):
     """Minimal k with A_m cap W subset N_k(A_n), per radius, at the deepest
     sublevel m realized within that radius."""
     space = e.space
@@ -444,7 +438,7 @@ def _required_k_series(e, n, radii, window, params):
         tab = e.tabulate(Window(r, window.basepoint))
         if not tab:
             continue
-        m_star = min(max(tab.values()), params.m_max)
+        m_star = min(max(tab.values()), TYPE_M_MAX)
         pts_m = [x for x, lv in tab.items() if lv <= m_star]
         if not pts_m:
             continue

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 from . import boolalg, measure
+from .asymptotics import sweep_radii
 from .boolalg import FilterBase, _below, powers_tail_base, tau
 from .double import compose
 from .errors import DomainError
@@ -32,7 +33,8 @@ def expected_tables() -> dict:
     return json.loads(text)
 
 
-def scenario_typeI(radii=(30, 110, 420)) -> dict:
+def scenario_typeI() -> dict:
+    radii = [30, 110, 420]
     space = space_by_name("TwoTails")
     a_plus = set_family("tail_plus")
     a_minus = set_family("tail_minus")
@@ -41,8 +43,8 @@ def scenario_typeI(radii=(30, 110, 420)) -> dict:
     window = Window(radii[-1])
     e_plus = levels_from_metric(b_plus)
     e_minus = levels_from_metric(b_minus)
-    v_plus = classify_type(e_plus, window, radii=list(radii))
-    v_minus = classify_type(e_minus, window, radii=list(radii))
+    v_plus = classify_type(e_plus, window, radii=radii)
+    v_minus = classify_type(e_minus, window, radii=radii)
     product = compose(b_plus, b_minus)
     rows, matches = [], True
     for x in window_points(space, window):
@@ -52,14 +54,14 @@ def scenario_typeI(radii=(30, 110, 420)) -> dict:
         matches = matches and got == want
     e_prod = levels_from_metric(product, window=window, on_inexact="window")
     e_prod.name = "lv[b+ o b-]"
-    v_prod = classify_type(e_prod, window, radii=list(radii))
+    v_prod = classify_type(e_prod, window, radii=radii)
     summary = {"b_plus": v_plus.value, "b_minus": v_minus.value,
                "closed_form_matches": matches, "product": v_prod.value}
     return {"summary": summary,
             "details": {"b_plus": v_plus.to_json(), "b_minus": v_minus.to_json(),
                         "product": v_prod.to_json(),
                         "closed_form_rows": rows[:12],
-                        "radii": list(radii)},
+                        "radii": radii},
             "verdicts": [v_plus, v_minus, v_prod]}
 
 
@@ -69,7 +71,8 @@ def _far_set(space, A: PointSet, j: int) -> PointSet:
         lambda p: not any(A.contains(q) for q in space.points_within(p, j)))
 
 
-def scenario_ex1(radius: int = 512) -> dict:
+def scenario_ex1() -> dict:
+    radius = 512
     space = space_by_name("NatLine")
     A = set_family("powers", base=2)
     b = levels_from_subset(space, A)
@@ -116,7 +119,8 @@ def _direct_omega(space, F: FilterBase, S: PointSet, radii) -> int:
     return 0
 
 
-def scenario_ex2(radius: int = 4096) -> dict:
+def scenario_ex2() -> dict:
+    radius = 4096
     space = space_by_name("GeomLine")
     A = set_family("powers", base=4)
     B = set_family("powers", base=4, scale=2)
@@ -145,7 +149,6 @@ def scenario_ex2(radius: int = 4096) -> dict:
     verdicts = [meet_zero, join_one, t_plus, t_minus]
     restriction_ok = True
     restriction_rows = []
-    from .asymptotics import sweep_radii
     radii = sweep_radii(window)
     for S in (A, B, A.complement()):
         direct = _direct_omega(space, F, S, radii)
@@ -185,7 +188,8 @@ def _sample_levels(space, rng):
     return rng.choice(pool)()
 
 
-def scenario_lattice_laws(seed: int = 7, triples: int = 60, radius: int = 24) -> dict:
+def scenario_lattice_laws() -> dict:
+    seed, triples, radius = 7, 60, 24
     rng = random.Random(seed)
     spaces = [space_by_name(n) for n in ("NatLine", "IntLine")]
     laws_pass = True
@@ -211,13 +215,13 @@ def scenario_lattice_laws(seed: int = 7, triples: int = 60, radius: int = 24) ->
     window = Window(48)
     d1 = subset_metric(space, set_family("evens"))
     d2 = subset_metric(space, set_family("powers", base=2))
-    f1, f2 = f_map(d1, window), f_map(d2, window)
+    f1, f2 = f_map(d1), f_map(d2)
     cm_pass = (check_cm(f1, window)["passed"] and check_cm(f2, window)["passed"]
                and check_cm(cm_meet(f1, f2), window)["passed"]
                and check_cm(cm_join(f1, f2), window)["passed"])
     dm = metric_meet(d1, d2, window)
     dj = metric_join(d1, d2, window)
-    fm, fj = f_map(dm, window), f_map(dj, window)
+    fm, fj = f_map(dm), f_map(dj)
     f_compat = True
     for x in window_points(space, window):
         f_compat = f_compat and fm.value(x) == max(f1.value(x), f2.value(x))
@@ -229,7 +233,8 @@ def scenario_lattice_laws(seed: int = 7, triples: int = 60, radius: int = 24) ->
             "verdicts": []}
 
 
-def scenario_measure_demo(n_max: int = 8) -> dict:
+def scenario_measure_demo() -> dict:
+    n_max = 8
     space = space_by_name("IntLine")
     mu = measure.DensityMeasure.natural(space)
     schedule = measure.default_schedule()
@@ -268,11 +273,11 @@ _RUNNERS = {
 }
 
 
-def run_scenario(name: str, **kwargs) -> RunReport:
+def run_scenario(name: str) -> RunReport:
     if name not in _RUNNERS:
         raise DomainError(f"unknown scenario {name!r} (known: {sorted(_RUNNERS)})")
     t0 = time.perf_counter()
-    out = _RUNNERS[name](**kwargs)
+    out = _RUNNERS[name]()
     elapsed = time.perf_counter() - t0
     expected = expected_tables()[name]
     mismatches = diff_against(expected, out["summary"])

@@ -119,9 +119,10 @@ def kernel_from_json(space: MetricSpace, doc, validate: bool = True) -> DoubleMe
 # -- compact command-line forms ----------------------------------------------
 
 
-def parse_set(spec: str):
+def parse_set(space: MetricSpace, spec: str):
     """family[:arg[:arg]] shorthand, e.g. evens, powers:4, powers:4:2,
-    halfline:-:0, multiples:3:1, tailplus."""
+    halfline:-:0, multiples:3:1, tailplus.  The tail families need a space
+    whose points have two coordinates."""
     parts = spec.split(":")
     fam = parts[0]
     if fam in ("evens", "odds", "squares"):
@@ -137,10 +138,10 @@ def parse_set(spec: str):
         sign = -1 if parts[1] == "-" else 1
         bound = int(parts[2]) if len(parts) > 2 else 0
         return set_family("half_line", sign=sign, bound=bound)
-    if fam == "tailplus":
-        return set_family("tail_plus")
-    if fam == "tailminus":
-        return set_family("tail_minus")
+    if fam in ("tailplus", "tailminus"):
+        if len(space.basepoint) != 2:
+            raise DomainError(f"set {fam} needs a space of pairs, not {space.name}")
+        return set_family("tail_plus" if fam == "tailplus" else "tail_minus")
     if fam == "points":
         pts = [tuple(int(c) for c in chunk.split(","))
                for chunk in parts[1].split(";")]
@@ -161,9 +162,9 @@ def parse_levels(space: MetricSpace, spec: str) -> LevelFunction:
     if spec.startswith("expr:"):
         return expression_levels(space, spec.split(":", 1)[1])
     if spec.startswith("subset:"):
-        return levels_from_subset(space, parse_set(spec.split(":", 1)[1]))
+        return levels_from_subset(space, parse_set(space, spec.split(":", 1)[1]))
     if spec.startswith("~subset:"):
-        return levels_from_subset(space, parse_set(spec.split(":", 1)[1]).complement())
+        return levels_from_subset(space, parse_set(space, spec.split(":", 1)[1]).complement())
     raise DomainError(f"unknown levels spec {spec!r}")
 
 
@@ -177,7 +178,7 @@ def parse_kernel(space: MetricSpace, spec: str) -> DoubleMetric:
     if spec.startswith("const:"):
         return DeltaMetric(space, const_delta(space, as_rational(spec.split(":", 1)[1])))
     if spec.startswith("subset:"):
-        return subset_metric(space, parse_set(spec.split(":", 1)[1]))
+        return subset_metric(space, parse_set(space, spec.split(":", 1)[1]))
     if spec.startswith("delta:"):
         return metric_from_levels(parse_levels(space, spec.split(":", 1)[1]))
     raise DomainError(f"unknown kernel spec {spec!r}")

@@ -39,10 +39,6 @@ def rational_to_json(v: Rational):
     return int(v)
 
 
-def ceil_rational(v: Rational) -> int:
-    return math.ceil(v)
-
-
 def ruler(n: int) -> int:
     """1 + (2-adic valuation of n); takes each value infinitely often, <= n."""
     if n <= 0:
@@ -63,9 +59,6 @@ class Window:
 
     def resolve_base(self, space: "MetricSpace") -> Point:
         return self.basepoint if self.basepoint is not None else space.basepoint
-
-    def scaled(self, factor: Rational) -> "Window":
-        return Window(self.radius * factor, self.basepoint)
 
     def to_json(self):
         doc = {"radius": rational_to_json(self.radius)}
@@ -132,9 +125,8 @@ class NatLine(MetricSpace):
 
     def points_within(self, center, radius):
         c = center[0]
-        lo = max(0, ceil_rational(c - radius) if isinstance(radius, Fraction) else c - radius)
-        hi = c + radius
-        hi = math.floor(hi)
+        lo = max(0, math.ceil(c - radius))
+        hi = math.floor(c + radius)
         return [(i,) for i in range(lo, hi + 1)]
 
 
@@ -187,16 +179,12 @@ class GeomLine(MetricSpace):
 class TwoTails(MetricSpace):
     """{(n^2, +phi(n)), (n^2, -phi(n)) : n >= 1} with the Manhattan metric.
 
-    phi defaults to the ruler function, which takes each value infinitely
-    many times and satisfies phi(n) <= n.
+    phi is the ruler function, which takes each value infinitely many times
+    and satisfies phi(n) <= n.
     """
 
     name = "TwoTails"
     basepoint = (1, 1)
-
-    def __init__(self, phi: Callable[[int], int] = ruler, phi_name: str = "ruler"):
-        self.phi = phi
-        self.phi_name = phi_name
 
     def contains(self, p):
         if not (isinstance(p, tuple) and len(p) == 2 and all(isinstance(c, int) for c in p)):
@@ -207,13 +195,13 @@ class TwoTails(MetricSpace):
         n = math.isqrt(a)
         if n * n != a:
             return False
-        return abs(b) == self.phi(n) and b != 0
+        return abs(b) == ruler(n) and b != 0
 
     def _dist(self, x, y):
         return abs(x[0] - y[0]) + abs(x[1] - y[1])
 
     def tail_point(self, n: int, sign: int) -> Point:
-        return (n * n, sign * self.phi(n))
+        return (n * n, sign * ruler(n))
 
     def points_within(self, center, radius):
         a0 = center[0]
@@ -227,7 +215,7 @@ class TwoTails(MetricSpace):
             # contributes nonnegatively to the Manhattan distance.
             if abs(sq - a0) <= radius:
                 for sign in (-1, 1):
-                    p = (sq, sign * self.phi(n))
+                    p = (sq, sign * ruler(n))
                     if self._dist(p, center) <= radius:
                         out.append(p)
             n += 1
@@ -235,7 +223,7 @@ class TwoTails(MetricSpace):
         return out
 
     def to_json(self):
-        return {"space": self.name, "phi": self.phi_name}
+        return {"space": self.name, "phi": "ruler"}
 
 
 class CustomSpace(MetricSpace):
@@ -313,7 +301,8 @@ class CustomSpace(MetricSpace):
 
 
 class PredicateSpace(MetricSpace):
-    """Custom space given by a coordinate predicate on a bounded integer box.
+    """Custom space given by a coordinate predicate on a bounded integer box
+    of one or two coordinates, with the Manhattan metric.
 
     Enumeration is certified only up to ``coverage_radius``; asking for a
     larger ball raises IncompleteEnumeration.
@@ -322,14 +311,13 @@ class PredicateSpace(MetricSpace):
     name = "CustomPredicate"
 
     def __init__(self, predicate: Callable[[Point], bool], dim: int,
-                 coverage_radius: int, basepoint: Point, metric: str = "manhattan",
-                 name: str = "CustomPredicate"):
+                 coverage_radius: int, basepoint: Point):
+        if dim not in (1, 2):
+            raise DomainError("predicate spaces support 1 or 2 coordinates")
         self.predicate = predicate
         self.dim = dim
         self.coverage_radius = coverage_radius
         self.basepoint = tuple(basepoint)
-        self.metric = metric
-        self.name = name
         if not predicate(self.basepoint):
             raise DomainError("basepoint fails the predicate")
 
@@ -338,9 +326,7 @@ class PredicateSpace(MetricSpace):
                 and all(isinstance(c, int) for c in p) and self.predicate(p))
 
     def _dist(self, x, y):
-        if self.metric == "manhattan":
-            return sum(abs(a - b) for a, b in zip(x, y))
-        raise DomainError(f"unsupported predicate-space metric {self.metric!r}")
+        return sum(abs(a - b) for a, b in zip(x, y))
 
     def points_within(self, center, radius):
         if self.distance(self.basepoint, center) + radius > self.coverage_radius:
@@ -348,19 +334,17 @@ class PredicateSpace(MetricSpace):
                 f"incomplete enumeration: ball({center}, {radius}) exceeds "
                 f"coverage radius {self.coverage_radius}")
         r = math.floor(radius)
-        out = []
         if self.dim == 1:
             rng = range(center[0] - r, center[0] + r + 1)
             out = [(i,) for i in rng if self.predicate((i,))]
-        elif self.dim == 2:
+        else:
+            out = []
             for a in range(center[0] - r, center[0] + r + 1):
                 rem = r - abs(a - center[0])
                 for b in range(center[1] - rem, center[1] + rem + 1):
                     p = (a, b)
                     if self.predicate(p):
                         out.append(p)
-        else:
-            raise DomainError("predicate spaces support 1 or 2 coordinates")
         return [p for p in sorted(out) if self._dist(p, center) <= radius]
 
 
@@ -437,9 +421,6 @@ class PointSet:
             fam = {"family": "complement", "of": self.family}
         return PointSet(f"~{self.name}", lambda p: not self._contains(p), family=fam)
 
-    def members_in(self, space: MetricSpace, window: Window) -> list:
-        return [p for p in window_points(space, window) if self.contains(p)]
-
     def to_json(self):
         if self.family is not None:
             return self.family
@@ -469,6 +450,8 @@ def set_family(family: str, **args) -> PointSet:
     """Named one-dimensional set families used throughout the reports."""
     if family == "multiples":
         k, r = args["k"], args.get("r", 0)
+        if k < 1:
+            raise DomainError("multiples need k >= 1")
         return PointSet.from_predicate(
             f"{k}Z+{r}" if r else f"{k}Z",
             lambda p: (p[0] - r) % k == 0,
@@ -480,14 +463,17 @@ def set_family(family: str, **args) -> PointSet:
     if family == "squares":
         return PointSet.from_predicate("squares", lambda p: _is_square(p[0]),
                                        family={"family": "squares"})
-    if family == "powers":
+    if family in ("powers", "powers_tail"):
         base, scale = args["base"], args.get("scale", 1)
+        if base < 2 or scale < 1 or args.get("k0", 0) < 0:
+            raise DomainError("powers need base >= 2, scale >= 1 and k0 >= 0")
+    if family == "powers":
         label = f"{{{scale}*{base}^k}}" if scale != 1 else f"{{{base}^k}}"
         return PointSet.from_predicate(
             label, lambda p: _is_scaled_power(p[0], base, scale),
             family={"family": "powers", "base": base, "scale": scale})
     if family == "powers_tail":
-        base, scale, k0 = args["base"], args.get("scale", 1), args["k0"]
+        k0 = args["k0"]
         label = f"{{{scale}*{base}^k : k>={k0}}}"
         return PointSet.from_predicate(
             label,

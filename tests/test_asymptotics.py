@@ -99,6 +99,20 @@ def test_is_zero_examples(natline, geomline):
     assert vz.certified and vz.value == "zero"
 
 
+def test_escape_evidence_lists(natline):
+    # entries whose value grew strictly at each of the three sweep radii,
+    # t12 direction before t21, each in increasing level order
+    v = equivalent(expression_levels(natline, "ceil-sqrt"),
+                   expression_levels(natline, "log2"), "quasi", Window(1024))
+    assert v.diagnostics["escape"] == [
+        {"n": 23, "growth": [7, 9, 10]}, {"n": 32, "growth": [7, 9, 11]},
+        {"n": 9, "growth": [9, 17, 23]}, {"n": 10, "growth": [9, 17, 32]},
+        {"n": 11, "growth": [9, 17, 33]}]
+    vu = is_zero(unit_levels(natline), "coarse", Window(256))
+    assert vu.diagnostics["escape"] == [
+        {"n": n, "growth": [16, 64, 256]} for n in range(1, 9)]
+
+
 def test_zero_absorbing_for_meet(natline):
     z = zero_levels(natline)
     for e in (levels_from_subset(natline, set_family("evens")),

@@ -84,6 +84,31 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:multiples:0",
+     "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:tailplus",
+     "--radius", "4"],
+    ["eval", "--space", "IntLine", "--metric", "subset:tailminus",
+     "--x", "0", "--y", "1"],
+], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine"])
+def test_bad_set_spec_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in json.loads(captured.err)
+
+
+def test_inconclusive_search_exit(capsys):
+    # {3^k} has no member in GeomLine, so the set-distance search gives up
+    code = main(["proj", "define", "--space", "GeomLine", "--levels",
+                 "subset:powers:3", "--radius", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "error" in json.loads(captured.err)
+    assert captured.out == ""
+
+
 def test_determinism_and_roundtrip(capsys, tmp_path):
     args = ["algebra", "atoms", "--space", "NatLine", "--generators",
             "subset:powers:4;subset:powers:4:2", "--radius", "256"]

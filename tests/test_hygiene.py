@@ -1,7 +1,10 @@
 """Source hygiene checks that need no linter.
 
-Every name a library module imports must be used in that module.
+Every name a library module imports must be used in that module, and every
+parameter of a module-level function must be used in its body.
 ``__init__.py`` is skipped: its imports are the package's public re-exports.
+Methods are exempt from the parameter check, since they keep the parameters
+of the interface they implement (``window`` in ``PointMetric.cross``).
 """
 
 import ast
@@ -45,6 +48,20 @@ def _string_names(annotation):
             yield from (n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
 
 
+def _ignored_parameters(tree):
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        used = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        out += [f"{node.name}.{p}" for p in params if p not in used]
+    return out
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -55,3 +72,10 @@ def test_no_unused_imports(path):
     unused = _unused_imports(tree)
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {line})" for line, name in unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_ignored_parameters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    ignored = _ignored_parameters(tree)
+    assert not ignored, f"{path.name}: parameters never used: " + ", ".join(ignored)

@@ -11,12 +11,11 @@ from coarsedouble.space import CustomSpace, Window, set_family, window_points
 def test_unit_eval_examples(natline):
     e = levels_from_subset(natline, set_family("squares"))
     unit = ApproximateUnit(e)
-    w = Window(32)
     # x in A_2n gives 1
-    assert unit_eval(unit, 1, (4,), w) == 1
+    assert unit_eval(unit, 1, (4,)) == 1
     # d(7, N_1(squares)) = 1 so u_1(7) = 0
-    assert unit_eval(unit, 1, (7,), w) == 0
-    assert unit_eval(unit, 2, (7,), w) == 1  # 7 is within 3/2... level(7) = 4
+    assert unit_eval(unit, 1, (7,)) == 0
+    assert unit_eval(unit, 2, (7,)) == 1  # 7 is within 3/2... level(7) = 4
 
 
 def test_unit_fractional_value():

@@ -85,11 +85,11 @@ def test_projection_criterion(natline):
 def test_f_map_and_check_cm(natline):
     w = Window(24)
     z = PointMetric(natline, (0,))
-    f = f_map(z, w)
+    f = f_map(z)
     assert [f.value((x,)) for x in range(4)] == [1, 3, 5, 7]
     assert check_cm(f, w)["passed"]
     d1 = DeltaMetric(natline, const_delta(natline))
-    assert check_cm(f_map(d1, w), w)["passed"]
+    assert check_cm(f_map(d1), w)["passed"]
     steep = CmFunction(natline, lambda p: 3 * p[0] + 1, "steep")
     rep = check_cm(steep, w)
     assert not rep["passed"]
@@ -165,8 +165,8 @@ def test_metric_meet_join(natline):
     b2 = subset_metric(natline, set_family("multiples", k=4, r=2))
     bmax = metric_meet(b1, b2, w)
     assert evaluate(bmax, (1,), (1,), w).value == 3
-    f1, f2 = f_map(d1, w), f_map(d2, w)
-    fm, fj = f_map(dm, w), f_map(dj, w)
+    f1, f2 = f_map(d1), f_map(d2)
+    fm, fj = f_map(dm), f_map(dj)
     for x in window_points(natline, Window(16)):
         assert fm.value(x) == max(f1.value(x), f2.value(x))
         assert fj.value(x) == min(f1.value(x), f2.value(x))
@@ -178,8 +178,8 @@ def test_metric_meet_join(natline):
 
 def test_cm_lattice_closure(natline):
     w = Window(32)
-    f = f_map(subset_metric(natline, set_family("evens")), w)
-    g = f_map(PointMetric(natline, (0,)), w)
+    f = f_map(subset_metric(natline, set_family("evens")))
+    g = f_map(PointMetric(natline, (0,)))
     assert check_cm(cm_meet(f, g), w)["passed"]
     assert check_cm(cm_join(f, g), w)["passed"]
 

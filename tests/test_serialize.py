@@ -59,10 +59,10 @@ def test_deserialization_revalidates(natline):
 
 
 def test_parse_shorthands(natline):
-    assert parse_set("powers:4:2").contains((8,))
-    assert not parse_set("powers:4:2").contains((4,))
-    assert parse_set("halfline:-:0").contains((-3,))
-    assert parse_set("points:1,0;2,0").contains((1, 0))
+    assert parse_set(natline, "powers:4:2").contains((8,))
+    assert not parse_set(natline, "powers:4:2").contains((4,))
+    assert parse_set(natline, "halfline:-:0").contains((-3,))
+    assert parse_set(natline, "points:1,0;2,0").contains((1, 0))
     lf = parse_levels(natline, "subset:evens")
     assert lf.level((3,)) == 2
     assert parse_levels(natline, "unit").level((9,)) == 1

@@ -173,6 +173,28 @@ def test_predicate_space_incomplete_enumeration():
         window_points(space, Window(100))
 
 
+def test_predicate_space_rejects_dimension_at_construction():
+    with pytest.raises(DomainError):
+        PredicateSpace(lambda p: True, dim=3, coverage_radius=10, basepoint=(0, 0, 0))
+
+
+@pytest.mark.parametrize("family, args", [
+    ("multiples", {"k": 0}),
+    ("multiples", {"k": -3}),
+    ("powers", {"base": 1}),
+    ("powers", {"base": 0}),
+    ("powers", {"base": 4, "scale": 0}),
+    ("powers_tail", {"base": 1, "k0": 2}),
+    ("powers_tail", {"base": 4, "scale": 0, "k0": 2}),
+    ("powers_tail", {"base": 4, "k0": -1}),
+])
+def test_set_family_rejects_degenerate_parameters(family, args):
+    # base 1 would loop forever in the membership test, base, scale or k 0
+    # would divide by zero
+    with pytest.raises(DomainError):
+        set_family(family, **args)
+
+
 def test_fractional_radius_windows(natline):
     assert window_points(natline, Window(Fraction(5, 2))) == [(0,), (1,), (2,)]
     assert window_points(natline, Window(Fraction(1, 2), basepoint=(3,))) == [(3,)]
