@@ -50,6 +50,18 @@ def expression_levels(space: MetricSpace, name: str) -> LevelFunction:
                                   payload={"kind": "expression", "expr": name})
 
 
+def _set_on(space: MetricSpace, A: PointSet) -> PointSet:
+    """A, once its family is known to fit the space: the tail families,
+    also inside complements, need a space whose points have two coordinates."""
+    fam = A.family
+    while fam is not None and fam["family"] == "complement":
+        fam = fam["of"]
+    if (fam is not None and fam["family"] in ("tail_plus", "tail_minus")
+            and len(space.basepoint) != 2):
+        raise DomainError(f"set {fam['family']} needs a space of pairs, not {space.name}")
+    return A
+
+
 def level_from_json(space: MetricSpace, doc, validate: bool = True) -> LevelFunction:
     kind = doc["kind"]
     if kind == "unit":
@@ -57,7 +69,7 @@ def level_from_json(space: MetricSpace, doc, validate: bool = True) -> LevelFunc
     elif kind == "zero":
         lf = zero_levels(space, tuple(doc["x0"]) if "x0" in doc else None)
     elif kind == "subset":
-        lf = levels_from_subset(space, set_from_json(doc["set"]))
+        lf = levels_from_subset(space, _set_on(space, set_from_json(doc["set"])))
     elif kind == "expression":
         lf = expression_levels(space, doc["expr"])
     elif kind in ("meet", "join"):
@@ -80,7 +92,7 @@ def kernel_from_json(space: MetricSpace, doc, validate: bool = True) -> DoubleMe
     if kind == "zero_at":
         d = PointMetric(space, tuple(doc["x0"]))
     elif kind == "subset":
-        d = subset_metric(space, set_from_json(doc["set"]))
+        d = subset_metric(space, _set_on(space, set_from_json(doc["set"])))
     elif kind == "delta":
         delta_doc = doc["delta"]
         if delta_doc.get("kind") == "const":
@@ -139,9 +151,7 @@ def parse_set(space: MetricSpace, spec: str):
         bound = int(parts[2]) if len(parts) > 2 else 0
         return set_family("half_line", sign=sign, bound=bound)
     if fam in ("tailplus", "tailminus"):
-        if len(space.basepoint) != 2:
-            raise DomainError(f"set {fam} needs a space of pairs, not {space.name}")
-        return set_family("tail_plus" if fam == "tailplus" else "tail_minus")
+        return _set_on(space, set_family("tail_plus" if fam == "tailplus" else "tail_minus"))
     if fam == "points":
         pts = [tuple(int(c) for c in chunk.split(","))
                for chunk in parts[1].split(";")]

@@ -505,6 +505,33 @@ def set_from_json(doc) -> PointSet:
     return set_family(doc["family"], **args)
 
 
+def _line_candidates(family: dict, c: int) -> Optional[tuple]:
+    """Coordinates among which lie the nearest members of the named set
+    ``family`` at or below and at or above c on the integer line, or None
+    when the family has no closed form.  Integer arithmetic only."""
+    args = {k: v for k, v in family.items() if k != "family"}
+    if not all(isinstance(v, int) for v in args.values()):
+        return None  # complements and non-integer parameters are searched
+    fam = family["family"]
+    if fam == "half_line":
+        b = args["bound"]
+        return (max(b, c),) if args["sign"] > 0 else (min(b, c),)
+    if fam == "multiples":
+        lo = c - (c - args["r"]) % args["k"]
+        return lo, lo + args["k"]
+    if fam == "squares":
+        s = math.isqrt(max(c, 0))
+        return s * s, (s + 1) ** 2
+    if fam in ("powers", "powers_tail"):
+        # members are scale * base^k for k >= max(1, k0)
+        base = args["base"]
+        v = args["scale"] * base ** max(1, args.get("k0", 1))
+        while v * base <= c:
+            v *= base
+        return v, v * base
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -555,6 +582,16 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
     ``UNBOUNDED``, whose radius is the search cap, means "search until a
     member is found".  Explicit sets are scanned directly, whatever the
     budget, and raise DomainError when no member lies in the space.
+
+    On ``NatLine`` and ``IntLine`` the named families ``half_line``,
+    ``multiples`` (so ``evens`` and ``odds``), ``squares``, ``powers`` and
+    ``powers_tail`` with integer parameters are not searched: integer
+    arithmetic gives the nearest members below and above x.  The result is
+    the search's: the same value and witness (ties go to the smaller
+    point), and SearchInconclusive when the nearest member lies beyond the
+    budget.  A family with no member in the space raises DomainError
+    instead of searching up to the budget.  Complements, sublevel sets,
+    the tail families and the other spaces are searched.
     """
     if not space.contains(x):
         raise DomainError(f"{x} is not a point of {space.name}")
@@ -565,6 +602,19 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
         best = min(members, key=lambda a: (space.distance(x, a), a))
         return Evaluation(space.distance(x, best), True, witness=best)
     budget = window.radius
+    near = None
+    if type(space) in (NatLine, IntLine) and A.family is not None:
+        near = _line_candidates(A.family, x[0])
+    if near is not None:
+        members = [a for a in near if space.contains((a,))]
+        if not members:
+            raise DomainError(f"set {A.name} has no members in {space.name}")
+        d, best = min((abs(a - x[0]), a) for a in members)
+        if d > budget:
+            raise SearchInconclusive(
+                f"no member of {A.name} within {budget} of {x}",
+                window_radius=budget)
+        return Evaluation(d, True, witness=(best,))
     if A.contains(x):
         return Evaluation(0, True, witness=tuple(x))
     r = 1

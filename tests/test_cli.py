@@ -91,7 +91,10 @@ def test_usage_error_exit_code(capsys):
      "--radius", "4"],
     ["eval", "--space", "IntLine", "--metric", "subset:tailminus",
      "--x", "0", "--y", "1"],
-], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine"])
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:halfline:-:-5",
+     "--radius", "4"],
+], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine",
+        "halfline-empty-on-NatLine"])
 def test_bad_set_spec_is_usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

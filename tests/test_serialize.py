@@ -58,6 +58,18 @@ def test_deserialization_revalidates(natline):
         level_from_json(natline, {"kind": "expression", "expr": "nope"})
 
 
+@pytest.mark.parametrize("set_doc", [
+    {"family": "tail_plus"},
+    {"family": "complement", "of": {"family": "tail_minus"}},
+], ids=["tail_plus", "complement-of-tail_minus"])
+@pytest.mark.parametrize("from_json", [level_from_json, kernel_from_json])
+def test_tail_sets_need_a_space_of_pairs(natline, intline, twotails, set_doc, from_json):
+    for space in (natline, intline):
+        with pytest.raises(DomainError, match="needs a space of pairs"):
+            from_json(space, {"kind": "subset", "set": set_doc})
+    from_json(twotails, {"kind": "subset", "set": set_doc})
+
+
 def test_parse_shorthands(natline):
     assert parse_set(natline, "powers:4:2").contains((8,))
     assert not parse_set(natline, "powers:4:2").contains((4,))

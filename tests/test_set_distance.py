@@ -1,4 +1,5 @@
-"""The single set-distance search against brute-force scans, per set family.
+"""Set distances against brute-force scans, per set family, and the line
+closed forms against the search.
 
 For each case a member of the set is built in closed form; the brute window
 around x of radius d(x, member) then provably holds the nearest member, so
@@ -8,11 +9,11 @@ the brute minimum over that window is d_X(x, A).
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarsedouble.double import SubsetMetric
-from coarsedouble.errors import DomainError
+from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.projection import levels_from_subset
 from coarsedouble.space import (UNBOUNDED, PointSet, Window, dist_to_set,
                                 set_family, space_by_name)
@@ -66,11 +67,13 @@ _half_line = st.builds(lambda s, b: ("half_line", {"sign": s, "bound": b}),
                        st.sampled_from([-1, 1]), st.integers(-60, 60))
 _powers = st.builds(lambda b, s: ("powers", {"base": b, "scale": s}),
                     st.integers(2, 5), st.integers(1, 3))
-LINE_FAMILIES = st.one_of(
+CLOSED_FORM_FAMILIES = st.one_of(
     _multiples, st.just(("evens", {})), st.just(("odds", {})), _squares,
     _half_line, _powers,
     st.builds(lambda b, s, k0: ("powers_tail", {"base": b, "scale": s, "k0": k0}),
-              st.integers(2, 5), st.integers(1, 3), st.integers(0, 4)),
+              st.integers(2, 5), st.integers(1, 3), st.integers(0, 4)))
+LINE_FAMILIES = st.one_of(
+    CLOSED_FORM_FAMILIES,
     st.builds(lambda pts: ("explicit", {"points": [[p] for p in pts]}),
               st.lists(st.integers(-20, 400), min_size=1, max_size=6)),
     st.builds(lambda spec: ("complement", {"of": set_family(spec[0], **spec[1]).family}),
@@ -89,6 +92,35 @@ def test_line_families_match_brute_force(name, spec, v):
     member = (_member_from(A.family, x[0]),)
     assume(space.contains(member))  # the family has members in this space
     _assert_single_search(space, A, x, member)
+
+
+def _outcome(space, x, A, window):
+    try:
+        return dist_to_set(space, x, A, window)
+    except SearchInconclusive as err:
+        return "inconclusive", err.window_radius
+
+
+@given(name=st.sampled_from(["NatLine", "IntLine"]), spec=CLOSED_FORM_FAMILIES,
+       v=st.integers(-1500, 1500), radius=st.none() | st.integers(0, 64))
+@example(name="IntLine", spec=("multiples", {"k": 4, "r": 0}), v=-2, radius=None)
+@example(name="NatLine", spec=("multiples", {"k": 4, "r": 0}), v=6, radius=None)
+@example(name="NatLine", spec=("multiples", {"k": 5, "r": 4}), v=1, radius=None)
+@example(name="NatLine", spec=("powers_tail", {"base": 2, "scale": 1, "k0": 3}),
+         v=3, radius=None)
+@example(name="IntLine", spec=("powers", {"base": 5, "scale": 3}), v=200, radius=8)
+@settings(max_examples=300, deadline=None)
+def test_closed_form_matches_search(name, spec, v, radius):
+    # the copy has no family, so it is searched; ties, lower candidates
+    # below 0 on NatLine, a k0 above 1 and an inconclusive budget are
+    # pinned by the examples
+    space = space_by_name(name)
+    x = (abs(v),) if name == "NatLine" else (v,)
+    A = set_family(spec[0], **spec[1])
+    assume(space.contains((_member_from(A.family, x[0]),)))
+    searched = PointSet.from_predicate(A.name, A.contains)
+    window = UNBOUNDED if radius is None else Window(radius)
+    assert _outcome(space, x, A, window) == _outcome(space, x, searched, window)
 
 
 @given(base_log=st.integers(1, 3), scale_log=st.integers(0, 2), n=st.integers(1, 40))
