@@ -14,8 +14,10 @@ finite inequality system that re-validates by substitution.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError
@@ -73,13 +75,9 @@ class TransferTable:
         return cls(tuple(entries))
 
     def value_at(self, n) -> Optional[Rational]:
-        out = None
-        for nn, vv in self.entries:
-            if nn <= n:
-                out = vv
-            else:
-                break
-        return out
+        """Value of the last entry at or below n; None below the first."""
+        i = bisect_right(self.entries, n, key=itemgetter(0))
+        return self.entries[i - 1][1] if i else None
 
     def jumps(self):
         return [n for n, _ in self.entries]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
@@ -88,27 +89,49 @@ class DensityMeasure:
             self._ball_cache[radius] = pts
         return pts
 
+    def _weight(self, p: Point) -> Rational:
+        w = self.weight(p)
+        if w <= 0:
+            raise DomainError("weights must be positive")
+        return w
+
     def mass(self, pts: Sequence[Point]) -> Rational:
         if self.weight is None:
             return len(pts)
-        total = Fraction(0)
-        for p in pts:
-            w = self.weight(p)
-            if w <= 0:
-                raise DomainError("weights must be positive")
-            total += w
-        return total
+        return sum((self._weight(p) for p in pts), Fraction(0))
 
-    def ratio_series(self, members: Callable[[Point], bool],
-                     schedule: Sequence[Rational]):
-        """Per-radius (radius, ratio, member_mass) triples, exact."""
-        out = []
-        for r in schedule:
-            ball = self.ball(r)
-            inside = [p for p in ball if members(p)]
-            m_in, m_all = self.mass(inside), self.mass(ball)
-            out.append((r, Fraction(m_in, m_all), m_in))
-        return out
+    def ratio_series(self, level: Callable[[Point], int],
+                     schedule: Sequence[Rational], n_max: int) -> list:
+        """Sublevel masses for every schedule radius and level, exact.
+
+        Row n - 1 (n = 1..n_max) holds, per radius r in schedule order, the
+        tuple (r, ratio, member_mass, ball_mass): the mass of
+        {p in B_r : level(p) <= n}, the mass of B_r and their ratio.
+
+        One pass over the largest ball reads each point's level and weight
+        once.  A point lies in B_r iff its distance to the basepoint is at
+        most r, since balls are enumerated completely; it is added to the
+        bucket of the smallest schedule radius whose ball holds it and of
+        min(level, n_max + 1).  Prefix sums over radii and levels then give
+        every row.  The schedule may be unsorted and may repeat radii.
+        """
+        radii = sorted(set(schedule))
+        width = n_max + 1
+        zero = 0 if self.weight is None else Fraction(0)
+        buckets = [zero] * (len(radii) * width)
+        base, dist = self.space.basepoint, self.space._dist
+        weigh = self._weight if self.weight is not None else None
+        for p in self.ball(radii[-1]):
+            i = bisect_left(radii, dist(p, base)) * width + min(level(p), width) - 1
+            buckets[i] += 1 if weigh is None else weigh(p)
+        inner = [zero] * width     # per level, the mass of the balls so far
+        member, total = {}, {}
+        for i, r in enumerate(radii):
+            inner = [a + b for a, b in zip(inner, buckets[i * width:(i + 1) * width])]
+            member[r] = list(itertools.accumulate(inner[:n_max]))
+            total[r] = sum(inner, zero)
+        return [[(r, Fraction(member[r][n], total[r]), member[r][n], total[r])
+                 for r in schedule] for n in range(n_max)]
 
     def to_json(self):
         return {"measure": self.name, "space": self.space.to_json()}
@@ -128,8 +151,8 @@ def density(mu: DensityMeasure, A: PointSet,
         schedule = default_schedule()
     if len(schedule) < 3:
         raise DomainError("schedule needs at least 3 radii")
-    rows = mu.ratio_series(A.contains, schedule)
-    return DensityInterval.from_series([(r, v) for r, v, _ in rows])
+    rows = mu.ratio_series(lambda p: 1 if A.contains(p) else 2, schedule, 1)[0]
+    return DensityInterval.from_series([(r, v) for r, v, _, _ in rows])
 
 
 @dataclass
@@ -140,7 +163,13 @@ class NuHatReport:
     per_n: list
     am2_applied: list            # levels whose sublevel trace stopped growing
     monotone_exact: bool
-    bounded_masses: list = field(default_factory=list)  # last masses they hid
+    masses: list                 # raw member masses per level n, per radius
+    ball_masses: list            # ball mass per radius
+
+    @property
+    def bounded_masses(self) -> list:
+        """The last masses that the bounded-set adjustment hid, per level."""
+        return [self.masses[n - 1][-1] for n in self.am2_applied]
 
     def to_json(self):
         return {"interval": self.interval.to_json(),
@@ -154,35 +183,40 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
     """sup over n <= n_max of the (admissibility-adjusted) density of A_n.
 
     Per fixed radius the raw ratios are exactly monotone in n, so the sup is
-    realized by the deepest sublevel; its adjusted series is the value.
+    realized by the deepest sublevel; its adjusted series is the value.  All
+    n_max sublevels come from one ``ratio_series`` pass, which reads each
+    point's level once; the report keeps the raw masses for
+    ``check_modularity``.
     """
     if schedule is None:
         schedule = default_schedule()
     if len(schedule) < 3:
         raise DomainError("schedule needs at least 3 radii")
-    per_n, am2, hidden = [], [], []
+    if n_max < 1:
+        raise DomainError("n_max must be at least 1")
+    per_n, am2, masses_by_n = [], [], []
     monotone = True
     prev_raw = None
     final_values = None
-    for n in range(1, n_max + 1):
-        rows = mu.ratio_series(lambda p, n=n: e.level(p) <= n, schedule)
-        raws = [v for _, v, _ in rows]
-        masses = [m for _, _, m in rows]
+    rows_by_n = mu.ratio_series(e.level, schedule, n_max)
+    for n, rows in enumerate(rows_by_n, 1):
+        raws = [v for _, v, _, _ in rows]
+        masses = [m for _, _, m, _ in rows]
+        masses_by_n.append(masses)
         bounded = _bounded_evidence(masses)
         if bounded:
             am2.append(n)
-            hidden.append(masses[-1])
         if prev_raw is not None and any(a < b for a, b in zip(raws, prev_raw)):
             monotone = False
         prev_raw = raws
         final_values = [0 if bounded else v for v in raws]
         per_n.append({"n": n, "bounded": bounded,
                       "series": [[rational_to_json(r), rational_to_json(v)]
-                                 for r, v, _ in rows],
+                                 for r, v, _, _ in rows],
                       "masses": [rational_to_json(m) for m in masses]})
     series = list(zip(schedule, final_values))
-    return NuHatReport(DensityInterval.from_series(series), per_n, am2,
-                       monotone, bounded_masses=hidden)
+    return NuHatReport(DensityInterval.from_series(series), per_n, am2, monotone,
+                       masses_by_n, [t for _, _, _, t in rows_by_n[0]])
 
 
 def nu_bar(mu: DensityMeasure, s: FormalSum, n_max: int = 8,
@@ -223,17 +257,11 @@ def nu_bar(mu: DensityMeasure, s: FormalSum, n_max: int = 8,
                        for r, v in series]}
 
 
-def _am2_slack(mu: DensityMeasure, reports: Sequence[NuHatReport],
-               schedule: Sequence[Rational]) -> Rational:
-    """Largest per-radius mass ratio hidden by the bounded-set adjustment."""
-    tail_r = schedule[-math.ceil(len(schedule) / 2)]
-    total = mu.mass(mu.ball(tail_r))
-    slack = Fraction(0)
-    for rep in reports:
-        for m in rep.bounded_masses:
-            if total:
-                slack = max(slack, Fraction(m, total))
-    return slack
+def _am2_slack(rep: NuHatReport) -> Rational:
+    """Largest mass ratio hidden by the bounded-set adjustment, over the
+    ball mass at the smallest tail radius."""
+    total = rep.ball_masses[-math.ceil(len(rep.ball_masses) / 2)]
+    return max((Fraction(m, total) for m in rep.bounded_masses), default=Fraction(0))
 
 
 def check_modularity(mu: DensityMeasure, e: LevelFunction, f: LevelFunction,
@@ -243,33 +271,25 @@ def check_modularity(mu: DensityMeasure, e: LevelFunction, f: LevelFunction,
 
     Raw counts satisfy |meet| + |join| = |A| + |B| exactly per radius and
     level; the adjusted identity holds within the admissibility slack; (m2)
-    is exact per radius through the mod-2 complement 1 + e.
+    is exact per radius through the mod-2 complement 1 + e.  The raw masses
+    and ball masses are read from the four ``nu_hat`` reports of e, f, their
+    meet and their join, so no ball is scanned again.
     """
     if schedule is None:
         schedule = default_schedule()
-    raw_exact = True
-    for r in schedule:
-        ball = mu.ball(r)
-        for n in range(1, n_max + 1):
-            in_e = [p for p in ball if e.level(p) <= n]
-            in_f = [p for p in ball if f.level(p) <= n]
-            in_meet = [p for p in in_e if f.level(p) <= n]
-            in_join = [p for p in ball if min(e.level(p), f.level(p)) <= n]
-            if mu.mass(in_meet) + mu.mass(in_join) != mu.mass(in_e) + mu.mass(in_f):
-                raw_exact = False
-    he = nu_hat(mu, e, n_max, schedule)
-    hf = nu_hat(mu, f, n_max, schedule)
-    hm = nu_hat(mu, meet(e, f), n_max, schedule)
-    hj = nu_hat(mu, join(e, f), n_max, schedule)
+    he, hf, hm, hj = (nu_hat(mu, lf, n_max, schedule)
+                      for lf in (e, f, meet(e, f), join(e, f)))
+    raw_exact = all(m + j == a + b
+                    for rows in zip(he.masses, hf.masses, hm.masses, hj.masses)
+                    for a, b, m, j in zip(*rows))
     hidden = sum(m for rep in (he, hf, hm, hj) for m in rep.bounded_masses[-1:])
     worst = Fraction(0)
     adjusted_ok = True
     slack = Fraction(0)
-    for i, r in enumerate(schedule):
+    for i, total in enumerate(he.ball_masses):
         lhs = hm.interval.series[i][1] + hj.interval.series[i][1]
         rhs = he.interval.series[i][1] + hf.interval.series[i][1]
         gap = abs(lhs - rhs)
-        total = mu.mass(mu.ball(r))
         slack_r = Fraction(hidden, total) if total else Fraction(0)
         slack = max(slack, slack_r)
         worst = max(worst, gap)
@@ -303,7 +323,7 @@ def measure0_check(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
         sup_lo = max(sup_lo, rep.interval.lo)
         sup_hi = max(sup_hi, rep.interval.hi)
     tol = max(lhs.interval.width(), sup_hi - sup_lo) \
-        + _am2_slack(mu, [lhs], schedule) + _fattening_slack(mu, schedule, n_max)
+        + _am2_slack(lhs) + _fattening_slack(mu, schedule, n_max)
     gap = max(abs(sup_lo - lhs.interval.lo), abs(sup_hi - lhs.interval.hi))
     return {"lhs": lhs.interval.to_json(),
             "rhs_sup": {"lo": rational_to_json(sup_lo), "hi": rational_to_json(sup_hi)},

@@ -509,16 +509,29 @@ def _line_candidates(family: dict, c: int) -> Optional[tuple]:
     """Coordinates among which lie the nearest members of the named set
     ``family`` at or below and at or above c on the integer line, or None
     when the family has no closed form.  Integer arithmetic only."""
+    fam = family["family"]
+    complement = fam == "complement"
+    if complement:
+        family = family["of"]
+        fam = family["family"]
     args = {k: v for k, v in family.items() if k != "family"}
     if not all(isinstance(v, int) for v in args.values()):
-        return None  # complements and non-integer parameters are searched
-    fam = family["family"]
+        return None  # non-integer parameters are searched
     if fam == "half_line":
-        b = args["bound"]
-        return (max(b, c),) if args["sign"] > 0 else (min(b, c),)
+        sign, b = args["sign"], args["bound"]
+        if complement:  # ~{x >= b} is {x <= b - 1}; ~{x <= b} is {x >= b + 1}
+            sign, b = -sign, b - sign
+        return (max(b, c),) if sign > 0 else (min(b, c),)
     if fam == "multiples":
-        lo = c - (c - args["r"]) % args["k"]
-        return lo, lo + args["k"]
+        k, r = args["k"], args["r"]
+        if complement:
+            if k == 1:
+                return ()  # every integer is a multiple of 1
+            return (c,) if (c - r) % k else (c - 1, c + 1)
+        lo = c - (c - r) % k
+        return lo, lo + k
+    if complement:
+        return None  # the other complements are searched
     if fam == "squares":
         s = math.isqrt(max(c, 0))
         return s * s, (s + 1) ** 2
@@ -585,13 +598,14 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
 
     On ``NatLine`` and ``IntLine`` the named families ``half_line``,
     ``multiples`` (so ``evens`` and ``odds``), ``squares``, ``powers`` and
-    ``powers_tail`` with integer parameters are not searched: integer
-    arithmetic gives the nearest members below and above x.  The result is
-    the search's: the same value and witness (ties go to the smaller
-    point), and SearchInconclusive when the nearest member lies beyond the
-    budget.  A family with no member in the space raises DomainError
-    instead of searching up to the budget.  Complements, sublevel sets,
-    the tail families and the other spaces are searched.
+    ``powers_tail`` with integer parameters, and the complements of
+    ``half_line`` and ``multiples``, are not searched: integer arithmetic
+    gives the nearest members below and above x.  The result is the
+    search's: the same value and witness (ties go to the smaller point),
+    and SearchInconclusive when the nearest member lies beyond the budget.
+    A family with no member in the space raises DomainError instead of
+    searching up to the budget.  Other complements, sublevel sets, the tail
+    families and the other spaces are searched.
     """
     if not space.contains(x):
         raise DomainError(f"{x} is not a point of {space.name}")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from coarsedouble import (PointMetric, equivalent, is_zero,
                           levels_from_metric, levels_from_subset, meet, sweep,
                           transfer, unit_levels, zero_levels)
-from coarsedouble.asymptotics import sweep_radii
+from coarsedouble.asymptotics import TransferTable, sweep_radii
 from coarsedouble.errors import DomainError
 from coarsedouble.serialize import expression_levels
 from coarsedouble.space import Window, set_family
@@ -25,6 +27,28 @@ def test_transfer_examples(natline):
     e0 = zero_levels(natline)
     t_unit = transfer(e0, unit_levels(natline), w)
     assert all(v == 1 for _, v in t_unit.entries)
+
+
+def _value_by_scan(entries, n):
+    """The last entry at or below n, by a linear scan over the entries."""
+    out = None
+    for nn, vv in entries:
+        if nn > n:
+            break
+        out = vv
+    return out
+
+
+@given(pairs=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 40)), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_value_at_matches_linear_scan(pairs):
+    table = TransferTable.from_levels(pairs)
+    # below the first jump, at and between jumps, beyond the last, and Fractions
+    probes = [Fraction(k, 2) for k in range(-2, 66)]
+    jumps = [n for n, _ in table.entries]
+    probes += jumps + [Fraction(2 * n - 1, 2) for n in jumps]
+    for n in probes:
+        assert table.value_at(n) == _value_by_scan(table.entries, n)
 
 
 def test_transfer_composition_dominance(natline):

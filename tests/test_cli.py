@@ -93,8 +93,10 @@ def test_usage_error_exit_code(capsys):
      "--x", "0", "--y", "1"],
     ["proj", "define", "--space", "NatLine", "--levels", "subset:halfline:-:-5",
      "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "~subset:halfline:+:0",
+     "--radius", "4"],
 ], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine",
-        "halfline-empty-on-NatLine"])
+        "halfline-empty-on-NatLine", "complement-empty-on-NatLine"])
 def test_bad_set_spec_is_usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

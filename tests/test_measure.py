@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsedouble import levels_from_subset, unit_levels, zero_levels
 from coarsedouble.boolalg import FormalSum
@@ -9,7 +11,8 @@ from coarsedouble.measure import (DensityInterval, DensityMeasure,
                                   check_modularity, default_schedule, density,
                                   measure0_check, nu_bar, nu_hat)
 from coarsedouble.serialize import expression_levels
-from coarsedouble.space import PointSet, set_family
+from coarsedouble.space import (PointSet, Window, set_family, space_by_name,
+                                window_points)
 
 
 @pytest.fixture
@@ -53,6 +56,11 @@ def test_nu_hat_unit_and_zero(nat_mu, natline):
     assert all(v == 0 for _, v in iv0.series)
     rep = nu_hat(nat_mu, zero_levels(natline))
     assert rep.am2_applied  # every sublevel trace is bounded-evidenced
+
+
+def test_nu_hat_needs_a_sublevel(nat_mu, natline):
+    with pytest.raises(DomainError, match="n_max"):
+        nu_hat(nat_mu, unit_levels(natline), n_max=0)
 
 
 def test_nu_hat_half_line(int_mu, intline):
@@ -137,3 +145,58 @@ def test_interval_from_series():
     assert iv.lo == Fraction(1, 5) and iv.hi == Fraction(1, 4)
     assert iv.width() == Fraction(1, 20)
     assert iv.contains(Fraction(9, 40))
+
+
+WEIGHTS = {
+    "natural": None,
+    "int": lambda p: 1 + abs(p[0]) % 3,
+    "fraction": lambda p: Fraction(1, 1 + abs(p[-1]) % 4),
+}
+
+
+def _rescanned_rows(mu, level, schedule, n_max):
+    """Rows of ratio_series by a rescan of every ball once per sublevel n."""
+    def mass(pts):
+        if mu.weight is None:
+            return len(pts)
+        return sum((mu.weight(p) for p in pts), Fraction(0))
+
+    rows = []
+    for n in range(1, n_max + 1):
+        row = []
+        for r in schedule:
+            ball = window_points(mu.space, Window(r))
+            inside = [p for p in ball if level(p) <= n]
+            row.append((r, Fraction(mass(inside), mass(ball)), mass(inside), mass(ball)))
+        rows.append(row)
+    return rows
+
+
+@given(name=st.sampled_from(["NatLine", "IntLine", "GeomLine", "TwoTails"]),
+       weight=st.sampled_from(sorted(WEIGHTS)),
+       schedule=st.lists(st.integers(0, 150) | st.fractions(0, 150, max_denominator=4),
+                         min_size=1, max_size=5),
+       table=st.lists(st.integers(1, 9), min_size=1, max_size=13),
+       n_max=st.integers(1, 7))
+@settings(max_examples=150, deadline=None)
+def test_ratio_series_matches_rescan(name, weight, schedule, table, n_max):
+    # unsorted and repeated radii come from the list strategy
+    space = space_by_name(name)
+    mu = DensityMeasure(space, WEIGHTS[weight], weight)
+
+    def level(p):
+        return table[sum(abs(c) for c in p) % len(table)]
+
+    got = mu.ratio_series(level, schedule, n_max)
+    assert got == _rescanned_rows(mu, level, schedule, n_max)
+
+
+@pytest.mark.parametrize("call", ["density", "nu_hat", "check_modularity"])
+def test_nonpositive_weight_raises(natline, call):
+    mu = DensityMeasure.weighted(natline, lambda p: 0 if p == (5,) else 1, "holed")
+    e = levels_from_subset(natline, set_family("evens"))
+    run = {"density": lambda: density(mu, set_family("evens")),
+           "nu_hat": lambda: nu_hat(mu, e),
+           "check_modularity": lambda: check_modularity(mu, e, unit_levels(natline))}
+    with pytest.raises(DomainError, match="weights must be positive"):
+        run[call]()

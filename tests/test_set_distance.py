@@ -67,18 +67,24 @@ _half_line = st.builds(lambda s, b: ("half_line", {"sign": s, "bound": b}),
                        st.sampled_from([-1, 1]), st.integers(-60, 60))
 _powers = st.builds(lambda b, s: ("powers", {"base": b, "scale": s}),
                     st.integers(2, 5), st.integers(1, 3))
+
+
+def _complements(inner):
+    return st.builds(lambda spec: ("complement", {"of": set_family(spec[0], **spec[1]).family}),
+                     inner)
+
+
 CLOSED_FORM_FAMILIES = st.one_of(
     _multiples, st.just(("evens", {})), st.just(("odds", {})), _squares,
     _half_line, _powers,
     st.builds(lambda b, s, k0: ("powers_tail", {"base": b, "scale": s, "k0": k0}),
-              st.integers(2, 5), st.integers(1, 3), st.integers(0, 4)))
+              st.integers(2, 5), st.integers(1, 3), st.integers(0, 4)),
+    _complements(st.one_of(_multiples.filter(lambda s: s[1]["k"] > 1), _half_line)))
 LINE_FAMILIES = st.one_of(
     CLOSED_FORM_FAMILIES,
     st.builds(lambda pts: ("explicit", {"points": [[p] for p in pts]}),
               st.lists(st.integers(-20, 400), min_size=1, max_size=6)),
-    st.builds(lambda spec: ("complement", {"of": set_family(spec[0], **spec[1]).family}),
-              st.one_of(_multiples.filter(lambda s: s[1]["k"] > 1), _squares,
-                        _half_line, _powers)),
+    _complements(st.one_of(_squares, _powers)),
 )
 
 
@@ -109,6 +115,12 @@ def _outcome(space, x, A, window):
 @example(name="NatLine", spec=("powers_tail", {"base": 2, "scale": 1, "k0": 3}),
          v=3, radius=None)
 @example(name="IntLine", spec=("powers", {"base": 5, "scale": 3}), v=200, radius=8)
+@example(name="IntLine", spec=("complement", {"of": {"family": "multiples", "k": 2, "r": 0}}),
+         v=-6, radius=None)
+@example(name="NatLine", spec=("complement", {"of": {"family": "multiples", "k": 3, "r": 0}}),
+         v=0, radius=None)
+@example(name="IntLine", spec=("complement", {"of": {"family": "half_line", "sign": -1,
+                                                     "bound": 9}}), v=-40, radius=16)
 @settings(max_examples=300, deadline=None)
 def test_closed_form_matches_search(name, spec, v, radius):
     # the copy has no family, so it is searched; ties, lower candidates
@@ -140,6 +152,17 @@ def test_tails_on_two_tails(n, sign, family):
     A = set_family(family)
     member = space.tail_point(n, 1 if family == "tail_plus" else -1)
     _assert_single_search(space, A, space.tail_point(n, sign), member)
+
+
+@pytest.mark.parametrize("of", [{"family": "half_line", "sign": 1, "bound": 0},
+                                {"family": "multiples", "k": 1, "r": 0}],
+                         ids=["not-halfline-plus-0", "not-multiples-1"])
+def test_empty_complement_raises(of):
+    # an empty complement is a domain error, not a search that gives up
+    nat = space_by_name("NatLine")
+    A = set_family("complement", of=of)
+    with pytest.raises(DomainError, match="no members in NatLine"):
+        dist_to_set(nat, (3,), A, Window(64))
 
 
 @pytest.mark.parametrize("window", [Window(8), UNBOUNDED])
