@@ -10,9 +10,8 @@ density measures.
 __version__ = "0.1.0"
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
-from .space import (Evaluation, MetricSpace, PointSet, Window, base_distance,
-                    dist_to_set, neighborhood, set_family, space_by_name,
-                    window_points)
+from .space import (Evaluation, MetricSpace, PointSet, Window, dist_to_set,
+                    neighborhood, set_family, space_by_name, window_points)
 from .double import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                      DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, PointMetric, SubsetMetric, adjoint,

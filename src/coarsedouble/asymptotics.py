@@ -271,7 +271,7 @@ def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
         tab = e.tabulate(Window(r, window.basepoint))
         sups = {}
         for n in range(1, n_max + 1):
-            ds = [space.distance(x, x0) for x, lv in tab.items() if lv <= n]
+            ds = [space._dist(x, x0) for x, lv in tab.items() if lv <= n]
             if ds:
                 sups[n] = max(ds)
         sups_by_radius.append(sups)

@@ -342,7 +342,7 @@ def separating_set(e: LevelFunction, window: Window) -> Tuple[PointSet, dict]:
             continue
         best_x, best_d = None, None
         for x in pts:
-            dmin = min(space.distance(x, a) for a in members)
+            dmin = min(space._dist(x, a) for a in members)
             if best_d is None or dmin > best_d or (dmin == best_d and x < best_x):
                 best_x, best_d = x, dmin
         if best_d is not None and best_d > n:

@@ -76,7 +76,8 @@ class DoubleMetric:
         raise NotImplementedError
 
     def lower_bound(self, x: Point, y: Point) -> Rational:
-        """Certified bound: lower_bound(x, y) <= d(x, y') always."""
+        """Certified bound: lower_bound(x, y) <= d(x, y') always.  x and y are
+        not checked: callers pass enumerated or already-checked points."""
         raise NotImplementedError
 
     @property
@@ -166,12 +167,12 @@ def _certified_min(space: MetricSpace, x: Point, window: Window, probe: Evaluati
     certificate rule and every sub-evaluation is exact, and otherwise
     required_radius is the window radius that would hold the ball.  With
     r_cand None (no coercive bound) the whole window is scanned and nothing
-    is certified.  Ties go to the smaller point.  x is checked against the
-    space once here; candidates come from the enumerations, so they are
-    members and their distances use ``_dist``.
+    is certified.  Ties go to the smaller point.  x is not checked here:
+    callers check it where it enters.  Candidates come from the
+    enumerations, so they are members too, and all distances use ``_dist``.
     """
     base = window.resolve_base(space)
-    dxb = space.distance(x, base)
+    dxb = space._dist(x, base)
     best, arg, exact = probe.value, probe.witness, probe.exact
     if r_cand is None:
         cand, complete = window_points(space, window), False
@@ -224,7 +225,7 @@ class DeltaMetric(DoubleMetric):
         return _certified_min(space, x, window, probe, r_cand, term)
 
     def lower_bound(self, x, y):
-        return self.space.distance(x, y) + 1
+        return self.space._dist(x, y) + 1
 
     @property
     def coercive_c(self):
@@ -236,6 +237,7 @@ class DeltaMetric(DoubleMetric):
     def dist_to_copy(self, x, window):
         # inf_y d(x, y') = inf_u [d_X(x,u) + delta(u)], taking y = u
         space, delta = self.space, self.delta
+        space.check(x)
         v0 = delta(x)
         return _certified_min(space, x, window, Evaluation(v0, True, witness=x), v0 - 1,
                               lambda u: (space._dist(x, u) + delta(u), True))
@@ -256,15 +258,14 @@ class PointMetric(DoubleMetric):
     def __init__(self, space: MetricSpace, x0: Optional[Point] = None):
         super().__init__(space)
         self.x0 = tuple(x0) if x0 is not None else space.basepoint
-        if not space.contains(self.x0):
-            raise DomainError(f"{self.x0} is not a point of {space.name}")
+        space.check(self.x0)
 
     def cross(self, x, y, window):
         d = self.space.distance
         return Evaluation(d(x, self.x0) + 1 + d(self.x0, y), True, witness=self.x0)
 
     def lower_bound(self, x, y):
-        d = self.space.distance
+        d = self.space._dist
         return d(x, self.x0) + 1 + d(self.x0, y)
 
     @property
@@ -335,6 +336,7 @@ class ClosedFormMetric(DoubleMetric):
         self.symmetric = symmetric
 
     def cross(self, x, y, window):
+        self.space.check(x, y)
         return Evaluation(self.fn(x, y), True)
 
     def lower_bound(self, x, y):
@@ -487,12 +489,11 @@ class ComposedMetric(DoubleMetric):
 
     def cross(self, x, z, window):
         space, d, rho = self.space, self.d, self.rho
+        space.check(x, z)
         if self._separable:
             glue, arg = self._glue_constant(window)
             value = d.set_distance(x) + rho.set_distance(z) + 2 + glue
             return Evaluation(value, False, witness=arg)
-        if not space.contains(z):
-            raise DomainError(f"{z} is not a point of {space.name}")
 
         def through(y):
             a = d.cross(x, y, window)
@@ -518,7 +519,7 @@ class ComposedMetric(DoubleMetric):
     def lower_bound(self, x, z):
         cd, cr = self.d.coercive_c, self.rho.coercive_c
         if cd is not None and cr is not None:
-            return self.space.distance(x, z) + cd + cr
+            return self.space._dist(x, z) + cd + cr
         return self.d.eps + self.rho.eps
 
     @property
@@ -554,7 +555,7 @@ class ComposedMetric(DoubleMetric):
         c = self.coercive_c
         base = window.resolve_base(space)
         exact = (c is not None and ed and er
-                 and all(_certified(space.distance(x, base), max(row) - c, window.radius)
+                 and all(_certified(space._dist(x, base), max(row) - c, window.radius)
                          for x, row in zip(pts, out)))
         return out, exact
 
@@ -670,8 +671,9 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
     ball around the window base, which holds the candidate ball of every
     cell whose row point lies in the window.  Returns (matrix, exact)."""
     space = d.space
+    space.check(*pts)
     base = window.resolve_base(space)
-    dxb = [space.distance(x, base) for x in pts]
+    dxb = [space._dist(x, base) for x in pts]
     deltas = [d.delta(p) for p in pts]
     seed = [[dxy + min(dx, dy) for dxy, dy in zip(row, deltas)]
             for row, dx in zip(_distance_matrix(space, pts, pts), deltas)]

@@ -31,7 +31,7 @@ class ApproximateUnit:
         best = None
         for p in self.space.points_within(x, 1):
             if self.levels.level(p) <= cutoff:
-                d = self.space.distance(x, p)
+                d = self.space._dist(x, p)
                 if best is None or d < best:
                     best = d
         return 1 if best is None else min(best, 1)
@@ -44,8 +44,7 @@ class ApproximateUnit:
 
 def unit_eval(unit: ApproximateUnit, n: int, x: Point) -> Rational:
     """Exact u_n(x), checked to be a point of the space; the scan radius is 1."""
-    if not unit.space.contains(x):
-        raise DomainError(f"{x} not in {unit.space.name}")
+    unit.space.check(x)
     return unit.value(n, x)
 
 
@@ -78,7 +77,7 @@ def check_au(unit: ApproximateUnit, window: Window, n_max: int = 6) -> dict:
         zeros = [x for x in pts if unit.value(n, x) == 0]
         for x in ones:
             for y in zeros:
-                d = unit.space.distance(x, y)
+                d = unit.space._dist(x, y)
                 if d < 1:
                     au2_violation = {"n": n, "x": list(x), "y": list(y),
                                      "distance": rational_to_json(d)}

@@ -9,6 +9,7 @@ x -> d(x, x').
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Optional
@@ -129,20 +130,15 @@ def levels_from_expression(space: MetricSpace, name: str,
     return LevelFunction(space, fn, name, "expression", payload)
 
 
-def levels_from_metric(d: DoubleMetric, window: Optional[Window] = None,
-                       on_inexact: str = "raise") -> LevelFunction:
-    """lambda(x) = min{n : d(x,x') <= n} from certified diagonal values."""
+def levels_from_metric(d: DoubleMetric, window: Optional[Window] = None) -> LevelFunction:
+    """lambda(x) = min{n : d(x,x') <= n}.  Without a window the diagonal
+    values are certified by escalation; with one they are the window's."""
 
     def fn(x):
-        if on_inexact == "window":
-            if window is None:
-                raise DomainError("window mode needs a window")
-            ev = d.cross(x, x, window)
-        else:
-            ev = evaluate_exact(d, x, x)
+        ev = evaluate_exact(d, x, x) if window is None else d.cross(x, x, window)
         return max(1, math.ceil(ev.value))
 
-    kind = "from-metric" if on_inexact != "window" else "from-metric-window"
+    kind = "from-metric" if window is None else "from-metric-window"
     return LevelFunction(d.space, fn, f"lv[{d.kind}]", kind)
 
 
@@ -272,10 +268,11 @@ def check_cm(f: CmFunction, window: Window) -> dict:
             gap = vx - vals[y]
             if gap < 0:
                 gap = -gap
-            if gap > 2 * f.space.distance(x, y):
+            allowed = 2 * f.space._dist(x, y)
+            if gap > allowed:
                 bad = {"x": list(x), "y": list(y),
                        "gap": rational_to_json(gap),
-                       "allowed": rational_to_json(2 * f.space.distance(x, y))}
+                       "allowed": rational_to_json(allowed)}
                 break
         if bad:
             break
@@ -337,24 +334,23 @@ def _require_projection(d, window):
         raise DomainError(f"{d.kind} kernel is not a certified projection on this window")
 
 
-def source_projection(d: DoubleMetric, window: Window,
-                      on_inexact: str = "raise") -> LevelFunction:
-    """Levels of A_n = {x : d(x, X') <= n}."""
+def source_projection(d: DoubleMetric, window: Optional[Window] = None) -> LevelFunction:
+    """Levels of A_n = {x : d(x, X') <= n}.  Without a window the values
+    d(x, X') are certified by escalation; with one they are the window's."""
 
     def fn(x):
-        if on_inexact == "window":
-            ev = d.dist_to_copy(x, window)
-        else:
+        if window is None:
             ev = _escalate(d, lambda w: d.dist_to_copy(x, w), (x,), "dist-to-copy")
+        else:
+            ev = d.dist_to_copy(x, window)
         return max(1, math.ceil(ev.value))
 
     return LevelFunction(d.space, fn, f"src[{d.kind}]", "from-metric")
 
 
-def range_projection(d: DoubleMetric, window: Window,
-                     on_inexact: str = "raise") -> LevelFunction:
+def range_projection(d: DoubleMetric, window: Optional[Window] = None) -> LevelFunction:
     adj = d.adjoint()
-    lf = source_projection(adj, window, on_inexact)
+    lf = source_projection(adj, window)
     lf.name = f"rng[{d.kind}]"
     return lf
 
@@ -388,6 +384,8 @@ def classify_type(e: LevelFunction, window: Window,
     growth = {}
     for n in usable:
         core = e.sublevel(n)
+        # d_X(x, A_n), each point searched once, shared with _required_k_series
+        core_dist = functools.cache(lambda x: dist_to_set(space, x, core, UNBOUNDED).value)
         ecore = levels_from_subset(space, core)
         v = equivalent(e, ecore, "coarse", window, radii=radii)
         if v.certified:
@@ -397,7 +395,7 @@ def classify_type(e: LevelFunction, window: Window,
                 pts_m = [x for x, lv in big_tab.items() if lv <= m]
                 if not pts_m:
                     continue
-                dmax = max(dist_to_set(space, x, core, UNBOUNDED).value for x in pts_m)
+                dmax = max(core_dist(x) for x in pts_m)
                 k = math.ceil(dmax)
                 if k > TYPE_K_MAX:
                     ok = False
@@ -412,7 +410,7 @@ def classify_type(e: LevelFunction, window: Window,
                                  "series": realized,
                                  "equivalence": v.to_json()},
                     check_kind=CHECK_DOMINATES)
-        growth[n] = _required_k_series(e, n, radii, window)
+        growth[n] = _required_k_series(e, core_dist, radii, window)
     all_grow = usable and all(
         len(g) >= 3 and all(b > a for a, b in zip(g, g[1:]))
         for g in (tuple(v for _, v in growth[n]) for n in usable))
@@ -428,11 +426,9 @@ def classify_type(e: LevelFunction, window: Window,
                    diagnostics=diagnostics)
 
 
-def _required_k_series(e, n, radii, window):
+def _required_k_series(e, core_dist, radii, window):
     """Minimal k with A_m cap W subset N_k(A_n), per radius, at the deepest
-    sublevel m realized within that radius."""
-    space = e.space
-    core = e.sublevel(n)
+    sublevel m realized within that radius; core_dist is x -> d_X(x, A_n)."""
     out = []
     for r in radii:
         tab = e.tabulate(Window(r, window.basepoint))
@@ -442,6 +438,6 @@ def _required_k_series(e, n, radii, window):
         pts_m = [x for x, lv in tab.items() if lv <= m_star]
         if not pts_m:
             continue
-        dmax = max(dist_to_set(space, x, core, UNBOUNDED).value for x in pts_m)
+        dmax = max(core_dist(x) for x in pts_m)
         out.append((r, math.ceil(dmax)))
     return out

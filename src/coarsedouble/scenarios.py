@@ -52,7 +52,7 @@ def scenario_typeI() -> dict:
         want = b_plus.set_distance(x) + b_minus.set_distance(x) + 4
         rows.append([list(x), got, want])
         matches = matches and got == want
-    e_prod = levels_from_metric(product, window=window, on_inexact="window")
+    e_prod = levels_from_metric(product, window)
     e_prod.name = "lv[b+ o b-]"
     v_prod = classify_type(e_prod, window, radii=radii)
     summary = {"b_plus": v_plus.value, "b_minus": v_minus.value,

@@ -58,7 +58,10 @@ class Window:
             raise DomainError("window radius must be nonnegative")
 
     def resolve_base(self, space: "MetricSpace") -> Point:
-        return self.basepoint if self.basepoint is not None else space.basepoint
+        if self.basepoint is None:
+            return space.basepoint
+        space.check(self.basepoint)
+        return self.basepoint
 
     def to_json(self):
         doc = {"radius": rational_to_json(self.radius)}
@@ -68,7 +71,9 @@ class Window:
 
 
 class MetricSpace:
-    """Base class: exact distance plus certified ball enumeration."""
+    """Base class: exact distance plus certified ball enumeration.  Public
+    entry points pass the points their callers supply to ``check``, once;
+    enumerated or already-checked points use the unchecked ``_dist``."""
 
     name: str = "abstract"
     basepoint: Point = ()
@@ -79,12 +84,15 @@ class MetricSpace:
     def __contains__(self, p: Point) -> bool:
         return self.contains(p)
 
+    def check(self, *points: Point) -> None:
+        """Raise DomainError unless every point lies in the space."""
+        for p in points:
+            if not self.contains(p):
+                raise DomainError(f"{p} is not a point of {self.name}")
+
     def distance(self, x: Point, y: Point) -> Rational:
         """Exact distance; raises DomainError off the space."""
-        if not self.contains(x):
-            raise DomainError(f"{x} is not a point of {self.name}")
-        if not self.contains(y):
-            raise DomainError(f"{y} is not a point of {self.name}")
+        self.check(x, y)
         return self._dist(x, y)
 
     def _dist(self, x: Point, y: Point) -> Rational:
@@ -290,7 +298,8 @@ class CustomSpace(MetricSpace):
         return self._table[self._index[tuple(x)]][self._index[tuple(y)]]
 
     def points_within(self, center, radius):
-        return [p for p in self._points if self.distance(center, p) <= radius]
+        self.check(center)
+        return [p for p in self._points if self._dist(center, p) <= radius]
 
     def to_json(self):
         doc = {"space": self.name, "points": [list(p) for p in self._points],
@@ -551,14 +560,7 @@ def _line_candidates(family: dict, c: int) -> Optional[tuple]:
 
 def window_points(space: MetricSpace, window: Window) -> list:
     """All space points of the window, lexicographically sorted."""
-    base = window.resolve_base(space)
-    if not space.contains(base):
-        raise DomainError(f"window basepoint {base} is not in {space.name}")
-    return space.points_within(base, window.radius)
-
-
-def base_distance(space: MetricSpace, x: Point, y: Point) -> Rational:
-    return space.distance(x, y)
+    return space.points_within(window.resolve_base(space), window.radius)
 
 
 @dataclass(frozen=True)
@@ -607,14 +609,13 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
     searching up to the budget.  Other complements, sublevel sets, the tail
     families and the other spaces are searched.
     """
-    if not space.contains(x):
-        raise DomainError(f"{x} is not a point of {space.name}")
+    space.check(x)
     if A.points is not None:
         members = [p for p in A.points if space.contains(p)]
         if not members:
             raise DomainError(f"set {A.name} has no members in {space.name}")
-        best = min(members, key=lambda a: (space.distance(x, a), a))
-        return Evaluation(space.distance(x, best), True, witness=best)
+        best = min(members, key=lambda a: (space._dist(x, a), a))
+        return Evaluation(space._dist(x, best), True, witness=best)
     budget = window.radius
     near = None
     if type(space) in (NatLine, IntLine) and A.family is not None:
@@ -636,8 +637,8 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
         r = min(r, budget)
         candidates = [p for p in space.points_within(x, r) if A.contains(p)]
         if candidates:
-            best = min(candidates, key=lambda a: (space.distance(x, a), a))
-            return Evaluation(space.distance(x, best), True, witness=best)
+            best = min(candidates, key=lambda a: (space._dist(x, a), a))
+            return Evaluation(space._dist(x, best), True, witness=best)
         if r >= budget:
             raise SearchInconclusive(
                 f"no member of {A.name} within {budget} of {x}",

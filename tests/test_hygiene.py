@@ -5,6 +5,9 @@ parameter of a module-level function must be used in its body.
 ``__init__.py`` is skipped: its imports are the package's public re-exports.
 Methods are exempt from the parameter check, since they keep the parameters
 of the interface they implement (``window`` in ``PointMetric.cross``).
+Points are checked against their space in one place: an ``if not
+<space>.contains(<point>)`` that raises DomainError appears only in
+``MetricSpace.check``.
 """
 
 import ast
@@ -62,6 +65,36 @@ def _ignored_parameters(tree):
     return out
 
 
+def _membership_raises(tree):
+    """(enclosing qualified name, line) of each ``if not <a>.contains(<b>)``
+    whose body raises DomainError."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.If) and _is_membership_raise(child):
+                out.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def _is_membership_raise(node):
+    test = node.test
+    if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+            and isinstance(test.operand, ast.Call)
+            and isinstance(test.operand.func, ast.Attribute)
+            and test.operand.func.attr == "contains"):
+        return False
+    return any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+               and getattr(n.exc.func, "id", None) == "DomainError"
+               for stmt in node.body for n in ast.walk(stmt))
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -79,3 +112,12 @@ def test_no_ignored_parameters(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     ignored = _ignored_parameters(tree)
     assert not ignored, f"{path.name}: parameters never used: " + ", ".join(ignored)
+
+
+def test_one_membership_check():
+    sites = [(path.name, scope, line)
+             for path in sorted(SRC.glob("*.py"))
+             for scope, line in _membership_raises(
+                 ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
+    where = [(name, scope) for name, scope, _ in sites]
+    assert where == [("space.py", "MetricSpace.check")], f"membership raises: {sites}"

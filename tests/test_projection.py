@@ -187,16 +187,16 @@ def test_cm_lattice_closure(natline):
 def test_source_and_range(natline):
     w = Window(24)
     z = PointMetric(natline, (0,))
-    src = source_projection(z, w)
+    src = source_projection(z)
     assert [src.level((x,)) for x in range(5)] == [1, 2, 3, 4, 5]
     # selfadjoint kernels have equal source and range
-    rng_ = range_projection(z, w)
+    rng_ = range_projection(z)
     for x in window_points(natline, Window(10)):
         assert src.level(x) == rng_.level(x)
     bA = subset_metric(natline, set_family("evens"))
     bB = subset_metric(natline, set_family("odds"))
     c = compose(bA, bB)
-    sl = source_projection(c, w, on_inexact="window")
+    sl = source_projection(c, w)
     # oracle: d(x, X') for the composition via direct window minimization
     pts = window_points(natline, w)
     for x in window_points(natline, Window(8)):
@@ -234,8 +234,8 @@ def test_source_type_transfers_to_range(natline):
     bB = subset_metric(natline, set_family("multiples", k=3))
     c = compose(bA, bB)
     w = Window(256)
-    src = source_projection(c, w, on_inexact="window")
-    rng_ = range_projection(c, w, on_inexact="window")
+    src = source_projection(c, w)
+    rng_ = range_projection(c, w)
     vs = classify_type(src, w)
     vr = classify_type(rng_, w)
     assert vs.value == "type-I" and vr.value == "type-I"

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from coarsedouble.errors import DomainError, IncompleteEnumeration, SearchInconclusive
 from coarsedouble.space import (CustomSpace, PointSet, PredicateSpace, Window,
-                                base_distance, dist_to_set, neighborhood, ruler,
-                                set_family, space_by_name, space_from_json,
-                                window_points)
+                                dist_to_set, neighborhood, ruler, set_family,
+                                space_by_name, space_from_json, window_points)
 from conftest import BRUTE_WINDOWS
 
 
@@ -38,12 +37,12 @@ def test_window_monotone_in_radius(name):
         prev = cur
 
 
-def test_base_distance_examples(natline, twotails):
-    assert base_distance(natline, (3,), (7,)) == 4
-    assert base_distance(twotails, (1, 1), (4, -2)) == 6
-    assert base_distance(twotails, (4, 2), (4, 2)) == 0
+def test_distance_examples(natline, twotails):
+    assert natline.distance((3,), (7,)) == 4
+    assert twotails.distance((1, 1), (4, -2)) == 6
+    assert twotails.distance((4, 2), (4, 2)) == 0
     with pytest.raises(DomainError):
-        base_distance(natline, (-1,), (0,))
+        natline.distance((-1,), (0,))
 
 
 @pytest.mark.parametrize("name,radius", [
