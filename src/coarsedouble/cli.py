@@ -19,22 +19,14 @@ from .errors import DomainError, SearchInconclusive
 from .projection import classify_type, join, meet
 from .reporting import RunReport, pretty_dumps, report_to_csv, canonical_reload
 from .scenarios import SCENARIO_NAMES, run_scenario
-from .serialize import parse_kernel, parse_levels
+from .serialize import parse_kernel, parse_levels, parse_ints
 from .space import (Window, builtin_spaces, space_by_name, space_from_json,
                     window_points)
 from .verdicts import Status
 
 
-def _parse_point(text: str) -> tuple:
-    return tuple(int(c) for c in text.split(","))
-
-
-def _parse_radii(text: str) -> list:
-    return [int(c) for c in text.split(",")]
-
-
 def _window(args) -> Window:
-    base = _parse_point(args.base) if getattr(args, "base", None) else None
+    base = parse_ints(args.base) if getattr(args, "base", None) else None
     return Window(args.radius, base)
 
 
@@ -177,7 +169,7 @@ def _dispatch(args) -> RunReport:
         space = space_by_name(args.space)
         d = parse_kernel(space, args.metric)
         w = _window(args)
-        ev = evaluate(d, _parse_point(args.x), _parse_point(args.y), w)
+        ev = evaluate(d, parse_ints(args.x), parse_ints(args.y), w)
         return RunReport(f"eval {args.metric}",
                          {"evaluation": ev.to_json(), "kernel": d.to_json()})
 
@@ -193,7 +185,7 @@ def _dispatch(args) -> RunReport:
         space = space_by_name(args.space)
         d = compose(parse_kernel(space, args.left), parse_kernel(space, args.right))
         w = Window(args.radius)
-        ev = evaluate(d, _parse_point(args.x), _parse_point(args.y), w)
+        ev = evaluate(d, parse_ints(args.x), parse_ints(args.y), w)
         return RunReport("product", {"evaluation": ev.to_json(),
                                      "kernel": d.to_json()})
 
@@ -210,7 +202,7 @@ def _dispatch(args) -> RunReport:
     if args.command == "classify":
         space = space_by_name(args.space)
         lf = parse_levels(space, args.levels)
-        radii = _parse_radii(args.radii) if args.radii else None
+        radii = list(parse_ints(args.radii)) if args.radii else None
         v = classify_type(lf, Window(args.radius), radii=radii)
         return RunReport("classify", {"verdict": v.to_json()}, verdicts=[v])
 
@@ -235,7 +227,7 @@ def _dispatch(args) -> RunReport:
 
     if args.command == "tau":
         space = space_by_name(args.space)
-        parts = [int(c) for c in args.filter_base.split(",")]
+        parts = parse_ints(args.filter_base)
         base = parts[0]
         scale = parts[1] if len(parts) > 1 else 1
         depth = parts[2] if len(parts) > 2 else 6

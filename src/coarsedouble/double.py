@@ -20,8 +20,6 @@ from .space import (UNBOUNDED, Evaluation, MetricSpace, Point, PointSet,
                     window_points)
 
 _INT_SAFE = 1 << 60
-# width of the inner-index chunks of the int64 min-plus product
-_CHUNK = 128
 # doubling budget of _escalate
 _MAX_DOUBLINGS = 80
 
@@ -550,8 +548,8 @@ class ComposedMetric(DoubleMetric):
         at = {p: i for i, p in enumerate(full)}
         rows = [at[p] for p in pts]
         n_mid = len(mid)
-        out = _min_plus([md[i][:n_mid] for i in rows],
-                        [[mr[k][j] for j in rows] for k in range(n_mid)]).tolist()
+        out = _min_plus(_exact_array(md)[rows, :n_mid],
+                        _exact_array(mr)[:n_mid][:, rows]).tolist()
         c = self.coercive_c
         base = window.resolve_base(space)
         exact = (c is not None and ed and er
@@ -685,45 +683,46 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
         universe, radius = window_points(space, window), window.radius
     # midpoints with delta(u) >= vmax can never beat the u=x candidate
     universe = [u for u in universe if d.delta(u) < vmax] or [pts[0]]
-    out = _min_plus(_distance_matrix(space, pts, universe),
-                    weights=[d.delta(u) for u in universe], init=seed)
+    out = _min_plus(_exact_array(_distance_matrix(space, pts, universe)),
+                    weights=_exact_array([d.delta(u) for u in universe]),
+                    init=_exact_array(seed))
     # each row's largest probe bounds the radius of its candidate balls
     exact = all(_certified(dx, max(row) - 1, radius) for dx, row in zip(dxb, seed))
     return out.tolist(), exact
 
 
-def _ints_safe(mat) -> bool:
-    for row in mat:
-        for v in row:
-            if not isinstance(v, int) or abs(v) > _INT_SAFE:
-                return False
-    return True
+def _ints_safe(arr) -> bool:
+    """The int64 guard: arr, the array numpy infers from exact values, may
+    stay int64 only when its dtype is int64 and every entry lies within
+    [-_INT_SAFE, _INT_SAFE], so no sum of three entries overflows.  The
+    bounds are checked by min() and max(), not abs(), which overflows at
+    -2**63."""
+    return arr.dtype == np.int64 and arr.min() >= -_INT_SAFE and arr.max() <= _INT_SAFE
+
+
+def _exact_array(values) -> np.ndarray:
+    """values (a list, or a list of rows) as an array typed once by the
+    guard: int64 when _ints_safe allows it, object otherwise, which keeps
+    int and Fraction entries exact and never makes floats float64."""
+    arr = np.asarray(values)
+    return arr if _ints_safe(arr) else np.asarray(values, dtype=object)
 
 
 def _min_plus(a, b=None, weights=None, init=None):
-    """Exact min-plus product as a numpy array:
-    out[i, j] = min(init[i][j], min over k of a[i][k] + weights[k] + b[k][j]).
+    """Exact min-plus product of arrays typed by _exact_array:
+    out[i, j] = min(init[i, j], min over k of a[i, k] + weights[k] + b[k, j]).
 
-    a, b and init are lists of rows and weights a list; b defaults to the
-    transpose of a, and weights and init may be left out.  The dtype is
-    int64 when every input is an int within _INT_SAFE, so no sum of three
-    overflows, and object otherwise, which keeps int and Fraction values
-    exact.  k runs in chunks of _CHUNK (one at a time for object arrays,
-    whose cells are Python objects), so no temporary exceeds
-    len(a) x _CHUNK x len(b[0]) cells.
+    b defaults to the transpose of a, and weights and init may be left out.
+    k runs one at a time, so each step costs one len(a) x len(b[0]) sum and
+    one np.minimum, whatever the dtypes; mixing int64 with object gives
+    object, which stays exact.
     """
-    inputs = [m for m in (a, b, init) if m is not None]
+    b = a.T if b is None else b
     if weights is not None:
-        inputs.append([weights])
-    dtype = np.int64 if all(_ints_safe(m) for m in inputs) else object
-    A = np.asarray(a, dtype=dtype)
-    B = A.T if b is None else np.asarray(b, dtype=dtype)
-    if weights is not None:
-        A = A + np.asarray(weights, dtype=dtype)[None, :]
-    out = None if init is None else np.asarray(init, dtype=dtype)
-    step = _CHUNK if dtype is np.int64 else 1
-    for k in range(0, A.shape[1], step):
-        part = (A[:, k:k + step, None] + B[None, k:k + step, :]).min(axis=1)
+        a = a + weights
+    out = init
+    for k in range(a.shape[1]):
+        part = a[:, k, None] + b[k]
         out = part if out is None else np.minimum(out, part)
     return out
 
@@ -741,31 +740,29 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
     n = len(pts)
     if n == 0:
         raise DomainError("empty window")
-    bmat = _distance_matrix(d.space, pts, pts)
-    dmat, exact = d.cross_matrix(pts, window)
+    bmat = _exact_array(_distance_matrix(d.space, pts, pts))
+    rows, exact = d.cross_matrix(pts, window)
+    dmat = _exact_array(rows)
 
     checks = {}
-    # (d2) cross distances are strictly positive
-    min_v, min_ij = None, None
-    for i in range(n):
-        for j in range(n):
-            v = dmat[i][j]
-            if min_v is None or v < min_v:
-                min_v, min_ij = v, (i, j)
+    # (d2) cross distances are strictly positive; argmin gives the first
+    # minimum in row-major order
+    at = int(np.argmin(dmat))
+    min_v = dmat.item(at)
+    i, j = divmod(at, n)
     ok = min_v > 0
     checks["positivity"] = {
         "passed": ok, "stat": min_v,
-        "violation": None if ok else {"x": list(pts[min_ij[0]]), "y": list(pts[min_ij[1]]),
+        "violation": None if ok else {"x": list(pts[i]), "y": list(pts[j]),
                                       "value": rational_to_json(min_v)}}
 
     # certified lower bound
     viol = None
-    for i in range(n):
-        for j in range(n):
-            lb = d.lower_bound(pts[i], pts[j])
-            if dmat[i][j] < lb:
-                viol = {"x": list(pts[i]), "y": list(pts[j]),
-                        "value": rational_to_json(dmat[i][j]),
+    for x, row in zip(pts, rows):
+        for y, v in zip(pts, row):
+            lb = d.lower_bound(x, y)
+            if v < lb:
+                viol = {"x": list(x), "y": list(y), "value": rational_to_json(v),
                         "bound": rational_to_json(lb)}
                 break
         if viol:
@@ -774,28 +771,28 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
 
     # d_X(x1,x2) <= d(x1,y') + d(x2,y') for every y
     checks["triangle_base_vs_cross"] = _triangle(
-        pts, bmat, _min_plus(dmat), lambda i, j, k: dmat[i][k] + dmat[j][k],
+        pts, bmat, _min_plus(dmat), lambda i, j, k: dmat.item(i, k) + dmat.item(j, k),
         ("x1", "x2", "y"))
     # d(x1,y') <= d_X(x1,x2) + d(x2,y') for every x2
     checks["triangle_cross_vs_base"] = _triangle(
-        pts, dmat, _min_plus(bmat, dmat), lambda i, j, k: bmat[i][k] + dmat[k][j],
+        pts, dmat, _min_plus(bmat, dmat), lambda i, j, k: bmat.item(i, k) + dmat.item(k, j),
         ("x1", "y", "x2"))
     return AxiomReport(d, window, n, exact, checks)
 
 
 def _triangle(pts, lhs, mins, rhs, names):
-    """Check lhs[i][j] <= mins[i, j], the minimum over k of rhs(i, j, k).
+    """Check lhs[i, j] <= mins[i, j], the minimum over k of rhs(i, j, k).
 
     A failure reports the first violating (i, j, k) in that order, naming
     pts[i], pts[j], pts[k] by names.
     """
-    bad = np.argwhere(np.asarray(lhs) > mins)
+    bad = np.argwhere(lhs > mins)
     if len(bad) == 0:
         return {"passed": True, "violation": None}
     i, j = (int(v) for v in bad[0])
-    k = next(k for k in range(len(pts)) if lhs[i][j] > rhs(i, j, k))
+    k = next(k for k in range(len(pts)) if lhs.item(i, j) > rhs(i, j, k))
     at = dict(zip(names, (pts[i], pts[j], pts[k])))
     return {"passed": False,
             "violation": {"x1": list(at["x1"]), "x2": list(at["x2"]), "y": list(at["y"]),
-                          "lhs": rational_to_json(lhs[i][j]),
+                          "lhs": rational_to_json(lhs.item(i, j)),
                           "rhs": rational_to_json(rhs(i, j, k))}}

@@ -15,8 +15,8 @@ from .projection import (LevelFunction, delta_from_levels, join,
                          levels_from_expression, levels_from_subset, meet,
                          metric_from_levels, subset_metric, unit_levels,
                          zero_levels)
-from .space import (MetricSpace, PointSet, Window, as_rational, set_family,
-                    set_from_json)
+from .space import (MetricSpace, PointSet, Window, as_rational, parse_int,
+                    set_family, set_from_json)
 from .verdicts import _iroot_ceil
 
 PROBE_RADIUS = 8
@@ -131,31 +131,36 @@ def kernel_from_json(space: MetricSpace, doc, validate: bool = True) -> DoubleMe
 # -- compact command-line forms ----------------------------------------------
 
 
+def parse_ints(text: str) -> tuple:
+    """Comma-separated integers, such as the coordinates of a point: 3 or 4,-2."""
+    return tuple(parse_int(c) for c in text.split(","))
+
+
 def parse_set(space: MetricSpace, spec: str):
     """family[:arg[:arg]] shorthand, e.g. evens, powers:4, powers:4:2,
-    halfline:-:0, multiples:3:1, tailplus.  The tail families need a space
-    whose points have two coordinates."""
+    halfline:-:0, multiples:3:1, points:1;5, tailplus.  The tail families
+    need a space whose points have two coordinates."""
     parts = spec.split(":")
     fam = parts[0]
+    if fam in ("powers", "multiples", "halfline", "points") and len(parts) < 2:
+        raise DomainError(f"set spec {spec!r} needs an argument after {fam}")
     if fam in ("evens", "odds", "squares"):
         return set_family(fam)
     if fam == "powers":
-        base = int(parts[1])
-        scale = int(parts[2]) if len(parts) > 2 else 1
+        base = parse_int(parts[1])
+        scale = parse_int(parts[2]) if len(parts) > 2 else 1
         return set_family("powers", base=base, scale=scale)
     if fam == "multiples":
-        return set_family("multiples", k=int(parts[1]),
-                          r=int(parts[2]) if len(parts) > 2 else 0)
+        return set_family("multiples", k=parse_int(parts[1]),
+                          r=parse_int(parts[2]) if len(parts) > 2 else 0)
     if fam == "halfline":
         sign = -1 if parts[1] == "-" else 1
-        bound = int(parts[2]) if len(parts) > 2 else 0
+        bound = parse_int(parts[2]) if len(parts) > 2 else 0
         return set_family("half_line", sign=sign, bound=bound)
     if fam in ("tailplus", "tailminus"):
         return _set_on(space, set_family("tail_plus" if fam == "tailplus" else "tail_minus"))
     if fam == "points":
-        pts = [tuple(int(c) for c in chunk.split(","))
-               for chunk in parts[1].split(";")]
-        return PointSet.from_points(pts)
+        return PointSet.from_points([parse_ints(chunk) for chunk in parts[1].split(";")])
     raise DomainError(f"unknown set spec {spec!r}")
 
 
@@ -166,8 +171,7 @@ def parse_levels(space: MetricSpace, spec: str) -> LevelFunction:
         return unit_levels(space)
     if spec == "zero" or spec.startswith("zero:"):
         if ":" in spec:
-            x0 = tuple(int(c) for c in spec.split(":", 1)[1].split(","))
-            return zero_levels(space, x0)
+            return zero_levels(space, parse_ints(spec.split(":", 1)[1]))
         return zero_levels(space)
     if spec.startswith("expr:"):
         return expression_levels(space, spec.split(":", 1)[1])
@@ -182,8 +186,7 @@ def parse_kernel(space: MetricSpace, spec: str) -> DoubleMetric:
     """zero[:coords] | subset:<set spec> | delta:<levels spec> | const:<v>."""
     if spec == "zero" or spec.startswith("zero:"):
         if ":" in spec:
-            x0 = tuple(int(c) for c in spec.split(":", 1)[1].split(","))
-            return PointMetric(space, x0)
+            return PointMetric(space, parse_ints(spec.split(":", 1)[1]))
         return PointMetric(space, space.basepoint)
     if spec.startswith("const:"):
         return DeltaMetric(space, const_delta(space, as_rational(spec.split(":", 1)[1])))

@@ -20,14 +20,24 @@ Point = tuple
 Rational = Union[int, Fraction]
 
 
+def parse_int(text: str) -> int:
+    """text as an int; DomainError naming the text when it is not one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"not an integer: {text!r}") from None
+
+
 def as_rational(v) -> Rational:
     if isinstance(v, (int, Fraction)):
         return v
     if isinstance(v, str):
         if "/" in v:
-            num, den = v.split("/", 1)
-            return Fraction(int(num), int(den))
-        return int(v)
+            num, den = (parse_int(t) for t in v.split("/", 1))
+            if den == 0:
+                raise DomainError(f"zero denominator in {v!r}")
+            return Fraction(num, den)
+        return parse_int(v)
     raise DomainError(f"not an exact rational: {v!r}")
 
 

@@ -95,8 +95,23 @@ def test_usage_error_exit_code(capsys):
      "--radius", "4"],
     ["proj", "define", "--space", "NatLine", "--levels", "~subset:halfline:+:0",
      "--radius", "4"],
+    ["eval", "--space", "NatLine", "--metric", "zero:0", "--x", "a", "--y", "1"],
+    ["classify", "--space", "NatLine", "--levels", "subset:evens", "--radii", "4,x"],
+    ["tau", "--space", "GeomLine", "--filter-base", "x", "--levels", "subset:powers:4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:powers", "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:multiples:z",
+     "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:halfline", "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:points:1;a",
+     "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "zero:1,x", "--radius", "4"],
+    ["eval", "--space", "NatLine", "--metric", "const:abc", "--x", "0", "--y", "1"],
+    ["eval", "--space", "NatLine", "--metric", "const:1/0", "--x", "0", "--y", "1"],
 ], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine",
-        "halfline-empty-on-NatLine", "complement-empty-on-NatLine"])
+        "halfline-empty-on-NatLine", "complement-empty-on-NatLine",
+        "x-not-int", "radii-not-int", "filter-base-not-int", "powers-no-base",
+        "multiples-not-int", "halfline-no-sign", "points-not-int", "zero-point-not-int",
+        "const-not-rational", "const-zero-denominator"])
 def test_bad_set_spec_is_usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

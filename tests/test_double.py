@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coarsedouble import (ClosedFormMetric, DeltaMetric, MaxMetric,
@@ -8,7 +9,7 @@ from coarsedouble import (ClosedFormMetric, DeltaMetric, MaxMetric,
                           compose, const_delta, dist_to_copy, evaluate,
                           evaluate_exact, levels_from_subset, metric_from_levels,
                           subset_metric, zero_levels)
-from coarsedouble.double import DeltaFunction
+from coarsedouble.double import DeltaFunction, _exact_array, _min_plus
 from coarsedouble.errors import DomainError
 from coarsedouble.space import (CustomSpace, PredicateSpace, Window, set_family,
                                 window_points)
@@ -239,14 +240,62 @@ def test_fraction_kernel_batch(natline):
 
 
 def test_kernel_above_int64_guard_batch():
-    # 2**61 exceeds the int64 guard; a finite space keeps every ball small
+    # each value exceeds the int64 guard (numpy infers float64 for 2**63 next
+    # to small ints, and object for 2**70); a finite space keeps balls small
     sp = CustomSpace([(i,) for i in range(13)])
-    d = DeltaMetric(sp, const_delta(sp, 2 ** 61))
     w = Window(8)
-    _assert_batch_matches(d, sp, w,
-                          lambda x, y, pts: brute_delta_cross(sp, d.delta, x, y, pts))
-    rep = check_axioms(d, w)
-    assert rep.passed and rep.checks["positivity"]["stat"] == 2 ** 61
+    for value in (2 ** 61, 2 ** 63, 2 ** 70):
+        d = DeltaMetric(sp, const_delta(sp, value))
+        _assert_batch_matches(d, sp, w,
+                              lambda x, y, pts: brute_delta_cross(sp, d.delta, x, y, pts))
+        rep = check_axioms(d, w)
+        assert rep.passed and rep.checks["positivity"]["stat"] == value
+
+
+@pytest.mark.parametrize("value, dtype", [
+    (2 ** 60, np.int64), (-2 ** 60, np.int64), (2 ** 60 + 1, object),
+    (-2 ** 63, object), (2 ** 70, object), (Fraction(4, 1), object), (0.5, object),
+])
+def test_int64_guard(value, dtype):
+    arr = _exact_array([[value, 1], [2, 3]])
+    assert arr.dtype == dtype
+    # object arrays hold the values themselves: no Fraction or float converted
+    assert arr.item(0, 0) == value and type(arr.item(0, 0)) is type(value)
+
+
+def _brute_min_plus(a, b, weights, init):
+    return [[min([a[i][k] + (weights[k] if weights else 0) + b[k][j]
+                  for k in range(len(b))] + ([init[i][j]] if init else []))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@pytest.mark.parametrize("kinds", [("int", "int", "int", "int"),
+                                   ("frac", "frac", "frac", "frac"),
+                                   ("int", "frac", "int", "frac"),
+                                   ("frac", "int", "frac", "int")],
+                         ids=["int64", "object", "mixed", "mixed-rev"])
+@pytest.mark.parametrize("with_weights", [False, True])
+@pytest.mark.parametrize("with_init", [False, True])
+def test_min_plus_matches_triple_loop(kinds, with_weights, with_init):
+    rng = random.Random(f"{kinds}:{with_weights}:{with_init}")
+
+    def draw(kind, shape):
+        cell = ((lambda: rng.randint(-50, 50)) if kind == "int"
+                else (lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 6))))
+        return [[cell() for _ in range(shape[1])] for _ in range(shape[0])]
+
+    a, b = draw(kinds[0], (4, 5)), draw(kinds[1], (5, 3))
+    weights = draw(kinds[2], (1, 5))[0] if with_weights else None
+    init = draw(kinds[3], (4, 3)) if with_init else None
+    typed = [None if m is None else _exact_array(m) for m in (a, b, weights, init)]
+    assert [t.dtype == np.int64 for t in typed if t is not None] == [
+        k == "int" for k, m in zip(kinds, (a, b, weights, init)) if m is not None]
+    got = _min_plus(typed[0], typed[1], weights=typed[2], init=typed[3])
+    assert got.tolist() == _brute_min_plus(a, b, weights, init)
+    # b left out is the transpose of a
+    at = [list(col) for col in zip(*a)]
+    assert _min_plus(typed[0], weights=typed[2]).tolist() == _brute_min_plus(
+        a, at, weights, None)
 
 
 def test_fraction_triangle_violation(natline):

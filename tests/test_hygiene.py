@@ -7,7 +7,8 @@ Methods are exempt from the parameter check, since they keep the parameters
 of the interface they implement (``window`` in ``PointMetric.cross``).
 Points are checked against their space in one place: an ``if not
 <space>.contains(<point>)`` that raises DomainError appears only in
-``MetricSpace.check``.
+``MetricSpace.check``.  Every private module-level name (``_name``) is
+referenced somewhere in the package besides its definition.
 """
 
 import ast
@@ -95,6 +96,32 @@ def _is_membership_raise(node):
                for stmt in node.body for n in ast.walk(stmt))
 
 
+def _private_definitions(tree):
+    """(name, line) of each ``_name`` a module defines at its top level."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in out
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _referenced_names(tree):
+    """Names read in a module: loads, attribute names and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -121,3 +148,12 @@ def test_one_membership_check():
                  ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
     where = [(name, scope) for name, scope, _ in sites]
     assert where == [("space.py", "MetricSpace.check")], f"membership raises: {sites}"
+
+
+def test_no_unused_private_names():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    unused = [f"{module}:{line} {name}" for module, tree in trees.items()
+              for name, line in _private_definitions(tree) if name not in used]
+    assert not unused, "private names nothing references: " + ", ".join(unused)
