@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError
-from .space import MetricSpace, Rational, Window, rational_to_json
+from .space import MetricSpace, Rational, Window, rational_to_json, window_points
 from .verdicts import (CHECK_DOMINATES, AffineWitness, Status, TabulatedWitness,
                        Verdict)
 
@@ -88,12 +88,9 @@ class TransferTable:
 
 def transfer(e1, e2, window: Window) -> TransferTable:
     """Transfer table of e1 against e2 on the window; exact."""
-    _common_space(e1, e2)
-    tab1 = e1.tabulate(window)
-    if not tab1:
-        return TransferTable(())
-    tab2 = {x: e2.level(x) for x in tab1}
-    return TransferTable.from_levels((tab1[x], tab2[x]) for x in tab1)
+    space = _common_space(e1, e2)
+    return TransferTable.from_levels((e1.level(x), e2.level(x))
+                                     for x in window_points(space, window))
 
 
 def _common_space(e1, e2) -> MetricSpace:
@@ -108,17 +105,12 @@ def _merged_samples(t12: TransferTable, t21: TransferTable) -> dict:
     Value runs are compacted to their first sample so that a single growing
     top entry is not counted once per plateau point.
     """
-    ns = sorted(set(t12.jumps()) | set(t21.jumps()))
-    out = {}
-    prev = None
-    for n in ns:
-        vals = [v for v in (t12.value_at(n), t21.value_at(n)) if v is not None]
-        if not vals:
-            continue
-        v = max(vals)
+    s12, s21 = _jump_samples((t12, t21))
+    out, prev = {}, None
+    for n in sorted(s12.keys() | s21.keys()):
+        v = max(s[n] for s in (s12, s21) if n in s)
         if v != prev:
-            out[n] = v
-            prev = v
+            out[n] = prev = v
     return out
 
 
@@ -158,11 +150,7 @@ def _escape_entries(samples_by_radius: Sequence[dict]):
 def _jump_samples(tables: Sequence[TransferTable]) -> list:
     """Each step table sampled at the union of all their jumps, where defined."""
     ns = sorted({n for t in tables for n in t.jumps()})
-    samples = []
-    for t in tables:
-        values = {n: t.value_at(n) for n in ns}
-        samples.append({n: v for n, v in values.items() if v is not None})
-    return samples
+    return [{n: v for n in ns if (v := t.value_at(n)) is not None} for t in tables]
 
 
 def _minimal_affine(series) -> Optional[AffineWitness]:
@@ -294,9 +282,9 @@ def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
             break
     diagnostics = {
         "radii": [rational_to_json(r) for r in radii],
-        "sups": [{rational_to_json(n): rational_to_json(v) for n, v in s.items()}
+        "sups": [{str(n): rational_to_json(v) for n, v in s.items()}
                  for s in sups_by_radius],
-        "series": [[n, v] for n, v in series],
+        "series": [[n, rational_to_json(v)] for n, v in series],
         "escape": [{"n": rational_to_json(n),
                     "growth": [rational_to_json(v) for v in vals]}
                    for n, vals in escapes],

@@ -260,36 +260,28 @@ def tau(F: FilterBase, e: LevelFunction, window: Window) -> Verdict:
     1: some F_k is eventually inside some A_n (remainder count stable under
     the sweep).  0: for every n <= TAU_N_MAX some F_k meets A_n in a
     stable-finite set.  Otherwise undetermined, with the count matrix.
+    Each sweep window is enumerated once and each F_k built once; every
+    (k, n) count comes from the levels of F_k's members at each radius.
     """
-    space = e.space
     radii = sweep_radii(window)
-    base = window.basepoint
-
-    def counts(k: int, n: int):
-        rem, hits = [], []
-        for r in radii:
-            pts = window_points(space, Window(r, base))
-            fk = F.level_set(k)
-            members = [x for x in pts if fk.contains(x)]
-            inside = [x for x in members if e.level(x) <= n]
-            rem.append(len(members) - len(inside))
-            hits.append(len(inside))
-        return rem, hits
-
+    windows = [window_points(e.space, Window(r, window.basepoint)) for r in radii]
     matrix = {}
     for k in range(1, F.depth + 1):
+        fk = F.level_set(k)
+        levels = [[e.level(x) for x in pts if fk.contains(x)] for pts in windows]
         for n in range(1, TAU_N_MAX + 1):
-            matrix[(k, n)] = counts(k, n)
+            hits = [sum(lv <= n for lv in row) for row in levels]
+            matrix[(k, n)] = ([len(row) - h for row, h in zip(levels, hits)], hits)
 
     claim = f"tau({F.name}, {e.name})"
     diag_matrix = {f"k={k},n={n}": {"remainder": rem, "inside": hits}
-                   for (k, n), (rem, hits) in sorted(matrix.items())}
+                   for (k, n), (rem, hits) in matrix.items()}
     # value 1: remainder stabilizes (F_k eventually inside A_n plus a fixed
     # finite exceptional set)
     for n in range(1, TAU_N_MAX + 1):
         for k in range(1, F.depth + 1):
-            rem, _ = matrix[(k, n)]
-            if len(set(rem)) == 1 and any(h > 0 for h in matrix[(k, n)][1]):
+            rem, hits = matrix[(k, n)]
+            if len(set(rem)) == 1 and any(hits):
                 series = [[rational_to_json(r), c] for r, c in zip(radii, rem)]
                 return Verdict(Status.CERTIFIED, claim, window=window, value=1,
                                witness=TabulatedWitness(((n, rem[0]),)),
@@ -299,25 +291,22 @@ def tau(F: FilterBase, e: LevelFunction, window: Window) -> Verdict:
     # value 0: every sublevel is eventually avoided up to a stable finite set
     chosen = {}
     for n in range(1, TAU_N_MAX + 1):
-        got = None
         for k in range(1, F.depth + 1):
-            _, hits = matrix[(k, n)]
+            hits = matrix[(k, n)][1]
             if len(set(hits)) == 1:
-                got = (k, hits[0])
+                chosen[n] = (k, hits[0])
                 break
-        if got is None:
-            chosen = None
+        else:
             break
-        chosen[n] = got
-    if chosen is not None:
+    if len(chosen) == TAU_N_MAX:
         series = [[rational_to_json(r),
                    sum(matrix[(chosen[n][0], n)][1][i] for n in chosen)]
                   for i, r in enumerate(radii)]
         return Verdict(Status.CERTIFIED, claim, window=window, value=0,
                        witness=TabulatedWitness(tuple((n, c) for n, (k, c)
-                                                      in sorted(chosen.items()))),
+                                                      in chosen.items())),
                        diagnostics={"choices": {str(n): {"k": k, "count": c}
-                                                for n, (k, c) in sorted(chosen.items())},
+                                                for n, (k, c) in chosen.items()},
                                     "series": series, "matrix": diag_matrix},
                        check_kind=CHECK_STABLE)
     return Verdict(Status.INCONCLUSIVE, claim, window=window, value="undetermined",

@@ -8,6 +8,7 @@ evaluation under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,7 +31,9 @@ def _window(args) -> Window:
     return Window(args.radius, base)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="coarse-double",
         description="Exact window-certified computations on metrics of doubles "
@@ -228,6 +231,9 @@ def _dispatch(args) -> RunReport:
     if args.command == "tau":
         space = space_by_name(args.space)
         parts = parse_ints(args.filter_base)
+        if len(parts) > 3:
+            raise DomainError(f"--filter-base {args.filter_base!r} takes at most "
+                              "three values: base[,scale[,depth]]")
         base = parts[0]
         scale = parts[1] if len(parts) > 1 else 1
         depth = parts[2] if len(parts) > 2 else 6

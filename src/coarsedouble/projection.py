@@ -191,7 +191,7 @@ def projection_criterion(d: DoubleMetric, window: Window,
             copy = d.dist_to_copy(x, window)
         rows.append((x, diag.value, copy.value))
     claim = f"projection-criterion({d.kind})"
-    series = [[copy, diag] for _, diag, copy in rows]
+    series = [[rational_to_json(copy), rational_to_json(diag)] for _, diag, copy in rows]
     diagnostics = {
         "points": [[list(x), rational_to_json(dg), rational_to_json(cp)]
                    for x, dg, cp in rows],

@@ -140,28 +140,34 @@ def parse_set(space: MetricSpace, spec: str):
     """family[:arg[:arg]] shorthand, e.g. evens, powers:4, powers:4:2,
     halfline:-:0, multiples:3:1, points:1;5, tailplus.  The tail families
     need a space whose points have two coordinates."""
-    parts = spec.split(":")
-    fam = parts[0]
-    if fam in ("powers", "multiples", "halfline", "points") and len(parts) < 2:
+    fam, *args = spec.split(":")
+    arity = {"evens": 0, "odds": 0, "squares": 0, "tailplus": 0, "tailminus": 0,
+             "points": 1, "powers": 2, "multiples": 2, "halfline": 2}
+    if fam not in arity:
+        raise DomainError(f"unknown set spec {spec!r}")
+    if arity[fam] and not args:
         raise DomainError(f"set spec {spec!r} needs an argument after {fam}")
+    if len(args) > arity[fam]:
+        raise DomainError(f"set spec {spec!r}: {fam} takes at most "
+                          f"{arity[fam]} field(s), not {len(args)}")
     if fam in ("evens", "odds", "squares"):
         return set_family(fam)
     if fam == "powers":
-        base = parse_int(parts[1])
-        scale = parse_int(parts[2]) if len(parts) > 2 else 1
+        base = parse_int(args[0])
+        scale = parse_int(args[1]) if len(args) > 1 else 1
         return set_family("powers", base=base, scale=scale)
     if fam == "multiples":
-        return set_family("multiples", k=parse_int(parts[1]),
-                          r=parse_int(parts[2]) if len(parts) > 2 else 0)
+        return set_family("multiples", k=parse_int(args[0]),
+                          r=parse_int(args[1]) if len(args) > 1 else 0)
     if fam == "halfline":
-        sign = -1 if parts[1] == "-" else 1
-        bound = parse_int(parts[2]) if len(parts) > 2 else 0
-        return set_family("half_line", sign=sign, bound=bound)
+        if args[0] not in ("+", "-"):
+            raise DomainError(f"half-line sign in {spec!r} must be + or -")
+        bound = parse_int(args[1]) if len(args) > 1 else 0
+        return set_family("half_line", sign=-1 if args[0] == "-" else 1, bound=bound)
     if fam in ("tailplus", "tailminus"):
         return _set_on(space, set_family("tail_plus" if fam == "tailplus" else "tail_minus"))
-    if fam == "points":
-        return PointSet.from_points([parse_ints(chunk) for chunk in parts[1].split(";")])
-    raise DomainError(f"unknown set spec {spec!r}")
+    # points, the one family left
+    return PointSet.from_points([parse_ints(chunk) for chunk in args[0].split(";")])
 
 
 def parse_levels(space: MetricSpace, spec: str) -> LevelFunction:

@@ -158,6 +158,8 @@ class Verdict:
                 for n, v in self.diagnostics.get("series", [])]
 
     def to_json(self):
+        """The verdict as a JSON document.  Diagnostics are stored JSON-ready
+        by the code that builds them and are returned as built, not copied."""
         doc = {"status": self.status.value, "claim": self.claim,
                "check": self.check_kind}
         if self.window is not None:
@@ -169,24 +171,8 @@ class Verdict:
         if self.counterexample is not None:
             doc["counterexample"] = self.counterexample
         if self.diagnostics:
-            doc["diagnostics"] = _json_safe(self.diagnostics)
+            doc["diagnostics"] = self.diagnostics
         return doc
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return rational_to_json(obj)
-    if isinstance(obj, Status):
-        return obj.value
-    if isinstance(obj, Witness):
-        return obj.to_json()
-    if isinstance(obj, Window):
-        return obj.to_json()
-    return obj
 
 
 def revalidate(verdict: Verdict) -> bool:

@@ -6,13 +6,14 @@ certified verdicts are re-validated through the independent substitution
 checker by criterion 12 whether it runs with them or on its own.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from coarsedouble import (MinGlueMetric, PointMetric, check_axioms, compose,
-                          evaluate, evaluate_exact, join, levels_from_metric,
+                          evaluate, evaluate_exact, is_zero, join, levels_from_metric,
                           levels_from_subset, meet, metric_from_levels,
                           metric_join, projection_criterion, subset_metric,
                           unit_levels, zero_levels)
@@ -359,9 +360,16 @@ def test_criterion_11_ideals():
 def test_criterion_12_witness_revalidation(projection_verdicts, typeI_report,
                                            ex2_report, atom_runs):
     atoms, _, gatoms = atom_runs
+    zero10 = is_zero(zero_levels(space_by_name("NatLine")), "coarse", Window(256),
+                     n_max=10)
     verdicts = (projection_verdicts + typeI_report.verdicts + ex2_report.verdicts
-                + [v for _, v in atoms + gatoms])
+                + [v for _, v in atoms + gatoms] + [zero10])
     certified = [v for v in verdicts if v.certified]
     ok = bool(certified) and all(revalidate(v) for v in certified)
+    # verdicts are JSON-ready where they are built: no Fraction, tuple or
+    # non-str key is left for the caller to convert
+    docs = [v.to_json() for v in verdicts]
+    ok = ok and all(json.loads(json.dumps(doc)) == doc for doc in docs)
+    ok = ok and list(docs[-1]["diagnostics"]["sups"][-1]) == [str(n) for n in range(1, 11)]
     _report(12, ok, f"all {len(certified)} certified verdicts re-validate by "
-                    f"substitution")
+                    f"substitution; all {len(docs)} verdicts are JSON-ready")

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 from coarsedouble import (PointMetric, equivalent, is_zero,
                           levels_from_metric, levels_from_subset, meet, sweep,
                           transfer, unit_levels, zero_levels)
-from coarsedouble.asymptotics import TransferTable, sweep_radii
+from coarsedouble.asymptotics import TransferTable, _merged_samples, sweep_radii
 from coarsedouble.errors import DomainError
 from coarsedouble.serialize import expression_levels
-from coarsedouble.space import Window, set_family
+from coarsedouble.space import CustomSpace, Window, set_family
 from coarsedouble.verdicts import (AffineWitness, Status, TabulatedWitness,
                                    revalidate)
 
@@ -39,7 +40,11 @@ def _value_by_scan(entries, n):
     return out
 
 
-@given(pairs=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 40)), max_size=12))
+# (source level, target level) pairs of a transfer table
+_level_pairs = st.lists(st.tuples(st.integers(1, 30), st.integers(1, 40)), max_size=12)
+
+
+@given(pairs=_level_pairs)
 @settings(max_examples=100, deadline=None)
 def test_value_at_matches_linear_scan(pairs):
     table = TransferTable.from_levels(pairs)
@@ -49,6 +54,32 @@ def test_value_at_matches_linear_scan(pairs):
     probes += jumps + [Fraction(2 * n - 1, 2) for n in jumps]
     for n in probes:
         assert table.value_at(n) == _value_by_scan(table.entries, n)
+
+
+def _merged_by_scan(t12, t21):
+    """max of both step tables at the union of their jumps, each value by a
+    linear scan, with value runs compacted to their first sample."""
+    ns = sorted(set(t12.jumps()) | set(t21.jumps()))
+    out, prev = {}, None
+    for n in ns:
+        vals = [v for v in (_value_by_scan(t12.entries, n), _value_by_scan(t21.entries, n))
+                if v is not None]
+        if not vals:
+            continue
+        v = max(vals)
+        if v != prev:
+            out[n] = v
+            prev = v
+    return out
+
+
+@given(pairs12=_level_pairs, pairs21=_level_pairs)
+@settings(max_examples=100, deadline=None)
+def test_merged_samples_match_scan(pairs12, pairs21):
+    t12, t21 = TransferTable.from_levels(pairs12), TransferTable.from_levels(pairs21)
+    merged = _merged_samples(t12, t21)
+    expected = _merged_by_scan(t12, t21)
+    assert merged == expected and list(merged) == list(expected)
 
 
 def test_transfer_composition_dominance(natline):
@@ -121,6 +152,16 @@ def test_is_zero_examples(natline, geomline):
     e2 = levels_from_subset(geomline, set_family("powers", base=4, scale=2))
     vz = is_zero(meet(e1, e2), "coarse", Window(1024), n_max=10)
     assert vz.certified and vz.value == "zero"
+
+
+def test_is_zero_json_ready_on_rational_distances():
+    space = CustomSpace([(0,), (1,), (2,)], metric="table",
+                        table=[[0, "1/2", "3/4"], ["1/2", 0, "1/2"], ["3/4", "1/2", 0]])
+    v = is_zero(unit_levels(space), "coarse", Window(4))
+    doc = v.to_json()
+    assert doc["diagnostics"]["series"][0] == [1, "3/4"]
+    assert doc["diagnostics"]["sups"][-1]["1"] == "3/4"
+    assert json.loads(json.dumps(doc)) == doc and revalidate(v)
 
 
 def test_escape_evidence_lists(natline):

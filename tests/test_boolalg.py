@@ -1,13 +1,15 @@
 import pytest
 
 from coarsedouble import (levels_from_subset, meet, unit_levels, zero_levels)
-from coarsedouble.boolalg import (AtomPattern, FormalSum, TwoValuedHom,
+from coarsedouble.asymptotics import sweep_radii
+from coarsedouble.boolalg import (TAU_N_MAX, AtomPattern, FormalSum, TwoValuedHom,
                                   atom_nonzero, check_hom, enumerate_atoms,
                                   extend_hom, homs, powers_tail_base,
                                   separating_set, tau)
 from coarsedouble.errors import DomainError, SearchInconclusive
-from coarsedouble.space import Window, set_family, window_points
-from coarsedouble.verdicts import revalidate
+from coarsedouble.space import Window, rational_to_json, set_family, window_points
+from coarsedouble.verdicts import (CHECK_STABLE, Status, TabulatedWitness, Verdict,
+                                   revalidate)
 
 
 @pytest.fixture
@@ -161,6 +163,83 @@ def test_tau_monotone_under_order(geomline, geom_pair):
     bigger = unit_levels(geomline)  # e1 <= 1 in the projection order
     if tau(F, e1, w).value == 1:
         assert tau(F, bigger, w).value == 1
+
+
+def _tau_by_recount(F, e, window):
+    """tau with every (k, n) cell counted afresh: each cell enumerates the
+    sweep windows, builds F_k and reads its members' levels again."""
+    space = e.space
+    radii = sweep_radii(window)
+    base = window.basepoint
+
+    def counts(k, n):
+        rem, hits = [], []
+        for r in radii:
+            pts = window_points(space, Window(r, base))
+            fk = F.level_set(k)
+            members = [x for x in pts if fk.contains(x)]
+            inside = [x for x in members if e.level(x) <= n]
+            rem.append(len(members) - len(inside))
+            hits.append(len(inside))
+        return rem, hits
+
+    matrix = {(k, n): counts(k, n)
+              for k in range(1, F.depth + 1) for n in range(1, TAU_N_MAX + 1)}
+    claim = f"tau({F.name}, {e.name})"
+    diag_matrix = {f"k={k},n={n}": {"remainder": rem, "inside": hits}
+                   for (k, n), (rem, hits) in sorted(matrix.items())}
+    for n in range(1, TAU_N_MAX + 1):
+        for k in range(1, F.depth + 1):
+            rem, _ = matrix[(k, n)]
+            if len(set(rem)) == 1 and any(h > 0 for h in matrix[(k, n)][1]):
+                series = [[rational_to_json(r), c] for r, c in zip(radii, rem)]
+                return Verdict(Status.CERTIFIED, claim, window=window, value=1,
+                               witness=TabulatedWitness(((n, rem[0]),)),
+                               diagnostics={"n": n, "k": k, "series": series,
+                                            "matrix": diag_matrix},
+                               check_kind=CHECK_STABLE)
+    chosen = {}
+    for n in range(1, TAU_N_MAX + 1):
+        got = None
+        for k in range(1, F.depth + 1):
+            _, hits = matrix[(k, n)]
+            if len(set(hits)) == 1:
+                got = (k, hits[0])
+                break
+        if got is None:
+            chosen = None
+            break
+        chosen[n] = got
+    if chosen is not None:
+        series = [[rational_to_json(r),
+                   sum(matrix[(chosen[n][0], n)][1][i] for n in chosen)]
+                  for i, r in enumerate(radii)]
+        return Verdict(Status.CERTIFIED, claim, window=window, value=0,
+                       witness=TabulatedWitness(tuple((n, c) for n, (k, c)
+                                                      in sorted(chosen.items()))),
+                       diagnostics={"choices": {str(n): {"k": k, "count": c}
+                                                for n, (k, c) in sorted(chosen.items())},
+                                    "series": series, "matrix": diag_matrix},
+                       check_kind=CHECK_STABLE)
+    return Verdict(Status.INCONCLUSIVE, claim, window=window, value="undetermined",
+                   diagnostics={"matrix": diag_matrix})
+
+
+@pytest.mark.parametrize("space_name,radius", [("GeomLine", 4096), ("NatLine", 256)])
+@pytest.mark.parametrize("base,scale", [(2, 1), (2, 2), (4, 1), (4, 2)])
+def test_tau_matches_per_cell_recount(space_name, radius, base, scale, request):
+    space = request.getfixturevalue(space_name.lower())
+    F = powers_tail_base(base, scale=scale)
+    w = Window(radius)
+    levels = [levels_from_subset(space, set_family("powers", base=4)),
+              levels_from_subset(space, set_family("evens")),
+              unit_levels(space), zero_levels(space)]
+    values = set()
+    for e in levels:
+        doc = tau(F, e, w).to_json()
+        assert doc == _tau_by_recount(F, e, w).to_json()
+        values.add(doc.get("value"))
+    assert values >= {0, 1}
 
 
 def test_separating_set(geomline, natline):

@@ -107,11 +107,26 @@ def test_usage_error_exit_code(capsys):
     ["proj", "define", "--space", "NatLine", "--levels", "zero:1,x", "--radius", "4"],
     ["eval", "--space", "NatLine", "--metric", "const:abc", "--x", "0", "--y", "1"],
     ["eval", "--space", "NatLine", "--metric", "const:1/0", "--x", "0", "--y", "1"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:halfline:x:3",
+     "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:halfline:-:3:9",
+     "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:powers:2:3:7",
+     "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:multiples:3:1:5",
+     "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:points:1;5:7",
+     "--radius", "4"],
+    ["proj", "define", "--space", "NatLine", "--levels", "subset:evens:3", "--radius", "4"],
+    ["tau", "--space", "GeomLine", "--filter-base", "4,1,6,9", "--levels",
+     "subset:powers:4"],
 ], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine",
         "halfline-empty-on-NatLine", "complement-empty-on-NatLine",
         "x-not-int", "radii-not-int", "filter-base-not-int", "powers-no-base",
         "multiples-not-int", "halfline-no-sign", "points-not-int", "zero-point-not-int",
-        "const-not-rational", "const-zero-denominator"])
+        "const-not-rational", "const-zero-denominator", "halfline-bad-sign",
+        "halfline-extra-field", "powers-extra-field", "multiples-extra-field",
+        "points-extra-field", "evens-extra-field", "filter-base-four-values"])
 def test_bad_set_spec_is_usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

@@ -8,15 +8,19 @@ of the interface they implement (``window`` in ``PointMetric.cross``).
 Points are checked against their space in one place: an ``if not
 <space>.contains(<point>)`` that raises DomainError appears only in
 ``MetricSpace.check``.  Every private module-level name (``_name``) is
-referenced somewhere in the package besides its definition.
+referenced somewhere in the package besides its definition.  The
+benchmark's tracer (``bench/tracing.py``) finds every method and function
+it wraps.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coarsedouble"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coarsedouble"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -157,3 +161,17 @@ def test_no_unused_private_names():
     unused = [f"{module}:{line} {name}" for module, tree in trees.items()
               for name, line in _private_definitions(tree) if name not in used]
     assert not unused, "private names nothing references: " + ", ".join(unused)
+
+
+def test_tracer_targets_exist():
+    """``--trace 1`` wraps methods through ``owner.__dict__[attr]``; moving or
+    deleting one of them makes ``install`` raise."""
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

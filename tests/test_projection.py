@@ -1,4 +1,6 @@
+import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from coarsedouble.double import DeltaMetric
 from coarsedouble.errors import DomainError
 from coarsedouble.space import (UNBOUNDED, PointSet, Window, dist_to_set,
                                 set_family, space_by_name, window_points)
+from coarsedouble.verdicts import revalidate
 
 
 def test_levels_from_metric_examples(natline):
@@ -76,6 +79,11 @@ def test_projection_criterion(natline):
     z = PointMetric(natline, (0,))
     vz = projection_criterion(z, w, grid=[(0, 2)])
     assert vz.certified
+    # Fraction kernel values reach the series as "p/q", ready for JSON
+    vf = projection_criterion(DeltaMetric(natline, const_delta(natline, Fraction(3, 2))), w)
+    doc = vf.to_json()
+    assert doc["diagnostics"]["series"][0] == ["3/2", "3/2"]
+    assert json.loads(json.dumps(doc)) == doc and revalidate(vf)
     asym = compose(subset_metric(natline, set_family("evens")),
                    PointMetric(natline, (0,)))
     with pytest.raises(DomainError):

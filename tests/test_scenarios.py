@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from coarsedouble.scenarios import SCENARIO_NAMES, expected_tables, run_scenario
@@ -15,6 +17,10 @@ def test_scenario_matches_expected(name):
     assert rep.passed, rep.mismatches
     for v in rep.verdicts:
         assert revalidate(v)
+        doc = v.to_json()
+        assert json.loads(json.dumps(doc)) == doc
+    doc = rep.to_json(include_meta=False)
+    assert json.loads(rep.canonical_json()) == doc
 
 
 def test_typeI_growth_is_strict():
