@@ -25,7 +25,7 @@ from .projection import (CmFunction, LevelFunction, check_cm, classify_type,
                          source_projection, subset_metric, unit_levels,
                          zero_levels)
 from .asymptotics import (TransferTable, equivalent, is_zero, sweep,
-                          sweep_radii, transfer)
+                          sweep_radii, sweep_windows, transfer)
 from .verdicts import (AffineWitness, Status, TabulatedWitness, Verdict,
                        revalidate)
 from .boolalg import (AtomPattern, FilterBase, FormalSum, TwoValuedHom,

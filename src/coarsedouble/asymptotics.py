@@ -1,15 +1,17 @@
 """Window-certified verdicts for asymptotic comparisons of level functions.
 
 Certification policy.  Every claim is evaluated at the three nested radii
-of ``sweep_radii`` (R/16, R/4, R).  A transfer entry is *stable* when its
-value agrees at the two largest radii; sublevel sets only gain points as the
-radius grows, so a stable entry has stopped moving.  Equivalence is
-certified only when the stable entries dominate the comparison (at least
-the fraction STABLE_FRACTION of the common table, including its smallest
-entry); quasi-equivalence additionally requires the minimal affine witness
-itself to be stable.  Escape evidence means some fixed entry grew strictly at
-every radius step.  None of this claims a limit: a certificate is always a
-finite inequality system that re-validates by substitution.
+of ``sweep_radii`` (R/16, R/4, R), or at given radii, which must increase
+strictly; ``sweep_windows``, the one reader of a sweep, enumerates the
+largest window once.  A transfer entry is *stable* when its value agrees at
+the two largest radii; sublevel sets only gain points as the radius grows,
+so a stable entry has stopped moving.  Equivalence is certified only when
+the stable entries dominate the comparison (at least the fraction
+STABLE_FRACTION of the common table, including its smallest entry);
+quasi-equivalence additionally requires the minimal affine witness itself
+to be stable.  Escape evidence means some fixed entry grew strictly at every
+radius step.  None of this claims a limit: a certificate is always a finite
+inequality system that re-validates by substitution.
 """
 
 from __future__ import annotations
@@ -45,6 +47,17 @@ def sweep_radii(window: Window) -> list:
                     _simplify(max(1, Fraction(r) / 4)),
                     _simplify(Fraction(r))})
     return radii
+
+
+def sweep_windows(space: MetricSpace, window: Window, radii: Sequence[Rational]) -> list:
+    """Per radius, its ball about the window's base, in ``window_points`` order."""
+    if not radii or radii[0] < 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise DomainError(f"sweep radii must be nonnegative and strictly increasing, "
+                          f"got {[rational_to_json(r) for r in radii]}")
+    pts = window_points(space, Window(radii[-1], window.basepoint))
+    base = window.resolve_base(space)
+    dist = [space._dist(x, base) for x in pts]
+    return [[x for x, d in zip(pts, dist) if d <= r] for r in radii[:-1]] + [pts]
 
 
 def _simplify(v: Fraction) -> Rational:
@@ -181,14 +194,14 @@ def equivalent(e1, e2, mode: str, window: Window,
     """
     if mode not in ("quasi", "coarse"):
         raise DomainError(f"unknown equivalence mode {mode!r}")
-    _common_space(e1, e2)
+    space = _common_space(e1, e2)
     if radii is None:
         radii = sweep_radii(window)
     per_radius = []
-    for r in radii:
-        w = Window(r, window.basepoint)
-        t12 = transfer(e1, e2, w)
-        t21 = transfer(e2, e1, w)
+    for r, pts in zip(radii, sweep_windows(space, window, radii)):
+        pairs = [(e1.level(x), e2.level(x)) for x in pts]
+        t12 = TransferTable.from_levels(pairs)
+        t21 = TransferTable.from_levels((v, n) for n, v in pairs)
         per_radius.append({"radius": r, "t12": t12, "t21": t21,
                            "merged": _merged_samples(t12, t21)})
     merged_list = [p["merged"] for p in per_radius]
@@ -252,34 +265,25 @@ def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
     if mode not in ("quasi", "coarse"):
         raise DomainError(f"unknown zero-test mode {mode!r}")
     space = e.space
-    x0 = space.basepoint
     radii = sweep_radii(window)
+    windows = sweep_windows(space, window, radii)
+    low = {x: (lv, space._dist(x, space.basepoint)) for x in windows[-1]
+           if (lv := e.level(x)) <= n_max}
     sups_by_radius = []
-    for r in radii:
-        tab = e.tabulate(Window(r, window.basepoint))
-        sups = {}
-        for n in range(1, n_max + 1):
-            ds = [space._dist(x, x0) for x, lv in tab.items() if lv <= n]
-            if ds:
-                sups[n] = max(ds)
+    for pts in windows:
+        top, sups = {}, {}  # top: level -> largest distance at that level
+        for lv, d in filter(None, map(low.get, pts)):
+            top[lv] = max(d, top.get(lv, d))
+        for n in range(1, n_max + 1):  # distances are >= 0
+            if n in top or n - 1 in sups:
+                sups[n] = max(top.get(n, 0), sups.get(n - 1, 0))
         sups_by_radius.append(sups)
     last = sups_by_radius[-1]
     claim = f"is-zero[{mode}]({_name(e)})"
     series = sorted(last.items())
     escapes = _escape_entries(sups_by_radius)
-    stable_all = True
-    for n in range(1, n_max + 1):
-        vals = [s.get(n) for s in sups_by_radius]
-        defined = [v for v in vals if v is not None]
-        if not defined:
-            continue
-        if any(v != defined[0] for v in defined):
-            stable_all = False
-            break
-        # a level visible at a smaller radius must stay visible later
-        if vals[-1] is None:
-            stable_all = False
-            break
+    # every sup, at every radius, must already be the last radius's sup
+    stable_all = all(last.get(n) == v for s in sups_by_radius for n, v in s.items())
     diagnostics = {
         "radii": [rational_to_json(r) for r in radii],
         "sups": [{str(n): rational_to_json(v) for n, v in s.items()}

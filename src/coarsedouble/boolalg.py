@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .asymptotics import equivalent, sweep_radii
+from .asymptotics import equivalent, sweep_radii, sweep_windows
 from .errors import DomainError, SearchInconclusive
 from .projection import (LevelFunction, join, meet, unit_levels, zero_levels)
 from .space import (MetricSpace, PointSet, Window, rational_to_json,
@@ -264,7 +264,7 @@ def tau(F: FilterBase, e: LevelFunction, window: Window) -> Verdict:
     (k, n) count comes from the levels of F_k's members at each radius.
     """
     radii = sweep_radii(window)
-    windows = [window_points(e.space, Window(r, window.basepoint)) for r in radii]
+    windows = sweep_windows(e.space, window, radii)
     matrix = {}
     for k in range(1, F.depth + 1):
         fk = F.level_set(k)

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--space", required=True)
     cl.add_argument("--levels", required=True)
     cl.add_argument("--radius", type=int, default=256)
-    cl.add_argument("--radii", help="comma-separated sweep radii")
+    cl.add_argument("--radii", help="comma-separated, strictly increasing sweep radii")
 
     alg = sub.add_parser("algebra", help="atoms and homs of a generated algebra")
     alg.add_argument("what", choices=["atoms", "homs"])

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .asymptotics import default_grid, equivalent, sweep_radii
+from .asymptotics import default_grid, equivalent, sweep_radii, sweep_windows
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
@@ -374,7 +374,8 @@ def classify_type(e: LevelFunction, window: Window,
     space = e.space
     if radii is None:
         radii = sweep_radii(window)
-    big_tab = e.tabulate(window)
+    tabs = [{x: e.level(x) for x in pts} for pts in sweep_windows(space, window, radii)]
+    big_tab = tabs[-1] if radii[-1] == window.radius else e.tabulate(window)
     if not big_tab:
         return Verdict(Status.INCONCLUSIVE, f"classify({e.name})", window=window,
                        diagnostics={"reason": "empty window"})
@@ -410,7 +411,7 @@ def classify_type(e: LevelFunction, window: Window,
                                  "series": realized,
                                  "equivalence": v.to_json()},
                     check_kind=CHECK_DOMINATES)
-        growth[n] = _required_k_series(e, core_dist, radii, window)
+        growth[n] = _required_k_series(core_dist, radii, tabs)
     all_grow = usable and all(
         len(g) >= 3 and all(b > a for a, b in zip(g, g[1:]))
         for g in (tuple(v for _, v in growth[n]) for n in usable))
@@ -426,18 +427,13 @@ def classify_type(e: LevelFunction, window: Window,
                    diagnostics=diagnostics)
 
 
-def _required_k_series(e, core_dist, radii, window):
+def _required_k_series(core_dist, radii, tabs):
     """Minimal k with A_m cap W subset N_k(A_n), per radius, at the deepest
-    sublevel m realized within that radius; core_dist is x -> d_X(x, A_n)."""
+    sublevel m realized in its table of levels; core_dist is x -> d_X(x, A_n)."""
     out = []
-    for r in radii:
-        tab = e.tabulate(Window(r, window.basepoint))
-        if not tab:
-            continue
-        m_star = min(max(tab.values()), TYPE_M_MAX)
+    for r, tab in zip(radii, tabs):
+        m_star = min(max(tab.values(), default=0), TYPE_M_MAX)
         pts_m = [x for x, lv in tab.items() if lv <= m_star]
-        if not pts_m:
-            continue
-        dmax = max(core_dist(x) for x in pts_m)
-        out.append((r, math.ceil(dmax)))
+        if pts_m:
+            out.append((r, math.ceil(max(core_dist(x) for x in pts_m))))
     return out

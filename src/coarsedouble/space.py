@@ -527,12 +527,12 @@ def set_from_json(doc) -> PointSet:
 def _line_candidates(family: dict, c: int) -> Optional[tuple]:
     """Coordinates among which lie the nearest members of the named set
     ``family`` at or below and at or above c on the integer line, or None
-    when the family has no closed form.  Integer arithmetic only."""
+    when the family has no closed form.  Integer arithmetic only.  Nested
+    complements cancel in pairs."""
+    complement = False
+    while family["family"] == "complement":
+        family, complement = family["of"], not complement
     fam = family["family"]
-    complement = fam == "complement"
-    if complement:
-        family = family["of"]
-        fam = family["family"]
     args = {k: v for k, v in family.items() if k != "family"}
     if not all(isinstance(v, int) for v in args.values()):
         return None  # non-integer parameters are searched
@@ -611,8 +611,8 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
     On ``NatLine`` and ``IntLine`` the named families ``half_line``,
     ``multiples`` (so ``evens`` and ``odds``), ``squares``, ``powers`` and
     ``powers_tail`` with integer parameters, and the complements of
-    ``half_line`` and ``multiples``, are not searched: integer arithmetic
-    gives the nearest members below and above x.  The result is the
+    ``half_line`` and ``multiples`` (at any depth), are not searched: integer
+    arithmetic gives the nearest members below and above x.  The result is the
     search's: the same value and witness (ties go to the smaller point),
     and SearchInconclusive when the nearest member lies beyond the budget.
     A family with no member in the space raises DomainError instead of

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 from coarsedouble import (PointMetric, equivalent, is_zero,
                           levels_from_metric, levels_from_subset, meet, sweep,
                           transfer, unit_levels, zero_levels)
-from coarsedouble.asymptotics import TransferTable, _merged_samples, sweep_radii
+from coarsedouble.asymptotics import (TransferTable, _merged_samples, sweep_radii,
+                                      sweep_windows)
 from coarsedouble.errors import DomainError
+from coarsedouble.projection import levels_from_expression
 from coarsedouble.serialize import expression_levels
-from coarsedouble.space import CustomSpace, Window, set_family
+from coarsedouble.space import (CustomSpace, Window, set_family, space_by_name,
+                                window_points)
 from coarsedouble.verdicts import (AffineWitness, Status, TabulatedWitness,
                                    revalidate)
+from conftest import BRUTE_WINDOWS
 
 
 def test_transfer_examples(natline):
@@ -204,6 +208,83 @@ def test_sweep(natline):
 def test_sweep_radii_factor_four():
     assert sweep_radii(Window(1024)) == [64, 256, 1024]
     assert sweep_radii(Window(8)) == [1, 2, 8]
+
+
+@pytest.mark.parametrize("name,base,radii", [
+    ("NatLine", None, [1, 4, 16]),
+    ("NatLine", (10,), [Fraction(5, 2), 6, 20]),
+    ("IntLine", None, [0, 3, Fraction(33, 4)]),
+    ("IntLine", (-7,), [0, Fraction(7, 3), 9]),
+    ("GeomLine", None, [4, 64, 1024]),
+    ("GeomLine", (16,), [Fraction(1, 2), 12, Fraction(97, 2)]),
+    ("TwoTails", None, [8, 30, 120]),
+    ("TwoTails", (4, 2), [3, Fraction(21, 2), 40]),
+])
+def test_sweep_windows_match_window_points(name, base, radii):
+    # only the window's basepoint matters, not its radius
+    space = space_by_name(name)
+    centre = base if base is not None else space.basepoint
+    got = sweep_windows(space, Window(7, base), radii)
+    assert got == [window_points(space, Window(r, base)) for r in radii]
+    assert got == [BRUTE_WINDOWS[name](centre, r) for r in radii]
+
+
+def test_sweep_windows_on_a_custom_space():
+    space = CustomSpace([(i, j) for i in range(6) for j in range(3)], basepoint=(2, 1))
+    radii = [1, Fraction(5, 2), 4]
+    for base in (None, (0, 0)):
+        centre = base or space.basepoint
+        got = sweep_windows(space, Window(1, base), radii)
+        assert got == [window_points(space, Window(r, base)) for r in radii]
+        assert got == [[p for p in sorted(space._points)
+                        if abs(p[0] - centre[0]) + abs(p[1] - centre[1]) <= r]
+                       for r in radii]
+
+
+@pytest.mark.parametrize("radii", [[], [8, 8, 8], [16, 8, 4], [-4, 8, 16], [2, 1]])
+def test_sweep_windows_reject_bad_radii(natline, radii):
+    with pytest.raises(DomainError, match="strictly increasing"):
+        sweep_windows(natline, Window(16), radii)
+
+
+def test_equivalent_rejects_repeated_radii(natline):
+    # a window compared with itself would certify anything stable
+    e = expression_levels(natline, "log2")
+    with pytest.raises(DomainError, match="strictly increasing"):
+        equivalent(e, e, "coarse", Window(8), radii=[8, 8, 8])
+
+
+def _stable_by_level(sups, n_max):
+    """The per-level stability rule: a sup seen at any radius is the same at
+    every radius where it is seen, and is seen at the last one."""
+    for n in map(str, range(1, n_max + 1)):
+        vals = [s.get(n) for s in sups]
+        defined = [v for v in vals if v is not None]
+        if defined and (len(set(defined)) > 1 or vals[-1] is None):
+            return False
+    return True
+
+
+@given(table=st.lists(st.integers(1, 6) | st.sampled_from([3, 7, 11]),
+                      min_size=1, max_size=40),
+       radius=st.integers(0, 90), base=st.none() | st.integers(0, 30),
+       n_max=st.integers(1, 12))
+@settings(max_examples=120, deadline=None)
+def test_is_zero_sups_match_a_direct_scan(table, radius, base, n_max):
+    # levels that skip values leave gaps that the running maximum fills;
+    # distances are to the space's basepoint, windows around the window's
+    natline = space_by_name("NatLine")
+    e = levels_from_expression(natline, "table", lambda p: table[p[0] % len(table)])
+    w = Window(radius, None if base is None else (base,))
+    v = is_zero(e, "coarse", w, n_max=n_max)
+    want = []
+    for r in sweep_radii(w):
+        pts = window_points(natline, Window(r, w.basepoint))
+        want.append([(str(n), max(p[0] for p in pts if e.level(p) <= n))
+                     for n in range(1, n_max + 1) if any(e.level(p) <= n for p in pts)])
+    sups = v.to_json()["diagnostics"]["sups"]
+    assert [list(s.items()) for s in sups] == want
+    assert v.certified == (not want[-1] or _stable_by_level(sups, n_max))
 
 
 def test_witness_revalidation(natline, geomline):

@@ -120,13 +120,17 @@ def test_usage_error_exit_code(capsys):
     ["proj", "define", "--space", "NatLine", "--levels", "subset:evens:3", "--radius", "4"],
     ["tau", "--space", "GeomLine", "--filter-base", "4,1,6,9", "--levels",
      "subset:powers:4"],
+    ["classify", "--space", "NatLine", "--levels", "expr:log2", "--radii", "256,256,256"],
+    ["classify", "--space", "NatLine", "--levels", "expr:log2", "--radii", "16,8,4"],
+    ["classify", "--space", "NatLine", "--levels", "expr:log2", "--radii=-4,8,16"],
 ], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine",
         "halfline-empty-on-NatLine", "complement-empty-on-NatLine",
         "x-not-int", "radii-not-int", "filter-base-not-int", "powers-no-base",
         "multiples-not-int", "halfline-no-sign", "points-not-int", "zero-point-not-int",
         "const-not-rational", "const-zero-denominator", "halfline-bad-sign",
         "halfline-extra-field", "powers-extra-field", "multiples-extra-field",
-        "points-extra-field", "evens-extra-field", "filter-base-four-values"])
+        "points-extra-field", "evens-extra-field", "filter-base-four-values",
+        "radii-repeated", "radii-decreasing", "radii-negative"])
 def test_bad_set_spec_is_usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

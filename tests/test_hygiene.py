@@ -7,7 +7,9 @@ Methods are exempt from the parameter check, since they keep the parameters
 of the interface they implement (``window`` in ``PointMetric.cross``).
 Points are checked against their space in one place: an ``if not
 <space>.contains(<point>)`` that raises DomainError appears only in
-``MetricSpace.check``.  Every private module-level name (``_name``) is
+``MetricSpace.check``.  Sweep radii become point lists in one place: a
+``Window(<r>, <w>.basepoint)`` call appears only in
+``asymptotics.sweep_windows``.  Every private module-level name (``_name``) is
 referenced somewhere in the package besides its definition.  The
 benchmark's tracer (``bench/tracing.py``) finds every method and function
 it wraps.
@@ -70,9 +72,8 @@ def _ignored_parameters(tree):
     return out
 
 
-def _membership_raises(tree):
-    """(enclosing qualified name, line) of each ``if not <a>.contains(<b>)``
-    whose body raises DomainError."""
+def _sites(tree, match):
+    """(enclosing qualified name, line) of each node for which match holds."""
     out = []
 
     def visit(node, scope):
@@ -80,7 +81,7 @@ def _membership_raises(tree):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.If) and _is_membership_raise(child):
+            if match(child):
                 out.append((".".join(scope), child.lineno))
             visit(child, scope)
 
@@ -88,7 +89,18 @@ def _membership_raises(tree):
     return out
 
 
+def _package_sites(match):
+    """(module, enclosing qualified name, line) of each match in the package."""
+    return [(path.name, scope, line)
+            for path in sorted(SRC.glob("*.py"))
+            for scope, line in _sites(
+                ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), match)]
+
+
 def _is_membership_raise(node):
+    """``if not <a>.contains(<b>)`` whose body raises DomainError."""
+    if not isinstance(node, ast.If):
+        return False
     test = node.test
     if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
             and isinstance(test.operand, ast.Call)
@@ -98,6 +110,13 @@ def _is_membership_raise(node):
     return any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
                and getattr(n.exc.func, "id", None) == "DomainError"
                for stmt in node.body for n in ast.walk(stmt))
+
+
+def _is_sweep_window(node):
+    """``Window(<r>, <w>.basepoint)``: a window around another window's base."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Window"
+            and any(isinstance(a, ast.Attribute) and a.attr == "basepoint"
+                    for a in node.args[1:] + [k.value for k in node.keywords]))
 
 
 def _private_definitions(tree):
@@ -146,12 +165,15 @@ def test_no_ignored_parameters(path):
 
 
 def test_one_membership_check():
-    sites = [(path.name, scope, line)
-             for path in sorted(SRC.glob("*.py"))
-             for scope, line in _membership_raises(
-                 ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
+    sites = _package_sites(_is_membership_raise)
     where = [(name, scope) for name, scope, _ in sites]
     assert where == [("space.py", "MetricSpace.check")], f"membership raises: {sites}"
+
+
+def test_one_sweep_reader():
+    sites = _package_sites(_is_sweep_window)
+    where = [(name, scope) for name, scope, _ in sites]
+    assert where == [("asymptotics.py", "sweep_windows")], f"sweep windows: {sites}"
 
 
 def test_no_unused_private_names():

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from coarsedouble.double import SubsetMetric
 from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.projection import levels_from_subset
+from coarsedouble.serialize import level_from_json
 from coarsedouble.space import (UNBOUNDED, PointSet, Window, dist_to_set,
-                                set_family, space_by_name)
+                                set_family, set_from_json, space_by_name)
 from conftest import BRUTE_WINDOWS, brute_set_distance
 
 
@@ -163,6 +164,36 @@ def test_empty_complement_raises(of):
     A = set_family("complement", of=of)
     with pytest.raises(DomainError, match="no members in NatLine"):
         dist_to_set(nat, (3,), A, Window(64))
+
+
+def test_double_complement_of_an_empty_set_raises():
+    # ~~A has A's closed form, so an empty A raises instead of searching
+    nat = space_by_name("NatLine")
+    doc = {"family": "complement", "of": {"family": "complement", "of": {
+        "family": "half_line", "sign": -1, "bound": -5}}}
+    with pytest.raises(DomainError, match="no members in NatLine"):
+        dist_to_set(nat, (3,), set_from_json(doc), Window(64))
+    with pytest.raises(DomainError, match="no members in NatLine"):
+        level_from_json(nat, {"kind": "subset", "set": doc})
+
+
+@given(name=st.sampled_from(["NatLine", "IntLine"]), depth=st.integers(0, 5),
+       k=st.integers(2, 9), r=st.integers(0, 8), v=st.integers(-300, 300))
+@settings(max_examples=150, deadline=None)
+def test_nested_complements_of_multiples_match_brute_force(name, depth, k, r, v):
+    space = space_by_name(name)
+    x = (abs(v),) if name == "NatLine" else (v,)
+    doc = {"family": "multiples", "k": k, "r": r % k}
+    for _ in range(depth):
+        doc = {"family": "complement", "of": doc}
+    A = set_from_json(doc)
+    # the nearest member lies within k of x: k consecutive points hold a
+    # multiple, and two consecutive points a non-multiple
+    members = [p for p in BRUTE_WINDOWS[name](x, k) if A.contains(p)]
+    want = brute_set_distance(space, x, members)
+    ev = dist_to_set(space, x, A, UNBOUNDED)
+    assert ev.exact and ev.value == want
+    assert ev.witness == min(p for p in members if space.distance(x, p) == want)
 
 
 @pytest.mark.parametrize("window", [Window(8), UNBOUNDED])
