@@ -259,7 +259,9 @@ def tau(F: FilterBase, e: LevelFunction, window: Window) -> Verdict:
 
     1: some F_k is eventually inside some A_n (remainder count stable under
     the sweep).  0: for every n <= TAU_N_MAX some F_k meets A_n in a
-    stable-finite set.  Otherwise undetermined, with the count matrix.
+    stable-finite set; the witness counts F_{k*} cap A_n for one k*, the
+    largest of those k, so it grows with n.  Otherwise undetermined, with
+    the count matrix.
     Each sweep window is enumerated once and each F_k built once; every
     (k, n) count comes from the levels of F_k's members at each radius.
     """
@@ -288,25 +290,21 @@ def tau(F: FilterBase, e: LevelFunction, window: Window) -> Verdict:
                                diagnostics={"n": n, "k": k, "series": series,
                                             "matrix": diag_matrix},
                                check_kind=CHECK_STABLE)
-    # value 0: every sublevel is eventually avoided up to a stable finite set
-    chosen = {}
-    for n in range(1, TAU_N_MAX + 1):
-        for k in range(1, F.depth + 1):
-            hits = matrix[(k, n)][1]
-            if len(set(hits)) == 1:
-                chosen[n] = (k, hits[0])
-                break
-        else:
-            break
-    if len(chosen) == TAU_N_MAX:
-        series = [[rational_to_json(r),
-                   sum(matrix[(chosen[n][0], n)][1][i] for n in chosen)]
+    # value 0: every sublevel A_n meets some F_k in a stable finite set.  The
+    # base decreases, so F_{k*}, for the largest such first k, meets each A_n
+    # inside that stable set: its counts are stable too, and they cannot
+    # decrease with n because the A_n grow.  One k* serves every n.
+    first = [next((k for k in range(1, F.depth + 1) if len(set(matrix[(k, n)][1])) == 1),
+                  None) for n in range(1, TAU_N_MAX + 1)]
+    k_star = None if None in first else max(first)
+    counts = {n: matrix[(k_star, n)][1] for n in range(1, TAU_N_MAX + 1)} if k_star else {}
+    if counts and all(len(set(c)) == 1 for c in counts.values()):
+        series = [[rational_to_json(r), sum(c[i] for c in counts.values())]
                   for i, r in enumerate(radii)]
         return Verdict(Status.CERTIFIED, claim, window=window, value=0,
-                       witness=TabulatedWitness(tuple((n, c) for n, (k, c)
-                                                      in chosen.items())),
-                       diagnostics={"choices": {str(n): {"k": k, "count": c}
-                                                for n, (k, c) in chosen.items()},
+                       witness=TabulatedWitness(tuple((n, c[0]) for n, c in counts.items())),
+                       diagnostics={"choices": {str(n): {"k": k_star, "count": c[0]}
+                                                for n, c in counts.items()},
                                     "series": series, "matrix": diag_matrix},
                        check_kind=CHECK_STABLE)
     return Verdict(Status.INCONCLUSIVE, claim, window=window, value="undetermined",

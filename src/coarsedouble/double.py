@@ -15,11 +15,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
-from .space import (UNBOUNDED, Evaluation, MetricSpace, Point, PointSet,
-                    Rational, Window, dist_to_set, rational_to_json,
-                    window_points)
+from .space import (UNBOUNDED, Evaluation, GeomLine, IntLine, MetricSpace,
+                    NatLine, Point, PointSet, Rational, Window, dist_to_set,
+                    rational_to_json, window_points)
 
 _INT_SAFE = 1 << 60
+# spaces whose points are one integer coordinate at distance |x - y|; their
+# batch paths work on coordinate arrays
+_LINES = (NatLine, IntLine, GeomLine)
 # doubling budget of _escalate
 _MAX_DOUBLINGS = 80
 
@@ -77,6 +80,11 @@ class DoubleMetric:
         """Certified bound: lower_bound(x, y) <= d(x, y') always.  x and y are
         not checked: callers pass enumerated or already-checked points."""
         raise NotImplementedError
+
+    def lower_bound_matrix(self, pts: list, bmat: np.ndarray) -> np.ndarray:
+        """lower_bound on pts x pts as an exact array; bmat holds d_X on
+        pts x pts for kernels whose bound is read off it."""
+        return _exact_array([[self.lower_bound(x, y) for y in pts] for x in pts])
 
     @property
     def coercive_c(self) -> Optional[Rational]:
@@ -224,6 +232,9 @@ class DeltaMetric(DoubleMetric):
 
     def lower_bound(self, x, y):
         return self.space._dist(x, y) + 1
+
+    def lower_bound_matrix(self, pts, bmat):
+        return bmat + 1
 
     @property
     def coercive_c(self):
@@ -665,30 +676,83 @@ def _check_json(c):
 
 
 def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
-    """Cross matrix of a delta kernel: one min-plus product over an enlarged
-    ball around the window base, which holds the candidate ball of every
-    cell whose row point lies in the window.  Returns (matrix, exact)."""
+    """Cross matrix of a delta kernel, (matrix, exact).
+
+    Each cell is the minimum of d_X(x,u) + delta(u) + d_X(u,y) over u in x,
+    y and a universe: the ball around the window base enlarged by the
+    largest probe value, which holds the candidate ball of every cell whose
+    row point lies in the window.  Midpoints with delta(u) >= that value
+    cannot beat u = x and are dropped; delta is read once per point.  The
+    space type picks how the minimum is taken: on the line spaces by
+    ``_line_delta_min``, a distance-transform sweep in O(n^2 + m) memory for
+    n points and m universe points; elsewhere by the n x m min-plus product
+    over the universe.  Both give the same minimum, and certification is
+    the same: exact when every row's largest probe, as candidate radius,
+    passes the certificate rule on the enumerated radius.
+    """
     space = d.space
     space.check(*pts)
     base = window.resolve_base(space)
-    dxb = [space._dist(x, base) for x in pts]
-    deltas = [d.delta(p) for p in pts]
-    seed = [[dxy + min(dx, dy) for dxy, dy in zip(row, deltas)]
-            for row, dx in zip(_distance_matrix(space, pts, pts), deltas)]
-    vmax = max(max(row) for row in seed)
+    dxb = _distance_matrix(space, pts, [base])[:, 0]
+    deltas = _exact_array([d.delta(p) for p in pts])
+    dist = _distance_matrix(space, pts, pts)
+    seed = dist + np.minimum(deltas[:, None], deltas[None, :])
+    row_max = seed.max(axis=1)
+    vmax = max(row_max.tolist())
     radius = window.radius + vmax - 1
     try:
         universe = space.points_within(base, radius)
     except IncompleteEnumeration:
         universe, radius = window_points(space, window), window.radius
     # midpoints with delta(u) >= vmax can never beat the u=x candidate
-    universe = [u for u in universe if d.delta(u) < vmax] or [pts[0]]
-    out = _min_plus(_exact_array(_distance_matrix(space, pts, universe)),
-                    weights=_exact_array([d.delta(u) for u in universe]),
-                    init=_exact_array(seed))
+    kept = [(u, v) for u, v in zip(universe, map(d.delta, universe)) if v < vmax] \
+        or [(pts[0], d.delta(pts[0]))]
+    universe = [u for u, _ in kept]
+    weights = _exact_array([v for _, v in kept])
+    if type(space) in _LINES:
+        out = _line_delta_min(_coordinates(pts), dist, seed, _coordinates(universe), weights)
+    else:
+        out = _min_plus(_distance_matrix(space, pts, universe), weights=weights, init=seed)
     # each row's largest probe bounds the radius of its candidate balls
-    exact = all(_certified(dx, max(row) - 1, radius) for dx, row in zip(dxb, seed))
+    exact = bool(np.all(_certified(dxb, row_max - 1, radius)))
     return out.tolist(), exact
+
+
+def _line_delta_min(c, dist, seed, u, du):
+    """min(seed, min over k of |c_i - u_k| + du_k + |u_k - c_j|) for points
+    c of a line, universe coordinates u in increasing order and delta values
+    du on them, without an n x m array.
+
+    With lo <= hi the two ends of the pair, a midpoint's term is
+    |c_i - c_j| + du + 2 d(u, [lo, hi]).  Below lo that is 2 lo + (du - 2u),
+    above hi it is (du + 2u) - 2 hi, and between them it is du.  So the
+    minimum is |c_i - c_j| + min(D(lo), D(hi), I(lo, hi)), where D(x) = min
+    over u of du + 2|u - x| is the distance transform of du, swept once as a
+    prefix minimum and a suffix minimum, and I(lo, hi) is the minimum of du
+    on [lo, hi].  Each D term is that minimum or larger (a midpoint inside
+    [lo, hi] counts at least du), and together the D terms cover the
+    midpoints outside, so the identity is exact.  I comes from one running
+    minimum per row, rightward from c_i, so it covers the columns with
+    c_j >= c_i; the cells it misses are the transposed cells of rows it
+    covers, and the result is symmetric.  Typed by ``_exact_array``, every
+    intermediate stays below 7 * 2**60, inside int64.
+    """
+    m = len(u)
+    below = np.searchsorted(u, c, "right")  # u[:below] <= c
+    start = np.searchsorted(u, c, "left")   # u[start:] >= c
+    # clamped indices are read only where the side is nonempty
+    left = 2 * c + np.minimum.accumulate(du - 2 * u)[np.maximum(below - 1, 0)]
+    right = np.minimum.accumulate((du + 2 * u)[::-1])[::-1][np.minimum(start, m - 1)] - 2 * c
+    dt = np.where(below == 0, right, np.where(start == m, left, np.minimum(left, right)))
+    best = np.minimum(dt[:, None], dt[None, :])
+    for i, s in enumerate(start.tolist()):
+        if s < m:
+            run = np.minimum.accumulate(du[s:])
+            k = below - 1 - s  # index in run of the last u <= c_j
+            hit = k >= 0
+            best[i, hit] = np.minimum(best[i, hit], run[k[hit]])
+    out = np.minimum(seed, dist + best)
+    return np.minimum(out, out.T)
 
 
 def _ints_safe(arr) -> bool:
@@ -714,33 +778,57 @@ def _min_plus(a, b=None, weights=None, init=None):
 
     b defaults to the transpose of a, and weights and init may be left out.
     k runs one at a time, so each step costs one len(a) x len(b[0]) sum and
-    one np.minimum, whatever the dtypes; mixing int64 with object gives
-    object, which stays exact.
+    one np.minimum into buffers kept across steps, whatever the dtypes;
+    mixing int64 with object gives object, which stays exact.  Delta
+    kernels on the line spaces do not come here (see ``_line_delta_min``);
+    the two n^3 triangle products of ``check_axioms`` do.
     """
-    b = a.T if b is None else b
+    # rows of b are read once per step, so they are made contiguous once
+    b = np.ascontiguousarray(a.T if b is None else b)
     if weights is not None:
         a = a + weights
-    out = init
-    for k in range(a.shape[1]):
-        part = a[:, k, None] + b[k]
-        out = part if out is None else np.minimum(out, part)
+    part = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))
+    if init is None:
+        out, first = a[:, :1] + b[:1], 1
+    else:
+        out, first = np.array(init, dtype=np.result_type(part, init)), 0
+    for k in range(first, a.shape[1]):
+        np.add(a[:, k, None], b[k], out=part)
+        np.minimum(out, part, out=out)
     return out
 
 
-def _distance_matrix(space: MetricSpace, pts_a: list, pts_b: list):
-    # callers pass checked points or enumerated ones
-    return [[space._dist(a, b) for b in pts_b] for a in pts_a]
+def _distance_matrix(space: MetricSpace, pts_a: list, pts_b: list) -> np.ndarray:
+    """d_X on pts_a x pts_b as an exact array; on the line spaces from the
+    coordinates, with no distance call.  Callers pass checked points or
+    enumerated ones."""
+    if type(space) in _LINES:
+        return abs(_coordinates(pts_a)[:, None] - _coordinates(pts_b)[None, :])
+    return _exact_array([[space._dist(a, b) for b in pts_b] for a in pts_a])
+
+
+def _coordinates(pts: list) -> np.ndarray:
+    """The coordinates of points of a line space, typed by the guard."""
+    return _exact_array([p[0] for p in pts])
 
 
 def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
     """Exhaustively verify positivity, the lower bound and both mixed
     triangle inequalities on the window.  Violations are report content.
+
+    Everything is an exact array over the n window points: d_X, the cross
+    matrix, its lower bounds (``lower_bound_matrix``) and the two n^3
+    min-plus triangle products, which set the cost.  On the line spaces
+    d_X comes from the coordinates and a delta kernel's cross matrix from
+    the distance-transform sweep, so nothing runs once per cell in Python
+    and memory stays O(n^2) plus the universe; the space type picks that
+    path.  Certification (``exact``) is the cross matrix's, unchanged.
     """
     pts = window_points(d.space, window)
     n = len(pts)
     if n == 0:
         raise DomainError("empty window")
-    bmat = _exact_array(_distance_matrix(d.space, pts, pts))
+    bmat = _distance_matrix(d.space, pts, pts)
     rows, exact = d.cross_matrix(pts, window)
     dmat = _exact_array(rows)
 
@@ -756,17 +844,15 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
         "violation": None if ok else {"x": list(pts[i]), "y": list(pts[j]),
                                       "value": rational_to_json(min_v)}}
 
-    # certified lower bound
+    # certified lower bound; argwhere lists hits in row-major order
+    lb = d.lower_bound_matrix(pts, bmat)
+    bad = np.argwhere(dmat < lb)
     viol = None
-    for x, row in zip(pts, rows):
-        for y, v in zip(pts, row):
-            lb = d.lower_bound(x, y)
-            if v < lb:
-                viol = {"x": list(x), "y": list(y), "value": rational_to_json(v),
-                        "bound": rational_to_json(lb)}
-                break
-        if viol:
-            break
+    if len(bad):
+        i, j = (int(v) for v in bad[0])
+        viol = {"x": list(pts[i]), "y": list(pts[j]),
+                "value": rational_to_json(dmat.item(i, j)),
+                "bound": rational_to_json(lb.item(i, j))}
     checks["lower_bound"] = {"passed": viol is None, "violation": viol}
 
     # d_X(x1,x2) <= d(x1,y') + d(x2,y') for every y

@@ -198,29 +198,26 @@ def _tau_by_recount(F, e, window):
                                diagnostics={"n": n, "k": k, "series": series,
                                             "matrix": diag_matrix},
                                check_kind=CHECK_STABLE)
-    chosen = {}
+    # value 0 counts F_k* for one k*, the largest first stable k over n
+    ks = []
     for n in range(1, TAU_N_MAX + 1):
-        got = None
-        for k in range(1, F.depth + 1):
-            _, hits = matrix[(k, n)]
-            if len(set(hits)) == 1:
-                got = (k, hits[0])
-                break
-        if got is None:
-            chosen = None
+        stable = [k for k in range(1, F.depth + 1) if len(set(matrix[(k, n)][1])) == 1]
+        if not stable:
             break
-        chosen[n] = got
-    if chosen is not None:
-        series = [[rational_to_json(r),
-                   sum(matrix[(chosen[n][0], n)][1][i] for n in chosen)]
-                  for i, r in enumerate(radii)]
-        return Verdict(Status.CERTIFIED, claim, window=window, value=0,
-                       witness=TabulatedWitness(tuple((n, c) for n, (k, c)
-                                                      in sorted(chosen.items()))),
-                       diagnostics={"choices": {str(n): {"k": k, "count": c}
-                                                for n, (k, c) in sorted(chosen.items())},
-                                    "series": series, "matrix": diag_matrix},
-                       check_kind=CHECK_STABLE)
+        ks.append(stable[0])
+    if len(ks) == TAU_N_MAX:
+        k_star = max(ks)
+        chosen = {n: matrix[(k_star, n)][1] for n in range(1, TAU_N_MAX + 1)}
+        if all(len(set(hits)) == 1 for hits in chosen.values()):
+            series = [[rational_to_json(r), sum(hits[i] for hits in chosen.values())]
+                      for i, r in enumerate(radii)]
+            return Verdict(Status.CERTIFIED, claim, window=window, value=0,
+                           witness=TabulatedWitness(tuple((n, hits[0])
+                                                          for n, hits in chosen.items())),
+                           diagnostics={"choices": {str(n): {"k": k_star, "count": hits[0]}
+                                                    for n, hits in chosen.items()},
+                                        "series": series, "matrix": diag_matrix},
+                           check_kind=CHECK_STABLE)
     return Verdict(Status.INCONCLUSIVE, claim, window=window, value="undetermined",
                    diagnostics={"matrix": diag_matrix})
 

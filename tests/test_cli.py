@@ -5,6 +5,7 @@ import pytest
 from coarsedouble.cli import main
 from coarsedouble.reporting import canonical_reload, report_to_csv
 from coarsedouble.scenarios import run_scenario
+from coarsedouble.verdicts import Status, Verdict, revalidate, witness_from_json
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +185,24 @@ def test_tau_command(capsys):
                         "4", "--levels", "subset:powers:4", "--radius", "1024")
     assert code == 0
     assert json.loads(out)["results"]["verdict"]["value"] == 1
+
+
+@pytest.mark.parametrize("space, levels", [("NatLine", "expr:ceil-sqrt"),
+                                           ("NatLine", "subset:halfline:-:5"),
+                                           ("GeomLine", "expr:ceil-sqrt")])
+def test_tau_value_zero_witness_is_monotone(capsys, space, levels):
+    # the chosen k may differ between sublevels; one k* for every n keeps the
+    # tabulated witness monotone, so these certify or stay inconclusive
+    code, out = run_cli(capsys, "tau", "--space", space, "--levels", levels,
+                        "--radius", "64", "--filter-base", "2")
+    assert code in (0, 3)
+    v = json.loads(out)["results"]["verdict"]
+    if v["status"] == Status.CERTIFIED.value:
+        back = Verdict(Status.CERTIFIED, v["claim"],
+                       witness=witness_from_json(v["witness"]),
+                       diagnostics={"series": v["diagnostics"]["series"]},
+                       check_kind=v["check"])
+        assert revalidate(back)
 
 
 def test_scenario_command_and_csv(capsys):

@@ -9,10 +9,10 @@ from coarsedouble import (ClosedFormMetric, DeltaMetric, MaxMetric,
                           compose, const_delta, dist_to_copy, evaluate,
                           evaluate_exact, levels_from_subset, metric_from_levels,
                           subset_metric, zero_levels)
-from coarsedouble.double import DeltaFunction, _exact_array, _min_plus
+from coarsedouble.double import DeltaFunction, _exact_array, _line_delta_min, _min_plus
 from coarsedouble.errors import DomainError
-from coarsedouble.space import (CustomSpace, PredicateSpace, Window, set_family,
-                                window_points)
+from coarsedouble.space import (CustomSpace, NatLine, PredicateSpace, Window,
+                                set_family, window_points)
 from conftest import brute_delta_cross
 
 
@@ -315,3 +315,162 @@ def test_composed_batch_matches_single_pairs(natline, value):
     c = compose(d, DeltaMetric(natline, const_delta(natline, value)))
     w = Window(10)
     _assert_batch_matches(c, natline, w, lambda x, y, pts: evaluate(c, x, y, w).value)
+
+
+# -- the line path of delta kernels against the generic path -----------------
+
+_LINE_PREDICATES = {"NatLine": lambda p: p[0] >= 0, "IntLine": lambda p: True,
+                    "GeomLine": lambda p: p[0] >= 2 and p[0] & (p[0] - 1) == 0}
+
+
+def _generic_copy(space):
+    """space as a PredicateSpace: the same points and distances, but the
+    delta kernels on it take the generic min-plus path."""
+    return PredicateSpace(_LINE_PREDICATES[space.name], 1, 1 << 62, space.basepoint)
+
+
+def _on(sp, d):
+    """The delta kernel d with the same delta values on the space sp."""
+    return DeltaMetric(sp, DeltaFunction(sp, d.delta, d.delta.name))
+
+
+def _line_deltas(space):
+    return {
+        "evens": metric_from_levels(levels_from_subset(space, set_family("evens"))),
+        "squares": metric_from_levels(levels_from_subset(space, set_family("squares"))),
+        "const2": DeltaMetric(space, const_delta(space, 2)),
+        "const3/2": DeltaMetric(space, const_delta(space, Fraction(3, 2))),
+        "frac": DeltaMetric(space, DeltaFunction(
+            space, lambda u: 1 + Fraction(u[0] % 3, 2) + 4 * (u[0] % 7 == 0), "frac")),
+    }
+
+
+_LINE_CASES = {
+    "NatLine": ([Window(0), Window(1), Window(9, (5,))], [(40,), (23,)]),
+    "IntLine": ([Window(0), Window(1), Window(9, (-6,))], [(30,), (-25,)]),
+    "GeomLine": ([Window(0), Window(1), Window(40, (8,))], [(256,), (128,)]),
+}
+
+
+@pytest.mark.parametrize("space_name", sorted(_LINE_CASES))
+def test_line_delta_batch_matches_generic_path(space_name, request):
+    space = request.getfixturevalue(space_name.lower())
+    generic = _generic_copy(space)
+    windows, far = _LINE_CASES[space_name]
+    rng = random.Random(space_name)
+    for name, d in _line_deltas(space).items():
+        g = _on(generic, d)
+        for w in windows:
+            pts = window_points(space, w)
+            shuffled = rng.sample(pts, len(pts))
+            outside = shuffled + [p for p in far if p not in pts]
+            for label, sample in (("window", pts), ("shuffled", shuffled),
+                                  ("outside", outside)):
+                assert d.cross_matrix(sample, w) == g.cross_matrix(sample, w), (name, w, label)
+            mat, exact = d.cross_matrix(outside, w)
+            if exact:
+                # certified cells are global minima: a ball that holds
+                # every candidate ball gives the same minimum
+                base = w.resolve_base(space)
+                reach = max(space.distance(x, base) for x in outside) + max(map(max, mat))
+                ball = space.points_within(base, reach)
+                for i, x in enumerate(outside):
+                    for j, y in enumerate(outside):
+                        assert mat[i][j] == brute_delta_cross(space, d.delta, x, y, ball)
+            assert check_axioms(d, w).to_json() == check_axioms(g, w).to_json()
+
+
+@pytest.mark.parametrize("space_name", sorted(_LINE_CASES))
+def test_line_delta_factor_in_composition_matches_generic_path(space_name, request):
+    # ComposedMetric.cross_matrix hands its factors the window points and the
+    # rows outside the window
+    space = request.getfixturevalue(space_name.lower())
+    generic = _generic_copy(space)
+    windows, far = _LINE_CASES[space_name]
+    deltas = _line_deltas(space)
+    for first, second in (("evens", "const3/2"), ("frac", "squares")):
+        d1, d2 = deltas[first], deltas[second]
+        line = compose(d1, compose(PointMetric(space), d2))
+        gen = compose(_on(generic, d1), compose(PointMetric(generic), _on(generic, d2)))
+        for w in windows:
+            pts = window_points(space, w) + [p for p in far if p not in window_points(space, w)]
+            assert line.cross_matrix(pts, w) == gen.cross_matrix(pts, w), (first, w)
+
+
+def test_line_delta_batch_beyond_int64_guard(intline, geomline):
+    # coordinates past 2**60 take the object path, and so does a delta of
+    # 2**61; on IntLine a delta that large would need a universe of 2**62
+    # points on either path, so there the coordinates carry the test
+    cases = [(intline, Window(4, (2 ** 60 - 2,)), const_delta(intline, 3)),
+             (intline, Window(3, (-2 ** 60 + 1,)), const_delta(intline, Fraction(5, 2))),
+             (geomline, Window(2 ** 60, (2 ** 60,)), const_delta(geomline, 2 ** 61))]
+    for space, w, delta in cases:
+        pts = window_points(space, w)
+        assert _exact_array([p[0] for p in pts]).dtype == object
+        d = DeltaMetric(space, delta)
+        if space is geomline:
+            # GeomLine as a finite Custom space: the generic path, same balls
+            generic = CustomSpace([(2 ** k,) for k in range(1, 65)], basepoint=(2,))
+        else:
+            generic = _generic_copy(space)
+        mat, exact = d.cross_matrix(pts, w)
+        assert (mat, exact) == _on(generic, d).cross_matrix(pts, w)
+        assert exact
+        assert all(type(v) in (int, Fraction) for row in mat for v in row)
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                assert mat[i][j] == space.distance(x, y) + delta(x)
+        rep = check_axioms(d, w)
+        assert rep.passed and rep.exact
+        assert rep.to_json() == check_axioms(_on(generic, d), w).to_json()
+
+
+def test_check_axioms_on_a_line_makes_no_per_cell_calls(natline, monkeypatch):
+    # a 251-point window has 63,001 cells; distances and lower bounds come
+    # from coordinate arrays, so neither method runs once per cell
+    counts = {"_dist": 0, "lower_bound": 0}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(NatLine, "_dist")
+    count(DeltaMetric, "lower_bound")
+    d = metric_from_levels(levels_from_subset(natline, set_family("evens")))
+    rep = check_axioms(d, Window(250))
+    assert rep.n_points == 251 and rep.passed and rep.exact
+    assert counts["_dist"] <= 4 * 251 and counts["lower_bound"] <= 4 * 251, counts
+
+
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_line_delta_min_matches_triple_loop(kind):
+    # any order of points, points outside the universe, one-point universes
+    rng = random.Random(kind)
+    cell = ((lambda: rng.randint(1, 9)) if kind == "int"
+            else (lambda: Fraction(rng.randint(2, 19), rng.randint(1, 3))))
+    for _ in range(60):
+        c = [rng.randint(-12, 12) for _ in range(rng.randint(1, 7))]
+        u = sorted(rng.sample(range(-8, 9), rng.randint(1, 6)))
+        du, dc = [cell() for _ in u], [cell() for _ in c]
+        dist = [[abs(x - y) for y in c] for x in c]
+        seed = [[dxy + min(dx, dy) for dxy, dy in zip(row, dc)] for row, dx in zip(dist, dc)]
+        want = [[min([seed[i][j]] + [abs(x - v) + w + abs(v - y) for v, w in zip(u, du)])
+                 for j, y in enumerate(c)] for i, x in enumerate(c)]
+        got = _line_delta_min(*(_exact_array(a) for a in (c, dist, seed, u, du)))
+        assert got.tolist() == want, (c, u, du, dc)
+
+
+def test_line_batch_certifies_by_the_row_rule(natline):
+    # the row of 11 has largest probe 12, so its candidate ball reaches 22;
+    # the enumerated ball around 0 has radius 10 + 12 - 1 = 21
+    d = DeltaMetric(natline, const_delta(natline))
+    w = Window(10)
+    for pts, exact in (([(0,), (10,)], True), ([(0,), (11,)], False)):
+        got = d.cross_matrix(pts, w)
+        assert got[1] is exact
+        assert got == _on(_generic_copy(natline), d).cross_matrix(pts, w)
