@@ -1,8 +1,9 @@
 """Exact computations with metrics on doubles of discrete proper spaces.
 
 Cross-copy kernels are evaluated by certified bounded search, expanding
-sequences are level functions, asymptotic comparisons return tri-state
-window verdicts with re-validatable witnesses, and the finite Boolean
+sequences are level functions, asymptotic comparisons return window
+verdicts, certified-on-window or inconclusive, whose certificates carry
+re-validatable witnesses, and the finite Boolean
 fragment of the projection lattice comes with Stone-dual points and
 density measures.
 """
@@ -24,8 +25,8 @@ from .projection import (CmFunction, LevelFunction, check_cm, classify_type,
                          projection_criterion, range_projection,
                          source_projection, subset_metric, unit_levels,
                          zero_levels)
-from .asymptotics import (TransferTable, equivalent, is_zero, sweep,
-                          sweep_radii, sweep_windows, transfer)
+from .asymptotics import (TransferTable, equivalent, is_zero, sweep_radii,
+                          sweep_windows, transfer)
 from .verdicts import (AffineWitness, Status, TabulatedWitness, Verdict,
                        revalidate)
 from .boolalg import (AtomPattern, FilterBase, FormalSum, TwoValuedHom,

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
 from .space import MetricSpace, Rational, Window, rational_to_json, window_points
@@ -315,34 +315,3 @@ def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
                    value="not-zero-evidence" if escapes else "zero?",
                    diagnostics=dict(diagnostics, reason=reason))
 
-
-def sweep(claim: Callable[[Rational], Verdict], radii: Sequence[Rational]) -> Verdict:
-    """Run a verdict-producing claim at each radius and annotate the trend.
-
-    The final verdict is the last radius's verdict with the sweep history in
-    its diagnostics.
-    """
-    radii = list(radii)
-    if len(radii) < 3:
-        raise DomainError("sweep needs at least 3 radii")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise DomainError("sweep radii must be strictly increasing")
-    verdicts = [claim(r) for r in radii]
-    wjsons = [v.witness.to_json() if v.witness else None for v in verdicts]
-    statuses = [v.status.value for v in verdicts]
-    if all(w == wjsons[0] for w in wjsons) and all(s == statuses[0] for s in statuses):
-        trend = "stable"
-    elif statuses[-1] == Status.CERTIFIED.value and all(
-            s == Status.CERTIFIED.value for s in statuses):
-        trend = "witness-drift"
-    else:
-        trend = "mixed"
-    final = verdicts[-1]
-    final.diagnostics = dict(final.diagnostics)
-    final.diagnostics["sweep"] = {
-        "radii": [rational_to_json(r) for r in radii],
-        "statuses": statuses,
-        "witnesses": wjsons,
-        "trend": trend,
-    }
-    return final

@@ -76,19 +76,17 @@ class DoubleMetric:
     def cross(self, x: Point, y: Point, window: Window) -> Evaluation:
         raise NotImplementedError
 
-    def lower_bound(self, x: Point, y: Point) -> Rational:
-        """Certified bound: lower_bound(x, y) <= d(x, y') always.  x and y are
+    def lower_bound_matrix(self, pts: list, bmat: np.ndarray) -> np.ndarray:
+        """The kernel's certified bound on pts x pts, an exact array whose
+        cell (i, j) is at most d(pts[i], pts[j]') always; bmat holds d_X on
+        pts x pts.  Each kind states its bound once, here.  The points are
         not checked: callers pass enumerated or already-checked points."""
         raise NotImplementedError
 
-    def lower_bound_matrix(self, pts: list, bmat: np.ndarray) -> np.ndarray:
-        """lower_bound on pts x pts as an exact array; bmat holds d_X on
-        pts x pts for kernels whose bound is read off it."""
-        return _exact_array([[self.lower_bound(x, y) for y in pts] for x in pts])
-
     @property
     def coercive_c(self) -> Optional[Rational]:
-        """c with lower_bound(x,y) >= d_X(x,y) + c, or None if not coercive."""
+        """c with d(x, y') >= d_X(x, y) + c for all x, y, so that
+        lower_bound_matrix may be bmat + c; None if not coercive."""
         return None
 
     @property
@@ -135,11 +133,15 @@ class DoubleMetric:
     # -- batch evaluation (reports) -----------------------------------------
 
     def cross_matrix(self, pts: list, window: Window):
-        """Matrix of cross values on pts x pts; (matrix, all_exact).
+        """Cross values on pts x pts; (matrix, all_exact).
 
+        The matrix is an exact array typed by ``_exact_array``: int64 with
+        every entry within +-2**60, or object holding ints and Fractions.
         A batch matrix certifies by the same candidate-ball rule as single
         evaluations: all_exact holds only when the candidate ball of every
         cell was enumerated completely and every sub-evaluation was exact.
+        This default evaluates cell by cell; kinds with a batch form
+        override it.
         """
         exact = True
         rows = []
@@ -150,7 +152,7 @@ class DoubleMetric:
                 exact = exact and ev.exact
                 row.append(ev.value)
             rows.append(row)
-        return rows, exact
+        return _exact_array(rows), exact
 
 
 def _certified(dxb: Rational, r_cand: Rational, radius: Rational) -> bool:
@@ -230,9 +232,6 @@ class DeltaMetric(DoubleMetric):
         probe = Evaluation(v0, True, witness=x if delta(x) <= delta(y) else y)
         return _certified_min(space, x, window, probe, r_cand, term)
 
-    def lower_bound(self, x, y):
-        return self.space._dist(x, y) + 1
-
     def lower_bound_matrix(self, pts, bmat):
         return bmat + 1
 
@@ -273,9 +272,9 @@ class PointMetric(DoubleMetric):
         d = self.space.distance
         return Evaluation(d(x, self.x0) + 1 + d(self.x0, y), True, witness=self.x0)
 
-    def lower_bound(self, x, y):
-        d = self.space._dist
-        return d(x, self.x0) + 1 + d(self.x0, y)
+    def lower_bound_matrix(self, pts, bmat):
+        col = _distance_matrix(self.space, pts, [self.x0])
+        return col + 1 + col.T
 
     @property
     def coercive_c(self):
@@ -315,8 +314,8 @@ class SubsetMetric(DoubleMetric):
     def cross(self, x, y, window):
         return Evaluation(self.set_distance(x) + 1 + self.set_distance(y), True)
 
-    def lower_bound(self, x, y):
-        return 1
+    def lower_bound_matrix(self, pts, bmat):
+        return np.full((len(pts), len(pts)), 1)
 
     def adjoint(self):
         return self
@@ -328,8 +327,8 @@ class SubsetMetric(DoubleMetric):
         return {"kind": "subset", "space": self.space.to_json(), "set": self.A.to_json()}
 
     def cross_matrix(self, pts, window):
-        vals = [self.set_distance(p) for p in pts]
-        return [[vx + 1 + vy for vy in vals] for vx in vals], True
+        vals = _exact_array([self.set_distance(p) for p in pts])
+        return _exact_array(vals[:, None] + 1 + vals[None, :]), True
 
 
 class ClosedFormMetric(DoubleMetric):
@@ -348,9 +347,9 @@ class ClosedFormMetric(DoubleMetric):
         self.space.check(x, y)
         return Evaluation(self.fn(x, y), True)
 
-    def lower_bound(self, x, y):
+    def lower_bound_matrix(self, pts, bmat):
         # not coercive: only the positivity floor is promised
-        return self.eps
+        return np.full((len(pts), len(pts)), self.eps)
 
     def adjoint(self):
         if self.symmetric:
@@ -373,8 +372,8 @@ class AdjointMetric(DoubleMetric):
     def cross(self, x, y, window):
         return self.inner.cross(y, x, window)
 
-    def lower_bound(self, x, y):
-        return self.inner.lower_bound(y, x)
+    def lower_bound_matrix(self, pts, bmat):
+        return self.inner.lower_bound_matrix(pts, bmat).T
 
     @property
     def coercive_c(self):
@@ -408,8 +407,9 @@ class MaxMetric(DoubleMetric):
         return Evaluation(max(a.value, b.value), a.exact and b.exact,
                           _max_required(a, b))
 
-    def lower_bound(self, x, y):
-        return max(self.d1.lower_bound(x, y), self.d2.lower_bound(x, y))
+    def lower_bound_matrix(self, pts, bmat):
+        return np.maximum(self.d1.lower_bound_matrix(pts, bmat),
+                          self.d2.lower_bound_matrix(pts, bmat))
 
     @property
     def coercive_c(self):
@@ -434,8 +434,7 @@ class MaxMetric(DoubleMetric):
     def cross_matrix(self, pts, window):
         m1, e1 = self.d1.cross_matrix(pts, window)
         m2, e2 = self.d2.cross_matrix(pts, window)
-        n = len(pts)
-        return [[max(m1[i][j], m2[i][j]) for j in range(n)] for i in range(n)], e1 and e2
+        return np.maximum(m1, m2), e1 and e2
 
 
 class MinGlueMetric(DeltaMetric):
@@ -525,11 +524,9 @@ class ComposedMetric(DoubleMetric):
 
         return _certified_min(space, x, window, probe, r_cand, term)
 
-    def lower_bound(self, x, z):
-        cd, cr = self.d.coercive_c, self.rho.coercive_c
-        if cd is not None and cr is not None:
-            return self.space._dist(x, z) + cd + cr
-        return self.d.eps + self.rho.eps
+    def lower_bound_matrix(self, pts, bmat):
+        c = self.coercive_c
+        return np.full((len(pts), len(pts)), self.eps) if c is None else bmat + c
 
     @property
     def coercive_c(self):
@@ -559,13 +556,11 @@ class ComposedMetric(DoubleMetric):
         at = {p: i for i, p in enumerate(full)}
         rows = [at[p] for p in pts]
         n_mid = len(mid)
-        out = _min_plus(_exact_array(md)[rows, :n_mid],
-                        _exact_array(mr)[:n_mid][:, rows]).tolist()
+        out = _exact_array(_min_plus(md[rows, :n_mid], mr[:n_mid][:, rows]))
         c = self.coercive_c
-        base = window.resolve_base(space)
         exact = (c is not None and ed and er
-                 and all(_certified(space._dist(x, base), max(row) - c, window.radius)
-                         for x, row in zip(pts, out)))
+                 and _rows_certified(space, pts, window.resolve_base(space),
+                                     out.max(axis=1) - c, window.radius))
         return out, exact
 
 
@@ -688,12 +683,12 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
     n points and m universe points; elsewhere by the n x m min-plus product
     over the universe.  Both give the same minimum, and certification is
     the same: exact when every row's largest probe, as candidate radius,
-    passes the certificate rule on the enumerated radius.
+    passes the certificate rule on the enumerated radius
+    (``_rows_certified``).
     """
     space = d.space
     space.check(*pts)
     base = window.resolve_base(space)
-    dxb = _distance_matrix(space, pts, [base])[:, 0]
     deltas = _exact_array([d.delta(p) for p in pts])
     dist = _distance_matrix(space, pts, pts)
     seed = dist + np.minimum(deltas[:, None], deltas[None, :])
@@ -712,10 +707,19 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
     if type(space) in _LINES:
         out = _line_delta_min(_coordinates(pts), dist, seed, _coordinates(universe), weights)
     else:
-        out = _min_plus(_distance_matrix(space, pts, universe), weights=weights, init=seed)
+        dpu = _distance_matrix(space, pts, universe)
+        out = np.minimum(seed, _min_plus(dpu + weights, dpu.T))
     # each row's largest probe bounds the radius of its candidate balls
-    exact = bool(np.all(_certified(dxb, row_max - 1, radius)))
-    return out.tolist(), exact
+    return _exact_array(out), _rows_certified(space, pts, base, row_max - 1, radius)
+
+
+def _rows_certified(space: MetricSpace, pts: list, base: Point, r_cand: np.ndarray,
+                    radius: Rational) -> bool:
+    """The certificate rule on every row of a batch matrix: row i, whose
+    candidate balls have radius at most r_cand[i] around pts[i], is exact
+    when they lie inside the ball of the given radius around base."""
+    dxb = _distance_matrix(space, pts, [base])[:, 0]
+    return bool(np.all(_certified(dxb, r_cand, radius)))
 
 
 def _line_delta_min(c, dist, seed, u, du):
@@ -772,11 +776,11 @@ def _exact_array(values) -> np.ndarray:
     return arr if _ints_safe(arr) else np.asarray(values, dtype=object)
 
 
-def _min_plus(a, b=None, weights=None, init=None):
+def _min_plus(a, b=None):
     """Exact min-plus product of arrays typed by _exact_array:
-    out[i, j] = min(init[i, j], min over k of a[i, k] + weights[k] + b[k, j]).
+    out[i, j] = min over k of a[i, k] + b[k, j], with b the transpose of a
+    when left out.
 
-    b defaults to the transpose of a, and weights and init may be left out.
     k runs one at a time, so each step costs one len(a) x len(b[0]) sum and
     one np.minimum into buffers kept across steps, whatever the dtypes;
     mixing int64 with object gives object, which stays exact.  Delta
@@ -785,14 +789,9 @@ def _min_plus(a, b=None, weights=None, init=None):
     """
     # rows of b are read once per step, so they are made contiguous once
     b = np.ascontiguousarray(a.T if b is None else b)
-    if weights is not None:
-        a = a + weights
     part = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))
-    if init is None:
-        out, first = a[:, :1] + b[:1], 1
-    else:
-        out, first = np.array(init, dtype=np.result_type(part, init)), 0
-    for k in range(first, a.shape[1]):
+    out = a[:, :1] + b[:1]
+    for k in range(1, a.shape[1]):
         np.add(a[:, k, None], b[k], out=part)
         np.minimum(out, part, out=out)
     return out
@@ -817,20 +816,20 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
     triangle inequalities on the window.  Violations are report content.
 
     Everything is an exact array over the n window points: d_X, the cross
-    matrix, its lower bounds (``lower_bound_matrix``) and the two n^3
-    min-plus triangle products, which set the cost.  On the line spaces
-    d_X comes from the coordinates and a delta kernel's cross matrix from
-    the distance-transform sweep, so nothing runs once per cell in Python
-    and memory stays O(n^2) plus the universe; the space type picks that
-    path.  Certification (``exact``) is the cross matrix's, unchanged.
+    matrix as ``cross_matrix`` returns it, the kernel's bound
+    (``lower_bound_matrix``) and the two n^3 min-plus triangle products,
+    which set the cost.  On the line spaces d_X comes from the coordinates
+    and a delta kernel's cross matrix from the distance-transform sweep, so
+    nothing runs once per cell in Python and memory stays O(n^2) plus the
+    universe; the space type picks that path.  Certification (``exact``) is
+    the cross matrix's, unchanged.
     """
     pts = window_points(d.space, window)
     n = len(pts)
     if n == 0:
         raise DomainError("empty window")
     bmat = _distance_matrix(d.space, pts, pts)
-    rows, exact = d.cross_matrix(pts, window)
-    dmat = _exact_array(rows)
+    dmat, exact = d.cross_matrix(pts, window)
 
     checks = {}
     # (d2) cross distances are strictly positive; argmin gives the first

@@ -1,10 +1,10 @@
-"""Tri-state window-certified verdicts and their witness families.
+"""Window verdicts, certified-on-window or inconclusive, and their witness
+families.
 
 A CERTIFIED verdict always carries a witness together with the data series
 it must dominate, so it can be re-validated by direct substitution without
-rerunning the search.  FALSIFIED is reserved for claims with pointwise
-finite content and always carries a counterexample.  Everything else is
-INCONCLUSIVE, with trend diagnostics.
+rerunning the search.  Everything else is INCONCLUSIVE, with trend
+diagnostics.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .space import Rational, Window, as_rational, rational_to_json
 
 class Status(enum.Enum):
     CERTIFIED = "certified-on-window"
-    FALSIFIED = "falsified"
     INCONCLUSIVE = "inconclusive"
 
 
@@ -139,15 +138,12 @@ class Verdict:
     window: Optional[Window] = None
     value: Optional[object] = None          # e.g. "zero", "nonzero", "type-I", 0, 1
     witness: Optional[Witness] = None
-    counterexample: Optional[dict] = None
     diagnostics: dict = field(default_factory=dict)
     check_kind: str = CHECK_DOMINATES
 
     def __post_init__(self):
         if self.status is Status.CERTIFIED and self.witness is None:
             raise DomainError("a certified verdict must carry a witness")
-        if self.status is Status.FALSIFIED and self.counterexample is None:
-            raise DomainError("a falsified verdict must carry a counterexample")
 
     @property
     def certified(self) -> bool:
@@ -168,8 +164,6 @@ class Verdict:
             doc["value"] = self.value
         if self.witness is not None:
             doc["witness"] = self.witness.to_json()
-        if self.counterexample is not None:
-            doc["counterexample"] = self.counterexample
         if self.diagnostics:
             doc["diagnostics"] = self.diagnostics
         return doc

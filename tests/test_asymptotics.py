@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsedouble import (PointMetric, equivalent, is_zero,
-                          levels_from_metric, levels_from_subset, meet, sweep,
+                          levels_from_metric, levels_from_subset, meet,
                           transfer, unit_levels, zero_levels)
 from coarsedouble.asymptotics import (TransferTable, _merged_samples, sweep_radii,
                                       sweep_windows)
@@ -188,21 +188,6 @@ def test_zero_absorbing_for_meet(natline):
               unit_levels(natline), z):
         ve = is_zero(meet(e, z), "coarse", Window(256))
         assert ve.certified and ve.value == "zero"
-
-
-def test_sweep(natline):
-    e = levels_from_subset(natline, set_family("evens"))
-
-    def claim(r):
-        return equivalent(e, e, "quasi", Window(r))
-
-    v = sweep(claim, [8, 16, 32])
-    assert v.certified
-    assert v.diagnostics["sweep"]["trend"] == "stable"
-    with pytest.raises(DomainError):
-        sweep(claim, [8, 16])
-    with pytest.raises(DomainError):
-        sweep(claim, [8, 8, 16])
 
 
 def test_sweep_radii_factor_four():

@@ -4,15 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coarsedouble import (ClosedFormMetric, DeltaMetric, MaxMetric,
-                          MinGlueMetric, PointMetric, adjoint, check_axioms,
+from coarsedouble import (AdjointMetric, ClosedFormMetric, ComposedMetric,
+                          DeltaMetric, DoubleMetric, MaxMetric, MinGlueMetric,
+                          PointMetric, SubsetMetric, adjoint, check_axioms,
                           compose, const_delta, dist_to_copy, evaluate,
                           evaluate_exact, levels_from_subset, metric_from_levels,
-                          subset_metric, zero_levels)
-from coarsedouble.double import DeltaFunction, _exact_array, _line_delta_min, _min_plus
+                          space_by_name, subset_metric, zero_levels)
+from coarsedouble.double import (DeltaFunction, _distance_matrix, _exact_array,
+                                 _line_delta_min, _min_plus)
 from coarsedouble.errors import DomainError
-from coarsedouble.space import (CustomSpace, NatLine, PredicateSpace, Window,
-                                set_family, window_points)
+from coarsedouble.space import (CustomSpace, NatLine, PointSet, PredicateSpace,
+                                Window, set_family, window_points)
 from conftest import brute_delta_cross
 
 
@@ -216,7 +218,8 @@ def test_composed_batch_ranges_over_window(natline):
     w = Window(200)
     mat, exact = c.cross_matrix(pts, w)
     single = [[evaluate(c, x, y, w) for y in pts] for x in pts]
-    assert mat == [[ev.value for ev in row] for row in single] == [[22, 32], [32, 42]]
+    want = [[ev.value for ev in row] for row in single]
+    assert mat.tolist() == want == [[22, 32], [32, 42]]
     assert exact and all(ev.exact for row in single for ev in row)
 
 
@@ -263,39 +266,34 @@ def test_int64_guard(value, dtype):
     assert arr.item(0, 0) == value and type(arr.item(0, 0)) is type(value)
 
 
-def _brute_min_plus(a, b, weights, init):
-    return [[min([a[i][k] + (weights[k] if weights else 0) + b[k][j]
-                  for k in range(len(b))] + ([init[i][j]] if init else []))
+def _brute_min_plus(a, b):
+    return [[min(a[i][k] + b[k][j] for k in range(len(b)))
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-@pytest.mark.parametrize("kinds", [("int", "int", "int", "int"),
-                                   ("frac", "frac", "frac", "frac"),
-                                   ("int", "frac", "int", "frac"),
-                                   ("frac", "int", "frac", "int")],
+@pytest.mark.parametrize("kinds", [("int", "int"), ("frac", "frac"),
+                                   ("int", "frac"), ("frac", "int")],
                          ids=["int64", "object", "mixed", "mixed-rev"])
-@pytest.mark.parametrize("with_weights", [False, True])
-@pytest.mark.parametrize("with_init", [False, True])
-def test_min_plus_matches_triple_loop(kinds, with_weights, with_init):
-    rng = random.Random(f"{kinds}:{with_weights}:{with_init}")
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("one_step", [False, True])
+def test_min_plus_matches_triple_loop(kinds, transposed, one_step):
+    # transposed: b left out, which means the transpose of a; one_step: an
+    # inner dimension of 1, where the first term is the whole product
+    rng = random.Random(f"{kinds}:{transposed}:{one_step}")
 
     def draw(kind, shape):
         cell = ((lambda: rng.randint(-50, 50)) if kind == "int"
                 else (lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 6))))
         return [[cell() for _ in range(shape[1])] for _ in range(shape[0])]
 
-    a, b = draw(kinds[0], (4, 5)), draw(kinds[1], (5, 3))
-    weights = draw(kinds[2], (1, 5))[0] if with_weights else None
-    init = draw(kinds[3], (4, 3)) if with_init else None
-    typed = [None if m is None else _exact_array(m) for m in (a, b, weights, init)]
-    assert [t.dtype == np.int64 for t in typed if t is not None] == [
-        k == "int" for k, m in zip(kinds, (a, b, weights, init)) if m is not None]
-    got = _min_plus(typed[0], typed[1], weights=typed[2], init=typed[3])
-    assert got.tolist() == _brute_min_plus(a, b, weights, init)
-    # b left out is the transpose of a
-    at = [list(col) for col in zip(*a)]
-    assert _min_plus(typed[0], weights=typed[2]).tolist() == _brute_min_plus(
-        a, at, weights, None)
+    inner = 1 if one_step else 5
+    a = draw(kinds[0], (4, inner))
+    b = [list(col) for col in zip(*a)] if transposed else draw(kinds[1], (inner, 3))
+    b_kind = kinds[0] if transposed else kinds[1]
+    typed = [_exact_array(m) for m in (a, b)]
+    assert [t.dtype == np.int64 for t in typed] == [kinds[0] == "int", b_kind == "int"]
+    got = _min_plus(typed[0]) if transposed else _min_plus(*typed)
+    assert got.tolist() == _brute_min_plus(a, b)
 
 
 def test_fraction_triangle_violation(natline):
@@ -327,6 +325,12 @@ def _generic_copy(space):
     """space as a PredicateSpace: the same points and distances, but the
     delta kernels on it take the generic min-plus path."""
     return PredicateSpace(_LINE_PREDICATES[space.name], 1, 1 << 62, space.basepoint)
+
+
+def _listed(d, pts, w):
+    """d.cross_matrix(pts, w) with the matrix as nested lists, for equality."""
+    mat, exact = d.cross_matrix(pts, w)
+    return mat.tolist(), exact
 
 
 def _on(sp, d):
@@ -366,7 +370,7 @@ def test_line_delta_batch_matches_generic_path(space_name, request):
             outside = shuffled + [p for p in far if p not in pts]
             for label, sample in (("window", pts), ("shuffled", shuffled),
                                   ("outside", outside)):
-                assert d.cross_matrix(sample, w) == g.cross_matrix(sample, w), (name, w, label)
+                assert _listed(d, sample, w) == _listed(g, sample, w), (name, w, label)
             mat, exact = d.cross_matrix(outside, w)
             if exact:
                 # certified cells are global minima: a ball that holds
@@ -394,7 +398,7 @@ def test_line_delta_factor_in_composition_matches_generic_path(space_name, reque
         gen = compose(_on(generic, d1), compose(PointMetric(generic), _on(generic, d2)))
         for w in windows:
             pts = window_points(space, w) + [p for p in far if p not in window_points(space, w)]
-            assert line.cross_matrix(pts, w) == gen.cross_matrix(pts, w), (first, w)
+            assert _listed(line, pts, w) == _listed(gen, pts, w), (first, w)
 
 
 def test_line_delta_batch_beyond_int64_guard(intline, geomline):
@@ -414,7 +418,7 @@ def test_line_delta_batch_beyond_int64_guard(intline, geomline):
         else:
             generic = _generic_copy(space)
         mat, exact = d.cross_matrix(pts, w)
-        assert (mat, exact) == _on(generic, d).cross_matrix(pts, w)
+        assert (mat.tolist(), exact) == _listed(_on(generic, d), pts, w)
         assert exact
         assert all(type(v) in (int, Fraction) for row in mat for v in row)
         for i, x in enumerate(pts):
@@ -426,25 +430,20 @@ def test_line_delta_batch_beyond_int64_guard(intline, geomline):
 
 
 def test_check_axioms_on_a_line_makes_no_per_cell_calls(natline, monkeypatch):
-    # a 251-point window has 63,001 cells; distances and lower bounds come
-    # from coordinate arrays, so neither method runs once per cell
-    counts = {"_dist": 0, "lower_bound": 0}
+    # a 251-point window has 63,001 cells; distances come from coordinate
+    # arrays, so the distance method does not run once per cell
+    calls = []
+    dist = NatLine._dist
 
-    def count(owner, name):
-        fn = getattr(owner, name)
+    def counted(*args):
+        calls.append(args)
+        return dist(*args)
 
-        def counted(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    count(NatLine, "_dist")
-    count(DeltaMetric, "lower_bound")
+    monkeypatch.setattr(NatLine, "_dist", counted)
     d = metric_from_levels(levels_from_subset(natline, set_family("evens")))
     rep = check_axioms(d, Window(250))
     assert rep.n_points == 251 and rep.passed and rep.exact
-    assert counts["_dist"] <= 4 * 251 and counts["lower_bound"] <= 4 * 251, counts
+    assert len(calls) <= 4 * 251, len(calls)
 
 
 @pytest.mark.parametrize("kind", ["int", "frac"])
@@ -471,6 +470,100 @@ def test_line_batch_certifies_by_the_row_rule(natline):
     d = DeltaMetric(natline, const_delta(natline))
     w = Window(10)
     for pts, exact in (([(0,), (10,)], True), ([(0,), (11,)], False)):
-        got = d.cross_matrix(pts, w)
+        got = _listed(d, pts, w)
         assert got[1] is exact
-        assert got == _on(_generic_copy(natline), d).cross_matrix(pts, w)
+        assert got == _listed(_on(_generic_copy(natline), d), pts, w)
+
+
+# -- the batch contract of every kernel kind ---------------------------------
+
+
+def _path_table(weights):
+    """Distance table of points on a path with the given edge lengths."""
+    at = [sum(weights[:i]) for i in range(len(weights) + 1)]
+    return [[abs(a - b) for b in at] for a in at]
+
+
+_CONTRACT_SPACES = {
+    "NatLine": (NatLine, Window(8)),
+    "TwoTails": (lambda: space_by_name("TwoTails"), Window(30)),
+    "table": (lambda: CustomSpace([(i,) for i in range(6)], metric="table",
+                                  table=_path_table([2, Fraction(1, 2), 3, 1, 2])),
+              Window(20)),
+}
+
+
+def _every_kind(space, pts):
+    """A kernel of every kind on space, Fraction-valued ones among them."""
+    delta = DeltaMetric(space, DeltaFunction(
+        space, lambda u: 1 + (sum(map(abs, u)) * 7) % 5, "vary"))
+    half = DeltaMetric(space, const_delta(space, Fraction(3, 2)))
+    point = PointMetric(space)
+    subset = SubsetMetric(space, PointSet.from_points([pts[0], pts[-1]]))
+    other = SubsetMetric(space, PointSet.from_points(pts[1:2]))
+    skew = ClosedFormMetric(
+        space, lambda x, y: 1 + sum(map(abs, x)) % 7 + Fraction(abs(sum(y)), 3), "skew")
+    return {
+        "delta": delta, "delta-fraction": half, "point": point, "subset": subset,
+        "closed_form": skew, "adjoint": adjoint(skew),
+        "adjoint-delta": AdjointMetric(delta),
+        "max": MaxMetric(point, half), "min_glue": MinGlueMetric(point, delta),
+        "composed": compose(delta, point), "composed-fraction": compose(half, delta),
+        "composed-noncoercive": compose(subset, point),
+        "composed-separable": compose(subset, other),
+    }
+
+
+def _reference_bound(d, x, y):
+    """Each kind's certified bound at one cell, written from its formula."""
+    dist = d.space.distance
+    if isinstance(d, DeltaMetric):  # MinGlueMetric too
+        return dist(x, y) + 1
+    if isinstance(d, PointMetric):
+        return dist(x, d.x0) + 1 + dist(d.x0, y)
+    if isinstance(d, SubsetMetric):
+        return 1
+    if isinstance(d, ClosedFormMetric):
+        return d.eps
+    if isinstance(d, AdjointMetric):
+        return _reference_bound(d.inner, y, x)
+    if isinstance(d, MaxMetric):
+        return max(_reference_bound(d.d1, x, y), _reference_bound(d.d2, x, y))
+    assert isinstance(d, ComposedMetric)
+    return d.eps if d.coercive_c is None else dist(x, y) + d.coercive_c
+
+
+def _assert_exact_array(mat, n):
+    assert isinstance(mat, np.ndarray) and mat.shape == (n, n)
+    if mat.dtype == np.int64:
+        assert -2 ** 60 <= mat.min() and mat.max() <= 2 ** 60
+    else:
+        assert mat.dtype == object
+        assert all(type(v) in (int, Fraction) for v in mat.flat)
+
+
+@pytest.mark.parametrize("space_name", sorted(_CONTRACT_SPACES))
+def test_cross_matrix_is_an_exact_array(space_name):
+    make, w = _CONTRACT_SPACES[space_name]
+    space = make()
+    pts = window_points(space, w)
+    for name, d in _every_kind(space, pts).items():
+        mat, exact = d.cross_matrix(pts, w)
+        _assert_exact_array(mat, len(pts))
+        assert type(exact) is bool, name
+
+
+@pytest.mark.parametrize("space_name", sorted(_CONTRACT_SPACES))
+def test_lower_bound_matrix_is_each_kinds_formula(space_name):
+    make, w = _CONTRACT_SPACES[space_name]
+    space = make()
+    pts = window_points(space, w)
+    bmat = _distance_matrix(space, pts, pts)
+    # each kind states its bound once, as an array
+    assert not hasattr(DoubleMetric, "lower_bound")
+    for name, d in _every_kind(space, pts).items():
+        lb = d.lower_bound_matrix(pts, bmat)
+        _assert_exact_array(lb, len(pts))
+        assert lb.tolist() == [[_reference_bound(d, x, y) for y in pts] for x in pts], name
+        mat, _ = d.cross_matrix(pts, w)
+        assert (lb <= mat).all(), name

@@ -10,9 +10,10 @@ Points are checked against their space in one place: an ``if not
 ``MetricSpace.check``.  Sweep radii become point lists in one place: a
 ``Window(<r>, <w>.basepoint)`` call appears only in
 ``asymptotics.sweep_windows``.  Every private module-level name (``_name``) is
-referenced somewhere in the package besides its definition.  The
-benchmark's tracer (``bench/tracing.py``) finds every method and function
-it wraps.
+referenced somewhere in the package besides its definition, and every name
+``__init__.py`` exports is referenced in the package or the tests besides
+its definition and the export line.  The benchmark's tracer
+(``bench/tracing.py``) finds every method and function it wraps.
 """
 
 import ast
@@ -24,6 +25,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coarsedouble"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -145,6 +147,38 @@ def _referenced_names(tree):
     return out
 
 
+def _exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return sorted(alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                  for alias in node.names)
+
+
+def _uses(tree):
+    """Names a module reads: loads of a bare name, and attributes of a name
+    bound to the package or one of its modules (``cd.window_points``).  A
+    top-level function or class naming itself in its own body is not a use."""
+    modules = {"coarsedouble"} | {p.stem for p in SRC.glob("*.py")}
+    aliases = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if alias.name.split(".")[0] in modules}
+    out = set()
+
+    def visit(node, own):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                if child.id != own:
+                    out.add(child.id)
+            elif (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                  and child.value.id in aliases and child.attr != own):
+                out.add(child.attr)
+            top = node is tree and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if top else own)
+
+    visit(tree, None)
+    return out
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -197,3 +231,12 @@ def test_tracer_targets_exist():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_every_export_is_used():
+    used = set().union(*(_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+                         for path in MODULES + TESTS))
+    exported = _exported_names()
+    assert len(exported) >= 50
+    unused = [name for name in exported if name not in used]
+    assert not unused, "exports nothing references: " + ", ".join(unused)
