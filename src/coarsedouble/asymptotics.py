@@ -113,18 +113,14 @@ def _common_space(e1, e2) -> MetricSpace:
 
 
 def _merged_samples(t12: TransferTable, t21: TransferTable) -> dict:
-    """max of both step tables, sampled at the union of their jumps.
+    """max of both step tables, sampled where it rises.
 
-    Value runs are compacted to their first sample so that a single growing
-    top entry is not counted once per plateau point.
+    Each table is already a running maximum, so the running maximum over both
+    tables' entries is their pointwise max; keeping only its rises compacts
+    each value run to its first sample, so that a single growing top entry is
+    not counted once per plateau point.
     """
-    s12, s21 = _jump_samples((t12, t21))
-    out, prev = {}, None
-    for n in sorted(s12.keys() | s21.keys()):
-        v = max(s[n] for s in (s12, s21) if n in s)
-        if v != prev:
-            out[n] = prev = v
-    return out
+    return dict(TransferTable.from_levels(t12.entries + t21.entries).entries)
 
 
 def _stability(mid: dict, last: dict):
@@ -197,8 +193,14 @@ def equivalent(e1, e2, mode: str, window: Window,
     space = _common_space(e1, e2)
     if radii is None:
         radii = sweep_radii(window)
+    return _equivalent_on(e1, e2, mode, window, radii, sweep_windows(space, window, radii))
+
+
+def _equivalent_on(e1, e2, mode: str, window: Window, radii: Sequence[Rational],
+                   windows: Sequence[list]) -> Verdict:
+    """``equivalent`` on sweep windows already enumerated, one per radius."""
     per_radius = []
-    for r, pts in zip(radii, sweep_windows(space, window, radii)):
+    for r, pts in zip(radii, windows):
         pairs = [(e1.level(x), e2.level(x)) for x in pts]
         t12 = TransferTable.from_levels(pairs)
         t21 = TransferTable.from_levels((v, n) for n, v in pairs)
@@ -257,10 +259,12 @@ def _name(e):
 def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
     """Certify that e is the zero class: every sublevel set stays bounded.
 
-    The boundedness surrogate is the per-level radius sup around the space
-    basepoint, required to be unchanged across the three-radius sweep.
-    Escape (a sup that grows at every step) is reported as evidence, never
-    as a hard falsification.
+    The boundedness surrogate is sups[n], the largest distance to the space
+    basepoint over the sublevel set {level <= n} of each sweep window (the
+    transfer table of level against that distance, read at n = 1..n_max),
+    required to be unchanged across the three-radius sweep.  Escape (a sup
+    that grows at every step) is reported as evidence, never as a hard
+    falsification.
     """
     if mode not in ("quasi", "coarse"):
         raise DomainError(f"unknown zero-test mode {mode!r}")
@@ -271,13 +275,9 @@ def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
            if (lv := e.level(x)) <= n_max}
     sups_by_radius = []
     for pts in windows:
-        top, sups = {}, {}  # top: level -> largest distance at that level
-        for lv, d in filter(None, map(low.get, pts)):
-            top[lv] = max(d, top.get(lv, d))
-        for n in range(1, n_max + 1):  # distances are >= 0
-            if n in top or n - 1 in sups:
-                sups[n] = max(top.get(n, 0), sups.get(n - 1, 0))
-        sups_by_radius.append(sups)
+        t = TransferTable.from_levels(filter(None, map(low.get, pts)))
+        sups_by_radius.append({n: v for n in range(1, n_max + 1)
+                               if (v := t.value_at(n)) is not None})
     last = sups_by_radius[-1]
     claim = f"is-zero[{mode}]({_name(e)})"
     series = sorted(last.items())

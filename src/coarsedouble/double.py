@@ -499,7 +499,9 @@ class ComposedMetric(DoubleMetric):
         space, d, rho = self.space, self.d, self.rho
         space.check(x, z)
         if self._separable:
-            glue, arg = self._glue_constant(window)
+            # the window's glue, or the probes y = x and y = z as elsewhere
+            glue, arg = min([self._glue_constant(window)]
+                            + [(d.set_distance(y) + rho.set_distance(y), y) for y in (x, z)])
             value = d.set_distance(x) + rho.set_distance(z) + 2 + glue
             return Evaluation(value, False, witness=arg)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .asymptotics import transfer
+from .asymptotics import TransferTable
 from .errors import DomainError
 from .projection import LevelFunction
 from .space import Point, Rational, Window, rational_to_json, window_points
@@ -55,11 +55,11 @@ def check_au(unit: ApproximateUnit, window: Window, n_max: int = 6) -> dict:
     listed separately as strict violations (reported, not fatal).
     """
     pts = window_points(unit.space, window)
+    # u[n][i] = u_n(pts[i]), each evaluated once and read by both checks
+    u = {n: [unit.value(n, x) for x in pts] for n in range(1, n_max + 2)}
     au1_violation = None
     for n in range(1, n_max + 1):
-        for x in pts:
-            un = unit.value(n, x)
-            un1 = unit.value(n + 1, x)
+        for x, un, un1 in zip(pts, u[n], u[n + 1]):
             if un > 0 and un1 != 1:
                 au1_violation = {"n": n, "x": list(x),
                                  "u_n": rational_to_json(un),
@@ -73,8 +73,8 @@ def check_au(unit: ApproximateUnit, window: Window, n_max: int = 6) -> dict:
     au2_violation = None
     strict_failures = []
     for n in range(1, n_max + 1):
-        ones = [x for x in pts if unit.value(n, x) == 1]
-        zeros = [x for x in pts if unit.value(n, x) == 0]
+        ones = [x for x, v in zip(pts, u[n]) if v == 1]
+        zeros = [x for x, v in zip(pts, u[n]) if v == 0]
         for x in ones:
             for y in zeros:
                 d = unit.space._dist(x, y)
@@ -166,8 +166,9 @@ def recovery_transfer(unit: ApproximateUnit, window: Window) -> dict:
     """Transfer tables between the source levels and the recovered levels;
     the unit presentation loses at most a factor-2 reindexing."""
     rec = recovered_levels(unit)
-    t_fwd = transfer(unit.levels, rec, window)
-    t_bwd = transfer(rec, unit.levels, window)
+    pairs = [(unit.levels.level(x), rec.level(x)) for x in window_points(unit.space, window)]
+    t_fwd = TransferTable.from_levels(pairs)
+    t_bwd = TransferTable.from_levels((v, n) for n, v in pairs)
     bound_ok = all(v <= 2 * n + 2 for n, v in t_fwd.entries) and \
         all(v <= 2 * n + 2 for n, v in t_bwd.entries)
     return {"forward": t_fwd.to_json(), "backward": t_bwd.to_json(),

@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .asymptotics import default_grid, equivalent, sweep_radii, sweep_windows
+from .asymptotics import (TransferTable, _equivalent_on, default_grid, sweep_radii,
+                          sweep_windows)
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
@@ -367,14 +368,18 @@ TYPE_M_MAX = 24
 def classify_type(e: LevelFunction, window: Window,
                   radii: Optional[list] = None) -> Verdict:
     """Type I: e is equivalent to the neighborhood sequence of one of its own
-    sublevel sets (stable across the radius sweep), reported with the
-    containment table k(m).  Type II is never certified, only evidenced by
-    required neighborhood radii that grow at every window enlargement.
+    sublevel sets A_n (stable across the radius sweep), reported with the
+    containment table k(m) = ceil(max d_X(x, A_n) over window points of level
+    <= m), read from the transfer table of level against that distance.
+    Type II is never certified, only evidenced by required neighborhood radii
+    that grow at every window enlargement.  The sweep windows are enumerated
+    once and each point's distance to a core A_n is searched once.
     """
     space = e.space
     if radii is None:
         radii = sweep_radii(window)
-    tabs = [{x: e.level(x) for x in pts} for pts in sweep_windows(space, window, radii)]
+    windows = sweep_windows(space, window, radii)
+    tabs = [{x: e.level(x) for x in pts} for pts in windows]
     big_tab = tabs[-1] if radii[-1] == window.radius else e.tabulate(window)
     if not big_tab:
         return Verdict(Status.INCONCLUSIVE, f"classify({e.name})", window=window,
@@ -385,33 +390,34 @@ def classify_type(e: LevelFunction, window: Window,
     growth = {}
     for n in usable:
         core = e.sublevel(n)
-        # d_X(x, A_n), each point searched once, shared with _required_k_series
+        # d_X(x, A_n), each point searched once, shared by ecore (the levels
+        # of levels_from_subset(space, core)), the k table and the growth series
         core_dist = functools.cache(lambda x: dist_to_set(space, x, core, UNBOUNDED).value)
-        ecore = levels_from_subset(space, core)
-        v = equivalent(e, ecore, "coarse", window, radii=radii)
+        ecore = LevelFunction(space, lambda x: max(1, math.ceil(2 * core_dist(x))),
+                              f"E[{core.name}]", "from-subset")
+        v = _equivalent_on(e, ecore, "coarse", window, radii, windows)
+
+        def k_table_of(tab):  # m -> max of d_X(x, A_n) over levels <= m <= TYPE_M_MAX
+            return TransferTable.from_levels((lv, core_dist(x)) for x, lv in tab.items()
+                                             if lv <= TYPE_M_MAX)
+
         if v.certified:
-            k_table, realized = [], []
-            ok = True
-            for m in range(1, TYPE_M_MAX + 1):
-                pts_m = [x for x, lv in big_tab.items() if lv <= m]
-                if not pts_m:
-                    continue
-                dmax = max(core_dist(x) for x in pts_m)
-                k = math.ceil(dmax)
-                if k > TYPE_K_MAX:
-                    ok = False
-                    break
-                k_table.append((m, k))
-                realized.append([m, rational_to_json(dmax)])
-            if ok and k_table:
+            kt = k_table_of(big_tab)
+            series = [(m, d) for m in range(1, TYPE_M_MAX + 1)
+                      if (d := kt.value_at(m)) is not None]
+            # value_at grows with m, so the last k is the largest
+            if series and math.ceil(series[-1][1]) <= TYPE_K_MAX:
+                k_table = [(m, math.ceil(d)) for m, d in series]
                 return Verdict(
                     Status.CERTIFIED, claim, window=window, value="type-I",
                     witness=TabulatedWitness(tuple(k_table)),
                     diagnostics={"n": n, "k_table": [[m, k] for m, k in k_table],
-                                 "series": realized,
+                                 "series": [[m, rational_to_json(d)] for m, d in series],
                                  "equivalence": v.to_json()},
                     check_kind=CHECK_DOMINATES)
-        growth[n] = _required_k_series(core_dist, radii, tabs)
+        # minimal k with A_m cap W inside N_k(A_n) per radius, at the deepest m
+        growth[n] = [(r, math.ceil(t.entries[-1][1]))
+                     for r, t in zip(radii, map(k_table_of, tabs)) if t.entries]
     all_grow = usable and all(
         len(g) >= 3 and all(b > a for a, b in zip(g, g[1:]))
         for g in (tuple(v for _, v in growth[n]) for n in usable))
@@ -425,15 +431,3 @@ def classify_type(e: LevelFunction, window: Window,
                                         radii=[rational_to_json(r) for r in radii]))
     return Verdict(Status.INCONCLUSIVE, claim, window=window, value="unclassified",
                    diagnostics=diagnostics)
-
-
-def _required_k_series(core_dist, radii, tabs):
-    """Minimal k with A_m cap W subset N_k(A_n), per radius, at the deepest
-    sublevel m realized in its table of levels; core_dist is x -> d_X(x, A_n)."""
-    out = []
-    for r, tab in zip(radii, tabs):
-        m_star = min(max(tab.values(), default=0), TYPE_M_MAX)
-        pts_m = [x for x, lv in tab.items() if lv <= m_star]
-        if pts_m:
-            out.append((r, math.ceil(max(core_dist(x) for x in pts_m))))
-    return out

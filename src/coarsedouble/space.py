@@ -595,6 +595,12 @@ class Evaluation:
 # member is found, which on a proper space happens at the nearest member.
 UNBOUNDED = Window(1 << 62)
 
+# Points one doubling step of dist_to_set may enumerate: a ball this large
+# without a member stops the search as inconclusive, so that a set with no
+# member in the space ({2*3^k} on TwoTails) cannot grow balls until memory
+# runs out.
+SEARCH_POINT_CAP = 1 << 16
+
 
 def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Evaluation:
     """Exact d_X(x, A), searched within radius window.radius around x.
@@ -605,8 +611,11 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
     ball can be closer, so the minimum is certified.  If no member lies
     within the budget the search is inconclusive and raises.  Passing
     ``UNBOUNDED``, whose radius is the search cap, means "search until a
-    member is found".  Explicit sets are scanned directly, whatever the
-    budget, and raise DomainError when no member lies in the space.
+    member is found".  Whatever the budget, a ball of more than
+    SEARCH_POINT_CAP points without a member also ends the search with
+    SearchInconclusive at its radius.  Explicit sets are scanned directly,
+    whatever the budget, and raise DomainError when no member lies in the
+    space.
 
     On ``NatLine`` and ``IntLine`` the named families ``half_line``,
     ``multiples`` (so ``evens`` and ``odds``), ``squares``, ``powers`` and
@@ -645,14 +654,16 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
     r = 1
     while True:
         r = min(r, budget)
-        candidates = [p for p in space.points_within(x, r) if A.contains(p)]
+        ball = space.points_within(x, r)
+        candidates = [p for p in ball if A.contains(p)]
         if candidates:
             best = min(candidates, key=lambda a: (space._dist(x, a), a))
             return Evaluation(space._dist(x, best), True, witness=best)
-        if r >= budget:
+        if r >= budget or len(ball) > SEARCH_POINT_CAP:
             raise SearchInconclusive(
-                f"no member of {A.name} within {budget} of {x}",
-                window_radius=budget)
+                f"no member of {A.name} within {r} of {x}"
+                + (f" ({len(ball)} points searched)" if r < budget else ""),
+                window_radius=r)
         r *= 2
 
 

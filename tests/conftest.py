@@ -5,9 +5,11 @@ coordinates or window points directly, so agreement is meaningful.
 """
 
 import math
+import sys
 
 import pytest
 
+from coarsedouble import space as space_module
 from coarsedouble.space import space_by_name
 
 
@@ -95,3 +97,24 @@ def geomline():
 @pytest.fixture
 def twotails():
     return space_by_name("TwoTails")
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """counted(name) records the argument tuple of every call of the space
+    function ``name``, also where a library module imported it by name."""
+
+    def install(name):
+        fn, calls = getattr(space_module, name), []
+
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("coarsedouble") \
+                    and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+        return calls
+
+    return install

@@ -149,6 +149,26 @@ def test_inconclusive_search_exit(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--space", "TwoTails", "--levels", "subset:powers:3:2", "--radius", "64"],
+    ["classify", "--space", "TwoTails", "--levels", "~subset:squares", "--radius", "64"],
+    ["classify", "--space", "TwoTails", "--levels", "~subset:halfline:+", "--radius", "64"],
+    ["classify", "--space", "TwoTails", "--levels", "~subset:halfline:+:-3",
+     "--radius", "64"],
+    ["ideal", "check", "--space", "TwoTails", "--levels", "~subset:squares",
+     "--radius", "16"],
+])
+def test_no_member_on_twotails_exits_inconclusive(capsys, argv):
+    # 2*3^k is never a square and every first coordinate is a positive
+    # square, so these sets have no member in TwoTails: the set-distance
+    # search stops at SEARCH_POINT_CAP points instead of exhausting memory
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "points searched" in json.loads(captured.err)["error"]
+    assert captured.out == ""
+
+
 def test_determinism_and_roundtrip(capsys, tmp_path):
     args = ["algebra", "atoms", "--space", "NatLine", "--generators",
             "subset:powers:4;subset:powers:4:2", "--radius", "256"]

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from coarsedouble.double import (DeltaFunction, _distance_matrix, _exact_array,
 from coarsedouble.errors import DomainError
 from coarsedouble.space import (CustomSpace, NatLine, PointSet, PredicateSpace,
                                 Window, set_family, window_points)
-from conftest import brute_delta_cross
+from coarsedouble.serialize import parse_set
+from conftest import BRUTE_WINDOWS, brute_delta_cross
 
 
 def test_eval_examples(natline):
@@ -78,6 +80,36 @@ def test_compose_examples(natline, twotails):
     prod = compose(bp, bm)
     # paper-checked closed form at x = (4, 2): 0 + 4 + 4
     assert evaluate(prod, (4, 2), (4, 2), Window(60)).value == 8
+
+
+@pytest.mark.parametrize("name, left, right, radius, pts", [
+    ("NatLine", "halfline:+:100", "halfline:+:100", 32, [(3,), (40,), (200,)]),
+    ("NatLine", "evens", "squares", 8, [(0,), (5,), (50,)]),
+    ("IntLine", "halfline:+:60", "halfline:+:40", 32, [(-80,), (5,), (90,)]),
+    ("IntLine", "halfline:+:60", "halfline:-:-50", 32, [(-80,), (5,), (90,)]),
+    ("TwoTails", "tailplus", "halfline:+:100", 40, [(4, 2), (81, 1), (144, -3)]),
+    ("TwoTails", "tailplus", "tailminus", 40, [(4, 2), (81, 1), (144, -3)]),
+])
+def test_separable_composition_probes_x_and_z(name, left, right, radius, pts):
+    # subset o subset: min over y in window + {x, z} of
+    # d(x,A) + 1 + d(y,A) + d(y,B) + 1 + d(z,B), ties to the smaller y
+    space = space_by_name(name)
+    A, B = parse_set(space, left), parse_set(space, right)
+    c = compose(subset_metric(space, A), subset_metric(space, B))
+    w = Window(radius)
+    universe = BRUTE_WINDOWS[name](space.basepoint, 1000)
+
+    @functools.cache
+    def dist(S, y):
+        return min(space.distance(y, a) for a in universe if S.contains(a))
+
+    for x in pts:
+        for z in pts:
+            mids = set(window_points(space, w)) | {x, z}
+            glue, y = min((dist(A, y) + dist(B, y), y) for y in mids)
+            ev = evaluate(c, x, z, w)
+            assert (ev.value, ev.witness, ev.exact) == \
+                (dist(A, x) + 2 + glue + dist(B, z), y, False), (x, z)
 
 
 def test_compose_inexact_sub_evaluation(natline):

@@ -89,3 +89,26 @@ def test_recoverd_levels_and_transfer(natline):
             assert rec.level(x) == max(1, math.ceil(e.level(x) / 2))
         rep = recovery_transfer(unit, Window(48))
         assert rep["passed"]
+
+
+def test_recovery_transfer_reads_its_window_once(natline, counted):
+    windows = counted("window_points")
+    unit = ApproximateUnit(levels_from_subset(natline, set_family("squares")))
+    rep = recovery_transfer(unit, Window(48))
+    assert rep["passed"] and len(windows) == 1
+
+
+def test_check_au_evaluates_each_unit_value_once(natline, monkeypatch):
+    # u_1 .. u_{n_max + 1} on 65 window points, read by both (au1) and (au2)
+    calls = []
+    value = ApproximateUnit.value
+
+    def counted_value(self, n, x):
+        calls.append((n, x))
+        return value(self, n, x)
+
+    monkeypatch.setattr(ApproximateUnit, "value", counted_value)
+    unit = ApproximateUnit(levels_from_subset(natline, set_family("squares")))
+    rep = check_au(unit, Window(64), n_max=6)
+    assert rep["au1_exact"] and rep["au2_relaxed"]
+    assert len(calls) == len(set(calls)) == 7 * 65

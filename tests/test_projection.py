@@ -16,6 +16,7 @@ from coarsedouble import (CmFunction, PointMetric, check_axioms, check_cm,
                           transfer, unit_levels, zero_levels)
 from coarsedouble.double import DeltaMetric
 from coarsedouble.errors import DomainError
+from coarsedouble.serialize import expression_levels
 from coarsedouble.space import (UNBOUNDED, PointSet, Window, dist_to_set,
                                 set_family, space_by_name, window_points)
 from coarsedouble.verdicts import revalidate
@@ -218,6 +219,21 @@ def test_classify_type(natline):
     vu = classify_type(unit_levels(natline), Window(256))
     assert vu.value == "type-I" and vu.diagnostics["n"] == 1
     assert all(k == 0 for _, k in vu.witness.table)
+
+
+@pytest.mark.parametrize("spec, n_cores", [("log2", 8), ("evens", 1)])
+def test_classify_type_reads_its_window_once(natline, counted, spec, n_cores):
+    # one sweep enumeration, handed to every core's equivalence check, and one
+    # search of d_X(x, A_n) per point and core level
+    e = (expression_levels(natline, "log2") if spec == "log2"
+         else levels_from_subset(natline, set_family("evens")))
+    windows, searches = counted("window_points"), counted("dist_to_set")
+    v = classify_type(e, Window(256))
+    assert v.value == ("type-I" if spec == "evens" else "unclassified")
+    cores = {f"[{e.name}<={n}]" for n in range(1, 9)}
+    core_searches = [(A.name, x) for _, x, A, _ in searches if A.name in cores]
+    assert len(windows) == 1
+    assert len(core_searches) == len(set(core_searches)) == 257 * n_cores
 
 
 def test_comparison_lemma(natline):
