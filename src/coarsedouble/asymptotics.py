@@ -49,11 +49,17 @@ def sweep_radii(window: Window) -> list:
     return radii
 
 
-def sweep_windows(space: MetricSpace, window: Window, radii: Sequence[Rational]) -> list:
-    """Per radius, its ball about the window's base, in ``window_points`` order."""
+def _check_radii(radii: Sequence[Rational]) -> None:
+    """DomainError naming the radii unless they are nonnegative and strictly
+    increasing."""
     if not radii or radii[0] < 0 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError(f"sweep radii must be nonnegative and strictly increasing, "
                           f"got {[rational_to_json(r) for r in radii]}")
+
+
+def sweep_windows(space: MetricSpace, window: Window, radii: Sequence[Rational]) -> list:
+    """Per radius, its ball about the window's base, in ``window_points`` order."""
+    _check_radii(radii)
     pts = window_points(space, Window(radii[-1], window.basepoint))
     base = window.resolve_base(space)
     dist = [space._dist(x, base) for x in pts]

@@ -31,6 +31,24 @@ def _window(args) -> Window:
     return Window(args.radius, base)
 
 
+# how a levels spec begins (see serialize.parse_levels)
+_SPEC_STARTS = ("unit", "zero", "subset:", "~subset:", "expr:")
+
+
+def _split_specs(text: str, sep: str) -> list:
+    """A list of levels specs joined by sep, split only where the next piece
+    begins a spec.  The separators also occur inside one spec, between the
+    coordinates of ``zero:4,2`` and the points of ``subset:points:1;5``, so a
+    piece that begins no spec belongs to the one before it."""
+    specs = []
+    for piece in text.split(sep):
+        if specs and not piece.startswith(_SPEC_STARTS):
+            specs[-1] += sep + piece
+        else:
+            specs.append(piece)
+    return specs
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
@@ -117,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("what", choices=["nu-hat", "nu-bar", "laws"])
     ms.add_argument("--space", required=True)
     ms.add_argument("--levels", required=True,
-                    help="one spec (nu-hat) or comma-separated specs")
+                    help="comma-separated level specs: one (nu-hat), "
+                         "two (laws) or more (nu-bar)")
     ms.add_argument("--n-max", type=int, default=8)
     ms.add_argument("--schedule-base", type=int, default=32)
 
@@ -211,7 +230,7 @@ def _dispatch(args) -> RunReport:
 
     if args.command == "algebra":
         space = space_by_name(args.space)
-        gens = [parse_levels(space, s) for s in args.generators.split(";")]
+        gens = [parse_levels(space, s) for s in _split_specs(args.generators, ";")]
         w = Window(args.radius)
         if args.what == "atoms":
             atoms = enumerate_atoms(gens, w)
@@ -246,18 +265,19 @@ def _dispatch(args) -> RunReport:
         space = space_by_name(args.space)
         mu = measure.DensityMeasure.natural(space)
         schedule = measure.default_schedule(args.schedule_base)
-        specs = args.levels.split(",")
-        if args.what == "nu-hat":
-            lf = parse_levels(space, specs[0])
-            rep = measure.nu_hat(mu, lf, args.n_max, schedule)
-            return RunReport("measure nu-hat", {"nu_hat": rep.to_json()})
+        specs = _split_specs(args.levels, ",")
+        wanted = {"nu-hat": 1, "laws": 2}.get(args.what)
+        if wanted is not None and len(specs) != wanted:
+            raise DomainError(f"measure {args.what} takes {wanted} level spec(s), "
+                              f"not {len(specs)}: {specs}")
         gens = tuple(parse_levels(space, s) for s in specs)
+        if args.what == "nu-hat":
+            rep = measure.nu_hat(mu, gens[0], args.n_max, schedule)
+            return RunReport("measure nu-hat", {"nu_hat": rep.to_json()})
         if args.what == "nu-bar":
             s = FormalSum(gens, tuple(range(len(gens))))
             return RunReport("measure nu-bar",
                              {"nu_bar": measure.nu_bar(mu, s, args.n_max, schedule)})
-        if len(gens) < 2:
-            raise DomainError("measure laws needs two level specs")
         rep = measure.check_modularity(mu, gens[0], gens[1], args.n_max, schedule)
         return RunReport("measure laws", {"modularity": rep})
 
@@ -293,14 +313,11 @@ def main(argv=None) -> int:
         return 3 if isinstance(exc, SearchInconclusive) else 2
     report.meta.setdefault("version", __version__)
     doc = report.to_json()
-    if args.csv:
-        text = report_to_csv(doc)
-    else:
-        text = pretty_dumps(doc)
-    print(text)
+    text = report_to_csv(doc) if args.csv else pretty_dumps(doc) + "\n"
+    sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     if not report.passed:
         return 1
     inexact = report.results.get("evaluation", {}).get("exact") is False

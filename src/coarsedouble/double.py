@@ -15,14 +15,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
-from .space import (UNBOUNDED, Evaluation, GeomLine, IntLine, MetricSpace,
-                    NatLine, Point, PointSet, Rational, Window, dist_to_set,
-                    rational_to_json, window_points)
+from .space import (UNBOUNDED, Evaluation, LineSpace, MetricSpace, Point, PointSet,
+                    Rational, Window, dist_to_set, rational_to_json, window_points)
 
 _INT_SAFE = 1 << 60
-# spaces whose points are one integer coordinate at distance |x - y|; their
-# batch paths work on coordinate arrays
-_LINES = (NatLine, IntLine, GeomLine)
 # doubling budget of _escalate
 _MAX_DOUBLINGS = 80
 
@@ -64,9 +60,21 @@ def const_delta(space: MetricSpace, value: Rational = 1) -> DeltaFunction:
 
 
 class DoubleMetric:
-    """Base kernel: exact cross values, adjoint, certified lower bound."""
+    """Base kernel: exact cross values, adjoint, certified lower bound.
+
+    Each kind states three facts once, as data, and the base class derives
+    its bound and its adjoint from them:
+
+    - ``coercive_c``: c with d(x, y') >= d_X(x, y) + c for all x, y, which
+      turns each infimum into a finite scan; None if not coercive;
+    - ``eps``: the positivity floor for cross values (axiom d2);
+    - ``symmetric``: d(x, y') = d(y, x'), so the kernel is its own adjoint.
+    """
 
     kind = "abstract"
+    coercive_c: Optional[Rational] = None
+    eps: Rational = 1
+    symmetric = False
 
     def __init__(self, space: MetricSpace):
         self.space = space
@@ -79,25 +87,17 @@ class DoubleMetric:
     def lower_bound_matrix(self, pts: list, bmat: np.ndarray) -> np.ndarray:
         """The kernel's certified bound on pts x pts, an exact array whose
         cell (i, j) is at most d(pts[i], pts[j]') always; bmat holds d_X on
-        pts x pts.  Each kind states its bound once, here.  The points are
-        not checked: callers pass enumerated or already-checked points."""
-        raise NotImplementedError
-
-    @property
-    def coercive_c(self) -> Optional[Rational]:
-        """c with d(x, y') >= d_X(x, y) + c for all x, y, so that
-        lower_bound_matrix may be bmat + c; None if not coercive."""
-        return None
-
-    @property
-    def eps(self) -> Rational:
-        """Positivity floor for cross values (axiom d2)."""
-        return 1
+        pts x pts.  bmat + coercive_c for a coercive kind, the floor eps
+        otherwise; a kind with a stronger closed form overrides it.  The
+        points are not checked: callers pass enumerated or already-checked
+        points."""
+        c = self.coercive_c
+        return np.full(bmat.shape, self.eps) if c is None else bmat + c
 
     # -- structure ----------------------------------------------------------
 
     def adjoint(self) -> "DoubleMetric":
-        raise NotImplementedError
+        return self if self.symmetric else AdjointMetric(self)
 
     def is_selfadjoint(self) -> bool:
         return self.to_json() == self.adjoint().to_json()
@@ -170,10 +170,11 @@ def _certified_min(space: MetricSpace, x: Point, window: Window, probe: Evaluati
     """The single-pair search: improve the probe over candidate points u.
 
     term(u) is (value, exact) for a candidate, or None when u cannot beat
-    the probe.  With r_cand the candidates are the points of ball(x, r_cand)
-    in the window; the minimum is exact when the ball passes the
-    certificate rule and every sub-evaluation is exact, and otherwise
-    required_radius is the window radius that would hold the ball.  With
+    the probe.  With r_cand (never negative: a probe value is at least its
+    kernel's c) the candidates are the points of ball(x, r_cand) in the
+    window; the minimum is exact when the ball passes the certificate rule
+    and every sub-evaluation is exact, and otherwise required_radius is the
+    window radius that would hold the ball.  With
     r_cand None (no coercive bound) the whole window is scanned and nothing
     is certified.  Ties go to the smaller point.  x is not checked here:
     callers check it where it enters.  Candidates come from the
@@ -184,8 +185,6 @@ def _certified_min(space: MetricSpace, x: Point, window: Window, probe: Evaluati
     best, arg, exact = probe.value, probe.witness, probe.exact
     if r_cand is None:
         cand, complete = window_points(space, window), False
-    elif r_cand < 0:
-        cand, complete = [x], True
     else:
         complete = _certified(dxb, r_cand, window.radius)
         try:
@@ -211,6 +210,8 @@ class DeltaMetric(DoubleMetric):
     """d(x, y') = inf_u [d_X(x,u) + delta(u) + d_X(u,y)]."""
 
     kind = "delta"
+    coercive_c = 1
+    symmetric = True  # the infimum formula is symmetric in x, y
 
     def __init__(self, space: MetricSpace, delta: DeltaFunction):
         super().__init__(space)
@@ -232,16 +233,6 @@ class DeltaMetric(DoubleMetric):
         probe = Evaluation(v0, True, witness=x if delta(x) <= delta(y) else y)
         return _certified_min(space, x, window, probe, r_cand, term)
 
-    def lower_bound_matrix(self, pts, bmat):
-        return bmat + 1
-
-    @property
-    def coercive_c(self):
-        return 1
-
-    def adjoint(self):
-        return self  # the infimum formula is symmetric in x, y
-
     def dist_to_copy(self, x, window):
         # inf_y d(x, y') = inf_u [d_X(x,u) + delta(u)], taking y = u
         space, delta = self.space, self.delta
@@ -262,6 +253,8 @@ class PointMetric(DoubleMetric):
     """Zero-class representative: d(x, y') = d_X(x, x0) + 1 + d_X(x0, y)."""
 
     kind = "zero_at"
+    coercive_c = 1
+    symmetric = True
 
     def __init__(self, space: MetricSpace, x0: Optional[Point] = None):
         super().__init__(space)
@@ -273,15 +266,9 @@ class PointMetric(DoubleMetric):
         return Evaluation(d(x, self.x0) + 1 + d(self.x0, y), True, witness=self.x0)
 
     def lower_bound_matrix(self, pts, bmat):
+        # the closed form itself, stronger than bmat + 1
         col = _distance_matrix(self.space, pts, [self.x0])
         return col + 1 + col.T
-
-    @property
-    def coercive_c(self):
-        return 1
-
-    def adjoint(self):
-        return self
 
     def dist_to_copy(self, x, window):
         return Evaluation(self.space.distance(x, self.x0) + 1, True, witness=self.x0)
@@ -298,6 +285,7 @@ class SubsetMetric(DoubleMetric):
     """
 
     kind = "subset"
+    symmetric = True
 
     def __init__(self, space: MetricSpace, A: PointSet):
         super().__init__(space)
@@ -313,12 +301,6 @@ class SubsetMetric(DoubleMetric):
 
     def cross(self, x, y, window):
         return Evaluation(self.set_distance(x) + 1 + self.set_distance(y), True)
-
-    def lower_bound_matrix(self, pts, bmat):
-        return np.full((len(pts), len(pts)), 1)
-
-    def adjoint(self):
-        return self
 
     def dist_to_copy(self, x, window):
         return Evaluation(self.set_distance(x) + 1, True)
@@ -347,15 +329,6 @@ class ClosedFormMetric(DoubleMetric):
         self.space.check(x, y)
         return Evaluation(self.fn(x, y), True)
 
-    def lower_bound_matrix(self, pts, bmat):
-        # not coercive: only the positivity floor is promised
-        return np.full((len(pts), len(pts)), self.eps)
-
-    def adjoint(self):
-        if self.symmetric:
-            return self
-        return AdjointMetric(self)
-
     def to_json(self):
         return {"kind": "closed_form", "space": self.space.to_json(), "name": self.name}
 
@@ -368,20 +341,14 @@ class AdjointMetric(DoubleMetric):
     def __init__(self, inner: DoubleMetric):
         super().__init__(inner.space)
         self.inner = inner
+        self.coercive_c, self.eps = inner.coercive_c, inner.eps
 
     def cross(self, x, y, window):
         return self.inner.cross(y, x, window)
 
     def lower_bound_matrix(self, pts, bmat):
+        # the inner bound transposed, which may be stronger than the rule's
         return self.inner.lower_bound_matrix(pts, bmat).T
-
-    @property
-    def coercive_c(self):
-        return self.inner.coercive_c
-
-    @property
-    def eps(self):
-        return self.inner.eps
 
     def adjoint(self):
         return self.inner
@@ -400,6 +367,9 @@ class MaxMetric(DoubleMetric):
             raise DomainError("operands live on different spaces")
         super().__init__(d1.space)
         self.d1, self.d2 = d1, d2
+        cs = [c for c in (d1.coercive_c, d2.coercive_c) if c is not None]
+        self.coercive_c = max(cs) if cs else None
+        self.eps = max(d1.eps, d2.eps)
 
     def cross(self, x, y, window):
         a = self.d1.cross(x, y, window)
@@ -410,17 +380,6 @@ class MaxMetric(DoubleMetric):
     def lower_bound_matrix(self, pts, bmat):
         return np.maximum(self.d1.lower_bound_matrix(pts, bmat),
                           self.d2.lower_bound_matrix(pts, bmat))
-
-    @property
-    def coercive_c(self):
-        c1, c2 = self.d1.coercive_c, self.d2.coercive_c
-        if c1 is None and c2 is None:
-            return None
-        return max(c for c in (c1, c2) if c is not None)
-
-    @property
-    def eps(self):
-        return max(self.d1.eps, self.d2.eps)
 
     def adjoint(self):
         a1, a2 = self.d1.adjoint(), self.d2.adjoint()
@@ -458,9 +417,6 @@ class MinGlueMetric(DeltaMetric):
         delta = DeltaFunction(d1.space, middle, "min-diagonal")
         super().__init__(d1.space, delta)
 
-    def adjoint(self):
-        return self
-
     def to_json(self):
         return {"kind": "min_glue", "of": [self.d1.to_json(), self.d2.to_json()]}
 
@@ -475,6 +431,9 @@ class ComposedMetric(DoubleMetric):
             raise DomainError("operands live on different spaces")
         super().__init__(d.space)
         self.d, self.rho = d, rho
+        if d.coercive_c is not None and rho.coercive_c is not None:
+            self.coercive_c = d.coercive_c + rho.coercive_c
+        self.eps = d.eps + rho.eps
         self._separable = isinstance(d, SubsetMetric) and isinstance(rho, SubsetMetric)
         self._glue_cache = {}
 
@@ -525,21 +484,6 @@ class ComposedMetric(DoubleMetric):
             return through(y)
 
         return _certified_min(space, x, window, probe, r_cand, term)
-
-    def lower_bound_matrix(self, pts, bmat):
-        c = self.coercive_c
-        return np.full((len(pts), len(pts)), self.eps) if c is None else bmat + c
-
-    @property
-    def coercive_c(self):
-        cd, cr = self.d.coercive_c, self.rho.coercive_c
-        if cd is not None and cr is not None:
-            return cd + cr
-        return None
-
-    @property
-    def eps(self):
-        return self.d.eps + self.rho.eps
 
     def adjoint(self):
         return ComposedMetric(self.rho.adjoint(), self.d.adjoint())
@@ -596,23 +540,25 @@ def _escalate(d: DoubleMetric, evaluate: Callable[[Window], Evaluation],
     """evaluate(Window(r)) from the smallest r >= start_radius whose window
     holds the points, doubling r (or jumping to the required radius) until
     the result is certified.  A kernel without a coercive bound stops after
-    its first window, since a larger window cannot certify it either.
+    its first window, since a larger window cannot certify it either.  The
+    SearchInconclusive raised when the budget runs out names the radius of
+    the last window evaluated and that evaluation's required radius.
     """
     base = d.space.basepoint
     r = max(start_radius, *(d.space.distance(p, base) for p in points))
-    last = None
+    ev = None
     for _ in range(_MAX_DOUBLINGS):
+        if ev is not None:
+            r = max(2 * r, ev.required_radius or 0)
         ev = evaluate(Window(r))
         if ev.exact:
             return ev
-        last = ev
-        r = max(2 * r, ev.required_radius if ev.required_radius is not None else 0)
         if d.coercive_c is None:
             break
     where = ",".join(str(p) for p in points)
     raise SearchInconclusive(
         f"{what} of {d.kind} kernel at ({where}) not certifiable",
-        window_radius=r, required_radius=last.required_radius if last else None)
+        window_radius=r, required_radius=ev.required_radius)
 
 
 def adjoint(d: DoubleMetric) -> DoubleMetric:
@@ -706,7 +652,7 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
         or [(pts[0], d.delta(pts[0]))]
     universe = [u for u, _ in kept]
     weights = _exact_array([v for _, v in kept])
-    if type(space) in _LINES:
+    if isinstance(space, LineSpace):
         out = _line_delta_min(_coordinates(pts), dist, seed, _coordinates(universe), weights)
     else:
         dpu = _distance_matrix(space, pts, universe)
@@ -803,7 +749,7 @@ def _distance_matrix(space: MetricSpace, pts_a: list, pts_b: list) -> np.ndarray
     """d_X on pts_a x pts_b as an exact array; on the line spaces from the
     coordinates, with no distance call.  Callers pass checked points or
     enumerated ones."""
-    if type(space) in _LINES:
+    if isinstance(space, LineSpace):
         return abs(_coordinates(pts_a)[:, None] - _coordinates(pts_b)[None, :])
     return _exact_array([[space._dist(a, b) for b in pts_b] for a in pts_a])
 

@@ -14,8 +14,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .asymptotics import (TransferTable, _equivalent_on, default_grid, sweep_radii,
-                          sweep_windows)
+from .asymptotics import (TransferTable, _check_radii, _equivalent_on, default_grid,
+                          sweep_radii, sweep_windows)
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
@@ -372,15 +372,25 @@ def classify_type(e: LevelFunction, window: Window,
     containment table k(m) = ceil(max d_X(x, A_n) over window points of level
     <= m), read from the transfer table of level against that distance.
     Type II is never certified, only evidenced by required neighborhood radii
-    that grow at every window enlargement.  The sweep windows are enumerated
-    once and each point's distance to a core A_n is searched once.
+    that grow at every window enlargement.  One enumeration serves the
+    sweep and the k table's window: the window's radius joins the sweep when
+    it is the larger, and otherwise its ball is read from the largest sweep
+    window.  Each point's distance to a core A_n is searched once.
     """
     space = e.space
     if radii is None:
         radii = sweep_radii(window)
-    windows = sweep_windows(space, window, radii)
+    _check_radii(radii)
+    extended = window.radius > radii[-1]
+    windows = sweep_windows(space, window, [*radii, window.radius] if extended else radii)
     tabs = [{x: e.level(x) for x in pts} for pts in windows]
-    big_tab = tabs[-1] if radii[-1] == window.radius else e.tabulate(window)
+    if extended:
+        windows.pop()
+        big_tab = tabs.pop()
+    else:
+        base = window.resolve_base(space)
+        big_tab = {x: lv for x, lv in tabs[-1].items()
+                   if space._dist(x, base) <= window.radius}
     if not big_tab:
         return Verdict(Status.INCONCLUSIVE, f"classify({e.name})", window=window,
                        diagnostics={"reason": "empty window"})

@@ -129,7 +129,16 @@ class MetricSpace:
         return hash(json.dumps(self.to_json(), sort_keys=True))
 
 
-class NatLine(MetricSpace):
+class LineSpace(MetricSpace):
+    """Base of the spaces whose points are one integer coordinate at
+    distance |x - y|.  The batch paths of the double layer work on their
+    coordinate arrays."""
+
+    def _dist(self, x, y):
+        return abs(x[0] - y[0])
+
+
+class NatLine(LineSpace):
     """{0, 1, 2, ...} with |x - y|."""
 
     name = "NatLine"
@@ -138,9 +147,6 @@ class NatLine(MetricSpace):
     def contains(self, p):
         return isinstance(p, tuple) and len(p) == 1 and isinstance(p[0], int) and p[0] >= 0
 
-    def _dist(self, x, y):
-        return abs(x[0] - y[0])
-
     def points_within(self, center, radius):
         c = center[0]
         lo = max(0, math.ceil(c - radius))
@@ -148,7 +154,7 @@ class NatLine(MetricSpace):
         return [(i,) for i in range(lo, hi + 1)]
 
 
-class IntLine(MetricSpace):
+class IntLine(LineSpace):
     """All integers with |x - y|."""
 
     name = "IntLine"
@@ -157,9 +163,6 @@ class IntLine(MetricSpace):
     def contains(self, p):
         return isinstance(p, tuple) and len(p) == 1 and isinstance(p[0], int)
 
-    def _dist(self, x, y):
-        return abs(x[0] - y[0])
-
     def points_within(self, center, radius):
         c = center[0]
         lo = math.ceil(c - radius)
@@ -167,7 +170,7 @@ class IntLine(MetricSpace):
         return [(i,) for i in range(lo, hi + 1)]
 
 
-class GeomLine(MetricSpace):
+class GeomLine(LineSpace):
     """{2^n : n >= 1} with |x - y|.  Windows are small even at huge radii."""
 
     name = "GeomLine"
@@ -178,9 +181,6 @@ class GeomLine(MetricSpace):
             return False
         v = p[0]
         return v >= 2 and (v & (v - 1)) == 0
-
-    def _dist(self, x, y):
-        return abs(x[0] - y[0])
 
     def points_within(self, center, radius):
         c = center[0]

@@ -11,6 +11,7 @@ import pytest
 
 from coarsedouble import space as space_module
 from coarsedouble.space import space_by_name
+from coarsedouble.verdicts import Status, Verdict, revalidate, witness_from_json
 
 
 def brute_window_nat(base, radius):
@@ -118,3 +119,25 @@ def counted(monkeypatch):
         return calls
 
     return install
+
+
+def certified_verdict_docs(doc):
+    """Every certified verdict document inside a JSON report."""
+    if isinstance(doc, dict):
+        if doc.get("status") == Status.CERTIFIED.value and "check" in doc:
+            yield doc
+        for v in doc.values():
+            yield from certified_verdict_docs(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from certified_verdict_docs(v)
+
+
+def assert_revalidates(doc):
+    """Each certified verdict in a JSON report, rebuilt from its JSON alone,
+    passes ``revalidate``."""
+    for v in certified_verdict_docs(doc):
+        back = Verdict(Status.CERTIFIED, v["claim"], witness=witness_from_json(v["witness"]),
+                       diagnostics={"series": v["diagnostics"]["series"]},
+                       check_kind=v["check"])
+        assert revalidate(back), v

@@ -1,11 +1,18 @@
+import csv
+import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
+from coarsedouble import measure, scenarios
 from coarsedouble.cli import main
 from coarsedouble.reporting import canonical_reload, report_to_csv
 from coarsedouble.scenarios import run_scenario
-from coarsedouble.verdicts import Status, Verdict, revalidate, witness_from_json
+from coarsedouble.serialize import parse_levels
+from coarsedouble.space import space_by_name
+from conftest import assert_revalidates
 
 
 def run_cli(capsys, *argv):
@@ -216,13 +223,7 @@ def test_tau_value_zero_witness_is_monotone(capsys, space, levels):
     code, out = run_cli(capsys, "tau", "--space", space, "--levels", levels,
                         "--radius", "64", "--filter-base", "2")
     assert code in (0, 3)
-    v = json.loads(out)["results"]["verdict"]
-    if v["status"] == Status.CERTIFIED.value:
-        back = Verdict(Status.CERTIFIED, v["claim"],
-                       witness=witness_from_json(v["witness"]),
-                       diagnostics={"series": v["diagnostics"]["series"]},
-                       check_kind=v["check"])
-        assert revalidate(back)
+    assert_revalidates(json.loads(out))
 
 
 def test_scenario_command_and_csv(capsys):
@@ -248,3 +249,162 @@ def test_diff_against_reports_drift():
     out = diff_against(expected, {"a": 2, "b": True})
     assert out == [{"key": "a", "expected": 1, "actual": 2},
                    {"key": "c", "expected": "x", "actual": None}]
+
+
+@pytest.mark.parametrize("argv", [
+    # (1, 2) is one point, and not a NatLine point
+    ["measure", "nu-hat", "--space", "NatLine", "--levels", "subset:points:1,2"],
+    ["measure", "nu-hat", "--space", "NatLine", "--levels", "unit,zero"],
+    ["measure", "laws", "--space", "NatLine", "--levels", "unit"],
+    ["measure", "laws", "--space", "NatLine", "--levels", "unit,zero,subset:evens"],
+    ["measure", "laws", "--space", "NatLine", "--levels", "2,unit"],
+], ids=["point-off-NatLine", "nu-hat-two-specs", "laws-one-spec", "laws-three-specs",
+        "laws-not-a-spec"])
+def test_spec_list_usage_errors(capsys, argv):
+    code = main(argv)
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_spec_lists_split_by_the_grammar(capsys):
+    # the separators of a spec list also separate the coordinates of a
+    # TwoTails point and the points of a point list inside one spec
+    twotails, natline = space_by_name("TwoTails"), space_by_name("NatLine")
+    mu = measure.DensityMeasure.natural(twotails)
+    schedule = measure.default_schedule()
+    code, out = run_cli(capsys, "measure", "nu-hat", "--space", "TwoTails",
+                        "--levels", "subset:points:4,2;9,1")
+    assert code == 0
+    want = measure.nu_hat(mu, parse_levels(twotails, "subset:points:4,2;9,1"), 8, schedule)
+    assert json.loads(out)["results"]["nu_hat"] == json.loads(json.dumps(want.to_json()))
+    code, out = run_cli(capsys, "measure", "laws", "--space", "TwoTails",
+                        "--levels", "zero:4,2,subset:tailplus")
+    assert code == 0
+    want = measure.check_modularity(mu, parse_levels(twotails, "zero:4,2"),
+                                    parse_levels(twotails, "subset:tailplus"), 8, schedule)
+    assert json.loads(out)["results"]["modularity"] == want
+    code, out = run_cli(capsys, "algebra", "atoms", "--space", "NatLine", "--generators",
+                        "subset:points:1;5;subset:evens", "--radius", "16")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["generators"] == [
+        parse_levels(natline, s).name for s in ("subset:points:1;5", "subset:evens")]
+    assert len(doc["results"]["atoms"]) == 4
+    assert_revalidates(doc)
+
+
+def test_product_command(capsys):
+    # point o point at 0: min over y of (x + 1 + y) + (y + 1 + z) is x + 2 + z
+    for x, z in [(2, 3), (0, 0), (7, 1)]:
+        code, out = run_cli(capsys, "product", "--space", "NatLine", "--left", "zero:0",
+                            "--right", "zero:0", "--x", str(x), "--y", str(z),
+                            "--radius", "16")
+        assert code == 0
+        doc = json.loads(out)["results"]
+        assert doc["evaluation"]["value"] == x + 2 + z
+        assert doc["evaluation"]["witness"] == [0]
+        assert doc["kernel"]["kind"] == "compose"
+
+
+@pytest.mark.parametrize("command, combine", [("meet", max), ("join", min)])
+def test_meet_and_join_commands(capsys, command, combine):
+    # levels of a subset are max(1, ceil(2 d(x, A))); meet takes the larger
+    # level and join the smaller
+    def level(dist):
+        return max(1, math.ceil(2 * dist))
+
+    code, out = run_cli(capsys, command, "--space", "NatLine", "--left", "subset:evens",
+                        "--right", "subset:squares", "--radius", "20")
+    assert code == 0
+    got = json.loads(out)["results"]["levels"]["levels"]
+    squares = [k * k for k in range(6)]
+    want = [[[x], combine(level(x % 2), level(min(abs(x - s) for s in squares)))]
+            for x in range(21)]
+    assert got == want
+
+
+def test_algebra_homs_command(capsys):
+    # {4^k} and {2*4^k} are unbounded and lie ever farther apart, so their
+    # meet is zero and each two-valued hom sends exactly one of them to 1
+    gens = "subset:powers:4;subset:powers:4:2"
+    code, out = run_cli(capsys, "algebra", "homs", "--space", "NatLine",
+                        "--generators", gens, "--radius", "64")
+    assert code == 0
+    doc = json.loads(out)["results"]
+    names = doc["generators"]
+    assert sorted(tuple(h["assignment"][n] for n in names) for h in doc["homs"]) == \
+        [(0, 1), (1, 0)]
+    assert all(h["check"]["passed"] and not h["check"]["violations"] for h in doc["homs"])
+    code, out = run_cli(capsys, "algebra", "atoms", "--space", "NatLine",
+                        "--generators", gens, "--radius", "64")
+    assert_revalidates(json.loads(out))
+
+
+def _symmetric_difference_density(r):
+    # NatLine ball of radius r about 0: 0..r, counting measure
+    hits = sum(1 for x in range(r + 1) if (x % 2 == 0) != (x % 3 == 0))
+    return Fraction(hits, r + 1)
+
+
+def _rational(v):
+    return Fraction(v) if isinstance(v, str) else v
+
+
+def test_measure_nu_bar_command(capsys):
+    # with n_max 1 the sum of two subset projections measures the density of
+    # the symmetric difference of their first sublevels, the sets themselves
+    code, out = run_cli(capsys, "measure", "nu-bar", "--space", "NatLine", "--levels",
+                        "subset:evens,subset:multiples:3", "--n-max", "1",
+                        "--schedule-base", "4")
+    assert code == 0
+    doc = json.loads(out)["results"]["nu_bar"]
+    want = [(r, _symmetric_difference_density(r)) for r in measure.default_schedule(4)]
+    assert [(n, _rational(v)) for n, v in doc["series"]] == want
+
+
+def test_measure_laws_command(capsys):
+    # counting measures satisfy |A meet B| + |A join B| = |A| + |B| exactly,
+    # and no sublevel of evens or of the multiples of 3 is bounded
+    code, out = run_cli(capsys, "measure", "laws", "--space", "NatLine", "--levels",
+                        "subset:evens,subset:multiples:3", "--n-max", "2",
+                        "--schedule-base", "4")
+    assert code == 0
+    assert json.loads(out)["results"]["modularity"] == {
+        "raw_exact_per_radius": True, "adjusted_within_slack": True, "slack": 0,
+        "worst_gap": 0, "m2_complement_exact": True, "passed": True}
+
+
+def test_csv_and_out_flags(capsys, tmp_path):
+    argv = ["measure", "nu-bar", "--space", "NatLine", "--levels",
+            "subset:evens,subset:multiples:3", "--n-max", "1", "--schedule-base", "4"]
+    code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)["results"]["nu_bar"]
+    path = tmp_path / "report.csv"
+    code, text = run_cli(capsys, "--csv", "--out", str(path), *argv)
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == text
+    rows = list(csv.reader(io.StringIO(text)))
+    # series in sorted key order: nu_bar/interval/series, then nu_bar/series
+    want = [["series", "n", "value"]] + [
+        [name, str(n), str(v)]
+        for name, series in (("results/nu_bar/interval", doc["interval"]["series"]),
+                             ("results/nu_bar", doc["series"]))
+        for n, v in series]
+    assert rows == want
+    path = tmp_path / "report.json"
+    code, text = run_cli(capsys, "--out", str(path), *argv)
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_scenario_drift_exits_1(capsys, monkeypatch):
+    tables = scenarios.expected_tables()
+    tables["typeI"] = dict(tables["typeI"], product="type-I")
+    monkeypatch.setattr(scenarios, "expected_tables", lambda: tables)
+    code, out = run_cli(capsys, "scenario", "run", "typeI")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert doc["mismatches"] == [{"key": "product", "expected": "type-I",
+                                  "actual": "type-II-evidence"}]
+    assert_revalidates(doc)

@@ -11,9 +11,10 @@ from coarsedouble import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                           compose, const_delta, dist_to_copy, evaluate,
                           evaluate_exact, levels_from_subset, metric_from_levels,
                           space_by_name, subset_metric, zero_levels)
+from coarsedouble import double
 from coarsedouble.double import (DeltaFunction, _distance_matrix, _exact_array,
                                  _line_delta_min, _min_plus)
-from coarsedouble.errors import DomainError
+from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.space import (CustomSpace, NatLine, PointSet, PredicateSpace,
                                 Window, set_family, window_points)
 from coarsedouble.serialize import parse_set
@@ -124,6 +125,72 @@ def test_compose_inexact_sub_evaluation(natline):
     ev = evaluate(compose(z, m0), (1,), (2,), w)
     assert ev.value == 5 and ev.witness == (0,)
     assert not ev.exact and ev.required_radius is None
+
+
+@pytest.mark.parametrize("order", ["subset-delta", "delta-subset"])
+def test_noncoercive_composition_scans_the_window(natline, order):
+    # with no coercive bound the midpoint y ranges over the window and the
+    # probes x and z: the minimum of d(x, y') + rho(y, z'), ties to the
+    # smaller y, never certified
+    w = Window(12)
+    pts = window_points(natline, w)
+    A = set_family("squares")
+    delta = metric_from_levels(levels_from_subset(natline, set_family("powers", base=2)))
+    c = (compose(subset_metric(natline, A), delta) if order == "subset-delta"
+         else compose(delta, subset_metric(natline, A)))
+    squares = [k * k for k in range(40)]
+
+    def b_A(x, y):
+        return min(abs(x[0] - s) for s in squares) + 1 + min(abs(y[0] - s) for s in squares)
+
+    def d_delta(x, y):
+        return brute_delta_cross(natline, delta.delta, x, y, pts)
+
+    first, second = (b_A, d_delta) if order == "subset-delta" else (d_delta, b_A)
+    for x in [(0,), (5,), (12,), (30,)]:
+        for z in [(2,), (7,), (12,), (50,)]:
+            mids = sorted(set(pts) | {x, z})
+            want = min((first(x, y) + second(y, z), y) for y in mids)
+            ev = evaluate(c, x, z, w)
+            assert (ev.value, ev.witness, ev.exact, ev.required_radius) == \
+                (*want, False, None), (x, z)
+
+
+def _record_windows(d, monkeypatch):
+    """(radius, required_radius) of every evaluation of d.cross."""
+    seen, cross = [], d.cross
+
+    def recording(x, y, window):
+        ev = cross(x, y, window)
+        seen.append((window.radius, ev.required_radius))
+        return ev
+
+    monkeypatch.setattr(d, "cross", recording)
+    return seen
+
+
+def test_escalation_of_a_noncoercive_kernel_names_its_one_window(natline, monkeypatch):
+    # no coercive bound: one window is evaluated, and the error names it
+    d = compose(subset_metric(natline, set_family("squares")),
+                metric_from_levels(levels_from_subset(natline, set_family("evens"))))
+    seen = _record_windows(d, monkeypatch)
+    with pytest.raises(SearchInconclusive) as err:
+        evaluate_exact(d, (3,), (5,))
+    assert seen == [(8, None)]
+    assert (err.value.window_radius, err.value.required_radius) == seen[-1]
+
+
+def test_escalation_out_of_budget_names_the_last_window(natline, monkeypatch):
+    # a coercive kernel whose sub-evaluations stay inexact: with a budget of
+    # two windows the error names the second, not the radius after it
+    monkeypatch.setattr(double, "_MAX_DOUBLINGS", 2)
+    m0 = metric_from_levels(zero_levels(natline))
+    d = compose(m0, m0)
+    seen = _record_windows(d, monkeypatch)
+    with pytest.raises(SearchInconclusive) as err:
+        evaluate_exact(d, (7,), (9,))
+    assert len(seen) == 2 and seen[1][0] > seen[0][0] == 9
+    assert (err.value.window_radius, err.value.required_radius) == seen[-1]
 
 
 def test_compose_adjoint_law(natline):

@@ -13,7 +13,11 @@ Points are checked against their space in one place: an ``if not
 referenced somewhere in the package besides its definition, and every name
 ``__init__.py`` exports is referenced in the package or the tests besides
 its definition and the export line.  The benchmark's tracer
-(``bench/tracing.py``) finds every method and function it wraps.
+(``bench/tracing.py``) finds every method and function it wraps.  Each kernel
+kind states ``coercive_c``, ``eps`` and ``symmetric`` once, as data, and
+``DoubleMetric`` derives the bound and the adjoint from them: only the kinds
+with a stronger bound or their own adjoint rule override those, and
+``double.py`` names no concrete space class.
 """
 
 import ast
@@ -21,6 +25,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from coarsedouble import space as space_module
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coarsedouble"
@@ -240,3 +246,39 @@ def test_every_export_is_used():
     assert len(exported) >= 50
     unused = [name for name in exported if name not in used]
     assert not unused, "exports nothing references: " + ", ".join(unused)
+
+
+def _double_classes():
+    tree = ast.parse((SRC / "double.py").read_text(encoding="utf-8"))
+    return [node for node in tree.body if isinstance(node, ast.ClassDef)]
+
+
+def _defining(method):
+    return sorted(cls.name for cls in _double_classes()
+                  if any(isinstance(node, ast.FunctionDef) and node.name == method
+                         for node in cls.body))
+
+
+def test_kernel_facts_are_stated_once():
+    assert _defining("lower_bound_matrix") == sorted(
+        ["DoubleMetric", "PointMetric", "AdjointMetric", "MaxMetric"])
+    assert _defining("adjoint") == sorted(
+        ["DoubleMetric", "AdjointMetric", "MaxMetric", "ComposedMetric"])
+    properties = [f"{cls.name}.{node.name}" for cls in _double_classes()
+                  for node in cls.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in ("coercive_c", "eps", "symmetric")]
+    assert not properties, f"facts stated as properties: {properties}"
+
+
+def test_double_imports_no_concrete_space():
+    tree = ast.parse((SRC / "double.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "space"
+             for alias in node.names]
+    assert "LineSpace" in names
+    concrete = [name for name in names
+                if isinstance(getattr(space_module, name), type)
+                and issubclass(getattr(space_module, name), space_module.MetricSpace)
+                and name not in ("MetricSpace", "LineSpace")]
+    assert not concrete, f"double.py imports concrete spaces: {concrete}"

@@ -236,6 +236,36 @@ def test_classify_type_reads_its_window_once(natline, counted, spec, n_cores):
     assert len(core_searches) == len(set(core_searches)) == 257 * n_cores
 
 
+@pytest.mark.parametrize("radii", [[2, 8, 40], [4, 16, 100], [1, 4, 64]])
+def test_classify_type_with_hand_radii_enumerates_once(natline, counted, radii):
+    # the sweep and the k table's window come from one enumeration, the larger
+    # of the two balls
+    e = expression_levels(natline, "log2")
+    windows = counted("window_points")
+    v = classify_type(e, Window(64), radii=radii)
+    assert len(windows) == 1
+    assert windows[0][1].radius == max(radii[-1], 64)
+    assert revalidate(v)
+
+
+def test_classify_type_bad_radii_name_the_given_radii(natline):
+    for radii in ([16, 8, 4], [-4, 8, 16], [8, 8]):
+        with pytest.raises(DomainError, match=str(radii).replace("[", r"\[")
+                           .replace("]", r"\]")):
+            classify_type(expression_levels(natline, "log2"), Window(64), radii=radii)
+
+
+def test_projection_criterion_of_a_separable_composition_is_window_limited(natline):
+    # b_A o b_A with A the evens: d(x, x') = 2 d(x, A) + 2 + min_y 2 d(y, A) and
+    # d(x, X') = d(x, A) + 2, but a window scan certifies neither
+    bA = subset_metric(natline, set_family("evens"))
+    v = projection_criterion(compose(bA, bA), Window(8))
+    assert not v.certified
+    assert v.diagnostics["reason"] == "window-limited evaluation"
+    assert v.diagnostics["exact"] is False
+    assert v.diagnostics["points"] == [[[x], 2 * (x % 2) + 2, x % 2 + 2] for x in range(9)]
+
+
 def test_comparison_lemma(natline):
     # if b_B dominates d_A pointwise on the window then B sits in a sublevel
     e = levels_from_subset(natline, set_family("evens"))
