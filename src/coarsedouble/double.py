@@ -731,9 +731,11 @@ def _min_plus(a, b=None):
 
     k runs one at a time, so each step costs one len(a) x len(b[0]) sum and
     one np.minimum into buffers kept across steps, whatever the dtypes;
-    mixing int64 with object gives object, which stays exact.  Delta
-    kernels on the line spaces do not come here (see ``_line_delta_min``);
-    the two n^3 triangle products of ``check_axioms`` do.
+    mixing int64 with object gives object, which stays exact.  On the line
+    spaces delta kernels do not come here (see ``_line_delta_min``), and a
+    triangle check does only with the columns that fail its column test
+    (see ``_triangle_minima``); elsewhere the two n^3 triangle products of
+    ``check_axioms`` do, and set its cost.
     """
     # rows of b are read once per step, so they are made contiguous once
     b = np.ascontiguousarray(a.T if b is None else b)
@@ -765,12 +767,14 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
 
     Everything is an exact array over the n window points: d_X, the cross
     matrix as ``cross_matrix`` returns it, the kernel's bound
-    (``lower_bound_matrix``) and the two n^3 min-plus triangle products,
-    which set the cost.  On the line spaces d_X comes from the coordinates
-    and a delta kernel's cross matrix from the distance-transform sweep, so
-    nothing runs once per cell in Python and memory stays O(n^2) plus the
-    universe; the space type picks that path.  Certification (``exact``) is
-    the cross matrix's, unchanged.
+    (``lower_bound_matrix``) and the two triangle minima
+    (``_triangle_minima``).  Elsewhere those minima are n^3 min-plus
+    products, which set the cost.  On the line spaces d_X comes from the
+    coordinates, a delta kernel's cross matrix from the distance-transform
+    sweep and both triangle checks from O(n^2) array expressions, so nothing
+    runs once per cell in Python, a passing kernel makes no n^3 product and
+    memory stays O(n^2) plus the universe; the space type picks that path.
+    Certification (``exact``) is the cross matrix's, unchanged.
     """
     pts = window_points(d.space, window)
     n = len(pts)
@@ -802,19 +806,65 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
                 "bound": rational_to_json(lb.item(i, j))}
     checks["lower_bound"] = {"passed": viol is None, "violation": viol}
 
+    base_mins, cross_mins = _triangle_minima(d.space, pts, bmat, dmat)
     # d_X(x1,x2) <= d(x1,y') + d(x2,y') for every y
     checks["triangle_base_vs_cross"] = _triangle(
-        pts, bmat, _min_plus(dmat), lambda i, j, k: dmat.item(i, k) + dmat.item(j, k),
+        pts, bmat, base_mins, lambda i, j, k: dmat.item(i, k) + dmat.item(j, k),
         ("x1", "x2", "y"))
     # d(x1,y') <= d_X(x1,x2) + d(x2,y') for every x2
     checks["triangle_cross_vs_base"] = _triangle(
-        pts, dmat, _min_plus(bmat, dmat), lambda i, j, k: bmat.item(i, k) + dmat.item(k, j),
+        pts, dmat, cross_mins, lambda i, j, k: bmat.item(i, k) + dmat.item(k, j),
         ("x1", "y", "x2"))
     return AxiomReport(d, window, n, exact, checks)
 
 
+def _triangle_minima(space: MetricSpace, pts: list, bmat, dmat):
+    """The arrays the two triangle checks compare bmat and dmat against.
+    Each is below its left side at exactly the cells where the true minimum
+    is: min over k of dmat[i, k] + dmat[j, k] for bmat, and min over k of
+    bmat[i, k] + dmat[k, j] for dmat.
+
+    Elsewhere these are the two min-plus products.  On the line spaces, with
+    c the coordinates in increasing order, as ``window_points`` lists them,
+    the second is the distance transform ``_line_transform``, the same array.
+    The first is the product over only the columns ``_line_failing_columns``
+    names: a column outside them holds no violation, so the restricted
+    product is below bmat at the same cells, and ``_triangle``, whose k scan
+    reads dmat, names the same first y.  With no failing column, bmat itself
+    stands in, and the check passes with no product.
+    """
+    if not isinstance(space, LineSpace):
+        return _min_plus(dmat), _min_plus(bmat, dmat)
+    c = _coordinates(pts)
+    cols = _line_failing_columns(c, dmat)
+    base_mins = _min_plus(dmat[:, cols], dmat[:, cols].T) if len(cols) else bmat
+    return base_mins, _line_transform(c, dmat)
+
+
+def _line_transform(c, g):
+    """min over k of |c_i - c_k| + g[k, j], for coordinates c in increasing
+    order: a distance transform down each column of g, as a prefix minimum
+    over k <= i and a suffix minimum over k >= i.  Equal to
+    ``_min_plus(abs(c[:, None] - c), g)``, cell for cell and in dtype; with
+    entries typed by ``_exact_array``, every intermediate stays below 2**62.
+    """
+    below = np.minimum.accumulate(g - c[:, None], axis=0) + c[:, None]
+    above = np.minimum.accumulate((g + c[:, None])[::-1], axis=0)[::-1] - c[:, None]
+    return np.minimum(below, above)
+
+
+def _line_failing_columns(c, g):
+    """The columns k where |c_i - c_j| <= g[i, k] + g[j, k] fails for some
+    i, j, as an index array.  Since |c_i - c_j| is the larger of c_i - c_j
+    and c_j - c_i, column k passes exactly when min over i of g[i, k] - c_i
+    plus min over j of g[j, k] + c_j is at least 0: one O(n^2) test in
+    place of the n^3 product ``_min_plus(g)``."""
+    return np.flatnonzero(np.min(g - c[:, None], axis=0) + np.min(g + c[:, None], axis=0) < 0)
+
+
 def _triangle(pts, lhs, mins, rhs, names):
-    """Check lhs[i, j] <= mins[i, j], the minimum over k of rhs(i, j, k).
+    """Check lhs[i, j] <= mins[i, j], where mins is below lhs at exactly the
+    cells where the minimum over k of rhs(i, j, k) is.
 
     A failure reports the first violating (i, j, k) in that order, naming
     pts[i], pts[j], pts[k] by names.

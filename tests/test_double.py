@@ -13,7 +13,8 @@ from coarsedouble import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                           space_by_name, subset_metric, zero_levels)
 from coarsedouble import double
 from coarsedouble.double import (DeltaFunction, _distance_matrix, _exact_array,
-                                 _line_delta_min, _min_plus)
+                                 _line_delta_min, _line_failing_columns,
+                                 _line_transform, _min_plus)
 from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.space import (CustomSpace, NatLine, PointSet, PredicateSpace,
                                 Window, set_family, window_points)
@@ -528,9 +529,23 @@ def test_line_delta_batch_beyond_int64_guard(intline, geomline):
         assert rep.to_json() == check_axioms(_on(generic, d), w).to_json()
 
 
+def _count_min_plus(monkeypatch):
+    """The (a, b) shapes of every _min_plus call from now on."""
+    shapes = []
+    min_plus = double._min_plus
+
+    def counted(a, b=None):
+        shapes.append((a.shape, None if b is None else b.shape))
+        return min_plus(a, b)
+
+    monkeypatch.setattr(double, "_min_plus", counted)
+    return shapes
+
+
 def test_check_axioms_on_a_line_makes_no_per_cell_calls(natline, monkeypatch):
     # a 251-point window has 63,001 cells; distances come from coordinate
-    # arrays, so the distance method does not run once per cell
+    # arrays, so the distance method does not run once per cell, and a
+    # passing delta kernel makes no min-plus product
     calls = []
     dist = NatLine._dist
 
@@ -539,10 +554,12 @@ def test_check_axioms_on_a_line_makes_no_per_cell_calls(natline, monkeypatch):
         return dist(*args)
 
     monkeypatch.setattr(NatLine, "_dist", counted)
+    shapes = _count_min_plus(monkeypatch)
     d = metric_from_levels(levels_from_subset(natline, set_family("evens")))
     rep = check_axioms(d, Window(250))
     assert rep.n_points == 251 and rep.passed and rep.exact
     assert len(calls) <= 4 * 251, len(calls)
+    assert shapes == []
 
 
 @pytest.mark.parametrize("kind", ["int", "frac"])
@@ -572,6 +589,79 @@ def test_line_batch_certifies_by_the_row_rule(natline):
         got = _listed(d, pts, w)
         assert got[1] is exact
         assert got == _listed(_on(_generic_copy(natline), d), pts, w)
+
+
+# -- the line path of the triangle checks against the generic path ----------
+
+
+def _triangle_failures(pts, one):
+    """Closed-form bodies on a line window, each failing one triangle check
+    and only at y = pts[len(pts) // 2], never the first window point.  one
+    is the kernel's offset, 1 or a Fraction."""
+    y0, x0 = pts[len(pts) // 2], pts[1]
+    return {
+        # column y0 is flat, so d_X(x1,x2) > d(x1,y0') + d(x2,y0') for far x1, x2
+        "triangle_base_vs_cross": lambda x, y: one if y == y0 else abs(x[0] - y[0]) + one,
+        # d(x0,y0') exceeds d_X(x0,y0) + d(y0,y0')
+        "triangle_cross_vs_base": lambda x, y: abs(x[0] - y[0]) + one + 10 * (
+            x == x0 and y == y0),
+    }
+
+
+@pytest.mark.parametrize("one", [1, Fraction(3, 2)], ids=["int", "fraction"])
+@pytest.mark.parametrize("space_name", sorted(_LINE_CASES))
+def test_line_triangle_failures_match_generic_path(space_name, one, request):
+    space = request.getfixturevalue(space_name.lower())
+    generic = _generic_copy(space)
+    w = _LINE_CASES[space_name][0][-1]
+    pts = window_points(space, w)
+    for check, fn in _triangle_failures(pts, one).items():
+        for symmetric in (False, True):
+            line = ClosedFormMetric(space, fn, check, symmetric=symmetric)
+            rep = check_axioms(line, w)
+            assert rep.to_json() == check_axioms(
+                ClosedFormMetric(generic, fn, check, symmetric=symmetric), w).to_json()
+            failed = [name for name, c in rep.checks.items() if not c["passed"]]
+            assert failed == [check], failed
+            assert rep.checks[check]["violation"]["y"] == list(pts[len(pts) // 2])
+
+
+def test_failing_line_kernel_hands_min_plus_its_failing_columns(natline, monkeypatch):
+    # the flat kernel fails the column test at one column only
+    shapes = _count_min_plus(monkeypatch)
+    w = Window(30)
+    flat = _triangle_failures(window_points(natline, w), 1)["triangle_base_vs_cross"]
+    rep = check_axioms(ClosedFormMetric(natline, flat, "flat"), w)
+    assert not rep.checks["triangle_base_vs_cross"]["passed"]
+    assert shapes == [((31, 1), (1, 31))]
+
+
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_line_triangle_forms_match_min_plus(kind):
+    # c in increasing order with repeats; g near a line kernel with some
+    # cells pushed down, so that columns both pass and fail
+    rng = random.Random(f"triangle:{kind}")
+    cell = ((lambda: rng.randint(0, 2)) if kind == "int"
+            else (lambda: Fraction(rng.randint(0, 6), rng.randint(1, 3))))
+    outcomes = set()
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        c = sorted(rng.randint(-12, 12) for _ in range(n))
+        g = [[abs(x - y) + cell() for y in c] for x in c]
+        for _ in range(rng.randint(0, 3)):
+            g[rng.randrange(n)][rng.randrange(n)] -= rng.randint(0, 6)
+        ca, ga = _exact_array(c), _exact_array(g)
+        assert ga.dtype == (np.int64 if kind == "int" else object)
+        bmat = abs(ca[:, None] - ca[None, :])
+        want = [k for k in range(n)
+                if any(bmat[i, j] > g[i][k] + g[j][k] for i in range(n) for j in range(n))]
+        cols = _line_failing_columns(ca, ga)
+        assert cols.tolist() == want, (c, g)
+        assert (len(cols) == 0) == bool(np.all(bmat <= _min_plus(ga)))
+        outcomes.add(len(cols) == 0)
+        got, ref = _line_transform(ca, ga), _min_plus(bmat, ga)
+        assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), (c, g)
+    assert outcomes == {True, False}
 
 
 # -- the batch contract of every kernel kind ---------------------------------
