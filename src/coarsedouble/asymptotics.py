@@ -53,7 +53,7 @@ def _check_radii(radii: Sequence[Rational]) -> None:
     """DomainError naming the radii unless they are nonnegative and strictly
     increasing."""
     if not radii or radii[0] < 0 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise DomainError(f"sweep radii must be nonnegative and strictly increasing, "
+        raise DomainError(f"radii must be nonnegative and strictly increasing, "
                           f"got {[rational_to_json(r) for r in radii]}")
 
 

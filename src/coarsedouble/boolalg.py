@@ -225,6 +225,8 @@ class FilterBase:
     surrogate for a free ultrafilter containing all F_k."""
 
     def __init__(self, name: str, member_set: Callable[[int], PointSet], depth: int = 8):
+        if depth < 1:
+            raise DomainError(f"a filter base has depth at least 1, not {depth}")
         self.name = name
         self.member_set = member_set
         self.depth = depth

@@ -26,6 +26,15 @@ from .space import (Window, builtin_spaces, space_by_name, space_from_json,
 from .verdicts import Status
 
 
+def _read_json(path: str):
+    """The JSON document in the file at path; DomainError if there is none."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read a JSON document from {path}: {exc}") from None
+
+
 def _window(args) -> Window:
     base = parse_ints(args.base) if getattr(args, "base", None) else None
     return Window(args.radius, base)
@@ -165,8 +174,7 @@ def _dispatch(args) -> RunReport:
             return RunReport("space list",
                              {"spaces": sorted(builtin_spaces())})
         if args.space_file:
-            with open(args.space_file, "r", encoding="utf-8") as fh:
-                space = space_from_json(json.load(fh))
+            space = space_from_json(_read_json(args.space_file))
         elif args.space:
             space = space_by_name(args.space)
         else:
@@ -294,11 +302,12 @@ def _dispatch(args) -> RunReport:
         return run_scenario(args.name)
 
     if args.command == "report":
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        doc = _read_json(args.infile)
+        if not isinstance(doc, dict):
+            raise DomainError(f"{args.infile} holds no report object")
         if args.format == "csv":
-            return RunReport("report csv", {"csv": report_to_csv(json.loads(text))})
-        return RunReport("report json", {"canonical": canonical_reload(text)})
+            return RunReport("report csv", {"csv": report_to_csv(doc)})
+        return RunReport("report json", {"canonical": canonical_reload(doc)})
 
     raise DomainError(f"unhandled command {args.command}")
 
@@ -308,16 +317,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _dispatch(args)
+        report.meta.setdefault("version", __version__)
+        doc = report.to_json()
+        text = report_to_csv(doc) if args.csv else pretty_dumps(doc) + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise DomainError(f"cannot write {args.out}: {exc}") from None
     except (DomainError, SearchInconclusive) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3 if isinstance(exc, SearchInconclusive) else 2
-    report.meta.setdefault("version", __version__)
-    doc = report.to_json()
-    text = report_to_csv(doc) if args.csv else pretty_dumps(doc) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     if not report.passed:
         return 1
     inexact = report.results.get("evaluation", {}).get("exact") is False

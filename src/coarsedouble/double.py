@@ -104,18 +104,12 @@ class DoubleMetric:
 
     def dist_to_copy(self, x: Point, window: Window) -> Evaluation:
         """inf over y of d(x, y'), certified through the lower bound."""
-        probe = self.cross(x, x, window)
-        c = self.coercive_c
 
-        def term(y):
-            if y == x:
-                return None  # the probe
+        def term(y, _):
             ev = self.cross(x, y, window)
             return ev.value, ev.exact
 
-        return _certified_min(self.space, x, window,
-                              Evaluation(probe.value, probe.exact, witness=x),
-                              None if c is None else probe.value - c, term)
+        return _certified_min(self.space, x, None, window, self.coercive_c, term)
 
     def to_json(self):
         raise NotImplementedError
@@ -164,41 +158,57 @@ def _certified(dxb: Rational, r_cand: Rational, radius: Rational) -> bool:
     return dxb + r_cand <= radius
 
 
-def _certified_min(space: MetricSpace, x: Point, window: Window, probe: Evaluation,
-                   r_cand: Optional[Rational],
-                   term: Callable[[Point], Optional[tuple]]) -> Evaluation:
-    """The single-pair search: improve the probe over candidate points u.
+def _certified_min(space: MetricSpace, x: Point, z: Optional[Point], window: Window,
+                   c: Optional[Rational],
+                   term: Callable[[Point, Rational], tuple]) -> Evaluation:
+    """The single-pair search: the minimum over midpoints u of a kernel's
+    infimum, certified by the kind's coercive constant c.
 
-    term(u) is (value, exact) for a candidate, or None when u cannot beat
-    the probe.  With r_cand (never negative: a probe value is at least its
-    kernel's c) the candidates are the points of ball(x, r_cand) in the
-    window; the minimum is exact when the ball passes the certificate rule
-    and every sub-evaluation is exact, and otherwise required_radius is the
-    window radius that would hold the ball.  With
-    r_cand None (no coercive bound) the whole window is scanned and nothing
-    is certified.  Ties go to the smaller point.  x is not checked here:
-    callers check it where it enters.  Candidates come from the
+    term(u, s) is (value, exact) for the midpoint u, with s = d_X(x, u) +
+    d_X(u, z), or d_X(x, u) when z is None; a kind with constant c promises
+    value >= s + c.  The probes u = x and u = z (only x when z is None) are
+    evaluated first, inside the window or not, and their minimum best sets
+    the candidate radius r_cand = best - c (never negative, since best >= c).
+    Every other candidate is a point of ball(x, r_cand) in the window, and
+    one with s > r_cand cannot beat best, so it is skipped unevaluated.  The
+    minimum is exact when the ball passes the certificate rule and every
+    evaluated term is exact; otherwise required_radius is the window radius
+    that would hold the ball.  With c None (no coercive bound) every window
+    point is a candidate, none is pruned and nothing is certified.  Ties go
+    to the smaller point, probes included.  x and z are not checked here:
+    callers check them where they enter.  Candidates come from the
     enumerations, so they are members too, and all distances use ``_dist``.
     """
+    dist = space._dist
+    best = arg = None
+    exact = True
+    for u in (x,) if z is None or z == x else (x, z):
+        v, e = term(u, dist(x, u) if z is None else dist(x, u) + dist(u, z))
+        exact = exact and e
+        if best is None or v < best or (v == best and u < arg):
+            best, arg = v, u
     base = window.resolve_base(space)
-    dxb = space._dist(x, base)
-    best, arg, exact = probe.value, probe.witness, probe.exact
-    if r_cand is None:
-        cand, complete = window_points(space, window), False
+    dxb = dist(x, base)
+    if c is None:
+        r_cand, complete = None, False
+        cand = window_points(space, window)
     else:
+        r_cand = best - c
         complete = _certified(dxb, r_cand, window.radius)
         try:
             cand = space.points_within(x, r_cand)
         except IncompleteEnumeration:
-            cand = [p for p in window_points(space, window) if space._dist(x, p) <= r_cand]
+            cand = [p for p in window_points(space, window) if dist(x, p) <= r_cand]
         else:
             if not complete:
-                cand = [p for p in cand if space._dist(p, base) <= window.radius]
+                cand = [p for p in cand if dist(p, base) <= window.radius]
     for u in cand:
-        t = term(u)
-        if t is None:
+        if u == x or u == z:
             continue
-        v, e = t
+        s = dist(x, u) if z is None else dist(x, u) + dist(u, z)
+        if r_cand is not None and s > r_cand:
+            continue
+        v, e = term(u, s)
         exact = exact and e
         if v < best or (v == best and u < arg):
             best, arg = v, u
@@ -219,27 +229,17 @@ class DeltaMetric(DoubleMetric):
             raise DomainError("delta defined on a different space")
         self.delta = delta
 
+    def _term(self, u, s):
+        return s + self.delta(u), True
+
     def cross(self, x, y, window):
-        space, delta = self.space, self.delta
-        v0 = space.distance(x, y) + min(delta(x), delta(y))
-        r_cand = v0 - 1
-
-        def term(u):
-            du, duy = space._dist(x, u), space._dist(u, y)
-            if du + duy > r_cand:
-                return None
-            return du + delta(u) + duy, True
-
-        probe = Evaluation(v0, True, witness=x if delta(x) <= delta(y) else y)
-        return _certified_min(space, x, window, probe, r_cand, term)
+        self.space.check(x, y)
+        return _certified_min(self.space, x, y, window, self.coercive_c, self._term)
 
     def dist_to_copy(self, x, window):
         # inf_y d(x, y') = inf_u [d_X(x,u) + delta(u)], taking y = u
-        space, delta = self.space, self.delta
-        space.check(x)
-        v0 = delta(x)
-        return _certified_min(space, x, window, Evaluation(v0, True, witness=x), v0 - 1,
-                              lambda u: (space._dist(x, u) + delta(u), True))
+        self.space.check(x)
+        return _certified_min(self.space, x, None, window, self.coercive_c, self._term)
 
     def to_json(self):
         return {"kind": "delta", "space": self.space.to_json(),
@@ -441,18 +441,11 @@ class ComposedMetric(DoubleMetric):
         """min over window midpoints of d_X(y,A) + d_X(y,B) for separable
         (subset o subset) compositions; the y-infimum splits off."""
         key = (window.radius, window.basepoint)
-        hit = self._glue_cache.get(key)
-        if hit is None:
-            best, arg = None, None
-            for y in window_points(self.space, window):
-                v = self.d.set_distance(y) + self.rho.set_distance(y)
-                if best is None or v < best or (v == best and y < arg):
-                    best, arg = v, y
-            if best is None:
-                raise DomainError("empty window")
-            hit = (best, arg)
-            self._glue_cache[key] = hit
-        return hit
+        if key not in self._glue_cache:
+            # (value, y) pairs: ties go to the smaller y
+            self._glue_cache[key] = min((self.d.set_distance(y) + self.rho.set_distance(y), y)
+                                        for y in window_points(self.space, window))
+        return self._glue_cache[key]
 
     def cross(self, x, z, window):
         space, d, rho = self.space, self.d, self.rho
@@ -464,26 +457,12 @@ class ComposedMetric(DoubleMetric):
             value = d.set_distance(x) + rho.set_distance(z) + 2 + glue
             return Evaluation(value, False, witness=arg)
 
-        def through(y):
+        def through(y, _):
             a = d.cross(x, y, window)
             b = rho.cross(y, z, window)
             return a.value + b.value, a.exact and b.exact
 
-        probes = [(y, through(y)) for y in ([x] if x == z else [x, z])]
-        best, arg = min((v, y) for y, (v, _) in probes)
-        probe = Evaluation(best, all(e for _, (_, e) in probes), witness=arg)
-        c = self.coercive_c
-        if c is None:
-            return _certified_min(space, x, window, probe, None, through)
-        # y can only improve if d_X(x,y) + d_X(y,z) + c <= best
-        r_cand = best - c
-
-        def term(y):
-            if space._dist(x, y) + space._dist(y, z) > r_cand:
-                return None
-            return through(y)
-
-        return _certified_min(space, x, window, probe, r_cand, term)
+        return _certified_min(space, x, z, window, self.coercive_c, through)
 
     def adjoint(self):
         return ComposedMetric(self.rho.adjoint(), self.d.adjoint())

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
+from .asymptotics import _check_radii
 from .boolalg import FormalSum
 from .errors import DomainError
 from .projection import (LevelFunction, join, levels_from_subset, meet,
@@ -137,20 +138,23 @@ class DensityMeasure:
         return {"measure": self.name, "space": self.space.to_json()}
 
 
-def _bounded_evidence(masses: Sequence[Rational]) -> bool:
-    """True when the member mass stopped growing along the schedule tail."""
-    if len(masses) < 3:
-        return False
-    return masses[-3] == masses[-2] == masses[-1]
+def _schedule(schedule: Optional[Sequence[Rational]]) -> Sequence[Rational]:
+    """The schedule, or the default one for None.  DomainError unless it has
+    at least 3 radii, nonnegative and strictly increasing: with equal radii
+    every sublevel would look bounded, and the bounded-set rule would set it
+    to 0."""
+    if schedule is None:
+        return default_schedule()
+    if len(schedule) < 3:
+        raise DomainError("schedule needs at least 3 radii")
+    _check_radii(schedule)
+    return schedule
 
 
 def density(mu: DensityMeasure, A: PointSet,
             schedule: Optional[Sequence[Rational]] = None) -> DensityInterval:
     """Exact per-radius density of A with a tail interval."""
-    if schedule is None:
-        schedule = default_schedule()
-    if len(schedule) < 3:
-        raise DomainError("schedule needs at least 3 radii")
+    schedule = _schedule(schedule)
     rows = mu.ratio_series(lambda p: 1 if A.contains(p) else 2, schedule, 1)[0]
     return DensityInterval.from_series([(r, v) for r, v, _, _ in rows])
 
@@ -188,10 +192,7 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
     point's level once; the report keeps the raw masses for
     ``check_modularity``.
     """
-    if schedule is None:
-        schedule = default_schedule()
-    if len(schedule) < 3:
-        raise DomainError("schedule needs at least 3 radii")
+    schedule = _schedule(schedule)
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     per_n, am2, masses_by_n = [], [], []
@@ -203,7 +204,8 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
         raws = [v for _, v, _, _ in rows]
         masses = [m for _, _, m, _ in rows]
         masses_by_n.append(masses)
-        bounded = _bounded_evidence(masses)
+        # the member mass stopped growing along the schedule tail
+        bounded = masses[-3] == masses[-2] == masses[-1]
         if bounded:
             am2.append(n)
         if prev_raw is not None and any(a < b for a, b in zip(raws, prev_raw)):
@@ -227,8 +229,7 @@ def nu_bar(mu: DensityMeasure, s: FormalSum, n_max: int = 8,
     nu_hat over the meets of all properly monotone i-tuples.  Everything is
     computed per radius as an exact rational before the interval is taken.
     """
-    if schedule is None:
-        schedule = default_schedule()
+    schedule = _schedule(schedule)
     entries = list(s.terms)
     if not entries:
         zero = [(r, 0) for r in schedule]
@@ -275,8 +276,7 @@ def check_modularity(mu: DensityMeasure, e: LevelFunction, f: LevelFunction,
     and ball masses are read from the four ``nu_hat`` reports of e, f, their
     meet and their join, so no ball is scanned again.
     """
-    if schedule is None:
-        schedule = default_schedule()
+    schedule = _schedule(schedule)
     he, hf, hm, hj = (nu_hat(mu, lf, n_max, schedule)
                       for lf in (e, f, meet(e, f), join(e, f)))
     raw_exact = all(m + j == a + b
@@ -311,8 +311,7 @@ def measure0_check(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
                    schedule: Optional[Sequence[Rational]] = None) -> dict:
     """Compare nu_hat(e) with the sup over n of nu_hat of the neighborhood
     sequences of its own sublevel sets."""
-    if schedule is None:
-        schedule = default_schedule()
+    schedule = _schedule(schedule)
     lhs = nu_hat(mu, e, n_max, schedule)
     rhs_intervals = []
     sup_lo, sup_hi = Fraction(0), Fraction(0)

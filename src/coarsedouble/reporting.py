@@ -65,11 +65,9 @@ def diff_against(expected: dict, actual: dict) -> list:
     return out
 
 
-def canonical_reload(text: str) -> str:
-    """Round-trip: parse a report and re-render its canonical form."""
-    doc = json.loads(text)
-    doc.pop("meta", None)
-    return canonical_dumps(doc)
+def canonical_reload(doc: dict) -> str:
+    """Round-trip: the canonical form of a parsed report, without its meta."""
+    return canonical_dumps({k: v for k, v in doc.items() if k != "meta"})
 
 
 def _walk_series(doc, path, rows):

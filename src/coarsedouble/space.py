@@ -257,6 +257,8 @@ class CustomSpace(MetricSpace):
     def __init__(self, points: Sequence[Point], metric: str = "manhattan",
                  table=None, name: str = "Custom", basepoint: Optional[Point] = None):
         pts = sorted(tuple(p) for p in points)
+        if any(type(c) is not int for p in pts for c in p):
+            raise DomainError("custom space points have integer coordinates")
         if len(set(pts)) != len(pts):
             raise DomainError("duplicate points in custom space")
         if not pts:
@@ -390,15 +392,20 @@ def space_by_name(name: str) -> MetricSpace:
 
 
 def space_from_json(doc) -> MetricSpace:
+    """A built-in space by name, or a CustomSpace from its document; a
+    malformed document raises DomainError."""
     if isinstance(doc, str):
         return space_by_name(doc)
-    name = doc.get("space", "Custom")
-    if name in builtin_spaces():
-        return space_by_name(name)
-    return CustomSpace(points=[tuple(p) for p in doc["points"]],
-                       metric=doc.get("metric", "manhattan"),
-                       table=doc.get("table"), name=name,
-                       basepoint=tuple(doc["basepoint"]) if "basepoint" in doc else None)
+    try:
+        name = doc.get("space", "Custom")
+        if name in builtin_spaces():
+            return space_by_name(name)
+        return CustomSpace(points=[tuple(p) for p in doc["points"]],
+                           metric=doc.get("metric", "manhattan"),
+                           table=doc.get("table"), name=name,
+                           basepoint=tuple(doc["basepoint"]) if "basepoint" in doc else None)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise DomainError(f"malformed space document: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,11 @@ def test_usage_error_exit_code(capsys):
     ["classify", "--space", "NatLine", "--levels", "expr:log2", "--radii", "256,256,256"],
     ["classify", "--space", "NatLine", "--levels", "expr:log2", "--radii", "16,8,4"],
     ["classify", "--space", "NatLine", "--levels", "expr:log2", "--radii=-4,8,16"],
+    ["tau", "--space", "GeomLine", "--filter-base", "4,1,0", "--levels",
+     "subset:powers:4", "--radius", "64"],
+    ["tau", "--space", "GeomLine", "--filter-base=4,1,-2", "--levels",
+     "subset:powers:4", "--radius", "64"],
+    ["measure", "nu-hat", "--space", "NatLine", "--levels", "unit", "--schedule-base", "0"],
 ], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine",
         "halfline-empty-on-NatLine", "complement-empty-on-NatLine",
         "x-not-int", "radii-not-int", "filter-base-not-int", "powers-no-base",
@@ -138,7 +143,8 @@ def test_usage_error_exit_code(capsys):
         "const-not-rational", "const-zero-denominator", "halfline-bad-sign",
         "halfline-extra-field", "powers-extra-field", "multiples-extra-field",
         "points-extra-field", "evens-extra-field", "filter-base-four-values",
-        "radii-repeated", "radii-decreasing", "radii-negative"])
+        "radii-repeated", "radii-decreasing", "radii-negative", "filter-base-depth-0",
+        "filter-base-depth-negative", "schedule-radii-equal"])
 def test_bad_set_spec_is_usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -190,9 +196,39 @@ def test_determinism_and_roundtrip(capsys, tmp_path):
     code, out = run_cli(capsys, "report", "--infile", str(path), "--format", "json")
     assert code == 0
     reloaded = json.loads(out)["results"]["canonical"]
-    assert reloaded == canonical_reload(out1)
+    assert reloaded == canonical_reload(json.loads(out1))
     code, out = run_cli(capsys, "report", "--infile", str(path), "--format", "csv")
     assert code == 0
+
+
+@pytest.mark.parametrize("content, argv", [
+    (None, ["report", "--infile", "{file}"]),
+    ("not json", ["report", "--infile", "{file}", "--format", "csv"]),
+    ("[1, 2]", ["report", "--infile", "{file}"]),
+    (None, ["space", "show", "--space-file", "{file}", "--radius", "3"]),
+    ("{points", ["space", "show", "--space-file", "{file}", "--radius", "3"]),
+    ('{"space": "Foo"}', ["space", "show", "--space-file", "{file}", "--radius", "3"]),
+    ('{"points": 5}', ["space", "show", "--space-file", "{file}", "--radius", "3"]),
+    ('{"points": [["a"], ["b"]]}', ["space", "show", "--space-file", "{file}", "--radius", "3"]),
+    ('{"points": [[0]], "basepoint": 0}',
+     ["space", "show", "--space-file", "{file}", "--radius", "3"]),
+    ('{"points": [[0], [1]], "metric": "table", "table": 7}',
+     ["space", "show", "--space-file", "{file}", "--radius", "3"]),
+    ("[0]", ["space", "show", "--space-file", "{file}", "--radius", "3"]),
+    (None, ["--out", "{dir}/missing/out.json", "space", "list"]),
+], ids=["report-missing", "report-not-json", "report-not-an-object", "space-file-missing",
+        "space-file-not-json", "space-file-no-points", "space-file-points-not-a-list",
+        "space-file-point-not-ints", "space-file-basepoint-not-a-point",
+        "space-file-table-not-rows", "space-file-not-an-object", "out-dir-missing"])
+def test_file_inputs_are_usage_errors(capsys, tmp_path, content, argv):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    code = main([a.format(file=path, dir=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in json.loads(captured.err)
+    assert captured.out == ""
 
 
 def test_measure_and_ideal_commands(capsys):

@@ -157,6 +157,31 @@ def test_noncoercive_composition_scans_the_window(natline, order):
                 (*want, False, None), (x, z)
 
 
+@pytest.mark.parametrize("order", ["delta-delta", "subset-delta"])
+def test_composition_evaluates_each_probe_once(natline, monkeypatch, order):
+    # the probes y = x and y = z are evaluated once; the window scan, which
+    # reaches both, skips them
+    first = (metric_from_levels(levels_from_subset(natline, set_family("evens")))
+             if order == "delta-delta" else subset_metric(natline, set_family("squares")))
+    second = metric_from_levels(levels_from_subset(natline, set_family("squares")))
+    calls = []
+    for name, f in (("d", first), ("rho", second)):
+        monkeypatch.setattr(f, "cross", lambda a, b, w, cross=f.cross, name=name:
+                            calls.append((name, a, b)) or cross(a, b, w))
+    x, z = (3,), (11,)
+    evaluate(compose(first, second), x, z, Window(64))
+    for y in (x, z):
+        assert calls.count(("d", x, y)) == 1 and calls.count(("rho", y, z)) == 1, y
+
+
+def test_delta_probe_ties_go_to_the_smaller_point(intline):
+    # d(-6, -9') = 3 + 2 is attained at -9 (outside the window), at -6 and
+    # at the window midpoints -8 and -7; the smallest of them is the witness
+    d = DeltaMetric(intline, const_delta(intline, 2))
+    ev = evaluate(d, (-6,), (-9,), Window(8))
+    assert (ev.value, ev.exact, ev.witness) == (5, False, (-9,))
+
+
 def _record_windows(d, monkeypatch):
     """(radius, required_radius) of every evaluation of d.cross."""
     seen, cross = [], d.cross

@@ -9,7 +9,10 @@ Points are checked against their space in one place: an ``if not
 <space>.contains(<point>)`` that raises DomainError appears only in
 ``MetricSpace.check``.  Sweep radii become point lists in one place: a
 ``Window(<r>, <w>.basepoint)`` call appears only in
-``asymptotics.sweep_windows``.  Every private module-level name (``_name``) is
+``asymptotics.sweep_windows``.  Single-pair infima run one search: every
+``_certified_min`` call in ``double.py`` passes a kind's ``coercive_c`` as
+its constant and no ``Evaluation``, so no caller picks probes or computes a
+candidate radius.  Every private module-level name (``_name``) is
 referenced somewhere in the package besides its definition, and every name
 ``__init__.py`` exports is referenced in the package or the tests besides
 its definition and the export line.  The benchmark's tracer
@@ -214,6 +217,22 @@ def test_one_sweep_reader():
     sites = _package_sites(_is_sweep_window)
     where = [(name, scope) for name, scope, _ in sites]
     assert where == [("asymptotics.py", "sweep_windows")], f"sweep windows: {sites}"
+
+
+def _calls_to(tree, name):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+
+
+def test_one_single_pair_search():
+    tree = ast.parse((SRC / "double.py").read_text(encoding="utf-8"))
+    calls = _calls_to(tree, "_certified_min")
+    assert calls, "no _certified_min call in double.py"
+    for call in calls:
+        c = call.args[4] if len(call.args) > 4 else next(
+            (k.value for k in call.keywords if k.arg == "c"), None)
+        assert isinstance(c, ast.Attribute) and c.attr == "coercive_c", ast.unparse(call)
+        assert not _calls_to(call, "Evaluation"), ast.unparse(call)
 
 
 def test_no_unused_private_names():

@@ -49,6 +49,15 @@ def test_density_bounded_set(nat_mu):
         density(nat_mu, set_family("evens"), schedule=[8, 16])
 
 
+@pytest.mark.parametrize("schedule", [[8, 8, 8], [8, 16, 16, 32], [32, 16, 64]])
+def test_schedules_must_grow(nat_mu, natline, schedule):
+    # equal radii would make every sublevel look bounded, and so of mass 0
+    with pytest.raises(DomainError):
+        density(nat_mu, set_family("evens"), schedule=schedule)
+    with pytest.raises(DomainError):
+        nu_hat(nat_mu, unit_levels(natline), 2, schedule)
+
+
 def test_nu_hat_unit_and_zero(nat_mu, natline):
     iv = nu_hat(nat_mu, unit_levels(natline)).interval
     assert all(v == 1 for _, v in iv.series)
