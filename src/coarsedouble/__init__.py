@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
 from .space import (Evaluation, MetricSpace, PointSet, Window, dist_to_set,
-                    neighborhood, set_family, space_by_name, window_points)
+                    neighborhood, set_distances, set_family, space_by_name,
+                    window_points)
 from .double import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                      DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, PointMetric, SubsetMetric, adjoint,

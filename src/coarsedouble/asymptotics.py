@@ -204,10 +204,14 @@ def equivalent(e1, e2, mode: str, window: Window,
 
 def _equivalent_on(e1, e2, mode: str, window: Window, radii: Sequence[Rational],
                    windows: Sequence[list]) -> Verdict:
-    """``equivalent`` on sweep windows already enumerated, one per radius."""
+    """``equivalent`` on sweep windows already enumerated, one per radius.
+    Both level functions read the largest window once, through ``levels``;
+    the smaller windows are its subsets."""
+    big = windows[-1]
+    both = dict(zip(big, zip(e1.levels(big), e2.levels(big))))
     per_radius = []
     for r, pts in zip(radii, windows):
-        pairs = [(e1.level(x), e2.level(x)) for x in pts]
+        pairs = [both[x] for x in pts]
         t12 = TransferTable.from_levels(pairs)
         t21 = TransferTable.from_levels((v, n) for n, v in pairs)
         per_radius.append({"radius": r, "t12": t12, "t21": t21,

@@ -101,20 +101,25 @@ class DensityMeasure:
             return len(pts)
         return sum((self._weight(p) for p in pts), Fraction(0))
 
-    def ratio_series(self, level: Callable[[Point], int],
+    def ratio_series(self, levels: Callable[[Sequence[Point]], Sequence[int]],
                      schedule: Sequence[Rational], n_max: int) -> list:
         """Sublevel masses for every schedule radius and level, exact.
 
-        Row n - 1 (n = 1..n_max) holds, per radius r in schedule order, the
-        tuple (r, ratio, member_mass, ball_mass): the mass of
-        {p in B_r : level(p) <= n}, the mass of B_r and their ratio.
+        levels maps a point list to the points' levels, as
+        ``LevelFunction.levels`` does.  Row n - 1 (n = 1..n_max) holds, per
+        radius r in schedule order, the tuple (r, ratio, member_mass,
+        ball_mass): the mass of {p in B_r : level(p) <= n}, the mass of B_r
+        and their ratio.
 
-        One pass over the largest ball reads each point's level and weight
-        once.  A point lies in B_r iff its distance to the basepoint is at
-        most r, since balls are enumerated completely; it is added to the
-        bucket of the smallest schedule radius whose ball holds it and of
-        min(level, n_max + 1).  Prefix sums over radii and levels then give
-        every row.  The schedule may be unsorted and may repeat radii.
+        The largest ball is read once: one ``levels`` call for all of its
+        points (on the integer lines, subset levels take one
+        distance-transform sweep of the ball, see ``set_distances``), and
+        one weight per point.  A point lies in B_r iff its distance to the
+        basepoint is at most r, since balls are enumerated completely; it is
+        added to the bucket of the smallest schedule radius whose ball holds
+        it and of min(level, n_max + 1).  Prefix sums over radii and levels
+        then give every row.  The schedule may be unsorted and may repeat
+        radii.
         """
         radii = sorted(set(schedule))
         width = n_max + 1
@@ -122,8 +127,9 @@ class DensityMeasure:
         buckets = [zero] * (len(radii) * width)
         base, dist = self.space.basepoint, self.space._dist
         weigh = self._weight if self.weight is not None else None
-        for p in self.ball(radii[-1]):
-            i = bisect_left(radii, dist(p, base)) * width + min(level(p), width) - 1
+        ball = self.ball(radii[-1])
+        for p, lv in zip(ball, levels(ball)):
+            i = bisect_left(radii, dist(p, base)) * width + min(lv, width) - 1
             buckets[i] += 1 if weigh is None else weigh(p)
         inner = [zero] * width     # per level, the mass of the balls so far
         member, total = {}, {}
@@ -155,7 +161,8 @@ def density(mu: DensityMeasure, A: PointSet,
             schedule: Optional[Sequence[Rational]] = None) -> DensityInterval:
     """Exact per-radius density of A with a tail interval."""
     schedule = _schedule(schedule)
-    rows = mu.ratio_series(lambda p: 1 if A.contains(p) else 2, schedule, 1)[0]
+    rows = mu.ratio_series(lambda pts: [1 if A.contains(p) else 2 for p in pts],
+                           schedule, 1)[0]
     return DensityInterval.from_series([(r, v) for r, v, _, _ in rows])
 
 
@@ -188,8 +195,8 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
 
     Per fixed radius the raw ratios are exactly monotone in n, so the sup is
     realized by the deepest sublevel; its adjusted series is the value.  All
-    n_max sublevels come from one ``ratio_series`` pass, which reads each
-    point's level once; the report keeps the raw masses for
+    n_max sublevels come from one ``ratio_series`` pass, which reads the
+    levels of the largest ball once; the report keeps the raw masses for
     ``check_modularity``.
     """
     schedule = _schedule(schedule)
@@ -199,7 +206,7 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
     monotone = True
     prev_raw = None
     final_values = None
-    rows_by_n = mu.ratio_series(e.level, schedule, n_max)
+    rows_by_n = mu.ratio_series(e.levels, schedule, n_max)
     for n, rows in enumerate(rows_by_n, 1):
         raws = [v for _, v, _, _ in rows]
         masses = [m for _, _, m, _ in rows]
@@ -222,12 +229,16 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
 
 
 def nu_bar(mu: DensityMeasure, s: FormalSum, n_max: int = 8,
-           schedule: Optional[Sequence[Rational]] = None) -> dict:
+           schedule: Optional[Sequence[Rational]] = None, *,
+           known: Optional[dict] = None) -> dict:
     """Inclusion-exclusion extension to mod-2 sums of projections.
 
     nu_bar(e_1 + ... + e_n) = sum_i (-2)^(i-1) sigma_i, where sigma_i sums
     nu_hat over the meets of all properly monotone i-tuples.  Everything is
     computed per radius as an exact rational before the interval is taken.
+    known maps a generator (the level function itself) to its ``nu_hat``
+    report for the same n_max and schedule, which is then not computed
+    again; meets are always computed.
     """
     schedule = _schedule(schedule)
     entries = list(s.terms)
@@ -237,6 +248,7 @@ def nu_bar(mu: DensityMeasure, s: FormalSum, n_max: int = 8,
                 "sigma": [], "sum": s.label(),
                 "series": [[rational_to_json(r), 0] for r in schedule]}
     gens = s.generators
+    known = known or {}
     totals = [Fraction(0)] * len(schedule)
     sigma_report = []
     for size in range(1, len(entries) + 1):
@@ -246,7 +258,8 @@ def nu_bar(mu: DensityMeasure, s: FormalSum, n_max: int = 8,
             m = gens[entries[combo[0]]]
             for pos in combo[1:]:
                 m = meet(m, gens[entries[pos]])
-            vals = [v for _, v in nu_hat(mu, m, n_max, schedule).interval.series]
+            rep = known.get(m) or nu_hat(mu, m, n_max, schedule)
+            vals = [v for _, v in rep.interval.series]
             sigma_vals = [a + b for a, b in zip(sigma_vals, vals)]
         totals = [t + coeff * sv for t, sv in zip(totals, sigma_vals)]
         sigma_report.append({"i": size,
@@ -274,7 +287,8 @@ def check_modularity(mu: DensityMeasure, e: LevelFunction, f: LevelFunction,
     level; the adjusted identity holds within the admissibility slack; (m2)
     is exact per radius through the mod-2 complement 1 + e.  The raw masses
     and ball masses are read from the four ``nu_hat`` reports of e, f, their
-    meet and their join, so no ball is scanned again.
+    meet and their join, so no ball is scanned again; (m2) reuses e's report
+    and computes those of the unit and of meet(unit, e).
     """
     schedule = _schedule(schedule)
     he, hf, hm, hj = (nu_hat(mu, lf, n_max, schedule)
@@ -295,7 +309,7 @@ def check_modularity(mu: DensityMeasure, e: LevelFunction, f: LevelFunction,
         worst = max(worst, gap)
         adjusted_ok = adjusted_ok and gap <= slack_r
     unit = unit_levels(mu.space)
-    m2 = nu_bar(mu, FormalSum((unit, e), (0, 1)), n_max, schedule)
+    m2 = nu_bar(mu, FormalSum((unit, e), (0, 1)), n_max, schedule, known={e: he})
     m2_expected = [[rational_to_json(r), rational_to_json(1 - v)]
                    for r, v in he.interval.series]
     m2_ok = m2_expected == m2["series"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .asymptotics import (TransferTable, _check_radii, _equivalent_on, default_grid,
                           sweep_radii, sweep_windows)
@@ -20,13 +20,17 @@ from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
 from .space import (UNBOUNDED, MetricSpace, Point, PointSet, Rational, Window,
-                    dist_to_set, rational_to_json, window_points)
+                    dist_to_set, rational_to_json, set_distances, window_points)
 from .verdicts import (CHECK_DOMINATES, AffineWitness, Status, TabulatedWitness,
                        Verdict)
 
 
 class LevelFunction:
     """lambda: X -> {1, 2, ...} with lambda(x) = min{n : x in A_n}.
+
+    ``level`` reads one point through fn; ``levels`` reads a point list, in
+    one ``batch`` call where the kind has one (the unit, subset levels,
+    meet and join) and per point otherwise.  Both fill one cache.
 
     Invariants (checked by ``validate``): some window point has a finite
     level (e1); a half-step neighbor can raise the level by at most one
@@ -35,12 +39,14 @@ class LevelFunction:
     """
 
     def __init__(self, space: MetricSpace, fn: Callable[[Point], int],
-                 name: str, kind: str, payload: Optional[dict] = None):
+                 name: str, kind: str, payload: Optional[dict] = None,
+                 batch: Optional[Callable[[Sequence[Point]], list]] = None):
         self.space = space
         self.fn = fn
         self.name = name
         self.kind = kind
         self.payload = payload
+        self.batch = batch
         self._cache = {}
 
     def level(self, x: Point) -> int:
@@ -51,6 +57,20 @@ class LevelFunction:
                 raise DomainError(f"level function {self.name} gave {v} < 1 at {x}")
             self._cache[x] = v
         return v
+
+    def levels(self, pts: Sequence[Point]) -> list:
+        """[level(x) for x in pts]: the points not yet cached go to
+        ``batch`` in one call, keeping their order, when the kind has one."""
+        if self.batch is None:
+            return [self.level(x) for x in pts]
+        cache = self._cache
+        missing = [x for x in pts if x not in cache]
+        if missing:
+            for x, v in zip(missing, self.batch(missing)):
+                if v < 1:
+                    raise DomainError(f"level function {self.name} gave {v} < 1 at {x}")
+                cache[x] = v
+        return [cache[x] for x in pts]
 
     def sublevel(self, n: int) -> PointSet:
         """A_n = {x : level(x) <= n} as a decidable set."""
@@ -98,7 +118,8 @@ class LevelFunction:
 
 
 def unit_levels(space: MetricSpace) -> LevelFunction:
-    return LevelFunction(space, lambda x: 1, "1", "unit", payload={"kind": "unit"})
+    return LevelFunction(space, lambda x: 1, "1", "unit", payload={"kind": "unit"},
+                         batch=lambda pts: [1] * len(pts))
 
 
 def zero_levels(space: MetricSpace, x0: Optional[Point] = None) -> LevelFunction:
@@ -112,17 +133,21 @@ def zero_levels(space: MetricSpace, x0: Optional[Point] = None) -> LevelFunction
 
 
 def levels_from_subset(space: MetricSpace, A: PointSet) -> LevelFunction:
-    """Levels of the expanding sequence A_n = N_{n/2}(A): max(1, ceil(2 d(x,A)))."""
+    """Levels of the expanding sequence A_n = N_{n/2}(A): max(1, ceil(2 d(x,A))).
+    A point list reads its distances through ``set_distances``."""
 
     def fn(x):
         return max(1, math.ceil(2 * dist_to_set(space, x, A, UNBOUNDED).value))
+
+    def batch(pts):
+        return [max(1, math.ceil(2 * d)) for d in set_distances(space, pts, A)]
 
     payload = None
     try:
         payload = {"kind": "subset", "set": A.to_json()}
     except DomainError:
         pass
-    return LevelFunction(space, fn, f"E[{A.name}]", "from-subset", payload)
+    return LevelFunction(space, fn, f"E[{A.name}]", "from-subset", payload, batch)
 
 
 def levels_from_expression(space: MetricSpace, name: str,
@@ -292,7 +317,8 @@ def meet(e: LevelFunction, f: LevelFunction) -> LevelFunction:
     _same_space(e, f)
     payload = _combined_payload("meet", e, f)
     return LevelFunction(e.space, lambda x: max(e.level(x), f.level(x)),
-                         f"({e.name} ^ {f.name})", "combined", payload)
+                         f"({e.name} ^ {f.name})", "combined", payload,
+                         lambda pts: list(map(max, e.levels(pts), f.levels(pts))))
 
 
 def join(e: LevelFunction, f: LevelFunction) -> LevelFunction:
@@ -300,7 +326,8 @@ def join(e: LevelFunction, f: LevelFunction) -> LevelFunction:
     _same_space(e, f)
     payload = _combined_payload("join", e, f)
     return LevelFunction(e.space, lambda x: min(e.level(x), f.level(x)),
-                         f"({e.name} v {f.name})", "combined", payload)
+                         f"({e.name} v {f.name})", "combined", payload,
+                         lambda pts: list(map(min, e.levels(pts), f.levels(pts))))
 
 
 def _same_space(e, f):

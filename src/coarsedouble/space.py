@@ -259,6 +259,8 @@ class CustomSpace(MetricSpace):
         pts = sorted(tuple(p) for p in points)
         if any(type(c) is not int for p in pts for c in p):
             raise DomainError("custom space points have integer coordinates")
+        if len({len(p) for p in pts}) > 1:
+            raise DomainError("custom space points have one number of coordinates")
         if len(set(pts)) != len(pts):
             raise DomainError("duplicate points in custom space")
         if not pts:
@@ -633,7 +635,8 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
     and SearchInconclusive when the nearest member lies beyond the budget.
     A family with no member in the space raises DomainError instead of
     searching up to the budget.  Other complements, sublevel sets, the tail
-    families and the other spaces are searched.
+    families and the other spaces are searched.  ``set_distances`` answers
+    for a whole enumerated point list, with two calls per run of a line.
     """
     space.check(x)
     if A.points is not None:
@@ -672,6 +675,43 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
                 + (f" ({len(ball)} points searched)" if r < budget else ""),
                 window_radius=r)
         r *= 2
+
+
+def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list:
+    """[dist_to_set(space, p, A, UNBOUNDED).value for p in pts] for an
+    enumerated point list pts.
+
+    On ``NatLine`` and ``IntLine``, when pts is a run of consecutive
+    integers lo, lo + 1, ..., hi with at least three points, as a window's
+    enumeration is, the distances come from one distance-transform sweep
+    (Felzenszwalb & Huttenlocher 2012): ``dist_to_set`` at lo and at hi,
+    one ``A.contains`` per point, then a running distance forward from lo
+    and one backward from hi, restarting at 0 on each member; each point
+    takes the smaller.  Both are upper bounds, since d(., A) is
+    1-Lipschitz, and the smaller is exact: the nearest member of a point
+    either lies in the run, where a running distance restarted, or beyond an
+    end, and then the way to it passes that end.  A set with no member
+    raises as ``dist_to_set`` at lo does.  The sweep also answers where a
+    point's own search would stop at SEARCH_POINT_CAP.  Any other space or
+    list takes ``dist_to_set`` per point.
+    """
+    n = len(pts)
+    if (type(space) in (NatLine, IntLine) and n > 2
+            and all(p == (pts[0][0] + i,) for i, p in enumerate(pts))):
+        first, last = (dist_to_set(space, p, A, UNBOUNDED).value for p in (pts[0], pts[-1]))
+        member = [A.contains(p) for p in pts]
+        out = []
+        d = first - 1
+        for m in member:
+            d = 0 if m else d + 1
+            out.append(d)
+        d = last - 1
+        for i in range(n - 1, -1, -1):
+            d = 0 if member[i] else d + 1
+            if d < out[i]:
+                out[i] = d
+        return out
+    return [dist_to_set(space, p, A, UNBOUNDED).value for p in pts]
 
 
 def neighborhood(space: MetricSpace, A: PointSet, r: Rational, window: Window) -> PointSet:

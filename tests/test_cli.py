@@ -210,6 +210,8 @@ def test_determinism_and_roundtrip(capsys, tmp_path):
     ('{"space": "Foo"}', ["space", "show", "--space-file", "{file}", "--radius", "3"]),
     ('{"points": 5}', ["space", "show", "--space-file", "{file}", "--radius", "3"]),
     ('{"points": [["a"], ["b"]]}', ["space", "show", "--space-file", "{file}", "--radius", "3"]),
+    ('{"points": [[0], [0, 5], [3]]}',
+     ["space", "show", "--space-file", "{file}", "--radius", "3"]),
     ('{"points": [[0]], "basepoint": 0}',
      ["space", "show", "--space-file", "{file}", "--radius", "3"]),
     ('{"points": [[0], [1]], "metric": "table", "table": 7}',
@@ -218,7 +220,8 @@ def test_determinism_and_roundtrip(capsys, tmp_path):
     (None, ["--out", "{dir}/missing/out.json", "space", "list"]),
 ], ids=["report-missing", "report-not-json", "report-not-an-object", "space-file-missing",
         "space-file-not-json", "space-file-no-points", "space-file-points-not-a-list",
-        "space-file-point-not-ints", "space-file-basepoint-not-a-point",
+        "space-file-point-not-ints", "space-file-points-of-two-lengths",
+        "space-file-basepoint-not-a-point",
         "space-file-table-not-rows", "space-file-not-an-object", "out-dir-missing"])
 def test_file_inputs_are_usage_errors(capsys, tmp_path, content, argv):
     path = tmp_path / "input.json"

@@ -12,7 +12,10 @@ Points are checked against their space in one place: an ``if not
 ``asymptotics.sweep_windows``.  Single-pair infima run one search: every
 ``_certified_min`` call in ``double.py`` passes a kind's ``coercive_c`` as
 its constant and no ``Evaluation``, so no caller picks probes or computes a
-candidate radius.  Every private module-level name (``_name``) is
+candidate radius.  The readers of a whole window of levels
+(``DensityMeasure.ratio_series`` and ``asymptotics._equivalent_on``) read
+them through one ``levels(...)`` call and name no per-point ``.level``.
+Every private module-level name (``_name``) is
 referenced somewhere in the package besides its definition, and every name
 ``__init__.py`` exports is referenced in the package or the tests besides
 its definition and the export line.  The benchmark's tracer
@@ -233,6 +236,26 @@ def test_one_single_pair_search():
             (k.value for k in call.keywords if k.arg == "c"), None)
         assert isinstance(c, ast.Attribute) and c.attr == "coercive_c", ast.unparse(call)
         assert not _calls_to(call, "Evaluation"), ast.unparse(call)
+
+
+def _definition(path, qualname):
+    node = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for part in qualname.split("."):
+        node = next(n for n in node.body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                    and n.name == part)
+    return node
+
+
+@pytest.mark.parametrize("module, qualname", [("measure.py", "DensityMeasure.ratio_series"),
+                                              ("asymptotics.py", "_equivalent_on")])
+def test_window_levels_are_read_in_one_call(module, qualname):
+    node = _definition(SRC / module, qualname)
+    reads = [n for n in ast.walk(node) if isinstance(n, ast.Call)
+             and "levels" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+    assert reads, f"{qualname} reads no levels(...)"
+    per_point = [ast.unparse(n) for n in ast.walk(node)
+                 if isinstance(n, ast.Attribute) and n.attr == "level"]
+    assert not per_point, f"{qualname} reads levels per point: {per_point}"
 
 
 def test_no_unused_private_names():

@@ -5,8 +5,12 @@ adjoint, max, min-glue and composition nodes on the four built-in spaces,
 and evaluated at points inside and outside the window.  Each ``evaluate`` is
 compared, value and witness, with a brute reference that scans the window's
 points (``conftest.BRUTE_WINDOWS``) and the probes directly, with no
-candidate ball and no pruning; each exact value is compared with the value
-on a larger window (McKeeman 1998, "Differential testing for software").
+candidate ball and no pruning, and so is its ``required_radius``, which the
+reference takes from the probes and the coercive constant alone; each exact
+value is compared with the value on a larger window (McKeeman 1998,
+"Differential testing for software").  Some points are drawn within 2 of
+the window's edge, where a certificate rule loosened by a unit or two
+first answers differently.
 
 A min-glue kernel reads the global value of each factor on the diagonal.
 The reference finds it by growing its window until every point outside can
@@ -118,16 +122,37 @@ class Reference:
             return min(self.glob(k.d1, u, u), self.glob(k.d2, u, u))
         return k.delta(u)
 
+    def _term(self, k, x, y, part):
+        """u -> the term of u in the infimum of k(x, y')."""
+        if isinstance(k, DeltaMetric):
+            return lambda u: self.dist(x, u) + self._middle(k, u) + self.dist(u, y)
+        return lambda u: part(k.d, x, u) + part(k.rho, u, y)
+
     def _infimum(self, k, x, y, r, part):
         """min over u in the window of radius r and the probes x and y of
         the term of u, with the smaller u on ties."""
-        if isinstance(k, DeltaMetric):
-            def term(u):
-                return self.dist(x, u) + self._middle(k, u) + self.dist(u, y)
-        else:
-            def term(u):
-                return part(k.d, x, u) + part(k.rho, u, y)
+        term = self._term(k, x, y, part)
         return min((term(u), u) for u in set(self.window(r)) | {x, y})
+
+    def required(self, k, x, y, r):
+        """required_radius of k(x, y') on the window of radius r: for an
+        infimum with coercive constant c, r_cand is the better probe's term
+        less c, and the window must hold ball(x, r_cand), that is reach
+        d(x, base) + r_cand; None where it does or nothing is certified."""
+        if isinstance(k, (PointMetric, SubsetMetric)):
+            return None
+        if isinstance(k, AdjointMetric):
+            return self.required(k.inner, y, x, r)
+        if isinstance(k, MaxMetric):
+            return max((q for q in (self.required(k.d1, x, y, r),
+                                    self.required(k.d2, x, y, r)) if q is not None),
+                       default=None)
+        c = _coercive(k)
+        if c is None:
+            return None
+        term = self._term(k, x, y, lambda f, a, b: self.value(f, a, b, r)[0])
+        reach = self.dist(x, self.space.basepoint) + min(term(x), term(y)) - c
+        return reach if reach > r else None
 
     def value(self, k, x, y, r):
         """(value, witness) of k(x, y') on the window of radius r."""
@@ -171,6 +196,9 @@ def test_evaluate_matches_the_window_reference(name, tree, data):
     pts = BRUTE_WINDOWS[name](space.basepoint, 2 * r + 4)
     x = data.draw(st.sampled_from(pts), label="x")
     z = data.draw(st.sampled_from(pts), label="z")
+    edge = [p for p in pts if abs(space.distance(p, space.basepoint) - r) <= 2]
+    if edge and data.draw(st.booleans(), label="near the edge"):
+        x = data.draw(st.sampled_from(edge), label="x near the edge")
     k = _build(space, tree)
     ref = Reference(space)
     try:
@@ -181,5 +209,7 @@ def test_evaluate_matches_the_window_reference(name, tree, data):
         return
     ev = evaluate(k, x, z, Window(r))
     assert (ev.value, ev.witness) == want
+    assert ev.required_radius == ref.required(k, x, z, r)
+    assert not (ev.exact and ev.required_radius is not None)
     if ev.exact:
         assert evaluate(k, x, z, Window(4 * r + 16)).value == ev.value == ref.glob(k, x, z)

@@ -130,6 +130,34 @@ def test_modularity(int_mu, intline):
     assert same["passed"]
 
 
+def test_modularity_reuses_the_nu_hat_of_e(monkeypatch, intline):
+    """(m2) takes e's term from e's own report and still computes
+    meet(unit, e) through its level function: 6 nu_hat calls, not 7, and
+    the same report as with nothing reused."""
+    from coarsedouble import measure as measure_module
+    real_nu_hat, real_nu_bar = measure_module.nu_hat, measure_module.nu_bar
+    calls = []
+
+    def counted(mu, e, *args):
+        calls.append(e.name)
+        return real_nu_hat(mu, e, *args)
+
+    def run():
+        e = levels_from_subset(intline, set_family("half_line", sign=1, bound=40))
+        f = levels_from_subset(intline, set_family("multiples", k=3, r=1))
+        return check_modularity(DensityMeasure.natural(intline), e, f, 6,
+                                default_schedule(16, 4))
+
+    monkeypatch.setattr(measure_module, "nu_hat", counted)
+    rep = run()
+    assert len(calls) == 6 and calls.count("(1 ^ E[{x>=40}])") == 1
+    calls.clear()
+    monkeypatch.setattr(measure_module, "nu_bar",
+                        lambda *args, known=None: real_nu_bar(*args))
+    assert run() == rep and rep["passed"]
+    assert len(calls) == 7
+
+
 def test_measure0_check(nat_mu, natline):
     schedule = default_schedule(8, 5)
     e_type1 = levels_from_subset(natline, set_family("evens"))
@@ -196,7 +224,7 @@ def test_ratio_series_matches_rescan(name, weight, schedule, table, n_max):
     def level(p):
         return table[sum(abs(c) for c in p) % len(table)]
 
-    got = mu.ratio_series(level, schedule, n_max)
+    got = mu.ratio_series(lambda pts: [level(p) for p in pts], schedule, n_max)
     assert got == _rescanned_rows(mu, level, schedule, n_max)
 
 

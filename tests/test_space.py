@@ -164,6 +164,15 @@ def test_custom_space_json_roundtrip():
     assert window_points(clone, Window(3)) == [(0,), (2,)]
 
 
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean-rounded"])
+def test_custom_space_points_have_one_length(metric):
+    # zipped coordinates would let the shorter point decide: d((0,), (0, 5)) = 0
+    with pytest.raises(DomainError, match="one number of coordinates"):
+        CustomSpace([(0,), (0, 5), (3,)], metric=metric)
+    with pytest.raises(DomainError):
+        space_from_json({"points": [[0], [0, 5], [3]]})
+
+
 def test_predicate_space_incomplete_enumeration():
     space = PredicateSpace(lambda p: p[0] % 3 == 0, dim=1, coverage_radius=30,
                            basepoint=(0,))
