@@ -107,9 +107,8 @@ class TransferTable:
 
 def transfer(e1, e2, window: Window) -> TransferTable:
     """Transfer table of e1 against e2 on the window; exact."""
-    space = _common_space(e1, e2)
-    return TransferTable.from_levels((e1.level(x), e2.level(x))
-                                     for x in window_points(space, window))
+    pts = window_points(_common_space(e1, e2), window)
+    return TransferTable.from_levels(zip(e1.levels(pts), e2.levels(pts)))
 
 
 def _common_space(e1, e2) -> MetricSpace:
@@ -274,15 +273,17 @@ def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
     transfer table of level against that distance, read at n = 1..n_max),
     required to be unchanged across the three-radius sweep.  Escape (a sup
     that grows at every step) is reported as evidence, never as a hard
-    falsification.
+    falsification.  The largest sweep window is read with one ``levels`` call.
     """
     if mode not in ("quasi", "coarse"):
         raise DomainError(f"unknown zero-test mode {mode!r}")
+    if n_max < 1:
+        raise DomainError("n_max must be at least 1")
     space = e.space
     radii = sweep_radii(window)
     windows = sweep_windows(space, window, radii)
-    low = {x: (lv, space._dist(x, space.basepoint)) for x in windows[-1]
-           if (lv := e.level(x)) <= n_max}
+    low = {x: (lv, space._dist(x, space.basepoint))
+           for x, lv in zip(windows[-1], e.levels(windows[-1])) if lv <= n_max}
     sups_by_radius = []
     for pts in windows:
         t = TransferTable.from_levels(filter(None, map(low.get, pts)))

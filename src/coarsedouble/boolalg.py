@@ -264,15 +264,18 @@ def tau(F: FilterBase, e: LevelFunction, window: Window) -> Verdict:
     stable-finite set; the witness counts F_{k*} cap A_n for one k*, the
     largest of those k, so it grows with n.  Otherwise undetermined, with
     the count matrix.
-    Each sweep window is enumerated once and each F_k built once; every
-    (k, n) count comes from the levels of F_k's members at each radius.
+    The sweep is enumerated once, each F_k built and its members in the
+    largest window found once, and their levels read in one ``levels`` call.
     """
     radii = sweep_radii(window)
     windows = sweep_windows(e.space, window, radii)
+    inside = [{x for x in windows[-1] if fk.contains(x)}
+              for fk in map(F.level_set, range(1, F.depth + 1))]
+    members = [x for x in windows[-1] if any(x in fk for fk in inside)]
+    read = dict(zip(members, e.levels(members)))
     matrix = {}
-    for k in range(1, F.depth + 1):
-        fk = F.level_set(k)
-        levels = [[e.level(x) for x in pts if fk.contains(x)] for pts in windows]
+    for k, fk in enumerate(inside, 1):
+        levels = [[read[x] for x in pts if x in fk] for pts in windows]
         for n in range(1, TAU_N_MAX + 1):
             hits = [sum(lv <= n for lv in row) for row in levels]
             matrix[(k, n)] = ([len(row) - h for row, h in zip(levels, hits)], hits)
@@ -322,7 +325,7 @@ def separating_set(e: LevelFunction, window: Window) -> Tuple[PointSet, dict]:
     """
     space = e.space
     pts = window_points(space, window)
-    levels = {x: e.level(x) for x in pts}
+    levels = dict(zip(pts, e.levels(pts)))
     n_cap = max(levels.values(), default=1)
     picked, margins = [], {}
     for n in range(1, n_cap + 1):

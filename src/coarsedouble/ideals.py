@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .asymptotics import TransferTable
+from .asymptotics import TransferTable, sweep_windows
 from .errors import DomainError
 from .projection import LevelFunction
 from .space import Point, Rational, Window, rational_to_json, window_points
@@ -28,13 +28,9 @@ class ApproximateUnit:
         cutoff = 2 * n
         if self.levels.level(x) <= cutoff:
             return 0
-        best = None
-        for p in self.space.points_within(x, 1):
-            if self.levels.level(p) <= cutoff:
-                d = self.space._dist(x, p)
-                if best is None or d < best:
-                    best = d
-        return 1 if best is None else min(best, 1)
+        # the scanned points lie within 1 of x, so the minimum needs no cap
+        return min((self.space._dist(x, p) for p in self.space.points_within(x, 1)
+                    if self.levels.level(p) <= cutoff), default=1)
 
     def value(self, n: int, x: Point) -> Rational:
         if n < 1:
@@ -52,9 +48,13 @@ def check_au(unit: ApproximateUnit, window: Window, n_max: int = 6) -> dict:
     """(au1) u_n u_{n+1} = u_n pointwise-exactly, via the support implication
     u_n(x) > 0 => u_{n+1}(x) = 1 and by direct product evaluation.
     (au2) in the relaxed form d_X(x,y) >= 1, with pairs achieving exactly 1
-    listed separately as strict violations (reported, not fatal).
+    listed separately as strict violations (reported, not fatal).  The
+    window widened by 1, whose levels u_n reads, is read in one ``levels`` call.
     """
-    pts = window_points(unit.space, window)
+    if n_max < 1:
+        raise DomainError("n_max must be at least 1")
+    pts, wide = sweep_windows(unit.space, window, [window.radius, window.radius + 1])
+    unit.levels.levels(wide)
     # u[n][i] = u_n(pts[i]), each evaluated once and read by both checks
     u = {n: [unit.value(n, x) for x in pts] for n in range(1, n_max + 2)}
     au1_violation = None
@@ -118,16 +118,18 @@ def _same_space(u, v):
 def level_set_identities(u: ApproximateUnit, v: ApproximateUnit, n: int,
                          window: Window) -> dict:
     """{w_n=1} = A_2n cap B_2n, and the sandwich
-    A_2n cup B_2n subset {t_n=1} subset A_{2n+1} cup B_{2n+1}, on the window."""
+    A_2n cup B_2n subset {t_n=1} subset A_{2n+1} cup B_{2n+1}, on the window.
+    Both level functions read the window widened by 1 in one ``levels`` call."""
     _same_space(u, v)
-    pts = window_points(u.space, window)
+    pts, wide = sweep_windows(u.space, window, [window.radius, window.radius + 1])
+    la_of, lb_of = (dict(zip(wide, unit.levels.levels(wide))) for unit in (u, v))
     w_fn, t_fn = unit_meet(u, v, n), unit_join(u, v, n)
     meet_exact = True
     sandwich_lower = True
     sandwich_upper = True
     detail = None
     for x in pts:
-        la, lb = u.levels.level(x), v.levels.level(x)
+        la, lb = la_of[x], lb_of[x]
         in_meet = la <= 2 * n and lb <= 2 * n
         if (w_fn(x) == 1) != in_meet:
             meet_exact = False
@@ -158,15 +160,15 @@ def recovered_levels(unit: ApproximateUnit) -> LevelFunction:
     lambda'(x) = min{n >= 1 : u_n(x) = 1}.  Recovers the sequence at half
     index: u_n(x) = 1 exactly when lambda(x) <= 2n, so lambda'(x) is
     ceil(lambda(x) / 2), which is at least 1 since lambda(x) >= 1."""
-    return LevelFunction(unit.space, lambda x: -(-unit.levels.level(x) // 2),
+    return LevelFunction(unit.space, lambda pts: [-(-v // 2) for v in unit.levels.levels(pts)],
                          f"rec[{unit.levels.name}]", "recovered")
 
 
 def recovery_transfer(unit: ApproximateUnit, window: Window) -> dict:
     """Transfer tables between the source levels and the recovered levels;
     the unit presentation loses at most a factor-2 reindexing."""
-    rec = recovered_levels(unit)
-    pairs = [(unit.levels.level(x), rec.level(x)) for x in window_points(unit.space, window)]
+    pts = window_points(unit.space, window)
+    pairs = list(zip(unit.levels.levels(pts), recovered_levels(unit).levels(pts)))
     t_fwd = TransferTable.from_levels(pairs)
     t_bwd = TransferTable.from_levels((v, n) for n, v in pairs)
     bound_ok = all(v <= 2 * n + 2 for n, v in t_fwd.entries) and \

@@ -9,7 +9,6 @@ x -> d(x, x').
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -19,8 +18,8 @@ from .asymptotics import (TransferTable, _check_radii, _equivalent_on, default_g
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
-from .space import (UNBOUNDED, MetricSpace, Point, PointSet, Rational, Window,
-                    dist_to_set, rational_to_json, set_distances, window_points)
+from .space import (MetricSpace, Point, PointSet, Rational, Window, rational_to_json,
+                    set_distances, window_points)
 from .verdicts import (CHECK_DOMINATES, AffineWitness, Status, TabulatedWitness,
                        Verdict)
 
@@ -28,9 +27,10 @@ from .verdicts import (CHECK_DOMINATES, AffineWitness, Status, TabulatedWitness,
 class LevelFunction:
     """lambda: X -> {1, 2, ...} with lambda(x) = min{n : x in A_n}.
 
-    ``level`` reads one point through fn; ``levels`` reads a point list, in
-    one ``batch`` call where the kind has one (the unit, subset levels,
-    meet and join) and per point otherwise.  Both fill one cache.
+    ``fn`` is the kind's one reader: it maps a point list to the points'
+    levels, in order.  ``levels`` hands it the points of a list not yet
+    cached, in one call, and ``level`` hands it one point; both fill one
+    cache.  Window readers read a window with one ``levels`` call.
 
     Invariants (checked by ``validate``): some window point has a finite
     level (e1); a half-step neighbor can raise the level by at most one
@@ -38,39 +38,37 @@ class LevelFunction:
     the space (e3).
     """
 
-    def __init__(self, space: MetricSpace, fn: Callable[[Point], int],
-                 name: str, kind: str, payload: Optional[dict] = None,
-                 batch: Optional[Callable[[Sequence[Point]], list]] = None):
+    def __init__(self, space: MetricSpace, fn: Callable[[Sequence[Point]], list],
+                 name: str, kind: str, payload: Optional[dict] = None):
         self.space = space
         self.fn = fn
         self.name = name
         self.kind = kind
         self.payload = payload
-        self.batch = batch
         self._cache = {}
 
     def level(self, x: Point) -> int:
         v = self._cache.get(x)
         if v is None:
-            v = self.fn(x)
-            if v < 1:
-                raise DomainError(f"level function {self.name} gave {v} < 1 at {x}")
-            self._cache[x] = v
+            (v,) = self._read((x,))
         return v
 
     def levels(self, pts: Sequence[Point]) -> list:
-        """[level(x) for x in pts]: the points not yet cached go to
-        ``batch`` in one call, keeping their order, when the kind has one."""
-        if self.batch is None:
-            return [self.level(x) for x in pts]
+        """[level(x) for x in pts], the points not yet cached read in one call."""
         cache = self._cache
         missing = [x for x in pts if x not in cache]
         if missing:
-            for x, v in zip(missing, self.batch(missing)):
-                if v < 1:
-                    raise DomainError(f"level function {self.name} gave {v} < 1 at {x}")
-                cache[x] = v
+            self._read(missing)
         return [cache[x] for x in pts]
+
+    def _read(self, pts: Sequence[Point]) -> list:
+        vals = self.fn(pts)
+        cache = self._cache
+        for x, v in zip(pts, vals):
+            if v < 1:
+                raise DomainError(f"level function {self.name} gave {v} < 1 at {x}")
+            cache[x] = v
+        return vals
 
     def sublevel(self, n: int) -> PointSet:
         """A_n = {x : level(x) <= n} as a decidable set."""
@@ -78,14 +76,13 @@ class LevelFunction:
             f"[{self.name}<={n}]", lambda p, n=n: self.space.contains(p) and self.level(p) <= n)
 
     def validate(self, window: Window) -> dict:
-        pts = window_points(self.space, window)
-        levels = {x: self.level(x) for x in pts}
+        levels = self.tabulate(window)
         checks = {"e1_nonempty": bool(levels), "e3_all_finite": True}
         bad = None
         half = Fraction(1, 2)
-        for x in pts:
+        for x in levels:
             for y in self.space.points_within(x, half):
-                if levels.get(y, self.level(y)) > levels[x] + 1:
+                if (levels[y] if y in levels else self.level(y)) > levels[x] + 1:
                     bad = {"x": list(x), "y": list(y)}
                     break
             if bad:
@@ -102,7 +99,8 @@ class LevelFunction:
         raise DomainError(f"level function {self.name!r} has no serializable form")
 
     def tabulate(self, window: Window) -> dict:
-        return {x: self.level(x) for x in window_points(self.space, window)}
+        pts = window_points(self.space, window)
+        return dict(zip(pts, self.levels(pts)))
 
     def serialize_window(self, window: Window) -> dict:
         """Tabulated form: explicit window levels plus the kind as tail description."""
@@ -118,8 +116,7 @@ class LevelFunction:
 
 
 def unit_levels(space: MetricSpace) -> LevelFunction:
-    return LevelFunction(space, lambda x: 1, "1", "unit", payload={"kind": "unit"},
-                         batch=lambda pts: [1] * len(pts))
+    return LevelFunction(space, lambda pts: [1] * len(pts), "1", "unit", {"kind": "unit"})
 
 
 def zero_levels(space: MetricSpace, x0: Optional[Point] = None) -> LevelFunction:
@@ -136,10 +133,7 @@ def levels_from_subset(space: MetricSpace, A: PointSet) -> LevelFunction:
     """Levels of the expanding sequence A_n = N_{n/2}(A): max(1, ceil(2 d(x,A))).
     A point list reads its distances through ``set_distances``."""
 
-    def fn(x):
-        return max(1, math.ceil(2 * dist_to_set(space, x, A, UNBOUNDED).value))
-
-    def batch(pts):
+    def fn(pts):
         return [max(1, math.ceil(2 * d)) for d in set_distances(space, pts, A)]
 
     payload = None
@@ -147,13 +141,13 @@ def levels_from_subset(space: MetricSpace, A: PointSet) -> LevelFunction:
         payload = {"kind": "subset", "set": A.to_json()}
     except DomainError:
         pass
-    return LevelFunction(space, fn, f"E[{A.name}]", "from-subset", payload, batch)
+    return LevelFunction(space, fn, f"E[{A.name}]", "from-subset", payload)
 
 
 def levels_from_expression(space: MetricSpace, name: str,
                            fn: Callable[[Point], int],
                            payload: Optional[dict] = None) -> LevelFunction:
-    return LevelFunction(space, fn, name, "expression", payload)
+    return LevelFunction(space, lambda pts: list(map(fn, pts)), name, "expression", payload)
 
 
 def levels_from_metric(d: DoubleMetric, window: Optional[Window] = None) -> LevelFunction:
@@ -165,7 +159,7 @@ def levels_from_metric(d: DoubleMetric, window: Optional[Window] = None) -> Leve
         return max(1, math.ceil(ev.value))
 
     kind = "from-metric" if window is None else "from-metric-window"
-    return LevelFunction(d.space, fn, f"lv[{d.kind}]", kind)
+    return LevelFunction(d.space, lambda pts: list(map(fn, pts)), f"lv[{d.kind}]", kind)
 
 
 def delta_from_levels(L: LevelFunction) -> DeltaFunction:
@@ -316,18 +310,16 @@ def meet(e: LevelFunction, f: LevelFunction) -> LevelFunction:
     """Intersection of expanding sequences: levels combine by max."""
     _same_space(e, f)
     payload = _combined_payload("meet", e, f)
-    return LevelFunction(e.space, lambda x: max(e.level(x), f.level(x)),
-                         f"({e.name} ^ {f.name})", "combined", payload,
-                         lambda pts: list(map(max, e.levels(pts), f.levels(pts))))
+    return LevelFunction(e.space, lambda pts: list(map(max, e.levels(pts), f.levels(pts))),
+                         f"({e.name} ^ {f.name})", "combined", payload)
 
 
 def join(e: LevelFunction, f: LevelFunction) -> LevelFunction:
     """Union of expanding sequences: levels combine by min."""
     _same_space(e, f)
     payload = _combined_payload("join", e, f)
-    return LevelFunction(e.space, lambda x: min(e.level(x), f.level(x)),
-                         f"({e.name} v {f.name})", "combined", payload,
-                         lambda pts: list(map(min, e.levels(pts), f.levels(pts))))
+    return LevelFunction(e.space, lambda pts: list(map(min, e.levels(pts), f.levels(pts))),
+                         f"({e.name} v {f.name})", "combined", payload)
 
 
 def _same_space(e, f):
@@ -373,7 +365,7 @@ def source_projection(d: DoubleMetric, window: Optional[Window] = None) -> Level
             ev = d.dist_to_copy(x, window)
         return max(1, math.ceil(ev.value))
 
-    return LevelFunction(d.space, fn, f"src[{d.kind}]", "from-metric")
+    return LevelFunction(d.space, lambda pts: list(map(fn, pts)), f"src[{d.kind}]", "from-metric")
 
 
 def range_projection(d: DoubleMetric, window: Optional[Window] = None) -> LevelFunction:
@@ -402,7 +394,8 @@ def classify_type(e: LevelFunction, window: Window,
     that grow at every window enlargement.  One enumeration serves the
     sweep and the k table's window: the window's radius joins the sweep when
     it is the larger, and otherwise its ball is read from the largest sweep
-    window.  Each point's distance to a core A_n is searched once.
+    window.  That largest list is read with one ``levels`` call, and its
+    distances to each core A_n with one ``set_distances`` call.
     """
     space = e.space
     if radii is None:
@@ -410,7 +403,9 @@ def classify_type(e: LevelFunction, window: Window,
     _check_radii(radii)
     extended = window.radius > radii[-1]
     windows = sweep_windows(space, window, [*radii, window.radius] if extended else radii)
-    tabs = [{x: e.level(x) for x in pts} for pts in windows]
+    widest = windows[-1]
+    levels = dict(zip(widest, e.levels(widest)))
+    tabs = [{x: levels[x] for x in pts} for pts in windows]
     if extended:
         windows.pop()
         big_tab = tabs.pop()
@@ -427,15 +422,16 @@ def classify_type(e: LevelFunction, window: Window,
     growth = {}
     for n in usable:
         core = e.sublevel(n)
-        # d_X(x, A_n), each point searched once, shared by ecore (the levels
-        # of levels_from_subset(space, core)), the k table and the growth series
-        core_dist = functools.cache(lambda x: dist_to_set(space, x, core, UNBOUNDED).value)
-        ecore = LevelFunction(space, lambda x: max(1, math.ceil(2 * core_dist(x))),
+        # d_X(x, A_n) on the widest list, read once and shared by ecore (the
+        # levels of levels_from_subset(space, core)), the k table and the growth
+        core_dist = dict(zip(widest, set_distances(space, widest, core)))
+        ecore = LevelFunction(space, lambda pts: [max(1, math.ceil(2 * core_dist[x]))
+                                                  for x in pts],
                               f"E[{core.name}]", "from-subset")
         v = _equivalent_on(e, ecore, "coarse", window, radii, windows)
 
         def k_table_of(tab):  # m -> max of d_X(x, A_n) over levels <= m <= TYPE_M_MAX
-            return TransferTable.from_levels((lv, core_dist(x)) for x, lv in tab.items()
+            return TransferTable.from_levels((lv, core_dist[x]) for x, lv in tab.items()
                                              if lv <= TYPE_M_MAX)
 
         if v.certified:

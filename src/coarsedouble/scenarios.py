@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 from . import boolalg, measure
-from .asymptotics import sweep_radii
+from .asymptotics import sweep_radii, sweep_windows
 from .boolalg import FilterBase, _below, powers_tail_base, tau
 from .double import compose
 from .errors import DomainError
@@ -103,18 +103,16 @@ def scenario_ex1() -> dict:
             "verdicts": verdicts}
 
 
-def _direct_omega(space, F: FilterBase, S: PointSet, radii) -> int:
+def _direct_omega(space, F: FilterBase, S: PointSet, window: Window) -> int:
     """Ultrafilter-style decision on a set straight from the base: 1 iff some
-    F_k sits inside S up to a remainder that is stable along the sweep."""
+    F_k sits inside S up to a remainder that is stable along the sweep, which
+    is enumerated once."""
+    windows = sweep_windows(space, window, sweep_radii(window))
     for k in range(1, F.depth + 1):
         fk = F.level_set(k)
-        rem, present = [], False
-        for r in radii:
-            pts = window_points(space, Window(r))
-            members = [x for x in pts if fk.contains(x)]
-            present = present or bool(members)
-            rem.append(sum(1 for x in members if not S.contains(x)))
-        if present and len(set(rem)) == 1:
+        members = [x for x in windows[-1] if fk.contains(x)]
+        outside = {x for x in members if not S.contains(x)}
+        if members and len({sum(x in outside for x in pts) for pts in windows}) == 1:
             return 1
     return 0
 
@@ -149,9 +147,8 @@ def scenario_ex2() -> dict:
     verdicts = [meet_zero, join_one, t_plus, t_minus]
     restriction_ok = True
     restriction_rows = []
-    radii = sweep_radii(window)
     for S in (A, B, A.complement()):
-        direct = _direct_omega(space, F, S, radii)
+        direct = _direct_omega(space, F, S, window)
         via_tau = tau(F, levels_from_subset(space, S), window)
         verdicts.append(via_tau)
         agree = via_tau.value == direct
@@ -199,20 +196,20 @@ def scenario_lattice_laws() -> dict:
         window = Window(radius)
         pts = window_points(space, window)
         e, f, g = (_sample_levels(space, rng) for _ in range(3))
-        # the composites are built once per triple; their level caches then
-        # serve every point
+        # the composites are built once per triple, and each reads the window
+        # in one levels call, its operands' from their caches
         ef, jef = meet(e, f), join(e, f)
         equal = ((meet(f, e), ef),  # commutative
                  (meet(e, meet(f, g)), meet(ef, g)),  # associative
                  (meet(e, join(f, g)), join(ef, meet(e, g))))  # distributive
         to_e = (meet(e, jef), join(e, ef), meet(e, e))  # absorptive, idempotent
-        for x in pts:
-            le, lf = e.level(x), f.level(x)
-            ok = (ef.level(x) == max(le, lf) and jef.level(x) == min(le, lf)
-                  and all(a.level(x) == b.level(x) for a, b in equal)
-                  and all(h.level(x) == le for h in to_e))
-            laws_pass = laws_pass and ok
-            checked += 1
+        le, lf = e.levels(pts), f.levels(pts)
+        ok = (ef.levels(pts) == list(map(max, le, lf))
+              and jef.levels(pts) == list(map(min, le, lf))
+              and all(a.levels(pts) == b.levels(pts) for a, b in equal)
+              and all(h.levels(pts) == le for h in to_e))
+        laws_pass = laws_pass and ok
+        checked += len(pts)
     space = space_by_name("NatLine")
     window = Window(48)
     d1 = subset_metric(space, set_family("evens"))

@@ -158,6 +158,13 @@ def test_is_zero_examples(natline, geomline):
     assert vz.certified and vz.value == "zero"
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_is_zero_needs_a_sublevel(natline, n_max):
+    # with no sublevel to read, "zero" would be certified vacuously
+    with pytest.raises(DomainError, match="n_max"):
+        is_zero(unit_levels(natline), "coarse", Window(64), n_max=n_max)
+
+
 def test_is_zero_json_ready_on_rational_distances():
     space = CustomSpace([(0,), (1,), (2,)], metric="table",
                         table=[[0, "1/2", "3/4"], ["1/2", 0, "1/2"], ["3/4", "1/2", 0]])

@@ -136,6 +136,10 @@ def test_usage_error_exit_code(capsys):
     ["tau", "--space", "GeomLine", "--filter-base=4,1,-2", "--levels",
      "subset:powers:4", "--radius", "64"],
     ["measure", "nu-hat", "--space", "NatLine", "--levels", "unit", "--schedule-base", "0"],
+    ["ideal", "check", "--space", "NatLine", "--levels", "subset:evens", "--radius", "8",
+     "--n-max", "0"],
+    ["ideal", "check", "--space", "NatLine", "--levels", "subset:evens", "--radius", "8",
+     "--n-max=-3"],
 ], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine",
         "halfline-empty-on-NatLine", "complement-empty-on-NatLine",
         "x-not-int", "radii-not-int", "filter-base-not-int", "powers-no-base",
@@ -144,7 +148,8 @@ def test_usage_error_exit_code(capsys):
         "halfline-extra-field", "powers-extra-field", "multiples-extra-field",
         "points-extra-field", "evens-extra-field", "filter-base-four-values",
         "radii-repeated", "radii-decreasing", "radii-negative", "filter-base-depth-0",
-        "filter-base-depth-negative", "schedule-radii-equal"])
+        "filter-base-depth-negative", "schedule-radii-equal", "au-n-max-0",
+        "au-n-max-negative"])
 def test_bad_set_spec_is_usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

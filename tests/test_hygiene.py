@@ -12,9 +12,15 @@ Points are checked against their space in one place: an ``if not
 ``asymptotics.sweep_windows``.  Single-pair infima run one search: every
 ``_certified_min`` call in ``double.py`` passes a kind's ``coercive_c`` as
 its constant and no ``Evaluation``, so no caller picks probes or computes a
-candidate radius.  The readers of a whole window of levels
-(``DensityMeasure.ratio_series`` and ``asymptotics._equivalent_on``) read
-them through one ``levels(...)`` call and name no per-point ``.level``.
+candidate radius.  A ``LevelFunction`` has one reader, the ``fn`` it is
+built with, from a point list to its levels; its constructor takes no
+second one.  Every reader of a whole window of levels (``tabulate``,
+``validate``, the equivalence, transfer, zero, tau, separating-set and
+type verdicts, the approximate-unit checks, ``ratio_series`` and the
+lattice-law scenario) reads each window through one ``levels(...)`` call,
+and ``.level(...)`` is called only at the per-point sites: sublevel
+membership, the neighbour read of ``validate``, the copy gap
+``delta_from_levels`` and ``ApproximateUnit.set_distance_capped``.
 Every private module-level name (``_name``) is
 referenced somewhere in the package besides its definition, and every name
 ``__init__.py`` exports is referenced in the package or the tests besides
@@ -246,16 +252,56 @@ def _definition(path, qualname):
     return node
 
 
-@pytest.mark.parametrize("module, qualname", [("measure.py", "DensityMeasure.ratio_series"),
-                                              ("asymptotics.py", "_equivalent_on")])
-def test_window_levels_are_read_in_one_call(module, qualname):
+def test_level_function_has_one_reader():
+    init = _definition(SRC / "projection.py", "LevelFunction.__init__")
+    assert [a.arg for a in init.args.args] == ["self", "space", "fn", "name", "kind",
+                                               "payload"]
+
+
+# each reader of a window of levels, and the whole-window read it makes:
+# ``validate`` reads its window through ``tabulate``
+WINDOW_READERS = [
+    ("projection.py", "LevelFunction.tabulate", "levels"),
+    ("projection.py", "LevelFunction.validate", "tabulate"),
+    ("projection.py", "classify_type", "levels"),
+    ("asymptotics.py", "_equivalent_on", "levels"),
+    ("asymptotics.py", "transfer", "levels"),
+    ("asymptotics.py", "is_zero", "levels"),
+    ("boolalg.py", "tau", "levels"),
+    ("boolalg.py", "separating_set", "levels"),
+    ("measure.py", "DensityMeasure.ratio_series", "levels"),
+    ("ideals.py", "check_au", "levels"),
+    ("ideals.py", "recovery_transfer", "levels"),
+    ("ideals.py", "level_set_identities", "levels"),
+    ("scenarios.py", "scenario_lattice_laws", "levels"),
+]
+
+# the calls of ``.level(...)`` in the package, one point each
+PER_POINT_READS = [
+    ("ideals.py", "ApproximateUnit.set_distance_capped"),
+    ("ideals.py", "ApproximateUnit.set_distance_capped"),
+    ("projection.py", "LevelFunction.sublevel"),
+    ("projection.py", "LevelFunction.validate"),
+    ("projection.py", "delta_from_levels"),
+]
+
+
+@pytest.mark.parametrize("module, qualname, read", WINDOW_READERS)
+def test_window_levels_are_read_in_one_call(module, qualname, read):
     node = _definition(SRC / module, qualname)
     reads = [n for n in ast.walk(node) if isinstance(n, ast.Call)
-             and "levels" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
-    assert reads, f"{qualname} reads no levels(...)"
+             and read in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+    assert reads, f"{qualname} reads no {read}(...)"
     per_point = [ast.unparse(n) for n in ast.walk(node)
                  if isinstance(n, ast.Attribute) and n.attr == "level"]
-    assert not per_point, f"{qualname} reads levels per point: {per_point}"
+    allowed = PER_POINT_READS.count((module, qualname))
+    assert len(per_point) == allowed, f"{qualname} reads levels per point: {per_point}"
+
+
+def test_level_is_read_per_point_only_at_the_per_point_sites():
+    sites = _package_sites(lambda n: isinstance(n, ast.Call)
+                           and isinstance(n.func, ast.Attribute) and n.func.attr == "level")
+    assert sorted((name, scope) for name, scope, _ in sites) == PER_POINT_READS, sites
 
 
 def test_no_unused_private_names():

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
+import pytest
+
 from coarsedouble import levels_from_subset, unit_levels, zero_levels
 from coarsedouble.ideals import (ApproximateUnit, check_au,
                                  level_set_identities, recovered_levels,
                                  recovery_transfer, unit_eval, unit_join,
                                  unit_meet)
+from coarsedouble.errors import DomainError
 from coarsedouble.space import CustomSpace, Window, set_family, window_points
 
 
@@ -51,6 +54,25 @@ def test_check_au(natline):
     # the constant unit never has zeros, so nothing to list
     rep_unit = check_au(ApproximateUnit(unit_levels(natline)), w)
     assert rep_unit["passed"] and rep_unit["au2_strict_failure_count"] == 0
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_check_au_needs_a_unit_pair(natline, n_max):
+    # with no pair u_n, u_{n+1} to compare the check would pass vacuously
+    unit = ApproximateUnit(levels_from_subset(natline, set_family("evens")))
+    with pytest.raises(DomainError, match="n_max"):
+        check_au(unit, Window(8), n_max)
+
+
+def test_level_set_identities_read_each_window_once(natline, counted):
+    # each level function reads the window widened by 1 in one call; the
+    # unit values then read their levels from the caches
+    u = ApproximateUnit(levels_from_subset(natline, set_family("squares")))
+    v = ApproximateUnit(levels_from_subset(natline, set_family("evens")))
+    windows, searches = counted("window_points"), counted("dist_to_set")
+    assert level_set_identities(u, v, 2, Window(48))["passed"]
+    assert len(windows) == 1 and windows[0][1].radius == 49
+    assert len(searches) == 4
 
 
 def test_units_monotone(natline):

@@ -16,6 +16,8 @@ from coarsedouble import (CmFunction, PointMetric, check_axioms, check_cm,
                           transfer, unit_levels, zero_levels)
 from coarsedouble.double import DeltaMetric
 from coarsedouble.errors import DomainError
+from coarsedouble.ideals import ApproximateUnit, recovered_levels
+from coarsedouble.projection import levels_from_expression
 from coarsedouble.serialize import expression_levels
 from coarsedouble.space import (UNBOUNDED, PointSet, Window, dist_to_set,
                                 set_family, space_by_name, window_points)
@@ -224,7 +226,8 @@ def test_classify_type(natline):
 @pytest.mark.parametrize("spec, n_cores", [("log2", 8), ("evens", 1)])
 def test_classify_type_reads_its_window_once(natline, counted, spec, n_cores):
     # one sweep enumeration, handed to every core's equivalence check, and one
-    # search of d_X(x, A_n) per point and core level
+    # set_distances read of d_X(., A_n) per core level: on NatLine a window is
+    # a run, so that read searches from its two ends only
     e = (expression_levels(natline, "log2") if spec == "log2"
          else levels_from_subset(natline, set_family("evens")))
     windows, searches = counted("window_points"), counted("dist_to_set")
@@ -233,7 +236,7 @@ def test_classify_type_reads_its_window_once(natline, counted, spec, n_cores):
     cores = {f"[{e.name}<={n}]" for n in range(1, 9)}
     core_searches = [(A.name, x) for _, x, A, _ in searches if A.name in cores]
     assert len(windows) == 1
-    assert len(core_searches) == len(set(core_searches)) == 257 * n_cores
+    assert len(core_searches) == len(set(core_searches)) == 2 * n_cores
 
 
 @pytest.mark.parametrize("radii", [[2, 8, 40], [4, 16, 100], [1, 4, 64]])
@@ -293,3 +296,50 @@ def test_source_type_transfers_to_range(natline):
     vs = classify_type(src, w)
     vr = classify_type(rng_, w)
     assert vs.value == "type-I" and vr.value == "type-I"
+
+
+# one constructor per kind; the meet/join tree mixes a reader over point
+# lists (subset levels) with per-point rules (expression, from-metric)
+KINDS = {
+    "unit": unit_levels,
+    "zero": lambda s: zero_levels(s, (5,)),
+    "subset": lambda s: levels_from_subset(s, set_family("squares")),
+    "expression": lambda s: expression_levels(s, "ceil-sqrt"),
+    "from-metric": lambda s: levels_from_metric(subset_metric(s, set_family("evens"))),
+    "from-metric-window": lambda s: levels_from_metric(
+        compose(subset_metric(s, set_family("evens")),
+                subset_metric(s, set_family("multiples", k=3))), Window(24)),
+    "source-projection": lambda s: source_projection(
+        subset_metric(s, set_family("multiples", k=3))),
+    "recovered": lambda s: recovered_levels(
+        ApproximateUnit(levels_from_subset(s, set_family("powers", base=2)))),
+    "meet-join": lambda s: join(meet(levels_from_subset(s, set_family("odds")),
+                                     expression_levels(s, "log2")),
+                                levels_from_metric(subset_metric(s, set_family("squares")))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("order", ["run", "reversed"])
+def test_levels_read_matches_per_point_reads(natline, kind, order):
+    pts = window_points(natline, Window(20))
+    if order == "reversed":
+        pts = pts[::-1]
+    by_point = KINDS[kind](natline)
+    want = [by_point.level(x) for x in pts]
+    assert KINDS[kind](natline).levels(pts) == want
+
+
+def test_every_kind_has_a_constructor_case(natline):
+    assert {make(natline).kind for make in KINDS.values()} == {
+        "unit", "zero", "from-subset", "expression", "from-metric", "from-metric-window",
+        "recovered", "combined"}
+
+
+def test_level_below_one_is_a_domain_error(natline):
+    bad = levels_from_expression(natline, "bad", lambda p: 0 if p[0] in (2, 4) else 1)
+    with pytest.raises(DomainError, match=r"gave 0 < 1 at \(4,\)"):
+        bad.levels([(3,), (4,), (6,)])
+    with pytest.raises(DomainError, match=r"gave 0 < 1 at \(2,\)"):
+        bad.level((2,))
+    assert bad.level((3,)) == 1

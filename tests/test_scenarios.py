@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from coarsedouble.scenarios import SCENARIO_NAMES, expected_tables, run_scenario
+from coarsedouble.boolalg import powers_tail_base
+from coarsedouble.scenarios import (SCENARIO_NAMES, _direct_omega, expected_tables,
+                                    run_scenario, scenario_lattice_laws)
+from coarsedouble.space import Window, set_family, space_by_name
 from coarsedouble.verdicts import revalidate
 
 
@@ -42,3 +45,20 @@ def test_ex1_candidate_rows():
     comp = [r for r in rows if r["candidate"].startswith("complement-")]
     assert all(r["join_is_one"] and not r["meet_is_zero"] for r in comp)
     assert not any(r["complementable"] for r in rows)
+
+
+def test_direct_omega_reads_its_sweep_once(counted):
+    # no F_k meets {2*4^j}, so every k is tried, all on one enumeration
+    windows = counted("window_points")
+    B = set_family("powers", base=4, scale=2)
+    assert _direct_omega(space_by_name("GeomLine"), powers_tail_base(4, depth=6), B,
+                         Window(4096)) == 0
+    assert len(windows) == 1
+
+
+def test_lattice_laws_read_each_window_once(counted):
+    # 60 triples of three sampled level functions: each reads its window in
+    # one levels call, which on the lines searches from the window's two ends
+    searches = counted("dist_to_set")
+    assert scenario_lattice_laws()["summary"]["laws_pass"]
+    assert len(searches) <= 2 * 3 * 60
