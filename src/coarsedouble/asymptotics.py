@@ -41,8 +41,12 @@ def default_grid():
 def sweep_radii(window: Window) -> list:
     """Three nested radii R/16, R/4, R.  Factor-4 steps guarantee that even
     exponentially spaced spaces gain points at every step, so stability and
-    strict growth are sampled meaningfully."""
+    strict growth are sampled meaningfully.  A window of radius below 1 has
+    no sweep: its radii would reach past it."""
     r = window.radius
+    if r < 1:
+        raise DomainError(f"a sweep needs a window radius of at least 1, "
+                          f"got {rational_to_json(r)}")
     radii = sorted({_simplify(max(1, Fraction(r) / 16)),
                     _simplify(max(1, Fraction(r) / 4)),
                     _simplify(Fraction(r))})
@@ -271,9 +275,10 @@ def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
     The boundedness surrogate is sups[n], the largest distance to the space
     basepoint over the sublevel set {level <= n} of each sweep window (the
     transfer table of level against that distance, read at n = 1..n_max),
-    required to be unchanged across the three-radius sweep.  Escape (a sup
-    that grows at every step) is reported as evidence, never as a hard
-    falsification.  The largest sweep window is read with one ``levels`` call.
+    required to be seen, unchanged, at every radius of the sweep: a sup first
+    seen at a larger radius has grown.  Escape (a sup that grows at every
+    step) is reported as evidence, never as a hard falsification.  The
+    largest sweep window is read with one ``levels`` call.
     """
     if mode not in ("quasi", "coarse"):
         raise DomainError(f"unknown zero-test mode {mode!r}")
@@ -293,8 +298,8 @@ def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
     claim = f"is-zero[{mode}]({_name(e)})"
     series = sorted(last.items())
     escapes = _escape_entries(sups_by_radius)
-    # every sup, at every radius, must already be the last radius's sup
-    stable_all = all(last.get(n) == v for s in sups_by_radius for n, v in s.items())
+    # every sup of the last radius must be seen, unchanged, at every radius
+    stable_all = all(s.get(n) == v for s in sups_by_radius for n, v in last.items())
     diagnostics = {
         "radii": [rational_to_json(r) for r in radii],
         "sups": [{str(n): rational_to_json(v) for n, v in s.items()}

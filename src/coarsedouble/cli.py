@@ -11,16 +11,18 @@ import argparse
 import functools
 import json
 import sys
+from typing import Optional
 
 from . import __version__, ideals, measure
 from .asymptotics import equivalent
-from .boolalg import FormalSum, enumerate_atoms, check_hom, homs, powers_tail_base, tau
+from .boolalg import FormalSum, enumerate_atoms, check_hom, homs, tau
 from .double import compose, evaluate
 from .errors import DomainError, SearchInconclusive
 from .projection import classify_type, join, meet
 from .reporting import RunReport, pretty_dumps, report_to_csv, canonical_reload
 from .scenarios import SCENARIO_NAMES, run_scenario
-from .serialize import parse_kernel, parse_levels, parse_ints
+from .serialize import (parse_filter_base, parse_ints, parse_kernel, parse_levels,
+                        split_specs)
 from .space import (Window, builtin_spaces, space_by_name, space_from_json,
                     window_points)
 from .verdicts import Status
@@ -35,27 +37,32 @@ def _read_json(path: str):
         raise DomainError(f"cannot read a JSON document from {path}: {exc}") from None
 
 
-def _window(args) -> Window:
+def _window(args) -> Optional[Window]:
+    """The ball of --radius about --base (the space's basepoint without it);
+    None for a command without --radius."""
+    if getattr(args, "radius", None) is None:
+        return None
     base = parse_ints(args.base) if getattr(args, "base", None) else None
     return Window(args.radius, base)
 
 
-# how a levels spec begins (see serialize.parse_levels)
-_SPEC_STARTS = ("unit", "zero", "subset:", "~subset:", "expr:")
-
-
-def _split_specs(text: str, sep: str) -> list:
-    """A list of levels specs joined by sep, split only where the next piece
-    begins a spec.  The separators also occur inside one spec, between the
-    coordinates of ``zero:4,2`` and the points of ``subset:points:1;5``, so a
-    piece that begins no spec belongs to the one before it."""
-    specs = []
-    for piece in text.split(sep):
-        if specs and not piece.startswith(_SPEC_STARTS):
-            specs[-1] += sep + piece
+def _command(sub, name: str, help_: Optional[str], *arguments):
+    """The subcommand name, with its arguments declared in order.  A bare
+    flag is a required option, ``(flag, n)`` an int option defaulting to n,
+    ``(flag, "text")`` a required option with that help, and
+    ``(flag, {...})`` passes its keywords to ``add_argument``."""
+    p = sub.add_parser(name, help=help_) if help_ else sub.add_parser(name)
+    for arg in arguments:
+        flag, spec = (arg, None) if isinstance(arg, str) else arg
+        if spec is None:
+            p.add_argument(flag, required=True)
+        elif isinstance(spec, int):
+            p.add_argument(flag, type=int, default=spec)
+        elif isinstance(spec, str):
+            p.add_argument(flag, required=True, help=spec)
         else:
-            specs.append(piece)
-    return specs
+            p.add_argument(flag, **spec)
+    return p
 
 
 @functools.cache
@@ -72,114 +79,78 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the report to this file")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("space", help="inspect spaces and windows")
-    spsub = sp.add_subparsers(dest="space_cmd", required=True)
-    spsub.add_parser("list")
-    show = spsub.add_parser("show")
-    show.add_argument("--space", help="builtin space name")
-    show.add_argument("--space-file", help="JSON document for a custom space")
-    show.add_argument("--radius", type=int, required=True)
-    show.add_argument("--base")
+    def group(name, help_):
+        return sub.add_parser(name, help=help_).add_subparsers(
+            dest=f"{name}_cmd", required=True)
 
-    proj = sub.add_parser("proj", help="define a projection from levels")
-    projsub = proj.add_subparsers(dest="proj_cmd", required=True)
-    define = projsub.add_parser("define")
-    define.add_argument("--space", required=True)
-    define.add_argument("--levels", required=True,
-                        help="unit | zero[:pt] | subset:<set> | expr:<name>")
-    define.add_argument("--radius", type=int, default=32)
-
-    ev = sub.add_parser("eval", help="evaluate a cross-copy kernel")
-    ev.add_argument("--space", required=True)
-    ev.add_argument("--metric", required=True,
-                    help="zero[:pt] | subset:<set> | delta:<levels> | const:<v>")
-    ev.add_argument("--x", required=True)
-    ev.add_argument("--y", required=True)
-    ev.add_argument("--radius", type=int, default=64)
-    ev.add_argument("--base")
-
-    cmp_ = sub.add_parser("compare", help="equivalence of two level functions")
-    cmp_.add_argument("--space", required=True)
-    cmp_.add_argument("--left", required=True)
-    cmp_.add_argument("--right", required=True)
-    cmp_.add_argument("--mode", choices=["quasi", "coarse"], required=True)
-    cmp_.add_argument("--radius", type=int, default=256)
-
-    prod = sub.add_parser("product", help="compose two kernels and evaluate")
-    prod.add_argument("--space", required=True)
-    prod.add_argument("--left", required=True)
-    prod.add_argument("--right", required=True)
-    prod.add_argument("--x", required=True)
-    prod.add_argument("--y", required=True)
-    prod.add_argument("--radius", type=int, default=64)
-
+    space = group("space", "inspect spaces and windows")
+    space.add_parser("list")
+    _command(space, "show", None, ("--space", {"help": "builtin space name"}),
+             ("--space-file", {"help": "JSON document for a custom space"}),
+             ("--radius", {"type": int, "required": True}), ("--base", {}))
+    _command(group("proj", "define a projection from levels"), "define", None, "--space",
+             ("--levels", "unit | zero[:pt] | subset:<set> | expr:<name>"), ("--radius", 32))
+    _command(sub, "eval", "evaluate a cross-copy kernel", "--space",
+             ("--metric", "zero[:pt] | subset:<set> | delta:<levels> | const:<v>"),
+             "--x", "--y", ("--radius", 64), ("--base", {}))
+    _command(sub, "compare", "equivalence of two level functions", "--space", "--left",
+             "--right", ("--mode", {"choices": ["quasi", "coarse"], "required": True}),
+             ("--radius", 256))
+    _command(sub, "product", "compose two kernels and evaluate", "--space", "--left",
+             "--right", "--x", "--y", ("--radius", 64))
     for opname in ("meet", "join"):
-        mp = sub.add_parser(opname, help=f"{opname} of two level functions")
-        mp.add_argument("--space", required=True)
-        mp.add_argument("--left", required=True)
-        mp.add_argument("--right", required=True)
-        mp.add_argument("--radius", type=int, default=16)
-
-    cl = sub.add_parser("classify", help="type I / type II classification")
-    cl.add_argument("--space", required=True)
-    cl.add_argument("--levels", required=True)
-    cl.add_argument("--radius", type=int, default=256)
-    cl.add_argument("--radii", help="comma-separated, strictly increasing sweep radii")
-
-    alg = sub.add_parser("algebra", help="atoms and homs of a generated algebra")
-    alg.add_argument("what", choices=["atoms", "homs"])
-    alg.add_argument("--space", required=True)
-    alg.add_argument("--generators", required=True,
-                     help="semicolon-separated level specs")
-    alg.add_argument("--radius", type=int, default=256)
-
-    tp = sub.add_parser("tau", help="filter-base limit along a projection")
-    tp.add_argument("--space", required=True)
-    tp.add_argument("--filter-base", required=True,
-                    help="base[,scale[,depth]] for scaled power tails")
-    tp.add_argument("--levels", required=True)
-    tp.add_argument("--radius", type=int, default=1024)
-
-    ms = sub.add_parser("measure", help="density functionals")
-    ms.add_argument("what", choices=["nu-hat", "nu-bar", "laws"])
-    ms.add_argument("--space", required=True)
-    ms.add_argument("--levels", required=True,
-                    help="comma-separated level specs: one (nu-hat), "
-                         "two (laws) or more (nu-bar)")
-    ms.add_argument("--n-max", type=int, default=8)
-    ms.add_argument("--schedule-base", type=int, default=32)
-
-    idl = sub.add_parser("ideal", help="approximate-unit checks")
-    idlsub = idl.add_subparsers(dest="ideal_cmd", required=True)
-    ic = idlsub.add_parser("check")
-    ic.add_argument("--space", required=True)
-    ic.add_argument("--levels", required=True)
-    ic.add_argument("--radius", type=int, default=64)
-    ic.add_argument("--n-max", type=int, default=6)
-
-    sc = sub.add_parser("scenario", help="run a scenario against its expected table")
-    scsub = sc.add_subparsers(dest="scenario_cmd", required=True)
-    run = scsub.add_parser("run")
-    run.add_argument("name", choices=list(SCENARIO_NAMES))
-
-    rp = sub.add_parser("report", help="re-render a saved JSON report")
-    rp.add_argument("--infile", required=True)
-    rp.add_argument("--format", choices=["json", "csv"], default="json")
+        _command(sub, opname, f"{opname} of two level functions", "--space", "--left",
+                 "--right", ("--radius", 16))
+    _command(sub, "classify", "type I / type II classification", "--space", "--levels",
+             ("--radius", 256),
+             ("--radii", {"help": "comma-separated, strictly increasing sweep radii"}))
+    _command(sub, "algebra", "atoms and homs of a generated algebra",
+             ("what", {"choices": ["atoms", "homs"]}), "--space",
+             ("--generators", "semicolon-separated level specs"), ("--radius", 256))
+    _command(sub, "tau", "filter-base limit along a projection", "--space",
+             ("--filter-base", "base[,scale[,depth]] for scaled power tails"), "--levels",
+             ("--radius", 1024))
+    _command(sub, "measure", "density functionals",
+             ("what", {"choices": ["nu-hat", "nu-bar", "laws"]}), "--space",
+             ("--levels", "comma-separated level specs: one (nu-hat), "
+                          "two (laws) or more (nu-bar)"),
+             ("--n-max", 8), ("--schedule-base", 32))
+    _command(group("ideal", "approximate-unit checks"), "check", None, "--space",
+             "--levels", ("--radius", 64), ("--n-max", 6))
+    _command(group("scenario", "run a scenario against its expected table"), "run", None,
+             ("name", {"choices": list(SCENARIO_NAMES)}))
+    _command(sub, "report", "re-render a saved JSON report", "--infile",
+             ("--format", {"choices": ["json", "csv"], "default": "json"}))
     return p
 
 
 def _dispatch(args) -> RunReport:
+    """The report of one parsed command line.  Commands without a space are
+    answered first; every other command has its space, window and level-spec
+    reader resolved here once, before its own branch."""
+    if args.command == "scenario":
+        return run_scenario(args.name)
+    if args.command == "report":
+        doc = _read_json(args.infile)
+        if not isinstance(doc, dict):
+            raise DomainError(f"{args.infile} holds no report object")
+        if args.format == "csv":
+            return RunReport("report csv", {"csv": report_to_csv(doc)})
+        return RunReport("report json", {"canonical": canonical_reload(doc)})
+    if args.command == "space" and args.space_cmd == "list":
+        return RunReport("space list", {"spaces": sorted(builtin_spaces())})
+
+    # only space show may name its space by --space-file instead of --space
+    if getattr(args, "space_file", None):
+        space = space_from_json(_read_json(args.space_file))
+    elif args.space or args.command != "space":
+        space = space_by_name(args.space)
+    else:
+        raise DomainError("space show needs --space or --space-file")
+    w = _window(args)
+    read_levels = functools.partial(parse_levels, space)
+
     if args.command == "space":
-        if args.space_cmd == "list":
-            return RunReport("space list",
-                             {"spaces": sorted(builtin_spaces())})
-        if args.space_file:
-            space = space_from_json(_read_json(args.space_file))
-        elif args.space:
-            space = space_by_name(args.space)
-        else:
-            raise DomainError("space show needs --space or --space-file")
-        w = _window(args)
         pts = window_points(space, w)
         return RunReport(
             f"space show {space.name}",
@@ -187,59 +158,39 @@ def _dispatch(args) -> RunReport:
              "count": len(pts), "points": [list(p) for p in pts]})
 
     if args.command == "proj":
-        space = space_by_name(args.space)
-        lf = parse_levels(space, args.levels)
-        w = Window(args.radius)
+        lf = read_levels(args.levels)
         return RunReport(
             f"proj define {args.levels}",
             {"levels": lf.serialize_window(w),
              "validation": lf.validate(w)})
 
-    if args.command == "eval":
-        space = space_by_name(args.space)
-        d = parse_kernel(space, args.metric)
-        w = _window(args)
+    if args.command in ("eval", "product"):
+        if args.command == "eval":
+            d = parse_kernel(space, args.metric)
+        else:
+            d = compose(parse_kernel(space, args.left), parse_kernel(space, args.right))
         ev = evaluate(d, parse_ints(args.x), parse_ints(args.y), w)
-        return RunReport(f"eval {args.metric}",
+        return RunReport(f"eval {args.metric}" if args.command == "eval" else "product",
                          {"evaluation": ev.to_json(), "kernel": d.to_json()})
 
-    if args.command == "compare":
-        space = space_by_name(args.space)
-        e1 = parse_levels(space, args.left)
-        e2 = parse_levels(space, args.right)
-        v = equivalent(e1, e2, args.mode, Window(args.radius))
-        return RunReport(f"compare {args.mode}", {"verdict": v.to_json()},
-                         verdicts=[v])
-
-    if args.command == "product":
-        space = space_by_name(args.space)
-        d = compose(parse_kernel(space, args.left), parse_kernel(space, args.right))
-        w = Window(args.radius)
-        ev = evaluate(d, parse_ints(args.x), parse_ints(args.y), w)
-        return RunReport("product", {"evaluation": ev.to_json(),
-                                     "kernel": d.to_json()})
+    if args.command in ("compare", "classify", "tau"):
+        if args.command == "compare":
+            v = equivalent(read_levels(args.left), read_levels(args.right), args.mode, w)
+        elif args.command == "classify":
+            lf = read_levels(args.levels)
+            v = classify_type(lf, w, radii=list(parse_ints(args.radii)) if args.radii else None)
+        else:
+            v = tau(parse_filter_base(args.filter_base), read_levels(args.levels), w)
+        title = f"compare {args.mode}" if args.command == "compare" else args.command
+        return RunReport(title, {"verdict": v.to_json()}, verdicts=[v])
 
     if args.command in ("meet", "join"):
-        space = space_by_name(args.space)
-        e1 = parse_levels(space, args.left)
-        e2 = parse_levels(space, args.right)
         op = meet if args.command == "meet" else join
-        lf = op(e1, e2)
-        w = Window(args.radius)
-        return RunReport(args.command,
-                         {"levels": lf.serialize_window(w)})
-
-    if args.command == "classify":
-        space = space_by_name(args.space)
-        lf = parse_levels(space, args.levels)
-        radii = list(parse_ints(args.radii)) if args.radii else None
-        v = classify_type(lf, Window(args.radius), radii=radii)
-        return RunReport("classify", {"verdict": v.to_json()}, verdicts=[v])
+        lf = op(read_levels(args.left), read_levels(args.right))
+        return RunReport(args.command, {"levels": lf.serialize_window(w)})
 
     if args.command == "algebra":
-        space = space_by_name(args.space)
-        gens = [parse_levels(space, s) for s in _split_specs(args.generators, ";")]
-        w = Window(args.radius)
+        gens = [read_levels(s) for s in split_specs(args.generators, ";")]
         if args.what == "atoms":
             atoms = enumerate_atoms(gens, w)
             return RunReport(
@@ -255,30 +206,15 @@ def _dispatch(args) -> RunReport:
              "homs": [dict(h.to_json(),
                            check=check_hom(h, gens, w)) for h in hs]})
 
-    if args.command == "tau":
-        space = space_by_name(args.space)
-        parts = parse_ints(args.filter_base)
-        if len(parts) > 3:
-            raise DomainError(f"--filter-base {args.filter_base!r} takes at most "
-                              "three values: base[,scale[,depth]]")
-        base = parts[0]
-        scale = parts[1] if len(parts) > 1 else 1
-        depth = parts[2] if len(parts) > 2 else 6
-        F = powers_tail_base(base, scale=scale, depth=depth)
-        lf = parse_levels(space, args.levels)
-        v = tau(F, lf, Window(args.radius))
-        return RunReport("tau", {"verdict": v.to_json()}, verdicts=[v])
-
     if args.command == "measure":
-        space = space_by_name(args.space)
         mu = measure.DensityMeasure.natural(space)
         schedule = measure.default_schedule(args.schedule_base)
-        specs = _split_specs(args.levels, ",")
+        specs = split_specs(args.levels, ",")
         wanted = {"nu-hat": 1, "laws": 2}.get(args.what)
         if wanted is not None and len(specs) != wanted:
             raise DomainError(f"measure {args.what} takes {wanted} level spec(s), "
                               f"not {len(specs)}: {specs}")
-        gens = tuple(parse_levels(space, s) for s in specs)
+        gens = tuple(map(read_levels, specs))
         if args.what == "nu-hat":
             rep = measure.nu_hat(mu, gens[0], args.n_max, schedule)
             return RunReport("measure nu-hat", {"nu_hat": rep.to_json()})
@@ -290,24 +226,10 @@ def _dispatch(args) -> RunReport:
         return RunReport("measure laws", {"modularity": rep})
 
     if args.command == "ideal":
-        space = space_by_name(args.space)
-        lf = parse_levels(space, args.levels)
-        unit = ideals.ApproximateUnit(lf)
-        w = Window(args.radius)
+        unit = ideals.ApproximateUnit(read_levels(args.levels))
         return RunReport("ideal check",
                          {"au": ideals.check_au(unit, w, args.n_max),
                           "recovery": ideals.recovery_transfer(unit, w)})
-
-    if args.command == "scenario":
-        return run_scenario(args.name)
-
-    if args.command == "report":
-        doc = _read_json(args.infile)
-        if not isinstance(doc, dict):
-            raise DomainError(f"{args.infile} holds no report object")
-        if args.format == "csv":
-            return RunReport("report csv", {"csv": report_to_csv(doc)})
-        return RunReport("report json", {"canonical": canonical_reload(doc)})
 
     raise DomainError(f"unhandled command {args.command}")
 

@@ -1,4 +1,5 @@
-"""JSON (de)serialization for kernels and level functions.
+"""JSON (de)serialization for kernels and level functions, and the
+command-line grammar of their compact specs.
 
 Deserialized objects are revalidated on a probe window before use: kernels
 rerun the axiom checks, level functions rerun the expanding-sequence checks.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .boolalg import FilterBase, powers_tail_base
 from .double import (DeltaMetric, DoubleMetric, MaxMetric, MinGlueMetric,
                      PointMetric, check_axioms, compose, const_delta)
 from .errors import DomainError
@@ -17,7 +19,6 @@ from .projection import (LevelFunction, delta_from_levels, join,
                          zero_levels)
 from .space import (MetricSpace, PointSet, Window, as_rational, parse_int,
                     set_family, set_from_json)
-from .verdicts import _iroot_ceil
 
 PROBE_RADIUS = 8
 
@@ -29,7 +30,18 @@ def _expr_sqrt(p) -> int:
 
 
 def _expr_cbrt(p) -> int:
-    return _iroot_ceil(abs(p[0]) + 1, 3)
+    """The least r with r**3 >= |x| + 1, by bisection: exact for any int."""
+    v = abs(p[0]) + 1
+    lo, hi = 0, 1
+    while hi ** 3 < v:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** 3 >= v:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def _expr_log2(p) -> int:
@@ -186,6 +198,36 @@ def parse_levels(space: MetricSpace, spec: str) -> LevelFunction:
     if spec.startswith("~subset:"):
         return levels_from_subset(space, parse_set(space, spec.split(":", 1)[1]).complement())
     raise DomainError(f"unknown levels spec {spec!r}")
+
+
+# how a levels spec begins (see parse_levels)
+_SPEC_STARTS = ("unit", "zero", "subset:", "~subset:", "expr:")
+
+
+def split_specs(text: str, sep: str) -> list:
+    """A list of levels specs joined by sep, split only where the next piece
+    begins a spec.  The separators also occur inside one spec, between the
+    coordinates of ``zero:4,2`` and the points of ``subset:points:1;5``, so a
+    piece that begins no spec belongs to the one before it."""
+    specs = []
+    for piece in text.split(sep):
+        if specs and not piece.startswith(_SPEC_STARTS):
+            specs[-1] += sep + piece
+        else:
+            specs.append(piece)
+    return specs
+
+
+def parse_filter_base(text: str) -> FilterBase:
+    """base[,scale[,depth]]: the scaled power tails of ``powers_tail_base``,
+    with scale 1 and depth 6 when left out (the function's own default
+    depth is 8)."""
+    parts = parse_ints(text)
+    if len(parts) > 3:
+        raise DomainError(f"--filter-base {text!r} takes at most "
+                          "three values: base[,scale[,depth]]")
+    base, scale, depth = parts + (1, 6)[len(parts) - 1:]
+    return powers_tail_base(base, scale=scale, depth=depth)
 
 
 def parse_kernel(space: MetricSpace, spec: str) -> DoubleMetric:

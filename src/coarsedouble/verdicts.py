@@ -98,21 +98,6 @@ class TabulatedWitness(Witness):
                 "table": [[rational_to_json(n), rational_to_json(v)] for n, v in self.table]}
 
 
-def _iroot_ceil(v: int, q: int) -> int:
-    if q == 1:
-        return v
-    lo, hi = 0, 1
-    while hi ** q < v:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** q >= v:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
 def witness_from_json(doc) -> Witness:
     kind = doc["kind"]
     if kind == "affine":
@@ -179,9 +164,7 @@ def revalidate(verdict: Verdict) -> bool:
         return True
     series = verdict.series()
     if verdict.check_kind == CHECK_DOMINATES:
-        if verdict.witness is None:
-            return False
-        return all(v <= verdict.witness.bound(n) for n, v in series)
+        return verdict.witness is not None and verdict.witness.dominates(series)
     if verdict.check_kind == CHECK_STRICT_GROWTH:
         vals = [v for _, v in series]
         return len(vals) >= 3 and all(b > a for a, b in zip(vals, vals[1:]))

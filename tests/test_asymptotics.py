@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsedouble import (PointMetric, equivalent, is_zero,
+from coarsedouble import (PointMetric, classify_type, equivalent, is_zero,
                           levels_from_metric, levels_from_subset, meet,
-                          transfer, unit_levels, zero_levels)
+                          powers_tail_base, tau, transfer, unit_levels, zero_levels)
 from coarsedouble.asymptotics import (TransferTable, _merged_samples, sweep_radii,
                                       sweep_windows)
 from coarsedouble.errors import DomainError
@@ -247,19 +247,18 @@ def test_equivalent_rejects_repeated_radii(natline):
 
 
 def _stable_by_level(sups, n_max):
-    """The per-level stability rule: a sup seen at any radius is the same at
-    every radius where it is seen, and is seen at the last one."""
+    """The per-level stability rule: a sup seen at the last radius is seen,
+    with the same value, at every radius."""
     for n in map(str, range(1, n_max + 1)):
         vals = [s.get(n) for s in sups]
-        defined = [v for v in vals if v is not None]
-        if defined and (len(set(defined)) > 1 or vals[-1] is None):
+        if vals[-1] is not None and len(set(vals)) > 1:
             return False
     return True
 
 
 @given(table=st.lists(st.integers(1, 6) | st.sampled_from([3, 7, 11]),
                       min_size=1, max_size=40),
-       radius=st.integers(0, 90), base=st.none() | st.integers(0, 30),
+       radius=st.integers(1, 90), base=st.none() | st.integers(0, 30),
        n_max=st.integers(1, 12))
 @settings(max_examples=120, deadline=None)
 def test_is_zero_sups_match_a_direct_scan(table, radius, base, n_max):
@@ -277,6 +276,28 @@ def test_is_zero_sups_match_a_direct_scan(table, radius, base, n_max):
     sups = v.to_json()["diagnostics"]["sups"]
     assert [list(s.items()) for s in sups] == want
     assert v.certified == (not want[-1] or _stable_by_level(sups, n_max))
+
+
+def test_is_zero_needs_every_sup_at_every_radius(natline):
+    # {x >= 10} is unbounded; at radius 16 its sublevel sups appear only in
+    # the largest sweep window, so they have grown, not settled
+    e = levels_from_subset(natline, set_family("half_line", sign=1, bound=10))
+    v = is_zero(e, "coarse", Window(16))
+    assert v.diagnostics["sups"][:2] == [{}, {}]
+    assert v.status is Status.INCONCLUSIVE and v.value == "zero?"
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda e, w: equivalent(e, e, "coarse", w),
+    lambda e, w: is_zero(e, "coarse", w),
+    lambda e, w: classify_type(e, w),
+    lambda e, w: tau(powers_tail_base(2), e, w),
+], ids=["equivalent", "is_zero", "classify_type", "tau"])
+def test_sweep_verdicts_need_radius_at_least_one(natline, verdict):
+    # the sweep of a radius-0 window would read the radius-1 ball outside it
+    with pytest.raises(DomainError, match="radius of at least 1"):
+        verdict(expression_levels(natline, "log2"), Window(0))
+    assert sweep_radii(Window(1)) == [1]
 
 
 def test_witness_revalidation(natline, geomline):

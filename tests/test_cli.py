@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from coarsedouble import measure, scenarios
-from coarsedouble.cli import main
+from coarsedouble.cli import build_parser, main
 from coarsedouble.reporting import canonical_reload, report_to_csv
 from coarsedouble.scenarios import run_scenario
 from coarsedouble.serialize import parse_levels
@@ -140,6 +141,8 @@ def test_usage_error_exit_code(capsys):
      "--n-max", "0"],
     ["ideal", "check", "--space", "NatLine", "--levels", "subset:evens", "--radius", "8",
      "--n-max=-3"],
+    ["compare", "--space", "NatLine", "--left", "expr:log2", "--right", "unit",
+     "--mode", "coarse", "--radius", "0"],
 ], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine",
         "halfline-empty-on-NatLine", "complement-empty-on-NatLine",
         "x-not-int", "radii-not-int", "filter-base-not-int", "powers-no-base",
@@ -149,7 +152,7 @@ def test_usage_error_exit_code(capsys):
         "points-extra-field", "evens-extra-field", "filter-base-four-values",
         "radii-repeated", "radii-decreasing", "radii-negative", "filter-base-depth-0",
         "filter-base-depth-negative", "schedule-radii-equal", "au-n-max-0",
-        "au-n-max-negative"])
+        "au-n-max-negative", "compare-radius-0"])
 def test_bad_set_spec_is_usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -452,3 +455,58 @@ def test_scenario_drift_exits_1(capsys, monkeypatch):
     assert doc["mismatches"] == [{"key": "product", "expected": "type-I",
                                   "actual": "type-II-evidence"}]
     assert_revalidates(doc)
+
+
+def _option(action):
+    """An argument as ``name[!][:type][=default][{choices}]``; ! marks required."""
+    out = "/".join(action.option_strings) or action.dest
+    out += "!" if action.required else ""
+    out += f":{action.type.__name__}" if action.type is not None else ""
+    out += f"={action.default}" if action.default is not None else ""
+    return out + ("{" + ",".join(action.choices) + "}" if action.choices else "")
+
+
+def _surface(parser, path=()):
+    """(command path, its arguments in declaration order), depth first."""
+    rows, below = [], []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                below += _surface(child, path + (name,))
+        elif not isinstance(action, argparse._HelpAction):
+            rows.append(_option(action))
+    return [(" ".join(path), rows)] + below
+
+
+CLI_SURFACE = [
+    ("", ["--strict=False", "--csv=False", "--out"]),
+    ("space", []),
+    ("space list", []),
+    ("space show", ["--space", "--space-file", "--radius!:int", "--base"]),
+    ("proj", []),
+    ("proj define", ["--space!", "--levels!", "--radius:int=32"]),
+    ("eval", ["--space!", "--metric!", "--x!", "--y!", "--radius:int=64", "--base"]),
+    ("compare", ["--space!", "--left!", "--right!", "--mode!{quasi,coarse}",
+                 "--radius:int=256"]),
+    ("product", ["--space!", "--left!", "--right!", "--x!", "--y!", "--radius:int=64"]),
+    ("meet", ["--space!", "--left!", "--right!", "--radius:int=16"]),
+    ("join", ["--space!", "--left!", "--right!", "--radius:int=16"]),
+    ("classify", ["--space!", "--levels!", "--radius:int=256", "--radii"]),
+    ("algebra", ["what!{atoms,homs}", "--space!", "--generators!", "--radius:int=256"]),
+    ("tau", ["--space!", "--filter-base!", "--levels!", "--radius:int=1024"]),
+    ("measure", ["what!{nu-hat,nu-bar,laws}", "--space!", "--levels!", "--n-max:int=8",
+                 "--schedule-base:int=32"]),
+    ("ideal", []),
+    ("ideal check", ["--space!", "--levels!", "--radius:int=64", "--n-max:int=6"]),
+    ("scenario", []),
+    ("scenario run", ["name!{typeI,ex1,ex2,lattice-laws,measure-demo}"]),
+    ("report", ["--infile!", "--format=json{json,csv}"]),
+]
+
+
+def test_cli_surface():
+    # every command and its arguments, in order, with required flags,
+    # types, defaults and choices
+    got = _surface(build_parser())
+    assert [path for path, _ in got] == [path for path, _ in CLI_SURFACE]
+    assert got == CLI_SURFACE

@@ -29,7 +29,11 @@ its definition and the export line.  The benchmark's tracer
 kind states ``coercive_c``, ``eps`` and ``symmetric`` once, as data, and
 ``DoubleMetric`` derives the bound and the adjoint from them: only the kinds
 with a stronger bound or their own adjoint rule override those, and
-``double.py`` names no concrete space class.
+``double.py`` names no concrete space class.  The command line resolves its
+inputs in one step: ``cli.py`` calls ``space_by_name`` at most twice and
+``Window`` once, and holds none of the spec grammar, which lives in
+``serialize``: no spec-prefix tuple, no string splitting and no parsing of
+``--filter-base`` beyond handing it to ``parse_filter_base``.
 """
 
 import ast
@@ -370,3 +374,23 @@ def test_double_imports_no_concrete_space():
                 and issubclass(getattr(space_module, name), space_module.MetricSpace)
                 and name not in ("MetricSpace", "LineSpace")]
     assert not concrete, f"double.py imports concrete spaces: {concrete}"
+
+
+def test_cli_resolves_its_inputs_once():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert len(_calls_to(tree, "space_by_name")) <= 2
+    assert len(_calls_to(tree, "Window")) == 1
+
+
+def test_cli_holds_no_spec_grammar():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    prefixes = [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                and n.value in ("unit", "zero", "subset:", "~subset:", "expr:")]
+    assert not prefixes, f"spec prefixes in cli.py: {prefixes}"
+    splits = [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Call)
+              and getattr(n.func, "attr", None) in ("split", "startswith", "partition")]
+    assert not splits, f"string splitting in cli.py: {splits}"
+    reads = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "filter_base"]
+    handed = [a for call in _calls_to(tree, "parse_filter_base") for a in call.args]
+    assert reads and reads == handed, [ast.unparse(n) for n in reads]

@@ -8,8 +8,8 @@ from coarsedouble import (DeltaMetric, MaxMetric, PointMetric, compose,
                           zero_levels)
 from coarsedouble.errors import DomainError
 from coarsedouble.serialize import (expression_levels, kernel_from_json,
-                                    level_from_json, parse_kernel, parse_levels,
-                                    parse_set)
+                                    level_from_json, parse_filter_base, parse_kernel,
+                                    parse_levels, parse_set)
 from coarsedouble.space import Window, set_family, window_points
 
 
@@ -84,3 +84,12 @@ def test_parse_shorthands(natline):
     assert parse_kernel(natline, "const:2").delta((7,)) == 2
     with pytest.raises(DomainError):
         parse_levels(natline, "wat:1")
+
+
+@pytest.mark.parametrize("text, name, depth", [
+    ("4", "tails(1*4^j)", 6), ("4,3", "tails(3*4^j)", 6), ("2,1,9", "tails(1*2^j)", 9)])
+def test_filter_base_form(text, name, depth):
+    # on the command line the depth defaults to 6, not powers_tail_base's 8
+    F = parse_filter_base(text)
+    assert (F.name, F.depth) == (name, depth)
+
