@@ -41,15 +41,18 @@ def default_grid():
 def sweep_radii(window: Window) -> list:
     """Three nested radii R/16, R/4, R.  Factor-4 steps guarantee that even
     exponentially spaced spaces gain points at every step, so stability and
-    strict growth are sampled meaningfully.  A window of radius below 1 has
-    no sweep: its radii would reach past it."""
+    strict growth are sampled meaningfully.  The two smaller radii are
+    raised to 1, so a window of radius R <= 4 has fewer than three distinct
+    radii; stability read from one or two radii would certify anything, so
+    such a window has no sweep and raises DomainError."""
     r = window.radius
-    if r < 1:
-        raise DomainError(f"a sweep needs a window radius of at least 1, "
-                          f"got {rational_to_json(r)}")
     radii = sorted({_simplify(max(1, Fraction(r) / 16)),
                     _simplify(max(1, Fraction(r) / 4)),
                     _simplify(Fraction(r))})
+    if len(radii) < 3:
+        raise DomainError(f"a sweep needs a window radius above 4, so that R/16, "
+                          f"R/4 and R (the smaller two raised to 1) are three "
+                          f"distinct radii, got {rational_to_json(r)}")
     return radii
 
 

@@ -10,6 +10,7 @@ window.  Values are exact ints or Fractions throughout.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -605,12 +606,14 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
     largest probe value, which holds the candidate ball of every cell whose
     row point lies in the window.  Midpoints with delta(u) >= that value
     cannot beat u = x and are dropped; delta is read once per point.  The
-    space type picks how the minimum is taken: on the line spaces by
-    ``_line_delta_min``, a distance-transform sweep in O(n^2 + m) memory for
-    n points and m universe points; elsewhere by the n x m min-plus product
-    over the universe.  Both give the same minimum, and certification is
-    the same: exact when every row's largest probe, as candidate radius,
-    passes the certificate rule on the enumerated radius
+    distances come from ``_distance_matrix``, a coordinate broadcast on
+    every l1 space.  The space type picks how the minimum is taken: on the
+    line spaces by ``_line_delta_min``, a distance-transform sweep and one
+    range-minimum table, in O(n^2 + m) memory for n points and m universe
+    points and with no loop over rows or cells; elsewhere by the n x m
+    min-plus product over the universe.  Both give the same minimum, and
+    certification is the same: exact when every row's largest probe, as
+    candidate radius, passes the certificate rule on the enumerated radius
     (``_rows_certified``).
     """
     space = d.space
@@ -632,7 +635,8 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
     universe = [u for u, _ in kept]
     weights = _exact_array([v for _, v in kept])
     if isinstance(space, LineSpace):
-        out = _line_delta_min(_coordinates(pts), dist, seed, _coordinates(universe), weights)
+        out = _line_delta_min(_coordinates(pts)[:, 0], dist, seed,
+                              _coordinates(universe)[:, 0], weights)
     else:
         dpu = _distance_matrix(space, pts, universe)
         out = np.minimum(seed, _min_plus(dpu + weights, dpu.T))
@@ -652,7 +656,7 @@ def _rows_certified(space: MetricSpace, pts: list, base: Point, r_cand: np.ndarr
 def _line_delta_min(c, dist, seed, u, du):
     """min(seed, min over k of |c_i - u_k| + du_k + |u_k - c_j|) for points
     c of a line, universe coordinates u in increasing order and delta values
-    du on them, without an n x m array.
+    du on them, without an n x m array and with no loop over rows or cells.
 
     With lo <= hi the two ends of the pair, a midpoint's term is
     |c_i - c_j| + du + 2 d(u, [lo, hi]).  Below lo that is 2 lo + (du - 2u),
@@ -662,28 +666,55 @@ def _line_delta_min(c, dist, seed, u, du):
     prefix minimum and a suffix minimum, and I(lo, hi) is the minimum of du
     on [lo, hi].  Each D term is that minimum or larger (a midpoint inside
     [lo, hi] counts at least du), and together the D terms cover the
-    midpoints outside, so the identity is exact.  I comes from one running
-    minimum per row, rightward from c_i, so it covers the columns with
-    c_j >= c_i; the cells it misses are the transposed cells of rows it
-    covers, and the result is symmetric.  Typed by ``_exact_array``, every
-    intermediate stays below 7 * 2**60, inside int64.
+    midpoints outside, so the identity is exact.
+
+    I is a range minimum (the gap-minimum identity).  With the points in
+    increasing order, as ``window_points`` lists them (any other order is
+    sorted here and put back at the end), and s_k the index of the first
+    u >= c_k, the universe indices [s_i, s_j) split into the disjoint gaps
+    [s_k, s_{k+1}), so for i < j, I(c_i, c_j) is the minimum of the gap
+    minima G_i, ..., G_{j-1} and of du at c_j when c_j is a universe point.
+    All gap minima come from one ``np.minimum.reduceat``; row i of one n x n
+    table holds D(c_i) at column i and G_{j-1} at each column j > i, and one
+    running minimum along the rows gives min(D(c_i), I) above the diagonal.
+    An empty gap or interval stands in as big, the largest seed: dist + big
+    is at least every seed, so the stand-in never wins, and no sentinel is
+    needed.  du is padded with big, so that s_k = m, for a point past the
+    universe's end, is a valid ``reduceat`` index; clipping it to m - 1
+    would drop the last universe point from the gap before it.  Cells on
+    and below the diagonal hold only real midpoint terms, never below the
+    true minimum, and the true minimum is symmetric, so ``min(out, out.T)``
+    makes every cell exact.  With c, u and du typed by ``_exact_array`` and
+    seed = dist plus a delta value, as ``_delta_cross_matrix`` passes it, big
+    is below 3 * 2**60 and every intermediate stays below 7 * 2**60, inside
+    int64; any object input makes the table object.
     """
-    m = len(u)
+    n, m = len(c), len(u)
+    order = None if np.all(c[1:] >= c[:-1]) else np.argsort(c, kind="stable")
+    if order is not None:
+        c = c[order]
     below = np.searchsorted(u, c, "right")  # u[:below] <= c
     start = np.searchsorted(u, c, "left")   # u[start:] >= c
     # clamped indices are read only where the side is nonempty
     left = 2 * c + np.minimum.accumulate(du - 2 * u)[np.maximum(below - 1, 0)]
     right = np.minimum.accumulate((du + 2 * u)[::-1])[::-1][np.minimum(start, m - 1)] - 2 * c
     dt = np.where(below == 0, right, np.where(start == m, left, np.minimum(left, right)))
-    best = np.minimum(dt[:, None], dt[None, :])
-    for i, s in enumerate(start.tolist()):
-        if s < m:
-            run = np.minimum.accumulate(du[s:])
-            k = below - 1 - s  # index in run of the last u <= c_j
-            hit = k >= 0
-            best[i, hit] = np.minimum(best[i, hit], run[k[hit]])
-    out = np.minimum(seed, dist + best)
-    return np.minimum(out, out.T)
+    big = seed.max()
+    padded = np.append(du, big)
+    gaps = np.where(start[:-1] < start[1:], np.minimum.reduceat(padded, start)[:-1], big)
+    # one n x n buffer, updated in place
+    table = np.empty((n, n), np.result_type(dist, seed, dt, gaps))
+    table[...] = np.append(big, gaps)
+    table[np.tri(n, k=-1, dtype=bool)] = big
+    np.fill_diagonal(table, dt)
+    np.minimum.accumulate(table, axis=1, out=table)
+    np.minimum(table, np.minimum(np.where(below > start, padded[start], big), dt), out=table)
+    if order is not None:
+        back = np.argsort(order)
+        table = table[back[:, None], back]
+    np.add(table, dist, out=table)
+    np.minimum(table, seed, out=table)
+    return np.minimum(table, table.T)
 
 
 def _ints_safe(arr) -> bool:
@@ -713,8 +744,10 @@ def _min_plus(a, b=None):
     mixing int64 with object gives object, which stays exact.  On the line
     spaces delta kernels do not come here (see ``_line_delta_min``), and a
     triangle check does only with the columns that fail its column test
-    (see ``_triangle_minima``); elsewhere the two n^3 triangle products of
-    ``check_axioms`` do, and set its cost.
+    (see ``_triangle_minima``).  Elsewhere a delta kernel's n x m product
+    over its universe and the two n^3 triangle products of ``check_axioms``
+    do, and set its cost; on TwoTails and the other l1 spaces their
+    distance operands are coordinate broadcasts.
     """
     # rows of b are read once per step, so they are made contiguous once
     b = np.ascontiguousarray(a.T if b is None else b)
@@ -727,17 +760,34 @@ def _min_plus(a, b=None):
 
 
 def _distance_matrix(space: MetricSpace, pts_a: list, pts_b: list) -> np.ndarray:
-    """d_X on pts_a x pts_b as an exact array; on the line spaces from the
-    coordinates, with no distance call.  Callers pass checked points or
-    enumerated ones."""
-    if isinstance(space, LineSpace):
-        return abs(_coordinates(pts_a)[:, None] - _coordinates(pts_b)[None, :])
+    """d_X on pts_a x pts_b as an exact array.  On a space whose ``metric``
+    is "manhattan" (the lines, TwoTails, predicate spaces and Manhattan
+    custom spaces) it is one broadcast of |a - b| summed over the
+    coordinates, with no distance call; table and rounded-Euclidean metrics
+    call ``_dist`` once per cell.  Callers pass checked points or enumerated
+    ones."""
+    if space.metric == "manhattan":
+        a, b = _coordinates(pts_a), _coordinates(pts_b)
+        out = abs(a[:, None, 0] - b[None, :, 0])
+        for k in range(1, a.shape[1]):
+            out += abs(a[:, None, k] - b[None, :, k])
+        return out
     return _exact_array([[space._dist(a, b) for b in pts_b] for a in pts_a])
 
 
 def _coordinates(pts: list) -> np.ndarray:
-    """The coordinates of points of a line space, typed by the guard."""
-    return _exact_array([p[0] for p in pts])
+    """The points, tuples of d integers, as an n x d array: int64 when every
+    coordinate lies within 2**60 / d, so that an l1 distance, a sum of d
+    differences, stays within 2 * 2**60 as on a line, and object otherwise."""
+    d = len(pts[0])
+    try:
+        arr = np.fromiter(chain.from_iterable(pts), np.int64, len(pts) * d)
+    except OverflowError:  # a coordinate beyond int64
+        return np.asarray(pts, dtype=object)
+    bound = _INT_SAFE // d
+    if arr.min() >= -bound and arr.max() <= bound:
+        return arr.reshape(-1, d)
+    return np.asarray(pts, dtype=object)
 
 
 def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
@@ -747,13 +797,18 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
     Everything is an exact array over the n window points: d_X, the cross
     matrix as ``cross_matrix`` returns it, the kernel's bound
     (``lower_bound_matrix``) and the two triangle minima
-    (``_triangle_minima``).  Elsewhere those minima are n^3 min-plus
-    products, which set the cost.  On the line spaces d_X comes from the
-    coordinates, a delta kernel's cross matrix from the distance-transform
-    sweep and both triangle checks from O(n^2) array expressions, so nothing
-    runs once per cell in Python, a passing kernel makes no n^3 product and
-    memory stays O(n^2) plus the universe; the space type picks that path.
-    Certification (``exact``) is the cross matrix's, unchanged.
+    (``_triangle_minima``).  On every l1 space (``metric`` "manhattan":
+    the lines, TwoTails, predicate and Manhattan custom spaces) d_X is a
+    coordinate broadcast, with no distance call per cell; table and
+    rounded-Euclidean spaces call ``_dist`` per cell.  Off the lines the two
+    triangle minima are n^3 min-plus products, which set the cost.  On the
+    line spaces a delta kernel's cross matrix comes from the
+    distance-transform sweep and its range-minimum table, and both triangle
+    checks from O(n^2) array expressions, so nothing runs once per row or
+    cell in Python, a passing kernel makes no n^3 product and memory stays
+    O(n^2) plus the universe; the space type picks that path.  Violations
+    are located only when a check fails.  Certification (``exact``) is the
+    cross matrix's, unchanged.
     """
     pts = window_points(d.space, window)
     n = len(pts)
@@ -776,10 +831,10 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
 
     # certified lower bound; argwhere lists hits in row-major order
     lb = d.lower_bound_matrix(pts, bmat)
-    bad = np.argwhere(dmat < lb)
+    bad = dmat < lb
     viol = None
-    if len(bad):
-        i, j = (int(v) for v in bad[0])
+    if bad.any():
+        i, j = (int(v) for v in np.argwhere(bad)[0])
         viol = {"x": list(pts[i]), "y": list(pts[j]),
                 "value": rational_to_json(dmat.item(i, j)),
                 "bound": rational_to_json(lb.item(i, j))}
@@ -814,7 +869,7 @@ def _triangle_minima(space: MetricSpace, pts: list, bmat, dmat):
     """
     if not isinstance(space, LineSpace):
         return _min_plus(dmat), _min_plus(bmat, dmat)
-    c = _coordinates(pts)
+    c = _coordinates(pts)[:, 0]
     cols = _line_failing_columns(c, dmat)
     base_mins = _min_plus(dmat[:, cols], dmat[:, cols].T) if len(cols) else bmat
     return base_mins, _line_transform(c, dmat)
@@ -848,10 +903,10 @@ def _triangle(pts, lhs, mins, rhs, names):
     A failure reports the first violating (i, j, k) in that order, naming
     pts[i], pts[j], pts[k] by names.
     """
-    bad = np.argwhere(lhs > mins)
-    if len(bad) == 0:
+    bad = lhs > mins
+    if not bad.any():
         return {"passed": True, "violation": None}
-    i, j = (int(v) for v in bad[0])
+    i, j = (int(v) for v in np.argwhere(bad)[0])
     k = next(k for k in range(len(pts)) if lhs.item(i, j) > rhs(i, j, k))
     at = dict(zip(names, (pts[i], pts[j], pts[k])))
     return {"passed": False,

@@ -83,10 +83,17 @@ class Window:
 class MetricSpace:
     """Base class: exact distance plus certified ball enumeration.  Public
     entry points pass the points their callers supply to ``check``, once;
-    enumerated or already-checked points use the unchecked ``_dist``."""
+    enumerated or already-checked points use the unchecked ``_dist``.
+
+    ``metric`` names the distance: "manhattan" states that it is the l1
+    distance of the point tuples, the sum over coordinates of |a - b|, so
+    the batch paths of the double layer compute it from coordinate arrays;
+    None, the default, promises nothing.
+    """
 
     name: str = "abstract"
     basepoint: Point = ()
+    metric: Optional[str] = None
 
     def contains(self, p: Point) -> bool:
         raise NotImplementedError
@@ -133,6 +140,8 @@ class LineSpace(MetricSpace):
     """Base of the spaces whose points are one integer coordinate at
     distance |x - y|.  The batch paths of the double layer work on their
     coordinate arrays."""
+
+    metric = "manhattan"
 
     def _dist(self, x, y):
         return abs(x[0] - y[0])
@@ -203,6 +212,7 @@ class TwoTails(MetricSpace):
 
     name = "TwoTails"
     basepoint = (1, 1)
+    metric = "manhattan"
 
     def contains(self, p):
         if not (isinstance(p, tuple) and len(p) == 2 and all(isinstance(c, int) for c in p)):
@@ -332,6 +342,7 @@ class PredicateSpace(MetricSpace):
     """
 
     name = "CustomPredicate"
+    metric = "manhattan"
 
     def __init__(self, predicate: Callable[[Point], bool], dim: int,
                  coverage_radius: int, basepoint: Point):

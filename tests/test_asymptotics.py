@@ -168,7 +168,7 @@ def test_is_zero_needs_a_sublevel(natline, n_max):
 def test_is_zero_json_ready_on_rational_distances():
     space = CustomSpace([(0,), (1,), (2,)], metric="table",
                         table=[[0, "1/2", "3/4"], ["1/2", 0, "1/2"], ["3/4", "1/2", 0]])
-    v = is_zero(unit_levels(space), "coarse", Window(4))
+    v = is_zero(unit_levels(space), "coarse", Window(5))
     doc = v.to_json()
     assert doc["diagnostics"]["series"][0] == [1, "3/4"]
     assert doc["diagnostics"]["sups"][-1]["1"] == "3/4"
@@ -258,7 +258,7 @@ def _stable_by_level(sups, n_max):
 
 @given(table=st.lists(st.integers(1, 6) | st.sampled_from([3, 7, 11]),
                       min_size=1, max_size=40),
-       radius=st.integers(1, 90), base=st.none() | st.integers(0, 30),
+       radius=st.integers(5, 90), base=st.none() | st.integers(0, 30),
        n_max=st.integers(1, 12))
 @settings(max_examples=120, deadline=None)
 def test_is_zero_sups_match_a_direct_scan(table, radius, base, n_max):
@@ -293,11 +293,14 @@ def test_is_zero_needs_every_sup_at_every_radius(natline):
     lambda e, w: classify_type(e, w),
     lambda e, w: tau(powers_tail_base(2), e, w),
 ], ids=["equivalent", "is_zero", "classify_type", "tau"])
-def test_sweep_verdicts_need_radius_at_least_one(natline, verdict):
-    # the sweep of a radius-0 window would read the radius-1 ball outside it
-    with pytest.raises(DomainError, match="radius of at least 1"):
-        verdict(expression_levels(natline, "log2"), Window(0))
-    assert sweep_radii(Window(1)) == [1]
+def test_sweep_verdicts_need_three_distinct_radii(natline, verdict):
+    # the sweep of a radius-0 window would read the radius-1 ball outside it,
+    # and up to radius 4 R/16 and R/4 are both raised to 1, which leaves one
+    # or two radii, too few to read stability from
+    for radius in (0, 1, 2, 4):
+        with pytest.raises(DomainError, match="radius above 4"):
+            verdict(expression_levels(natline, "log2"), Window(radius))
+    assert sweep_radii(Window(5)) == [1, Fraction(5, 4), 5]
 
 
 def test_witness_revalidation(natline, geomline):

@@ -143,6 +143,8 @@ def test_usage_error_exit_code(capsys):
      "--n-max=-3"],
     ["compare", "--space", "NatLine", "--left", "expr:log2", "--right", "unit",
      "--mode", "coarse", "--radius", "0"],
+    ["compare", "--space", "NatLine", "--left", "expr:log2", "--right", "unit",
+     "--mode", "coarse", "--radius", "2"],
 ], ids=["multiples-0", "tailplus-on-NatLine", "tailminus-on-IntLine",
         "halfline-empty-on-NatLine", "complement-empty-on-NatLine",
         "x-not-int", "radii-not-int", "filter-base-not-int", "powers-no-base",
@@ -152,7 +154,7 @@ def test_usage_error_exit_code(capsys):
         "points-extra-field", "evens-extra-field", "filter-base-four-values",
         "radii-repeated", "radii-decreasing", "radii-negative", "filter-base-depth-0",
         "filter-base-depth-negative", "schedule-radii-equal", "au-n-max-0",
-        "au-n-max-negative", "compare-radius-0"])
+        "au-n-max-negative", "compare-radius-0", "compare-radius-2"])
 def test_bad_set_spec_is_usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

@@ -12,12 +12,12 @@ from coarsedouble import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                           evaluate_exact, levels_from_subset, metric_from_levels,
                           space_by_name, subset_metric, zero_levels)
 from coarsedouble import double
-from coarsedouble.double import (DeltaFunction, _distance_matrix, _exact_array,
-                                 _line_delta_min, _line_failing_columns,
+from coarsedouble.double import (DeltaFunction, _coordinates, _distance_matrix,
+                                 _exact_array, _line_delta_min, _line_failing_columns,
                                  _line_transform, _min_plus)
 from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.space import (CustomSpace, NatLine, PointSet, PredicateSpace,
-                                Window, set_family, window_points)
+                                TwoTails, Window, set_family, window_points)
 from coarsedouble.serialize import parse_set
 from conftest import BRUTE_WINDOWS, brute_delta_cross
 
@@ -587,22 +587,45 @@ def test_check_axioms_on_a_line_makes_no_per_cell_calls(natline, monkeypatch):
     assert shapes == []
 
 
-@pytest.mark.parametrize("kind", ["int", "frac"])
-def test_line_delta_min_matches_triple_loop(kind):
-    # any order of points, points outside the universe, one-point universes
-    rng = random.Random(kind)
-    cell = ((lambda: rng.randint(1, 9)) if kind == "int"
-            else (lambda: Fraction(rng.randint(2, 19), rng.randint(1, 3))))
-    for _ in range(60):
-        c = [rng.randint(-12, 12) for _ in range(rng.randint(1, 7))]
-        u = sorted(rng.sample(range(-8, 9), rng.randint(1, 6)))
+_DELTA_CELLS = {
+    "int": lambda rng: rng.randint(1, 9),
+    "frac": lambda rng: Fraction(rng.randint(2, 19), rng.randint(1, 3)),
+    "ties": lambda rng: rng.choice([1, 2]),
+    # values on both sides of the int64 guard
+    "guard": lambda rng: rng.choice([1, 5, 2 ** 60, 2 ** 60 + 1]),
+}
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+@pytest.mark.parametrize("kind", sorted(_DELTA_CELLS))
+def test_line_delta_min_matches_triple_loop(kind, order):
+    # repeated points; points past either end of the universe next to points
+    # inside it, so a gap reaches the universe's last point and a point has
+    # the start index m; one-point universes; window order and shuffled
+    # order.  "guard" shifts coordinates next to 2**60, so int64 and object
+    # arrays meet in one call, in every combination
+    rng = random.Random(f"{kind}:{order}")
+    cell = functools.partial(_DELTA_CELLS[kind], rng)
+    dtypes = set()
+    for t in range(90):
+        off = rng.choice([0, 2 ** 60 - 6, -2 ** 60 + 6]) if kind == "guard" else 0
+        u = sorted(off + v for v in rng.sample(range(-8, 9), rng.randint(1, 6)))
+        past = [[], [u[0] - rng.randint(1, 4)], [u[-1] + rng.randint(1, 4)],
+                [u[0] - rng.randint(1, 4), u[-1] + rng.randint(1, 4)]][t % 4]
+        c = past + [rng.randint(u[0], u[-1]) for _ in range(rng.randint(not past, 5))]
+        c += rng.choices(c, k=rng.randint(0, 3))
+        c = sorted(c) if order == "sorted" else rng.sample(c, len(c))
         du, dc = [cell() for _ in u], [cell() for _ in c]
         dist = [[abs(x - y) for y in c] for x in c]
         seed = [[dxy + min(dx, dy) for dxy, dy in zip(row, dc)] for row, dx in zip(dist, dc)]
         want = [[min([seed[i][j]] + [abs(x - v) + w + abs(v - y) for v, w in zip(u, du)])
                  for j, y in enumerate(c)] for i, x in enumerate(c)]
-        got = _line_delta_min(*(_exact_array(a) for a in (c, dist, seed, u, du)))
+        args = [_exact_array(a) for a in (c, dist, seed, u, du)]
+        dtypes.add((args[0].dtype == object, args[4].dtype == object))
+        got = _line_delta_min(*args)
         assert got.tolist() == want, (c, u, du, dc)
+    if kind == "guard":
+        assert dtypes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_line_batch_certifies_by_the_row_rule(natline):
@@ -781,3 +804,79 @@ def test_lower_bound_matrix_is_each_kinds_formula(space_name):
         assert lb.tolist() == [[_reference_bound(d, x, y) for y in pts] for x in pts], name
         mat, _ = d.cross_matrix(pts, w)
         assert (lb <= mat).all(), name
+
+
+# -- distance matrices from l1 coordinates ------------------------------------
+
+_BIG = 2 ** 60
+_L1_SPACES = {
+    "TwoTails": (lambda: space_by_name("TwoTails"), Window(200)),
+    "predicate-dim1": (lambda: PredicateSpace(lambda p: p[0] % 3 != 1, 1, 200, (0,)),
+                       Window(40)),
+    "predicate-dim2": (lambda: PredicateSpace(lambda p: (p[0] + 2 * p[1]) % 3 == 0, 2,
+                                              200, (0, 0)), Window(9)),
+    # coordinates near 2**60: each difference fits int64, a sum of five
+    # does not, so the coordinates take the object path
+    "custom-dim5": (lambda: CustomSpace([(0, 0, 0, 0, 0), (1, -2, 3, 0, 5),
+                                         (_BIG, -_BIG, _BIG - 1, 3, -_BIG),
+                                         (-_BIG, _BIG, -_BIG, -_BIG, _BIG)]),
+                    Window(10 * _BIG)),
+    # within 2**60 / 5 a coordinate stays int64
+    "custom-dim5-int64": (lambda: CustomSpace([(0, 0, 0, 0, 0), (2, 1, -1, 7, 3),
+                                               (_BIG // 5, -(_BIG // 5), _BIG // 5,
+                                                _BIG // 5, -(_BIG // 5))]),
+                          Window(_BIG)),
+}
+
+
+@pytest.mark.parametrize("space_name", sorted(_L1_SPACES))
+def test_distance_matrix_from_coordinates_is_the_distance(space_name, monkeypatch):
+    make, w = _L1_SPACES[space_name]
+    space = make()
+    pts = window_points(space, w)
+    want = [[space._dist(a, b) for b in pts[::2]] for a in pts]
+    calls = []
+    dist = type(space)._dist
+    monkeypatch.setattr(type(space), "_dist", lambda *args: calls.append(args) or dist(*args))
+    got = _distance_matrix(space, pts, pts[::2])
+    assert space.metric == "manhattan" and calls == []
+    assert got.tolist() == want
+    big = max(max(map(abs, p)) for p in pts) > _BIG // len(pts[0])
+    assert _coordinates(pts).dtype == (object if big else np.int64)
+    assert got.dtype == (object if big else np.int64)
+    if big:
+        assert all(type(v) is int for v in got.flat)
+
+
+@pytest.mark.parametrize("metric", ["table", "euclidean-rounded"])
+def test_distance_matrix_of_other_metrics_is_per_cell(metric, monkeypatch):
+    pts = [(0, 0), (3, 4), (1, 7), (6, 2)]
+    table = [[0 if a == b else 1 + (i + j) % 3 for j, b in enumerate(pts)]
+             for i, a in enumerate(pts)]
+    space = CustomSpace(pts, metric=metric, table=table if metric == "table" else None)
+    calls = []
+    dist = CustomSpace._dist
+    monkeypatch.setattr(CustomSpace, "_dist", lambda *args: calls.append(args) or dist(*args))
+    got = _distance_matrix(space, pts, pts)
+    assert len(calls) == len(pts) ** 2
+    assert got.tolist() == [[dist(space, a, b) for b in pts] for a in pts]
+    assert got.tolist() != [[sum(abs(x - y) for x, y in zip(a, b)) for b in pts] for a in pts]
+
+
+def test_check_axioms_on_two_tails_makes_no_per_cell_calls(twotails, monkeypatch):
+    # the distance matrices broadcast coordinates, so _dist runs only inside
+    # the two enumerations, the window and the delta kernel's universe ball,
+    # at most once per candidate point of each: at most 2n calls for the n
+    # points of the larger ball, against 6,750 when the matrices were built
+    # cell by cell
+    d = metric_from_levels(levels_from_subset(twotails, parse_set(twotails, "tailplus")))
+    w = Window(500)
+    check_axioms(d, w)  # fills the delta cache, whose set distances call _dist
+    calls, balls = [], []
+    dist, within = TwoTails._dist, TwoTails.points_within
+    monkeypatch.setattr(TwoTails, "_dist", lambda *args: calls.append(args) or dist(*args))
+    monkeypatch.setattr(TwoTails, "points_within",
+                        lambda *args: balls.append(within(*args)) or balls[-1])
+    rep = check_axioms(d, w)
+    assert rep.n_points == 44 and rep.passed and rep.exact
+    assert len(balls) == 2 and len(calls) <= 2 * max(map(len, balls)), (len(calls), balls)

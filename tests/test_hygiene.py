@@ -33,7 +33,9 @@ with a stronger bound or their own adjoint rule override those, and
 inputs in one step: ``cli.py`` calls ``space_by_name`` at most twice and
 ``Window`` once, and holds none of the spec grammar, which lives in
 ``serialize``: no spec-prefix tuple, no string splitting and no parsing of
-``--filter-base`` beyond handing it to ``parse_filter_base``.
+``--filter-base`` beyond handing it to ``parse_filter_base``.  The line
+delta sweep ``_line_delta_min`` runs in array passes: its body holds no
+loop and no comprehension.
 """
 
 import ast
@@ -374,6 +376,14 @@ def test_double_imports_no_concrete_space():
                 and issubclass(getattr(space_module, name), space_module.MetricSpace)
                 and name not in ("MetricSpace", "LineSpace")]
     assert not concrete, f"double.py imports concrete spaces: {concrete}"
+
+
+def test_line_delta_sweep_has_no_python_loop():
+    body = _definition(SRC / "double.py", "_line_delta_min")
+    loops = [ast.unparse(node).splitlines()[0] for node in ast.walk(body)
+             if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp,
+                                  ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+    assert not loops, f"loops in _line_delta_min: {loops}"
 
 
 def test_cli_resolves_its_inputs_once():
