@@ -391,28 +391,31 @@ def classify_type(e: LevelFunction, window: Window,
     containment table k(m) = ceil(max d_X(x, A_n) over window points of level
     <= m), read from the transfer table of level against that distance.
     Type II is never certified, only evidenced by required neighborhood radii
-    that grow at every window enlargement.  One enumeration serves the
-    sweep and the k table's window: the window's radius joins the sweep when
-    it is the larger, and otherwise its ball is read from the largest sweep
-    window.  That largest list is read with one ``levels`` call, and its
-    distances to each core A_n with one ``set_distances`` call.
+    that grow at every window enlargement.  Hand radii may not exceed the
+    window's radius (DomainError), since a verdict on the window may read no
+    ball beyond it.  One enumeration serves the sweep and the k table's
+    window: the window's radius joins the sweep when it is the larger, and
+    otherwise it is the largest sweep radius.  That largest list is read
+    with one ``levels`` call, and its distances to each core A_n with one
+    ``set_distances`` call.
     """
     space = e.space
     if radii is None:
         radii = sweep_radii(window)
     _check_radii(radii)
+    if radii[-1] > window.radius:
+        raise DomainError(f"sweep radii must not exceed the window's radius "
+                          f"{rational_to_json(window.radius)}, got "
+                          f"{[rational_to_json(r) for r in radii]}")
     extended = window.radius > radii[-1]
     windows = sweep_windows(space, window, [*radii, window.radius] if extended else radii)
     widest = windows[-1]
     levels = dict(zip(widest, e.levels(widest)))
     tabs = [{x: levels[x] for x in pts} for pts in windows]
-    if extended:
+    big_tab = tabs[-1]  # the window's own ball
+    if extended:  # that ball joined the sweep only to be read
         windows.pop()
-        big_tab = tabs.pop()
-    else:
-        base = window.resolve_base(space)
-        big_tab = {x: lv for x, lv in tabs[-1].items()
-                   if space._dist(x, base) <= window.radius}
+        tabs.pop()
     if not big_tab:
         return Verdict(Status.INCONCLUSIVE, f"classify({e.name})", window=window,
                        diagnostics={"reason": "empty window"})

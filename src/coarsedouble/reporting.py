@@ -2,6 +2,10 @@
 
 The canonical form excludes the meta section (timing, versions), so two
 runs with identical inputs produce byte-identical canonical payloads.
+Reports reach the terminal through ``pretty_dumps``, the one indented
+emitter: a small writer whose output is byte-identical to the standard
+library's ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)``,
+which has no C encoder for ``indent`` before Python 3.14.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 SCHEMA = "coarse-double/1"
@@ -51,7 +56,121 @@ def canonical_dumps(doc) -> str:
 
 
 def pretty_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
+    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)``,
+    byte for byte, with the same TypeError for a value or a dict key JSON
+    cannot hold and for keys that do not sort (a cyclic document raises
+    RecursionError in place of ValueError).
+
+    The standard library call is not used: before Python 3.14 it has no C
+    encoder for ``indent`` and runs pure-Python generators, which dominated
+    the command line (``algebra atoms`` emits ~25k nodes).  This writer
+    dispatches on ``type(o) is ...`` for the plain types, with one
+    ``isinstance`` fallback for their subclasses (``IntEnum``, ``str``
+    subclasses); it encodes strings with the C ``encode_basestring_ascii``,
+    writes a list of scalars in one join and joins all pieces once.
+    """
+    text = _scalar_text(doc)
+    if text is not None:
+        return text
+    out = []
+    _write_container(doc, "\n", out)
+    return "".join(out)
+
+
+_INF = float("inf")
+
+
+def _float_text(o) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _scalar_text(o):
+    """The JSON text of a scalar, None for a list, tuple or dict; TypeError
+    for anything else."""
+    t = type(o)
+    if t is str:
+        return _encode_str(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict or t is list or t is tuple:
+        return None
+    # the other scalars and the subclasses, in the standard library's order
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    if isinstance(k, str):
+        return _encode_str(k)
+    if isinstance(k, float):
+        return _encode_str(_float_text(k))
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return _encode_str(int.__repr__(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write_container(o, nl: str, out: list) -> None:
+    """Append the text of list, tuple or dict ``o`` whose own lines start
+    with ``nl`` (a newline and the enclosing indent)."""
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        texts = list(map(_scalar_text, o))
+        if None not in texts:
+            out.append("[" + inner + sep.join(texts) + nl + "]")
+            return
+        lead = "[" + inner
+        for x, text in zip(o, texts):
+            if text is None:
+                out.append(lead)
+                _write_container(x, inner, out)
+            else:
+                out.append(lead + text)
+            lead = sep
+        out.append(nl + "]")
+        return
+    if not o:
+        out.append("{}")
+        return
+    lead = "{" + inner
+    # sorted on the original keys, as the standard library sorts
+    for k, v in sorted(o.items()):
+        text = _scalar_text(v)
+        if text is None:
+            out.append(lead + _key_text(k) + ": ")
+            _write_container(v, inner, out)
+        else:
+            out.append(lead + _key_text(k) + ": " + text)
+        lead = sep
+    out.append(nl + "}")
 
 
 def diff_against(expected: dict, actual: dict) -> list:

@@ -42,6 +42,8 @@ def as_rational(v) -> Rational:
 
 
 def rational_to_json(v: Rational):
+    if type(v) is int:  # most values; skips the ABC check isinstance(v, Fraction) pays
+        return v
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return int(v)

@@ -132,6 +132,8 @@ def test_usage_error_exit_code(capsys):
     ["classify", "--space", "NatLine", "--levels", "expr:log2", "--radii", "256,256,256"],
     ["classify", "--space", "NatLine", "--levels", "expr:log2", "--radii", "16,8,4"],
     ["classify", "--space", "NatLine", "--levels", "expr:log2", "--radii=-4,8,16"],
+    ["classify", "--space", "NatLine", "--levels", "expr:log2", "--radius", "8",
+     "--radii", "1,2,40"],
     ["tau", "--space", "GeomLine", "--filter-base", "4,1,0", "--levels",
      "subset:powers:4", "--radius", "64"],
     ["tau", "--space", "GeomLine", "--filter-base=4,1,-2", "--levels",
@@ -152,7 +154,8 @@ def test_usage_error_exit_code(capsys):
         "const-not-rational", "const-zero-denominator", "halfline-bad-sign",
         "halfline-extra-field", "powers-extra-field", "multiples-extra-field",
         "points-extra-field", "evens-extra-field", "filter-base-four-values",
-        "radii-repeated", "radii-decreasing", "radii-negative", "filter-base-depth-0",
+        "radii-repeated", "radii-decreasing", "radii-negative",
+        "radii-above-window", "filter-base-depth-0",
         "filter-base-depth-negative", "schedule-radii-equal", "au-n-max-0",
         "au-n-max-negative", "compare-radius-0", "compare-radius-2"])
 def test_bad_set_spec_is_usage_error(capsys, argv):

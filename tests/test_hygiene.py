@@ -35,7 +35,9 @@ inputs in one step: ``cli.py`` calls ``space_by_name`` at most twice and
 ``serialize``: no spec-prefix tuple, no string splitting and no parsing of
 ``--filter-base`` beyond handing it to ``parse_filter_base``.  The line
 delta sweep ``_line_delta_min`` runs in array passes: its body holds no
-loop and no comprehension.
+loop and no comprehension.  Reports have one indented emitter,
+``reporting.pretty_dumps``: no ``json.dumps(..., indent=...)`` call remains
+in the package, and ``cli.main`` renders a report only through it.
 """
 
 import ast
@@ -404,3 +406,22 @@ def test_cli_holds_no_spec_grammar():
              if isinstance(n, ast.Attribute) and n.attr == "filter_base"]
     handed = [a for call in _calls_to(tree, "parse_filter_base") for a in call.args]
     assert reads and reads == handed, [ast.unparse(n) for n in reads]
+
+
+def _is_indented_dumps(node):
+    """``dumps(..., indent=...)`` under any receiver."""
+    return (isinstance(node, ast.Call)
+            and "dumps" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and any(k.arg == "indent" for k in node.keywords))
+
+
+def test_one_indented_emitter():
+    sites = _package_sites(_is_indented_dumps)
+    assert not sites, f"indented json.dumps calls: {sites}"
+    main = _definition(SRC / "cli.py", "main")
+    assert len(_calls_to(main, "pretty_dumps")) == 1
+    # the one other encoding in main is the error object written to stderr
+    others = [n for n in ast.walk(main) if isinstance(n, ast.Call)
+              and getattr(n.func, "attr", None) == "dumps"]
+    assert [ast.unparse(n.args[0]) for n in others] == ["{'error': str(exc)}"], \
+        [ast.unparse(n) for n in others]

@@ -239,16 +239,22 @@ def test_classify_type_reads_its_window_once(natline, counted, spec, n_cores):
     assert len(core_searches) == len(set(core_searches)) == 2 * n_cores
 
 
-@pytest.mark.parametrize("radii", [[2, 8, 40], [4, 16, 100], [1, 4, 64]])
+@pytest.mark.parametrize("radii", [[2, 8, 40], [4, 16, 48], [1, 4, 64]])
 def test_classify_type_with_hand_radii_enumerates_once(natline, counted, radii):
-    # the sweep and the k table's window come from one enumeration, the larger
-    # of the two balls
+    # the sweep and the k table's window come from one enumeration, the
+    # window's own ball, which holds every sweep ball
     e = expression_levels(natline, "log2")
     windows = counted("window_points")
     v = classify_type(e, Window(64), radii=radii)
     assert len(windows) == 1
-    assert windows[0][1].radius == max(radii[-1], 64)
+    assert windows[0][1].radius == 64
     assert revalidate(v)
+
+
+def test_classify_type_rejects_radii_beyond_the_window(natline):
+    # a verdict certified on Window(64) may not read the radius-100 ball
+    with pytest.raises(DomainError, match=r"window's radius 64, got \[4, 16, 100\]"):
+        classify_type(expression_levels(natline, "log2"), Window(64), radii=[4, 16, 100])
 
 
 def test_classify_type_bad_radii_name_the_given_radii(natline):

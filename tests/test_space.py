@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from coarsedouble.errors import DomainError, IncompleteEnumeration, SearchInconclusive
 from coarsedouble.space import (CustomSpace, PointSet, PredicateSpace, Window,
-                                dist_to_set, neighborhood, ruler, set_family,
-                                space_by_name, space_from_json, window_points)
+                                dist_to_set, neighborhood, rational_to_json, ruler,
+                                set_family, space_by_name, space_from_json, window_points)
 from conftest import BRUTE_WINDOWS
 
 
@@ -56,6 +56,16 @@ def test_triangle_inequality_on_windows(name, radius):
             assert (space.distance(x, y) == 0) == (x == y)
             for z in pts:
                 assert space.distance(x, z) <= space.distance(x, y) + space.distance(y, z)
+
+
+@pytest.mark.parametrize("value, want", [
+    (7, 7), (-12, -12), (10**30, 10**30), (True, 1), (False, 0),
+    (Fraction(6, 3), 2), (Fraction(-4, 1), -4), (Fraction(3, 4), "3/4"),
+    (Fraction(-5, 2), "-5/2")])
+def test_rational_to_json(value, want):
+    # an integral value becomes a plain int (bools too), any other a "p/q" string
+    got = rational_to_json(value)
+    assert got == want and type(got) is type(want)
 
 
 def test_ruler_function():
