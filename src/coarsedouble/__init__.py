@@ -26,13 +26,13 @@ from .projection import (CmFunction, LevelFunction, check_cm, classify_type,
                          projection_criterion, range_projection,
                          source_projection, subset_metric, unit_levels,
                          zero_levels)
-from .asymptotics import (TransferTable, equivalent, is_zero, sweep_radii,
-                          sweep_windows, transfer)
+from .asymptotics import (TransferTable, equivalent, sweep_radii, sweep_windows,
+                          transfer)
 from .verdicts import (AffineWitness, Status, TabulatedWitness, Verdict,
                        revalidate)
 from .boolalg import (AtomPattern, FilterBase, FormalSum, TwoValuedHom,
                       atom_nonzero, check_hom, enumerate_atoms, extend_hom,
-                      homs, powers_tail_base, separating_set, tau)
+                      homs, is_zero, powers_tail_base, separating_set, tau)
 from .measure import (DensityInterval, DensityMeasure, check_modularity,
                       default_schedule, density, measure0_check, nu_bar,
                       nu_hat)

@@ -2,16 +2,18 @@
 
 Certification policy.  Every claim is evaluated at the three nested radii
 of ``sweep_radii`` (R/16, R/4, R), or at given radii, which must increase
-strictly; ``sweep_windows``, the one reader of a sweep, enumerates the
-largest window once.  A transfer entry is *stable* when its value agrees at
-the two largest radii; sublevel sets only gain points as the radius grows,
-so a stable entry has stopped moving.  Equivalence is certified only when
-the stable entries dominate the comparison (at least the fraction
-STABLE_FRACTION of the common table, including its smallest entry);
-quasi-equivalence additionally requires the minimal affine witness itself
-to be stable.  Escape evidence means some fixed entry grew strictly at every
-radius step.  None of this claims a limit: a certificate is always a finite
-inequality system that re-validates by substitution.
+strictly and stay within the window's radius; ``sweep_windows``, the one
+reader of a sweep, enumerates the largest window once.  A transfer entry is
+*stable* when its value agrees at the two largest radii; sublevel sets only
+gain points as the radius grows, so a stable entry has stopped moving.
+Equivalence is certified only when the stable entries dominate the
+comparison (at least the fraction STABLE_FRACTION of the common table,
+including its smallest entry); quasi-equivalence additionally requires the
+minimal affine witness itself to be stable.  Escape evidence means some
+fixed entry grew strictly at every radius step.  None of this claims a
+limit: a certificate is always a finite inequality system that re-validates
+by substitution.  There is no separate zero rule here: ``boolalg.is_zero``
+is the order test e <= 0, one ``equivalent`` call.
 """
 
 from __future__ import annotations
@@ -62,6 +64,21 @@ def _check_radii(radii: Sequence[Rational]) -> None:
     if not radii or radii[0] < 0 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError(f"radii must be nonnegative and strictly increasing, "
                           f"got {[rational_to_json(r) for r in radii]}")
+
+
+def _window_radii(window: Window, radii: Optional[Sequence[Rational]]) -> Sequence[Rational]:
+    """The sweep radii of a verdict on the window: ``sweep_radii(window)``, or
+    the given radii, which must increase strictly and may not exceed the
+    window's radius (DomainError), since a verdict on the window may read no
+    ball beyond it."""
+    if radii is None:
+        return sweep_radii(window)
+    _check_radii(radii)
+    if radii[-1] > window.radius:
+        raise DomainError(f"sweep radii must not exceed the window's radius "
+                          f"{rational_to_json(window.radius)}, got "
+                          f"{[rational_to_json(r) for r in radii]}")
+    return radii
 
 
 def sweep_windows(space: MetricSpace, window: Window, radii: Sequence[Rational]) -> list:
@@ -198,13 +215,13 @@ def equivalent(e1, e2, mode: str, window: Window,
 
     In quasi mode the certificate is a single affine witness dominating
     both transfer directions; in coarse mode it is the merged tabulated
-    transfer function.  Both require the three-radius stability policy.
+    transfer function.  Both require the three-radius stability policy,
+    read at ``_window_radii(window, radii)``.
     """
     if mode not in ("quasi", "coarse"):
         raise DomainError(f"unknown equivalence mode {mode!r}")
     space = _common_space(e1, e2)
-    if radii is None:
-        radii = sweep_radii(window)
+    radii = _window_radii(window, radii)
     return _equivalent_on(e1, e2, mode, window, radii, sweep_windows(space, window, radii))
 
 
@@ -270,67 +287,3 @@ def _equivalent_on(e1, e2, mode: str, window: Window, radii: Sequence[Rational],
 
 def _name(e):
     return getattr(e, "name", repr(e))
-
-
-def is_zero(e, mode: str, window: Window, n_max: int = 8) -> Verdict:
-    """Certify that e is the zero class: every sublevel set stays bounded.
-
-    The boundedness surrogate is sups[n], the largest distance to the space
-    basepoint over the sublevel set {level <= n} of each sweep window (the
-    transfer table of level against that distance, read at n = 1..n_max),
-    required to be seen, unchanged, at every radius of the sweep: a sup first
-    seen at a larger radius has grown.  Escape (a sup that grows at every
-    step) is reported as evidence, never as a hard falsification.  The
-    largest sweep window is read with one ``levels`` call.
-    """
-    if mode not in ("quasi", "coarse"):
-        raise DomainError(f"unknown zero-test mode {mode!r}")
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
-    space = e.space
-    radii = sweep_radii(window)
-    windows = sweep_windows(space, window, radii)
-    low = {x: (lv, space._dist(x, space.basepoint))
-           for x, lv in zip(windows[-1], e.levels(windows[-1])) if lv <= n_max}
-    sups_by_radius = []
-    for pts in windows:
-        t = TransferTable.from_levels(filter(None, map(low.get, pts)))
-        sups_by_radius.append({n: v for n in range(1, n_max + 1)
-                               if (v := t.value_at(n)) is not None})
-    last = sups_by_radius[-1]
-    claim = f"is-zero[{mode}]({_name(e)})"
-    series = sorted(last.items())
-    escapes = _escape_entries(sups_by_radius)
-    # every sup of the last radius must be seen, unchanged, at every radius
-    stable_all = all(s.get(n) == v for s in sups_by_radius for n, v in last.items())
-    diagnostics = {
-        "radii": [rational_to_json(r) for r in radii],
-        "sups": [{str(n): rational_to_json(v) for n, v in s.items()}
-                 for s in sups_by_radius],
-        "series": [[n, rational_to_json(v)] for n, v in series],
-        "escape": [{"n": rational_to_json(n),
-                    "growth": [rational_to_json(v) for v in vals]}
-                   for n, vals in escapes],
-    }
-    if not series:
-        # no sublevel realized at all: vacuously bounded on this window
-        return Verdict(Status.CERTIFIED, claim, window=window, value="zero",
-                       witness=TabulatedWitness(((1, 0),)),
-                       diagnostics=diagnostics, check_kind=CHECK_DOMINATES)
-    if stable_all:
-        if mode == "coarse":
-            return Verdict(Status.CERTIFIED, claim, window=window, value="zero",
-                           witness=TabulatedWitness(tuple(series)),
-                           diagnostics=diagnostics, check_kind=CHECK_DOMINATES)
-        w_last, agreed = _stable_affine(sups_by_radius, diagnostics)
-        if agreed:
-            return Verdict(Status.CERTIFIED, claim, window=window, value="zero",
-                           witness=w_last, diagnostics=diagnostics,
-                           check_kind=CHECK_DOMINATES)
-        return Verdict(Status.INCONCLUSIVE, claim, window=window, value="zero?",
-                       diagnostics=dict(diagnostics, reason="no stable affine bound"))
-    reason = "escaping sublevel sets" if escapes else "unstable sublevel radii"
-    return Verdict(Status.INCONCLUSIVE, claim, window=window,
-                   value="not-zero-evidence" if escapes else "zero?",
-                   diagnostics=dict(diagnostics, reason=reason))
-

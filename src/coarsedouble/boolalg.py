@@ -105,6 +105,25 @@ def _below(e: LevelFunction, f: LevelFunction, window: Window) -> Verdict:
     return equivalent(meet(e, f), e, "coarse", window)
 
 
+def is_zero(e: LevelFunction, mode: str, window: Window) -> Verdict:
+    """Certify that e is the zero class by the order test e <= 0, that is
+    meet(e, 0) ~ e in the mode: zero is the least idempotent, so in coarse
+    mode this is ``_below(e, zero_levels(space), window)``.  Only "zero" is
+    certified, with the order test's witness and series; escape evidence is
+    no proof of a nonzero class, so anything else is inconclusive "zero?"
+    with the order test's reason."""
+    order = equivalent(meet(e, zero_levels(e.space)), e, mode, window)
+    claim = f"is-zero[{mode}]({e.name})"
+    diagnostics = {"order_test": order.to_json()}
+    if order.certified:
+        return Verdict(Status.CERTIFIED, claim, window=window, value="zero",
+                       witness=order.witness,
+                       diagnostics=dict(diagnostics, series=order.diagnostics["series"]),
+                       check_kind=CHECK_DOMINATES)
+    return Verdict(Status.INCONCLUSIVE, claim, window=window, value="zero?",
+                   diagnostics=dict(diagnostics, reason=order.diagnostics["reason"]))
+
+
 def atom_nonzero(pattern: AtomPattern, gens: Sequence[LevelFunction],
                  window: Window) -> Verdict:
     """Decide whether the atom is nonzero: NOT (meet over S <= join over S^c).
@@ -190,8 +209,7 @@ def check_hom(phi: TwoValuedHom, gens: Sequence[LevelFunction], window: Window) 
     violations = []
     pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     for i, j in pairs:
-        m = meet(gens[i], gens[j])
-        zero_v = _below(m, zero_levels(space), window)
+        zero_v = is_zero(meet(gens[i], gens[j]), "coarse", window)
         if zero_v.certified and min(phi.value(i), phi.value(j)) == 1:
             violations.append({"pair": [gens[i].name, gens[j].name],
                                "check": "meet-zero", "min": 1, "expected": 0})
@@ -209,7 +227,7 @@ def check_hom(phi: TwoValuedHom, gens: Sequence[LevelFunction], window: Window) 
             and max(phi.assignment, default=0) == 0:
         violations.append({"check": "unitality", "expected": "phi(1) = 1"})
     full_meet = _fold(meet, gens, range(1, len(gens) + 1), unit)
-    if _below(full_meet, zero_levels(space), window).certified \
+    if is_zero(full_meet, "coarse", window).certified \
             and min(phi.assignment, default=1) == 1:
         violations.append({"check": "full-meet-zero", "expected": "phi(0) = 0"})
     return {"passed": not violations, "violations": violations,

@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .asymptotics import (TransferTable, _check_radii, _equivalent_on, default_grid,
-                          sweep_radii, sweep_windows)
+from .asymptotics import (TransferTable, _equivalent_on, _window_radii, default_grid,
+                          sweep_windows)
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
@@ -391,22 +391,15 @@ def classify_type(e: LevelFunction, window: Window,
     containment table k(m) = ceil(max d_X(x, A_n) over window points of level
     <= m), read from the transfer table of level against that distance.
     Type II is never certified, only evidenced by required neighborhood radii
-    that grow at every window enlargement.  Hand radii may not exceed the
-    window's radius (DomainError), since a verdict on the window may read no
-    ball beyond it.  One enumeration serves the sweep and the k table's
-    window: the window's radius joins the sweep when it is the larger, and
-    otherwise it is the largest sweep radius.  That largest list is read
-    with one ``levels`` call, and its distances to each core A_n with one
-    ``set_distances`` call.
+    that grow at every window enlargement.  Hand radii are checked by
+    ``_window_radii``, as in ``equivalent``.  One enumeration serves the
+    sweep and the k table's window: the window's radius joins the sweep when
+    it is the larger, and otherwise it is the largest sweep radius.  That
+    largest list is read with one ``levels`` call, and its distances to each
+    core A_n with one ``set_distances`` call.
     """
     space = e.space
-    if radii is None:
-        radii = sweep_radii(window)
-    _check_radii(radii)
-    if radii[-1] > window.radius:
-        raise DomainError(f"sweep radii must not exceed the window's radius "
-                          f"{rational_to_json(window.radius)}, got "
-                          f"{[rational_to_json(r) for r in radii]}")
+    radii = _window_radii(window, radii)
     extended = window.radius > radii[-1]
     windows = sweep_windows(space, window, [*radii, window.radius] if extended else radii)
     widest = windows[-1]

@@ -274,7 +274,6 @@ WINDOW_READERS = [
     ("projection.py", "classify_type", "levels"),
     ("asymptotics.py", "_equivalent_on", "levels"),
     ("asymptotics.py", "transfer", "levels"),
-    ("asymptotics.py", "is_zero", "levels"),
     ("boolalg.py", "tau", "levels"),
     ("boolalg.py", "separating_set", "levels"),
     ("measure.py", "DensityMeasure.ratio_series", "levels"),

@@ -3,8 +3,9 @@
 On IntLine, translating every set and the window's basepoint by t, or
 reflecting x -> -x, maps the space onto itself.  The verdicts must then keep
 their status, value and witness, whose entries are levels and distances, not
-points.  ``is_zero`` measures from the space's basepoint, which only the
-reflection fixes, so it takes part in the reflection relation alone.
+points.  ``is_zero`` is the order test against ``zero_levels(space)``, whose
+levels measure from the space's basepoint, which only the reflection fixes,
+so it takes part in the reflection relation alone.
 
 On the four built-in spaces, swapping the arguments of a symmetric
 operation keeps the status, value, witness and reason: ``equivalent(e, f)``
