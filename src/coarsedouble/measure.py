@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
@@ -22,7 +23,7 @@ from .boolalg import FormalSum
 from .errors import DomainError
 from .projection import (LevelFunction, join, levels_from_subset, meet,
                          unit_levels)
-from .space import (MetricSpace, Point, PointSet, Rational, Window,
+from .space import (LineSpace, MetricSpace, Point, PointSet, Rational, Window,
                     rational_to_json, window_points)
 
 DEFAULT_SCHEDULE_BASE = 32
@@ -113,24 +114,40 @@ class DensityMeasure:
 
         The largest ball is read once: one ``levels`` call for all of its
         points (on the integer lines, subset levels take one
-        distance-transform sweep of the ball, see ``set_distances``), and
-        one weight per point.  A point lies in B_r iff its distance to the
-        basepoint is at most r, since balls are enumerated completely; it is
-        added to the bucket of the smallest schedule radius whose ball holds
-        it and of min(level, n_max + 1).  Prefix sums over radii and levels
-        then give every row.  The schedule may be unsorted and may repeat
-        radii.
+        distance-transform sweep of the ball, see ``set_distances``).  Each
+        point goes to the bucket of the smallest schedule radius whose ball
+        holds it and of min(level, n_max + 1).  On a ``LineSpace`` with the
+        natural measure, B_r is the slice of the sorted ball between
+        (b - r,) and (b + r,) for the basepoint b, so the ring of each radius
+        is at most two slices of the level list, and a ``Counter`` per slice
+        fills its buckets.  Elsewhere, and for a weighted measure, each point
+        takes one distance to the basepoint (a point lies in B_r iff it is at
+        most r, since balls are enumerated completely) and one weight.
+        Prefix sums over radii and levels then give every row.  The schedule
+        may be unsorted and may repeat radii.
         """
         radii = sorted(set(schedule))
         width = n_max + 1
         zero = 0 if self.weight is None else Fraction(0)
         buckets = [zero] * (len(radii) * width)
-        base, dist = self.space.basepoint, self.space._dist
-        weigh = self._weight if self.weight is not None else None
         ball = self.ball(radii[-1])
-        for p, lv in zip(ball, levels(ball)):
-            i = bisect_left(radii, dist(p, base)) * width + min(lv, width) - 1
-            buckets[i] += 1 if weigh is None else weigh(p)
+        lvs = levels(ball)
+        if self.weight is None and isinstance(self.space, LineSpace):
+            (b,) = self.space.basepoint
+            lo = hi = bisect_left(ball, (b,))   # B_r is ball[lo:hi]
+            for i, r in enumerate(radii):
+                start, end = bisect_left(ball, (b - r,), 0, lo), bisect_right(ball, (b + r,), hi)
+                ring = Counter(lvs[start:lo])
+                ring.update(lvs[hi:end])
+                lo, hi = start, end
+                for lv, count in ring.items():
+                    buckets[i * width + min(lv, width) - 1] += count
+        else:
+            base, dist = self.space.basepoint, self.space._dist
+            weigh = self._weight if self.weight is not None else None
+            for p, lv in zip(ball, lvs):
+                i = bisect_left(radii, dist(p, base)) * width + min(lv, width) - 1
+                buckets[i] += 1 if weigh is None else weigh(p)
         inner = [zero] * width     # per level, the mass of the balls so far
         member, total = {}, {}
         for i, r in enumerate(radii):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import filterfalse
 from typing import Callable, Optional, Sequence
 
 from .asymptotics import (TransferTable, _equivalent_on, _window_radii, default_grid,
@@ -54,20 +55,23 @@ class LevelFunction:
         return v
 
     def levels(self, pts: Sequence[Point]) -> list:
-        """[level(x) for x in pts], the points not yet cached read in one call."""
+        """[level(x) for x in pts]: the points not yet cached are read in one
+        call, then every level is looked up in the cache.  A point listed
+        twice is read twice when uncached.  A level below 1 raises
+        DomainError naming the first such point and caches none of the
+        call's levels."""
         cache = self._cache
-        missing = [x for x in pts if x not in cache]
+        missing = list(filterfalse(cache.__contains__, pts))
         if missing:
             self._read(missing)
-        return [cache[x] for x in pts]
+        return list(map(cache.__getitem__, pts))
 
     def _read(self, pts: Sequence[Point]) -> list:
         vals = self.fn(pts)
-        cache = self._cache
-        for x, v in zip(pts, vals):
-            if v < 1:
-                raise DomainError(f"level function {self.name} gave {v} < 1 at {x}")
-            cache[x] = v
+        if vals and min(vals) < 1:
+            x, v = next((x, v) for x, v in zip(pts, vals) if v < 1)
+            raise DomainError(f"level function {self.name} gave {v} < 1 at {x}")
+        self._cache.update(zip(pts, vals))
         return vals
 
     def sublevel(self, n: int) -> PointSet:
@@ -131,10 +135,12 @@ def zero_levels(space: MetricSpace, x0: Optional[Point] = None) -> LevelFunction
 
 def levels_from_subset(space: MetricSpace, A: PointSet) -> LevelFunction:
     """Levels of the expanding sequence A_n = N_{n/2}(A): max(1, ceil(2 d(x,A))).
-    A point list reads its distances through ``set_distances``."""
+    A point list reads its distances through ``set_distances``; an int
+    distance d gives 2 d, or 1 at d = 0."""
 
     def fn(pts):
-        return [max(1, math.ceil(2 * d)) for d in set_distances(space, pts, A)]
+        return [(2 * d or 1) if type(d) is int else max(1, math.ceil(2 * d))
+                for d in set_distances(space, pts, A)]
 
     payload = None
     try:

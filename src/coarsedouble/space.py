@@ -162,7 +162,7 @@ class NatLine(LineSpace):
         c = center[0]
         lo = max(0, math.ceil(c - radius))
         hi = math.floor(c + radius)
-        return [(i,) for i in range(lo, hi + 1)]
+        return list(zip(range(lo, hi + 1)))
 
 
 class IntLine(LineSpace):
@@ -178,7 +178,7 @@ class IntLine(LineSpace):
         c = center[0]
         lo = math.ceil(c - radius)
         hi = math.floor(c + radius)
-        return [(i,) for i in range(lo, hi + 1)]
+        return list(zip(range(lo, hi + 1)))
 
 
 class GeomLine(LineSpace):
@@ -546,18 +546,26 @@ def set_from_json(doc) -> PointSet:
     return set_family(doc["family"], **args)
 
 
-def _line_candidates(family: dict, c: int) -> Optional[tuple]:
-    """Coordinates among which lie the nearest members of the named set
-    ``family`` at or below and at or above c on the integer line, or None
-    when the family has no closed form.  Integer arithmetic only.  Nested
-    complements cancel in pairs."""
+def _named_family(family: dict) -> tuple:
+    """(name, parameters, complemented) of the named set ``family``, with
+    nested complements cancelled in pairs; parameters is None unless every
+    one is an integer (sets with other parameters are searched)."""
     complement = False
     while family["family"] == "complement":
         family, complement = family["of"], not complement
-    fam = family["family"]
     args = {k: v for k, v in family.items() if k != "family"}
     if not all(isinstance(v, int) for v in args.values()):
-        return None  # non-integer parameters are searched
+        args = None
+    return family["family"], args, complement
+
+
+def _line_candidates(family: dict, c: int) -> Optional[tuple]:
+    """Coordinates among which lie the nearest members of the named set
+    ``family`` at or below and at or above c on the integer line, or None
+    when the family has no closed form.  Integer arithmetic only."""
+    fam, args, complement = _named_family(family)
+    if args is None:
+        return None
     if fam == "half_line":
         sign, b = args["sign"], args["bound"]
         if complement:  # ~{x >= b} is {x <= b - 1}; ~{x <= b} is {x >= b + 1}
@@ -583,6 +591,50 @@ def _line_candidates(family: dict, c: int) -> Optional[tuple]:
         while v * base <= c:
             v *= base
         return v, v * base
+    return None
+
+
+def _geom_has_member(family: dict) -> Optional[bool]:
+    """Whether the named set ``family`` has a member 2^j (j >= 1) on
+    GeomLine, or None when the family has no rule here.  Exact and finite:
+    membership of 2^j is eventually periodic in j.  A half-line {x <= b}
+    holds 2 iff b >= 2, and {x >= b} is never empty.  For k = 2^a m with
+    m odd, the residues of 2^j mod k run round one cycle, of length below
+    k, from j = a on, so from j = bit length of k on; ``multiples`` reads
+    the residues up to the cycle's close, or gives None when the cycle is
+    longer than SEARCH_POINT_CAP.  4 is a square and 2 is not.  scale *
+    base^k is a power of 2 iff base and scale are; then the members are
+    2^(s + c k) for base 2^c, scale 2^s and k >= max(1, k0), which leave
+    out some 2^j unless c = 1 and s + max(1, k0) = 1."""
+    fam, args, complement = _named_family(family)
+    if args is None:
+        return None
+    if fam == "half_line":
+        sign, b = args["sign"], args["bound"]
+        if complement:  # as in _line_candidates
+            sign, b = -sign, b - sign
+        return sign > 0 or b >= 2
+    if fam == "multiples":
+        k, r = args["k"], args["r"] % args["k"]
+        j0 = k.bit_length()
+        v = start = pow(2, j0, k)
+        residues = [pow(2, j, k) for j in range(1, j0)]
+        for _ in range(SEARCH_POINT_CAP):
+            residues.append(v)
+            v = 2 * v % k
+            if v == start:
+                return any(x != r for x in residues) if complement else r in residues
+        return None  # a cycle this long is left to the search
+    if fam == "squares":
+        return True
+    if fam in ("powers", "powers_tail"):
+        base, scale = args["base"], args["scale"]
+        if base & (base - 1) or scale & (scale - 1):
+            return complement  # no member is a power of 2
+        if not complement:
+            return True
+        first = scale.bit_length() - 1 + max(1, args.get("k0", 1))
+        return base != 2 or first != 1
     return None
 
 
@@ -648,8 +700,11 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
     and SearchInconclusive when the nearest member lies beyond the budget.
     A family with no member in the space raises DomainError instead of
     searching up to the budget.  Other complements, sublevel sets, the tail
-    families and the other spaces are searched.  ``set_distances`` answers
-    for a whole enumerated point list, with two calls per run of a line.
+    families and the other spaces are searched.  On ``GeomLine`` a named
+    family whose search finds no member raises DomainError instead of
+    SearchInconclusive when ``_geom_has_member`` proves it has none.
+    ``set_distances`` answers for a whole enumerated point list, with two
+    calls per run of a line.
     """
     space.check(x)
     if A.points is not None:
@@ -683,6 +738,9 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
             best = min(candidates, key=lambda a: (space._dist(x, a), a))
             return Evaluation(space._dist(x, best), True, witness=best)
         if r >= budget or len(ball) > SEARCH_POINT_CAP:
+            if (type(space) is GeomLine and A.family is not None
+                    and _geom_has_member(A.family) is False):
+                raise DomainError(f"set {A.name} has no members in {space.name}")
             raise SearchInconclusive(
                 f"no member of {A.name} within {r} of {x}"
                 + (f" ({len(ball)} points searched)" if r < budget else ""),
@@ -698,21 +756,23 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
     integers lo, lo + 1, ..., hi with at least three points, as a window's
     enumeration is, the distances come from one distance-transform sweep
     (Felzenszwalb & Huttenlocher 2012): ``dist_to_set`` at lo and at hi,
-    one ``A.contains`` per point, then a running distance forward from lo
-    and one backward from hi, restarting at 0 on each member; each point
-    takes the smaller.  Both are upper bounds, since d(., A) is
-    1-Lipschitz, and the smaller is exact: the nearest member of a point
-    either lies in the run, where a running distance restarted, or beyond an
-    end, and then the way to it passes that end.  A set with no member
-    raises as ``dist_to_set`` at lo does.  The sweep also answers where a
-    point's own search would stop at SEARCH_POINT_CAP.  Any other space or
-    list takes ``dist_to_set`` per point.
+    the set's own membership predicate mapped over the points, then a
+    running distance forward from lo and one backward from hi, restarting
+    at 0 on each member; each point takes the smaller.  Both are upper
+    bounds, since d(., A) is 1-Lipschitz, and the smaller is exact: the
+    nearest member of a point either lies in the run, where a running
+    distance restarted, or beyond an end, and then the way to it passes
+    that end.  The run is recognized by one comparison of the list with
+    [(lo,), (lo + 1,), ...].  A set with no member raises as
+    ``dist_to_set`` at lo does.  The sweep also answers where a point's own
+    search would stop at SEARCH_POINT_CAP.  Any other space or list takes
+    ``dist_to_set`` per point.
     """
     n = len(pts)
-    if (type(space) in (NatLine, IntLine) and n > 2
-            and all(p == (pts[0][0] + i,) for i, p in enumerate(pts))):
+    if (type(space) in (NatLine, IntLine) and n > 2 and type(pts[0][0]) is int
+            and list(pts) == list(zip(range(pts[0][0], pts[0][0] + n)))):
         first, last = (dist_to_set(space, p, A, UNBOUNDED).value for p in (pts[0], pts[-1]))
-        member = [A.contains(p) for p in pts]
+        member = list(map(A._contains, pts))
         out = []
         d = first - 1
         for m in member:

@@ -166,12 +166,26 @@ def test_bad_set_spec_is_usage_error(capsys, argv):
 
 
 def test_inconclusive_search_exit(capsys):
-    # {3^k} has no member in GeomLine, so the set-distance search gives up
+    # 2^j = 84 (mod 101) first at j = 80, so the nearest member of 101Z+84
+    # in GeomLine lies beyond the search cap and the search gives up
     code = main(["proj", "define", "--space", "GeomLine", "--levels",
-                 "subset:powers:3", "--radius", "4"])
+                 "subset:multiples:101:84", "--radius", "4"])
     captured = capsys.readouterr()
     assert code == 3
     assert "error" in json.loads(captured.err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["~subset:evens", "subset:multiples:3",
+                                  "subset:halfline:-:0", "subset:powers:3"])
+def test_empty_set_on_geometric_line_is_usage_error(capsys, spec):
+    # every point of GeomLine is even, so ~2Z, 3Z, {x <= 0} and {3^k} have
+    # no member there: a domain error, not a search that gives up
+    code = main(["compare", "--space", "GeomLine", "--left", spec, "--right", "zero",
+                 "--mode", "coarse", "--radius", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no members in GeomLine" in json.loads(captured.err)["error"]
     assert captured.out == ""
 
 

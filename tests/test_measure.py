@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from coarsedouble.measure import (DensityInterval, DensityMeasure,
                                   check_modularity, default_schedule, density,
                                   measure0_check, nu_bar, nu_hat)
 from coarsedouble.serialize import expression_levels
-from coarsedouble.space import (PointSet, Window, set_family, space_by_name,
-                                window_points)
+from coarsedouble.space import (LineSpace, PointSet, Window, set_family,
+                                space_by_name, window_points)
 
 
 @pytest.fixture
@@ -226,6 +227,35 @@ def test_ratio_series_matches_rescan(name, weight, schedule, table, n_max):
 
     got = mu.ratio_series(lambda pts: [level(p) for p in pts], schedule, n_max)
     assert got == _rescanned_rows(mu, level, schedule, n_max)
+
+
+@pytest.mark.parametrize("name", ["NatLine", "IntLine", "GeomLine"])
+def test_ratio_series_on_a_line_reads_slices(monkeypatch, name):
+    # with the natural measure each ring is read as slices of the ball's
+    # level list: no distance to the basepoint per point, one levels call
+    calls = Counter()
+    dist = LineSpace._dist
+
+    def counting_dist(space, x, y):
+        calls["_dist"] += 1
+        return dist(space, x, y)
+
+    def level(p):
+        return 1 + abs(p[0]) % 5
+
+    def levels(pts):
+        calls["levels"] += 1
+        return [level(p) for p in pts]
+
+    monkeypatch.setattr(LineSpace, "_dist", counting_dist)
+    space = space_by_name(name)
+    schedule = [40, 3, Fraction(17, 2), 40, 0, 130]
+    rows = DensityMeasure.natural(space).ratio_series(levels, schedule, 3)
+    assert calls == {"levels": 1}
+    assert rows == _rescanned_rows(DensityMeasure.natural(space), level, schedule, 3)
+    # a weighted measure still scans point by point, to the same rows
+    mu = DensityMeasure.weighted(space, WEIGHTS["int"], "int")
+    assert mu.ratio_series(levels, schedule, 3) == _rescanned_rows(mu, level, schedule, 3)
 
 
 @pytest.mark.parametrize("call", ["density", "nu_hat", "check_modularity"])

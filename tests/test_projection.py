@@ -17,10 +17,10 @@ from coarsedouble import (CmFunction, PointMetric, check_axioms, check_cm,
 from coarsedouble.double import DeltaMetric
 from coarsedouble.errors import DomainError
 from coarsedouble.ideals import ApproximateUnit, recovered_levels
-from coarsedouble.projection import levels_from_expression
+from coarsedouble.projection import LevelFunction, levels_from_expression
 from coarsedouble.serialize import expression_levels
-from coarsedouble.space import (UNBOUNDED, PointSet, Window, dist_to_set,
-                                set_family, space_by_name, window_points)
+from coarsedouble.space import (UNBOUNDED, CustomSpace, PointSet, Window, dist_to_set,
+                                set_distances, set_family, space_by_name, window_points)
 from coarsedouble.verdicts import revalidate
 
 
@@ -349,3 +349,48 @@ def test_level_below_one_is_a_domain_error(natline):
     with pytest.raises(DomainError, match=r"gave 0 < 1 at \(2,\)"):
         bad.level((2,))
     assert bad.level((3,)) == 1
+
+
+def test_levels_match_level_with_repeats_and_a_warm_cache(natline):
+    reads = []
+
+    def make():
+        def fn(pts):
+            reads.append(list(pts))
+            return [1 + p[0] % 4 for p in pts]
+        return LevelFunction(natline, fn, "mod4", "expression")
+
+    pts = [(5,), (2,), (5,), (9,), (2,), (0,)]
+    by_point = make()
+    want = [by_point.level(x) for x in pts]
+    assert make().levels(pts) == want
+    warm = make()
+    warm.level((2,))
+    warm.level((9,))
+    reads.clear()
+    assert warm.levels(pts) == want
+    # one read, of the points not yet cached, in list order
+    assert reads == [[(5,), (5,), (0,)]]
+
+
+def test_failing_read_names_the_first_bad_point_in_list_order(natline):
+    # the smallest level is at (4,), but (7,) comes first in the list
+    bad = levels_from_expression(natline, "bad", lambda p: {4: -1, 7: 0}.get(p[0], 1))
+    with pytest.raises(DomainError, match=r"gave 0 < 1 at \(7,\)"):
+        bad.levels([(3,), (7,), (4,)])
+    with pytest.raises(DomainError, match=r"gave -1 < 1 at \(4,\)"):
+        bad.levels([(3,), (4,), (7,)])
+    assert bad.levels([(3,), (5,)]) == [1, 1]
+
+
+def test_subset_levels_of_fraction_distances():
+    # a table metric with distances 1/4, 1/2 and 3/4 from the member (0,)
+    space = CustomSpace([(i,) for i in range(4)], metric="table",
+                        table=[[Fraction(abs(i - j), 4) for j in range(4)] for i in range(4)])
+    A = PointSet.from_points([(0,)])
+    pts = window_points(space, Window(1))
+    ds = set_distances(space, pts, A)
+    assert ds == [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+    want = [max(1, math.ceil(2 * d)) for d in ds]
+    assert want == [1, 1, 1, 2]
+    assert levels_from_subset(space, A).levels(pts) == want

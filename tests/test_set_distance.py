@@ -145,6 +145,39 @@ def test_powers_on_geometric_line(base_log, scale_log, n):
     _assert_single_search(space, A, x, (_member_from(A.family, x[0]),))
 
 
+@given(spec=st.one_of(CLOSED_FORM_FAMILIES, _complements(st.one_of(_squares, _powers)),
+                      _complements(_multiples)),
+       depth=st.sampled_from([0, 0, 2]), n=st.integers(1, 60))
+@settings(max_examples=200, deadline=None)
+def test_geometric_line_families_match_brute_force(spec, depth, n):
+    # membership of 2^j in the families drawn here is settled by j < 100;
+    # a family without a member raises DomainError, whatever the budget
+    space = space_by_name("GeomLine")
+    doc = set_family(spec[0], **spec[1]).family
+    for _ in range(depth):
+        doc = {"family": "complement", "of": doc}
+    A = set_from_json(doc)
+    members = [2 ** j for j in range(1, 100) if A.contains((2 ** j,))]
+    x = (2 ** n,)
+    if not members:
+        for window in (Window(64), UNBOUNDED):
+            with pytest.raises(DomainError, match="no members in GeomLine"):
+                dist_to_set(space, x, A, window)
+        return
+    want = min(abs(m - x[0]) for m in members)
+    ev = dist_to_set(space, x, A, UNBOUNDED)
+    assert ev.exact and ev.value == want
+    assert A.contains(ev.witness) and space.distance(x, ev.witness) == want
+
+
+@pytest.mark.parametrize("window", [Window(64), UNBOUNDED])
+def test_member_beyond_the_budget_on_geometric_line_is_inconclusive(window):
+    # 2^j = 84 (mod 101) first at j = 80: a member exists past the search cap
+    geom = space_by_name("GeomLine")
+    with pytest.raises(SearchInconclusive):
+        dist_to_set(geom, (2,), set_family("multiples", k=101, r=84), window)
+
+
 @given(n=st.integers(1, 300), sign=st.sampled_from([-1, 1]),
        family=st.sampled_from(["tail_plus", "tail_minus"]))
 @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsedouble import space as space_module
 from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.projection import (join, levels_from_subset, meet, unit_levels,
                                      zero_levels)
@@ -116,6 +117,30 @@ def test_set_without_members_raises_alike(name, A):
     want = _per_point(space, pts, A)
     assert want in (DomainError, SearchInconclusive)
     assert _swept(space, pts, A) == want
+
+
+@pytest.mark.parametrize("name", SPACES)
+@pytest.mark.parametrize("pts, searches", [
+    (tuple((i,) for i in range(3, 12)), 2),
+    ([(0,), (0,), (1,)], 3),
+], ids=["run-as-tuple", "repeated-point"])
+@pytest.mark.parametrize("doc", [
+    {"family": "multiples", "k": 3, "r": 1},
+    {"family": "complement", "of": {"family": "squares"}},
+    {"family": "explicit", "points": [[5], [40]]},
+])
+def test_run_test_on_a_tuple_and_a_repeated_point(monkeypatch, name, pts, searches, doc):
+    # a run passed as a tuple is swept (two searches, at its ends); a list
+    # that repeats a point is no run and is searched per point
+    space = space_by_name(name)
+    A = set_from_json(doc)
+    want = _per_point(space, pts, A)
+    calls = []
+    search = space_module.dist_to_set
+    monkeypatch.setattr(space_module, "dist_to_set",
+                        lambda *args: calls.append(args[1]) or search(*args))
+    assert _swept(space, pts, A) == want
+    assert len(calls) == searches
 
 
 def test_sweep_answers_past_the_search_cap():
