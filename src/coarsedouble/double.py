@@ -10,53 +10,37 @@ window.  Values are exact ints or Fractions throughout.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
 from .space import (UNBOUNDED, Evaluation, LineSpace, MetricSpace, Point, PointSet,
-                    Rational, Window, dist_to_set, rational_to_json, window_points)
+                    Rational, Window, _PointFunction, dist_to_set, rational_to_json,
+                    window_points)
 
 _INT_SAFE = 1 << 60
 # doubling budget of _escalate
 _MAX_DOUBLINGS = 80
 
 
-class DeltaFunction:
-    """Exact copy-gap function delta: X -> [1, oo)."""
+class DeltaFunction(_PointFunction):
+    """Exact copy-gap function delta: X -> [1, oo), read as a level function is."""
 
-    def __init__(self, space: MetricSpace, fn: Callable[[Point], Rational],
-                 name: str, payload: Optional[dict] = None):
-        self.space = space
-        self.fn = fn
-        self.name = name
-        self.payload = payload
-        self._cache = {}
+    what = "delta"
 
     def __call__(self, u: Point) -> Rational:
         v = self._cache.get(u)
         if v is None:
-            v = self.fn(u)
-            if v < 1:
-                raise DomainError(f"delta {self.name} takes value {v} < 1 at {u}")
-            self._cache[u] = v
+            (v,) = self._read((u,))
         return v
-
-    def to_json(self):
-        if self.payload is not None:
-            return dict(self.payload, name=self.name)
-        raise DomainError(f"delta {self.name!r} carries no serializable description")
-
-    def __repr__(self):
-        return f"DeltaFunction({self.name})"
 
 
 def const_delta(space: MetricSpace, value: Rational = 1) -> DeltaFunction:
     if value < 1:
         raise DomainError("constant delta must be >= 1")
-    return DeltaFunction(space, lambda u: value, f"const({value})",
+    return DeltaFunction(space, lambda pts: [value] * len(pts), f"const({value})",
                          payload={"kind": "const", "value": rational_to_json(value)})
 
 
@@ -410,13 +394,11 @@ class MinGlueMetric(DeltaMetric):
             raise DomainError("operands live on different spaces")
         self.d1, self.d2 = d1, d2
 
-        def middle(u):
-            a = evaluate_exact(d1, u, u)
-            b = evaluate_exact(d2, u, u)
-            return min(a.value, b.value)
+        def middle(pts):
+            return [min(evaluate_exact(d1, u, u).value, evaluate_exact(d2, u, u).value)
+                    for u in pts]
 
-        delta = DeltaFunction(d1.space, middle, "min-diagonal")
-        super().__init__(d1.space, delta)
+        super().__init__(d1.space, DeltaFunction(d1.space, middle, "min-diagonal"))
 
     def to_json(self):
         return {"kind": "min_glue", "of": [self.d1.to_json(), self.d2.to_json()]}
@@ -604,14 +586,16 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
     Each cell is the minimum of d_X(x,u) + delta(u) + d_X(u,y) over u in x,
     y and a universe: the ball around the window base enlarged by the
     largest probe value, which holds the candidate ball of every cell whose
-    row point lies in the window.  Midpoints with delta(u) >= that value
-    cannot beat u = x and are dropped; delta is read once per point.  The
-    distances come from ``_distance_matrix``, a coordinate broadcast on
-    every l1 space.  The space type picks how the minimum is taken: on the
-    line spaces by ``_line_delta_min``, a distance-transform sweep and one
-    range-minimum table, in O(n^2 + m) memory for n points and m universe
-    points and with no loop over rows or cells; elsewhere by the n x m
-    min-plus product over the universe.  Both give the same minimum, and
+    row point lies in the window.  delta is read by one ``values`` call over
+    pts and one over the universe; a mask drops midpoints with delta(u) >=
+    that value, which cannot beat u = x (if none is left, the seed of the
+    probes u = x, y is the matrix).  The distances come from
+    ``_distance_matrix``, a coordinate broadcast on every l1 space.  The
+    space type picks how the minimum is taken: on the line spaces by
+    ``_line_delta_min``, a distance-transform sweep and one range-minimum
+    table, in O(n^2 + m) memory for n points and m universe points and with
+    no loop over rows or cells; elsewhere by the n x m min-plus product
+    over the universe.  Both give the same minimum, and
     certification is the same: exact when every row's largest probe, as
     candidate radius, passes the certificate rule on the enumerated radius
     (``_rows_certified``).
@@ -619,7 +603,7 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
     space = d.space
     space.check(*pts)
     base = window.resolve_base(space)
-    deltas = _exact_array([d.delta(p) for p in pts])
+    deltas = _exact_array(d.delta.values(pts))
     dist = _distance_matrix(space, pts, pts)
     seed = dist + np.minimum(deltas[:, None], deltas[None, :])
     row_max = seed.max(axis=1)
@@ -629,17 +613,17 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
         universe = space.points_within(base, radius)
     except IncompleteEnumeration:
         universe, radius = window_points(space, window), window.radius
+    weights = _exact_array(d.delta.values(universe))
     # midpoints with delta(u) >= vmax can never beat the u=x candidate
-    kept = [(u, v) for u, v in zip(universe, map(d.delta, universe)) if v < vmax] \
-        or [(pts[0], d.delta(pts[0]))]
-    universe = [u for u, _ in kept]
-    weights = _exact_array([v for _, v in kept])
-    if isinstance(space, LineSpace):
+    keep = weights < vmax
+    if not keep.any():
+        out = seed
+    elif isinstance(space, LineSpace):
         out = _line_delta_min(_coordinates(pts)[:, 0], dist, seed,
-                              _coordinates(universe)[:, 0], weights)
+                              _coordinates(universe)[keep, 0], weights[keep])
     else:
-        dpu = _distance_matrix(space, pts, universe)
-        out = np.minimum(seed, _min_plus(dpu + weights, dpu.T))
+        dpu = _distance_matrix(space, pts, list(compress(universe, keep)))
+        out = np.minimum(seed, _min_plus(dpu + weights[keep], dpu.T))
     # each row's largest probe bounds the radius of its candidate balls
     return _exact_array(out), _rows_certified(space, pts, base, row_max - 1, radius)
 

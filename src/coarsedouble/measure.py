@@ -188,11 +188,20 @@ class NuHatReport:
     """Density limit surrogate of a projection along its sublevel sets."""
 
     interval: DensityInterval
-    per_n: list
     am2_applied: list            # levels whose sublevel trace stopped growing
     monotone_exact: bool
     masses: list                 # raw member masses per level n, per radius
     ball_masses: list            # ball mass per radius
+
+    @property
+    def per_n(self) -> list:
+        """JSON rows per level n, derived from the masses when read."""
+        radii = [r for r, _ in self.interval.series]
+        return [{"n": n, "bounded": n in self.am2_applied,
+                 "series": [[rational_to_json(r), rational_to_json(Fraction(m, t))]
+                            for r, m, t in zip(radii, masses, self.ball_masses)],
+                 "masses": [rational_to_json(m) for m in masses]}
+                for n, masses in enumerate(self.masses, 1)]
 
     @property
     def bounded_masses(self) -> list:
@@ -214,12 +223,12 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
     realized by the deepest sublevel; its adjusted series is the value.  All
     n_max sublevels come from one ``ratio_series`` pass, which reads the
     levels of the largest ball once; the report keeps the raw masses for
-    ``check_modularity``.
+    ``check_modularity`` and derives ``per_n`` from them when read.
     """
     schedule = _schedule(schedule)
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    per_n, am2, masses_by_n = [], [], []
+    am2, masses_by_n = [], []
     monotone = True
     prev_raw = None
     final_values = None
@@ -236,12 +245,8 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
             monotone = False
         prev_raw = raws
         final_values = [0 if bounded else v for v in raws]
-        per_n.append({"n": n, "bounded": bounded,
-                      "series": [[rational_to_json(r), rational_to_json(v)]
-                                 for r, v, _, _ in rows],
-                      "masses": [rational_to_json(m) for m in masses]})
     series = list(zip(schedule, final_values))
-    return NuHatReport(DensityInterval.from_series(series), per_n, am2, monotone,
+    return NuHatReport(DensityInterval.from_series(series), am2, monotone,
                        masses_by_n, [t for _, _, _, t in rows_by_n[0]])
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import filterfalse
 from typing import Callable, Optional, Sequence
 
 from .asymptotics import (TransferTable, _equivalent_on, _window_radii, default_grid,
@@ -19,19 +18,19 @@ from .asymptotics import (TransferTable, _equivalent_on, _window_radii, default_
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
-from .space import (MetricSpace, Point, PointSet, Rational, Window, rational_to_json,
-                    set_distances, window_points)
+from .space import (MetricSpace, Point, PointSet, Rational, Window, _PointFunction,
+                    rational_to_json, set_distances, window_points)
 from .verdicts import (CHECK_DOMINATES, AffineWitness, Status, TabulatedWitness,
                        Verdict)
 
 
-class LevelFunction:
+class LevelFunction(_PointFunction):
     """lambda: X -> {1, 2, ...} with lambda(x) = min{n : x in A_n}.
 
     ``fn`` is the kind's one reader: it maps a point list to the points'
-    levels, in order.  ``levels`` hands it the points of a list not yet
-    cached, in one call, and ``level`` hands it one point; both fill one
-    cache.  Window readers read a window with one ``levels`` call.
+    levels, in order.  ``levels``, the shared ``values`` read, hands it the
+    points of a list not yet cached in one call, and ``level`` one point;
+    both fill one cache.  Window readers read a window with one ``levels`` call.
 
     Invariants (checked by ``validate``): some window point has a finite
     level (e1); a half-step neighbor can raise the level by at most one
@@ -39,14 +38,12 @@ class LevelFunction:
     the space (e3).
     """
 
+    what = "level function"
+
     def __init__(self, space: MetricSpace, fn: Callable[[Sequence[Point]], list],
                  name: str, kind: str, payload: Optional[dict] = None):
-        self.space = space
-        self.fn = fn
-        self.name = name
+        super().__init__(space, fn, name, payload)
         self.kind = kind
-        self.payload = payload
-        self._cache = {}
 
     def level(self, x: Point) -> int:
         v = self._cache.get(x)
@@ -54,25 +51,7 @@ class LevelFunction:
             (v,) = self._read((x,))
         return v
 
-    def levels(self, pts: Sequence[Point]) -> list:
-        """[level(x) for x in pts]: the points not yet cached are read in one
-        call, then every level is looked up in the cache.  A point listed
-        twice is read twice when uncached.  A level below 1 raises
-        DomainError naming the first such point and caches none of the
-        call's levels."""
-        cache = self._cache
-        missing = list(filterfalse(cache.__contains__, pts))
-        if missing:
-            self._read(missing)
-        return list(map(cache.__getitem__, pts))
-
-    def _read(self, pts: Sequence[Point]) -> list:
-        vals = self.fn(pts)
-        if vals and min(vals) < 1:
-            x, v = next((x, v) for x, v in zip(pts, vals) if v < 1)
-            raise DomainError(f"level function {self.name} gave {v} < 1 at {x}")
-        self._cache.update(zip(pts, vals))
-        return vals
+    levels = _PointFunction.values
 
     def sublevel(self, n: int) -> PointSet:
         """A_n = {x : level(x) <= n} as a decidable set."""
@@ -97,11 +76,6 @@ class LevelFunction:
         checks["passed"] = checks["e1_nonempty"] and checks["e2_expanding"]
         return checks
 
-    def to_json(self):
-        if self.payload is not None:
-            return dict(self.payload, name=self.name)
-        raise DomainError(f"level function {self.name!r} has no serializable form")
-
     def tabulate(self, window: Window) -> dict:
         pts = window_points(self.space, window)
         return dict(zip(pts, self.levels(pts)))
@@ -111,9 +85,6 @@ class LevelFunction:
         return {"space": self.space.to_json(),
                 "levels": [[list(x), v] for x, v in sorted(self.tabulate(window).items())],
                 "tail": self.kind}
-
-    def __repr__(self):
-        return f"LevelFunction({self.name})"
 
 
 # -- constructors -----------------------------------------------------------
@@ -169,14 +140,13 @@ def levels_from_metric(d: DoubleMetric, window: Optional[Window] = None) -> Leve
 
 
 def delta_from_levels(L: LevelFunction) -> DeltaFunction:
-    """Copy-gap function of an expanding sequence: 1 on A_1, n+1 on A_{n+1} \\ A_n."""
+    """Copy-gap function of an expanding sequence, delta = lambda: read by ``L.levels``."""
     payload = None
     try:
         payload = {"kind": "levels", "levels": L.to_json()}
     except DomainError:
         pass
-    return DeltaFunction(L.space, lambda u: max(L.level(u), 1),
-                         f"delta[{L.name}]", payload)
+    return DeltaFunction(L.space, L.levels, f"delta[{L.name}]", payload)
 
 
 def metric_from_levels(L: LevelFunction) -> DeltaMetric:

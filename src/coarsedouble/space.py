@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import filterfalse
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
@@ -469,6 +470,46 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet({self.name})"
+
+
+class _PointFunction:
+    """An exact function >= 1 on points with its cache, shared by level and copy-gap
+    functions; ``fn`` maps a point list to a value list, ``what`` names the kind."""
+
+    def __init__(self, space: MetricSpace, fn: Callable[[Sequence[Point]], list],
+                 name: str, payload: Optional[dict] = None):
+        self.space = space
+        self.fn = fn
+        self.name = name
+        self.payload = payload
+        self._cache = {}
+
+    def values(self, pts: Sequence[Point]) -> list:
+        """The values at pts: the uncached points in one ``fn`` call, then the cache.
+        A value below 1 raises DomainError naming the first one; none is cached."""
+        cache = self._cache
+        missing = list(filterfalse(cache.__contains__, pts))
+        if missing:
+            self._read(missing)
+        return list(map(cache.__getitem__, pts))
+
+    def _read(self, pts: Sequence[Point]) -> list:
+        vals = self.fn(pts)
+        if not isinstance(vals, list) or len(vals) != len(pts):
+            raise DomainError(f"{self.what} {self.name} must give a list of one value per point")
+        if vals and min(vals) < 1:
+            x, v = next((x, v) for x, v in zip(pts, vals) if v < 1)
+            raise DomainError(f"{self.what} {self.name} gave {v} < 1 at {x}")
+        self._cache.update(zip(pts, vals))
+        return vals
+
+    def to_json(self):
+        if self.payload is not None:
+            return dict(self.payload, name=self.name)
+        raise DomainError(f"{self.what} {self.name!r} has no serializable form")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name})"
 
 
 def _is_square(v: int) -> bool:

@@ -324,7 +324,8 @@ def test_delta_batch_does_not_certify_truncated_scan():
     # balls past radius 10 cannot be enumerated, so the batch scan falls back
     # to the window, where every midpoint costs 40; u = 8 gives 2 + 1 + 2 = 5
     sp = PredicateSpace(lambda p: True, 1, 10, (0,))
-    d = DeltaMetric(sp, DeltaFunction(sp, lambda u: 1 if abs(u[0]) >= 8 else 40, "far"))
+    d = DeltaMetric(sp, DeltaFunction(
+        sp, lambda pts: [1 if abs(u[0]) >= 8 else 40 for u in pts], "far"))
     w = Window(6)
     single = evaluate(d, (6,), (6,), w)
     assert not single.exact and single.required_radius == 45
@@ -357,14 +358,15 @@ def _assert_batch_matches(d, space, w, want):
 
 
 def test_fraction_kernel_batch(natline):
-    # Fraction values take the object-dtype min-plus
+    # Fraction values take the object-dtype min-plus; on one point no
+    # midpoint beats the probe, and the matrix is the probe's value
     d = DeltaMetric(natline, const_delta(natline, Fraction(3, 2)))
-    w = Window(12)
-    _assert_batch_matches(d, natline, w,
-                          lambda x, y, pts: brute_delta_cross(natline, d.delta, x, y, pts))
-    rep = check_axioms(d, w)
-    assert rep.passed and rep.exact
-    assert rep.checks["positivity"]["stat"] == Fraction(3, 2)
+    for w in (Window(12), Window(0, (5,))):
+        _assert_batch_matches(d, natline, w,
+                              lambda x, y, pts: brute_delta_cross(natline, d.delta, x, y, pts))
+        rep = check_axioms(d, w)
+        assert rep.passed and rep.exact
+        assert rep.checks["positivity"]["stat"] == Fraction(3, 2)
 
 
 def test_kernel_above_int64_guard_batch():
@@ -460,7 +462,7 @@ def _listed(d, pts, w):
 
 def _on(sp, d):
     """The delta kernel d with the same delta values on the space sp."""
-    return DeltaMetric(sp, DeltaFunction(sp, d.delta, d.delta.name))
+    return DeltaMetric(sp, DeltaFunction(sp, d.delta.values, d.delta.name))
 
 
 def _line_deltas(space):
@@ -470,7 +472,8 @@ def _line_deltas(space):
         "const2": DeltaMetric(space, const_delta(space, 2)),
         "const3/2": DeltaMetric(space, const_delta(space, Fraction(3, 2))),
         "frac": DeltaMetric(space, DeltaFunction(
-            space, lambda u: 1 + Fraction(u[0] % 3, 2) + 4 * (u[0] % 7 == 0), "frac")),
+            space, lambda pts: [1 + Fraction(u[0] % 3, 2) + 4 * (u[0] % 7 == 0) for u in pts],
+            "frac")),
     }
 
 
@@ -733,7 +736,7 @@ _CONTRACT_SPACES = {
 def _every_kind(space, pts):
     """A kernel of every kind on space, Fraction-valued ones among them."""
     delta = DeltaMetric(space, DeltaFunction(
-        space, lambda u: 1 + (sum(map(abs, u)) * 7) % 5, "vary"))
+        space, lambda pts: [1 + (sum(map(abs, u)) * 7) % 5 for u in pts], "vary"))
     half = DeltaMetric(space, const_delta(space, Fraction(3, 2)))
     point = PointMetric(space)
     subset = SubsetMetric(space, PointSet.from_points([pts[0], pts[-1]]))

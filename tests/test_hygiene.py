@@ -14,16 +14,20 @@ Points are checked against their space in one place: an ``if not
 its constant and no ``Evaluation``, so no caller picks probes or computes a
 candidate radius.  A ``LevelFunction`` has one reader, the ``fn`` it is
 built with, from a point list to its levels; its constructor takes no
-second one.  Every reader of a whole window of levels (``tabulate``,
+second one.  A ``DeltaFunction`` has no constructor of its own: it shares
+the level function's cache-and-read class and adds only its one-point
+read.  Every reader of a whole window of levels (``tabulate``,
 ``validate``, the equivalence, transfer, zero, tau, separating-set and
 type verdicts, the approximate-unit checks, ``ratio_series`` and the
 lattice-law scenario) reads each window through one ``levels(...)`` call,
 and ``.level(...)`` is called only at the per-point sites: sublevel
-membership, the neighbour read of ``validate``, the copy gap
-``delta_from_levels`` and ``ApproximateUnit.set_distance_capped``.
-Every private module-level name (``_name``) is
-referenced somewhere in the package besides its definition, and every name
-``__init__.py`` exports is referenced in the package or the tests besides
+membership, the neighbour read of ``validate`` and
+``ApproximateUnit.set_distance_capped``, which returns 0 on A_2n before it
+lists a ball and reads a ball of a few points from the warm cache.  The
+delta kernel's batch path ``_delta_cross_matrix`` reads delta only through
+``values`` and holds no comprehension.  Every private module-level name
+(``_name``) is referenced somewhere in the package besides its definition,
+and every name ``__init__.py`` exports is referenced in the package or the tests besides
 its definition and the export line.  The benchmark's tracer
 (``bench/tracing.py``) finds every method and function it wraps.  Each kernel
 kind states ``coercive_c``, ``eps`` and ``symmetric`` once, as data, and
@@ -266,6 +270,13 @@ def test_level_function_has_one_reader():
                                                "payload"]
 
 
+def test_delta_function_has_one_reader():
+    # the constructor, cache, check and serialization are the shared class's
+    cls = _definition(SRC / "double.py", "DeltaFunction")
+    assert [ast.unparse(b) for b in cls.bases] == ["_PointFunction"]
+    assert [n.name for n in cls.body if isinstance(n, ast.FunctionDef)] == ["__call__"]
+
+
 # each reader of a window of levels, and the whole-window read it makes:
 # ``validate`` reads its window through ``tabulate``
 WINDOW_READERS = [
@@ -289,7 +300,6 @@ PER_POINT_READS = [
     ("ideals.py", "ApproximateUnit.set_distance_capped"),
     ("projection.py", "LevelFunction.sublevel"),
     ("projection.py", "LevelFunction.validate"),
-    ("projection.py", "delta_from_levels"),
 ]
 
 
@@ -379,12 +389,28 @@ def test_double_imports_no_concrete_space():
     assert not concrete, f"double.py imports concrete spaces: {concrete}"
 
 
+def _loops(body):
+    return [ast.unparse(node).splitlines()[0] for node in ast.walk(body)
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp,
+                                 ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+
+
 def test_line_delta_sweep_has_no_python_loop():
-    body = _definition(SRC / "double.py", "_line_delta_min")
-    loops = [ast.unparse(node).splitlines()[0] for node in ast.walk(body)
-             if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp,
-                                  ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+    loops = _loops(_definition(SRC / "double.py", "_line_delta_min"))
     assert not loops, f"loops in _line_delta_min: {loops}"
+
+
+def test_delta_cross_matrix_reads_delta_through_values():
+    body = _definition(SRC / "double.py", "_delta_cross_matrix")
+    loops = _loops(body)
+    assert not loops, f"loops in _delta_cross_matrix: {loops}"
+    reads = [n for n in ast.walk(body) if isinstance(n, ast.Attribute) and n.attr == "delta"]
+    through_values = [n.value for n in ast.walk(body)
+                      if isinstance(n, ast.Attribute) and n.attr == "values"]
+    assert len(through_values) == 2
+    # no d.delta(u), map(d.delta, ...) or other read that bypasses values
+    assert all(any(n is v for v in through_values) for n in reads), \
+        [ast.unparse(n) for n in reads]
 
 
 def test_cli_resolves_its_inputs_once():

@@ -7,8 +7,10 @@ from coarsedouble.ideals import (ApproximateUnit, check_au,
                                  level_set_identities, recovered_levels,
                                  recovery_transfer, unit_eval, unit_join,
                                  unit_meet)
-from coarsedouble.errors import DomainError
-from coarsedouble.space import CustomSpace, Window, set_family, window_points
+from coarsedouble.errors import DomainError, IncompleteEnumeration
+from coarsedouble.projection import levels_from_expression
+from coarsedouble.space import (CustomSpace, PredicateSpace, Window, set_family,
+                                window_points)
 
 
 def test_unit_eval_examples(natline):
@@ -19,6 +21,18 @@ def test_unit_eval_examples(natline):
     # d(7, N_1(squares)) = 1 so u_1(7) = 0
     assert unit_eval(unit, 1, (7,)) == 0
     assert unit_eval(unit, 2, (7,)) == 1  # 7 is within 3/2... level(7) = 4
+
+
+def test_unit_eval_on_a_2n_lists_no_ball():
+    # (10,) lies on the coverage edge, so its radius-1 ball cannot be listed;
+    # u_n = 1 on A_2n needs only the point's own level
+    space = PredicateSpace(lambda p: True, 1, 10, (0,))
+    e = levels_from_expression(space, "quarter", lambda p: 1 + abs(p[0]) // 4)
+    unit = ApproximateUnit(e)
+    assert e.level((10,)) == 3
+    assert unit_eval(unit, 2, (10,)) == 1
+    with pytest.raises(IncompleteEnumeration):
+        unit_eval(unit, 1, (10,))
 
 
 def test_unit_fractional_value():

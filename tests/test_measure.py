@@ -60,12 +60,14 @@ def test_schedules_must_grow(nat_mu, natline, schedule):
 
 
 def test_nu_hat_unit_and_zero(nat_mu, natline):
-    iv = nu_hat(nat_mu, unit_levels(natline)).interval
-    assert all(v == 1 for _, v in iv.series)
+    unit = nu_hat(nat_mu, unit_levels(natline))
+    assert all(v == 1 for _, v in unit.interval.series)
+    assert not any(row["bounded"] for row in unit.per_n)
     iv0 = nu_hat(nat_mu, zero_levels(natline)).interval
     assert all(v == 0 for _, v in iv0.series)
     rep = nu_hat(nat_mu, zero_levels(natline))
     assert rep.am2_applied  # every sublevel trace is bounded-evidenced
+    assert all(row["bounded"] for row in rep.per_n)
 
 
 def test_nu_hat_needs_a_sublevel(nat_mu, natline):
@@ -80,6 +82,8 @@ def test_nu_hat_half_line(int_mu, intline):
     assert half - Fraction(1, 32) <= rep.interval.lo
     assert rep.interval.hi <= half + Fraction(1, 32)
     assert rep.monotone_exact
+    # the deepest sublevel is unbounded, so its raw row is the series
+    assert rep.per_n[-1]["series"] == rep.interval.to_json()["series"]
 
 
 def test_nu_hat_monotone_under_order(nat_mu, natline):

@@ -14,7 +14,7 @@ from coarsedouble import (CmFunction, PointMetric, check_axioms, check_cm,
                           metric_join, metric_meet, projection_criterion,
                           range_projection, source_projection, subset_metric,
                           transfer, unit_levels, zero_levels)
-from coarsedouble.double import DeltaMetric
+from coarsedouble.double import DeltaFunction, DeltaMetric, MinGlueMetric
 from coarsedouble.errors import DomainError
 from coarsedouble.ideals import ApproximateUnit, recovered_levels
 from coarsedouble.projection import LevelFunction, levels_from_expression
@@ -351,36 +351,108 @@ def test_level_below_one_is_a_domain_error(natline):
     assert bad.level((3,)) == 1
 
 
-def test_levels_match_level_with_repeats_and_a_warm_cache(natline):
-    reads = []
+def _mod4(space):
+    return LevelFunction(space, lambda pts: [1 + p[0] % 4 for p in pts], "mod4", "expression")
 
-    def make():
-        def fn(pts):
-            reads.append(list(pts))
-            return [1 + p[0] % 4 for p in pts]
-        return LevelFunction(natline, fn, "mod4", "expression")
 
+# level and copy-gap functions share one cache-and-read class: ``values``
+# (``levels`` for a level function) reads a list, the one-point read below
+# reads a point
+LIST_READERS = {
+    "levels": _mod4,
+    "const-int": lambda s: const_delta(s, 3),
+    "const-fraction": lambda s: const_delta(s, Fraction(3, 2)),
+    "delta-from-levels": lambda s: delta_from_levels(_mod4(s)),
+    "min-glue": lambda s: MinGlueMetric(subset_metric(s, set_family("evens")),
+                                        metric_from_levels(zero_levels(s))).delta,
+    "fraction-reader": lambda s: DeltaFunction(
+        s, lambda pts: [1 + Fraction(p[0] % 3, 2) for p in pts], "frac"),
+}
+
+
+def _one_point(f):
+    return f.level if isinstance(f, LevelFunction) else f
+
+
+def _recording(f):
+    """The point lists that f's reader is handed from now on."""
+    reads, fn = [], f.fn
+
+    def recorded(pts):
+        reads.append(list(pts))
+        return fn(pts)
+
+    f.fn = recorded
+    return reads
+
+
+@pytest.mark.parametrize("kind", sorted(LIST_READERS))
+def test_levels_match_level_with_repeats_and_a_warm_cache(natline, kind):
+    make = LIST_READERS[kind]
     pts = [(5,), (2,), (5,), (9,), (2,), (0,)]
-    by_point = make()
-    want = [by_point.level(x) for x in pts]
-    assert make().levels(pts) == want
-    warm = make()
-    warm.level((2,))
-    warm.level((9,))
-    reads.clear()
-    assert warm.levels(pts) == want
+    one = _one_point(make(natline))
+    want = [one(x) for x in pts]
+    assert make(natline).values(pts) == want
+    assert make(natline).values(pts[::-1]) == want[::-1]
+    assert LevelFunction.levels is LevelFunction.values
+    warm = make(natline)
+    _one_point(warm)((2,))
+    _one_point(warm)((9,))
+    reads = _recording(warm)
+    assert warm.values(pts) == want
     # one read, of the points not yet cached, in list order
     assert reads == [[(5,), (5,), (0,)]]
 
 
-def test_failing_read_names_the_first_bad_point_in_list_order(natline):
-    # the smallest level is at (4,), but (7,) comes first in the list
-    bad = levels_from_expression(natline, "bad", lambda p: {4: -1, 7: 0}.get(p[0], 1))
-    with pytest.raises(DomainError, match=r"gave 0 < 1 at \(7,\)"):
-        bad.levels([(3,), (7,), (4,)])
-    with pytest.raises(DomainError, match=r"gave -1 < 1 at \(4,\)"):
-        bad.levels([(3,), (4,), (7,)])
-    assert bad.levels([(3,), (5,)]) == [1, 1]
+def _bad_readers(space, bad):
+    """A reader of each kind with the values of bad at its keys, 1 elsewhere."""
+    def rule(p):
+        return bad.get(p[0], 1)
+
+    return {
+        "levels": levels_from_expression(space, "bad", rule),
+        "delta": DeltaFunction(space, lambda pts: list(map(rule, pts)), "bad"),
+        "delta-from-levels": delta_from_levels(levels_from_expression(space, "bad", rule)),
+    }
+
+
+@pytest.mark.parametrize("kind, what", [("levels", "level function"), ("delta", "delta"),
+                                        ("delta-from-levels", "level function")])
+@pytest.mark.parametrize("bad, first, least", [
+    ({4: -1, 7: 0}, "0", "-1"),
+    ({4: Fraction(-1, 2), 7: Fraction(1, 2)}, "1/2", "-1/2"),
+])
+def test_failing_read_names_the_first_bad_point_in_list_order(natline, kind, what, bad,
+                                                              first, least):
+    f = _bad_readers(natline, bad)[kind]
+    reads = _recording(f)
+    # the smallest value is at (4,), but (7,) comes first in the list
+    with pytest.raises(DomainError, match=rf"^{what} bad gave {first} < 1 at \(7,\)$"):
+        f.values([(3,), (7,), (4,)])
+    with pytest.raises(DomainError, match=rf"^{what} bad gave {least} < 1 at \(4,\)$"):
+        f.values([(3,), (4,), (7,)])
+    # the failed calls cached none of their values: (3,) is read again
+    reads.clear()
+    assert f.values([(3,), (5,)]) == [1, 1]
+    assert reads == [[(3,), (5,)]]
+
+
+@pytest.mark.parametrize("reader", [lambda u: 2, lambda pts: [2] * (len(pts) - 1),
+                                    lambda pts: [2] * (len(pts) + 1)],
+                         ids=["one-point", "short", "long"])
+@pytest.mark.parametrize("kind", ["levels", "delta"])
+def test_reader_of_the_wrong_shape_is_a_domain_error(natline, kind, reader):
+    # a reader maps a point list to a list of as many values; a one-point
+    # reader, as ``DeltaFunction`` took before, is refused by name
+    f = (LevelFunction(natline, reader, "odd", "expression") if kind == "levels"
+         else DeltaFunction(natline, reader, "odd"))
+    what = "level function" if kind == "levels" else "delta"
+    message = rf"^{what} odd must give a list of one value per point$"
+    with pytest.raises(DomainError, match=message):
+        f.values([(3,), (4,)])
+    with pytest.raises(DomainError, match=message):
+        _one_point(f)((3,))
+    assert not f._cache
 
 
 def test_subset_levels_of_fraction_distances():
