@@ -220,7 +220,10 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
     """sup over n <= n_max of the (admissibility-adjusted) density of A_n.
 
     Per fixed radius the raw ratios are exactly monotone in n, so the sup is
-    realized by the deepest sublevel; its adjusted series is the value.  All
+    realized by the deepest sublevel; its adjusted series is the value.
+    ``monotone_exact`` checks that monotonicity on the member masses: the
+    ratios at one radius share that radius's ball mass, which is positive,
+    so they are ordered as the masses are, with no Fraction compared.  All
     n_max sublevels come from one ``ratio_series`` pass, which reads the
     levels of the largest ball once; the report keeps the raw masses for
     ``check_modularity`` and derives ``per_n`` from them when read.
@@ -228,24 +231,14 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
     schedule = _schedule(schedule)
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    am2, masses_by_n = [], []
-    monotone = True
-    prev_raw = None
-    final_values = None
     rows_by_n = mu.ratio_series(e.levels, schedule, n_max)
-    for n, rows in enumerate(rows_by_n, 1):
-        raws = [v for _, v, _, _ in rows]
-        masses = [m for _, _, m, _ in rows]
-        masses_by_n.append(masses)
-        # the member mass stopped growing along the schedule tail
-        bounded = masses[-3] == masses[-2] == masses[-1]
-        if bounded:
-            am2.append(n)
-        if prev_raw is not None and any(a < b for a, b in zip(raws, prev_raw)):
-            monotone = False
-        prev_raw = raws
-        final_values = [0 if bounded else v for v in raws]
-    series = list(zip(schedule, final_values))
+    masses_by_n = [[m for _, _, m, _ in rows] for rows in rows_by_n]
+    # levels whose member mass stopped growing along the schedule tail
+    am2 = [n for n, m in enumerate(masses_by_n, 1) if m[-3] == m[-2] == m[-1]]
+    monotone = all(a <= b for prev, masses in zip(masses_by_n, masses_by_n[1:])
+                   for a, b in zip(prev, masses))
+    raws = [v for _, v, _, _ in rows_by_n[-1]]
+    series = list(zip(schedule, [0] * len(raws) if n_max in am2 else raws))
     return NuHatReport(DensityInterval.from_series(series), am2, monotone,
                        masses_by_n, [t for _, _, _, t in rows_by_n[0]])
 

@@ -283,18 +283,23 @@ def check_cm(f: CmFunction, window: Window) -> dict:
 
 
 def meet(e: LevelFunction, f: LevelFunction) -> LevelFunction:
-    """Intersection of expanding sequences: levels combine by max."""
+    """Intersection of expanding sequences: levels combine by max, written
+    as the comparison max(a, b) makes (b only when b > a), which a list
+    comprehension runs several times faster than ``map(max, ...)``."""
     _same_space(e, f)
     payload = _combined_payload("meet", e, f)
-    return LevelFunction(e.space, lambda pts: list(map(max, e.levels(pts), f.levels(pts))),
+    return LevelFunction(e.space, lambda pts: [b if b > a else a for a, b in
+                                               zip(e.levels(pts), f.levels(pts))],
                          f"({e.name} ^ {f.name})", "combined", payload)
 
 
 def join(e: LevelFunction, f: LevelFunction) -> LevelFunction:
-    """Union of expanding sequences: levels combine by min."""
+    """Union of expanding sequences: levels combine by min, written as the
+    comparison min(a, b) makes (b only when b < a), as in ``meet``."""
     _same_space(e, f)
     payload = _combined_payload("join", e, f)
-    return LevelFunction(e.space, lambda pts: list(map(min, e.levels(pts), f.levels(pts))),
+    return LevelFunction(e.space, lambda pts: [b if b < a else a for a, b in
+                                               zip(e.levels(pts), f.levels(pts))],
                          f"({e.name} v {f.name})", "combined", payload)
 
 

@@ -12,7 +12,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import filterfalse
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
@@ -485,10 +487,15 @@ class _PointFunction:
         self._cache = {}
 
     def values(self, pts: Sequence[Point]) -> list:
-        """The values at pts: the uncached points in one ``fn`` call, then the cache.
-        A value below 1 raises DomainError naming the first one; none is cached."""
+        """The values at pts.  A list with no cached point (always, when the
+        cache is empty) is one ``_read``: one ``fn`` call with the whole list,
+        whose validated list is returned.  Otherwise the uncached points go
+        to ``fn`` in one call and every value is read from the cache.  A
+        value below 1 raises DomainError naming the first one; none is cached."""
         cache = self._cache
-        missing = list(filterfalse(cache.__contains__, pts))
+        missing = list(filterfalse(cache.__contains__, pts)) if cache else pts
+        if len(missing) == len(pts) and missing:
+            return self._read(pts)
         if missing:
             self._read(missing)
         return list(map(cache.__getitem__, pts))
@@ -679,6 +686,47 @@ def _geom_has_member(family: dict) -> Optional[bool]:
     return None
 
 
+@lru_cache(maxsize=64)
+def _square_residues(k: int) -> frozenset:
+    """The residues of n^2 mod k, n >= 1; cached, since ``dist_to_set``
+    asks on every TwoTails search."""
+    return frozenset(n * n % k for n in range(k))
+
+
+def _tails_has_member(family: dict) -> Optional[bool]:
+    """Whether the named set ``family`` has a member on TwoTails, or None
+    when the family has no rule here.  The first coordinates there are the
+    squares n^2 (n >= 1), each with both signs of the second.  A half-line
+    {x <= b} holds 1 iff b >= 1, and {x >= b} is never empty.  n^2 mod k
+    takes the residues of n^2 for n < k (``_square_residues``); a k above
+    SEARCH_POINT_CAP is left to the search.  Every first coordinate is a
+    square, so ~squares is empty.  scale * base^k = scale * base^(k mod 2) * (base^(k // 2))^2, and
+    k >= max(1, k0) takes both parities, so some member is a square iff
+    scale or scale * base is; no member is 1, so a complement holds
+    (1, +-1).  A+ and A- and their complements are never empty."""
+    fam, args, complement = _named_family(family)
+    if args is None:
+        return None
+    if fam == "half_line":
+        sign, b = args["sign"], args["bound"]
+        if complement:  # as in _line_candidates
+            sign, b = -sign, b - sign
+        return sign > 0 or b >= 1
+    if fam == "multiples":
+        k, r = args["k"], args["r"] % args["k"]
+        if k > SEARCH_POINT_CAP:
+            return None
+        residues = _square_residues(k)
+        return bool(residues - {r}) if complement else r in residues
+    if fam == "squares":
+        return not complement
+    if fam in ("powers", "powers_tail"):
+        return complement or _is_square(args["scale"]) or _is_square(args["scale"] * args["base"])
+    if fam in ("tail_plus", "tail_minus"):
+        return True
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -741,9 +789,11 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
     and SearchInconclusive when the nearest member lies beyond the budget.
     A family with no member in the space raises DomainError instead of
     searching up to the budget.  Other complements, sublevel sets, the tail
-    families and the other spaces are searched.  On ``GeomLine`` a named
-    family whose search finds no member raises DomainError instead of
-    SearchInconclusive when ``_geom_has_member`` proves it has none.
+    families and the other spaces are searched.  On ``TwoTails`` a named
+    family that ``_tails_has_member`` proves empty raises DomainError before
+    the search.  On ``GeomLine`` a named family whose search finds no member
+    raises DomainError instead of SearchInconclusive when
+    ``_geom_has_member`` proves it has none.
     ``set_distances`` answers for a whole enumerated point list, with two
     calls per run of a line.
     """
@@ -770,6 +820,9 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
         return Evaluation(d, True, witness=(best,))
     if A.contains(x):
         return Evaluation(0, True, witness=tuple(x))
+    if (type(space) is TwoTails and A.family is not None
+            and _tails_has_member(A.family) is False):
+        raise DomainError(f"set {A.name} has no members in {space.name}")
     r = 1
     while True:
         r = min(r, budget)
@@ -789,6 +842,18 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
         r *= 2
 
 
+def _is_run(pts: Sequence[Point]) -> bool:
+    """Whether pts equals [(lo,), (lo + 1,), ..., (lo + n - 1,)] for the int
+    lo = pts[0][0], tested without building those tuples: every point is a
+    tuple of one coordinate, and the coordinates equal range(lo, lo + n).
+    Accepts no list that the comparison with the tuples rejects; it rejects
+    tuple subclasses, which then take the per-point path."""
+    n, lo = len(pts), pts[0][0]
+    return (type(lo) is int and list(map(type, pts)).count(tuple) == n
+            and list(map(len, pts)).count(1) == n
+            and list(map(itemgetter(0), pts)) == list(range(lo, lo + n)))
+
+
 def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list:
     """[dist_to_set(space, p, A, UNBOUNDED).value for p in pts] for an
     enumerated point list pts.
@@ -803,22 +868,18 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
     bounds, since d(., A) is 1-Lipschitz, and the smaller is exact: the
     nearest member of a point either lies in the run, where a running
     distance restarted, or beyond an end, and then the way to it passes
-    that end.  The run is recognized by one comparison of the list with
-    [(lo,), (lo + 1,), ...].  A set with no member raises as
-    ``dist_to_set`` at lo does.  The sweep also answers where a point's own
-    search would stop at SEARCH_POINT_CAP.  Any other space or list takes
-    ``dist_to_set`` per point.
+    that end.  ``_is_run`` recognizes the run without building its tuples,
+    and the forward sweep is one comprehension.  A set with no member raises
+    as ``dist_to_set`` at lo does.  The sweep also answers where a point's
+    own search would stop at SEARCH_POINT_CAP.  Any other space or list
+    takes ``dist_to_set`` per point.
     """
     n = len(pts)
-    if (type(space) in (NatLine, IntLine) and n > 2 and type(pts[0][0]) is int
-            and list(pts) == list(zip(range(pts[0][0], pts[0][0] + n)))):
+    if type(space) in (NatLine, IntLine) and n > 2 and _is_run(pts):
         first, last = (dist_to_set(space, p, A, UNBOUNDED).value for p in (pts[0], pts[-1]))
         member = list(map(A._contains, pts))
-        out = []
         d = first - 1
-        for m in member:
-            d = 0 if m else d + 1
-            out.append(d)
+        out = [d := 0 if m else d + 1 for m in member]
         d = last - 1
         for i in range(n - 1, -1, -1):
             d = 0 if member[i] else d + 1

@@ -197,12 +197,30 @@ def test_empty_set_on_geometric_line_is_usage_error(capsys, spec):
      "--radius", "64"],
     ["ideal", "check", "--space", "TwoTails", "--levels", "~subset:squares",
      "--radius", "16"],
+    ["compare", "--space", "TwoTails", "--left", "subset:multiples:3:2", "--right", "zero",
+     "--mode", "coarse", "--radius", "64"],
+    ["compare", "--space", "TwoTails", "--left", "subset:powers:3:2", "--right", "zero",
+     "--mode", "coarse", "--radius", "64"],
+    ["compare", "--space", "TwoTails", "--left", "subset:halfline:-:0", "--right", "zero",
+     "--mode", "coarse", "--radius", "64"],
 ])
-def test_no_member_on_twotails_exits_inconclusive(capsys, argv):
-    # 2*3^k is never a square and every first coordinate is a positive
-    # square, so these sets have no member in TwoTails: the set-distance
-    # search stops at SEARCH_POINT_CAP points instead of exhausting memory
+def test_no_member_on_twotails_is_usage_error(capsys, argv):
+    # every first coordinate of TwoTails is a positive square, 2*3^k is never
+    # a square and no square is 2 mod 3, so these sets have no member there:
+    # a domain error found before the set-distance search, not a search that
+    # gives up at SEARCH_POINT_CAP points
     code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no members in TwoTails" in json.loads(captured.err)["error"]
+    assert captured.out == ""
+
+
+def test_member_past_the_search_cap_on_twotails_exits_inconclusive(capsys):
+    # 2^31 * 2 = (2^16)^2 is the first member, beyond every ball of at most
+    # SEARCH_POINT_CAP points: the set has a member, so the search gives up
+    code = main(["compare", "--space", "TwoTails", "--left", "subset:powers:2:2147483648",
+                 "--right", "zero", "--mode", "coarse", "--radius", "64"])
     captured = capsys.readouterr()
     assert code == 3
     assert "points searched" in json.loads(captured.err)["error"]

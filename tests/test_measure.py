@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from coarsedouble import levels_from_subset, unit_levels, zero_levels
 from coarsedouble.boolalg import FormalSum
 from coarsedouble.errors import DomainError
-from coarsedouble.measure import (DensityInterval, DensityMeasure,
+from coarsedouble.measure import (DensityInterval, DensityMeasure, NuHatReport,
                                   check_modularity, default_schedule, density,
                                   measure0_check, nu_bar, nu_hat)
-from coarsedouble.serialize import expression_levels
+from coarsedouble.serialize import expression_levels, parse_levels
 from coarsedouble.space import (LineSpace, PointSet, Window, set_family,
                                 space_by_name, window_points)
 
@@ -271,3 +271,64 @@ def test_nonpositive_weight_raises(natline, call):
            "check_modularity": lambda: check_modularity(mu, e, unit_levels(natline))}
     with pytest.raises(DomainError, match="weights must be positive"):
         run[call]()
+
+
+def _reference_nu_hat(mu, e, n_max, schedule):
+    """nu_hat with monotonicity tested on the Fraction ratios of each row."""
+    rows_by_n = mu.ratio_series(e.levels, schedule, n_max)
+    am2, masses_by_n, monotone, prev, final = [], [], True, None, None
+    for n, rows in enumerate(rows_by_n, 1):
+        raws = [v for _, v, _, _ in rows]
+        masses = [m for _, _, m, _ in rows]
+        masses_by_n.append(masses)
+        bounded = masses[-3] == masses[-2] == masses[-1]
+        if bounded:
+            am2.append(n)
+        if prev is not None and any(a < b for a, b in zip(raws, prev)):
+            monotone = False
+        prev = raws
+        final = [0 if bounded else v for v in raws]
+    return NuHatReport(DensityInterval.from_series(list(zip(schedule, final))), am2,
+                       monotone, masses_by_n, [t for _, _, _, t in rows_by_n[0]])
+
+
+NU_HAT_SPECS = ("subset:evens", "subset:halfline:+:40", "subset:multiples:5:2",
+                "subset:squares", "zero", "unit", "expr:ceil-sqrt")
+
+
+@pytest.mark.parametrize("weight", ["natural", "int", "fraction"])
+@pytest.mark.parametrize("name", ["NatLine", "IntLine", "GeomLine", "TwoTails"])
+def test_nu_hat_orders_masses_as_the_ratios(name, weight):
+    # monotone_exact reads the member masses; the ratios at one radius share
+    # its positive ball mass, so the report equals one built from the ratios
+    space = space_by_name(name)
+    mu = DensityMeasure(space, WEIGHTS[weight], weight)
+    schedule = default_schedule(8, 4)
+    for spec in NU_HAT_SPECS:
+        if name == "TwoTails" and spec.startswith(("subset:evens", "subset:multiples")):
+            spec = "subset:tailplus"
+        e = parse_levels(space, spec)
+        got = nu_hat(mu, e, 5, schedule)
+        want = _reference_nu_hat(mu, parse_levels(space, spec), 5, schedule)
+        assert got.monotone_exact is want.monotone_exact is True
+        assert got.to_json() == want.to_json()
+        assert got.masses == want.masses and got.ball_masses == want.ball_masses
+
+
+@pytest.mark.parametrize("weight", ["natural", "fraction"])
+def test_nu_hat_sees_masses_that_fall_with_n(monkeypatch, natline, weight):
+    # sublevel masses cannot fall with n, so rows that fall are planted: the
+    # mass test and the ratio test both see them, at any radius
+    mu = DensityMeasure(natline, WEIGHTS[weight], weight)
+    schedule = default_schedule(8, 4)
+    e = levels_from_subset(natline, set_family("evens"))
+    rows = mu.ratio_series(e.levels, schedule, 4)
+    for i in range(len(schedule)):
+        planted = [list(row) for row in rows]
+        r, _, m, t = planted[2][i]
+        planted[2][i] = (r, Fraction(m - 1, t), m - 1, t)
+        monkeypatch.setattr(mu, "ratio_series", lambda *args, rows=planted: rows)
+        got = nu_hat(mu, e, 4, schedule)
+        want = _reference_nu_hat(mu, e, 4, schedule)
+        assert got.monotone_exact is want.monotone_exact is False
+        assert got.to_json() == want.to_json()

@@ -404,6 +404,62 @@ def test_levels_match_level_with_repeats_and_a_warm_cache(natline, kind):
     assert reads == [[(5,), (5,), (0,)]]
 
 
+@pytest.mark.parametrize("kind", sorted(LIST_READERS))
+def test_cold_read_is_one_reader_call(natline, kind):
+    # a list with no cached point goes to the reader whole, in one call, and
+    # its values come back from that call; a warm list calls no reader, and a
+    # partly warm one hands the reader only its missing points
+    make = LIST_READERS[kind]
+    pts = [(5,), (2,), (5,), (9,), (2,), (0,)]
+    one = _one_point(make(natline))
+    f = make(natline)
+    reads = _recording(f)
+    got = f.values(pts)
+    assert got == [one(x) for x in pts]
+    assert reads == [pts]
+    got[0] = 0  # the caller's list: a later read still gives the values
+    assert f.values(pts) == [one(x) for x in pts]
+    assert reads == [pts]
+    more = [(9,), (7,), (2,), (8,), (7,)]
+    assert f.values(more) == [one(x) for x in more]
+    assert reads == [pts, [(7,), (8,), (7,)]]
+    # no point of the list is cached, though the cache is not empty
+    fresh = [(11,), (12,), (11,)]
+    assert f.values(fresh) == [one(x) for x in fresh]
+    assert reads[-1] == fresh
+    assert f.values([]) == [] and len(reads) == 3
+
+
+def test_cold_read_returns_the_readers_list(natline):
+    # one pass: the validated list of a cold read is returned as the reader
+    # gave it; a warm read builds a new list from the cache
+    made = []
+
+    def reader(pts):
+        made.append([1 + p[0] % 4 for p in pts])
+        return made[-1]
+
+    f = LevelFunction(natline, reader, "mod4", "expression")
+    pts = window_points(natline, Window(9))
+    assert f.levels(pts) is made[0]
+    warm = f.levels(pts)
+    assert warm == made[0] and warm is not made[0] and len(made) == 1
+
+
+def test_meet_and_join_pick_as_max_and_min_do(natline):
+    # the combined readers compare as max and min do: on equal levels of
+    # different types the first operand's level is kept
+    e = LevelFunction(natline, lambda pts: [1 + p[0] % 3 for p in pts], "ints", "expression")
+    f = LevelFunction(natline, lambda pts: [Fraction(1 + p[0] % 2) for p in pts], "fracs",
+                      "expression")
+    pts = window_points(natline, Window(6))
+    for a, b in ((e, f), (f, e)):
+        for op, pick in ((meet, max), (join, min)):
+            got = op(a, b).levels(pts)
+            want = list(map(pick, a.levels(pts), b.levels(pts)))
+            assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want]
+
+
 def _bad_readers(space, bad):
     """A reader of each kind with the values of bad at its keys, 1 elsewhere."""
     def rule(p):
@@ -431,7 +487,9 @@ def test_failing_read_names_the_first_bad_point_in_list_order(natline, kind, wha
         f.values([(3,), (7,), (4,)])
     with pytest.raises(DomainError, match=rf"^{what} bad gave {least} < 1 at \(4,\)$"):
         f.values([(3,), (4,), (7,)])
-    # the failed calls cached none of their values: (3,) is read again
+    # each cold list went to the reader whole, and the failed calls cached
+    # none of their values: (3,) is read again
+    assert reads == [[(3,), (7,), (4,)], [(3,), (4,), (7,)]] and not f._cache
     reads.clear()
     assert f.values([(3,), (5,)]) == [1, 1]
     assert reads == [[(3,), (5,)]]

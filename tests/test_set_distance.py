@@ -7,6 +7,7 @@ the brute minimum over that window is d_X(x, A).
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,8 +17,9 @@ from coarsedouble.double import SubsetMetric
 from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.projection import levels_from_subset
 from coarsedouble.serialize import level_from_json
-from coarsedouble.space import (UNBOUNDED, PointSet, Window, dist_to_set,
-                                set_family, set_from_json, space_by_name)
+from coarsedouble import space as space_module
+from coarsedouble.space import (UNBOUNDED, Evaluation, PointSet, Window, dist_to_set,
+                                set_distances, set_family, set_from_json, space_by_name)
 from conftest import BRUTE_WINDOWS, brute_set_distance
 
 
@@ -235,3 +237,105 @@ def test_explicit_set_outside_the_space_raises(window):
     A = PointSet.from_points([(-3,), (-7,)])
     with pytest.raises(DomainError, match="no members in NatLine"):
         dist_to_set(nat, (5,), A, window)
+
+
+def _nearest_line_member(space, x, A):
+    """d_X(x, A) on a line for an explicit A, from the one-coordinate int
+    members of the space, ties to the smaller point; DomainError when none
+    lies in the space."""
+    members = sorted(p for p in A.points if space.contains(p))
+    if not members:
+        raise DomainError(f"set {A.name} has no members in {space.name}")
+    d, best = min((abs(a[0] - x[0]), a) for a in members)
+    return Evaluation(d, True, witness=best)
+
+
+EXPLICIT_POINTS = st.lists(st.one_of(
+    st.integers(-40, 40).map(lambda v: (v,)),
+    st.tuples(st.integers(-40, 40), st.integers(-3, 3)),   # no line point
+    st.integers(-80, 80).map(lambda v: (Fraction(2 * v + 1, 2),)),  # never a line point
+    ), min_size=1, max_size=8)
+
+
+@given(name=st.sampled_from(["NatLine", "IntLine"]), points=EXPLICIT_POINTS,
+       v=st.integers(-50, 50), radius=st.none() | st.integers(0, 8))
+@example(name="NatLine", points=[(-3,), (5, 1), (9,)], v=2, radius=None)
+@example(name="IntLine", points=[(2,), (6,)], v=4, radius=None)            # a tie
+@example(name="NatLine", points=[(-3,), (-1, 2)], v=2, radius=None)        # none in NatLine
+@example(name="IntLine", points=[(Fraction(3, 2),), (4,)], v=2, radius=0)
+@settings(max_examples=300, deadline=None)
+def test_explicit_sets_on_the_lines_are_read_whatever_the_budget(name, points, v, radius):
+    # members outside the space (negative on NatLine, two coordinates, a
+    # Fraction coordinate) are passed over; any budget gives the nearest
+    # member, and a set with none in the space raises DomainError
+    space = space_by_name(name)
+    x = (abs(v),) if name == "NatLine" else (v,)
+    A = PointSet.from_points(points)
+    window = UNBOUNDED if radius is None else Window(radius)
+
+    def outcome(read):
+        try:
+            return read()
+        except DomainError as err:
+            return str(err)
+
+    assert (outcome(lambda: dist_to_set(space, x, A, window))
+            == outcome(lambda: _nearest_line_member(space, x, A)))
+
+
+def _tail_members(A, top=400):
+    """Whether some TwoTails point (n^2, +-phi(n)) with n < top lies in A."""
+    tails = space_by_name("TwoTails")
+    return any(A.contains(tails.tail_point(n, s)) for n in range(1, top) for s in (-1, 1))
+
+
+TAIL_FAMILIES = st.one_of(
+    _multiples, st.builds(lambda k, r: ("multiples", {"k": k, "r": r % k}),
+                          st.integers(10, 40), st.integers(0, 39)),
+    _squares, _half_line, _powers,
+    st.builds(lambda b, s, k0: ("powers_tail", {"base": b, "scale": s, "k0": k0}),
+              st.integers(2, 9), st.integers(1, 12), st.integers(0, 3)),
+    st.sampled_from([("tail_plus", {}), ("tail_minus", {})]))
+
+
+@given(spec=TAIL_FAMILIES, depth=st.integers(0, 2), n=st.integers(1, 30))
+@settings(max_examples=250, deadline=None)
+def test_two_tails_families_without_members_raise(spec, depth, n):
+    # a member, when there is one, has n < 400 here (members of a powers
+    # family come in every other k, and 12 * 9^4 < 400^2); a family without
+    # one raises DomainError before any search, whatever the budget
+    tails = space_by_name("TwoTails")
+    doc = set_family(spec[0], **spec[1]).family
+    for _ in range(depth):
+        doc = {"family": "complement", "of": doc}
+    A = set_from_json(doc)
+    x = tails.tail_point(n, 1)
+    if _tail_members(A):
+        assert dist_to_set(tails, x, A, UNBOUNDED).exact
+        return
+    for window in (Window(4), UNBOUNDED):
+        with pytest.raises(DomainError, match="no members in TwoTails"):
+            dist_to_set(tails, x, A, window)
+
+
+def test_two_tails_member_past_the_search_cap_is_inconclusive():
+    # 4^20 = (2^20)^2 is a member, but beyond any ball of SEARCH_POINT_CAP points
+    tails = space_by_name("TwoTails")
+    A = set_family("powers_tail", base=4, scale=1, k0=20)
+    with pytest.raises(SearchInconclusive, match="points searched"):
+        dist_to_set(tails, (1, 1), A, UNBOUNDED)
+
+
+def test_square_residues_are_computed_once_per_modulus():
+    # the emptiness rule runs before every TwoTails search; over a ball the
+    # squares mod k are computed once, not once per point
+    tails = space_by_name("TwoTails")
+    A = set_family("multiples", k=40_009, r=1)
+    space_module._square_residues.cache_clear()
+    pts = tails.points_within(tails.tail_point(1, 1), 64)
+    searched = [p for p in pts if not A.contains(p)]
+    assert len(searched) > 2
+    assert set_distances(tails, pts, A) == [dist_to_set(tails, p, A, UNBOUNDED).value
+                                            for p in pts]
+    info = space_module._square_residues.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(searched) - 1)

@@ -11,6 +11,8 @@ and up) and lists with gaps or out of order.  ``levels`` is compared with
 two reads share no cache.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +143,72 @@ def test_run_test_on_a_tuple_and_a_repeated_point(monkeypatch, name, pts, search
                         lambda *args: calls.append(args[1]) or search(*args))
     assert _swept(space, pts, A) == want
     assert len(calls) == searches
+
+
+def _tuple_run_test(pts):
+    """The run test as one comparison with the run's tuples."""
+    lo = pts[0][0]
+    return type(lo) is int and list(pts) == list(zip(range(lo, lo + len(pts))))
+
+
+RUN = [(i,) for i in range(3, 9)]
+
+
+@pytest.mark.parametrize("name", SPACES)
+@pytest.mark.parametrize("pts, searches", [
+    (RUN[:2] + [(5, 1)] + RUN[3:], 3),                  # a point of two coordinates
+    (RUN[:2] + [(Fraction(9, 2),)] + RUN[3:], 3),       # a Fraction coordinate
+    ([(Fraction(3),)] + RUN[1:], 1),                    # ... at the start
+    ([(False,), (1,), (2,), (3,)], 4),                  # a bool at the start
+    ([(0,), (True,), (3,), (4,)], 4),                   # a bool off the run
+    (RUN[:2] + [[5]] + RUN[3:], 3),                     # a list, not a tuple
+], ids=["two-coordinates", "fraction", "fraction-first", "bool-first", "bool-off-run",
+        "list-point"])
+def test_lists_that_are_no_run_are_searched_per_point(monkeypatch, name, pts, searches):
+    # each list is searched point by point, as the comparison with the
+    # run's tuples decides, and fails or answers as the searches do
+    space = space_by_name(name)
+    A = set_family("multiples", k=3, r=1)
+    assert not _tuple_run_test(pts)
+    want = _per_point(space, pts, A)
+    calls = []
+    search = space_module.dist_to_set
+    monkeypatch.setattr(space_module, "dist_to_set",
+                        lambda *args: calls.append(args[1]) or search(*args))
+    assert _swept(space, pts, A) == want
+    assert len(calls) == searches
+
+
+@st.composite
+def near_runs(draw):
+    """A run of 3 to 12 points with at most two points changed."""
+    lo = draw(st.integers(-5, 5))
+    pts = [(i,) for i in range(lo, lo + draw(st.integers(3, 12)))]
+    other = st.one_of(
+        st.integers(-6, 20).map(lambda v: (v,)),
+        st.tuples(st.integers(-6, 20), st.integers(-2, 2)),
+        st.just(()),
+        st.integers(-6, 20).map(lambda v: [v]),
+        st.integers(-12, 40).map(lambda v: (Fraction(v, 2),)),
+        st.booleans().map(lambda v: (v,)))
+    for _ in range(draw(st.integers(0, 2))):
+        pts[draw(st.integers(0, len(pts) - 1))] = draw(other)
+    return pts
+
+
+@given(pts=near_runs())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_run_test_accepts_what_the_tuple_comparison_accepts(pts):
+    # the run test builds no tuples, and decides as the comparison with the
+    # run's tuples does: equal values, so a bool 1 or a Fraction 5 in place
+    # of 1 or 5 still belongs to the run
+    def decision(test):
+        try:
+            return test(pts)
+        except IndexError as err:  # a first point with no coordinate, either way
+            return type(err)
+
+    assert decision(space_module._is_run) == decision(_tuple_run_test)
 
 
 def test_sweep_answers_past_the_search_cap():
