@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from .asymptotics import equivalent, sweep_radii, sweep_windows
-from .errors import DomainError, SearchInconclusive
+from .errors import DomainError
 from .projection import (LevelFunction, join, meet, unit_levels, zero_levels)
 from .space import (MetricSpace, PointSet, Window, rational_to_json,
                     set_family, window_points)
@@ -29,8 +29,8 @@ TAU_N_MAX = 8
 
 @dataclass(frozen=True)
 class FormalSum:
-    """Mod-2 sum of generators; duplicate indices are kept so cancellation
-    laws can be exercised, with mod-2 reduction applied at evaluation."""
+    """Mod-2 sum of generators; duplicate indices are kept, and duplicates
+    cancel in ``nu_bar``'s inclusion-exclusion."""
 
     generators: tuple
     terms: tuple  # indices into generators, 0-based, duplicates allowed
@@ -39,12 +39,6 @@ class FormalSum:
         for i in self.terms:
             if not (0 <= i < len(self.generators)):
                 raise DomainError(f"term index {i} out of range")
-
-    def reduced(self) -> frozenset:
-        out = set()
-        for i in self.terms:
-            out.symmetric_difference_update({i})
-        return frozenset(out)
 
     def label(self) -> str:
         return " + ".join(self.generators[i].name for i in self.terms) or "0"
@@ -185,17 +179,6 @@ def homs(gens: Sequence[LevelFunction], window: Window) -> List[TwoValuedHom]:
     return out
 
 
-def extend_hom(phi: TwoValuedHom, s: FormalSum) -> int:
-    """Mod-2 extension: phi(e_1 + ... + e_n) = sum of phi(e_i) mod 2."""
-    for e in s.generators:
-        if e.name not in phi.names:
-            raise DomainError(f"generator {e.name} is foreign to this hom")
-    total = 0
-    for i in s.terms:
-        total ^= phi.value(phi.names.index(s.generators[i].name))
-    return total
-
-
 def check_hom(phi: TwoValuedHom, gens: Sequence[LevelFunction], window: Window) -> dict:
     """Verify lattice-hom consistency of an assignment against window verdicts.
 
@@ -332,37 +315,3 @@ def tau(F: FilterBase, e: LevelFunction, window: Window) -> Verdict:
                        check_kind=CHECK_STABLE)
     return Verdict(Status.INCONCLUSIVE, claim, window=window, value="undetermined",
                    diagnostics={"matrix": diag_matrix})
-
-
-def separating_set(e: LevelFunction, window: Window) -> Tuple[PointSet, dict]:
-    """Greedy pick of window points far from successive sublevel sets.
-
-    Picks x_n with d_X(x_n, A_n cap W) > n for n as far as the window allows;
-    returns the set with achieved margins.  Fails when even n = 1 admits no
-    separated point (e is close to the unit on this window).
-    """
-    space = e.space
-    pts = window_points(space, window)
-    levels = dict(zip(pts, e.levels(pts)))
-    n_cap = max(levels.values(), default=1)
-    picked, margins = [], {}
-    for n in range(1, n_cap + 1):
-        members = [x for x in pts if levels[x] <= n]
-        if not members:
-            continue
-        best_x, best_d = None, None
-        for x in pts:
-            dmin = min(space._dist(x, a) for a in members)
-            if best_d is None or dmin > best_d or (dmin == best_d and x < best_x):
-                best_x, best_d = x, dmin
-        if best_d is not None and best_d > n:
-            picked.append(best_x)
-            margins[n] = best_d
-        else:
-            break
-    if not picked:
-        raise SearchInconclusive(
-            "no separated points on this window (level function close to the unit)",
-            window_radius=window.radius)
-    return (PointSet.from_points(picked, name=f"sep({e.name})"),
-            {n: rational_to_json(m) for n, m in margins.items()})

@@ -523,17 +523,9 @@ def _escalate(d: DoubleMetric, evaluate: Callable[[Window], Evaluation],
         window_radius=r, required_radius=ev.required_radius)
 
 
-def adjoint(d: DoubleMetric) -> DoubleMetric:
-    return d.adjoint()
-
-
 def compose(d: DoubleMetric, rho: DoubleMetric) -> DoubleMetric:
     """Kernel of (x, z) -> inf_y [d(x,y') + rho(y,z')]."""
     return ComposedMetric(d, rho)
-
-
-def dist_to_copy(d: DoubleMetric, x: Point, window: Window) -> Evaluation:
-    return d.dist_to_copy(x, window)
 
 
 # ---------------------------------------------------------------------------

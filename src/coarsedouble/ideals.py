@@ -8,8 +8,6 @@ so every evaluation is a radius-1 scan.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .asymptotics import TransferTable, sweep_windows
 from .errors import DomainError
 from .projection import LevelFunction
@@ -36,12 +34,6 @@ class ApproximateUnit:
         if n < 1:
             raise DomainError("unit index starts at 1")
         return max(0, 1 - self.set_distance_capped(x, n))
-
-
-def unit_eval(unit: ApproximateUnit, n: int, x: Point) -> Rational:
-    """Exact u_n(x), checked to be a point of the space; the scan radius is 1."""
-    unit.space.check(x)
-    return unit.value(n, x)
 
 
 def check_au(unit: ApproximateUnit, window: Window, n_max: int = 6) -> dict:
@@ -96,63 +88,6 @@ def check_au(unit: ApproximateUnit, window: Window, n_max: int = 6) -> dict:
             "au2_strict_failure_count": len(strict_failures),
             "passed": au1_violation is None and au2_violation is None,
             "n_points": len(pts)}
-
-
-def unit_meet(u: ApproximateUnit, v: ApproximateUnit, n: int) -> Callable[[Point], Rational]:
-    """w_n = u_n v_n, the unit of the intersection ideal."""
-    _same_space(u, v)
-    return lambda x: u.value(n, x) * v.value(n, x)
-
-
-def unit_join(u: ApproximateUnit, v: ApproximateUnit, n: int) -> Callable[[Point], Rational]:
-    """t_n = min(u_n + v_n, 1), the unit of the sum ideal."""
-    _same_space(u, v)
-    return lambda x: min(u.value(n, x) + v.value(n, x), 1)
-
-
-def _same_space(u, v):
-    if u.space != v.space:
-        raise DomainError("units live on different spaces")
-
-
-def level_set_identities(u: ApproximateUnit, v: ApproximateUnit, n: int,
-                         window: Window) -> dict:
-    """{w_n=1} = A_2n cap B_2n, and the sandwich
-    A_2n cup B_2n subset {t_n=1} subset A_{2n+1} cup B_{2n+1}, on the window.
-    Both level functions read the window widened by 1 in one ``levels`` call."""
-    _same_space(u, v)
-    pts, wide = sweep_windows(u.space, window, [window.radius, window.radius + 1])
-    la_of, lb_of = (dict(zip(wide, unit.levels.levels(wide))) for unit in (u, v))
-    w_fn, t_fn = unit_meet(u, v, n), unit_join(u, v, n)
-    meet_exact = True
-    sandwich_lower = True
-    sandwich_upper = True
-    detail = None
-    for x in pts:
-        la, lb = la_of[x], lb_of[x]
-        in_meet = la <= 2 * n and lb <= 2 * n
-        if (w_fn(x) == 1) != in_meet:
-            meet_exact = False
-            detail = {"x": list(x), "check": "meet"}
-            break
-        in_union = la <= 2 * n or lb <= 2 * n
-        t1 = t_fn(x) == 1
-        if in_union and not t1:
-            sandwich_lower = False
-            detail = {"x": list(x), "check": "sandwich-lower"}
-            break
-        if t1 and not (la <= 2 * n + 1 or lb <= 2 * n + 1):
-            sandwich_upper = False
-            detail = {"x": list(x), "check": "sandwich-upper"}
-            break
-    passed = meet_exact and sandwich_lower and sandwich_upper
-    out = {"meet_level_set_exact": meet_exact,
-           "sandwich_lower": sandwich_lower,
-           "sandwich_upper": sandwich_upper,
-           "passed": passed, "n": n, "n_points": len(pts)}
-    if detail:
-        out["violation"] = detail
-    return out
 
 
 def recovered_levels(unit: ApproximateUnit) -> LevelFunction:

@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .asymptotics import (TransferTable, _equivalent_on, _window_radii, default_grid,
-                          sweep_windows)
+from .asymptotics import (TransferTable, _common_space, _equivalent_on, _window_radii,
+                          default_grid, sweep_windows)
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
@@ -286,7 +286,7 @@ def meet(e: LevelFunction, f: LevelFunction) -> LevelFunction:
     """Intersection of expanding sequences: levels combine by max, written
     as the comparison max(a, b) makes (b only when b > a), which a list
     comprehension runs several times faster than ``map(max, ...)``."""
-    _same_space(e, f)
+    _common_space(e, f)
     payload = _combined_payload("meet", e, f)
     return LevelFunction(e.space, lambda pts: [b if b > a else a for a, b in
                                                zip(e.levels(pts), f.levels(pts))],
@@ -296,16 +296,11 @@ def meet(e: LevelFunction, f: LevelFunction) -> LevelFunction:
 def join(e: LevelFunction, f: LevelFunction) -> LevelFunction:
     """Union of expanding sequences: levels combine by min, written as the
     comparison min(a, b) makes (b only when b < a), as in ``meet``."""
-    _same_space(e, f)
+    _common_space(e, f)
     payload = _combined_payload("join", e, f)
     return LevelFunction(e.space, lambda pts: [b if b < a else a for a, b in
                                                zip(e.levels(pts), f.levels(pts))],
                          f"({e.name} v {f.name})", "combined", payload)
-
-
-def _same_space(e, f):
-    if e.space != f.space:
-        raise DomainError("level functions live on different spaces")
 
 
 def _combined_payload(op, e, f):
@@ -347,13 +342,6 @@ def source_projection(d: DoubleMetric, window: Optional[Window] = None) -> Level
         return max(1, math.ceil(ev.value))
 
     return LevelFunction(d.space, lambda pts: list(map(fn, pts)), f"src[{d.kind}]", "from-metric")
-
-
-def range_projection(d: DoubleMetric, window: Optional[Window] = None) -> LevelFunction:
-    adj = d.adjoint()
-    lf = source_projection(adj, window)
-    lf.name = f"rng[{d.kind}]"
-    return lf
 
 
 # -- type classification ----------------------------------------------------

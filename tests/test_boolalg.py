@@ -1,12 +1,11 @@
 import pytest
 
-from coarsedouble import (levels_from_subset, meet, unit_levels, zero_levels)
+from coarsedouble import levels_from_subset, unit_levels, zero_levels
 from coarsedouble.asymptotics import sweep_radii
 from coarsedouble.boolalg import (TAU_N_MAX, AtomPattern, FormalSum, TwoValuedHom,
-                                  atom_nonzero, check_hom, enumerate_atoms,
-                                  extend_hom, homs, powers_tail_base,
-                                  separating_set, tau)
-from coarsedouble.errors import DomainError, SearchInconclusive
+                                  atom_nonzero, check_hom, enumerate_atoms, homs,
+                                  powers_tail_base, tau)
+from coarsedouble.errors import DomainError
 from coarsedouble.space import Window, rational_to_json, set_family, window_points
 from coarsedouble.verdicts import (CHECK_STABLE, Status, TabulatedWitness, Verdict,
                                    revalidate)
@@ -26,12 +25,10 @@ def geom_pair(geomline):
     return e1, e2
 
 
-def test_formal_sum_reduction(natline):
+def test_formal_sum_term_indices(natline):
     e = unit_levels(natline)
     f = zero_levels(natline)
-    s = FormalSum((e, f), (0, 0, 1))
-    assert s.reduced() == {1}
-    assert FormalSum((e,), (0, 0)).reduced() == frozenset()
+    FormalSum((e, f), (0, 0, 1))
     with pytest.raises(DomainError):
         FormalSum((e,), (1,))
 
@@ -79,42 +76,6 @@ def test_atoms_duplicate_generator(natline):
     # e and its duplicate only realize the patterns 11 and 00
     assert got["10"] == "zero" and got["01"] == "zero"
     assert got["11"] == "nonzero" and got["00"] == "nonzero"
-
-
-def test_extend_hom(natline):
-    e = levels_from_subset(natline, set_family("evens"))
-    f = levels_from_subset(natline, set_family("powers", base=2))
-    unit = unit_levels(natline)
-    phi = TwoValuedHom((unit.name, e.name, f.name), (1, 1, 0))
-    gens = (unit, e, f)
-    assert extend_hom(phi, FormalSum(gens, (1, 1))) == 0          # e + e
-    assert extend_hom(phi, FormalSum(gens, (0, 1))) == 0          # 1 + e, phi(e)=1
-    assert extend_hom(phi, FormalSum(gens, (0, 2))) == 1          # 1 + f, phi(f)=0
-    # the lattice relation e + f + meet + join always cancels
-    m, j = meet(e, f), levels_from_subset(natline, set_family("evens"))
-    rel = FormalSum((e, f, m, j), (0, 1, 2, 3))
-    psi = TwoValuedHom((e.name, f.name, m.name, j.name), (1, 0, 0, 1))
-    assert extend_hom(psi, rel) == 0
-    foreign = FormalSum((zero_levels(natline),), (0,))
-    with pytest.raises(DomainError):
-        extend_hom(phi, foreign)
-
-
-def test_extend_hom_factors_through_ideal(natline):
-    # substituting meet + join for a pair of summands never changes the value
-    e = levels_from_subset(natline, set_family("evens"))
-    f = levels_from_subset(natline, set_family("squares"))
-    m, j = meet(e, f), levels_from_subset(natline, set_family("evens"))
-    from coarsedouble.projection import join as join_op
-    j = join_op(e, f)
-    names = (e.name, f.name, m.name, j.name)
-    for ve in (0, 1):
-        for vf in (0, 1):
-            phi = TwoValuedHom(names, (ve, vf, min(ve, vf), max(ve, vf)))
-            gens = (e, f, m, j)
-            direct = extend_hom(phi, FormalSum(gens, (0, 1)))
-            substituted = extend_hom(phi, FormalSum(gens, (2, 3)))
-            assert direct == substituted
 
 
 def test_check_hom_failures(nat_pair, natline):
@@ -237,26 +198,3 @@ def test_tau_matches_per_cell_recount(space_name, radius, base, scale, request):
         assert doc == _tau_by_recount(F, e, w).to_json()
         values.add(doc.get("value"))
     assert values >= {0, 1}
-
-
-def test_separating_set(geomline, natline):
-    e = levels_from_subset(geomline, set_family("powers", base=4))
-    B, margins = separating_set(e, Window(4 ** 6))
-    assert B.points
-    assert all(m > n for n, m in ((int(k), int(v)) for k, v in margins.items()))
-    # zero projections separate easily: any far tail point qualifies
-    z = zero_levels(natline)
-    Bz, mz = separating_set(z, Window(64))
-    assert mz
-    # density-style verification: N_m(B) cap A_m stays small and stable
-    from coarsedouble.space import neighborhood
-    for r in (1024, 4096):
-        w = Window(r)
-        m = 4
-        nm = neighborhood(geomline, B, m, w)
-        inter = [x for x in window_points(geomline, w)
-                 if nm.contains(x) and e.level(x) <= m]
-        assert len(inter) <= 2
-    unit = unit_levels(natline)
-    with pytest.raises(SearchInconclusive):
-        separating_set(unit, Window(32))

@@ -6,10 +6,9 @@ entry point that receives it, for every kernel kind, both as x and as y.
 
 import pytest
 
-from coarsedouble import (ApproximateUnit, ClosedFormMetric, DeltaMetric,
-                          MaxMetric, MinGlueMetric, PointMetric, adjoint,
-                          compose, const_delta, dist_to_set, evaluate,
-                          evaluate_exact, subset_metric, unit_eval, unit_levels,
+from coarsedouble import (ClosedFormMetric, DeltaMetric, MaxMetric,
+                          MinGlueMetric, PointMetric, compose, const_delta,
+                          dist_to_set, evaluate, evaluate_exact, subset_metric,
                           window_points)
 from coarsedouble.errors import DomainError
 from coarsedouble.space import (UNBOUNDED, CustomSpace, PointSet, Window, set_family,
@@ -33,7 +32,7 @@ KERNELS = {
     "point": lambda: PointMetric(NATLINE, (1,)),
     "subset": lambda: subset_metric(NATLINE, set_family("evens")),
     "closed_form": _closed_form,
-    "adjoint": lambda: adjoint(_closed_form()),
+    "adjoint": lambda: _closed_form().adjoint(),
     "max": lambda: MaxMetric(PointMetric(NATLINE), _delta()),
     "min_glue": lambda: MinGlueMetric(PointMetric(NATLINE), _delta()),
     "composed": lambda: compose(_delta(), PointMetric(NATLINE)),
@@ -55,7 +54,6 @@ CASES = {
     "window_points": lambda: window_points(NATLINE, Window(3, (-1,))),
     "dist_to_set": lambda: dist_to_set(NATLINE, BAD, PointSet.from_points([(0,)]),
                                        UNBOUNDED),
-    "unit_eval": lambda: unit_eval(ApproximateUnit(unit_levels(NATLINE)), 1, BAD),
     "point_metric": lambda: PointMetric(NATLINE, BAD),
     "custom_points_within": lambda: CustomSpace([(0, 0), (1, 0)]).points_within((5, 5), 2),
 }

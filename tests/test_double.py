@@ -7,10 +7,10 @@ import pytest
 
 from coarsedouble import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                           DeltaMetric, DoubleMetric, MaxMetric, MinGlueMetric,
-                          PointMetric, SubsetMetric, adjoint, check_axioms,
-                          compose, const_delta, dist_to_copy, evaluate,
-                          evaluate_exact, levels_from_subset, metric_from_levels,
-                          space_by_name, subset_metric, zero_levels)
+                          PointMetric, SubsetMetric, check_axioms, compose,
+                          const_delta, evaluate, evaluate_exact, levels_from_subset,
+                          metric_from_levels, space_by_name, subset_metric,
+                          zero_levels)
 from coarsedouble import double
 from coarsedouble.double import (DeltaFunction, _coordinates, _distance_matrix,
                                  _exact_array, _line_delta_min, _line_failing_columns,
@@ -62,14 +62,14 @@ def test_eval_pruned_equals_brute(natline, intline):
 
 def test_adjoint_involution_and_symmetry(natline):
     z = PointMetric(natline, (0,))
-    assert adjoint(z) is z
+    assert z.adjoint() is z
     d = metric_from_levels(levels_from_subset(natline, set_family("evens")))
-    assert adjoint(d) is d
+    assert d.adjoint() is d
     asym = ClosedFormMetric(natline, lambda x, y: x[0] + 2 * y[0] + 1, "skew")
-    a = adjoint(asym)
+    a = asym.adjoint()
     w = Window(8)
     assert evaluate(a, (1,), (2,), w).value == evaluate(asym, (2,), (1,), w).value
-    assert adjoint(a) is asym
+    assert a.adjoint() is asym
 
 
 def test_compose_examples(natline, twotails):
@@ -250,15 +250,15 @@ def test_self_composition_diagonal_bound(natline):
               metric_from_levels(levels_from_subset(natline, set_family("evens")))):
         c = compose(d, d)
         for x in window_points(natline, Window(12)):
-            assert evaluate(c, x, x, w).value <= 2 * dist_to_copy(d, x, w).value
+            assert evaluate(c, x, x, w).value <= 2 * d.dist_to_copy(x, w).value
 
 
 def test_dist_to_copy_examples(natline):
     w = Window(64)
-    assert dist_to_copy(PointMetric(natline, (0,)), (4,), w).value == 5
-    assert dist_to_copy(DeltaMetric(natline, const_delta(natline)), (9,), w).value == 1
+    assert PointMetric(natline, (0,)).dist_to_copy((4,), w).value == 5
+    assert DeltaMetric(natline, const_delta(natline)).dist_to_copy((9,), w).value == 1
     b = subset_metric(natline, set_family("evens"))
-    assert dist_to_copy(b, (3,), w).value == 2
+    assert b.dist_to_copy((3,), w).value == 2
 
 
 def test_diagonal_vs_copy_bounds(natline):
@@ -267,7 +267,7 @@ def test_diagonal_vs_copy_bounds(natline):
               metric_from_levels(levels_from_subset(natline, set_family("squares")))):
         for x in window_points(natline, Window(16)):
             diag = evaluate(d, x, x, w).value
-            copy = dist_to_copy(d, x, w).value
+            copy = d.dist_to_copy(x, w).value
             assert copy <= diag <= 2 * copy
 
 
@@ -745,7 +745,7 @@ def _every_kind(space, pts):
         space, lambda x, y: 1 + sum(map(abs, x)) % 7 + Fraction(abs(sum(y)), 3), "skew")
     return {
         "delta": delta, "delta-fraction": half, "point": point, "subset": subset,
-        "closed_form": skew, "adjoint": adjoint(skew),
+        "closed_form": skew, "adjoint": skew.adjoint(),
         "adjoint-delta": AdjointMetric(delta),
         "max": MaxMetric(point, half), "min_glue": MinGlueMetric(point, delta),
         "composed": compose(delta, point), "composed-fraction": compose(half, delta),

@@ -3,36 +3,34 @@ from fractions import Fraction
 import pytest
 
 from coarsedouble import levels_from_subset, unit_levels, zero_levels
-from coarsedouble.ideals import (ApproximateUnit, check_au,
-                                 level_set_identities, recovered_levels,
-                                 recovery_transfer, unit_eval, unit_join,
-                                 unit_meet)
+from coarsedouble.ideals import (ApproximateUnit, check_au, recovered_levels,
+                                 recovery_transfer)
 from coarsedouble.errors import DomainError, IncompleteEnumeration
 from coarsedouble.projection import levels_from_expression
 from coarsedouble.space import (CustomSpace, PredicateSpace, Window, set_family,
                                 window_points)
 
 
-def test_unit_eval_examples(natline):
+def test_unit_value_examples(natline):
     e = levels_from_subset(natline, set_family("squares"))
     unit = ApproximateUnit(e)
     # x in A_2n gives 1
-    assert unit_eval(unit, 1, (4,)) == 1
+    assert unit.value(1, (4,)) == 1
     # d(7, N_1(squares)) = 1 so u_1(7) = 0
-    assert unit_eval(unit, 1, (7,)) == 0
-    assert unit_eval(unit, 2, (7,)) == 1  # 7 is within 3/2... level(7) = 4
+    assert unit.value(1, (7,)) == 0
+    assert unit.value(2, (7,)) == 1  # 7 is within 3/2... level(7) = 4
 
 
-def test_unit_eval_on_a_2n_lists_no_ball():
+def test_unit_value_on_a_2n_lists_no_ball():
     # (10,) lies on the coverage edge, so its radius-1 ball cannot be listed;
     # u_n = 1 on A_2n needs only the point's own level
     space = PredicateSpace(lambda p: True, 1, 10, (0,))
     e = levels_from_expression(space, "quarter", lambda p: 1 + abs(p[0]) // 4)
     unit = ApproximateUnit(e)
     assert e.level((10,)) == 3
-    assert unit_eval(unit, 2, (10,)) == 1
+    assert unit.value(2, (10,)) == 1
     with pytest.raises(IncompleteEnumeration):
-        unit_eval(unit, 1, (10,))
+        unit.value(1, (10,))
 
 
 def test_unit_fractional_value():
@@ -78,17 +76,6 @@ def test_check_au_needs_a_unit_pair(natline, n_max):
         check_au(unit, Window(8), n_max)
 
 
-def test_level_set_identities_read_each_window_once(natline, counted):
-    # each level function reads the window widened by 1 in one call; the
-    # unit values then read their levels from the caches
-    u = ApproximateUnit(levels_from_subset(natline, set_family("squares")))
-    v = ApproximateUnit(levels_from_subset(natline, set_family("evens")))
-    windows, searches = counted("window_points"), counted("dist_to_set")
-    assert level_set_identities(u, v, 2, Window(48))["passed"]
-    assert len(windows) == 1 and windows[0][1].radius == 49
-    assert len(searches) == 4
-
-
 def test_units_monotone(natline):
     e = zero_levels(natline)
     unit = ApproximateUnit(e)
@@ -96,23 +83,6 @@ def test_units_monotone(natline):
         vals = [unit.value(n, x) for n in range(1, 6)]
         assert all(0 <= v <= 1 for v in vals)
         assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-
-def test_meet_join_identities(natline):
-    u = ApproximateUnit(levels_from_subset(natline, set_family("multiples", k=4)))
-    v = ApproximateUnit(levels_from_subset(natline, set_family("multiples", k=4, r=2)))
-    w = Window(32)
-    for n in (1, 2, 3):
-        rep = level_set_identities(u, v, n, w)
-        assert rep["passed"]
-    # w_n = u_n^2 when both operands agree
-    same = level_set_identities(u, u, 2, w)
-    assert same["passed"]
-    wn = unit_meet(u, u, 2)
-    for x in window_points(natline, Window(12)):
-        assert wn(x) == u.value(2, x) ** 2
-    tn = unit_join(u, v, 1)
-    assert all(0 <= tn(x) <= 1 for x in window_points(natline, Window(12)))
 
 
 def test_recoverd_levels_and_transfer(natline):

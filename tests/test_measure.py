@@ -10,8 +10,8 @@ from coarsedouble.boolalg import FormalSum
 from coarsedouble.errors import DomainError
 from coarsedouble.measure import (DensityInterval, DensityMeasure, NuHatReport,
                                   check_modularity, default_schedule, density,
-                                  measure0_check, nu_bar, nu_hat)
-from coarsedouble.serialize import expression_levels, parse_levels
+                                  nu_bar, nu_hat)
+from coarsedouble.serialize import parse_levels
 from coarsedouble.space import (LineSpace, PointSet, Window, set_family,
                                 space_by_name, window_points)
 
@@ -163,18 +163,6 @@ def test_modularity_reuses_the_nu_hat_of_e(monkeypatch, intline):
     assert len(calls) == 7
 
 
-def test_measure0_check(nat_mu, natline):
-    schedule = default_schedule(8, 5)
-    e_type1 = levels_from_subset(natline, set_family("evens"))
-    rep = measure0_check(nat_mu, e_type1, n_max=3, schedule=schedule)
-    assert rep["passed"]
-    rep0 = measure0_check(nat_mu, zero_levels(natline), n_max=3, schedule=schedule)
-    assert rep0["passed"]
-    e_sqrt = expression_levels(natline, "ceil-sqrt")
-    rep_s = measure0_check(nat_mu, e_sqrt, n_max=3, schedule=schedule)
-    assert rep_s["passed"]
-
-
 def test_weighted_measure(natline):
     mu = DensityMeasure.weighted(natline, lambda p: Fraction(1, p[0] + 1), "harmonic")
     iv = density(mu, set_family("evens"), default_schedule(8, 4))
@@ -185,8 +173,6 @@ def test_interval_from_series():
     iv = DensityInterval.from_series([(8, Fraction(1, 2)), (16, Fraction(1, 3)),
                                       (32, Fraction(1, 4)), (64, Fraction(1, 5))])
     assert iv.lo == Fraction(1, 5) and iv.hi == Fraction(1, 4)
-    assert iv.width() == Fraction(1, 20)
-    assert iv.contains(Fraction(9, 40))
 
 
 WEIGHTS = {

@@ -12,8 +12,8 @@ from coarsedouble import (CmFunction, PointMetric, check_axioms, check_cm,
                           evaluate_exact, f_map, join, levels_from_metric,
                           levels_from_subset, meet, metric_from_levels,
                           metric_join, metric_meet, projection_criterion,
-                          range_projection, source_projection, subset_metric,
-                          transfer, unit_levels, zero_levels)
+                          source_projection, subset_metric, unit_levels,
+                          zero_levels)
 from coarsedouble.double import DeltaFunction, DeltaMetric, MinGlueMetric
 from coarsedouble.errors import DomainError
 from coarsedouble.ideals import ApproximateUnit, recovered_levels
@@ -201,7 +201,7 @@ def test_source_and_range(natline):
     src = source_projection(z)
     assert [src.level((x,)) for x in range(5)] == [1, 2, 3, 4, 5]
     # selfadjoint kernels have equal source and range
-    rng_ = range_projection(z)
+    rng_ = source_projection(z.adjoint())
     for x in window_points(natline, Window(10)):
         assert src.level(x) == rng_.level(x)
     bA = subset_metric(natline, set_family("evens"))
@@ -298,7 +298,7 @@ def test_source_type_transfers_to_range(natline):
     c = compose(bA, bB)
     w = Window(256)
     src = source_projection(c, w)
-    rng_ = range_projection(c, w)
+    rng_ = source_projection(c.adjoint(), w)
     vs = classify_type(src, w)
     vr = classify_type(rng_, w)
     assert vs.value == "type-I" and vr.value == "type-I"
@@ -458,6 +458,14 @@ def test_meet_and_join_pick_as_max_and_min_do(natline):
             got = op(a, b).levels(pts)
             want = list(map(pick, a.levels(pts), b.levels(pts)))
             assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want]
+
+
+def test_meet_and_join_need_one_space(natline, intline):
+    e, f = unit_levels(natline), unit_levels(intline)
+    for op in (meet, join):
+        for a, b in ((e, f), (f, e)):
+            with pytest.raises(DomainError, match="level functions live on different spaces"):
+                op(a, b)
 
 
 def _bad_readers(space, bad):
