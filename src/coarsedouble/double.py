@@ -718,12 +718,14 @@ def _min_plus(a, b=None):
     k runs one at a time, so each step costs one len(a) x len(b[0]) sum and
     one np.minimum into buffers kept across steps, whatever the dtypes;
     mixing int64 with object gives object, which stays exact.  On the line
-    spaces delta kernels do not come here (see ``_line_delta_min``), and a
-    triangle check does only with the columns that fail its column test
-    (see ``_triangle_minima``).  Elsewhere a delta kernel's n x m product
-    over its universe and the two n^3 triangle products of ``check_axioms``
-    do, and set its cost; on TwoTails and the other l1 spaces their
-    distance operands are coordinate broadcasts.
+    spaces delta kernels do not come here (see ``_line_delta_min``), the
+    cross-vs-base triangle check never does, and the base-vs-cross check
+    does only with the columns that fail its column test (see
+    ``_triangle_minima``), so a passing kernel makes no product.  Elsewhere
+    a delta kernel's n x m product over its universe and the two n^3
+    triangle products of ``check_axioms`` do, and set its cost; on TwoTails
+    and the other l1 spaces their distance operands are coordinate
+    broadcasts.
     """
     # rows of b are read once per step, so they are made contiguous once
     b = np.ascontiguousarray(a.T if b is None else b)
@@ -741,9 +743,10 @@ def _distance_matrix(space: MetricSpace, pts_a: list, pts_b: list) -> np.ndarray
     custom spaces) it is one broadcast of |a - b| summed over the
     coordinates, with no distance call; table and rounded-Euclidean metrics
     call ``_dist`` once per cell.  Callers pass checked points or enumerated
-    ones."""
+    ones; passing one list as both converts its coordinates once."""
     if space.metric == "manhattan":
-        a, b = _coordinates(pts_a), _coordinates(pts_b)
+        a = _coordinates(pts_a)
+        b = a if pts_b is pts_a else _coordinates(pts_b)
         out = abs(a[:, None, 0] - b[None, :, 0])
         for k in range(1, a.shape[1]):
             out += abs(a[:, None, k] - b[None, :, k])
@@ -780,11 +783,12 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
     triangle minima are n^3 min-plus products, which set the cost.  On the
     line spaces a delta kernel's cross matrix comes from the
     distance-transform sweep and its range-minimum table, and both triangle
-    checks from O(n^2) array expressions, so nothing runs once per row or
-    cell in Python, a passing kernel makes no n^3 product and memory stays
-    O(n^2) plus the universe; the space type picks that path.  Violations
-    are located only when a check fails.  Certification (``exact``) is the
-    cross matrix's, unchanged.
+    checks from one monotone pass over the cross matrix's columns
+    (``_line_columns``): a passing kernel runs no distance transform and no
+    min-plus product, nothing runs once per row or cell in Python, and
+    memory stays O(n^2) plus the universe; the space type picks that path.
+    Violations are located only when a check fails.  Certification
+    (``exact``) is the cross matrix's, unchanged.
     """
     pts = window_points(d.space, window)
     n = len(pts)
@@ -829,26 +833,28 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
 
 
 def _triangle_minima(space: MetricSpace, pts: list, bmat, dmat):
-    """The arrays the two triangle checks compare bmat and dmat against.
-    Each is below its left side at exactly the cells where the true minimum
-    is: min over k of dmat[i, k] + dmat[j, k] for bmat, and min over k of
-    bmat[i, k] + dmat[k, j] for dmat.
+    """The arrays the two triangle checks compare bmat and dmat against, or
+    None for a check already decided as passed.  Each array is below its
+    left side at exactly the cells where the true minimum is: min over k of
+    dmat[i, k] + dmat[j, k] for bmat, and min over k of bmat[i, k] +
+    dmat[k, j] for dmat.
 
     Elsewhere these are the two min-plus products.  On the line spaces, with
     c the coordinates in increasing order, as ``window_points`` lists them,
-    the second is the distance transform ``_line_transform``, the same array.
-    The first is the product over only the columns ``_line_failing_columns``
-    names: a column outside them holds no violation, so the restricted
-    product is below bmat at the same cells, and ``_triangle``, whose k scan
-    reads dmat, names the same first y.  With no failing column, bmat itself
-    stands in, and the check passes with no product.
+    one pass of ``_line_columns`` decides both.  When dmat is monotone the
+    second check passes; otherwise its array is the distance transform
+    ``_line_transform``, the same as the product.  The first is the product
+    over only the failing columns: a column outside them holds no
+    violation, so the restricted product is below bmat at the same cells,
+    and ``_triangle``, whose k scan reads dmat, names the same first y.
+    With no failing column the first check passes, with no product.
     """
     if not isinstance(space, LineSpace):
         return _min_plus(dmat), _min_plus(bmat, dmat)
     c = _coordinates(pts)[:, 0]
-    cols = _line_failing_columns(c, dmat)
-    base_mins = _min_plus(dmat[:, cols], dmat[:, cols].T) if len(cols) else bmat
-    return base_mins, _line_transform(c, dmat)
+    monotone, cols = _line_columns(c, dmat)
+    base_mins = _min_plus(dmat[:, cols], dmat[:, cols].T) if len(cols) else None
+    return base_mins, None if monotone else _line_transform(c, dmat)
 
 
 def _line_transform(c, g):
@@ -863,24 +869,39 @@ def _line_transform(c, g):
     return np.minimum(below, above)
 
 
-def _line_failing_columns(c, g):
-    """The columns k where |c_i - c_j| <= g[i, k] + g[j, k] fails for some
-    i, j, as an index array.  Since |c_i - c_j| is the larger of c_i - c_j
-    and c_j - c_i, column k passes exactly when min over i of g[i, k] - c_i
-    plus min over j of g[j, k] + c_j is at least 0: one O(n^2) test in
-    place of the n^3 product ``_min_plus(g)``."""
-    return np.flatnonzero(np.min(g - c[:, None], axis=0) + np.min(g + c[:, None], axis=0) < 0)
+def _line_columns(c, g):
+    """(monotone, failing columns) of g over coordinates c in increasing
+    order, with P = g - c[:, None] and Q = g + c[:, None].
+
+    monotone: every column of P is non-increasing and every column of Q
+    non-decreasing down the rows, that is |g[i+1, k] - g[i, k]| <= c[i+1] -
+    c[i] on adjacent rows.  By telescoping this then holds on every pair of
+    rows, so monotone is exactly g <= ``_line_transform(c, g)`` everywhere,
+    an O(n^2) test with no running minimum.
+
+    failing columns: the k where |c_i - c_j| <= g[i, k] + g[j, k] fails for
+    some i, j, as an index array.  Since |c_i - c_j| is the larger of c_i -
+    c_j and c_j - c_i, column k passes exactly when min over i of P[i, k]
+    plus min over j of Q[j, k] is at least 0: one O(n^2) test in place of
+    the n^3 product ``_min_plus(g)``.  On a monotone g those minima are the
+    last row of P and the first row of Q, so the test is O(n).
+    """
+    p = g - c[:, None]
+    q = g + c[:, None]
+    monotone = bool(np.all(p[1:] <= p[:-1]) and np.all(q[1:] >= q[:-1]))
+    low_p, low_q = (p[-1], q[0]) if monotone else (p.min(axis=0), q.min(axis=0))
+    return monotone, np.flatnonzero(low_p + low_q < 0)
 
 
 def _triangle(pts, lhs, mins, rhs, names):
     """Check lhs[i, j] <= mins[i, j], where mins is below lhs at exactly the
-    cells where the minimum over k of rhs(i, j, k) is.
+    cells where the minimum over k of rhs(i, j, k) is; mins None is a check
+    already decided as passed.
 
     A failure reports the first violating (i, j, k) in that order, naming
     pts[i], pts[j], pts[k] by names.
     """
-    bad = lhs > mins
-    if not bad.any():
+    if mins is None or not (bad := lhs > mins).any():
         return {"passed": True, "violation": None}
     i, j = (int(v) for v in np.argwhere(bad)[0])
     k = next(k for k in range(len(pts)) if lhs.item(i, j) > rhs(i, j, k))

@@ -18,8 +18,8 @@ from .asymptotics import (TransferTable, _common_space, _equivalent_on, _window_
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
-from .space import (MetricSpace, Point, PointSet, Rational, Window, _PointFunction,
-                    rational_to_json, set_distances, window_points)
+from .space import (IntLine, MetricSpace, NatLine, Point, PointSet, Rational, Window,
+                    _PointFunction, rational_to_json, set_distances, window_points)
 from .verdicts import (CHECK_DOMINATES, AffineWitness, Status, TabulatedWitness,
                        Verdict)
 
@@ -106,12 +106,16 @@ def zero_levels(space: MetricSpace, x0: Optional[Point] = None) -> LevelFunction
 
 def levels_from_subset(space: MetricSpace, A: PointSet) -> LevelFunction:
     """Levels of the expanding sequence A_n = N_{n/2}(A): max(1, ceil(2 d(x,A))).
-    A point list reads its distances through ``set_distances``; an int
-    distance d gives 2 d, or 1 at d = 0."""
+    A point list reads its distances through ``set_distances``.  On
+    ``NatLine`` and ``IntLine`` every distance d is an int, which gives 2 d,
+    or 1 at d = 0, with no type test per distance."""
 
-    def fn(pts):
-        return [(2 * d or 1) if type(d) is int else max(1, math.ceil(2 * d))
-                for d in set_distances(space, pts, A)]
+    if type(space) in (NatLine, IntLine):
+        def fn(pts):
+            return [2 * d or 1 for d in set_distances(space, pts, A)]
+    else:
+        def fn(pts):
+            return [max(1, math.ceil(2 * d)) for d in set_distances(space, pts, A)]
 
     payload = None
     try:

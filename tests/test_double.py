@@ -1,6 +1,10 @@
+import ast
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +17,12 @@ from coarsedouble import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                           zero_levels)
 from coarsedouble import double
 from coarsedouble.double import (DeltaFunction, _coordinates, _distance_matrix,
-                                 _exact_array, _line_delta_min, _line_failing_columns,
+                                 _exact_array, _line_columns, _line_delta_min,
                                  _line_transform, _min_plus)
 from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.space import (CustomSpace, NatLine, PointSet, PredicateSpace,
                                 TwoTails, Window, set_family, window_points)
-from coarsedouble.serialize import parse_set
+from coarsedouble.serialize import parse_levels, parse_set
 from conftest import BRUTE_WINDOWS, brute_delta_cross
 
 
@@ -687,18 +691,51 @@ def test_failing_line_kernel_hands_min_plus_its_failing_columns(natline, monkeyp
     assert shapes == [((31, 1), (1, 31))]
 
 
+def test_passing_line_kernel_runs_no_transform_and_no_product(natline, monkeypatch):
+    # one monotone pass decides both triangle checks of a passing kernel; a
+    # kernel failing the cross-vs-base check takes the distance transform
+    transforms = []
+    line_transform = double._line_transform
+
+    def counted(c, g):
+        transforms.append(g.shape)
+        return line_transform(c, g)
+
+    monkeypatch.setattr(double, "_line_transform", counted)
+    shapes = _count_min_plus(monkeypatch)
+    d = metric_from_levels(levels_from_subset(natline, set_family("evens")))
+    rep = check_axioms(d, Window(250))
+    assert rep.n_points == 251 and rep.passed and rep.exact
+    assert transforms == [] and shapes == []
+    w = Window(30)
+    bump = _triangle_failures(window_points(natline, w), 1)["triangle_cross_vs_base"]
+    rep = check_axioms(ClosedFormMetric(natline, bump, "bump"), w)
+    assert [name for name, c in rep.checks.items() if not c["passed"]] == [
+        "triangle_cross_vs_base"]
+    assert transforms == [(31, 31)] and shapes == []
+
+
 @pytest.mark.parametrize("kind", ["int", "frac"])
 def test_line_triangle_forms_match_min_plus(kind):
-    # c in increasing order with repeats; g near a line kernel with some
-    # cells pushed down, so that columns both pass and fail
+    # c in increasing order with repeats; g near a line kernel, with an offset
+    # per cell (odd t) or per column (even t, every column 1-Lipschitz), every
+    # third time one flat column (1-Lipschitz, but it may fail the column
+    # test), and some cells pushed down, so that the monotone test and the
+    # column test each come out both ways
     rng = random.Random(f"triangle:{kind}")
     cell = ((lambda: rng.randint(0, 2)) if kind == "int"
             else (lambda: Fraction(rng.randint(0, 6), rng.randint(1, 3))))
     outcomes = set()
-    for _ in range(80):
+    for t in range(120):
         n = rng.randint(1, 7)
         c = sorted(rng.randint(-12, 12) for _ in range(n))
-        g = [[abs(x - y) + cell() for y in c] for x in c]
+        offset = [cell() for _ in c]
+        g = [[abs(x - y) + (cell() if t % 2 else offset[k]) for k, y in enumerate(c)]
+             for x in c]
+        if t % 3 == 0:
+            k, v = rng.randrange(n), cell()
+            for row in g:
+                row[k] = v
         for _ in range(rng.randint(0, 3)):
             g[rng.randrange(n)][rng.randrange(n)] -= rng.randint(0, 6)
         ca, ga = _exact_array(c), _exact_array(g)
@@ -706,13 +743,84 @@ def test_line_triangle_forms_match_min_plus(kind):
         bmat = abs(ca[:, None] - ca[None, :])
         want = [k for k in range(n)
                 if any(bmat[i, j] > g[i][k] + g[j][k] for i in range(n) for j in range(n))]
-        cols = _line_failing_columns(ca, ga)
+        monotone, cols = _line_columns(ca, ga)
         assert cols.tolist() == want, (c, g)
         assert (len(cols) == 0) == bool(np.all(bmat <= _min_plus(ga)))
-        outcomes.add(len(cols) == 0)
+        assert monotone == bool(np.all(ga <= _min_plus(bmat, ga))), (c, g)
+        if monotone:
+            # the end-rows rule (last row of P, first of Q) names the columns
+            # the column minima do
+            minima = np.min(ga - ca[:, None], axis=0) + np.min(ga + ca[:, None], axis=0)
+            assert cols.tolist() == np.flatnonzero(minima < 0).tolist(), (c, g)
+        outcomes.add((monotone, len(cols) == 0))
         got, ref = _line_transform(ca, ga), _min_plus(bmat, ga)
         assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), (c, g)
-    assert outcomes == {True, False}
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# -- golden check_axioms reports ---------------------------------------------
+
+# the axiom-batch benchmark's table, AXIOM_JOBS in bench/workloads.py, written
+# out: (space, radius, level specs)
+_AXIOM_JOBS = (
+    ("NatLine", 250, ("subset:evens", "subset:odds", "subset:multiples:3",
+                      "subset:multiples:4:1")),
+    ("NatLine", 250, ("subset:powers:2", "subset:powers:3", "expr:ceil-sqrt",
+                      "subset:squares")),
+    ("IntLine", 125, ("subset:evens", "subset:odds", "subset:multiples:3",
+                      "subset:multiples:4:1", "subset:multiples:5:2")),
+    ("IntLine", 125, ("subset:powers:2",)),
+    ("IntLine", 125, ("expr:log2",)),
+    ("GeomLine", 1024, ("subset:powers:2", "subset:powers:4")),
+    ("TwoTails", 500, ("subset:tailplus", "subset:tailminus", "zero", "unit")),
+)
+_ROOT = Path(__file__).resolve().parent.parent
+_AXIOM_DIGESTS = json.loads((_ROOT / "tests" / "axiom_digests.json").read_text(encoding="utf-8"))
+
+
+def _spec_report(space_name, radius, spec):
+    space = space_by_name(space_name)
+    return check_axioms(metric_from_levels(parse_levels(space, spec)), Window(radius))
+
+
+def _failure_report(space_name, one, check, symmetric):
+    space = space_by_name(space_name)
+    w = _LINE_CASES[space_name][0][-1]
+    fn = _triangle_failures(window_points(space, w), one)[check]
+    return check_axioms(ClosedFormMetric(space, fn, check, symmetric=symmetric), w)
+
+
+# label -> a function giving its report: every spec of _AXIOM_JOBS, and the
+# closed-form kernels of _triangle_failures on each line space
+_AXIOM_CASES = {
+    **{f"{space_name} r={radius} {spec}": functools.partial(_spec_report, space_name, radius, spec)
+       for space_name, radius, specs in _AXIOM_JOBS for spec in specs},
+    **{f"{space_name} {check} {kind}{' symmetric' * symmetric}":
+       functools.partial(_failure_report, space_name, one, check, symmetric)
+       for space_name in sorted(_LINE_CASES)
+       for kind, one in (("int", 1), ("fraction", Fraction(3, 2)))
+       for check in ("triangle_base_vs_cross", "triangle_cross_vs_base")
+       for symmetric in (False, True)},
+}
+
+
+def test_axiom_cases_cover_the_benchmark_table():
+    tree = ast.parse((_ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    jobs = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "AXIOM_JOBS")
+    assert jobs == _AXIOM_JOBS
+    assert sorted(_AXIOM_DIGESTS) == sorted(_AXIOM_CASES)
+
+
+@pytest.mark.parametrize("label", sorted(_AXIOM_CASES))
+def test_axiom_report_matches_its_recorded_digest(label):
+    # sha256 of the compact JSON with sorted keys, as the golden CLI reports
+    doc = _AXIOM_CASES[label]().to_json()
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    got = hashlib.sha256(canonical.encode()).hexdigest()
+    assert got == _AXIOM_DIGESTS.get(label), \
+        f"{label}: digest {got} differs from the recorded {_AXIOM_DIGESTS.get(label)}"
 
 
 # -- the batch contract of every kernel kind ---------------------------------

@@ -49,6 +49,20 @@ def test_levels_from_subset_examples(natline, geomline):
     assert eh.level((16,)) == 16   # 2 * d(16, {8, 32, ...}) = 2 * 8
 
 
+def test_levels_from_subset_rounds_fraction_distances_up():
+    # a path at 0, 1/4, 3/4 and 2: 2 d(x, {0}) is 0, 1/2, 3/2 and 4, so the
+    # levels are max(1, ceil(2 d)), not the int rule 2 d or 1
+    at = [0, Fraction(1, 4), Fraction(3, 4), 2]
+    space = CustomSpace([(i,) for i in range(4)], metric="table",
+                        table=[[abs(a - b) for b in at] for a in at])
+    A = PointSet.from_points([(0,)])
+    e = levels_from_subset(space, A)
+    pts = [(i,) for i in range(4)]
+    want = [max(1, math.ceil(2 * dist_to_set(space, x, A, UNBOUNDED).value)) for x in pts]
+    assert want == [1, 1, 2, 4]
+    assert e.levels(pts) == want and all(type(v) is int for v in e.levels(pts))
+
+
 def test_delta_from_levels(natline):
     e = zero_levels(natline)
     delta = delta_from_levels(e)
