@@ -10,6 +10,8 @@ window.  Values are exact ints or Fractions throughout.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from itertools import chain, compress
 from typing import Callable, Optional
 
@@ -76,8 +78,7 @@ class DoubleMetric:
         otherwise; a kind with a stronger closed form overrides it.  The
         points are not checked: callers pass enumerated or already-checked
         points."""
-        c = self.coercive_c
-        return np.full(bmat.shape, self.eps) if c is None else bmat + c
+        return _base_bound(self, bmat)
 
     # -- structure ----------------------------------------------------------
 
@@ -132,6 +133,13 @@ class DoubleMetric:
                 row.append(ev.value)
             rows.append(row)
         return _exact_array(rows), exact
+
+
+def _base_bound(d: DoubleMetric, bmat: np.ndarray, out=None) -> np.ndarray:
+    """The base rule of ``DoubleMetric.lower_bound_matrix``: bmat +
+    coercive_c, written into out when given, or the floor eps."""
+    c = d.coercive_c
+    return np.full(bmat.shape, d.eps) if c is None else np.add(bmat, c, out=out)
 
 
 def _certified(dxb: Rational, r_cand: Rational, radius: Rational) -> bool:
@@ -231,7 +239,9 @@ class DeltaMetric(DoubleMetric):
                 "delta": self.delta.to_json()}
 
     def cross_matrix(self, pts, window):
-        return _delta_cross_matrix(self, pts, window)
+        self.space.check(*pts)
+        with _workspace(self.space, len(pts)) as buf:
+            return _delta_cross_matrix(self, pts, window, buf)
 
 
 class PointMetric(DoubleMetric):
@@ -572,32 +582,124 @@ def _check_json(c):
     return out
 
 
-def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
-    """Cross matrix of a delta kernel, (matrix, exact).
+# ---------------------------------------------------------------------------
+# Batch workspace
+
+
+class _Workspace(threading.local):
+    """The n x n int64 buffers that the line-space batch paths write their
+    intermediates into, one set per thread: at most three arrays, keyed 0,
+    1 and 2, all for the most recent n of at least ``_WORKSPACE_MIN_N``.
+
+    A check on a 251-point line window needs about eleven n x n int64
+    intermediates of 0.5 MB.  Allocated fresh on every call, their memory
+    goes back to the OS when they are freed and the next call page-faults
+    it in again, about a third of the check's time; kept here, it is
+    faulted in once per change of n.  On fewer than 128 points such an
+    array is under 128 KiB, malloc's default mmap threshold, and comes from
+    malloc's free lists without faults, so a smaller call uses no buffers
+    and leaves a larger n's in place: dropping them for a 10-point window
+    between 251-point ones would fault them in again.  No array that a
+    public function returns, and none that an ``AxiomReport`` keeps, is one
+    of these buffers."""
+
+    def __init__(self):
+        self.arrays = {}
+        self.held = False
+
+
+_WORKSPACE_MIN_N = 128
+_WORKSPACE = _Workspace()
+
+
+class _Buffers:
+    """A getter of workspace buffers: buf(k, *operands) is buffer k, an n x
+    n int64 array made on first use, when every operand array is int64, so
+    that a ufunc can write their result into it with out=; otherwise, and
+    always for ``_NO_BUFFERS``, it is None, which makes the ufunc allocate
+    as before."""
+
+    def __init__(self, arrays: Optional[dict], n: int):
+        self.arrays, self.n = arrays, n
+
+    def __call__(self, k: int, *operands: np.ndarray) -> Optional[np.ndarray]:
+        if self.arrays is None or any(x.dtype != np.int64 for x in operands):
+            return None
+        if k not in self.arrays:
+            self.arrays[k] = np.empty((self.n, self.n), np.int64)
+        return self.arrays[k]
+
+
+_NO_BUFFERS = _Buffers(None, 0)
+
+
+@contextmanager
+def _workspace(space: MetricSpace, n: int):
+    """The thread's workspace, held for one batch call on n points of
+    space, as a ``_Buffers`` getter; buffers of another n are dropped
+    first.  Off the line spaces, below ``_WORKSPACE_MIN_N`` points, and
+    inside a call that already holds the workspace (a delta reader that
+    runs a batch), the getter is ``_NO_BUFFERS``: the first two allocate as
+    before, and a nested call never overwrites its caller's
+    intermediates."""
+    ws = _WORKSPACE
+    if ws.held or n < _WORKSPACE_MIN_N or not isinstance(space, LineSpace):
+        yield _NO_BUFFERS
+        return
+    if any(arr.shape[0] != n for arr in ws.arrays.values()):
+        ws.arrays.clear()
+    ws.held = True
+    try:
+        yield _Buffers(ws.arrays, n)
+    finally:
+        ws.held = False
+
+
+def _frame(space: MetricSpace, pts: list, buf):
+    """(coordinates, d_X) of pts: the coordinates as ``_coordinates`` gives
+    them on an l1 space (None elsewhere), converted once, and d_X on pts x
+    pts, written into buffer 0 of buf when it is int64."""
+    if space.metric != "manhattan":
+        return None, _distance_matrix(space, pts, pts)
+    a = _coordinates(pts)
+    return a, _distance_matrix(space, pts, pts, a, buf(0, a))
+
+
+def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window, buf, frame=None):
+    """Cross matrix of a delta kernel on checked or enumerated points,
+    (matrix, exact).
 
     Each cell is the minimum of d_X(x,u) + delta(u) + d_X(u,y) over u in x,
     y and a universe: the ball around the window base enlarged by the
     largest probe value, which holds the candidate ball of every cell whose
     row point lies in the window.  delta is read by one ``values`` call over
     pts and one over the universe; a mask drops midpoints with delta(u) >=
-    that value, which cannot beat u = x (if none is left, the seed of the
-    probes u = x, y is the matrix).  The distances come from
-    ``_distance_matrix``, a coordinate broadcast on every l1 space.  The
-    space type picks how the minimum is taken: on the line spaces by
-    ``_line_delta_min``, a distance-transform sweep and one range-minimum
-    table, in O(n^2 + m) memory for n points and m universe points and with
-    no loop over rows or cells; elsewhere by the n x m min-plus product
-    over the universe.  Both give the same minimum, and
-    certification is the same: exact when every row's largest probe, as
-    candidate radius, passes the certificate rule on the enumerated radius
-    (``_rows_certified``).
+    that value, which cannot beat u = x (if none is left, the matrix is a
+    copy of the seed of the probes u = x, y).  frame is (coordinates, d_X)
+    of pts from ``_frame``, which ``check_axioms`` shares; without it they
+    are computed here.  The distances come from ``_distance_matrix``, a
+    coordinate broadcast on every l1 space.  The space type picks how the
+    minimum is taken: on the line spaces by ``_line_delta_min``, a
+    distance-transform sweep and one range-minimum table, in O(n^2 + m)
+    memory for n points and m universe points and with no loop over rows or
+    cells; elsewhere by the n x m min-plus product over the universe.  Both
+    give the same minimum, and certification is the same: exact when every
+    row's largest probe, as candidate radius, passes the certificate rule on
+    the enumerated radius (``_rows_certified``).
+
+    buf is the getter of ``_workspace``.  On a line window of at least 128
+    points d_X, the seed and the sweep's table are written into its buffers
+    0, 1 and 2 when they are int64: at most three n x n int64 arrays, all
+    for the most recent such n, kept across calls so that their memory is
+    not page-faulted in again on every call.  The returned matrix is always
+    a fresh array.
     """
     space = d.space
-    space.check(*pts)
+    a, dist = frame or _frame(space, pts, buf)
     base = window.resolve_base(space)
     deltas = _exact_array(d.delta.values(pts))
-    dist = _distance_matrix(space, pts, pts)
-    seed = dist + np.minimum(deltas[:, None], deltas[None, :])
+    into = buf(1, dist, deltas)
+    seed = np.add(dist, np.minimum(deltas[:, None], deltas[None, :], out=into), out=into)
     row_max = seed.max(axis=1)
     vmax = max(row_max.tolist())
     radius = window.radius + vmax - 1
@@ -609,27 +711,28 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window):
     # midpoints with delta(u) >= vmax can never beat the u=x candidate
     keep = weights < vmax
     if not keep.any():
-        out = seed
+        out = seed.copy()
     elif isinstance(space, LineSpace):
-        out = _line_delta_min(_coordinates(pts)[:, 0], dist, seed,
-                              _coordinates(universe)[keep, 0], weights[keep])
+        out = _line_delta_min(a[:, 0], dist, seed, _coordinates(universe)[keep, 0],
+                              weights[keep], buf)
     else:
-        dpu = _distance_matrix(space, pts, list(compress(universe, keep)))
+        dpu = _distance_matrix(space, pts, list(compress(universe, keep)), a)
         out = np.minimum(seed, _min_plus(dpu + weights[keep], dpu.T))
     # each row's largest probe bounds the radius of its candidate balls
-    return _exact_array(out), _rows_certified(space, pts, base, row_max - 1, radius)
+    return _exact_array(out), _rows_certified(space, pts, base, row_max - 1, radius, a)
 
 
 def _rows_certified(space: MetricSpace, pts: list, base: Point, r_cand: np.ndarray,
-                    radius: Rational) -> bool:
+                    radius: Rational, a=None) -> bool:
     """The certificate rule on every row of a batch matrix: row i, whose
     candidate balls have radius at most r_cand[i] around pts[i], is exact
-    when they lie inside the ball of the given radius around base."""
-    dxb = _distance_matrix(space, pts, [base])[:, 0]
+    when they lie inside the ball of the given radius around base.  a holds
+    pts's coordinates when the caller has them."""
+    dxb = _distance_matrix(space, pts, [base], a)[:, 0]
     return bool(np.all(_certified(dxb, r_cand, radius)))
 
 
-def _line_delta_min(c, dist, seed, u, du):
+def _line_delta_min(c, dist, seed, u, du, buf=_NO_BUFFERS):
     """min(seed, min over k of |c_i - u_k| + du_k + |u_k - c_j|) for points
     c of a line, universe coordinates u in increasing order and delta values
     du on them, without an n x m array and with no loop over rows or cells.
@@ -663,7 +766,11 @@ def _line_delta_min(c, dist, seed, u, du):
     makes every cell exact.  With c, u and du typed by ``_exact_array`` and
     seed = dist plus a delta value, as ``_delta_cross_matrix`` passes it, big
     is below 3 * 2**60 and every intermediate stays below 7 * 2**60, inside
-    int64; any object input makes the table object.
+    int64; any object input makes the table object.  The table is buffer 2
+    of buf, the getter of ``_workspace``, when it is int64 and the points
+    are in order: one of its at most three n x n int64 arrays, reused so
+    that the table's memory is not page-faulted in again on every call.
+    The returned minimum is a fresh array.
     """
     n, m = len(c), len(u)
     order = None if np.all(c[1:] >= c[:-1]) else np.argsort(c, kind="stable")
@@ -679,7 +786,9 @@ def _line_delta_min(c, dist, seed, u, du):
     padded = np.append(du, big)
     gaps = np.where(start[:-1] < start[1:], np.minimum.reduceat(padded, start)[:-1], big)
     # one n x n buffer, updated in place
-    table = np.empty((n, n), np.result_type(dist, seed, dt, gaps))
+    table = buf(2, dist, seed, dt, gaps)
+    if table is None:
+        table = np.empty((n, n), np.result_type(dist, seed, dt, gaps))
     table[...] = np.append(big, gaps)
     table[np.tri(n, k=-1, dtype=bool)] = big
     np.fill_diagonal(table, dt)
@@ -737,17 +846,21 @@ def _min_plus(a, b=None):
     return out
 
 
-def _distance_matrix(space: MetricSpace, pts_a: list, pts_b: list) -> np.ndarray:
+def _distance_matrix(space: MetricSpace, pts_a: list, pts_b: list, a=None,
+                     out=None) -> np.ndarray:
     """d_X on pts_a x pts_b as an exact array.  On a space whose ``metric``
     is "manhattan" (the lines, TwoTails, predicate spaces and Manhattan
     custom spaces) it is one broadcast of |a - b| summed over the
     coordinates, with no distance call; table and rounded-Euclidean metrics
     call ``_dist`` once per cell.  Callers pass checked points or enumerated
-    ones; passing one list as both converts its coordinates once."""
+    ones; a caller that holds pts_a's coordinates passes them as a, and
+    passing one list as both converts its coordinates at most once.  out,
+    when given, is an int64 buffer of the result's shape, for a result that
+    is int64."""
     if space.metric == "manhattan":
-        a = _coordinates(pts_a)
+        a = _coordinates(pts_a) if a is None else a
         b = a if pts_b is pts_a else _coordinates(pts_b)
-        out = abs(a[:, None, 0] - b[None, :, 0])
+        out = np.abs(np.subtract(a[:, None, 0], b[None, :, 0], out=out), out=out)
         for k in range(1, a.shape[1]):
             out += abs(a[:, None, k] - b[None, :, k])
         return out
@@ -774,65 +887,90 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
     triangle inequalities on the window.  Violations are report content.
 
     Everything is an exact array over the n window points: d_X, the cross
-    matrix as ``cross_matrix`` returns it, the kernel's bound
-    (``lower_bound_matrix``) and the two triangle minima
-    (``_triangle_minima``).  On every l1 space (``metric`` "manhattan":
-    the lines, TwoTails, predicate and Manhattan custom spaces) d_X is a
-    coordinate broadcast, with no distance call per cell; table and
-    rounded-Euclidean spaces call ``_dist`` per cell.  Off the lines the two
-    triangle minima are n^3 min-plus products, which set the cost.  On the
-    line spaces a delta kernel's cross matrix comes from the
-    distance-transform sweep and its range-minimum table, and both triangle
-    checks from one monotone pass over the cross matrix's columns
+    matrix, the kernel's bound (``lower_bound_matrix``) and the two
+    triangle minima (``_triangle_minima``).  On every l1 space (``metric``
+    "manhattan": the lines, TwoTails, predicate and Manhattan custom
+    spaces) d_X is a coordinate broadcast, with no distance call per cell;
+    table and rounded-Euclidean spaces call ``_dist`` per cell.  The window
+    points are enumerated, so they are not checked again, and their
+    coordinates are converted once.  A delta kernel's matrix is
+    ``_delta_cross_matrix`` on the same coordinates and d_X, which is
+    computed once; other kinds give theirs through ``cross_matrix``.  Off
+    the lines the two triangle minima are n^3 min-plus products, which set
+    the cost.  On the line spaces a delta kernel's cross matrix comes from
+    the distance-transform sweep and its range-minimum table, and both
+    triangle checks from one monotone pass over the cross matrix's columns
     (``_line_columns``): a passing kernel runs no distance transform and no
     min-plus product, nothing runs once per row or cell in Python, and
     memory stays O(n^2) plus the universe; the space type picks that path.
     Violations are located only when a check fails.  Certification
     (``exact``) is the cross matrix's, unchanged.
+
+    On a line window of at least 128 points the int64 n x n intermediates
+    (d_X, the seed and the range-minimum table of a delta kernel, the
+    base-rule bound, and P and Q of ``_line_columns``) are written into the
+    thread's ``_workspace``: at most three n x n int64 arrays, all for the
+    most recent such n, kept across calls so that their memory is not
+    page-faulted in again on every call.  In steady state the cross matrix
+    is the only fresh n x n int64 array of a passing delta kernel's check;
+    neither it nor the report shares memory with the workspace.
     """
-    pts = window_points(d.space, window)
+    space = d.space
+    pts = window_points(space, window)
     n = len(pts)
     if n == 0:
         raise DomainError("empty window")
-    bmat = _distance_matrix(d.space, pts, pts)
-    dmat, exact = d.cross_matrix(pts, window)
+    delta = isinstance(d, DeltaMetric)
+    if not delta:
+        # taken before the workspace is held, so a compound kernel's delta
+        # parts reuse it too
+        dmat, exact = d.cross_matrix(pts, window)
+    with _workspace(space, n) as buf:
+        a, bmat = _frame(space, pts, buf)
+        if delta:
+            dmat, exact = _delta_cross_matrix(d, pts, window, buf, (a, bmat))
 
-    checks = {}
-    # (d2) cross distances are strictly positive; argmin gives the first
-    # minimum in row-major order
-    at = int(np.argmin(dmat))
-    min_v = dmat.item(at)
-    i, j = divmod(at, n)
-    ok = min_v > 0
-    checks["positivity"] = {
-        "passed": ok, "stat": min_v,
-        "violation": None if ok else {"x": list(pts[i]), "y": list(pts[j]),
-                                      "value": rational_to_json(min_v)}}
+        checks = {}
+        # (d2) cross distances are strictly positive; argmin gives the first
+        # minimum in row-major order
+        at = int(np.argmin(dmat))
+        min_v = dmat.item(at)
+        i, j = divmod(at, n)
+        ok = min_v > 0
+        checks["positivity"] = {
+            "passed": ok, "stat": min_v,
+            "violation": None if ok else {"x": list(pts[i]), "y": list(pts[j]),
+                                          "value": rational_to_json(min_v)}}
 
-    # certified lower bound; argwhere lists hits in row-major order
-    lb = d.lower_bound_matrix(pts, bmat)
-    bad = dmat < lb
-    viol = None
-    if bad.any():
-        i, j = (int(v) for v in np.argwhere(bad)[0])
-        viol = {"x": list(pts[i]), "y": list(pts[j]),
-                "value": rational_to_json(dmat.item(i, j)),
-                "bound": rational_to_json(lb.item(i, j))}
-    checks["lower_bound"] = {"passed": viol is None, "violation": viol}
+        # certified lower bound; the base rule goes into buffer 1 when
+        # coercive_c is an int64 (a Fraction or None makes an object array,
+        # which takes none); argwhere lists hits in row-major order
+        if type(d).lower_bound_matrix is DoubleMetric.lower_bound_matrix:
+            lb = _base_bound(d, bmat, buf(1, bmat, np.asarray(d.coercive_c)))
+        else:
+            lb = d.lower_bound_matrix(pts, bmat)
+        bad = dmat < lb
+        viol = None
+        if bad.any():
+            i, j = (int(v) for v in np.argwhere(bad)[0])
+            viol = {"x": list(pts[i]), "y": list(pts[j]),
+                    "value": rational_to_json(dmat.item(i, j)),
+                    "bound": rational_to_json(lb.item(i, j))}
+        checks["lower_bound"] = {"passed": viol is None, "violation": viol}
 
-    base_mins, cross_mins = _triangle_minima(d.space, pts, bmat, dmat)
-    # d_X(x1,x2) <= d(x1,y') + d(x2,y') for every y
-    checks["triangle_base_vs_cross"] = _triangle(
-        pts, bmat, base_mins, lambda i, j, k: dmat.item(i, k) + dmat.item(j, k),
-        ("x1", "x2", "y"))
-    # d(x1,y') <= d_X(x1,x2) + d(x2,y') for every x2
-    checks["triangle_cross_vs_base"] = _triangle(
-        pts, dmat, cross_mins, lambda i, j, k: bmat.item(i, k) + dmat.item(k, j),
-        ("x1", "y", "x2"))
+        base_mins, cross_mins = _triangle_minima(space, a, bmat, dmat, buf)
+        # d_X(x1,x2) <= d(x1,y') + d(x2,y') for every y
+        checks["triangle_base_vs_cross"] = _triangle(
+            pts, bmat, base_mins, lambda i, j, k: dmat.item(i, k) + dmat.item(j, k),
+            ("x1", "x2", "y"))
+        # d(x1,y') <= d_X(x1,x2) + d(x2,y') for every x2
+        checks["triangle_cross_vs_base"] = _triangle(
+            pts, dmat, cross_mins, lambda i, j, k: bmat.item(i, k) + dmat.item(k, j),
+            ("x1", "y", "x2"))
     return AxiomReport(d, window, n, exact, checks)
 
 
-def _triangle_minima(space: MetricSpace, pts: list, bmat, dmat):
+def _triangle_minima(space: MetricSpace, a, bmat, dmat, buf):
     """The arrays the two triangle checks compare bmat and dmat against, or
     None for a check already decided as passed.  Each array is below its
     left side at exactly the cells where the true minimum is: min over k of
@@ -840,19 +978,20 @@ def _triangle_minima(space: MetricSpace, pts: list, bmat, dmat):
     dmat[k, j] for dmat.
 
     Elsewhere these are the two min-plus products.  On the line spaces, with
-    c the coordinates in increasing order, as ``window_points`` lists them,
-    one pass of ``_line_columns`` decides both.  When dmat is monotone the
-    second check passes; otherwise its array is the distance transform
-    ``_line_transform``, the same as the product.  The first is the product
-    over only the failing columns: a column outside them holds no
-    violation, so the restricted product is below bmat at the same cells,
-    and ``_triangle``, whose k scan reads dmat, names the same first y.
-    With no failing column the first check passes, with no product.
+    c = a[:, 0] the coordinates in increasing order, as ``window_points``
+    lists them, one pass of ``_line_columns`` (P and Q in buffers 1 and 2
+    of buf) decides both.  When dmat is monotone the second check passes;
+    otherwise its array is the distance transform ``_line_transform``, the
+    same as the product.  The first is the product over only the failing
+    columns: a column outside them holds no violation, so the restricted
+    product is below bmat at the same cells, and ``_triangle``, whose k scan
+    reads dmat, names the same first y.  With no failing column the first
+    check passes, with no product.
     """
     if not isinstance(space, LineSpace):
         return _min_plus(dmat), _min_plus(bmat, dmat)
-    c = _coordinates(pts)[:, 0]
-    monotone, cols = _line_columns(c, dmat)
+    c = a[:, 0]
+    monotone, cols = _line_columns(c, dmat, buf)
     base_mins = _min_plus(dmat[:, cols], dmat[:, cols].T) if len(cols) else None
     return base_mins, None if monotone else _line_transform(c, dmat)
 
@@ -869,7 +1008,7 @@ def _line_transform(c, g):
     return np.minimum(below, above)
 
 
-def _line_columns(c, g):
+def _line_columns(c, g, buf=_NO_BUFFERS):
     """(monotone, failing columns) of g over coordinates c in increasing
     order, with P = g - c[:, None] and Q = g + c[:, None].
 
@@ -884,10 +1023,11 @@ def _line_columns(c, g):
     c_j and c_j - c_i, column k passes exactly when min over i of P[i, k]
     plus min over j of Q[j, k] is at least 0: one O(n^2) test in place of
     the n^3 product ``_min_plus(g)``.  On a monotone g those minima are the
-    last row of P and the first row of Q, so the test is O(n).
+    last row of P and the first row of Q, so the test is O(n).  P and Q are
+    buffers 1 and 2 of buf, the getter of ``_workspace``, when int64.
     """
-    p = g - c[:, None]
-    q = g + c[:, None]
+    p = np.subtract(g, c[:, None], out=buf(1, g, c))
+    q = np.add(g, c[:, None], out=buf(2, g, c))
     monotone = bool(np.all(p[1:] <= p[:-1]) and np.all(q[1:] >= q[:-1]))
     low_p, low_q = (p[-1], q[0]) if monotone else (p.min(axis=0), q.min(axis=0))
     return monotone, np.flatnonzero(low_p + low_q < 0)

@@ -3,6 +3,8 @@ import functools
 import hashlib
 import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,8 +15,8 @@ from coarsedouble import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                           DeltaMetric, DoubleMetric, MaxMetric, MinGlueMetric,
                           PointMetric, SubsetMetric, check_axioms, compose,
                           const_delta, evaluate, evaluate_exact, levels_from_subset,
-                          metric_from_levels, space_by_name, subset_metric,
-                          zero_levels)
+                          metric_from_levels, metric_join, metric_meet, space_by_name,
+                          subset_metric, zero_levels)
 from coarsedouble import double
 from coarsedouble.double import (DeltaFunction, _coordinates, _distance_matrix,
                                  _exact_array, _line_columns, _line_delta_min,
@@ -715,6 +717,169 @@ def test_passing_line_kernel_runs_no_transform_and_no_product(natline, monkeypat
     assert transforms == [(31, 31)] and shapes == []
 
 
+def test_line_check_converts_the_window_once(natline, monkeypatch):
+    # check_axioms on a delta kernel converts the window's coordinates once,
+    # computes d_X once and does not check its enumerated points again;
+    # points passed to cross_matrix are checked
+    w = Window(250)
+    pts = window_points(natline, w)
+    converted, distances, checked = [], [], []
+    coordinates, distance_matrix = double._coordinates, double._distance_matrix
+
+    def counted_coordinates(points):
+        converted.append(points == pts)
+        return coordinates(points)
+
+    def counted_distances(*args, **kwargs):
+        out = distance_matrix(*args, **kwargs)
+        distances.append(out.shape)
+        return out
+
+    monkeypatch.setattr(double, "_coordinates", counted_coordinates)
+    monkeypatch.setattr(double, "_distance_matrix", counted_distances)
+    monkeypatch.setattr(natline, "check", lambda *points: checked.append(len(points)))
+    d = metric_from_levels(levels_from_subset(natline, set_family("evens")))
+    rep = check_axioms(d, w)
+    assert rep.n_points == 251 and rep.passed and rep.exact
+    assert converted.count(True) == 1, converted
+    assert distances.count((251, 251)) == 1, distances
+    assert 251 not in checked, checked
+    d.cross_matrix(pts, w)
+    assert checked.count(251) == 1, checked
+
+
+def _in_new_thread(fn):
+    """fn() on a thread of its own, which starts with an empty workspace."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+def _workspace_arrays():
+    return [(k, a.dtype, a.shape) for k, a in sorted(double._WORKSPACE.arrays.items())]
+
+
+def test_batch_results_never_share_the_workspace(natline):
+    # matrices returned by cross_matrix are fresh arrays: equal to the generic
+    # path's, sharing no memory with the reused buffers, and unchanged by
+    # later calls at the same n; the reports equal the generic path's too
+    w = Window(130)
+    pts = window_points(natline, w)
+    assert len(pts) >= double._WORKSPACE_MIN_N
+    generic = _generic_copy(natline)
+    evens, squares = (metric_from_levels(levels_from_subset(natline, set_family(name)))
+                      for name in ("evens", "squares"))
+    g_evens, g_squares = _on(generic, evens), _on(generic, squares)
+    small = Window(16)
+    cases = [(evens, g_evens),
+             (metric_meet(evens, squares, small), MaxMetric(g_evens, g_squares)),
+             (metric_join(evens, squares, small), MinGlueMetric(g_evens, g_squares)),
+             (compose(evens, squares), compose(g_evens, g_squares))]
+    returned = []
+    for d, g in cases:
+        mat, exact = d.cross_matrix(pts, w)
+        assert (mat.tolist(), exact) == _listed(g, pts, w), d.kind
+        assert mat.dtype == np.int64
+        returned.append((d.kind, mat, mat.copy()))
+        rep = check_axioms(d, w)
+        assert rep.passed, d.kind
+        assert rep.to_json() == check_axioms(g, w).to_json(), d.kind
+    assert len(_workspace_arrays()) == 3
+    for kind, mat, copy in returned:
+        assert np.array_equal(mat, copy), kind
+        assert not any(np.shares_memory(mat, buf) for buf in double._WORKSPACE.arrays.values())
+
+
+def test_threads_checking_at_once_give_the_serial_reports(natline, intline):
+    # each thread has its own workspace: four threads on two cores, switching
+    # often, check different kernels on 251-point windows at once
+    kernels = [(metric_from_levels(parse_levels(space, spec)), Window(radius))
+               for space, radius in ((natline, 250), (intline, 125))
+               for spec in ("subset:evens", "subset:multiples:3")]
+    serial = [check_axioms(d, w).to_json() for d, w in kernels]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(kernels)) as pool:
+            runs = [pool.submit(lambda d=d, w=w: [check_axioms(d, w).to_json() for _ in range(5)])
+                    for d, w in kernels]
+            reports = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [[doc] * 5 for doc in serial]
+
+
+def test_a_batch_inside_a_delta_reader_leaves_its_caller_intact(natline):
+    # a delta reader that runs a check of its own on the same thread and n
+    # gets no buffers, so the outer check's d_X and seed stay as they were
+    w = Window(250)
+    pts = window_points(natline, w)
+    evens = metric_from_levels(levels_from_subset(natline, set_family("evens")))
+    inner = metric_from_levels(levels_from_subset(natline, set_family("squares")))
+    nested = []
+
+    def nesting():
+        def reader(points):
+            nested.append(check_axioms(inner, w).passed)
+            return evens.delta.values(points)
+
+        return DeltaMetric(natline, DeltaFunction(natline, reader, "nesting"))
+
+    assert check_axioms(nesting(), w).to_json() == check_axioms(evens, w).to_json()
+    assert _listed(nesting(), pts, w) == _listed(evens, pts, w)
+    assert len(nested) == 4 and all(nested)
+
+
+def test_workspace_holds_at_most_three_arrays_of_the_last_n(natline, intline, twotails,
+                                                            geomline):
+    # checks at 251, 129, 44 (TwoTails) and 10 (GeomLine) points: the
+    # workspace ends with three int64 arrays of the last n it took, 129; the
+    # windows below _WORKSPACE_MIN_N points and off the lines use none
+    def check(space, spec, radius):
+        rep = check_axioms(metric_from_levels(parse_levels(space, spec)), Window(radius))
+        assert rep.passed and rep.exact
+        return rep.n_points, _workspace_arrays()
+
+    def run():
+        return [check(natline, "subset:evens", 250), check(intline, "subset:odds", 64),
+                check(twotails, "subset:tailplus", 500), check(geomline, "subset:powers:2", 1024)]
+
+    after = _in_new_thread(run)
+    assert [n for n, _ in after] == [251, 129, 44, 10]
+    assert after[0][1] == [(k, np.int64, (251, 251)) for k in range(3)]
+    for _, arrays in after[1:]:
+        assert arrays == [(k, np.int64, (129, 129)) for k in range(3)]
+
+
+def test_fraction_kernels_put_nothing_in_the_workspace(natline, intline, geomline):
+    # the Fraction and beyond-int64 kernels of test_fraction_kernel_batch and
+    # test_line_delta_batch_beyond_int64_guard leave the workspace empty; on a
+    # 130-point window a Fraction kernel's buffers hold only its int64 d_X and
+    # bound, and its object matrix is a fresh array
+    def run():
+        half = DeltaMetric(natline, const_delta(natline, Fraction(3, 2)))
+        for w in (Window(12), Window(0, (5,))):
+            half.cross_matrix(window_points(natline, w), w)
+            check_axioms(half, w)
+        for space, w, delta in [(intline, Window(4, (2 ** 60 - 2,)), const_delta(intline, 3)),
+                                (intline, Window(3, (-2 ** 60 + 1,)),
+                                 const_delta(intline, Fraction(5, 2))),
+                                (geomline, Window(2 ** 60, (2 ** 60,)),
+                                 const_delta(geomline, 2 ** 61))]:
+            DeltaMetric(space, delta).cross_matrix(window_points(space, w), w)
+            check_axioms(DeltaMetric(space, delta), w)
+        small = _workspace_arrays()
+        w = Window(129)
+        mat, _ = half.cross_matrix(window_points(natline, w), w)
+        rep = check_axioms(half, w)
+        return small, mat, rep.passed and rep.exact, double._WORKSPACE.arrays
+
+    small, mat, passed, arrays = _in_new_thread(run)
+    assert small == [] and passed
+    assert mat.dtype == object and mat.item(0, 0) == Fraction(3, 2)
+    assert sorted(arrays) == [0, 1]
+    assert all(a.dtype == np.int64 and not np.shares_memory(mat, a) for a in arrays.values())
+
+
 @pytest.mark.parametrize("kind", ["int", "frac"])
 def test_line_triangle_forms_match_min_plus(kind):
     # c in increasing order with repeats; g near a line kernel, with an offset
@@ -778,30 +943,42 @@ _ROOT = Path(__file__).resolve().parent.parent
 _AXIOM_DIGESTS = json.loads((_ROOT / "tests" / "axiom_digests.json").read_text(encoding="utf-8"))
 
 
-def _spec_report(space_name, radius, spec):
+def _spec_kernel(space_name, radius, spec):
     space = space_by_name(space_name)
-    return check_axioms(metric_from_levels(parse_levels(space, spec)), Window(radius))
+    return metric_from_levels(parse_levels(space, spec)), Window(radius)
 
 
-def _failure_report(space_name, one, check, symmetric):
+def _failure_kernel(space_name, one, check, symmetric):
     space = space_by_name(space_name)
     w = _LINE_CASES[space_name][0][-1]
     fn = _triangle_failures(window_points(space, w), one)[check]
-    return check_axioms(ClosedFormMetric(space, fn, check, symmetric=symmetric), w)
+    return ClosedFormMetric(space, fn, check, symmetric=symmetric), w
 
 
-# label -> a function giving its report: every spec of _AXIOM_JOBS, and the
-# closed-form kernels of _triangle_failures on each line space
+# label -> a function giving its (kernel, window): every spec of _AXIOM_JOBS,
+# and the closed-form kernels of _triangle_failures on each line space
 _AXIOM_CASES = {
-    **{f"{space_name} r={radius} {spec}": functools.partial(_spec_report, space_name, radius, spec)
+    **{f"{space_name} r={radius} {spec}": functools.partial(_spec_kernel, space_name, radius, spec)
        for space_name, radius, specs in _AXIOM_JOBS for spec in specs},
     **{f"{space_name} {check} {kind}{' symmetric' * symmetric}":
-       functools.partial(_failure_report, space_name, one, check, symmetric)
+       functools.partial(_failure_kernel, space_name, one, check, symmetric)
        for space_name in sorted(_LINE_CASES)
        for kind, one in (("int", 1), ("fraction", Fraction(3, 2)))
        for check in ("triangle_base_vs_cross", "triangle_cross_vs_base")
        for symmetric in (False, True)},
 }
+
+
+def _sha256(doc):
+    # sha256 of the compact JSON with sorted keys, as the golden CLI reports
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _matrix_digest(mat):
+    """sha256 of a cross matrix's dtype and its exact values, each as str."""
+    return _sha256({"dtype": str(mat.dtype), "values": [[str(v) for v in row]
+                                                        for row in mat.tolist()]})
 
 
 def test_axiom_cases_cover_the_benchmark_table():
@@ -815,12 +992,14 @@ def test_axiom_cases_cover_the_benchmark_table():
 
 @pytest.mark.parametrize("label", sorted(_AXIOM_CASES))
 def test_axiom_report_matches_its_recorded_digest(label):
-    # sha256 of the compact JSON with sorted keys, as the golden CLI reports
-    doc = _AXIOM_CASES[label]().to_json()
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-    got = hashlib.sha256(canonical.encode()).hexdigest()
-    assert got == _AXIOM_DIGESTS.get(label), \
-        f"{label}: digest {got} differs from the recorded {_AXIOM_DIGESTS.get(label)}"
+    # the report and the cross matrix, each against its digest; the matrix is
+    # taken first and hashed after the report, so a matrix sharing memory with
+    # what check_axioms computes in reused buffers shows in its digest
+    d, w = _AXIOM_CASES[label]()
+    mat, _ = d.cross_matrix(window_points(d.space, w), w)
+    got = {"report": _sha256(check_axioms(d, w).to_json()), "cross_matrix": _matrix_digest(mat)}
+    want = _AXIOM_DIGESTS.get(label)
+    assert got == want, f"{label}: digests {got} differ from the recorded {want}"
 
 
 # -- the batch contract of every kernel kind ---------------------------------
