@@ -7,6 +7,13 @@ an interval collects the tail of the schedule.  The admissibility axiom
 when a set's member masses are equal at the last three schedule radii, the
 set is reported as bounded and its per-radius value as exactly 0 (raw counts
 stay in the report).
+
+``nu_hat``, ``nu_bar`` and ``check_modularity`` read each level function
+once, with one ``levels`` call on the largest schedule ball, and work on
+level lists from there: the list of a meet is the elementwise max of its
+operands' lists and that of a join the elementwise min (``_combine_levels``,
+the rule of ``projection.meet`` and ``join``), and ``ratio_series`` scans
+each distinct list once.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
-from .asymptotics import _check_radii
+from .asymptotics import _check_radii, _common_space
 from .boolalg import FormalSum
 from .errors import DomainError
-from .projection import LevelFunction, join, meet, unit_levels
+from .projection import LevelFunction, _combine_levels, unit_levels
 from .space import (LineSpace, MetricSpace, Point, PointSet, Rational, Window,
                     rational_to_json, window_points)
 
@@ -213,15 +220,27 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
     ``monotone_exact`` states that monotonicity on the member masses (the
     ratios at one radius share its positive ball mass).  It holds by
     construction, since ``ratio_series`` accumulates nonnegative masses; it
-    stays in the report because the density-sweep benchmark reads it.  All
-    n_max sublevels come from one ``ratio_series`` pass, which reads the
-    levels of the largest ball once; the report keeps the raw masses for
-    ``check_modularity`` and derives ``per_n`` from them when read.
+    stays in the report because the density-sweep benchmark reads it.  The
+    levels of the largest ball are read with one ``levels`` call, and all
+    n_max sublevels come from one ``ratio_series`` pass over them; the report
+    keeps the raw masses for ``check_modularity`` and derives ``per_n`` from
+    them when read.
     """
     schedule = _schedule(schedule)
+    _check_n_max(n_max)
+    return _nu_hat(mu, e.levels(mu.ball(max(schedule))), n_max, schedule)
+
+
+def _check_n_max(n_max: int) -> None:
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    rows_by_n = mu.ratio_series(e.levels, schedule, n_max)
+
+
+def _nu_hat(mu: DensityMeasure, levels: list, n_max: int,
+            schedule: Sequence[Rational]) -> NuHatReport:
+    """``nu_hat`` after validation, for the level list of
+    ``mu.ball(max(schedule))``, which ``ratio_series`` then scans."""
+    rows_by_n = mu.ratio_series(lambda ball: levels, schedule, n_max)
     masses_by_n = [[m for _, _, m, _ in rows] for rows in rows_by_n]
     # levels whose member mass stopped growing along the schedule tail
     am2 = [n for n, m in enumerate(masses_by_n, 1) if m[-3] == m[-2] == m[-1]]
@@ -233,38 +252,72 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
                        masses_by_n, [t for _, _, _, t in rows_by_n[0]])
 
 
+def _reports(mu: DensityMeasure, n_max: int,
+             schedule: Sequence[Rational]) -> Callable[[list], NuHatReport]:
+    """``_nu_hat`` of level lists of ``mu.ball(max(schedule))``, computed
+    once per distinct list: equal lists have equal reports, so a duplicated
+    generator, or a meet equal to one of its operands, is not scanned again."""
+    memo = {}
+
+    def report(levels):
+        key = tuple(levels)
+        rep = memo.get(key)
+        if rep is None:
+            rep = memo[key] = _nu_hat(mu, levels, n_max, schedule)
+        return rep
+
+    return report
+
+
 def nu_bar(mu: DensityMeasure, s: FormalSum, n_max: int = 8,
-           schedule: Optional[Sequence[Rational]] = None, *,
-           known: Optional[dict] = None) -> dict:
+           schedule: Optional[Sequence[Rational]] = None) -> dict:
     """Inclusion-exclusion extension to mod-2 sums of projections.
 
     nu_bar(e_1 + ... + e_n) = sum_i (-2)^(i-1) sigma_i, where sigma_i sums
     nu_hat over the meets of all properly monotone i-tuples.  Everything is
     computed per radius as an exact rational before the interval is taken.
-    known maps a generator (the level function itself) to its ``nu_hat``
-    report for the same n_max and schedule, which is then not computed
-    again; meets are always computed.
+    Each distinct generator's levels are read once, with one ``levels``
+    call on the largest ball; the level list of a meet is the elementwise
+    max of its operands' lists, so no meet is read, and each distinct list
+    is scanned once (duplicated generators, or a meet equal to an operand,
+    share one ``nu_hat`` report).
     """
     schedule = _schedule(schedule)
-    entries = list(s.terms)
-    if not entries:
+    if not s.terms:
         zero = [(r, 0) for r in schedule]
         return {"interval": DensityInterval.from_series(zero).to_json(),
                 "sigma": [], "sum": s.label(),
                 "series": [[rational_to_json(r), 0] for r in schedule]}
+    _check_n_max(n_max)
+    ball = mu.ball(max(schedule))
+    read = {}
+
+    def levels(k):
+        g = s.generators[k]
+        if g not in read:
+            read[g] = g.levels(ball)
+        return read[g]
+
+    return _nu_bar(s, levels, _reports(mu, n_max, schedule), schedule)
+
+
+def _nu_bar(s: FormalSum, levels: Callable[[int], list],
+            report: Callable[[list], NuHatReport], schedule: Sequence[Rational]) -> dict:
+    """``nu_bar`` of a nonempty sum after validation; levels(k) is the level
+    list of generator k on the largest ball, and report gives a level list's
+    ``nu_hat`` report."""
     gens = s.generators
-    known = known or {}
     totals = [Fraction(0)] * len(schedule)
     sigma_report = []
-    for size in range(1, len(entries) + 1):
+    for size in range(1, len(s.terms) + 1):
         coeff = (-2) ** (size - 1)
         sigma_vals = [Fraction(0)] * len(schedule)
-        for combo in itertools.combinations(range(len(entries)), size):
-            m = gens[entries[combo[0]]]
-            for pos in combo[1:]:
-                m = meet(m, gens[entries[pos]])
-            rep = known.get(m) or nu_hat(mu, m, n_max, schedule)
-            vals = [v for _, v in rep.interval.series]
+        for combo in itertools.combinations(s.terms, size):
+            lv = levels(combo[0])
+            for k in combo[1:]:
+                _common_space(gens[combo[0]], gens[k])
+                lv = _combine_levels("meet", lv, levels(k))
+            vals = [v for _, v in report(lv).interval.series]
             sigma_vals = [a + b for a, b in zip(sigma_vals, vals)]
         totals = [t + coeff * sv for t, sv in zip(totals, sigma_vals)]
         sigma_report.append({"i": size,
@@ -282,17 +335,27 @@ def check_modularity(mu: DensityMeasure, e: LevelFunction, f: LevelFunction,
     """(n3) modular law plus the (m2) complement law.
 
     Raw counts satisfy |meet| + |join| = |A| + |B| exactly per radius and
-    level whenever ``meet`` and ``join`` take the pointwise max and min of
-    levels, so ``raw_exact_per_radius`` is a self-test of those two, not
-    evidence about nu.  The adjusted identity holds within the admissibility
-    slack; (m2) is exact per radius through the mod-2 complement 1 + e.  The
-    raw masses and ball masses are read from the four ``nu_hat`` reports of
-    e, f, their meet and their join, so no ball is scanned again; (m2) reuses
-    e's report and computes those of the unit and of meet(unit, e).
+    level whenever meets and joins take the pointwise max and min of levels,
+    so ``raw_exact_per_radius`` is a self-test of that rule, not evidence
+    about nu.  The adjusted identity holds within the admissibility slack;
+    (m2) is exact per radius through the mod-2 complement 1 + e.  e and f
+    are each read once, with one ``levels`` call on the largest ball; the
+    level lists of their meet and join are the elementwise max and min of
+    those two lists, and (m2) takes its meet(unit, e) from e's list and the
+    unit's.  The raw masses and ball masses come from the ``nu_hat`` reports
+    of the four lists; each distinct list is scanned once, so (m2) scans
+    only the unit's (meet(unit, e) has e's levels).
     """
     schedule = _schedule(schedule)
-    he, hf, hm, hj = (nu_hat(mu, lf, n_max, schedule)
-                      for lf in (e, f, meet(e, f), join(e, f)))
+    _check_n_max(n_max)
+    ball = mu.ball(max(schedule))
+    report = _reports(mu, n_max, schedule)
+    le = e.levels(ball)
+    he = report(le)
+    lf = f.levels(ball)
+    hf = report(lf)
+    _common_space(e, f)
+    hm, hj = (report(_combine_levels(op, le, lf)) for op in ("meet", "join"))
     raw_exact = all(m + j == a + b
                     for rows in zip(he.masses, hf.masses, hm.masses, hj.masses)
                     for a, b, m, j in zip(*rows))
@@ -309,7 +372,8 @@ def check_modularity(mu: DensityMeasure, e: LevelFunction, f: LevelFunction,
         worst = max(worst, gap)
         adjusted_ok = adjusted_ok and gap <= slack_r
     unit = unit_levels(mu.space)
-    m2 = nu_bar(mu, FormalSum((unit, e), (0, 1)), n_max, schedule, known={e: he})
+    m2 = _nu_bar(FormalSum((unit, e), (0, 1)), [unit.levels(ball), le].__getitem__,
+                 report, schedule)
     m2_expected = [[rational_to_json(r), rational_to_json(1 - v)]
                    for r, v in he.interval.series]
     m2_ok = m2_expected == m2["series"]

@@ -287,31 +287,34 @@ def check_cm(f: CmFunction, window: Window) -> dict:
 
 
 def meet(e: LevelFunction, f: LevelFunction) -> LevelFunction:
-    """Intersection of expanding sequences: levels combine by max, written
-    as the comparison max(a, b) makes (b only when b > a), which a list
-    comprehension runs several times faster than ``map(max, ...)``."""
-    _common_space(e, f)
-    payload = _combined_payload("meet", e, f)
-    return LevelFunction(e.space, lambda pts: [b if b > a else a for a, b in
-                                               zip(e.levels(pts), f.levels(pts))],
-                         f"({e.name} ^ {f.name})", "combined", payload)
+    """Intersection of expanding sequences: levels combine by max."""
+    return _combined("meet", "^", e, f)
 
 
 def join(e: LevelFunction, f: LevelFunction) -> LevelFunction:
-    """Union of expanding sequences: levels combine by min, written as the
-    comparison min(a, b) makes (b only when b < a), as in ``meet``."""
+    """Union of expanding sequences: levels combine by min."""
+    return _combined("join", "v", e, f)
+
+
+def _combine_levels(op: str, a: Sequence[int], b: Sequence[int]) -> list:
+    """The level list of a meet ("meet": elementwise max) or a join
+    ("join": elementwise min) of two level lists of the same points.  Each
+    is written as the comparison max(x, y) or min(x, y) makes (y only when
+    y > x, or y < x), which a list comprehension runs several times faster
+    than ``map(max, ...)``."""
+    if op == "meet":
+        return [y if y > x else x for x, y in zip(a, b)]
+    return [y if y < x else x for x, y in zip(a, b)]
+
+
+def _combined(op, symbol, e, f):
     _common_space(e, f)
-    payload = _combined_payload("join", e, f)
-    return LevelFunction(e.space, lambda pts: [b if b < a else a for a, b in
-                                               zip(e.levels(pts), f.levels(pts))],
-                         f"({e.name} v {f.name})", "combined", payload)
-
-
-def _combined_payload(op, e, f):
     try:
-        return {"kind": op, "of": [e.to_json(), f.to_json()]}
+        payload = {"kind": op, "of": [e.to_json(), f.to_json()]}
     except DomainError:
-        return None
+        payload = None
+    return LevelFunction(e.space, lambda pts: _combine_levels(op, e.levels(pts), f.levels(pts)),
+                         f"({e.name} {symbol} {f.name})", "combined", payload)
 
 
 def metric_meet(d1: DoubleMetric, d2: DoubleMetric, window: Window) -> MaxMetric:

@@ -124,7 +124,9 @@ class MetricSpace:
         """All points at distance <= radius from center, sorted lexicographically.
 
         The enumeration is complete: no point of the space outside the
-        returned list lies within the radius.
+        returned list lies within the radius.  ``NatLine`` and ``IntLine``
+        return a ``_Run``; like every enumeration, it must not be changed
+        in place (see ``window_points``).
         """
         raise NotImplementedError
 
@@ -152,6 +154,15 @@ class LineSpace(MetricSpace):
         return abs(x[0] - y[0])
 
 
+class _Run(list):
+    """A list of consecutive line points [(lo,), (lo + 1,), ..., (hi,)], as
+    ``NatLine`` and ``IntLine`` enumerate a ball.  It marks the list for
+    ``set_distances``, which then skips ``_is_run``'s scan; any other list
+    made from it (a slice, a copy, a filtered list) is a plain list."""
+
+    __slots__ = ()
+
+
 class NatLine(LineSpace):
     """{0, 1, 2, ...} with |x - y|."""
 
@@ -162,10 +173,11 @@ class NatLine(LineSpace):
         return isinstance(p, tuple) and len(p) == 1 and isinstance(p[0], int) and p[0] >= 0
 
     def points_within(self, center, radius):
+        """The ball as a ``_Run``."""
         c = center[0]
         lo = max(0, math.ceil(c - radius))
         hi = math.floor(c + radius)
-        return list(zip(range(lo, hi + 1)))
+        return _Run(zip(range(lo, hi + 1)))
 
 
 class IntLine(LineSpace):
@@ -178,10 +190,11 @@ class IntLine(LineSpace):
         return isinstance(p, tuple) and len(p) == 1 and isinstance(p[0], int)
 
     def points_within(self, center, radius):
+        """The ball as a ``_Run``."""
         c = center[0]
         lo = math.ceil(c - radius)
         hi = math.floor(c + radius)
-        return list(zip(range(lo, hi + 1)))
+        return _Run(zip(range(lo, hi + 1)))
 
 
 class GeomLine(LineSpace):
@@ -732,7 +745,12 @@ def _tails_has_member(family: dict) -> Optional[bool]:
 
 
 def window_points(space: MetricSpace, window: Window) -> list:
-    """All space points of the window, lexicographically sorted."""
+    """All space points of the window, lexicographically sorted.
+
+    On ``NatLine`` and ``IntLine`` the list is a ``_Run``, which
+    ``set_distances`` takes as a run from its ends and length alone, and
+    callers such as ``DensityMeasure.ball`` cache it: an enumeration must
+    not be changed in place.  Copy it first (``list(pts)``, a slice)."""
     return space.points_within(window.resolve_base(space), window.radius)
 
 
@@ -868,14 +886,19 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
     bounds, since d(., A) is 1-Lipschitz, and the smaller is exact: the
     nearest member of a point either lies in the run, where a running
     distance restarted, or beyond an end, and then the way to it passes
-    that end.  ``_is_run`` recognizes the run without building its tuples,
-    and the forward sweep is one comprehension.  A set with no member raises
-    as ``dist_to_set`` at lo does.  The sweep also answers where a point's
-    own search would stop at SEARCH_POINT_CAP.  Any other space or list
-    takes ``dist_to_set`` per point.
+    that end.  A ``_Run`` (the enumeration of a ball on these lines) is
+    taken as a run when its length is its last coordinate minus its first
+    plus one, with no scan of its points; any other list, such as the
+    uncached part of a cached read, is a run when ``_is_run`` says so, which
+    tests it without building its tuples.  The forward sweep is one
+    comprehension.  A set with no member raises as ``dist_to_set`` at lo
+    does.  The sweep also answers where a point's own search would stop at
+    SEARCH_POINT_CAP.  Any other space or list takes ``dist_to_set`` per
+    point.
     """
     n = len(pts)
-    if type(space) in (NatLine, IntLine) and n > 2 and _is_run(pts):
+    if type(space) in (NatLine, IntLine) and n > 2 and (
+            type(pts) is _Run and pts[-1][0] - pts[0][0] == n - 1 or _is_run(pts)):
         first, last = (dist_to_set(space, p, A, UNBOUNDED).value for p in (pts[0], pts[-1]))
         member = list(map(A._contains, pts))
         d = first - 1

@@ -2,9 +2,13 @@
 
 The oracles deliberately avoid the library's pruned search paths: they scan
 coordinates or window points directly, so agreement is meaningful.
+
+``--order-seed N`` runs the collected tests in an order shuffled by the seed
+N, to check that they pass in any order; without it they run in file order.
 """
 
 import math
+import random
 import sys
 
 import pytest
@@ -12,6 +16,22 @@ import pytest
 from coarsedouble import space as space_module
 from coarsedouble.space import space_by_name
 from coarsedouble.verdicts import Status, Verdict, revalidate, witness_from_json
+
+
+def pytest_addoption(parser):
+    parser.addoption("--order-seed", type=int, default=None, metavar="N",
+                     help="run the collected tests in an order shuffled by seed N")
+
+
+def pytest_report_header(config):
+    seed = config.getoption("--order-seed")
+    return None if seed is None else f"test order shuffled by seed {seed}"
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--order-seed")
+    if seed is not None:
+        random.Random(seed).shuffle(items)
 
 
 def brute_window_nat(base, radius):

@@ -1,19 +1,20 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsedouble import levels_from_subset, unit_levels, zero_levels
+from coarsedouble import join, levels_from_subset, meet, unit_levels, zero_levels
 from coarsedouble.boolalg import FormalSum
 from coarsedouble.errors import DomainError
 from coarsedouble.measure import (DensityInterval, DensityMeasure, NuHatReport,
                                   check_modularity, default_schedule, density,
                                   nu_bar, nu_hat)
 from coarsedouble.serialize import parse_levels
-from coarsedouble.space import (LineSpace, PointSet, Window, set_family,
-                                space_by_name, window_points)
+from coarsedouble.space import (LineSpace, PointSet, Window, rational_to_json,
+                                set_family, space_by_name, window_points)
 
 
 @pytest.fixture
@@ -135,32 +136,42 @@ def test_modularity(int_mu, intline):
     assert same["passed"]
 
 
-def test_modularity_reuses_the_nu_hat_of_e(monkeypatch, intline):
-    """(m2) takes e's term from e's own report and still computes
-    meet(unit, e) through its level function: 6 nu_hat calls, not 7, and
-    the same report as with nothing reused."""
-    from coarsedouble import measure as measure_module
-    real_nu_hat, real_nu_bar = measure_module.nu_hat, measure_module.nu_bar
-    calls = []
+def _counted_reader(lf, calls):
+    """Count the calls of lf's reader ``fn`` under lf's name."""
+    fn = lf.fn
 
-    def counted(mu, e, *args):
-        calls.append(e.name)
-        return real_nu_hat(mu, e, *args)
+    def reader(pts):
+        calls[lf.name] += 1
+        return fn(pts)
 
-    def run():
-        e = levels_from_subset(intline, set_family("half_line", sign=1, bound=40))
-        f = levels_from_subset(intline, set_family("multiples", k=3, r=1))
-        return check_modularity(DensityMeasure.natural(intline), e, f, 6,
-                                default_schedule(16, 4))
+    lf.fn = reader
+    return lf
 
-    monkeypatch.setattr(measure_module, "nu_hat", counted)
-    rep = run()
-    assert len(calls) == 6 and calls.count("(1 ^ E[{x>=40}])") == 1
-    calls.clear()
-    monkeypatch.setattr(measure_module, "nu_bar",
-                        lambda *args, known=None: real_nu_bar(*args))
-    assert run() == rep and rep["passed"]
-    assert len(calls) == 7
+
+def test_each_level_function_is_read_once(monkeypatch, intline):
+    # check_modularity reads e and f once each; nu_bar reads each distinct
+    # generator once, whatever its number of terms and meets.  No meet or
+    # join level function is built.
+    from coarsedouble import projection
+    monkeypatch.setattr(projection, "_combined", None)
+    mu = DensityMeasure.natural(intline)
+    schedule = default_schedule(16, 4)
+    calls = Counter()
+
+    def fresh(name):
+        sets = {"h": set_family("half_line", sign=1, bound=40),
+                "m": set_family("multiples", k=3, r=1),
+                "e": set_family("evens")}
+        return _counted_reader(levels_from_subset(intline, sets[name]), calls)
+
+    e, f = fresh("h"), fresh("m")
+    assert check_modularity(mu, e, f, 6, schedule)["passed"]
+    assert calls == {e.name: 1, f.name: 1}
+    for terms in [(0,), (0, 1), (0, 1, 2), (0, 0, 1), (2, 1, 0, 1)]:
+        calls.clear()
+        gens = tuple(fresh(name) for name in "hme")
+        nu_bar(mu, FormalSum(gens, terms), 6, schedule)
+        assert calls == {gens[k].name: 1 for k in set(terms)}, terms
 
 
 def test_weighted_measure(natline):
@@ -318,3 +329,88 @@ def test_nu_hat_sees_masses_that_fall_with_n(monkeypatch, natline, weight):
         want = _reference_nu_hat(mu, e, 4, schedule)
         assert got.monotone_exact is want.monotone_exact is False
         assert got.to_json() == want.to_json()
+
+
+def _composed_nu_bar(mu, s, n_max, schedule):
+    """nu_bar composed from ``meet`` level functions and public ``nu_hat``."""
+    entries = list(s.terms)
+    if not entries:
+        zero = [(r, 0) for r in schedule]
+        return {"interval": DensityInterval.from_series(zero).to_json(),
+                "sigma": [], "sum": s.label(),
+                "series": [[rational_to_json(r), 0] for r in schedule]}
+    totals = [Fraction(0)] * len(schedule)
+    sigma_report = []
+    for size in range(1, len(entries) + 1):
+        sigma_vals = [Fraction(0)] * len(schedule)
+        for combo in combinations(entries, size):
+            m = s.generators[combo[0]]
+            for k in combo[1:]:
+                m = meet(m, s.generators[k])
+            vals = [v for _, v in nu_hat(mu, m, n_max, schedule).interval.series]
+            sigma_vals = [a + b for a, b in zip(sigma_vals, vals)]
+        totals = [t + (-2) ** (size - 1) * v for t, v in zip(totals, sigma_vals)]
+        sigma_report.append({"i": size, "sigma": [rational_to_json(v) for v in sigma_vals]})
+    series = list(zip(schedule, totals))
+    return {"interval": DensityInterval.from_series(series).to_json(),
+            "sigma": sigma_report, "sum": s.label(),
+            "series": [[rational_to_json(r), rational_to_json(v)] for r, v in series]}
+
+
+def _composed_modularity(mu, e, f, n_max, schedule):
+    """check_modularity composed from ``meet``/``join`` level functions,
+    public ``nu_hat`` and ``_composed_nu_bar``."""
+    he, hf, hm, hj = (nu_hat(mu, lf, n_max, schedule)
+                      for lf in (e, f, meet(e, f), join(e, f)))
+    raw_exact = all(m + j == a + b
+                    for rows in zip(he.masses, hf.masses, hm.masses, hj.masses)
+                    for a, b, m, j in zip(*rows))
+    hidden = sum(m for rep in (he, hf, hm, hj) for m in rep.bounded_masses[-1:])
+    worst = slack = Fraction(0)
+    adjusted_ok = True
+    for i, total in enumerate(he.ball_masses):
+        gap = abs(hm.interval.series[i][1] + hj.interval.series[i][1]
+                  - he.interval.series[i][1] - hf.interval.series[i][1])
+        slack_r = Fraction(hidden, total) if total else Fraction(0)
+        slack, worst = max(slack, slack_r), max(worst, gap)
+        adjusted_ok = adjusted_ok and gap <= slack_r
+    m2 = _composed_nu_bar(mu, FormalSum((unit_levels(mu.space), e), (0, 1)), n_max, schedule)
+    m2_ok = m2["series"] == [[rational_to_json(r), rational_to_json(1 - v)]
+                             for r, v in he.interval.series]
+    return {"raw_exact_per_radius": raw_exact, "adjusted_within_slack": adjusted_ok,
+            "slack": rational_to_json(slack), "worst_gap": rational_to_json(worst),
+            "m2_complement_exact": m2_ok, "passed": raw_exact and adjusted_ok and m2_ok}
+
+
+DIFFERENTIAL_LEVELS = {
+    "NatLine": ["subset:evens", "subset:halfline:+:40", "zero", "expr:ceil-sqrt"],
+    "IntLine": ["subset:multiples:3:1", "subset:halfline:-:-20", "zero:3", "~subset:evens"],
+    "GeomLine": ["subset:powers:4", "expr:log2", "zero", "subset:points:8;32"],
+    "TwoTails": ["subset:tailplus", "subset:tailminus", "zero", "unit"],
+}
+DIFFERENTIAL_TERMS = [(), (0,), (1,), (0, 0), (0, 1), (1, 0, 1), (0, 1, 2), (2, 3, 0)]
+
+
+@pytest.mark.parametrize("weight", sorted(WEIGHTS))
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_LEVELS))
+def test_nu_bar_and_modularity_match_the_composition(name, weight):
+    # the level lists of meets and joins give what meet/join level
+    # functions read through nu_hat give, field for field; each side reads
+    # level functions of its own, so no cache is shared
+    space = space_by_name(name)
+    mu = DensityMeasure(space, WEIGHTS[weight], weight)
+    schedule = default_schedule(8, 4)
+
+    def gens():
+        return tuple(parse_levels(space, spec) for spec in DIFFERENTIAL_LEVELS[name])
+
+    for terms in DIFFERENTIAL_TERMS:
+        assert nu_bar(mu, FormalSum(gens(), terms), 5, schedule) == \
+            _composed_nu_bar(mu, FormalSum(gens(), terms), 5, schedule), terms
+    for i, j in [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)]:
+        got, want = gens(), gens()
+        assert check_modularity(mu, got[i], got[j], 5, schedule) == \
+            _composed_modularity(mu, want[i], want[j], 5, schedule), (i, j)
+    e = gens()[0]
+    assert check_modularity(mu, e, e, 5, schedule) == \
+        _composed_modularity(mu, e, e, 5, schedule)

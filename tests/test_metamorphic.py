@@ -11,13 +11,23 @@ On the four built-in spaces, swapping the arguments of a symmetric
 operation keeps the status, value, witness and reason: ``equivalent(e, f)``
 and ``equivalent(f, e)``, ``classify_type`` of ``meet(e, f)`` and of
 ``meet(f, e)``, ``is_zero`` of ``join(e, f)`` and of ``join(f, e)``.
+
+On the same four spaces, pointwise larger levels give sublevel sets that
+are no larger: ``nu_hat``'s member masses of meet(e, f) are at most those of
+e, and those of e at most those of join(e, f), at every radius and level,
+for the natural and a weighted measure.  The two sides of a comparison are
+computed on different schedules, and for the natural measure also by the
+two paths of ``ratio_series`` (ring slices, and the per-point scan of a
+weight of 1), so that a miscounted ring, which would miscount both sides
+alike on one path and one schedule, breaks the relation.
 """
 
 from itertools import combinations
 
 import pytest
 
-from coarsedouble import classify_type, equivalent, is_zero, join, meet
+from coarsedouble import (DensityMeasure, classify_type, equivalent, is_zero, join,
+                          meet, nu_hat)
 from coarsedouble.serialize import parse_levels
 from coarsedouble.space import Window, space_by_name
 
@@ -141,3 +151,38 @@ def test_is_zero_of_join_is_symmetric(space_name, mode):
     for e, f in _pairs(space_name):
         assert _full_outcome(is_zero(join(e, f), mode, SYMMETRY_WINDOW)) == \
             _full_outcome(is_zero(join(f, e), mode, SYMMETRY_WINDOW)), (e.name, f.name)
+
+
+# Two views of one measure, on schedules that share the radii 8, 40, 64 and
+# 100: the natural measure's masses come from ring slices of the ball on the
+# lines, and a weight of 1 gives the same masses by the per-point path.
+MASS_VIEWS = {
+    "natural": ((None, [3, 8, 17, 40, 64, 100]), (lambda p: 1, [8, 23, 40, 64, 81, 100])),
+    "weighted": ((lambda p: 1 + abs(p[-1]) % 3, [3, 8, 17, 40, 64, 100]),
+                 (lambda p: 1 + abs(p[-1]) % 3, [8, 23, 40, 64, 81, 100])),
+}
+SHARED_RADII = (8, 40, 64, 100)
+
+
+def _masses(space, view, lf):
+    """nu_hat's member masses of lf per level, at the shared radii."""
+    weight, schedule = view
+    rep = nu_hat(DensityMeasure(space, weight, "view"), lf, 6, schedule)
+    return [[row[schedule.index(r)] for r in SHARED_RADII] for row in rep.masses]
+
+
+@pytest.mark.parametrize("weight", sorted(MASS_VIEWS))
+@pytest.mark.parametrize("space_name", sorted(SYMMETRY_LEVELS))
+def test_larger_levels_give_no_larger_masses(space_name, weight):
+    # meet(e, f) >= e >= join(e, f) pointwise, and e >= e; each side of a
+    # comparison is computed in the other view, so e against itself checks
+    # that the two views agree
+    space = space_by_name(space_name)
+    levels = [parse_levels(space, spec) for spec in SYMMETRY_LEVELS[space_name]]
+    views = MASS_VIEWS[weight]
+    for e, f in list(combinations(levels, 2)) + [(e, e) for e in levels]:
+        for larger, smaller in ((meet(e, f), e), (e, join(e, f))):
+            for big, small in (views, views[::-1]):
+                assert all(a <= b for rows in zip(_masses(space, big, larger),
+                                                  _masses(space, small, smaller))
+                           for a, b in zip(*rows)), (e.name, f.name)

@@ -6,7 +6,8 @@ Both must give the same distances, and raise the same exception type for a
 set with no member.  The sets are the named families, complements of depth
 1 and 2, explicit sets, searched copies of them and sublevel sets of level
 functions; the lists are runs (with or without the basepoint, of length 1
-and up) and lists with gaps or out of order.  ``levels`` is compared with
+and up) and lists with gaps or out of order.  The lines' enumerations are
+``_Run`` lists, which the sweep takes as runs from their ends and length.  ``levels`` is compared with
 ``level`` on meet/join trees of depth at most 2, built twice so that the
 two reads share no cache.
 """
@@ -22,8 +23,10 @@ from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.projection import (join, levels_from_subset, meet, unit_levels,
                                      zero_levels)
 from coarsedouble.serialize import expression_levels
-from coarsedouble.space import (SEARCH_POINT_CAP, UNBOUNDED, PointSet, dist_to_set,
-                                set_distances, set_family, set_from_json, space_by_name)
+from coarsedouble.reporting import canonical_dumps, pretty_dumps
+from coarsedouble.space import (SEARCH_POINT_CAP, UNBOUNDED, PointSet, Window, _Run,
+                                dist_to_set, set_distances, set_family, set_from_json,
+                                space_by_name, window_points)
 from test_set_distance import LINE_FAMILIES
 
 SPACES = ("NatLine", "IntLine")
@@ -261,3 +264,73 @@ def test_levels_match_per_point_levels(name, tree, data):
         lf.level(x)
     assert lf.levels(pts) == want
     assert lf.levels(pts[::-1]) == want[::-1]
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_line_enumerations_are_runs(name):
+    space = space_by_name(name)
+    for pts in (space.points_within((3,), 5), space.points_within((0,), 0),
+                window_points(space, Window(Fraction(9, 2)))):
+        assert type(pts) is _Run
+        # any list made from it is a plain list
+        made = (pts[1:], pts[:], [p for p in pts if p[0] % 2], list(pts), pts + [],
+                pts.copy(), sorted(pts))
+        assert all(type(other) is list for other in made)
+
+
+@pytest.mark.parametrize("name", ["GeomLine", "TwoTails"])
+def test_other_enumerations_are_plain_lists(name):
+    space = space_by_name(name)
+    assert type(space.points_within(space.basepoint, 100)) is list
+    assert type(window_points(space, Window(100))) is list
+
+
+def _counted_run_test(monkeypatch):
+    calls = []
+    run_test = space_module._is_run
+    monkeypatch.setattr(space_module, "_is_run",
+                        lambda pts: calls.append(len(pts)) or run_test(pts))
+    return calls
+
+
+@given(name=st.sampled_from(SPACES), doc=SET_DOCS, center=st.integers(0, 300),
+       radius=st.integers(0, 40) | st.fractions(0, 40, max_denominator=3))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_sweep_of_an_enumeration_matches_per_point_search(name, doc, center, radius):
+    # an enumeration is swept without a run test
+    space = space_by_name(name)
+    pts = space.points_within((center,), radius)
+    A = set_from_json(doc)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_run_test(mp)
+        assert _swept(space, pts, A) == _per_point(space, pts, A)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", SPACES)
+@pytest.mark.parametrize("change, tested", [
+    (lambda pts: pts.append((pts[-1][0] + 3,)), True),
+    (lambda pts: pts.pop() and pts.append((pts[-1][0] + 5,)), True),
+    (lambda pts: pts.pop(0) and pts.append((200,)), True),
+    (lambda pts: pts.append((pts[-1][0] + 1,)), False),     # still a run
+    (lambda pts: pts.pop(), False),                          # still a run
+], ids=["append-gap", "pop-append-gap", "pop-first-append-far", "append-next", "pop"])
+def test_a_run_changed_at_its_ends_is_tested(monkeypatch, name, change, tested):
+    # a run whose length no longer fits its ends goes through _is_run
+    space = space_by_name(name)
+    A = set_family("multiples", k=3, r=1)
+    pts = space.points_within((10,), 6)
+    change(pts)
+    calls = _counted_run_test(monkeypatch)
+    assert _swept(space, pts, A) == _per_point(space, pts, A)
+    assert calls == ([len(pts)] if tested else [])
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_a_run_dumps_as_its_plain_list(name):
+    pts = space_by_name(name).points_within((4,), 3)
+    plain = list(pts)
+    for doc, plain_doc in ((pts, plain), (_Run(), []),
+                           ({"pts": pts, "nested": [pts]}, {"pts": plain, "nested": [plain]})):
+        assert pretty_dumps(doc) == pretty_dumps(plain_doc)
+        assert canonical_dumps(doc) == canonical_dumps(plain_doc)
