@@ -18,9 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
-from .space import (UNBOUNDED, Evaluation, LineSpace, MetricSpace, Point, PointSet,
-                    Rational, Window, _PointFunction, dist_to_set, rational_to_json,
-                    window_points)
+from .space import (SEARCH_POINT_CAP, UNBOUNDED, Evaluation, LineSpace, MetricSpace,
+                    Point, PointSet, Rational, Window, _PointFunction, dist_to_set,
+                    rational_to_json, window_points)
 
 _INT_SAFE = 1 << 60
 # doubling budget of _escalate
@@ -162,15 +162,18 @@ def _certified_min(space: MetricSpace, x: Point, z: Optional[Point], window: Win
     value >= s + c.  The probes u = x and u = z (only x when z is None) are
     evaluated first, inside the window or not, and their minimum best sets
     the candidate radius r_cand = best - c (never negative, since best >= c).
-    Every other candidate is a point of ball(x, r_cand) in the window, and
-    one with s > r_cand cannot beat best, so it is skipped unevaluated.  The
-    minimum is exact when the ball passes the certificate rule and every
+    The candidate rule: ball(x, r_cand) is listed when it passes the
+    certificate rule, and so lies in the window; otherwise, and always with
+    c None (no coercive bound), the window is listed.  A candidate with s >
+    r_cand cannot beat best, so it is skipped unevaluated, and either way
+    the candidates evaluated are the points of ball(x, r_cand) in the
+    window.  The minimum is exact when the ball passes the rule and every
     evaluated term is exact; otherwise required_radius is the window radius
-    that would hold the ball.  With c None (no coercive bound) every window
-    point is a candidate, none is pruned and nothing is certified.  Ties go
-    to the smaller point, probes included.  x and z are not checked here:
-    callers check them where they enter.  Candidates come from the
-    enumerations, so they are members too, and all distances use ``_dist``.
+    that would hold the ball.  With c None nothing is pruned and nothing is
+    certified.  Ties go to the smaller point, probes included.  x and z are
+    not checked here: callers check them where they enter.  Candidates come
+    from the enumerations, so they are members too, and all distances use
+    ``_dist``.
     """
     dist = space._dist
     best = arg = None
@@ -180,21 +183,10 @@ def _certified_min(space: MetricSpace, x: Point, z: Optional[Point], window: Win
         exact = exact and e
         if best is None or v < best or (v == best and u < arg):
             best, arg = v, u
-    base = window.resolve_base(space)
-    dxb = dist(x, base)
-    if c is None:
-        r_cand, complete = None, False
-        cand = window_points(space, window)
-    else:
-        r_cand = best - c
-        complete = _certified(dxb, r_cand, window.radius)
-        try:
-            cand = space.points_within(x, r_cand)
-        except IncompleteEnumeration:
-            cand = [p for p in window_points(space, window) if dist(x, p) <= r_cand]
-        else:
-            if not complete:
-                cand = [p for p in cand if dist(p, base) <= window.radius]
+    dxb = dist(x, window.resolve_base(space))
+    r_cand = None if c is None else best - c
+    complete = r_cand is not None and _certified(dxb, r_cand, window.radius)
+    cand = space.points_within(x, r_cand) if complete else window_points(space, window)
     for u in cand:
         if u == x or u == z:
             continue
@@ -672,20 +664,25 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window, buf, frame=No
     Each cell is the minimum of d_X(x,u) + delta(u) + d_X(u,y) over u in x,
     y and a universe: the ball around the window base enlarged by the
     largest probe value, which holds the candidate ball of every cell whose
-    row point lies in the window.  delta is read by one ``values`` call over
-    pts and one over the universe; a mask drops midpoints with delta(u) >=
-    that value, which cannot beat u = x (if none is left, the matrix is a
-    copy of the seed of the probes u = x, y).  frame is (coordinates, d_X)
-    of pts from ``_frame``, which ``check_axioms`` shares; without it they
-    are computed here.  The distances come from ``_distance_matrix``, a
-    coordinate broadcast on every l1 space.  The space type picks how the
-    minimum is taken: on the line spaces by ``_line_delta_min``, a
-    distance-transform sweep and one range-minimum table, in O(n^2 + m)
-    memory for n points and m universe points and with no loop over rows or
-    cells; elsewhere by the n x m min-plus product over the universe.  Both
-    give the same minimum, and certification is the same: exact when every
-    row's largest probe, as candidate radius, passes the certificate rule on
-    the enumerated radius (``_rows_certified``).
+    row point lies in the window.  A universe wider than the window by more
+    than SEARCH_POINT_CAP is listed only where the ball that much wider
+    holds at most SEARCH_POINT_CAP points (GeomLine, not NatLine or
+    IntLine); otherwise, or when the space cannot enumerate the universe,
+    the universe is the window and rows certify by its radius.  delta is
+    read by one ``values`` call over pts and one over the universe; a mask
+    drops midpoints with delta(u) >= that value, which cannot beat u = x (if
+    none is left, the matrix is a copy of the seed of the probes u = x, y).
+    frame is (coordinates, d_X) of pts from ``_frame``, which
+    ``check_axioms`` shares; without it they are computed here.  The
+    distances come from ``_distance_matrix``, a coordinate broadcast on
+    every l1 space.  The space type picks how the minimum is taken: on the
+    line spaces by ``_line_delta_min``, a distance-transform sweep and one
+    range-minimum table, in O(n^2 + m) memory for n points and m universe
+    points and with no loop over rows or cells; elsewhere by the n x m
+    min-plus product over the universe.  Both give the same minimum, and
+    certification is the same: exact when every row's largest probe, as
+    candidate radius, passes the certificate rule on the enumerated radius
+    (``_rows_certified``).
 
     buf is the getter of ``_workspace``.  On a line window of at least 128
     points d_X, the seed and the sweep's table are written into its buffers
@@ -704,6 +701,9 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window, buf, frame=No
     vmax = max(row_max.tolist())
     radius = window.radius + vmax - 1
     try:
+        if vmax - 1 > SEARCH_POINT_CAP and len(space.points_within(
+                base, window.radius + SEARCH_POINT_CAP)) > SEARCH_POINT_CAP:
+            raise IncompleteEnumeration("the universe is too wide to list")
         universe = space.points_within(base, radius)
     except IncompleteEnumeration:
         universe, radius = window_points(space, window), window.radius
@@ -979,44 +979,50 @@ def _triangle_minima(space: MetricSpace, a, bmat, dmat, buf):
 
     Elsewhere these are the two min-plus products.  On the line spaces, with
     c = a[:, 0] the coordinates in increasing order, as ``window_points``
-    lists them, one pass of ``_line_columns`` (P and Q in buffers 1 and 2
-    of buf) decides both.  When dmat is monotone the second check passes;
-    otherwise its array is the distance transform ``_line_transform``, the
-    same as the product.  The first is the product over only the failing
-    columns: a column outside them holds no violation, so the restricted
-    product is below bmat at the same cells, and ``_triangle``, whose k scan
-    reads dmat, names the same first y.  With no failing column the first
-    check passes, with no product.
+    lists them, one pass of ``_line_columns`` (P and Q in buffers 1 and 2 of
+    buf) decides both.  When dmat is monotone the second check passes;
+    otherwise its array is the distance transform ``_line_transform`` of
+    that pass's P and Q, the same as the product.  The first is the product
+    over only the failing columns: a column outside them holds no violation,
+    so the restricted product is below bmat at the same cells, and
+    ``_triangle``, whose k scan reads dmat, names the same first y.  With no
+    failing column the first check passes, with no product.
     """
     if not isinstance(space, LineSpace):
         return _min_plus(dmat), _min_plus(bmat, dmat)
     c = a[:, 0]
-    monotone, cols = _line_columns(c, dmat, buf)
+    monotone, cols, p, q = _line_columns(c, dmat, buf)
     base_mins = _min_plus(dmat[:, cols], dmat[:, cols].T) if len(cols) else None
-    return base_mins, None if monotone else _line_transform(c, dmat)
+    return base_mins, None if monotone else _line_transform(c, p, q)
 
 
-def _line_transform(c, g):
+def _line_transform(c, p, q):
     """min over k of |c_i - c_k| + g[k, j], for coordinates c in increasing
-    order: a distance transform down each column of g, as a prefix minimum
-    over k <= i and a suffix minimum over k >= i.  Equal to
-    ``_min_plus(abs(c[:, None] - c), g)``, cell for cell and in dtype; with
-    entries typed by ``_exact_array``, every intermediate stays below 2**62.
+    order, from P = g - c[:, None] and Q = g + c[:, None] as
+    ``_line_columns`` returns them: a distance transform down each column
+    of g, as a prefix minimum of P over k <= i plus c_i and a suffix minimum
+    of Q over k >= i minus c_i.  The running minima are taken in place, and
+    the result is written into P, so the transform makes no n x n
+    temporary; P and Q are spent.  Equal to ``_min_plus(abs(c[:, None] -
+    c), g)``, cell for cell and in dtype; with entries typed by
+    ``_exact_array``, every intermediate stays below 2**62.
     """
-    below = np.minimum.accumulate(g - c[:, None], axis=0) + c[:, None]
-    above = np.minimum.accumulate((g + c[:, None])[::-1], axis=0)[::-1] - c[:, None]
-    return np.minimum(below, above)
+    np.minimum.accumulate(p, axis=0, out=p)
+    p += c[:, None]
+    np.minimum.accumulate(q[::-1], axis=0, out=q[::-1])
+    q -= c[:, None]
+    return np.minimum(p, q, out=p)
 
 
 def _line_columns(c, g, buf=_NO_BUFFERS):
-    """(monotone, failing columns) of g over coordinates c in increasing
-    order, with P = g - c[:, None] and Q = g + c[:, None].
+    """(monotone, failing columns, P, Q) of g over coordinates c in
+    increasing order, with P = g - c[:, None] and Q = g + c[:, None].
 
     monotone: every column of P is non-increasing and every column of Q
     non-decreasing down the rows, that is |g[i+1, k] - g[i, k]| <= c[i+1] -
     c[i] on adjacent rows.  By telescoping this then holds on every pair of
-    rows, so monotone is exactly g <= ``_line_transform(c, g)`` everywhere,
-    an O(n^2) test with no running minimum.
+    rows, so monotone is exactly g <= ``_line_transform(c, P, Q)``
+    everywhere, an O(n^2) test with no running minimum.
 
     failing columns: the k where |c_i - c_j| <= g[i, k] + g[j, k] fails for
     some i, j, as an index array.  Since |c_i - c_j| is the larger of c_i -
@@ -1024,13 +1030,14 @@ def _line_columns(c, g, buf=_NO_BUFFERS):
     plus min over j of Q[j, k] is at least 0: one O(n^2) test in place of
     the n^3 product ``_min_plus(g)``.  On a monotone g those minima are the
     last row of P and the first row of Q, so the test is O(n).  P and Q are
-    buffers 1 and 2 of buf, the getter of ``_workspace``, when int64.
+    buffers 1 and 2 of buf, the getter of ``_workspace``, when int64, and
+    are returned for ``_line_transform``.
     """
     p = np.subtract(g, c[:, None], out=buf(1, g, c))
     q = np.add(g, c[:, None], out=buf(2, g, c))
     monotone = bool(np.all(p[1:] <= p[:-1]) and np.all(q[1:] >= q[:-1]))
     low_p, low_q = (p[-1], q[0]) if monotone else (p.min(axis=0), q.min(axis=0))
-    return monotone, np.flatnonzero(low_p + low_q < 0)
+    return monotone, np.flatnonzero(low_p + low_q < 0), p, q
 
 
 def _triangle(pts, lhs, mins, rhs, names):

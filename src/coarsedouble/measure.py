@@ -80,11 +80,6 @@ class DensityMeasure:
     def natural(cls, space: MetricSpace) -> "DensityMeasure":
         return cls(space)
 
-    @classmethod
-    def weighted(cls, space: MetricSpace, weight: Callable[[Point], Rational],
-                 name: str) -> "DensityMeasure":
-        return cls(space, weight=weight, name=name)
-
     def ball(self, radius: Rational) -> list:
         pts = self._ball_cache.get(radius)
         if pts is None:

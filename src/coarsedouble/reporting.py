@@ -33,9 +33,6 @@ class RunReport:
     def passed(self) -> bool:
         return not self.mismatches
 
-    def summary(self) -> dict:
-        return self.results.get("summary", {})
-
     def to_json(self, include_meta: bool = True) -> dict:
         doc = {"schema": SCHEMA, "command": self.command, "results": self.results,
                "passed": self.passed}
@@ -46,9 +43,6 @@ class RunReport:
         if include_meta and self.meta:
             doc["meta"] = self.meta
         return doc
-
-    def canonical_json(self) -> str:
-        return canonical_dumps(self.to_json(include_meta=False))
 
 
 def canonical_dumps(doc) -> str:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import filterfalse
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
@@ -157,8 +156,9 @@ class LineSpace(MetricSpace):
 class _Run(list):
     """A list of consecutive line points [(lo,), (lo + 1,), ..., (hi,)], as
     ``NatLine`` and ``IntLine`` enumerate a ball.  It marks the list for
-    ``set_distances``, which then skips ``_is_run``'s scan; any other list
-    made from it (a slice, a copy, a filtered list) is a plain list."""
+    ``set_distances``, which sweeps it as one run, unchecked and unsplit,
+    when its length fits its ends; any other list made from it (a slice, a
+    copy, a filtered list) is a plain list."""
 
     __slots__ = ()
 
@@ -245,9 +245,6 @@ class TwoTails(MetricSpace):
 
     def _dist(self, x, y):
         return abs(x[0] - y[0]) + abs(x[1] - y[1])
-
-    def tail_point(self, n: int, sign: int) -> Point:
-        return (n * n, sign * ruler(n))
 
     def points_within(self, center, radius):
         a0 = center[0]
@@ -748,9 +745,10 @@ def window_points(space: MetricSpace, window: Window) -> list:
     """All space points of the window, lexicographically sorted.
 
     On ``NatLine`` and ``IntLine`` the list is a ``_Run``, which
-    ``set_distances`` takes as a run from its ends and length alone, and
+    ``set_distances`` sweeps as one run from its ends and length alone, and
     callers such as ``DensityMeasure.ball`` cache it: an enumeration must
-    not be changed in place.  Copy it first (``list(pts)``, a slice)."""
+    not be changed in place.  Copy it first (``list(pts)``, a slice).  An
+    uncertified single-pair search lists its candidates here."""
     return space.points_within(window.resolve_base(space), window.radius)
 
 
@@ -812,8 +810,8 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
     the search.  On ``GeomLine`` a named family whose search finds no member
     raises DomainError instead of SearchInconclusive when
     ``_geom_has_member`` proves it has none.
-    ``set_distances`` answers for a whole enumerated point list, with two
-    calls per run of a line.
+    ``set_distances`` answers for a whole point list, with two calls per
+    maximal run of at least three consecutive points on these lines.
     """
     space.check(x)
     if A.points is not None:
@@ -860,56 +858,56 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
         r *= 2
 
 
-def _is_run(pts: Sequence[Point]) -> bool:
-    """Whether pts equals [(lo,), (lo + 1,), ..., (lo + n - 1,)] for the int
-    lo = pts[0][0], tested without building those tuples: every point is a
-    tuple of one coordinate, and the coordinates equal range(lo, lo + n).
-    Accepts no list that the comparison with the tuples rejects; it rejects
-    tuple subclasses, which then take the per-point path."""
-    n, lo = len(pts), pts[0][0]
-    return (type(lo) is int and list(map(type, pts)).count(tuple) == n
-            and list(map(len, pts)).count(1) == n
-            and list(map(itemgetter(0), pts)) == list(range(lo, lo + n)))
-
-
 def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list:
-    """[dist_to_set(space, p, A, UNBOUNDED).value for p in pts] for an
-    enumerated point list pts.
+    """[dist_to_set(space, p, A, UNBOUNDED).value for p in pts] for a point
+    list pts.
 
-    On ``NatLine`` and ``IntLine``, when pts is a run of consecutive
-    integers lo, lo + 1, ..., hi with at least three points, as a window's
-    enumeration is, the distances come from one distance-transform sweep
-    (Felzenszwalb & Huttenlocher 2012): ``dist_to_set`` at lo and at hi,
-    the set's own membership predicate mapped over the points, then a
+    On ``NatLine`` and ``IntLine`` a list of three or more points is split
+    into its maximal runs of consecutive coordinates, lo, lo + 1, ..., hi,
+    and each run of at least three points takes one distance-transform
+    sweep (Felzenszwalb & Huttenlocher 2012): ``dist_to_set`` at lo and at
+    hi, the set's own membership predicate mapped over the run, then a
     running distance forward from lo and one backward from hi, restarting
     at 0 on each member; each point takes the smaller.  Both are upper
     bounds, since d(., A) is 1-Lipschitz, and the smaller is exact: the
     nearest member of a point either lies in the run, where a running
     distance restarted, or beyond an end, and then the way to it passes
-    that end.  A ``_Run`` (the enumeration of a ball on these lines) is
-    taken as a run when its length is its last coordinate minus its first
-    plus one, with no scan of its points; any other list, such as the
-    uncached part of a cached read, is a run when ``_is_run`` says so, which
-    tests it without building its tuples.  The forward sweep is one
-    comprehension.  A set with no member raises as ``dist_to_set`` at lo
-    does.  The sweep also answers where a point's own search would stop at
-    SEARCH_POINT_CAP.  Any other space or list takes ``dist_to_set`` per
-    point.
+    that end.  A run of one or two points is searched per point, so a list
+    of k maximal runs makes at most 2k searches.  A ``_Run`` (the
+    enumeration of a ball on these lines) whose length is its last
+    coordinate minus its first plus one is one run, taken with no split and
+    no check of its points.  Any other list is checked once, with
+    ``space.check``, before any search, so a point outside the space raises
+    DomainError there.  A set with no member raises as ``dist_to_set`` at a
+    run's first point does.  The sweep also answers where a point's own
+    search would stop at SEARCH_POINT_CAP.  Other spaces and shorter lists
+    take ``dist_to_set`` per point.
     """
     n = len(pts)
-    if type(space) in (NatLine, IntLine) and n > 2 and (
-            type(pts) is _Run and pts[-1][0] - pts[0][0] == n - 1 or _is_run(pts)):
-        first, last = (dist_to_set(space, p, A, UNBOUNDED).value for p in (pts[0], pts[-1]))
-        member = list(map(A._contains, pts))
+    if type(space) not in (NatLine, IntLine) or n < 3:
+        return [dist_to_set(space, p, A, UNBOUNDED).value for p in pts]
+    if type(pts) is _Run and pts[-1][0] - pts[0][0] == n - 1:
+        runs = [pts]
+    else:
+        space.check(*pts)
+        cuts = [0, *(i for i in range(1, n) if pts[i][0] != pts[i - 1][0] + 1), n]
+        runs = [pts[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    out = []
+    for run in runs:
+        if len(run) < 3:
+            out += [dist_to_set(space, p, A, UNBOUNDED).value for p in run]
+            continue
+        first, last = (dist_to_set(space, p, A, UNBOUNDED).value for p in (run[0], run[-1]))
+        member = list(map(A._contains, run))
         d = first - 1
-        out = [d := 0 if m else d + 1 for m in member]
+        swept = [d := 0 if m else d + 1 for m in member]
         d = last - 1
-        for i in range(n - 1, -1, -1):
+        for i in range(len(run) - 1, -1, -1):
             d = 0 if member[i] else d + 1
-            if d < out[i]:
-                out[i] = d
-        return out
-    return [dist_to_set(space, p, A, UNBOUNDED).value for p in pts]
+            if d < swept[i]:
+                swept[i] = d
+        out += swept
+    return out
 
 
 def neighborhood(space: MetricSpace, A: PointSet, r: Rational, window: Window) -> PointSet:

@@ -268,7 +268,7 @@ def test_criterion_07_example_type_one_product(typeI_report):
 
 def test_criterion_08_example_geometric_line(ex2_report):
     rep = ex2_report
-    s = rep.summary()
+    s = rep.results["summary"]
     ok = (rep.passed and s["neighborhood_stable_max_k"] == 8
           and s["complement_meet_zero"] and s["complement_join_one"]
           and s["tau_plus"] == 1 and s["tau_minus"] == 0

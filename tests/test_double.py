@@ -21,9 +21,9 @@ from coarsedouble import double
 from coarsedouble.double import (DeltaFunction, _coordinates, _distance_matrix,
                                  _exact_array, _line_columns, _line_delta_min,
                                  _line_transform, _min_plus)
-from coarsedouble.errors import DomainError, SearchInconclusive
-from coarsedouble.space import (CustomSpace, NatLine, PointSet, PredicateSpace,
-                                TwoTails, Window, set_family, window_points)
+from coarsedouble.errors import DomainError, IncompleteEnumeration, SearchInconclusive
+from coarsedouble.space import (SEARCH_POINT_CAP, CustomSpace, IntLine, NatLine, PointSet,
+                                PredicateSpace, TwoTails, Window, set_family, window_points)
 from coarsedouble.serialize import parse_levels, parse_set
 from conftest import BRUTE_WINDOWS, brute_delta_cross
 
@@ -340,6 +340,145 @@ def test_delta_batch_does_not_certify_truncated_scan():
     assert mat[pts.index((6,))][pts.index((6,))] == 40
     assert not exact
     assert not check_axioms(d, Window(10)).exact
+
+
+def test_uncertified_evaluation_enumerates_its_window():
+    # an uncertified evaluation lists its window, so a window the space
+    # cannot enumerate raises, even where the candidate ball could be listed
+    sp = PredicateSpace(lambda p: True, 1, 10, (0,))
+    d = DeltaMetric(sp, const_delta(sp, 3))
+    assert evaluate(d, (3,), (3,), Window(4, (4,))).exact
+    with pytest.raises(IncompleteEnumeration):
+        evaluate(d, (3,), (3,), Window(4, (9,)))
+
+
+def _spied_searches(monkeypatch, space):
+    """Check every ``_certified_min`` call from now on against the candidate
+    rule, and give the list of their certificate outcomes.
+
+    Each call's own ``points_within`` calls (those not made inside a nested
+    search of its terms) must be one listing: ball(x, r_cand) when the ball
+    passes the certificate rule, the window otherwise.  r_cand is the
+    smaller probe value minus c, read from the call's first one or two
+    terms."""
+    stack, outcomes = [], []
+    certified_min, listing = double._certified_min, type(space).points_within
+
+    def listed(sp, center, radius):
+        if stack:
+            stack[-1].append((center, radius))
+        return listing(sp, center, radius)
+
+    def spy(sp, x, z, window, c, term):
+        own, values = [], []
+
+        def read(u, dist):
+            value, exact = term(u, dist)
+            values.append(value)
+            return value, exact
+
+        stack.append(own)
+        try:
+            ev = certified_min(sp, x, z, window, c, read)
+        finally:
+            stack.pop()
+        r_cand = min(values[:1 if z is None or z == x else 2]) - c
+        base = window.resolve_base(sp)
+        certified = sp.distance(x, base) + r_cand <= window.radius
+        assert own == ([(x, r_cand)] if certified else [(base, window.radius)]), (x, z)
+        assert ev.exact <= certified and (ev.required_radius is None) == certified
+        outcomes.append(certified)
+        return ev
+
+    monkeypatch.setattr(double, "_certified_min", spy)
+    monkeypatch.setattr(type(space), "points_within", listed)
+    return outcomes
+
+
+def _search_kernels(space):
+    """delta, point o delta and delta o delta kernels whose delta values are
+    read without a search, so that every listing belongs to a kernel
+    search."""
+    def delta(k):
+        return DeltaMetric(space, DeltaFunction(
+            space, lambda pts: [1 + (3 * p[0] + k) % 5 + (p[0] % 4 == 0) * k for p in pts],
+            f"mod5+{k}"))
+
+    return {"delta": delta(2),
+            "point-delta": compose(PointMetric(space, space.basepoint), delta(1)),
+            "delta-delta": compose(delta(3), delta(6))}
+
+
+@pytest.mark.parametrize("name", ["NatLine", "IntLine", "TwoTails"])
+@pytest.mark.parametrize("kind", ["delta", "point-delta", "delta-delta"])
+def test_certified_min_lists_its_certified_ball_or_its_window(monkeypatch, name, kind):
+    # on a grid of points in and around the window, evaluate and dist_to_copy
+    # list only their candidate ball when it certifies and only their window
+    # otherwise, at every level of a composition; values and witnesses stay
+    # those of the unpruned minimum over the window for a delta kernel
+    space = space_by_name(name)
+    w = Window(12 if name != "TwoTails" else 40)
+    d = _search_kernels(space)[kind]
+    pts = window_points(space, w)
+    grid = pts[::3] + window_points(space, Window(w.radius + 8))[-3:]
+    outcomes = _spied_searches(monkeypatch, space)
+    for x in grid:
+        for y in grid:
+            ev = evaluate(d, x, y, w)
+            if kind == "delta":
+                assert ev.value == brute_delta_cross(space, d.delta, x, y, pts)
+                cands = set(pts) | {x, y}
+                assert ev.witness == min(u for u in cands if space.distance(x, u)
+                                         + d.delta(u) + space.distance(u, y) == ev.value)
+        d.dist_to_copy(x, w)
+    assert set(outcomes) == {True, False}
+
+
+def test_uncertified_evaluation_lists_only_its_window(intline):
+    # delta = 10**5: the candidate ball has radius 100,004, the window 21
+    # points; the answer is the parent's, found among the window's points
+    listed = []
+    listing = IntLine.points_within
+
+    def spy(sp, center, radius):
+        out = listing(sp, center, radius)
+        listed.append(len(out))
+        return out
+
+    d = DeltaMetric(intline, const_delta(intline, 10 ** 5))
+    w = Window(10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntLine, "points_within", spy)
+        ev = evaluate(d, (3,), (-2,), w)
+    assert (ev.value, ev.exact, ev.required_radius, ev.witness) == (100005, False, 100007, (-2,))
+    assert listed == [21]
+
+
+@pytest.mark.parametrize("space", [NatLine(), IntLine()], ids=["NatLine", "IntLine"])
+def test_huge_delta_lists_no_universe(monkeypatch, space):
+    # delta near 2**40 would make a universe of about 2**41 points; no
+    # listing may exceed the window radius plus SEARCH_POINT_CAP, and the
+    # batch and single-pair values are the window minima, uncertified
+    w = Window(10)
+    listing = type(space).points_within
+
+    def bounded(sp, center, radius):
+        assert radius <= w.radius + SEARCH_POINT_CAP, radius
+        return listing(sp, center, radius)
+
+    monkeypatch.setattr(type(space), "points_within", bounded)
+    big = 1 << 40
+    d = DeltaMetric(space, DeltaFunction(space, lambda pts: [big + p[0] % 3 for p in pts],
+                                         "huge"))
+    pts = window_points(space, w)
+    want = [[brute_delta_cross(space, d.delta, x, y, pts) for y in pts] for x in pts]
+    mat, exact = d.cross_matrix(pts, w)
+    assert mat.tolist() == want and not exact
+    rep = check_axioms(d, w)
+    assert not rep.exact and rep.n_points == len(pts)
+    for i in (0, len(pts) // 2, len(pts) - 1):
+        ev = evaluate(d, pts[i], pts[-1 - i], w)
+        assert ev.value == want[i][-1 - i] and not ev.exact
 
 
 def test_composed_batch_ranges_over_window(natline):
@@ -699,9 +838,9 @@ def test_passing_line_kernel_runs_no_transform_and_no_product(natline, monkeypat
     transforms = []
     line_transform = double._line_transform
 
-    def counted(c, g):
-        transforms.append(g.shape)
-        return line_transform(c, g)
+    def counted(c, p, q):
+        transforms.append(p.shape)
+        return line_transform(c, p, q)
 
     monkeypatch.setattr(double, "_line_transform", counted)
     shapes = _count_min_plus(monkeypatch)
@@ -908,7 +1047,7 @@ def test_line_triangle_forms_match_min_plus(kind):
         bmat = abs(ca[:, None] - ca[None, :])
         want = [k for k in range(n)
                 if any(bmat[i, j] > g[i][k] + g[j][k] for i in range(n) for j in range(n))]
-        monotone, cols = _line_columns(ca, ga)
+        monotone, cols, p, q = _line_columns(ca, ga)
         assert cols.tolist() == want, (c, g)
         assert (len(cols) == 0) == bool(np.all(bmat <= _min_plus(ga)))
         assert monotone == bool(np.all(ga <= _min_plus(bmat, ga))), (c, g)
@@ -918,7 +1057,7 @@ def test_line_triangle_forms_match_min_plus(kind):
             minima = np.min(ga - ca[:, None], axis=0) + np.min(ga + ca[:, None], axis=0)
             assert cols.tolist() == np.flatnonzero(minima < 0).tolist(), (c, g)
         outcomes.add((monotone, len(cols) == 0))
-        got, ref = _line_transform(ca, ga), _min_plus(bmat, ga)
+        got, ref = _line_transform(ca, p, q), _min_plus(bmat, ga)
         assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), (c, g)
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 

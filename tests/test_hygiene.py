@@ -9,7 +9,10 @@ Points are checked against their space in one place: an ``if not
 <space>.contains(<point>)`` that raises DomainError appears only in
 ``MetricSpace.check``.  Sweep radii become point lists in one place: a
 ``Window(<r>, <w>.basepoint)`` call appears only in
-``asymptotics.sweep_windows``.  Single-pair infima run one search: every
+``asymptotics.sweep_windows``.  IncompleteEnumeration is caught in one
+place, ``double._delta_cross_matrix``, whose universe falls back to the
+window; every other listing either fits its space or lets the error
+propagate.  Single-pair infima run one search: every
 ``_certified_min`` call in ``double.py`` passes a kind's ``coercive_c`` as
 its constant and no ``Evaluation``, so no caller picks probes or computes a
 candidate radius.  A ``LevelFunction`` has one reader, the ``fn`` it is
@@ -240,6 +243,20 @@ def test_one_sweep_reader():
     sites = _package_sites(_is_sweep_window)
     where = [(name, scope) for name, scope, _ in sites]
     assert where == [("asymptotics.py", "sweep_windows")], f"sweep windows: {sites}"
+
+
+def _catches_incomplete_enumeration(node):
+    """An ``except`` clause naming IncompleteEnumeration, alone or in a tuple."""
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    return any(isinstance(n, ast.Name) and n.id == "IncompleteEnumeration"
+               for n in ast.walk(node.type))
+
+
+def test_incomplete_enumeration_is_caught_in_one_place():
+    sites = _package_sites(_catches_incomplete_enumeration)
+    where = [(name, scope) for name, scope, _ in sites]
+    assert where == [("double.py", "_delta_cross_matrix")], f"handlers: {sites}"
 
 
 def _calls_to(tree, name):

@@ -175,7 +175,7 @@ def test_each_level_function_is_read_once(monkeypatch, intline):
 
 
 def test_weighted_measure(natline):
-    mu = DensityMeasure.weighted(natline, lambda p: Fraction(1, p[0] + 1), "harmonic")
+    mu = DensityMeasure(natline, lambda p: Fraction(1, p[0] + 1), "harmonic")
     iv = density(mu, set_family("evens"), default_schedule(8, 4))
     assert all(0 < v < 1 for _, v in iv.series)
 
@@ -255,13 +255,13 @@ def test_ratio_series_on_a_line_reads_slices(monkeypatch, name):
     assert calls == {"levels": 1}
     assert rows == _rescanned_rows(DensityMeasure.natural(space), level, schedule, 3)
     # a weighted measure still scans point by point, to the same rows
-    mu = DensityMeasure.weighted(space, WEIGHTS["int"], "int")
+    mu = DensityMeasure(space, WEIGHTS["int"], "int")
     assert mu.ratio_series(levels, schedule, 3) == _rescanned_rows(mu, level, schedule, 3)
 
 
 @pytest.mark.parametrize("call", ["density", "nu_hat", "check_modularity"])
 def test_nonpositive_weight_raises(natline, call):
-    mu = DensityMeasure.weighted(natline, lambda p: 0 if p == (5,) else 1, "holed")
+    mu = DensityMeasure(natline, lambda p: 0 if p == (5,) else 1, "holed")
     e = levels_from_subset(natline, set_family("evens"))
     run = {"density": lambda: density(mu, set_family("evens")),
            "nu_hat": lambda: nu_hat(mu, e),

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from coarsedouble.boolalg import powers_tail_base
+from coarsedouble.reporting import canonical_dumps
 from coarsedouble.scenarios import (SCENARIO_NAMES, _direct_omega, expected_tables,
                                     run_scenario, scenario_lattice_laws)
 from coarsedouble.space import Window, set_family, space_by_name
@@ -23,7 +24,7 @@ def test_scenario_matches_expected(name):
         doc = v.to_json()
         assert json.loads(json.dumps(doc)) == doc
     doc = rep.to_json(include_meta=False)
-    assert json.loads(rep.canonical_json()) == doc
+    assert json.loads(canonical_dumps(doc)) == doc
 
 
 def test_typeI_growth_is_strict():

@@ -18,9 +18,14 @@ from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.projection import levels_from_subset
 from coarsedouble.serialize import level_from_json
 from coarsedouble import space as space_module
-from coarsedouble.space import (UNBOUNDED, Evaluation, PointSet, Window, dist_to_set,
+from coarsedouble.space import (UNBOUNDED, Evaluation, PointSet, Window, dist_to_set, ruler,
                                 set_distances, set_family, set_from_json, space_by_name)
 from conftest import BRUTE_WINDOWS, brute_set_distance
+
+
+def _tail_point(n, sign):
+    """The TwoTails point of the tail with the given sign over n^2."""
+    return (n * n, sign * ruler(n))
 
 
 def _member_from(doc, v):
@@ -186,8 +191,8 @@ def test_member_beyond_the_budget_on_geometric_line_is_inconclusive(window):
 def test_tails_on_two_tails(n, sign, family):
     space = space_by_name("TwoTails")
     A = set_family(family)
-    member = space.tail_point(n, 1 if family == "tail_plus" else -1)
-    _assert_single_search(space, A, space.tail_point(n, sign), member)
+    member = _tail_point(n, 1 if family == "tail_plus" else -1)
+    _assert_single_search(space, A, _tail_point(n, sign), member)
 
 
 @pytest.mark.parametrize("of", [{"family": "half_line", "sign": 1, "bound": 0},
@@ -286,7 +291,7 @@ def test_explicit_sets_on_the_lines_are_read_whatever_the_budget(name, points, v
 def _tail_members(A, top=400):
     """Whether some TwoTails point (n^2, +-phi(n)) with n < top lies in A."""
     tails = space_by_name("TwoTails")
-    return any(A.contains(tails.tail_point(n, s)) for n in range(1, top) for s in (-1, 1))
+    return any(A.contains(_tail_point(n, s)) for n in range(1, top) for s in (-1, 1))
 
 
 TAIL_FAMILIES = st.one_of(
@@ -309,7 +314,7 @@ def test_two_tails_families_without_members_raise(spec, depth, n):
     for _ in range(depth):
         doc = {"family": "complement", "of": doc}
     A = set_from_json(doc)
-    x = tails.tail_point(n, 1)
+    x = _tail_point(n, 1)
     if _tail_members(A):
         assert dist_to_set(tails, x, A, UNBOUNDED).exact
         return
@@ -332,7 +337,7 @@ def test_square_residues_are_computed_once_per_modulus():
     tails = space_by_name("TwoTails")
     A = set_family("multiples", k=40_009, r=1)
     space_module._square_residues.cache_clear()
-    pts = tails.points_within(tails.tail_point(1, 1), 64)
+    pts = tails.points_within(_tail_point(1, 1), 64)
     searched = [p for p in pts if not A.contains(p)]
     assert len(searched) > 2
     assert set_distances(tails, pts, A) == [dist_to_set(tails, p, A, UNBOUNDED).value

@@ -1,13 +1,19 @@
 """``set_distances`` and ``LevelFunction.levels`` against their per-point forms.
 
-On NatLine and IntLine a run of consecutive points takes one
-distance-transform sweep; every other list takes ``dist_to_set`` per point.
-Both must give the same distances, and raise the same exception type for a
-set with no member.  The sets are the named families, complements of depth
-1 and 2, explicit sets, searched copies of them and sublevel sets of level
-functions; the lists are runs (with or without the basepoint, of length 1
-and up) and lists with gaps or out of order.  The lines' enumerations are
-``_Run`` lists, which the sweep takes as runs from their ends and length.  ``levels`` is compared with
+On NatLine and IntLine a list of three or more points is split into its
+maximal runs of consecutive points; a run of three or more takes one
+distance-transform sweep, searched at its two ends, and a shorter run is
+searched per point.  Other spaces and shorter lists take ``dist_to_set``
+per point.  Both must give the same distances, and raise the same
+exception type for a set with no member; a list that holds a point outside
+the space raises DomainError before any search.  The sets are the named
+families, complements of depth 1 and 2, explicit sets, searched copies of
+them and sublevel sets of level functions; the lists are runs (with or
+without the basepoint, of length 1 and up), lists with gaps, repeated
+points or odd points (bool, Fraction, two coordinates), in any order, as
+lists or tuples, and changed enumerations.  The lines' enumerations are
+``_Run`` lists, which the sweep takes as one run from their ends and
+length, with no check of their points.  ``levels`` is compared with
 ``level`` on meet/join trees of depth at most 2, built twice so that the
 two reads share no cache.
 """
@@ -15,7 +21,7 @@ two reads share no cache.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarsedouble import space as space_module
@@ -148,10 +154,29 @@ def test_run_test_on_a_tuple_and_a_repeated_point(monkeypatch, name, pts, search
     assert len(calls) == searches
 
 
-def _tuple_run_test(pts):
-    """The run test as one comparison with the run's tuples."""
-    lo = pts[0][0]
-    return type(lo) is int and list(pts) == list(zip(range(lo, lo + len(pts))))
+def _searched(monkeypatch, space):
+    """(dist_to_set calls, space.check argument tuples) from now on."""
+    searches, checks = [], []
+    search = space_module.dist_to_set
+    monkeypatch.setattr(space_module, "dist_to_set",
+                        lambda *args: searches.append(args[1]) or search(*args))
+    check = space.check
+    monkeypatch.setattr(space, "check", lambda *pts: checks.append(pts) or check(*pts))
+    return searches, checks
+
+
+def _runs(pts):
+    """The number of maximal runs of consecutive coordinates in pts."""
+    return 1 + sum(b[0] != a[0] + 1 for a, b in zip(pts, pts[1:]))
+
+
+def _expected(space, pts, A):
+    """What ``set_distances`` answers: per-point search, except that a list
+    of three or more points with a point outside the space raises
+    DomainError before any search."""
+    if len(pts) > 2 and not all(map(space.contains, pts)):
+        return DomainError
+    return _per_point(space, pts, A)
 
 
 RUN = [(i,) for i in range(3, 9)]
@@ -159,59 +184,117 @@ RUN = [(i,) for i in range(3, 9)]
 
 @pytest.mark.parametrize("name", SPACES)
 @pytest.mark.parametrize("pts, searches", [
-    (RUN[:2] + [(5, 1)] + RUN[3:], 3),                  # a point of two coordinates
-    (RUN[:2] + [(Fraction(9, 2),)] + RUN[3:], 3),       # a Fraction coordinate
-    ([(Fraction(3),)] + RUN[1:], 1),                    # ... at the start
-    ([(False,), (1,), (2,), (3,)], 4),                  # a bool at the start
-    ([(0,), (True,), (3,), (4,)], 4),                   # a bool off the run
-    (RUN[:2] + [[5]] + RUN[3:], 3),                     # a list, not a tuple
+    (RUN[:2] + [(5, 1)] + RUN[3:], 0),                  # a point of two coordinates
+    (RUN[:2] + [(Fraction(9, 2),)] + RUN[3:], 0),       # a Fraction coordinate
+    ([(Fraction(3),)] + RUN[1:], 0),                    # ... at the start
+    ([(False,), (1,), (2,), (3,)], 2),                  # a bool at the start of a run
+    ([(0,), (True,), (3,), (4,)], 4),                   # two runs of two points
+    (RUN[:2] + [[5]] + RUN[3:], 0),                     # a list, not a tuple
 ], ids=["two-coordinates", "fraction", "fraction-first", "bool-first", "bool-off-run",
         "list-point"])
-def test_lists_that_are_no_run_are_searched_per_point(monkeypatch, name, pts, searches):
-    # each list is searched point by point, as the comparison with the
-    # run's tuples decides, and fails or answers as the searches do
+def test_lists_are_checked_once_then_split_into_runs(monkeypatch, name, pts, searches):
+    # a list that is no enumeration is checked once, before any search, so
+    # a point outside the space fails there; a bool is an int coordinate
+    # and takes its place in a run, which is swept from its two ends
     space = space_by_name(name)
     A = set_family("multiples", k=3, r=1)
-    assert not _tuple_run_test(pts)
-    want = _per_point(space, pts, A)
-    calls = []
-    search = space_module.dist_to_set
-    monkeypatch.setattr(space_module, "dist_to_set",
-                        lambda *args: calls.append(args[1]) or search(*args))
+    want = _expected(space, pts, A)
+    calls, checks = _searched(monkeypatch, space)
     assert _swept(space, pts, A) == want
     assert len(calls) == searches
+    assert checks[0] == tuple(pts)
+
+
+_MUTATIONS = ("append", "insert-first", "pop", "pop-first", "delete", "reverse",
+              "set-first", "set-last", "extend")
 
 
 @st.composite
-def near_runs(draw):
-    """A run of 3 to 12 points with at most two points changed."""
-    lo = draw(st.integers(-5, 5))
-    pts = [(i,) for i in range(lo, lo + draw(st.integers(3, 12)))]
-    other = st.one_of(
-        st.integers(-6, 20).map(lambda v: (v,)),
-        st.tuples(st.integers(-6, 20), st.integers(-2, 2)),
-        st.just(()),
-        st.integers(-6, 20).map(lambda v: [v]),
-        st.integers(-12, 40).map(lambda v: (Fraction(v, 2),)),
-        st.booleans().map(lambda v: (v,)))
-    for _ in range(draw(st.integers(0, 2))):
-        pts[draw(st.integers(0, len(pts) - 1))] = draw(other)
+def changed_runs(draw, name):
+    """A line enumeration, a ``_Run``, changed in place with int (or bool)
+    coordinates.  An enumeration must not be changed in place; the sweep
+    sees a change that moves an end or the length.  A result whose length
+    still fits its ends but which is no run (swapped inner points, or a
+    deleted point made up for at an end) breaks that contract unseen and
+    is not drawn."""
+    space = space_by_name(name)
+    lo = 0 if name == "NatLine" else -60
+    pts = space.points_within((draw(st.integers(lo + 20, 120)),), draw(st.integers(0, 12)))
+    coord = st.integers(lo, 140) | st.booleans()
+    for _ in range(draw(st.integers(1, 3))):
+        change = draw(st.sampled_from(_MUTATIONS))
+        if change == "append":
+            pts.append((draw(coord),))
+        elif change == "insert-first":
+            pts.insert(0, (draw(coord),))
+        elif change in ("pop", "pop-first") and pts:
+            pts.pop(-1 if change == "pop" else 0)
+        elif change == "delete" and pts:
+            del pts[draw(st.integers(0, len(pts) - 1))]
+        elif change == "reverse":
+            pts.reverse()
+        elif change in ("set-first", "set-last") and pts:
+            pts[0 if change == "set-first" else -1] = (draw(coord),)
+        elif change == "extend":
+            start = draw(coord)
+            pts.extend((i,) for i in range(start, start + draw(st.integers(1, 8))))
+    assume(len(pts) < 3 or pts[-1][0] - pts[0][0] != len(pts) - 1 or _runs(pts) == 1)
     return pts
 
 
-@given(pts=near_runs())
-@settings(max_examples=400, derandomize=True, deadline=None)
-def test_run_test_accepts_what_the_tuple_comparison_accepts(pts):
-    # the run test builds no tuples, and decides as the comparison with the
-    # run's tuples does: equal values, so a bool 1 or a Fraction 5 in place
-    # of 1 or 5 still belongs to the run
-    def decision(test):
-        try:
-            return test(pts)
-        except IndexError as err:  # a first point with no coordinate, either way
-            return type(err)
+ODD_POINTS = st.one_of(
+    st.booleans().map(lambda v: (v,)),
+    st.integers(-24, 40).map(lambda v: (Fraction(v, 2),)),
+    st.integers(-12, 20).map(lambda v: (Fraction(v),)),
+    st.tuples(st.integers(-6, 20), st.integers(-2, 2)),
+)
 
-    assert decision(space_module._is_run) == decision(_tuple_run_test)
+
+@st.composite
+def line_lists(draw, name):
+    """Point lists of every shape: runs with gaps and repeated points, in
+    ascending, descending or shuffled order, as lists or tuples, with bool,
+    Fraction or two-coordinate points mixed in, and changed enumerations."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(changed_runs(name))
+    lo = 0 if name == "NatLine" else -60
+    pts = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(lo, 140))
+        pts += [(i,) for i in range(start, start + draw(st.integers(1, 12)))]
+    for _ in range(draw(st.integers(0, 2))):  # repeated points
+        pts.insert(draw(st.integers(0, len(pts))), draw(st.sampled_from(pts)))
+    order = draw(st.sampled_from(["ascending", "as drawn", "descending", "shuffled"]))
+    if order == "ascending":
+        pts.sort()
+    elif order == "descending":
+        pts.sort(reverse=True)
+    elif order == "shuffled":
+        pts = draw(st.permutations(pts))
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        pts[draw(st.integers(0, len(pts) - 1))] = draw(ODD_POINTS)
+    return tuple(pts) if draw(st.booleans()) else list(pts)
+
+
+@given(name=st.sampled_from(SPACES), doc=SET_DOCS, searched=st.booleans(),
+       data=st.data())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_any_line_list_matches_per_point_search(name, doc, searched, data):
+    # answers as per-point dist_to_set, value for value or with the same
+    # exception type, and searches at most twice per maximal run
+    space = space_by_name(name)
+    A = set_from_json(doc)
+    if searched:
+        A = PointSet.from_predicate(A.name, A.contains)
+    pts = data.draw(line_lists(name), label="pts")
+    want = _expected(space, pts, A)
+    with pytest.MonkeyPatch.context() as mp:
+        calls, _ = _searched(mp, space)
+        assert _swept(space, pts, A) == want
+    if len(pts) > 2 and not all(map(space.contains, pts)):
+        assert calls == []
+    else:
+        assert len(calls) <= 2 * _runs(pts)
 
 
 def test_sweep_answers_past_the_search_cap():
@@ -285,45 +368,47 @@ def test_other_enumerations_are_plain_lists(name):
     assert type(window_points(space, Window(100))) is list
 
 
-def _counted_run_test(monkeypatch):
-    calls = []
-    run_test = space_module._is_run
-    monkeypatch.setattr(space_module, "_is_run",
-                        lambda pts: calls.append(len(pts)) or run_test(pts))
-    return calls
-
-
 @given(name=st.sampled_from(SPACES), doc=SET_DOCS, center=st.integers(0, 300),
        radius=st.integers(0, 40) | st.fractions(0, 40, max_denominator=3))
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_sweep_of_an_enumeration_matches_per_point_search(name, doc, center, radius):
-    # an enumeration is swept without a run test
+    # an enumeration of three or more points is swept as one run: two
+    # searches, at its ends, and no check of its points
     space = space_by_name(name)
     pts = space.points_within((center,), radius)
     A = set_from_json(doc)
+    want = _per_point(space, pts, A)
     with pytest.MonkeyPatch.context() as mp:
-        calls = _counted_run_test(mp)
-        assert _swept(space, pts, A) == _per_point(space, pts, A)
-    assert calls == []
+        calls, checks = _searched(mp, space)
+        assert _swept(space, pts, A) == want
+    if len(pts) > 2:
+        assert calls[:2] == [pts[0], pts[-1]][:len(calls)] and len(calls) <= 2
+        assert len(checks) == len(calls)  # the searches' own one-point checks
+        assert all(len(args) == 1 for args in checks)
 
 
 @pytest.mark.parametrize("name", SPACES)
-@pytest.mark.parametrize("change, tested", [
-    (lambda pts: pts.append((pts[-1][0] + 3,)), True),
-    (lambda pts: pts.pop() and pts.append((pts[-1][0] + 5,)), True),
-    (lambda pts: pts.pop(0) and pts.append((200,)), True),
-    (lambda pts: pts.append((pts[-1][0] + 1,)), False),     # still a run
-    (lambda pts: pts.pop(), False),                          # still a run
+@pytest.mark.parametrize("change, runs", [
+    (lambda pts: pts.append((pts[-1][0] + 3,)), 2),
+    (lambda pts: pts.pop() and pts.append((pts[-1][0] + 5,)), 2),
+    (lambda pts: pts.pop(0) and pts.append((200,)), 2),
+    (lambda pts: pts.append((pts[-1][0] + 1,)), 1),     # still a run
+    (lambda pts: pts.pop(), 1),                          # still a run
 ], ids=["append-gap", "pop-append-gap", "pop-first-append-far", "append-next", "pop"])
-def test_a_run_changed_at_its_ends_is_tested(monkeypatch, name, change, tested):
-    # a run whose length no longer fits its ends goes through _is_run
+def test_a_run_changed_at_its_ends_is_checked_and_split(monkeypatch, name, change, runs):
+    # a run whose length no longer fits its ends is checked once and split
+    # into its maximal runs; a run of one point is searched once
     space = space_by_name(name)
     A = set_family("multiples", k=3, r=1)
     pts = space.points_within((10,), 6)
     change(pts)
-    calls = _counted_run_test(monkeypatch)
-    assert _swept(space, pts, A) == _per_point(space, pts, A)
-    assert calls == ([len(pts)] if tested else [])
+    want = _per_point(space, pts, A)
+    calls, checks = _searched(monkeypatch, space)
+    assert _swept(space, pts, A) == want
+    assert _runs(pts) == runs
+    whole = [args for args in checks if len(args) > 1]
+    assert whole == ([] if runs == 1 else [tuple(pts)])
+    assert len(calls) == (2 if runs == 1 else 3)
 
 
 @pytest.mark.parametrize("name", SPACES)
