@@ -162,18 +162,17 @@ def _certified_min(space: MetricSpace, x: Point, z: Optional[Point], window: Win
     value >= s + c.  The probes u = x and u = z (only x when z is None) are
     evaluated first, inside the window or not, and their minimum best sets
     the candidate radius r_cand = best - c (never negative, since best >= c).
-    The candidate rule: ball(x, r_cand) is listed when it passes the
-    certificate rule, and so lies in the window; otherwise, and always with
-    c None (no coercive bound), the window is listed.  A candidate with s >
-    r_cand cannot beat best, so it is skipped unevaluated, and either way
-    the candidates evaluated are the points of ball(x, r_cand) in the
-    window.  The minimum is exact when the ball passes the rule and every
-    evaluated term is exact; otherwise required_radius is the window radius
-    that would hold the ball.  With c None nothing is pruned and nothing is
-    certified.  Ties go to the smaller point, probes included.  x and z are
-    not checked here: callers check them where they enter.  Candidates come
-    from the enumerations, so they are members too, and all distances use
-    ``_dist``.
+    The candidate rule lists the smaller of two balls: ball(x, r_cand) when
+    r_cand is at most the window radius and ``space.enumerable(x, r_cand)``,
+    kept to the window unless it passes the certificate rule; otherwise the
+    window, as always with c None (no coercive bound: nothing is pruned or
+    certified).  A candidate with s > r_cand cannot beat best, so it is
+    skipped unevaluated: either way the candidates evaluated are the points
+    of ball(x, r_cand) in the window.  The minimum is exact when the ball
+    passes the rule and every evaluated term is exact; otherwise
+    required_radius is the window radius that would hold the ball.  Ties go
+    to the smaller point, probes included.  No point is checked here: x and
+    z are checked where they enter, and candidates are enumerated members.
     """
     dist = space._dist
     best = arg = None
@@ -183,15 +182,17 @@ def _certified_min(space: MetricSpace, x: Point, z: Optional[Point], window: Win
         exact = exact and e
         if best is None or v < best or (v == best and u < arg):
             best, arg = v, u
-    dxb = dist(x, window.resolve_base(space))
+    base = window.resolve_base(space)
+    dxb = dist(x, base)
     r_cand = None if c is None else best - c
     complete = r_cand is not None and _certified(dxb, r_cand, window.radius)
-    cand = space.points_within(x, r_cand) if complete else window_points(space, window)
+    ball = r_cand is not None and r_cand <= window.radius and space.enumerable(x, r_cand)
+    cand = space.points_within(x, r_cand) if ball else window_points(space, window)
+    if ball and not complete:
+        cand = [u for u in cand if dist(u, base) <= window.radius]
     for u in cand:
-        if u == x or u == z:
-            continue
         s = dist(x, u) if z is None else dist(x, u) + dist(u, z)
-        if r_cand is not None and s > r_cand:
+        if u == x or u == z or r_cand is not None and s > r_cand:
             continue
         v, e = term(u, s)
         exact = exact and e
@@ -664,11 +665,11 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window, buf, frame=No
     Each cell is the minimum of d_X(x,u) + delta(u) + d_X(u,y) over u in x,
     y and a universe: the ball around the window base enlarged by the
     largest probe value, which holds the candidate ball of every cell whose
-    row point lies in the window.  A universe wider than the window by more
-    than SEARCH_POINT_CAP is listed only where the ball that much wider
-    holds at most SEARCH_POINT_CAP points (GeomLine, not NatLine or
-    IntLine); otherwise, or when the space cannot enumerate the universe,
-    the universe is the window and rows certify by its radius.  delta is
+    row point lies in the window.  It is listed to at most SEARCH_POINT_CAP
+    past the window radius, further only where that listing holds at most
+    SEARCH_POINT_CAP points (GeomLine), and is the window where the space
+    cannot enumerate it.  Rows certify by the radius listed; the others
+    hold minima over the universe, upper bounds of the infima.  delta is
     read by one ``values`` call over pts and one over the universe; a mask
     drops midpoints with delta(u) >= that value, which cannot beat u = x (if
     none is left, the matrix is a copy of the seed of the probes u = x, y).
@@ -699,12 +700,13 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window, buf, frame=No
     seed = np.add(dist, np.minimum(deltas[:, None], deltas[None, :], out=into), out=into)
     row_max = seed.max(axis=1)
     vmax = max(row_max.tolist())
-    radius = window.radius + vmax - 1
+    radius, cap = window.radius + vmax - 1, window.radius + SEARCH_POINT_CAP
     try:
-        if vmax - 1 > SEARCH_POINT_CAP and len(space.points_within(
-                base, window.radius + SEARCH_POINT_CAP)) > SEARCH_POINT_CAP:
-            raise IncompleteEnumeration("the universe is too wide to list")
-        universe = space.points_within(base, radius)
+        universe = space.points_within(base, min(radius, cap))
+        if radius > cap and len(universe) > SEARCH_POINT_CAP:
+            radius = cap
+        elif radius > cap:
+            universe = space.points_within(base, radius)
     except IncompleteEnumeration:
         universe, radius = window_points(space, window), window.radius
     weights = _exact_array(d.delta.values(universe))
@@ -1001,9 +1003,8 @@ def _line_transform(c, p, q):
     order, from P = g - c[:, None] and Q = g + c[:, None] as
     ``_line_columns`` returns them: a distance transform down each column
     of g, as a prefix minimum of P over k <= i plus c_i and a suffix minimum
-    of Q over k >= i minus c_i.  The running minima are taken in place, and
-    the result is written into P, so the transform makes no n x n
-    temporary; P and Q are spent.  Equal to ``_min_plus(abs(c[:, None] -
+    of Q over k >= i minus c_i, taken in place with no n x n temporary (the
+    result is P; P and Q are spent).  Equal to ``_min_plus(abs(c[:, None] -
     c), g)``, cell for cell and in dtype; with entries typed by
     ``_exact_array``, every intermediate stays below 2**62.
     """

@@ -129,6 +129,10 @@ class MetricSpace:
         """
         raise NotImplementedError
 
+    def enumerable(self, center: Point, radius: Rational) -> bool:
+        """Whether ``points_within(center, radius)`` lists, not raises."""
+        return True
+
     def to_json(self):
         return {"space": self.name}
 
@@ -377,8 +381,11 @@ class PredicateSpace(MetricSpace):
     def _dist(self, x, y):
         return sum(abs(a - b) for a, b in zip(x, y))
 
+    def enumerable(self, center, radius):
+        return self.distance(self.basepoint, center) + radius <= self.coverage_radius
+
     def points_within(self, center, radius):
-        if self.distance(self.basepoint, center) + radius > self.coverage_radius:
+        if not self.enumerable(center, radius):
             raise IncompleteEnumeration(
                 f"incomplete enumeration: ball({center}, {radius}) exceeds "
                 f"coverage radius {self.coverage_radius}")
@@ -747,8 +754,7 @@ def window_points(space: MetricSpace, window: Window) -> list:
     On ``NatLine`` and ``IntLine`` the list is a ``_Run``, which
     ``set_distances`` sweeps as one run from its ends and length alone, and
     callers such as ``DensityMeasure.ball`` cache it: an enumeration must
-    not be changed in place.  Copy it first (``list(pts)``, a slice).  An
-    uncertified single-pair search lists its candidates here."""
+    not be changed in place.  Copy it first (``list(pts)``, a slice)."""
     return space.points_within(window.resolve_base(space), window.radius)
 
 
@@ -873,11 +879,10 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
     nearest member of a point either lies in the run, where a running
     distance restarted, or beyond an end, and then the way to it passes
     that end.  A run of one or two points is searched per point, so a list
-    of k maximal runs makes at most 2k searches.  A ``_Run`` (the
-    enumeration of a ball on these lines) whose length is its last
-    coordinate minus its first plus one is one run, taken with no split and
-    no check of its points.  Any other list is checked once, with
-    ``space.check``, before any search, so a point outside the space raises
+    of k maximal runs makes at most 2k searches.  A ``_Run`` (a ball's
+    enumeration on these lines) whose length fits its ends is one run, with
+    no split and no check of its points; any other list is checked once by
+    ``space.check`` before any search, so a point outside the space raises
     DomainError there.  A set with no member raises as ``dist_to_set`` at a
     run's first point does.  The sweep also answers where a point's own
     search would stop at SEARCH_POINT_CAP.  Other spaces and shorter lists

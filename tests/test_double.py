@@ -15,8 +15,8 @@ from coarsedouble import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                           DeltaMetric, DoubleMetric, MaxMetric, MinGlueMetric,
                           PointMetric, SubsetMetric, check_axioms, compose,
                           const_delta, evaluate, evaluate_exact, levels_from_subset,
-                          metric_from_levels, metric_join, metric_meet, space_by_name,
-                          subset_metric, zero_levels)
+                          metric_from_levels, metric_join, metric_meet,
+                          projection_criterion, space_by_name, subset_metric, zero_levels)
 from coarsedouble import double
 from coarsedouble.double import (DeltaFunction, _coordinates, _distance_matrix,
                                  _exact_array, _line_columns, _line_delta_min,
@@ -342,14 +342,18 @@ def test_delta_batch_does_not_certify_truncated_scan():
     assert not check_axioms(d, Window(10)).exact
 
 
-def test_uncertified_evaluation_enumerates_its_window():
-    # an uncertified evaluation lists its window, so a window the space
-    # cannot enumerate raises, even where the candidate ball could be listed
+def test_uncertified_evaluation_on_a_predicate_space():
+    # coverage radius 10: a candidate ball no wider than the window is listed
+    # where the space can list it, and the window otherwise, so a window the
+    # space cannot enumerate raises only when the ball is the wider one
     sp = PredicateSpace(lambda p: True, 1, 10, (0,))
-    d = DeltaMetric(sp, const_delta(sp, 3))
-    assert evaluate(d, (3,), (3,), Window(4, (4,))).exact
+    d3, d6 = (DeltaMetric(sp, const_delta(sp, v)) for v in (3, 6))
+    assert evaluate(d3, (3,), (3,), Window(4, (4,))).exact
+    for x, w, required in [((3,), Window(4, (9,)), 8), ((9,), Window(10), 11)]:
+        ev = evaluate(d3, x, x, w)
+        assert (ev.value, ev.exact, ev.required_radius, ev.witness) == (3, False, required, x)
     with pytest.raises(IncompleteEnumeration):
-        evaluate(d, (3,), (3,), Window(4, (9,)))
+        evaluate(d6, (3,), (3,), Window(4, (9,)))
 
 
 def _spied_searches(monkeypatch, space):
@@ -357,10 +361,10 @@ def _spied_searches(monkeypatch, space):
     rule, and give the list of their certificate outcomes.
 
     Each call's own ``points_within`` calls (those not made inside a nested
-    search of its terms) must be one listing: ball(x, r_cand) when the ball
-    passes the certificate rule, the window otherwise.  r_cand is the
-    smaller probe value minus c, read from the call's first one or two
-    terms."""
+    search of its terms) must be one listing: ball(x, r_cand) when r_cand is
+    at most the window radius, the window otherwise.  r_cand is the smaller
+    probe value minus c, read from the call's first one or two terms.  The
+    outcomes are "certified", "ball" (uncertified) and "window"."""
     stack, outcomes = [], []
     certified_min, listing = double._certified_min, type(space).points_within
 
@@ -385,9 +389,10 @@ def _spied_searches(monkeypatch, space):
         r_cand = min(values[:1 if z is None or z == x else 2]) - c
         base = window.resolve_base(sp)
         certified = sp.distance(x, base) + r_cand <= window.radius
-        assert own == ([(x, r_cand)] if certified else [(base, window.radius)]), (x, z)
+        ball = r_cand <= window.radius
+        assert own == ([(x, r_cand)] if ball else [(base, window.radius)]), (x, z)
         assert ev.exact <= certified and (ev.required_radius is None) == certified
-        outcomes.append(certified)
+        outcomes.append("certified" if certified else "ball" if ball else "window")
         return ev
 
     monkeypatch.setattr(double, "_certified_min", spy)
@@ -411,11 +416,12 @@ def _search_kernels(space):
 
 @pytest.mark.parametrize("name", ["NatLine", "IntLine", "TwoTails"])
 @pytest.mark.parametrize("kind", ["delta", "point-delta", "delta-delta"])
-def test_certified_min_lists_its_certified_ball_or_its_window(monkeypatch, name, kind):
+def test_certified_min_lists_the_smaller_of_its_ball_and_its_window(monkeypatch, name, kind):
     # on a grid of points in and around the window, evaluate and dist_to_copy
-    # list only their candidate ball when it certifies and only their window
-    # otherwise, at every level of a composition; values and witnesses stay
-    # those of the unpruned minimum over the window for a delta kernel
+    # list only their candidate ball when it is no wider than the window and
+    # only their window otherwise, at every level of a composition; values
+    # and witnesses stay those of the unpruned minimum over the window for a
+    # delta kernel
     space = space_by_name(name)
     w = Window(12 if name != "TwoTails" else 40)
     d = _search_kernels(space)[kind]
@@ -431,7 +437,7 @@ def test_certified_min_lists_its_certified_ball_or_its_window(monkeypatch, name,
                 assert ev.witness == min(u for u in cands if space.distance(x, u)
                                          + d.delta(u) + space.distance(u, y) == ev.value)
         d.dist_to_copy(x, w)
-    assert set(outcomes) == {True, False}
+    assert set(outcomes) == {"certified", "ball", "window"}
 
 
 def test_uncertified_evaluation_lists_only_its_window(intline):
@@ -455,10 +461,35 @@ def test_uncertified_evaluation_lists_only_its_window(intline):
 
 
 @pytest.mark.parametrize("space", [NatLine(), IntLine()], ids=["NatLine", "IntLine"])
+def test_far_points_list_balls_no_wider_than_their_candidates(monkeypatch, space):
+    # delta = 2 at points near 10**6: each escalation starts at a window of
+    # radius about 10**6, where the candidate balls of radius 1 do not
+    # certify; they are listed and kept to the window, never the window
+    far = 10 ** 6
+    listing = type(space).points_within
+    listed = []
+
+    def bounded(sp, center, radius):
+        assert radius <= 3, (center, radius)
+        listed.append(len(listing(sp, center, radius)))
+        return listing(sp, center, radius)
+
+    d = DeltaMetric(space, const_delta(space, 2))
+    monkeypatch.setattr(type(space), "points_within", bounded)
+    verdict = projection_criterion(d, Window(3, (far,)))
+    assert verdict.diagnostics["exact"]
+    assert verdict.diagnostics["points"] == [[[far + k], 2, 2] for k in range(-3, 4)]
+    ev = evaluate_exact(d, (far,), (far,))
+    assert (ev.value, ev.exact, ev.witness) == (2, True, (far,))
+    assert max(listed) == 7 and sum(listed) < 100
+
+
+@pytest.mark.parametrize("space", [NatLine(), IntLine()], ids=["NatLine", "IntLine"])
 def test_huge_delta_lists_no_universe(monkeypatch, space):
     # delta near 2**40 would make a universe of about 2**41 points; no
     # listing may exceed the window radius plus SEARCH_POINT_CAP, and the
-    # batch and single-pair values are the window minima, uncertified
+    # batch and single-pair values are the window minima, uncertified (no
+    # midpoint past the window beats them here)
     w = Window(10)
     listing = type(space).points_within
 
@@ -479,6 +510,39 @@ def test_huge_delta_lists_no_universe(monkeypatch, space):
     for i in (0, len(pts) // 2, len(pts) - 1):
         ev = evaluate(d, pts[i], pts[-1 - i], w)
         assert ev.value == want[i][-1 - i] and not ev.exact
+
+
+@pytest.mark.parametrize("space", [NatLine(), IntLine()], ids=["NatLine", "IntLine"])
+def test_huge_delta_batch_is_a_minimum_over_its_capped_universe(monkeypatch, space):
+    # delta is 2**40 - 1000 on 20 < |u| <= 30 and far smaller past the window
+    # radius plus SEARCH_POINT_CAP, 2**40 elsewhere: the batch takes u = +-21
+    # from its capped universe, and does not certify, though the infimum lies
+    # past the cap; a single pair lists its window and keeps its minimum
+    big, w = 1 << 40, Window(10)
+    cap = w.radius + SEARCH_POINT_CAP
+    listing = type(space).points_within
+
+    def bounded(sp, center, radius):
+        assert radius <= cap, radius
+        return listing(sp, center, radius)
+
+    monkeypatch.setattr(type(space), "points_within", bounded)
+
+    def delta(u):
+        return (big - 1000 if 20 < abs(u) <= 30 else big - 10 ** 7 if abs(u) > cap
+                else big)
+
+    d = DeltaMetric(space, DeltaFunction(space, lambda pts: [delta(p[0]) for p in pts],
+                                         "tiers"))
+    pts = window_points(space, w)
+    mat, exact = d.cross_matrix(pts, w)
+    assert not exact
+    assert mat.tolist() == [[big - 958 - abs(x + y) for (y,) in pts] for (x,) in pts]
+    infimum = 2 * (cap + 1) + big - 10 ** 7  # at u = cap + 1, for x = y = 0
+    assert infimum < mat[pts.index((0,))][pts.index((0,))]
+    assert not check_axioms(d, w).exact
+    ev = evaluate(d, (3,), (2,), w)
+    assert (ev.value, ev.exact, ev.witness) == (big + 1, False, (2,))
 
 
 def test_composed_batch_ranges_over_window(natline):
