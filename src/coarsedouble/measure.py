@@ -13,7 +13,9 @@ once, with one ``levels`` call on the largest schedule ball, and work on
 level lists from there: the list of a meet is the elementwise max of its
 operands' lists and that of a join the elementwise min (``_combine_levels``,
 the rule of ``projection.meet`` and ``join``), and ``ratio_series`` scans
-each distinct list once.
+each distinct list once.  ``ratio_series`` returns masses only; a ratio is
+built where it is reported (``density`` its one row, ``nu_hat`` the row of
+its deepest sublevel, ``NuHatReport.per_n`` when read).
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ class DensityMeasure:
 
         levels maps a point list to the points' levels, as
         ``LevelFunction.levels`` does.  Row n - 1 (n = 1..n_max) holds, per
-        radius r in schedule order, the tuple (r, ratio, member_mass,
-        ball_mass): the mass of {p in B_r : level(p) <= n}, the mass of B_r
-        and their ratio.
+        radius r in schedule order, the tuple (r, member_mass, ball_mass):
+        the mass of {p in B_r : level(p) <= n} and the mass of B_r.  No ratio
+        is built here; each caller divides the masses it reports.
 
         The largest ball is read once: one ``levels`` call for all of its
         points (on the integer lines, subset levels take one
@@ -145,8 +147,7 @@ class DensityMeasure:
             inner = [a + b for a, b in zip(inner, buckets[i * width:(i + 1) * width])]
             member[r] = list(itertools.accumulate(inner[:n_max]))
             total[r] = sum(inner, zero)
-        return [[(r, Fraction(member[r][n], total[r]), member[r][n], total[r])
-                 for r in schedule] for n in range(n_max)]
+        return [[(r, member[r][n], total[r]) for r in schedule] for n in range(n_max)]
 
     def to_json(self):
         return {"measure": self.name, "space": self.space.to_json()}
@@ -171,7 +172,7 @@ def density(mu: DensityMeasure, A: PointSet,
     schedule = _schedule(schedule)
     rows = mu.ratio_series(lambda pts: [1 if A.contains(p) else 2 for p in pts],
                            schedule, 1)[0]
-    return DensityInterval.from_series([(r, v) for r, v, _, _ in rows])
+    return DensityInterval.from_series([(r, Fraction(m, t)) for r, m, t in rows])
 
 
 @dataclass
@@ -236,15 +237,15 @@ def _nu_hat(mu: DensityMeasure, levels: list, n_max: int,
     """``nu_hat`` after validation, for the level list of
     ``mu.ball(max(schedule))``, which ``ratio_series`` then scans."""
     rows_by_n = mu.ratio_series(lambda ball: levels, schedule, n_max)
-    masses_by_n = [[m for _, _, m, _ in rows] for rows in rows_by_n]
+    masses_by_n = [[m for _, m, _ in rows] for rows in rows_by_n]
     # levels whose member mass stopped growing along the schedule tail
     am2 = [n for n, m in enumerate(masses_by_n, 1) if m[-3] == m[-2] == m[-1]]
     monotone = all(a <= b for prev, masses in zip(masses_by_n, masses_by_n[1:])
                    for a, b in zip(prev, masses))
-    raws = [v for _, v, _, _ in rows_by_n[-1]]
-    series = list(zip(schedule, [0] * len(raws) if n_max in am2 else raws))
+    # only the deepest sublevel's ratios are reported
+    series = [(r, 0 if n_max in am2 else Fraction(m, t)) for r, m, t in rows_by_n[-1]]
     return NuHatReport(DensityInterval.from_series(series), am2, monotone,
-                       masses_by_n, [t for _, _, _, t in rows_by_n[0]])
+                       masses_by_n, [t for _, _, t in rows_by_n[0]])
 
 
 def _reports(mu: DensityMeasure, n_max: int,

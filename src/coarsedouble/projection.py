@@ -48,7 +48,7 @@ class LevelFunction(_PointFunction):
     def level(self, x: Point) -> int:
         v = self._cache.get(x)
         if v is None:
-            (v,) = self._read((x,))
+            v = self._miss(x)
         return v
 
     levels = _PointFunction.values

@@ -493,7 +493,13 @@ class PointSet:
 
 class _PointFunction:
     """An exact function >= 1 on points with its cache, shared by level and copy-gap
-    functions; ``fn`` maps a point list to a value list, ``what`` names the kind."""
+    functions; ``fn`` maps a point list to a value list, ``what`` names the kind.
+
+    The cache is a dict from points to values plus at most one pending pair:
+    a copy of the list of the first whole-list read and a tuple of its
+    values.  Many level functions are read once, as one list, so that read
+    builds no dict entry per point; any other read first moves the pair
+    into the dict (``_settle``)."""
 
     def __init__(self, space: MetricSpace, fn: Callable[[Sequence[Point]], list],
                  name: str, payload: Optional[dict] = None):
@@ -502,29 +508,58 @@ class _PointFunction:
         self.name = name
         self.payload = payload
         self._cache = {}
+        self._pending = None
 
     def values(self, pts: Sequence[Point]) -> list:
         """The values at pts.  A list with no cached point (always, when the
         cache is empty) is one ``_read``: one ``fn`` call with the whole list,
-        whose validated list is returned.  Otherwise the uncached points go
-        to ``fn`` in one call and every value is read from the cache.  A
+        whose validated list is returned.  When nothing was cached before,
+        that read is kept as the pending pair, and a later read of an equal
+        list returns a copy of its values with no ``fn`` call.  Any other
+        read settles the pair into the dict first; then the uncached points
+        go to ``fn`` in one call and every value is read from the dict.  A
         value below 1 raises DomainError naming the first one; none is cached."""
+        pending = self._pending
+        if pending is not None:
+            if pending[0] == pts:
+                return list(pending[1])
+            self._settle()
         cache = self._cache
         missing = list(filterfalse(cache.__contains__, pts)) if cache else pts
         if len(missing) == len(pts) and missing:
-            return self._read(pts)
+            return self._read(pts, pend=not cache)
         if missing:
             self._read(missing)
         return list(map(cache.__getitem__, pts))
 
-    def _read(self, pts: Sequence[Point]) -> list:
+    def _miss(self, x: Point):
+        """The value at a point that the dict did not hold: from the dict once
+        the pending pair is settled, else from one ``fn`` call."""
+        self._settle()
+        v = self._cache.get(x)
+        if v is None:
+            (v,) = self._read((x,))
+        return v
+
+    def _settle(self) -> None:
+        # from a local snapshot: a concurrent reader may settle the same
+        # pair, and every pair holds the function's values
+        pending = self._pending
+        if pending is not None:
+            self._cache.update(zip(*pending))
+            self._pending = None
+
+    def _read(self, pts: Sequence[Point], pend: bool = False) -> list:
         vals = self.fn(pts)
         if not isinstance(vals, list) or len(vals) != len(pts):
             raise DomainError(f"{self.what} {self.name} must give a list of one value per point")
         if vals and min(vals) < 1:
             x, v = next((x, v) for x, v in zip(pts, vals) if v < 1)
             raise DomainError(f"{self.what} {self.name} gave {v} < 1 at {x}")
-        self._cache.update(zip(pts, vals))
+        if pend:
+            self._pending = (list(pts), tuple(vals))
+        else:
+            self._cache.update(zip(pts, vals))
         return vals
 
     def to_json(self):
@@ -656,6 +691,31 @@ def _line_candidates(family: dict, c: int) -> Optional[tuple]:
         while v * base <= c:
             v *= base
         return v, v * base
+    return None
+
+
+def _line_members(family: dict, lo: int, n: int) -> Optional[list]:
+    """Membership flags of the coordinates lo, lo + 1, ..., lo + n - 1 in
+    the named set ``family``, by slice arithmetic, when it is a half-line
+    or multiples family with integer parameters or a complement of one;
+    None for every other set."""
+    fam, args, complement = _named_family(family)
+    if args is None:
+        return None
+    if fam == "half_line":
+        sign, b = args["sign"], args["bound"]
+        if complement:  # as in _line_candidates
+            sign, b = -sign, b - sign
+        if sign > 0:  # the first b - lo coordinates lie below b
+            cut = min(max(b - lo, 0), n)
+            return [False] * cut + [True] * (n - cut)
+        cut = min(max(b - lo + 1, 0), n)  # the first b - lo + 1 lie at or below b
+        return [True] * cut + [False] * (n - cut)
+    if fam == "multiples":
+        k, first = args["k"], (args["r"] - lo) % args["k"]
+        flags = [complement] * n
+        flags[first::k] = [not complement] * len(range(first, n, k))
+        return flags
     return None
 
 
@@ -872,15 +932,19 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
     into its maximal runs of consecutive coordinates, lo, lo + 1, ..., hi,
     and each run of at least three points takes one distance-transform
     sweep (Felzenszwalb & Huttenlocher 2012): ``dist_to_set`` at lo and at
-    hi, the set's own membership predicate mapped over the run, then a
-    running distance forward from lo and one backward from hi, restarting
-    at 0 on each member; each point takes the smaller.  Both are upper
-    bounds, since d(., A) is 1-Lipschitz, and the smaller is exact: the
-    nearest member of a point either lies in the run, where a running
-    distance restarted, or beyond an end, and then the way to it passes
-    that end.  A run of one or two points is searched per point, so a list
-    of k maximal runs makes at most 2k searches.  A ``_Run`` (a ball's
-    enumeration on these lines) whose length fits its ends is one run, with
+    hi, the run's membership flags, then a running distance forward from
+    lo and one backward from hi, restarting at 0 on each member; each
+    point takes the smaller.  Both are upper bounds, since d(., A) is
+    1-Lipschitz, and the smaller is exact: the nearest member of a point
+    either lies in the run, where a running distance restarted, or beyond
+    an end, and then the way to it passes that end.  The flags of a
+    ``half_line`` or ``multiples`` family with integer parameters, or of a
+    complement of one, are built by slice arithmetic from lo and the run's
+    length (``_line_members``); every other set maps its own membership
+    predicate over the run.  A run of one or two points is searched per
+    point, so a list of k maximal runs makes at most 2k searches.  A
+    ``_Run`` (a ball's enumeration on these lines) whose length fits its
+    ends is one run, with
     no split and no check of its points; any other list is checked once by
     ``space.check`` before any search, so a point outside the space raises
     DomainError there.  A set with no member raises as ``dist_to_set`` at a
@@ -903,7 +967,9 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
             out += [dist_to_set(space, p, A, UNBOUNDED).value for p in run]
             continue
         first, last = (dist_to_set(space, p, A, UNBOUNDED).value for p in (run[0], run[-1]))
-        member = list(map(A._contains, run))
+        member = None if A.family is None else _line_members(A.family, run[0][0], len(run))
+        if member is None:
+            member = list(map(A._contains, run))
         d = first - 1
         swept = [d := 0 if m else d + 1 for m in member]
         d = last - 1

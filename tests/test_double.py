@@ -299,6 +299,15 @@ def test_check_axioms_pass_and_fail(natline):
     assert v["lhs"] == 3 and v["rhs"] == 2
 
 
+def test_check_axioms_reports_a_cross_distance_of_zero(natline):
+    # d(x, x') = 0 on the diagonal: positivity fails first at x = y = (0,)
+    flat = ClosedFormMetric(natline, lambda x, y: abs(x[0] - y[0]), "dist", symmetric=True)
+    rep = check_axioms(flat, Window(6))
+    assert not rep.passed
+    assert rep.checks["positivity"] == {"passed": False, "stat": 0,
+                                        "violation": {"x": [0], "y": [0], "value": 0}}
+
+
 def test_min_glue_diagonal_is_min(natline):
     d1 = metric_from_levels(levels_from_subset(natline, set_family("multiples", k=4)))
     d2 = metric_from_levels(levels_from_subset(natline, set_family("multiples", k=4, r=2)))

@@ -206,7 +206,7 @@ def _rescanned_rows(mu, level, schedule, n_max):
         for r in schedule:
             ball = window_points(mu.space, Window(r))
             inside = [p for p in ball if level(p) <= n]
-            row.append((r, Fraction(mass(inside), mass(ball)), mass(inside), mass(ball)))
+            row.append((r, mass(inside), mass(ball)))
         rows.append(row)
     return rows
 
@@ -275,8 +275,8 @@ def _reference_nu_hat(mu, e, n_max, schedule):
     rows_by_n = mu.ratio_series(e.levels, schedule, n_max)
     am2, masses_by_n, monotone, prev, final = [], [], True, None, None
     for n, rows in enumerate(rows_by_n, 1):
-        raws = [v for _, v, _, _ in rows]
-        masses = [m for _, _, m, _ in rows]
+        raws = [Fraction(m, t) for _, m, t in rows]
+        masses = [m for _, m, _ in rows]
         masses_by_n.append(masses)
         bounded = masses[-3] == masses[-2] == masses[-1]
         if bounded:
@@ -286,7 +286,7 @@ def _reference_nu_hat(mu, e, n_max, schedule):
         prev = raws
         final = [0 if bounded else v for v in raws]
     return NuHatReport(DensityInterval.from_series(list(zip(schedule, final))), am2,
-                       monotone, masses_by_n, [t for _, _, _, t in rows_by_n[0]])
+                       monotone, masses_by_n, [t for _, _, t in rows_by_n[0]])
 
 
 NU_HAT_SPECS = ("subset:evens", "subset:halfline:+:40", "subset:multiples:5:2",
@@ -322,8 +322,8 @@ def test_nu_hat_sees_masses_that_fall_with_n(monkeypatch, natline, weight):
     rows = mu.ratio_series(e.levels, schedule, 4)
     for i in range(len(schedule)):
         planted = [list(row) for row in rows]
-        r, _, m, t = planted[2][i]
-        planted[2][i] = (r, Fraction(m - 1, t), m - 1, t)
+        r, m, t = planted[2][i]
+        planted[2][i] = (r, m - 1, t)
         monkeypatch.setattr(mu, "ratio_series", lambda *args, rows=planted: rows)
         got = nu_hat(mu, e, 4, schedule)
         want = _reference_nu_hat(mu, e, 4, schedule)

@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -105,6 +108,21 @@ def test_projection_criterion(natline):
                    PointMetric(natline, (0,)))
     with pytest.raises(DomainError):
         projection_criterion(asym, w)
+
+
+def test_projection_criterion_takes_a_delta_with_no_serialized_form(natline):
+    # a delta kernel is symmetric, so its own adjoint: no document is built
+    # to say so, and a delta given by a callable alone is accepted
+    w = Window(10)
+    two = DeltaMetric(natline, DeltaFunction(natline, lambda pts: [2] * len(pts), "two"))
+    with pytest.raises(DomainError, match="no serializable form"):
+        two.to_json()
+    assert two.is_selfadjoint()
+    want = projection_criterion(DeltaMetric(natline, const_delta(natline, 2)), w).to_json()
+    assert projection_criterion(two, w).to_json() == want
+    # a kernel that is not symmetric still compares its adjoint's document
+    asym = compose(subset_metric(natline, set_family("evens")), PointMetric(natline, (0,)))
+    assert not asym.is_selfadjoint()
 
 
 def test_f_map_and_check_cm(natline):
@@ -444,6 +462,92 @@ def test_cold_read_is_one_reader_call(natline, kind):
     assert f.values([]) == [] and len(reads) == 3
 
 
+LIST = [(5,), (2,), (5,), (9,)]
+
+# (read, argument) steps, and the point lists the reader is handed: a
+# whole-list read, equal and repeated lists, points in and outside the
+# read, partly cached and uncached lists, and a function read first at a
+# point; the same lists that a cache of one dict entry per point hands it
+READ_SCRIPTS = {
+    "whole-first": ([("values", LIST), ("values", list(LIST)), ("values", LIST),
+                     ("point", (2,)), ("point", (7,)), ("point", (7,)),
+                     ("values", [(9,), (7,), (3,), (4,), (3,)]),
+                     ("values", [(11,), (12,)]), ("values", LIST), ("point", (12,))],
+                    [LIST, [(7,)], [(3,), (4,), (3,)], [(11,), (12,)]]),
+    "whole-then-overlap": ([("values", LIST), ("values", [(2,), (6,), (9,)]),
+                            ("values", LIST), ("point", (6,)), ("values", [(6,), (2,)])],
+                           [LIST, [(6,)]]),
+    "whole-then-disjoint": ([("values", LIST), ("values", [(1,), (3,), (1,)]),
+                             ("point", (1,)), ("point", (5,)), ("values", [])],
+                            [LIST, [(1,), (3,), (1,)]]),
+    "point-first": ([("point", (4,)), ("values", LIST), ("values", LIST),
+                     ("point", (9,)), ("values", [(4,), (5,)])],
+                    [[(4,)], LIST]),
+}
+
+
+def _run_script(f, steps):
+    one = _one_point(f)
+    return [f.values(arg) if how == "values" else one(arg) for how, arg in steps]
+
+
+@pytest.mark.parametrize("script", sorted(READ_SCRIPTS))
+@pytest.mark.parametrize("kind", sorted(LIST_READERS))
+def test_reads_hand_the_reader_the_same_lists(natline, kind, script):
+    # the first whole-list read is kept as one pending pair, not one cache
+    # entry per point; any read that it does not answer moves it into the
+    # cache first, so the reader sees exactly the lists listed above
+    make = LIST_READERS[kind]
+    steps, lists = READ_SCRIPTS[script]
+    one = _one_point(make(natline))
+    want = [[one(x) for x in arg] if how == "values" else one(arg) for how, arg in steps]
+    f = make(natline)
+    reads = _recording(f)
+    assert _run_script(f, steps) == want
+    assert reads == lists
+
+
+def test_an_equal_list_is_answered_by_a_copy(natline):
+    f = _mod4(natline)
+    reads = _recording(f)
+    pts = window_points(natline, Window(9))
+    first = f.levels(pts)
+    again = f.levels(list(pts))
+    assert again == first and again is not first and len(reads) == 1
+    again[0] = 0
+    pts[0] = (3,)  # the caller's lists may change; the kept copy does not
+    assert f.levels(window_points(natline, Window(9))) == first and len(reads) == 1
+
+
+def test_threads_reading_one_function_at_once_get_the_serial_values(natline):
+    # four threads on two cores, switching often, run every read script on
+    # one shared function each: whichever thread keeps, settles or reads
+    # past the pending pair, every read gives the serial values
+    steps = [step for script in sorted(READ_SCRIPTS) for step in READ_SCRIPTS[script][0]]
+    steps += [("values", window_points(natline, Window(300))), ("point", (299,))]
+    serial = _run_script(_mod4(natline), steps)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            f = _mod4(natline)
+            start = threading.Barrier(4, timeout=60)
+
+            def read(order, f=f, start=start):
+                start.wait()
+                got = _run_script(f, [steps[i] for i in order])
+                return [got[order.index(i)] for i in range(len(steps))]
+
+            orders = [list(range(len(steps))), list(range(len(steps)))[::-1]] * 2
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(read, order) for order in orders]
+                results = [run.result(timeout=60) for run in runs]
+            assert results == [serial] * 4
+            assert all(v == 1 + x[0] % 4 for x, v in f._cache.items())
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_cold_read_returns_the_readers_list(natline):
     # one pass: the validated list of a cold read is returned as the reader
     # gave it; a warm read builds a new list from the cache
@@ -535,10 +639,15 @@ def test_reader_of_the_wrong_shape_is_a_domain_error(natline, kind, reader):
     assert not f._cache
 
 
+def _quarter_steps():
+    """Four points at distances |i - j| / 4, on a table metric."""
+    return CustomSpace([(i,) for i in range(4)], metric="table",
+                       table=[[Fraction(abs(i - j), 4) for j in range(4)] for i in range(4)])
+
+
 def test_subset_levels_of_fraction_distances():
     # a table metric with distances 1/4, 1/2 and 3/4 from the member (0,)
-    space = CustomSpace([(i,) for i in range(4)], metric="table",
-                        table=[[Fraction(abs(i - j), 4) for j in range(4)] for i in range(4)])
+    space = _quarter_steps()
     A = PointSet.from_points([(0,)])
     pts = window_points(space, Window(1))
     ds = set_distances(space, pts, A)
@@ -546,3 +655,18 @@ def test_subset_levels_of_fraction_distances():
     want = [max(1, math.ceil(2 * d)) for d in ds]
     assert want == [1, 1, 1, 2]
     assert levels_from_subset(space, A).levels(pts) == want
+
+
+def test_validate_reports_a_level_that_jumps_within_half_a_step():
+    # (2,) lies 1/2 from (0,), so its level may exceed level 1 by at most one
+    space = _quarter_steps()
+    jump = levels_from_expression(space, "jump", lambda p: 1 if p[0] < 2 else 3)
+    rep = jump.validate(Window(1))
+    assert rep["e2_expanding"] is False and rep["passed"] is False
+    assert rep["violation"] == {"x": [0], "y": [2]}
+    assert levels_from_expression(space, "step", lambda p: 1 if p[0] < 2 else 2
+                                  ).validate(Window(1))["passed"]
+    # on the integer lines ball(x, 1/2) is {x}: no jump can fail e2 there
+    natline = space_by_name("NatLine")
+    assert levels_from_expression(natline, "jump", lambda p: 1 if p[0] < 2 else 4
+                                  ).validate(Window(6))["passed"]

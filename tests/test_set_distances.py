@@ -419,3 +419,45 @@ def test_a_run_dumps_as_its_plain_list(name):
                            ({"pts": pts, "nested": [pts]}, {"pts": plain, "nested": [plain]})):
         assert pretty_dumps(doc) == pretty_dumps(plain_doc)
         assert canonical_dumps(doc) == canonical_dumps(plain_doc)
+
+
+def _sliced_sets(lo, n):
+    """Half-lines of both signs bounded below, at each end of, inside and
+    above the coordinates lo..lo + n - 1, and multiples with k = 1, 2 and 5
+    and every residue class written as r = -6..6."""
+    sets = [set_family("half_line", sign=sign, bound=b) for sign in (-1, 1)
+            for b in (lo - 3, lo - 1, lo, lo + 1, lo + n // 2, lo + n - 2, lo + n - 1,
+                      lo + n, lo + n + 4)]
+    sets += [set_family("multiples", k=k, r=r) for k in (1, 2, 5) for r in range(-6, 7)]
+    return sets
+
+
+@pytest.mark.parametrize("lo", [-13, -5, -1, 0, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_sliced_member_flags_equal_the_predicate(lo, n):
+    # half-line and multiples families, and their complements at depth 1, 2
+    # and 3, take their flags from slice arithmetic; a negative lo is a run
+    # of IntLine
+    run = [(x,) for x in range(lo, lo + n)]
+    for A in _sliced_sets(lo, n):
+        for depth in range(4):
+            got = space_module._line_members(A.family, lo, n)
+            assert got == list(map(A._contains, run)), (A.family, lo, n)
+            A = A.complement()
+
+
+@pytest.mark.parametrize("name, lo", [("NatLine", 0), ("NatLine", 7), ("IntLine", -9)])
+def test_sweep_of_a_sliced_family_calls_no_predicate(name, lo):
+    space = space_by_name(name)
+    pts = [(x,) for x in range(lo, lo + 20)]
+    for A in _sliced_sets(lo, 20) + [s.complement() for s in _sliced_sets(lo, 20)]:
+        want = _per_point(space, pts, A)
+        A._contains = None  # the flags come from the family alone
+        assert _swept(space, pts, A) == want, A.family
+    # any other set maps its predicate over the run
+    squares = set_family("squares")
+    seen = []
+    contains = squares._contains
+    squares._contains = lambda p: seen.append(p) or contains(p)
+    assert set_distances(space, pts, squares) == _per_point(space, pts, set_family("squares"))
+    assert seen == pts
