@@ -10,7 +10,9 @@ Equivalence is certified only when the stable entries dominate the
 comparison (at least the fraction STABLE_FRACTION of the common table,
 including its smallest entry); quasi-equivalence additionally requires the
 minimal affine witness itself to be stable.  Escape evidence means some
-fixed entry grew strictly at every radius step.  None of this claims a
+fixed entry grew strictly at every radius step: one walk over the sorted
+union of the per-radius tables' jumps (``_escapes``) reads each table at
+each jump where all are defined.  None of this claims a
 limit: a certificate is always a finite inequality system that re-validates
 by substitution.  There is no separate zero rule here: ``boolalg.is_zero``
 is the order test e <= 0, one ``equivalent`` call.
@@ -122,9 +124,6 @@ class TransferTable:
         i = bisect_right(self.entries, n, key=itemgetter(0))
         return self.entries[i - 1][1] if i else None
 
-    def jumps(self):
-        return [n for n, _ in self.entries]
-
     def to_json(self):
         return [[rational_to_json(n), rational_to_json(v)] for n, v in self.entries]
 
@@ -169,26 +168,31 @@ def _stability(mid: dict, last: dict):
     return stable, unstable, frac
 
 
-def _escape_entries(samples_by_radius: Sequence[dict]):
-    """Entries that grew strictly at every radius step."""
-    if len(samples_by_radius) < 3:
+def _escapes(tables: Sequence[TransferTable]) -> list:
+    """Entries that grew strictly at every radius step: (n, values) at each
+    jump n of any of the step tables (one per radius, in radius order) where
+    every table is defined and the values, one per table, increase strictly.
+    One walk over the sorted union of the jumps, with one cursor per table;
+    fewer than three tables give none."""
+    if len(tables) < 3:
         return []
-    first = samples_by_radius[0]
+    entries = [t.entries for t in tables]
+    at = [0] * len(entries)
     out = []
-    common = set(first)
-    for s in samples_by_radius[1:]:
-        common &= set(s)
-    for n in sorted(common):
-        vals = [s[n] for s in samples_by_radius]
-        if all(b > a for a, b in zip(vals, vals[1:])):
-            out.append((n, vals))
+    for n in sorted({n for es in entries for n, _ in es}):
+        vals = []
+        for i, es in enumerate(entries):
+            k = at[i]
+            while k < len(es) and es[k][0] <= n:
+                k += 1
+            at[i] = k
+            if not k:  # below this table's first jump
+                break
+            vals.append(es[k - 1][1])
+        else:
+            if all(b > a for a, b in zip(vals, vals[1:])):
+                out.append((n, vals))
     return out
-
-
-def _jump_samples(tables: Sequence[TransferTable]) -> list:
-    """Each step table sampled at the union of all their jumps, where defined."""
-    ns = sorted({n for t in tables for n in t.jumps()})
-    return [{n: v for n in ns if (v := t.value_at(n)) is not None} for t in tables]
 
 
 def _minimal_affine(series) -> Optional[AffineWitness]:
@@ -242,8 +246,8 @@ def _equivalent_on(e1, e2, mode: str, window: Window, radii: Sequence[Rational],
     merged_list = [p["merged"] for p in per_radius]
     mid, last = merged_list[-2] if len(merged_list) > 1 else {}, merged_list[-1]
     stable, unstable, frac = _stability(mid, last)
-    escapes = (_escape_entries(_jump_samples([p["t12"] for p in per_radius]))
-               + _escape_entries(_jump_samples([p["t21"] for p in per_radius])))
+    escapes = (_escapes([p["t12"] for p in per_radius])
+               + _escapes([p["t21"] for p in per_radius]))
     claim = f"equivalent[{mode}]({_name(e1)}, {_name(e2)})"
     series = sorted(last.items())
     diagnostics = {

@@ -22,8 +22,8 @@ from .projection import (classify_type, f_map, check_cm, cm_join, cm_meet,
                          zero_levels)
 from .reporting import RunReport, diff_against
 from .serialize import expression_levels
-from .space import (PointSet, Window, neighborhood, set_family, space_by_name,
-                    window_points)
+from .space import (PointSet, Window, neighborhood, set_distances, set_family,
+                    space_by_name, window_points)
 
 SCENARIO_NAMES = ("typeI", "ex1", "ex2", "lattice-laws", "measure-demo")
 
@@ -66,9 +66,14 @@ def scenario_typeI() -> dict:
 
 
 def _far_set(space, A: PointSet, j: int) -> PointSet:
-    return PointSet.from_predicate(
+    """X - N_j(A), the points with no member of A within j.  For A with a
+    member in the space that is d(p, A) > j, so a run's flags come from one
+    ``set_distances`` sweep of A over the run, not from a ball listed per
+    point."""
+    return PointSet(
         f"X-N_{j}({A.name})",
-        lambda p: not any(A.contains(q) for q in space.points_within(p, j)))
+        lambda p: not any(A.contains(q) for q in space.points_within(p, j)),
+        run_flags=lambda run: [d > j for d in set_distances(space, run, A)])
 
 
 def scenario_ex1() -> dict:

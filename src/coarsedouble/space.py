@@ -448,14 +448,24 @@ def space_from_json(doc) -> MetricSpace:
 
 
 class PointSet:
-    """A decidable subset of a space: explicit points or a named predicate."""
+    """A decidable subset of a space: explicit points or a named predicate.
+
+    ``run_flags``, when not None, is the set's run reader: it maps a run of
+    consecutive line points [(lo,), (lo + 1,), ..., (lo + n - 1,)] to their
+    membership flags, and ``set_distances`` reads it instead of mapping
+    ``contains`` over the run.  A named line family, or a complement of
+    one, gets it from ``_line_members``."""
 
     def __init__(self, name: str, contains: Callable[[Point], bool],
-                 points: Optional[frozenset] = None, family: Optional[dict] = None):
+                 points: Optional[frozenset] = None, family: Optional[dict] = None,
+                 run_flags: Optional[Callable[[Sequence[Point]], list]] = None):
         self.name = name
         self._contains = contains
         self.points = points
         self.family = family  # serializable description, when available
+        if run_flags is None and family is not None and _line_members(family, 0, 0) is not None:
+            run_flags = lambda run: _line_members(family, run[0][0], len(run))
+        self.run_flags = run_flags
 
     @classmethod
     def from_points(cls, points: Iterable[Point], name: Optional[str] = None) -> "PointSet":
@@ -696,9 +706,13 @@ def _line_candidates(family: dict, c: int) -> Optional[tuple]:
 
 def _line_members(family: dict, lo: int, n: int) -> Optional[list]:
     """Membership flags of the coordinates lo, lo + 1, ..., lo + n - 1 in
-    the named set ``family``, by slice arithmetic, when it is a half-line
-    or multiples family with integer parameters or a complement of one;
-    None for every other set."""
+    the named set ``family``, by integer arithmetic, when it is a
+    ``half_line``, ``multiples``, ``squares``, ``powers`` or ``powers_tail``
+    family with integer parameters or a complement of one (at any depth);
+    None for every other set.  A half-line fills two constant slices and
+    ``multiples`` one strided slice; the sparse families set a flag only at
+    the offset of each member in the run, stepping from member to member as
+    ``_line_candidates`` does."""
     fam, args, complement = _named_family(family)
     if args is None:
         return None
@@ -711,12 +725,25 @@ def _line_members(family: dict, lo: int, n: int) -> Optional[list]:
             return [False] * cut + [True] * (n - cut)
         cut = min(max(b - lo + 1, 0), n)  # the first b - lo + 1 lie at or below b
         return [True] * cut + [False] * (n - cut)
+    flags = [complement] * n
     if fam == "multiples":
         k, first = args["k"], (args["r"] - lo) % args["k"]
-        flags = [complement] * n
         flags[first::k] = [not complement] * len(range(first, n, k))
-        return flags
-    return None
+    elif fam == "squares":
+        s = math.isqrt(lo - 1) + 1 if lo > 0 else 0  # the least s >= 0 with s^2 >= lo
+        while s * s < lo + n:
+            flags[s * s - lo] = not complement
+            s += 1
+    elif fam in ("powers", "powers_tail"):  # scale * base^k for k >= max(1, k0)
+        base = args["base"]
+        v = args["scale"] * base ** max(1, args.get("k0", 1))
+        while v < lo + n:
+            if v >= lo:
+                flags[v - lo] = not complement
+            v *= base
+    else:
+        return None
+    return flags
 
 
 def _geom_has_member(family: dict) -> Optional[bool]:
@@ -937,10 +964,12 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
     point takes the smaller.  Both are upper bounds, since d(., A) is
     1-Lipschitz, and the smaller is exact: the nearest member of a point
     either lies in the run, where a running distance restarted, or beyond
-    an end, and then the way to it passes that end.  The flags of a
-    ``half_line`` or ``multiples`` family with integer parameters, or of a
-    complement of one, are built by slice arithmetic from lo and the run's
-    length (``_line_members``); every other set maps its own membership
+    an end, and then the way to it passes that end.  The flags come from
+    the set's run reader, ``A.run_flags``, when it has one: a named line
+    family or a complement of one builds them by integer arithmetic from lo
+    and the run's length alone (``_line_members``), and a set defined by
+    distances, such as the scenarios' far sets X - N_j(A), reads them from
+    a sweep of its own.  Only a set with no run reader maps its membership
     predicate over the run.  A run of one or two points is searched per
     point, so a list of k maximal runs makes at most 2k searches.  A
     ``_Run`` (a ball's enumeration on these lines) whose length fits its
@@ -967,9 +996,7 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
             out += [dist_to_set(space, p, A, UNBOUNDED).value for p in run]
             continue
         first, last = (dist_to_set(space, p, A, UNBOUNDED).value for p in (run[0], run[-1]))
-        member = None if A.family is None else _line_members(A.family, run[0][0], len(run))
-        if member is None:
-            member = list(map(A._contains, run))
+        member = list(map(A._contains, run)) if A.run_flags is None else A.run_flags(run)
         d = first - 1
         swept = [d := 0 if m else d + 1 for m in member]
         d = last - 1

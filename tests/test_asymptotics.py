@@ -2,14 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsedouble import (PointMetric, classify_type, equivalent, is_zero,
                           levels_from_metric, levels_from_subset, meet,
                           powers_tail_base, tau, transfer, unit_levels, zero_levels)
-from coarsedouble.asymptotics import (TransferTable, _merged_samples, sweep_radii,
-                                      sweep_windows)
+from coarsedouble.asymptotics import (TransferTable, _escapes, _merged_samples,
+                                      sweep_radii, sweep_windows)
 from coarsedouble.boolalg import _below
 from coarsedouble.errors import DomainError
 from coarsedouble.serialize import expression_levels, parse_levels
@@ -63,7 +63,7 @@ def test_value_at_matches_linear_scan(pairs):
 def _merged_by_scan(t12, t21):
     """max of both step tables at the union of their jumps, each value by a
     linear scan, with value runs compacted to their first sample."""
-    ns = sorted(set(t12.jumps()) | set(t21.jumps()))
+    ns = sorted({n for n, _ in t12.entries + t21.entries})
     out, prev = {}, None
     for n in ns:
         vals = [v for v in (_value_by_scan(t12.entries, n), _value_by_scan(t21.entries, n))
@@ -183,6 +183,40 @@ def test_escape_evidence_lists(natline):
     vu = is_zero(unit_levels(natline), "coarse", Window(256))
     assert vu.diagnostics["order_test"]["diagnostics"]["escape"] == [
         {"n": 1, "growth": [32, 128, 512]}]
+
+
+def _escapes_by_sampling(tables):
+    """The escape rule as two passes: every table sampled at the union of
+    all their jumps where it is defined, by ``value_at``, then the levels
+    sampled by every table whose values grow strictly from table to table."""
+    if len(tables) < 3:
+        return []
+    ns = sorted({n for t in tables for n, _ in t.entries})
+    samples = [{n: v for n in ns if (v := t.value_at(n)) is not None} for t in tables]
+    common = set(samples[0]).intersection(*samples[1:])
+    out = []
+    for n in sorted(common):
+        vals = [s[n] for s in samples]
+        if all(b > a for a, b in zip(vals, vals[1:])):
+            out.append((n, vals))
+    return out
+
+
+_tables = st.lists(_level_pairs.map(TransferTable.from_levels), max_size=5)
+
+
+@given(tables=_tables)
+@example(tables=[TransferTable(((1, 5),)), TransferTable(((1, 5),)),
+                 TransferTable(((1, 7),))])  # equal values at one step: no escape
+@example(tables=[TransferTable(((1, 2), (4, 3))), TransferTable(((3, 4),)),
+                 TransferTable(((2, 5), (Fraction(7, 2), 9)))])  # undefined below 3
+@example(tables=[TransferTable(((1, 2), (5, 9))), TransferTable(((1, 3), (2, 4))),
+                 TransferTable(((1, 4), (3, 5)))])  # not nested: 9 falls to 4
+@settings(max_examples=300, deadline=None)
+def test_escapes_equal_the_sampled_rule(tables):
+    # tables of independent random pairs are not nested, and each is
+    # undefined below its first jump
+    assert _escapes(tables) == _escapes_by_sampling(tables)
 
 
 # level specs with a hand-stated truth per space (NatLine, IntLine, GeomLine):

@@ -7,8 +7,8 @@ from coarsedouble.boolalg import (TAU_N_MAX, AtomPattern, FormalSum, TwoValuedHo
                                   powers_tail_base, tau)
 from coarsedouble.errors import DomainError
 from coarsedouble.space import Window, rational_to_json, set_family, window_points
-from coarsedouble.verdicts import (CHECK_STABLE, Status, TabulatedWitness, Verdict,
-                                   revalidate)
+from coarsedouble.verdicts import (CHECK_DOMINATES, CHECK_STABLE, Status,
+                                   TabulatedWitness, Verdict, revalidate)
 
 
 @pytest.fixture
@@ -93,6 +93,28 @@ def test_check_hom_failures(nat_pair, natline):
     rep2 = check_hom(zero_phi, [f1, f2], w)
     assert not rep2["passed"]
     assert any(v["check"] == "unitality" for v in rep2["violations"])
+
+
+def test_check_hom_reports_an_order_violation(natline):
+    # a bounded class lies below every class, so phi(zero) = 1 > phi(evens) = 0
+    # breaks the certified order and nothing else
+    z, ev = zero_levels(natline), levels_from_subset(natline, set_family("evens"))
+    rep = check_hom(TwoValuedHom((z.name, ev.name), (1, 0)), [z, ev], Window(256))
+    assert rep["passed"] is False
+    assert rep["violations"] == [{"pair": [z.name, ev.name], "check": "order",
+                                  "phi": [1, 0]}]
+
+
+def test_revalidate_rejects_an_unknown_check_kind():
+    # the series and witness would pass each known check, so only the kind can fail
+    series = {"series": [[1, 1], [2, 1], [3, 1]]}
+    known = [Verdict(Status.CERTIFIED, "claim", witness=TabulatedWitness(((1, 1),)),
+                     diagnostics=series, check_kind=kind)
+             for kind in (CHECK_DOMINATES, CHECK_STABLE)]
+    assert all(revalidate(v) for v in known)
+    unknown = Verdict(Status.CERTIFIED, "claim", witness=TabulatedWitness(((1, 1),)),
+                      diagnostics=series, check_kind="relabelled")
+    assert revalidate(unknown) is False
 
 
 def test_filter_base_validation(geomline):

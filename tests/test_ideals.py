@@ -9,6 +9,7 @@ from coarsedouble.errors import DomainError, IncompleteEnumeration
 from coarsedouble.projection import levels_from_expression
 from coarsedouble.space import (CustomSpace, PredicateSpace, Window, set_family,
                                 window_points)
+from test_projection import _quarter_steps
 
 
 def test_unit_value_examples(natline):
@@ -66,6 +67,34 @@ def test_check_au(natline):
     # the constant unit never has zeros, so nothing to list
     rep_unit = check_au(ApproximateUnit(unit_levels(natline)), w)
     assert rep_unit["passed"] and rep_unit["au2_strict_failure_count"] == 0
+
+
+def test_check_au_reports_an_au1_violation():
+    # levels 1 at (0,) and 10 elsewhere do not expand: (1,) lies 1/4 from
+    # A_2 = A_4 = {(0,)}, so u_1 and u_2 are 3/4 there, and u_2 is not 1
+    e = levels_from_expression(_quarter_steps(), "spike", lambda p: 1 if p[0] == 0 else 10)
+    rep = check_au(ApproximateUnit(e), Window(1))
+    assert rep["au1_exact"] is False and rep["passed"] is False
+    assert rep["au1_violation"] == {"n": 1, "x": [1], "u_n": "3/4", "u_n1": "3/4"}
+    assert rep["au2_relaxed"]
+
+
+class _StatedUnit(ApproximateUnit):
+    """u_n = 1 at (0,) and 0 elsewhere, for every n."""
+
+    def value(self, n, x):
+        return 1 if x == (0,) else 0
+
+
+def test_check_au_reports_an_au2_violation():
+    # no unit of a level function fails (au2): u_n = 0 at y puts y at least 1
+    # from A_2n, where u_n = 1.  A unit with stated values stands in; here
+    # (1,) has u_n = 0 although it lies 1/4 from (0,), where u_n = 1.
+    space = _quarter_steps()
+    rep = check_au(_StatedUnit(unit_levels(space)), Window(1))
+    assert rep["au2_relaxed"] is False and rep["passed"] is False
+    assert rep["au2_violation"] == {"n": 1, "x": [0], "y": [1], "distance": "1/4"}
+    assert rep["au1_exact"]
 
 
 @pytest.mark.parametrize("n_max", [0, -3])

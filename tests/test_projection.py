@@ -17,7 +17,7 @@ from coarsedouble import (CmFunction, PointMetric, check_axioms, check_cm,
                           metric_join, metric_meet, projection_criterion,
                           source_projection, subset_metric, unit_levels,
                           zero_levels)
-from coarsedouble.double import DeltaFunction, DeltaMetric, MinGlueMetric
+from coarsedouble.double import DeltaFunction, DeltaMetric, MaxMetric, MinGlueMetric
 from coarsedouble.errors import DomainError
 from coarsedouble.ideals import ApproximateUnit, recovered_levels
 from coarsedouble.projection import LevelFunction, levels_from_expression
@@ -123,6 +123,28 @@ def test_projection_criterion_takes_a_delta_with_no_serialized_form(natline):
     # a kernel that is not symmetric still compares its adjoint's document
     asym = compose(subset_metric(natline, set_family("evens")), PointMetric(natline, (0,)))
     assert not asym.is_selfadjoint()
+
+
+def test_projection_criterion_on_a_max_kernel_reads_its_adjoint(natline, monkeypatch):
+    # the adjoint of a max is the max of the parts' adjoints: the kernel
+    # itself when each part is its own adjoint, a new max when a part (here
+    # a composite) builds a new one
+    w = Window(8)
+    d1 = DeltaMetric(natline, const_delta(natline, 2))
+    d2 = metric_from_levels(levels_from_subset(natline, set_family("multiples", k=3)))
+    adjoint, calls = MaxMetric.adjoint, []
+    monkeypatch.setattr(MaxMetric, "adjoint", lambda self: calls.append(self) or adjoint(self))
+    pts = window_points(natline, w)
+    for d, own in ((MaxMetric(d1, d2), True), (MaxMetric(d1, compose(d2, d2)), False)):
+        calls.clear()
+        v = projection_criterion(d, w)
+        assert calls == [d] and v.certified and revalidate(v)
+        adj = adjoint(d)
+        assert (adj is d) is own
+        parts = (d.d1.adjoint(), d.d2.adjoint())
+        for x in pts:
+            for y in pts:
+                assert adj.cross(x, y, w).value == max(p.cross(x, y, w).value for p in parts)
 
 
 def test_f_map_and_check_cm(natline):

@@ -155,6 +155,10 @@ def test_powers_on_geometric_line(base_log, scale_log, n):
 @given(spec=st.one_of(CLOSED_FORM_FAMILIES, _complements(st.one_of(_squares, _powers)),
                       _complements(_multiples)),
        depth=st.sampled_from([0, 0, 2]), n=st.integers(1, 60))
+@example(spec=("complement", {"of": {"family": "powers", "base": 2, "scale": 1}}),
+         depth=0, n=5)  # every 2^j is a member, so the complement has none
+@example(spec=("complement", {"of": {"family": "half_line", "sign": 1, "bound": 2}}),
+         depth=0, n=5)  # {x <= 1} holds no 2^j
 @settings(max_examples=200, deadline=None)
 def test_geometric_line_families_match_brute_force(spec, depth, n):
     # membership of 2^j in the families drawn here is settled by j < 100;

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from coarsedouble import space as space_module
 from coarsedouble.errors import DomainError, SearchInconclusive
+from coarsedouble.scenarios import _far_set
 from coarsedouble.projection import (join, levels_from_subset, meet, unit_levels,
                                      zero_levels)
 from coarsedouble.serialize import expression_levels
@@ -454,10 +455,58 @@ def test_sweep_of_a_sliced_family_calls_no_predicate(name, lo):
         want = _per_point(space, pts, A)
         A._contains = None  # the flags come from the family alone
         assert _swept(space, pts, A) == want, A.family
-    # any other set maps its predicate over the run
-    squares = set_family("squares")
+    # a set with no run reader, here a family-less copy of the squares, maps
+    # its predicate over the run, after the searches at the run's two ends
     seen = []
-    contains = squares._contains
-    squares._contains = lambda p: seen.append(p) or contains(p)
+    contains = set_family("squares")._contains
+    squares = PointSet.from_predicate("squares", lambda p: seen.append(p) or contains(p))
+    assert squares.run_flags is None
+    for p in (pts[0], pts[-1]):
+        dist_to_set(space, p, squares, UNBOUNDED)
+    ends, seen[:] = list(seen), []
     assert set_distances(space, pts, squares) == _per_point(space, pts, set_family("squares"))
-    assert seen == pts
+    assert seen == ends + pts
+
+
+# the sparse families, whose run flags are set at their members' offsets
+_SPARSE = st.one_of(
+    st.just(("squares", {})),
+    st.builds(lambda b, s: ("powers", {"base": b, "scale": s}),
+              st.integers(2, 5), st.integers(2, 6)),
+    st.builds(lambda b, s, k0: ("powers_tail", {"base": b, "scale": s, "k0": k0}),
+              st.integers(2, 5), st.integers(1, 4), st.integers(2, 5)))
+
+
+@given(spec=_SPARSE, depth=st.integers(0, 2), name=st.sampled_from(SPACES),
+       below=st.integers(1, 200), n=st.integers(1, 400))
+@settings(max_examples=200, deadline=None)
+def test_sparse_family_run_flags_equal_the_predicate(spec, depth, name, below, n):
+    # NatLine runs start at 0; IntLine runs start below 0 and cross it
+    space = space_by_name(name)
+    lo = 0 if name == "NatLine" else -below
+    run = [(x,) for x in range(lo, n)]
+    A = set_family(spec[0], **spec[1])
+    for _ in range(depth):
+        A = A.complement()
+    assert A.run_flags(run) == list(map(A.contains, run)), (A.family, lo)
+    if depth % 2 == 0:  # the end searches take the closed form, so no predicate runs
+        want = _per_point(space, run, A)
+        A._contains = None
+        assert _swept(space, run, A) == want
+
+
+@given(name=st.sampled_from(SPACES), spec=LINE_FAMILIES, j=st.integers(0, 8),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_far_set_flags_equal_the_ball_predicate(name, spec, j, data):
+    # X - N_j(A) flags a run by d(p, A) > j; its predicate lists ball(p, j)
+    space = space_by_name(name)
+    lo = data.draw(st.integers(0 if name == "NatLine" else -80, 80))
+    run = [(x,) for x in range(lo, lo + data.draw(st.integers(1, 40)))]
+    A = set_family(spec[0], **spec[1])
+    far = _far_set(space, A, j)
+    try:
+        flags = far.run_flags(run)
+    except DomainError:  # A has no member in the space
+        assume(False)
+    assert flags == list(map(far.contains, run)), (A.family, j)
