@@ -152,11 +152,10 @@ def _merged_samples(t12: TransferTable, t21: TransferTable) -> dict:
 
 
 def _stability(mid: dict, last: dict):
-    """Classify common samples as stable/unstable between the two largest radii."""
-    caps = [m for m in (max(mid, default=None), max(last, default=None)) if m is not None]
-    if not caps:
-        return [], [], Fraction(0)
-    cap = min(caps)
+    """Classify common samples as stable/unstable between the two largest
+    radii.  last is never empty, since every window holds its base point;
+    mid is empty when there is one radius."""
+    cap = min(max(mid or last), max(last))
     common = sorted(n for n in set(mid) | set(last) if n <= cap)
     stable, unstable = [], []
     for n in common:
@@ -164,8 +163,7 @@ def _stability(mid: dict, last: dict):
             stable.append(n)
         else:
             unstable.append(n)
-    frac = Fraction(len(stable), len(common)) if common else Fraction(0)
-    return stable, unstable, frac
+    return stable, unstable, Fraction(len(stable), len(common))
 
 
 def _escapes(tables: Sequence[TransferTable]) -> list:
@@ -248,7 +246,7 @@ def _equivalent_on(e1, e2, mode: str, window: Window, radii: Sequence[Rational],
     stable, unstable, frac = _stability(mid, last)
     escapes = (_escapes([p["t12"] for p in per_radius])
                + _escapes([p["t21"] for p in per_radius]))
-    claim = f"equivalent[{mode}]({_name(e1)}, {_name(e2)})"
+    claim = f"equivalent[{mode}]({e1.name}, {e2.name})"
     series = sorted(last.items())
     diagnostics = {
         "radii": [rational_to_json(r) for r in radii],
@@ -256,15 +254,12 @@ def _equivalent_on(e1, e2, mode: str, window: Window, radii: Sequence[Rational],
                     "t12": p["t12"].to_json(), "t21": p["t21"].to_json()}
                    for p in per_radius],
         "series": [[n, v] for n, v in series],
-        "stable_fraction": rational_to_json(frac) if series else 0,
+        "stable_fraction": rational_to_json(frac),
         "unstable": [rational_to_json(n) for n in unstable],
         "escape": [{"n": rational_to_json(n),
                     "growth": [rational_to_json(v) for v in vals]}
                    for n, vals in escapes],
     }
-    if not series:
-        return Verdict(Status.INCONCLUSIVE, claim, window=window, value=mode,
-                       diagnostics=dict(diagnostics, reason="empty window"))
     table_stable = bool(stable) and frac >= STABLE_FRACTION and min(series)[0] in stable
     if mode == "coarse":
         if table_stable:
@@ -287,7 +282,3 @@ def _equivalent_on(e1, e2, mode: str, window: Window, radii: Sequence[Rational],
         reason = "degrading affine witness"
     return Verdict(Status.INCONCLUSIVE, claim, window=window, value=mode,
                    diagnostics=dict(diagnostics, reason=reason))
-
-
-def _name(e):
-    return getattr(e, "name", repr(e))

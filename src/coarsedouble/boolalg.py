@@ -63,9 +63,6 @@ class AtomPattern:
         return "".join("1" if i in self.members else "0"
                        for i in range(1, self.width + 1))
 
-    def __str__(self):
-        return self.bits()
-
 
 @dataclass(frozen=True)
 class TwoValuedHom:
@@ -99,6 +96,16 @@ def _below(e: LevelFunction, f: LevelFunction, window: Window) -> Verdict:
     return equivalent(meet(e, f), e, "coarse", window)
 
 
+def _certified_zero(claim: str, window: Window, diagnostics: dict,
+                    order: Verdict) -> Verdict:
+    """The certified "zero" verdict of a certified order test e <= f: its
+    witness, and the diagnostics with the test's series added."""
+    return Verdict(Status.CERTIFIED, claim, window=window, value="zero",
+                   witness=order.witness,
+                   diagnostics=dict(diagnostics, series=order.diagnostics["series"]),
+                   check_kind=CHECK_DOMINATES)
+
+
 def is_zero(e: LevelFunction, mode: str, window: Window) -> Verdict:
     """Certify that e is the zero class by the order test e <= 0, that is
     meet(e, 0) ~ e in the mode: zero is the least idempotent, so in coarse
@@ -110,10 +117,7 @@ def is_zero(e: LevelFunction, mode: str, window: Window) -> Verdict:
     claim = f"is-zero[{mode}]({e.name})"
     diagnostics = {"order_test": order.to_json()}
     if order.certified:
-        return Verdict(Status.CERTIFIED, claim, window=window, value="zero",
-                       witness=order.witness,
-                       diagnostics=dict(diagnostics, series=order.diagnostics["series"]),
-                       check_kind=CHECK_DOMINATES)
+        return _certified_zero(claim, window, diagnostics, order)
     return Verdict(Status.INCONCLUSIVE, claim, window=window, value="zero?",
                    diagnostics=dict(diagnostics, reason=order.diagnostics["reason"]))
 
@@ -134,10 +138,7 @@ def atom_nonzero(pattern: AtomPattern, gens: Sequence[LevelFunction],
     claim = f"atom({pattern.bits()})"
     diagnostics = {"pattern": pattern.bits(), "order_test": order.to_json()}
     if order.certified:
-        return Verdict(Status.CERTIFIED, claim, window=window, value="zero",
-                       witness=order.witness,
-                       diagnostics=dict(diagnostics, series=order.diagnostics["series"]),
-                       check_kind=CHECK_DOMINATES)
+        return _certified_zero(claim, window, diagnostics, order)
     escapes = order.diagnostics.get("escape", [])
     if escapes:
         growth = escapes[0]

@@ -225,13 +225,11 @@ def _dispatch(args) -> RunReport:
         rep = measure.check_modularity(mu, gens[0], gens[1], args.n_max, schedule)
         return RunReport("measure laws", {"modularity": rep})
 
-    if args.command == "ideal":
-        unit = ideals.ApproximateUnit(read_levels(args.levels))
-        return RunReport("ideal check",
-                         {"au": ideals.check_au(unit, w, args.n_max),
-                          "recovery": ideals.recovery_transfer(unit, w)})
-
-    raise DomainError(f"unhandled command {args.command}")
+    # "ideal", the one command left: argparse admits no other
+    unit = ideals.ApproximateUnit(read_levels(args.levels))
+    return RunReport("ideal check",
+                     {"au": ideals.check_au(unit, w, args.n_max),
+                      "recovery": ideals.recovery_transfer(unit, w)})
 
 
 def main(argv=None) -> int:
@@ -259,7 +257,3 @@ def main(argv=None) -> int:
                                        for v in report.verdicts)):
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -104,9 +104,6 @@ class DoubleMetric:
     def to_json(self):
         raise NotImplementedError
 
-    def __repr__(self):
-        return f"<{self.kind} metric on {self.space.name}>"
-
     # -- batch evaluation (reports) -----------------------------------------
 
     def cross_matrix(self, pts: list, window: Window):
@@ -917,8 +914,6 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
     space = d.space
     pts = window_points(space, window)
     n = len(pts)
-    if n == 0:
-        raise DomainError("empty window")
     delta = isinstance(d, DeltaMetric)
     if not delta:
         # taken before the workspace is held, so a compound kernel's delta

@@ -149,9 +149,6 @@ class DensityMeasure:
             total[r] = sum(inner, zero)
         return [[(r, member[r][n], total[r]) for r in schedule] for n in range(n_max)]
 
-    def to_json(self):
-        return {"measure": self.name, "space": self.space.to_json()}
-
 
 def _schedule(schedule: Optional[Sequence[Rational]]) -> Sequence[Rational]:
     """The schedule, or the default one for None.  DomainError unless it has

@@ -231,9 +231,6 @@ class CmFunction:
             self._cache[x] = v
         return v
 
-    def __repr__(self):
-        return f"CmFunction({self.name})"
-
 
 def f_map(d: DoubleMetric) -> CmFunction:
     """F(d): x -> d(x, x'), the copy-gap function of a kernel."""
@@ -385,9 +382,6 @@ def classify_type(e: LevelFunction, window: Window,
     if extended:  # that ball joined the sweep only to be read
         windows.pop()
         tabs.pop()
-    if not big_tab:
-        return Verdict(Status.INCONCLUSIVE, f"classify({e.name})", window=window,
-                       diagnostics={"reason": "empty window"})
     usable = [n for n in range(1, TYPE_N_MAX + 1)
               if any(v <= n for v in big_tab.values())]
     claim = f"classify({e.name})"

@@ -17,7 +17,7 @@ from .projection import (LevelFunction, delta_from_levels, join,
                          levels_from_expression, levels_from_subset, meet,
                          metric_from_levels, subset_metric, unit_levels,
                          zero_levels)
-from .space import (MetricSpace, PointSet, Window, as_rational, parse_int,
+from .space import (MetricSpace, PointSet, Window, _set_on, as_rational, parse_int,
                     set_family, set_from_json)
 
 PROBE_RADIUS = 8
@@ -60,18 +60,6 @@ def expression_levels(space: MetricSpace, name: str) -> LevelFunction:
         raise DomainError(f"unknown expression {name!r} (known: {sorted(EXPRESSIONS)})")
     return levels_from_expression(space, name, EXPRESSIONS[name],
                                   payload={"kind": "expression", "expr": name})
-
-
-def _set_on(space: MetricSpace, A: PointSet) -> PointSet:
-    """A, once its family is known to fit the space: the tail families,
-    also inside complements, need a space whose points have two coordinates."""
-    fam = A.family
-    while fam is not None and fam["family"] == "complement":
-        fam = fam["of"]
-    if (fam is not None and fam["family"] in ("tail_plus", "tail_minus")
-            and len(space.basepoint) != 2):
-        raise DomainError(f"set {fam['family']} needs a space of pairs, not {space.name}")
-    return A
 
 
 def level_from_json(space: MetricSpace, doc, validate: bool = True) -> LevelFunction:

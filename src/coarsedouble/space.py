@@ -102,9 +102,6 @@ class MetricSpace:
     def contains(self, p: Point) -> bool:
         raise NotImplementedError
 
-    def __contains__(self, p: Point) -> bool:
-        return self.contains(p)
-
     def check(self, *points: Point) -> None:
         """Raise DomainError unless every point lies in the space."""
         for p in points:
@@ -135,9 +132,6 @@ class MetricSpace:
 
     def to_json(self):
         return {"space": self.name}
-
-    def __repr__(self):
-        return f"<{self.name}>"
 
     def __eq__(self, other):
         return isinstance(other, MetricSpace) and self.to_json() == other.to_json()
@@ -483,9 +477,6 @@ class PointSet:
     def contains(self, p: Point) -> bool:
         return self._contains(tuple(p))
 
-    def __contains__(self, p):
-        return self.contains(p)
-
     def complement(self) -> "PointSet":
         fam = None
         if self.family is not None:
@@ -496,9 +487,6 @@ class PointSet:
         if self.family is not None:
             return self.family
         raise DomainError(f"point set {self.name!r} carries no serializable description")
-
-    def __repr__(self):
-        return f"PointSet({self.name})"
 
 
 class _PointFunction:
@@ -576,9 +564,6 @@ class _PointFunction:
         if self.payload is not None:
             return dict(self.payload, name=self.name)
         raise DomainError(f"{self.what} {self.name!r} has no serializable form")
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.name})"
 
 
 def _is_square(v: int) -> bool:
@@ -659,14 +644,30 @@ def set_from_json(doc) -> PointSet:
 def _named_family(family: dict) -> tuple:
     """(name, parameters, complemented) of the named set ``family``, with
     nested complements cancelled in pairs; parameters is None unless every
-    one is an integer (sets with other parameters are searched)."""
+    one is an integer (sets with other parameters are searched).  A
+    complemented half-line is the flipped half-line, not complemented: the
+    complement of {x >= b} is {x <= b - 1}, that of {x <= b} is {x >= b + 1}."""
     complement = False
     while family["family"] == "complement":
         family, complement = family["of"], not complement
     args = {k: v for k, v in family.items() if k != "family"}
     if not all(isinstance(v, int) for v in args.values()):
         args = None
+    elif complement and family["family"] == "half_line":
+        sign = args["sign"]
+        args, complement = {"sign": -sign, "bound": args["bound"] - sign}, False
     return family["family"], args, complement
+
+
+def _set_on(space: MetricSpace, A: PointSet) -> PointSet:
+    """A, once its family is known to fit the space: the tail families,
+    also inside complements, need a space whose points have two
+    coordinates, and raise DomainError on any other."""
+    if A.family is not None and len(space.basepoint) != 2:
+        fam = _named_family(A.family)[0]
+        if fam in ("tail_plus", "tail_minus"):
+            raise DomainError(f"set {fam} needs a space of pairs, not {space.name}")
+    return A
 
 
 def _line_candidates(family: dict, c: int) -> Optional[tuple]:
@@ -678,8 +679,6 @@ def _line_candidates(family: dict, c: int) -> Optional[tuple]:
         return None
     if fam == "half_line":
         sign, b = args["sign"], args["bound"]
-        if complement:  # ~{x >= b} is {x <= b - 1}; ~{x <= b} is {x >= b + 1}
-            sign, b = -sign, b - sign
         return (max(b, c),) if sign > 0 else (min(b, c),)
     if fam == "multiples":
         k, r = args["k"], args["r"]
@@ -718,8 +717,6 @@ def _line_members(family: dict, lo: int, n: int) -> Optional[list]:
         return None
     if fam == "half_line":
         sign, b = args["sign"], args["bound"]
-        if complement:  # as in _line_candidates
-            sign, b = -sign, b - sign
         if sign > 0:  # the first b - lo coordinates lie below b
             cut = min(max(b - lo, 0), n)
             return [False] * cut + [True] * (n - cut)
@@ -762,10 +759,7 @@ def _geom_has_member(family: dict) -> Optional[bool]:
     if args is None:
         return None
     if fam == "half_line":
-        sign, b = args["sign"], args["bound"]
-        if complement:  # as in _line_candidates
-            sign, b = -sign, b - sign
-        return sign > 0 or b >= 2
+        return args["sign"] > 0 or args["bound"] >= 2
     if fam == "multiples":
         k, r = args["k"], args["r"] % args["k"]
         j0 = k.bit_length()
@@ -812,10 +806,7 @@ def _tails_has_member(family: dict) -> Optional[bool]:
     if args is None:
         return None
     if fam == "half_line":
-        sign, b = args["sign"], args["bound"]
-        if complement:  # as in _line_candidates
-            sign, b = -sign, b - sign
-        return sign > 0 or b >= 1
+        return args["sign"] > 0 or args["bound"] >= 1
     if fam == "multiples":
         k, r = args["k"], args["r"] % args["k"]
         if k > SEARCH_POINT_CAP:
@@ -927,6 +918,7 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
                 f"no member of {A.name} within {budget} of {x}",
                 window_radius=budget)
         return Evaluation(d, True, witness=(best,))
+    _set_on(space, A)
     if A.contains(x):
         return Evaluation(0, True, witness=tuple(x))
     if (type(space) is TwoTails and A.family is not None
@@ -1016,6 +1008,7 @@ def neighborhood(space: MetricSpace, A: PointSet, r: Rational, window: Window) -
     """
     if r < 0:
         raise DomainError("neighborhood radius must be nonnegative")
+    _set_on(space, A)
     out = []
     for x in window_points(space, window):
         if any(A.contains(p) for p in space.points_within(x, r)):

@@ -86,12 +86,12 @@ class TabulatedWitness(Witness):
             raise DomainError("empty tabulated witness")
         if n <= t[0][0]:
             return t[0][1]
+        # past the first entry, some entry lies at or below n
         for nn, vv in reversed(t):
             if nn <= n:
                 if nn == n:
                     return vv
                 return vv + self.last_slope() * (n - nn)
-        return t[-1][1]
 
     def to_json(self):
         return {"kind": "tabulated",

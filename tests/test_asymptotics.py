@@ -378,6 +378,18 @@ def test_tabulated_witness_extension():
         TabulatedWitness(((1, 5), (2, 3)))
 
 
+def test_tabulated_witness_extends_short_and_vertical_tables_by_slope_one():
+    # one entry, or two at the same n, give no slope: the extension is 1
+    one = TabulatedWitness(((2, 3),))
+    assert one.last_slope() == 1 and one.bound(2) == 3 and one.bound(6) == 7
+    vertical = TabulatedWitness(((1, 2), (1, 5)))
+    assert vertical.last_slope() == 1 and vertical.bound(4) == 8
+    # a flat last step extends flat
+    flat = TabulatedWitness(((1, 4), (3, 4)))
+    assert flat.last_slope() == 0 and flat.bound(9) == 4
+    assert TabulatedWitness(((1, 1), (4, 2))).bound(7) == 3
+
+
 @given(alpha=st.integers(0, 8), beta=st.integers(1, 8),
        ns=st.lists(st.integers(0, 50), min_size=1, max_size=8))
 @settings(max_examples=50, deadline=None)

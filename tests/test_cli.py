@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -85,6 +87,16 @@ def test_inexact_eval_strict_exit(capsys):
     code, _ = run_cli(capsys, "--strict", "eval", "--space", "NatLine",
                       "--metric", "zero:0", "--x", "3", "--y", "5")
     assert code == 0
+
+
+def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
+    # python -m coarsedouble, run in this process so that its lines are seen
+    monkeypatch.setattr(sys, "argv", ["coarsedouble", "space", "list"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("coarsedouble", run_name="__main__", alter_sys=True)
+    assert done.value.code == 0
+    assert json.loads(capsys.readouterr().out)["results"]["spaces"] == [
+        "GeomLine", "IntLine", "NatLine", "TwoTails"]
 
 
 def test_usage_error_exit_code(capsys):

@@ -288,7 +288,8 @@ def test_lower_bound_holds_on_window(natline):
 
 def test_check_axioms_pass_and_fail(natline):
     d = metric_from_levels(zero_levels(natline))
-    assert check_axioms(d, Window(24)).passed
+    ok = check_axioms(d, Window(24))
+    assert ok.passed and ok.first_violation() is None
     m = MaxMetric(d, DeltaMetric(natline, const_delta(natline)))
     assert check_axioms(m, Window(24)).passed
     bad = ClosedFormMetric(natline, lambda x, y: 1, "flat", symmetric=True)
@@ -773,6 +774,23 @@ def test_line_delta_batch_beyond_int64_guard(intline, geomline):
         rep = check_axioms(d, w)
         assert rep.passed and rep.exact
         assert rep.to_json() == check_axioms(_on(generic, d), w).to_json()
+
+
+def test_coordinates_beyond_int64_stay_exact_objects(intline):
+    # 2**70 overflows numpy's int64 conversion itself, so _coordinates
+    # falls back to an object array of the ints; a float cast would round
+    # neighbouring points together
+    d = DeltaMetric(intline, const_delta(intline, 2))
+    w = Window(3, (2 ** 70,))
+    pts = window_points(intline, w)
+    assert _coordinates(pts).dtype == object
+    mat, exact = d.cross_matrix(pts, w)
+    assert mat.dtype == object and exact
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            assert mat[i, j] == d.cross(x, y, w).value
+    rep = check_axioms(d, w)
+    assert rep.passed and rep.exact
 
 
 def _count_min_plus(monkeypatch):

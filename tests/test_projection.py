@@ -17,7 +17,8 @@ from coarsedouble import (CmFunction, PointMetric, check_axioms, check_cm,
                           metric_join, metric_meet, projection_criterion,
                           source_projection, subset_metric, unit_levels,
                           zero_levels)
-from coarsedouble.double import DeltaFunction, DeltaMetric, MaxMetric, MinGlueMetric
+from coarsedouble.double import (ClosedFormMetric, DeltaFunction, DeltaMetric, MaxMetric,
+                                 MinGlueMetric)
 from coarsedouble.errors import DomainError
 from coarsedouble.ideals import ApproximateUnit, recovered_levels
 from coarsedouble.projection import LevelFunction, levels_from_expression
@@ -123,6 +124,20 @@ def test_projection_criterion_takes_a_delta_with_no_serialized_form(natline):
     # a kernel that is not symmetric still compares its adjoint's document
     asym = compose(subset_metric(natline, set_family("evens")), PointMetric(natline, (0,)))
     assert not asym.is_selfadjoint()
+
+
+def test_closed_form_compares_its_adjoint_by_document(natline):
+    # a closed form not declared symmetric is not its own adjoint, even when
+    # its expression is symmetric: the adjoint's document wraps the kernel's
+    d = ClosedFormMetric(natline, lambda x, y: abs(x[0] - y[0]) + 1, "gap+1")
+    adj = d.adjoint()
+    assert adj is not d and adj.adjoint() is d
+    assert adj.to_json() == {"kind": "adjoint", "of": d.to_json()}
+    assert d.to_json() == {"kind": "closed_form", "space": {"space": "NatLine"},
+                           "name": "gap+1"}
+    assert not d.is_selfadjoint()
+    with pytest.raises(DomainError, match="selfadjoint"):
+        projection_criterion(d, Window(4))
 
 
 def test_projection_criterion_on_a_max_kernel_reads_its_adjoint(natline, monkeypatch):

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from coarsedouble import (DeltaMetric, MaxMetric, PointMetric, compose,
+from coarsedouble import (DeltaMetric, MaxMetric, MinGlueMetric, PointMetric, compose,
                           const_delta, evaluate, levels_from_subset, meet,
-                          metric_from_levels, subset_metric, unit_levels,
+                          metric_from_levels, metric_join, subset_metric, unit_levels,
                           zero_levels)
 from coarsedouble.errors import DomainError
 from coarsedouble.serialize import (expression_levels, kernel_from_json,
@@ -49,6 +49,21 @@ def test_kernel_roundtrips(natline):
     _roundtrip_kernel(natline, MaxMetric(d1, d2), probe=8)
     _roundtrip_kernel(natline, compose(PointMetric(natline, (0,)),
                                        PointMetric(natline, (1,))), probe=6)
+
+
+def test_min_glue_roundtrip(natline):
+    w = Window(20)
+    d1 = metric_from_levels(levels_from_subset(natline, set_family("multiples", k=4)))
+    d2 = metric_from_levels(levels_from_subset(natline, set_family("multiples", k=4, r=2)))
+    dj = metric_join(d1, d2, w)
+    doc = dj.to_json()
+    assert doc["kind"] == "min_glue" and doc["of"] == [d1.to_json(), d2.to_json()]
+    clone = kernel_from_json(natline, json.loads(json.dumps(doc)))
+    assert type(clone) is MinGlueMetric and clone.to_json() == doc
+    pts = window_points(natline, Window(8))
+    for x in pts:
+        for y in pts:
+            assert clone.cross(x, y, w).value == dj.cross(x, y, w).value
 
 
 def test_deserialization_revalidates(natline):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsedouble.errors import DomainError, IncompleteEnumeration, SearchInconclusive
-from coarsedouble.space import (CustomSpace, PointSet, PredicateSpace, Window,
+from coarsedouble.space import (SEARCH_POINT_CAP, UNBOUNDED, CustomSpace, PointSet,
+                                PredicateSpace, Window, _geom_has_member, _line_candidates,
+                                _line_members, _named_family, _tails_has_member,
                                 dist_to_set, neighborhood, rational_to_json, ruler,
                                 set_family, space_by_name, space_from_json, window_points)
 from conftest import BRUTE_WINDOWS
@@ -211,6 +213,55 @@ def test_set_family_rejects_degenerate_parameters(family, args):
     # would divide by zero
     with pytest.raises(DomainError):
         set_family(family, **args)
+
+
+def test_spaces_hash_by_their_documents(natline):
+    # equal spaces, such as two CustomSpaces of one document, hash alike
+    doc = {"points": [[0, 0], [1, 2]], "metric": "manhattan"}
+    a, b = space_from_json(doc), space_from_json(json.loads(json.dumps(doc)))
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert space_from_json("NatLine") is natline
+    assert space_from_json({"space": "NatLine"}) is natline
+    assert len({natline, space_by_name("IntLine"), a}) == 3
+
+
+def test_family_rules_cover_every_branch():
+    # the line candidates: a family with no closed form is searched
+    assert _line_candidates({"family": "tail_plus"}, 5) is None
+    assert _line_members({"family": "tail_plus"}, 0, 4) is None
+    # GeomLine: 4 is a square; scale * base^k with base and scale powers of
+    # 2 has a member; a multiples k whose 2-cycle is longer than
+    # SEARCH_POINT_CAP (65539 is prime with 2 a primitive root, so the
+    # cycle has length 65538) and an unknown family have no rule
+    assert _geom_has_member({"family": "squares"}) is True
+    assert _geom_has_member({"family": "powers", "base": 4, "scale": 2}) is True
+    assert _geom_has_member({"family": "multiples", "k": 65539, "r": 0}) is None
+    assert _geom_has_member({"family": "tail_plus"}) is None
+    half = {"family": "half_line", "sign": 1, "bound": Fraction(5, 2)}
+    assert _geom_has_member(half) is None
+    # TwoTails: a non-integer parameter, a k above SEARCH_POINT_CAP and an
+    # unknown family have no rule
+    assert _tails_has_member(half) is None
+    assert _tails_has_member({"family": "multiples", "k": SEARCH_POINT_CAP + 1, "r": 0}) is None
+    assert _tails_has_member({"family": "custom"}) is None
+
+
+def test_geomline_search_without_a_rule_gives_up(geomline):
+    # no 2^j is a multiple of the odd prime 65539, and the rule leaves that
+    # cycle to the search, which stops at the search cap
+    with pytest.raises(SearchInconclusive):
+        dist_to_set(geomline, (2,), set_family("multiples", k=65539), UNBOUNDED)
+
+
+def test_complemented_half_line_is_the_flipped_half_line():
+    # ~{x >= b} is {x <= b - 1} and ~{x <= b} is {x >= b + 1}, at any odd depth
+    for sign, bound in ((1, 3), (-1, 3), (1, -2), (-1, 0)):
+        fam = set_family("half_line", sign=sign, bound=bound).family
+        flipped = ("half_line", {"sign": -sign, "bound": bound - sign}, False)
+        assert _named_family({"family": "complement", "of": fam}) == flipped
+        twice = {"family": "complement", "of": {"family": "complement", "of": fam}}
+        assert _named_family(twice) == ("half_line", {"sign": sign, "bound": bound}, False)
+        assert _named_family({"family": "complement", "of": twice}) == flipped
 
 
 def test_fractional_radius_windows(natline):
