@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+from contextlib import contextmanager
+
 
 class DomainError(ValueError):
     """An argument lies outside the operation's domain (wrong space, empty set, ...)."""
@@ -20,3 +22,14 @@ class SearchInconclusive(Exception):
         super().__init__(message)
         self.window_radius = window_radius
         self.required_radius = required_radius
+
+
+@contextmanager
+def _malformed(what: str):
+    """Reads a document: a field missing or of the wrong shape raises DomainError."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {what} document: {exc!r}") from None

@@ -175,7 +175,8 @@ def projection_criterion(d: DoubleMetric, window: Window,
     d(x,x') <= beta*d(x,X') + c with c = alpha*beta, checked per point.
     """
     if not d.is_selfadjoint():
-        raise DomainError("projection criterion needs a selfadjoint kernel")
+        raise DomainError(f"projection criterion needs a selfadjoint kernel, and the "
+                          f"structure of this {d.kind} kernel does not establish it")
     if grid is None:
         grid = default_grid()
     pts = window_points(d.space, window)

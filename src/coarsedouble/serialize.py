@@ -1,26 +1,29 @@
 """JSON (de)serialization for kernels and level functions, and the
 command-line grammar of their compact specs.
 
-Deserialized objects are revalidated on a probe window before use: kernels
-rerun the axiom checks, level functions rerun the expanding-sequence checks.
+Only kernels that ``kernel_from_json`` rebuilds have a document.  Readers
+raise DomainError on a malformed document or a kernel of another space, and
+revalidate what they read on a probe window: kernels rerun the axiom
+checks, level functions the expanding-sequence checks.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 from .boolalg import FilterBase, powers_tail_base
 from .double import (DeltaMetric, DoubleMetric, MaxMetric, MinGlueMetric,
                      PointMetric, check_axioms, compose, const_delta)
-from .errors import DomainError
-from .projection import (LevelFunction, delta_from_levels, join,
-                         levels_from_expression, levels_from_subset, meet,
-                         metric_from_levels, subset_metric, unit_levels,
-                         zero_levels)
+from .errors import DomainError, _malformed
+from .projection import (LevelFunction, join, levels_from_expression,
+                         levels_from_subset, meet, metric_from_levels,
+                         subset_metric, unit_levels, zero_levels)
 from .space import (MetricSpace, PointSet, Window, _set_on, as_rational, parse_int,
                     set_family, set_from_json)
 
 PROBE_RADIUS = 8
+_PAIRS = {"max": MaxMetric, "min_glue": MinGlueMetric, "compose": compose}
 
 
 def _expr_sqrt(p) -> int:
@@ -63,23 +66,21 @@ def expression_levels(space: MetricSpace, name: str) -> LevelFunction:
 
 
 def level_from_json(space: MetricSpace, doc, validate: bool = True) -> LevelFunction:
-    kind = doc["kind"]
-    if kind == "unit":
-        lf = unit_levels(space)
-    elif kind == "zero":
-        lf = zero_levels(space, tuple(doc["x0"]) if "x0" in doc else None)
-    elif kind == "subset":
-        lf = levels_from_subset(space, _set_on(space, set_from_json(doc["set"])))
-    elif kind == "expression":
-        lf = expression_levels(space, doc["expr"])
-    elif kind in ("meet", "join"):
-        parts = [level_from_json(space, d, validate=False) for d in doc["of"]]
-        op = meet if kind == "meet" else join
-        lf = parts[0]
-        for p in parts[1:]:
-            lf = op(lf, p)
-    else:
-        raise DomainError(f"unknown level-function kind {kind!r}")
+    with _malformed("level"):
+        kind = doc["kind"]
+        if kind == "unit":
+            lf = unit_levels(space)
+        elif kind == "zero":
+            lf = zero_levels(space, tuple(doc["x0"]) if "x0" in doc else None)
+        elif kind == "subset":
+            lf = levels_from_subset(space, _set_on(space, set_from_json(doc["set"])))
+        elif kind == "expression":
+            lf = expression_levels(space, doc["expr"])
+        elif kind in ("meet", "join"):
+            lf = reduce(meet if kind == "meet" else join,
+                        [level_from_json(space, d, validate=False) for d in doc["of"]])
+        else:
+            raise DomainError(f"unknown level-function kind {kind!r}")
     if validate:
         report = lf.validate(Window(PROBE_RADIUS))
         if not report["passed"]:
@@ -88,32 +89,28 @@ def level_from_json(space: MetricSpace, doc, validate: bool = True) -> LevelFunc
 
 
 def kernel_from_json(space: MetricSpace, doc, validate: bool = True) -> DoubleMetric:
-    kind = doc["kind"]
-    if kind == "zero_at":
-        d = PointMetric(space, tuple(doc["x0"]))
-    elif kind == "subset":
-        d = subset_metric(space, _set_on(space, set_from_json(doc["set"])))
-    elif kind == "delta":
-        delta_doc = doc["delta"]
-        if delta_doc.get("kind") == "const":
-            delta = const_delta(space, as_rational(delta_doc["value"]))
-        elif delta_doc.get("kind") == "levels":
-            delta = delta_from_levels(level_from_json(space, delta_doc["levels"],
-                                                      validate=False))
+    with _malformed("kernel"):
+        kind = doc["kind"]
+        if "space" in doc and doc["space"] != space.to_json():
+            raise DomainError(f"{kind} kernel document of {doc['space']} read on {space.name}")
+        if kind == "zero_at":
+            d = PointMetric(space, tuple(doc["x0"]))
+        elif kind == "subset":
+            d = subset_metric(space, _set_on(space, set_from_json(doc["set"])))
+        elif kind == "delta":
+            payload = doc["delta"]
+            if payload.get("kind") == "const":
+                d = DeltaMetric(space, const_delta(space, as_rational(payload["value"])))
+            elif payload.get("kind") == "levels":
+                d = metric_from_levels(level_from_json(space, payload["levels"], validate=False))
+            else:
+                raise DomainError(f"unknown delta payload {payload!r}")
+        elif kind in _PAIRS:
+            a, b = doc["of"]  # exactly two kernel documents, or a malformed one
+            d = _PAIRS[kind](kernel_from_json(space, a, validate=False),
+                             kernel_from_json(space, b, validate=False))
         else:
-            raise DomainError(f"unknown delta payload {delta_doc!r}")
-        d = DeltaMetric(space, delta)
-    elif kind == "max":
-        parts = [kernel_from_json(space, p, validate=False) for p in doc["of"]]
-        d = MaxMetric(*parts)
-    elif kind == "min_glue":
-        parts = [kernel_from_json(space, p, validate=False) for p in doc["of"]]
-        d = MinGlueMetric(*parts)
-    elif kind == "compose":
-        parts = [kernel_from_json(space, p, validate=False) for p in doc["of"]]
-        d = compose(*parts)
-    else:
-        raise DomainError(f"unknown kernel kind {kind!r}")
+            raise DomainError(f"unknown kernel kind {kind!r}")
     if validate:
         report = check_axioms(d, Window(PROBE_RADIUS))
         required = ["positivity", "lower_bound", "triangle_cross_vs_base"]
@@ -176,9 +173,7 @@ def parse_levels(space: MetricSpace, spec: str) -> LevelFunction:
     if spec == "unit":
         return unit_levels(space)
     if spec == "zero" or spec.startswith("zero:"):
-        if ":" in spec:
-            return zero_levels(space, parse_ints(spec.split(":", 1)[1]))
-        return zero_levels(space)
+        return zero_levels(space, parse_ints(spec[5:]) if ":" in spec else None)
     if spec.startswith("expr:"):
         return expression_levels(space, spec.split(":", 1)[1])
     if spec.startswith("subset:"):
@@ -221,9 +216,7 @@ def parse_filter_base(text: str) -> FilterBase:
 def parse_kernel(space: MetricSpace, spec: str) -> DoubleMetric:
     """zero[:coords] | subset:<set spec> | delta:<levels spec> | const:<v>."""
     if spec == "zero" or spec.startswith("zero:"):
-        if ":" in spec:
-            return PointMetric(space, parse_ints(spec.split(":", 1)[1]))
-        return PointMetric(space, space.basepoint)
+        return PointMetric(space, parse_ints(spec[5:]) if ":" in spec else None)
     if spec.startswith("const:"):
         return DeltaMetric(space, const_delta(space, as_rational(spec.split(":", 1)[1])))
     if spec.startswith("subset:"):

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import filterfalse
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
+from .errors import DomainError, IncompleteEnumeration, SearchInconclusive, _malformed
 
 Point = tuple
 Rational = Union[int, Fraction]
@@ -425,7 +425,7 @@ def space_from_json(doc) -> MetricSpace:
     malformed document raises DomainError."""
     if isinstance(doc, str):
         return space_by_name(doc)
-    try:
+    with _malformed("space"):
         name = doc.get("space", "Custom")
         if name in builtin_spaces():
             return space_by_name(name)
@@ -433,8 +433,6 @@ def space_from_json(doc) -> MetricSpace:
                            metric=doc.get("metric", "manhattan"),
                            table=doc.get("table"), name=name,
                            basepoint=tuple(doc["basepoint"]) if "basepoint" in doc else None)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise DomainError(f"malformed space document: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +635,9 @@ def set_family(family: str, **args) -> PointSet:
 
 
 def set_from_json(doc) -> PointSet:
-    args = {k: v for k, v in doc.items() if k != "family"}
-    return set_family(doc["family"], **args)
+    with _malformed("set"):
+        args = {k: v for k, v in doc.items() if k != "family"}
+        return set_family(doc["family"], **args)
 
 
 def _named_family(family: dict) -> tuple:

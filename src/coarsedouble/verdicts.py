@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError
+from .errors import DomainError, _malformed
 from .space import Rational, Window, as_rational, rational_to_json
 
 
@@ -99,12 +99,13 @@ class TabulatedWitness(Witness):
 
 
 def witness_from_json(doc) -> Witness:
-    kind = doc["kind"]
-    if kind == "affine":
-        return AffineWitness(as_rational(doc["alpha"]), as_rational(doc["beta"]))
-    if kind == "tabulated":
-        return TabulatedWitness(tuple((as_rational(n), as_rational(v))
-                                      for n, v in doc["table"]))
+    with _malformed("witness"):
+        kind = doc["kind"]
+        if kind == "affine":
+            return AffineWitness(as_rational(doc["alpha"]), as_rational(doc["beta"]))
+        if kind == "tabulated":
+            return TabulatedWitness(tuple((as_rational(n), as_rational(v))
+                                          for n, v in doc["table"]))
     raise DomainError(f"unknown witness kind {kind!r}")
 
 

@@ -23,10 +23,11 @@ from coarsedouble.errors import DomainError
 from coarsedouble.ideals import ApproximateUnit
 from coarsedouble.measure import DensityInterval
 from coarsedouble.scenarios import run_scenario
-from coarsedouble.serialize import kernel_from_json, level_from_json, parse_set
+from coarsedouble.serialize import kernel_from_json, level_from_json, parse_kernel, parse_set
 from coarsedouble.space import (UNBOUNDED, CustomSpace, MetricSpace, PointSet,
                                 PredicateSpace, Window, as_rational, neighborhood, ruler,
-                                set_distances, set_family, space_by_name, space_from_json)
+                                set_distances, set_family, set_from_json, space_by_name,
+                                space_from_json)
 from coarsedouble.verdicts import (AffineWitness, Status, TabulatedWitness, Verdict,
                                    witness_from_json)
 
@@ -153,6 +154,8 @@ CASES.update({
     "kernel_fails_axioms": lambda: kernel_from_json(CubedLine(), {
         "kind": "delta", "delta": {"kind": "const", "value": 1}}),
     "witness_kind_unknown": lambda: witness_from_json({"kind": "nope"}),
+    "kernel_doc_of_another_space": lambda: kernel_from_json(
+        NATLINE, parse_kernel(INTLINE, "delta:subset:odds").to_json()),
     # witnesses, verdicts and intervals
     "affine_witness_negative": lambda: AffineWitness(-1, 1),
     "tabulated_witness_empty": lambda: TabulatedWitness(()).bound(1),
@@ -169,6 +172,28 @@ CASES.update({
     "hom_generator_mismatch": lambda: check_hom(TwoValuedHom(("a",), (1,)),
                                                 [unit_levels(NATLINE)] * 2, W),
 })
+
+# documents whose fields cannot be read: each raises DomainError("malformed
+# <what> document: ..."), once, however deep the bad part lies
+MALFORMED_DOCS = {
+    "kernel_max_without_parts": lambda: kernel_from_json(NATLINE, {"kind": "max"}),
+    "kernel_max_of_one_part": lambda: kernel_from_json(
+        NATLINE, {"kind": "max", "of": [PointMetric(NATLINE).to_json()]}),
+    "kernel_compose_of_a_bad_part": lambda: kernel_from_json(
+        NATLINE, {"kind": "compose", "of": [PointMetric(NATLINE).to_json(),
+                                            {"kind": "zero_at"}]}),
+    "kernel_without_kind": lambda: kernel_from_json(NATLINE, {}),
+    "kernel_point_not_a_list": lambda: kernel_from_json(NATLINE, {"kind": "zero_at", "x0": 5}),
+    "kernel_not_a_mapping": lambda: kernel_from_json(NATLINE, "zero"),
+    "level_meet_of_nothing": lambda: level_from_json(NATLINE, {"kind": "meet", "of": []}),
+    "level_subset_without_set": lambda: level_from_json(NATLINE, {"kind": "subset"}),
+    "set_multiples_without_k": lambda: set_from_json({"family": "multiples"}),
+    "set_not_a_mapping": lambda: set_from_json("evens"),
+    "witness_affine_without_alpha": lambda: witness_from_json({"kind": "affine"}),
+    "witness_table_row_short": lambda: witness_from_json({"kind": "tabulated", "table": [[1]]}),
+}
+for _name, _read in MALFORMED_DOCS.items():
+    CASES[f"malformed_doc-{_name}"] = _read
 
 # malformed custom space documents
 SPACE_DOCS = {
@@ -214,6 +239,18 @@ COMMANDS = {
 def test_outside_input_rejected(case):
     with pytest.raises(DomainError):
         CASES[case]()
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DOCS))
+def test_malformed_document_says_so_once(case):
+    with pytest.raises(DomainError, match="^malformed [a-z]+ document: ") as err:
+        MALFORMED_DOCS[case]()
+    assert str(err.value).count("malformed") == 1
+
+
+def test_kernel_document_of_another_space_names_both():
+    with pytest.raises(DomainError, match="IntLine.* read on NatLine"):
+        CASES["kernel_doc_of_another_space"]()
 
 
 @pytest.mark.parametrize("case", list(COMMANDS))

@@ -46,7 +46,11 @@ inputs in one step: ``cli.py`` calls ``space_by_name`` at most twice and
 delta sweep ``_line_delta_min`` runs in array passes: its body holds no
 loop and no comprehension.  Reports have one indented emitter,
 ``reporting.pretty_dumps``: no ``json.dumps(..., indent=...)`` call remains
-in the package, and ``cli.main`` renders a report only through it.
+in the package, and ``cli.main`` renders a report only through it.  A
+kernel document the library writes, it reads: the ``"kind"`` literals that
+the kernel classes' ``to_json`` methods return are exactly the kinds
+``serialize.kernel_from_json`` handles, and ``is_selfadjoint`` is defined
+once, on ``DoubleMetric``.
 """
 
 import ast
@@ -400,6 +404,64 @@ def test_kernel_facts_are_stated_once():
                   if isinstance(node, ast.FunctionDef)
                   and node.name in ("coercive_c", "eps", "symmetric")]
     assert not properties, f"facts stated as properties: {properties}"
+
+
+def _kernel_classes():
+    """The classes of ``double.py`` that derive from ``DoubleMetric``."""
+    classes = {cls.name: cls for cls in _double_classes()}
+
+    def derives(cls):
+        bases = [ast.unparse(b) for b in cls.bases]
+        return "DoubleMetric" in bases or any(derives(classes[b]) for b in bases
+                                              if b in classes)
+
+    return [cls for cls in classes.values() if derives(cls)]
+
+
+def _written_kernel_kinds():
+    """The ``"kind"`` literals of the dicts the kernel ``to_json`` methods return."""
+    return {value.value for cls in _kernel_classes() for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "to_json"
+            for doc in ast.walk(fn) if isinstance(doc, ast.Dict)
+            for key, value in zip(doc.keys, doc.values)
+            if isinstance(key, ast.Constant) and key.value == "kind"
+            and isinstance(value, ast.Constant)}
+
+
+def _read_kernel_kinds():
+    """The kinds ``kernel_from_json`` compares ``kind`` with: the literals of
+    ``kind == ...`` and ``kind in ...``, the keys of a module-level table
+    named there included."""
+    tree = ast.parse((SRC / "serialize.py").read_text(encoding="utf-8"))
+    tables = {target.id: {key.value for key in node.value.keys}
+              for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              for target in node.targets}
+    kinds = set()
+    for node in ast.walk(_definition(SRC / "serialize.py", "kernel_from_json")):
+        if isinstance(node, ast.Compare) and ast.unparse(node.left) == "kind":
+            for right in node.comparators:
+                if isinstance(right, ast.Constant):
+                    kinds.add(right.value)
+                elif isinstance(right, (ast.Tuple, ast.List, ast.Set)):
+                    kinds |= {e.value for e in right.elts}
+                elif isinstance(right, ast.Name):
+                    kinds |= tables[right.id]
+    return kinds
+
+
+def test_a_kernel_document_the_library_writes_it_reads():
+    written, read = _written_kernel_kinds(), _read_kernel_kinds()
+    assert len(written) >= 6
+    assert written == read, (f"written, not read: {sorted(written - read)}; "
+                             f"read, not written: {sorted(read - written)}")
+
+
+def test_selfadjointness_has_one_definition():
+    sites = [f"{path.name}:{node.lineno}" for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef) and node.name == "is_selfadjoint"]
+    assert len(sites) == 1 and _defining("is_selfadjoint") == ["DoubleMetric"], sites
 
 
 def test_double_imports_no_concrete_space():

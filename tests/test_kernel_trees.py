@@ -17,6 +17,13 @@ The reference finds it by growing its window until every point outside can
 be seen not to improve, which needs a coercive factor; for a composition
 with a non-coercive factor no window settles it, and there the library must
 raise SearchInconclusive.
+
+The same trees check kernel identity (Claessen & Hughes 2000, "QuickCheck").
+A tree with no adjoint node round-trips through its document, value and
+certificate alike; a tree with one has no document.  Whenever a tree is
+self-adjoint by structure, its window values are symmetric, and that answer
+reads no document.  One row per adjoint rule fixes the answers, and the
+level and set documents inside the leaves round-trip too.
 """
 
 import functools
@@ -25,11 +32,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsedouble import (AdjointMetric, DeltaMetric, MaxMetric, MinGlueMetric,
-                          PointMetric, SubsetMetric, compose, evaluate, space_by_name)
-from coarsedouble.errors import SearchInconclusive
-from coarsedouble.serialize import parse_kernel
-from coarsedouble.space import Window
+from coarsedouble import (AdjointMetric, ClosedFormMetric, DeltaMetric, MaxMetric,
+                          MinGlueMetric, PointMetric, SubsetMetric, compose, double,
+                          evaluate, join, meet, projection_criterion, space_by_name)
+from coarsedouble.errors import DomainError, SearchInconclusive
+from coarsedouble.serialize import (kernel_from_json, level_from_json, parse_kernel,
+                                    parse_levels, parse_set)
+from coarsedouble.space import Window, set_from_json
 from conftest import BRUTE_WINDOWS
 
 LEAVES = {
@@ -213,3 +222,174 @@ def test_evaluate_matches_the_window_reference(name, tree, data):
     assert not (ev.exact and ev.required_radius is not None)
     if ev.exact:
         assert evaluate(k, x, z, Window(4 * r + 16)).value == ev.value == ref.glob(k, x, z)
+
+
+# -- kernel identity ----------------------------------------------------------
+
+
+def _has_adjoint(tree):
+    return tree[0] == "adjoint" or tree[0] != "leaf" and any(map(_has_adjoint, tree[1:]))
+
+
+def _outcome(k, x, y, w):
+    """(value, exact) of k(x, y') on w, or the search's refusal."""
+    try:
+        ev = evaluate(k, x, y, w)
+    except SearchInconclusive:
+        return "inconclusive"
+    return ev.value, ev.exact
+
+
+def _pairs(space, data, n=4):
+    r = data.draw(st.sampled_from(RADII[space.name]), label="radius")
+    pts = BRUTE_WINDOWS[space.name](space.basepoint, r)
+    return Window(r), [(data.draw(st.sampled_from(pts), label="x"),
+                        data.draw(st.sampled_from(pts), label="y")) for _ in range(n)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(LEAVES)), tree=TREES, data=st.data())
+def test_a_kernel_document_rebuilds_the_kernel(name, tree, data):
+    space = space_by_name(name)
+    k = _build(space, tree)
+    if _has_adjoint(tree):
+        with pytest.raises(DomainError, match="adjoint kernel has no serializable form"):
+            k.to_json()
+        return
+    doc = k.to_json()
+    clone = kernel_from_json(space, doc, validate=False)
+    assert clone.to_json() == doc
+    w, pairs = _pairs(space, data)
+    for x, y in pairs:
+        assert _outcome(clone, x, y, w) == _outcome(k, x, y, w)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(LEAVES)), tree=TREES, data=st.data())
+def test_a_selfadjoint_tree_has_symmetric_window_values(name, tree, data):
+    space = space_by_name(name)
+    k = _build(space, tree)
+    if not k.is_selfadjoint():
+        return
+    w, pairs = _pairs(space, data)
+    for x, y in pairs:
+        try:
+            value = k.cross(x, y, w).value
+        except SearchInconclusive:
+            with pytest.raises(SearchInconclusive):
+                k.cross(y, x, w)
+            continue
+        assert k.cross(y, x, w).value == value
+
+
+NAT = space_by_name("NatLine")
+
+
+def _gap():
+    """A closed form that is not its own adjoint: d(x, y') = 2 x + y + 1."""
+    return ClosedFormMetric(NAT, lambda x, y: 2 * x[0] + y[0] + 1, "2x+y+1")
+
+
+def _leaf(spec):
+    return parse_kernel(NAT, spec)
+
+
+def _compose_with_own_adjoint():
+    c = _gap()
+    return compose(c, c.adjoint())
+
+
+def _compose_adjoint_first():
+    c = _gap()
+    return compose(c.adjoint(), c)
+
+
+def _compose_with_itself():
+    d = _leaf("delta:subset:evens")
+    return compose(d, d)
+
+
+# one row per adjoint rule: (kernel, self-adjoint by structure)
+ADJOINT_RULES = {
+    "delta": (lambda: _leaf("const:2"), True),
+    "point": (lambda: _leaf("zero:3"), True),
+    "subset": (lambda: _leaf("subset:squares"), True),
+    "min_glue": (lambda: MinGlueMetric(_leaf("zero"), _leaf("const:2")), True),
+    "closed_form_symmetric": (lambda: ClosedFormMetric(
+        NAT, lambda x, y: x[0] + y[0] + 1, "x+y+1", symmetric=True), True),
+    "closed_form": (_gap, False),
+    "max_of_selfadjoint_parts": (lambda: MaxMetric(_leaf("zero"), _leaf("const:2")), True),
+    "max_with_a_closed_form": (lambda: MaxMetric(_leaf("zero"), _gap()), False),
+    "compose_with_itself": (_compose_with_itself, True),
+    "compose_with_own_adjoint": (_compose_with_own_adjoint, True),
+    "compose_adjoint_first": (_compose_adjoint_first, True),
+    "compose_with_a_copy": (lambda: compose(_gap(), _gap()), False),
+    "compose_symmetric_with_a_copy": (lambda: compose(_leaf("const:2"), _leaf("const:2")),
+                                      False),
+    "adjoint_of_selfadjoint": (lambda: AdjointMetric(_leaf("zero")), True),
+    "adjoint_of_compose_with_own_adjoint": (
+        lambda: AdjointMetric(_compose_with_own_adjoint()), True),
+    "adjoint_of_closed_form": (lambda: AdjointMetric(_gap()), False),
+    "adjoint_of_adjoint": (lambda: AdjointMetric(AdjointMetric(_gap())), False),
+}
+
+
+@pytest.mark.parametrize("rule", list(ADJOINT_RULES))
+def test_adjoint_rule(rule):
+    make, own = ADJOINT_RULES[rule]
+    k = make()
+    assert k.is_selfadjoint() is own
+    # the adjoint's values are the transposed values, whichever object it is
+    w = Window(3)
+    pts = BRUTE_WINDOWS["NatLine"](NAT.basepoint, 3)
+    adj = k.adjoint()
+    for x in pts:
+        for y in pts:
+            assert adj.cross(x, y, w).value == k.cross(y, x, w).value
+
+
+def _no_document(self):
+    raise AssertionError(f"{type(self).__name__}.to_json read")
+
+
+def test_selfadjointness_reads_no_document(monkeypatch):
+    for cls in vars(double).values():
+        if isinstance(cls, type) and issubclass(cls, double.DoubleMetric) \
+                and "to_json" in vars(cls):
+            monkeypatch.setattr(cls, "to_json", _no_document)
+    for make, own in ADJOINT_RULES.values():
+        assert make().is_selfadjoint() is own
+    w = Window(6)
+    assert projection_criterion(_compose_with_itself(), w).certified
+    assert projection_criterion(MaxMetric(_leaf("zero"), _leaf("const:2")), w).certified
+    with pytest.raises(DomainError, match="structure of this compose kernel"):
+        projection_criterion(compose(_gap(), _gap()), w)
+
+
+def _level_specs(name):
+    """The levels specs inside the leaves' delta kernels, unit, zero, and a
+    meet and a join of the first two."""
+    specs = [leaf.split(":", 1)[1] for leaf in LEAVES[name] if leaf.startswith("delta:")]
+    return specs + ["unit", "zero"]
+
+
+@pytest.mark.parametrize("name", sorted(LEAVES))
+def test_level_and_set_documents_round_trip(name):
+    space = space_by_name(name)
+    specs = _level_specs(name)
+    levels = [parse_levels(space, spec) for spec in specs]
+    levels += [meet(levels[0], levels[1]), join(levels[0], levels[1])]
+    pts = BRUTE_WINDOWS[name](space.basepoint, RADII[name][-1])
+    for L in levels:
+        doc = L.to_json()
+        clone = level_from_json(space, doc)
+        assert clone.to_json() == doc
+        assert clone.levels(pts) == L.levels(pts)
+    sets = [parse_set(space, spec.split(":", 1)[1]) for spec in specs
+            if spec.startswith("subset:")]
+    assert sets
+    for A in sets + [A.complement() for A in sets]:
+        doc = A.to_json()
+        clone = set_from_json(doc)
+        assert clone.to_json() == doc
+        assert [clone.contains(p) for p in pts] == [A.contains(p) for p in pts]

@@ -126,34 +126,45 @@ def test_projection_criterion_takes_a_delta_with_no_serialized_form(natline):
     assert not asym.is_selfadjoint()
 
 
-def test_closed_form_compares_its_adjoint_by_document(natline):
+def test_closed_form_is_its_own_adjoint_only_when_built_symmetric(natline):
     # a closed form not declared symmetric is not its own adjoint, even when
-    # its expression is symmetric: the adjoint's document wraps the kernel's
+    # its expression is symmetric: structure decides, and neither the closed
+    # form nor its adjoint has a document to compare
     d = ClosedFormMetric(natline, lambda x, y: abs(x[0] - y[0]) + 1, "gap+1")
     adj = d.adjoint()
     assert adj is not d and adj.adjoint() is d
-    assert adj.to_json() == {"kind": "adjoint", "of": d.to_json()}
-    assert d.to_json() == {"kind": "closed_form", "space": {"space": "NatLine"},
-                           "name": "gap+1"}
-    assert not d.is_selfadjoint()
+    for k in (d, adj):
+        with pytest.raises(DomainError, match=f"^{k.kind} kernel has no serializable form"):
+            k.to_json()
+    assert not d.is_selfadjoint() and not adj.is_selfadjoint()
     with pytest.raises(DomainError, match="selfadjoint"):
         projection_criterion(d, Window(4))
+    sym = ClosedFormMetric(natline, d.fn, "gap+1", symmetric=True)
+    assert sym.adjoint() is sym and sym.is_selfadjoint()
 
 
 def test_projection_criterion_on_a_max_kernel_reads_its_adjoint(natline, monkeypatch):
     # the adjoint of a max is the max of the parts' adjoints: the kernel
-    # itself when each part is its own adjoint, a new max when a part (here
-    # a composite) builds a new one
+    # itself when each part is its own adjoint (compose(d2, d2) is, as d2 is
+    # its own), a new max when a part (here compose(d2, z)) builds a new one,
+    # and the criterion refuses that max
     w = Window(8)
     d1 = DeltaMetric(natline, const_delta(natline, 2))
     d2 = metric_from_levels(levels_from_subset(natline, set_family("multiples", k=3)))
+    z = PointMetric(natline, (0,))
     adjoint, calls = MaxMetric.adjoint, []
     monkeypatch.setattr(MaxMetric, "adjoint", lambda self: calls.append(self) or adjoint(self))
     pts = window_points(natline, w)
-    for d, own in ((MaxMetric(d1, d2), True), (MaxMetric(d1, compose(d2, d2)), False)):
+    for d, own in ((MaxMetric(d1, d2), True), (MaxMetric(d1, compose(d2, d2)), True),
+                   (MaxMetric(d1, compose(d2, z)), False)):
         calls.clear()
-        v = projection_criterion(d, w)
-        assert calls == [d] and v.certified and revalidate(v)
+        if own:
+            v = projection_criterion(d, w)
+            assert v.certified and revalidate(v)
+        else:
+            with pytest.raises(DomainError, match="selfadjoint"):
+                projection_criterion(d, w)
+        assert calls == [d]
         adj = adjoint(d)
         assert (adj is d) is own
         parts = (d.d1.adjoint(), d.d2.adjoint())
