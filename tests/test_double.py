@@ -1171,6 +1171,9 @@ _AXIOM_JOBS = (
 )
 _ROOT = Path(__file__).resolve().parent.parent
 _AXIOM_DIGESTS = json.loads((_ROOT / "tests" / "axiom_digests.json").read_text(encoding="utf-8"))
+# "<space> <kind>" -> the report digest of each kernel of _every_kind on each
+# space of _CONTRACT_SPACES
+_KIND_DIGESTS = _AXIOM_DIGESTS.pop("every_kind")
 
 
 def _spec_kernel(space_name, radius, spec):
@@ -1269,6 +1272,18 @@ def _every_kind(space, pts):
         "composed-noncoercive": compose(subset, point),
         "composed-separable": compose(subset, other),
     }
+
+
+@pytest.mark.parametrize("space_name", sorted(_CONTRACT_SPACES))
+def test_every_kinds_axiom_report_matches_its_recorded_digest(space_name):
+    # the reports, failing checks and their bounds included, as recorded
+    # before check_axioms read every kind's bound from the base rule
+    make, w = _CONTRACT_SPACES[space_name]
+    space = make()
+    got = {f"{space_name} {name}": _sha256(check_axioms(d, w).to_json())
+           for name, d in _every_kind(space, window_points(space, w)).items()}
+    assert got == {label: digest for label, digest in _KIND_DIGESTS.items()
+                   if label.split()[0] == space_name}
 
 
 def _reference_bound(d, x, y):
