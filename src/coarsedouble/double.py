@@ -18,13 +18,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
-from .space import (SEARCH_POINT_CAP, UNBOUNDED, Evaluation, LineSpace, MetricSpace,
-                    Point, PointSet, Rational, Window, _PointFunction, dist_to_set,
-                    rational_to_json, window_points)
+from .space import (SEARCH_POINT_CAP, SEARCH_RADIUS_CAP, Evaluation, LineSpace,
+                    MetricSpace, Point, PointSet, Rational, Window, _PointFunction,
+                    dist_to_set, rational_to_json, window_points)
 
 _INT_SAFE = 1 << 60
-# doubling budget of _escalate
-_MAX_DOUBLINGS = 80
 
 
 class DeltaFunction(_PointFunction):
@@ -56,6 +54,10 @@ class DoubleMetric:
       turns each infimum into a finite scan; None if not coercive;
     - ``eps``: the positivity floor for cross values (axiom d2);
     - ``symmetric``: d(x, y') = d(y, x'), so the kernel is its own adjoint.
+
+    The bound is d_X + coercive_c, or the floor eps for a kind with no c
+    (``_base_bound``): the searches certify with it and ``check_axioms``
+    checks it, for every kind alike.
     """
 
     kind = "abstract"
@@ -70,15 +72,6 @@ class DoubleMetric:
 
     def cross(self, x: Point, y: Point, window: Window) -> Evaluation:
         raise NotImplementedError
-
-    def lower_bound_matrix(self, pts: list, bmat: np.ndarray) -> np.ndarray:
-        """The kernel's certified bound on pts x pts, an exact array whose
-        cell (i, j) is at most d(pts[i], pts[j]') always; bmat holds d_X on
-        pts x pts.  bmat + coercive_c for a coercive kind, the floor eps
-        otherwise; a kind with a stronger closed form overrides it.  The
-        points are not checked: callers pass enumerated or already-checked
-        points."""
-        return _base_bound(self, bmat)
 
     # -- structure ----------------------------------------------------------
 
@@ -128,8 +121,9 @@ class DoubleMetric:
 
 
 def _base_bound(d: DoubleMetric, bmat: np.ndarray, out=None) -> np.ndarray:
-    """The base rule of ``DoubleMetric.lower_bound_matrix``: bmat +
-    coercive_c, written into out when given, or the floor eps."""
+    """A kernel's certified bound on points whose d_X matrix is bmat:
+    bmat + coercive_c, written into out when given, or the floor eps for a
+    kind with no c."""
     c = d.coercive_c
     return np.full(bmat.shape, d.eps) if c is None else np.add(bmat, c, out=out)
 
@@ -245,11 +239,6 @@ class PointMetric(DoubleMetric):
         d = self.space.distance
         return Evaluation(d(x, self.x0) + 1 + d(self.x0, y), True, witness=self.x0)
 
-    def lower_bound_matrix(self, pts, bmat):
-        # the closed form itself, stronger than bmat + 1
-        col = _distance_matrix(self.space, pts, [self.x0])
-        return col + 1 + col.T
-
     def dist_to_copy(self, x, window):
         return Evaluation(self.space.distance(x, self.x0) + 1, True, witness=self.x0)
 
@@ -275,7 +264,7 @@ class SubsetMetric(DoubleMetric):
     def set_distance(self, x: Point) -> Rational:
         v = self._dist_cache.get(x)
         if v is None:
-            v = dist_to_set(self.space, x, self.A, UNBOUNDED).value
+            v = dist_to_set(self.space, x, self.A).value
             self._dist_cache[x] = v
         return v
 
@@ -323,10 +312,6 @@ class AdjointMetric(DoubleMetric):
     def cross(self, x, y, window):
         return self.inner.cross(y, x, window)
 
-    def lower_bound_matrix(self, pts, bmat):
-        # the inner bound transposed, which may be stronger than the rule's
-        return self.inner.lower_bound_matrix(pts, bmat).T
-
     def adjoint(self):
         # k* is k itself when k is self-adjoint, so this kernel then is too
         return self if self.inner.is_selfadjoint() else self.inner
@@ -351,10 +336,6 @@ class MaxMetric(DoubleMetric):
         b = self.d2.cross(x, y, window)
         return Evaluation(max(a.value, b.value), a.exact and b.exact,
                           _max_required(a, b))
-
-    def lower_bound_matrix(self, pts, bmat):
-        return np.maximum(self.d1.lower_bound_matrix(pts, bmat),
-                          self.d2.lower_bound_matrix(pts, bmat))
 
     def adjoint(self):
         a1, a2 = self.d1.adjoint(), self.d2.adjoint()
@@ -478,10 +459,10 @@ def evaluate(d: DoubleMetric, x: Point, y: Point, window: Window) -> Evaluation:
 
 def evaluate_exact(d: DoubleMetric, x: Point, y: Point,
                    start_radius: Rational = 8) -> Evaluation:
-    """Evaluate with expanding windows until the result is certified.
-
-    Raises SearchInconclusive for kernels that cannot certify (no coercive
-    lower bound) once the doubling budget is exhausted.
+    """Evaluate with expanding windows until the result is certified, by
+    ``_escalate``: SearchInconclusive when the next window would pass
+    SEARCH_RADIUS_CAP, and after the first window for a kernel with no
+    coercive bound, which no window certifies.
     """
     return _escalate(d, lambda w: d.cross(x, y, w), (x, y), "evaluation",
                      start_radius)
@@ -491,22 +472,23 @@ def _escalate(d: DoubleMetric, evaluate: Callable[[Window], Evaluation],
               points: tuple, what: str, start_radius: Rational = 8) -> Evaluation:
     """evaluate(Window(r)) from the smallest r >= start_radius whose window
     holds the points, doubling r (or jumping to the required radius) until
-    the result is certified.  A kernel without a coercive bound stops after
+    the result is certified.  The search stops where the next window's
+    radius would pass SEARCH_RADIUS_CAP, the stopping radius of
+    ``dist_to_set`` too, and a kernel without a coercive bound stops after
     its first window, since a larger window cannot certify it either.  The
-    SearchInconclusive raised when the budget runs out names the radius of
-    the last window evaluated and that evaluation's required radius.
+    SearchInconclusive raised then names the radius of the last window
+    evaluated and that evaluation's required radius.
     """
     base = d.space.basepoint
     r = max(start_radius, *(d.space.distance(p, base) for p in points))
-    ev = None
-    for _ in range(_MAX_DOUBLINGS):
-        if ev is not None:
-            r = max(2 * r, ev.required_radius or 0)
+    while True:
         ev = evaluate(Window(r))
         if ev.exact:
             return ev
-        if d.coercive_c is None:
+        grown = max(2 * r, ev.required_radius or 0)
+        if d.coercive_c is None or grown > SEARCH_RADIUS_CAP:
             break
+        r = grown
     where = ",".join(str(p) for p in points)
     raise SearchInconclusive(
         f"{what} of {d.kind} kernel at ({where}) not certifiable",
@@ -874,10 +856,13 @@ def _coordinates(pts: list) -> np.ndarray:
 def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
     """Exhaustively verify positivity, the lower bound and both mixed
     triangle inequalities on the window.  Violations are report content.
+    The lower bound is the one the searches certify with, for every kind:
+    d(x, y') >= d_X(x, y) + coercive_c, or >= eps for a kind with no c
+    (``_base_bound``).
 
     Everything is an exact array over the n window points: d_X, the cross
-    matrix, the kernel's bound (``lower_bound_matrix``) and the two
-    triangle minima (``_triangle_minima``).  On every l1 space (``metric``
+    matrix, the kernel's bound and the two triangle minima
+    (``_triangle_minima``).  On every l1 space (``metric``
     "manhattan": the lines, TwoTails, predicate and Manhattan custom
     spaces) d_X is a coordinate broadcast, with no distance call per cell;
     table and rounded-Euclidean spaces call ``_dist`` per cell.  The window
@@ -929,13 +914,10 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
             "violation": None if ok else {"x": list(pts[i]), "y": list(pts[j]),
                                           "value": rational_to_json(min_v)}}
 
-        # certified lower bound; the base rule goes into buffer 1 when
+        # certified lower bound, the base rule, into buffer 1 when
         # coercive_c is an int64 (a Fraction or None makes an object array,
         # which takes none); argwhere lists hits in row-major order
-        if type(d).lower_bound_matrix is DoubleMetric.lower_bound_matrix:
-            lb = _base_bound(d, bmat, buf(1, bmat, np.asarray(d.coercive_c)))
-        else:
-            lb = d.lower_bound_matrix(pts, bmat)
+        lb = _base_bound(d, bmat, buf(1, bmat, np.asarray(d.coercive_c)))
         bad = dmat < lb
         viol = None
         if bad.any():

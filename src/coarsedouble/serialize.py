@@ -91,7 +91,8 @@ def level_from_json(space: MetricSpace, doc, validate: bool = True) -> LevelFunc
 def kernel_from_json(space: MetricSpace, doc, validate: bool = True) -> DoubleMetric:
     with _malformed("kernel"):
         kind = doc["kind"]
-        if "space" in doc and doc["space"] != space.to_json():
+        # a leaf states its space; a pair's parts state theirs
+        if kind in ("zero_at", "subset", "delta") and doc["space"] != space.to_json():
             raise DomainError(f"{kind} kernel document of {doc['space']} read on {space.name}")
         if kind == "zero_at":
             d = PointMetric(space, tuple(doc["x0"]))

@@ -853,48 +853,44 @@ class Evaluation:
         return doc
 
 
-# Window for dist_to_set whose radius is the search cap: search until a
-# member is found, which on a proper space happens at the nearest member.
-UNBOUNDED = Window(1 << 62)
-
-# Points one doubling step of dist_to_set may enumerate: a ball this large
-# without a member stops the search as inconclusive, so that a set with no
-# member in the space ({2*3^k} on TwoTails) cannot grow balls until memory
-# runs out.
+# The stops of dist_to_set's doubling search.  A member-free ball of more
+# than SEARCH_POINT_CAP points ends it, so that a set with no member in the
+# space ({2*3^k} on TwoTails) cannot grow balls until memory runs out.  A
+# member-free ball of radius SEARCH_RADIUS_CAP ends it too, where balls grow
+# slowly (GeomLine holds 62 points within 2^62 of 2); ``_escalate`` in
+# double.py stops its windows at the same radius.
 SEARCH_POINT_CAP = 1 << 16
+SEARCH_RADIUS_CAP = 1 << 62
 
 
-def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Evaluation:
-    """Exact d_X(x, A), searched within radius window.radius around x.
+def dist_to_set(space: MetricSpace, x: Point, A: PointSet) -> Evaluation:
+    """Exact d_X(x, A).
 
     This is the library's only set-distance search.  Balls around x double
-    in radius until one holds a member; once a member is found at distance
-    D <= r with the ball of radius r fully enumerated, no point outside the
-    ball can be closer, so the minimum is certified.  If no member lies
-    within the budget the search is inconclusive and raises.  Passing
-    ``UNBOUNDED``, whose radius is the search cap, means "search until a
-    member is found".  Whatever the budget, a ball of more than
-    SEARCH_POINT_CAP points without a member also ends the search with
-    SearchInconclusive at its radius.  Explicit sets are scanned directly,
-    whatever the budget, and raise DomainError when no member lies in the
-    space.
+    in radius from 1 until one holds a member; once a member is found at
+    distance D <= r with the ball of radius r fully enumerated, no point
+    outside the ball can be closer, so the minimum is certified.  The search
+    has one stopping rule: it stops at the first ball that holds a member,
+    and otherwise at a member-free ball of more than SEARCH_POINT_CAP points
+    or of radius SEARCH_RADIUS_CAP, raising SearchInconclusive that names
+    the ball's radius.  Explicit sets are scanned directly, and raise
+    DomainError when no member lies in the space.
 
     On ``NatLine`` and ``IntLine`` the named families ``half_line``,
     ``multiples`` (so ``evens`` and ``odds``), ``squares``, ``powers`` and
     ``powers_tail`` with integer parameters, and the complements of
     ``half_line`` and ``multiples`` (at any depth), are not searched: integer
-    arithmetic gives the nearest members below and above x.  The result is the
-    search's: the same value and witness (ties go to the smaller point),
-    and SearchInconclusive when the nearest member lies beyond the budget.
-    A family with no member in the space raises DomainError instead of
-    searching up to the budget.  Other complements, sublevel sets, the tail
-    families and the other spaces are searched.  On ``TwoTails`` a named
-    family that ``_tails_has_member`` proves empty raises DomainError before
-    the search.  On ``GeomLine`` a named family whose search finds no member
-    raises DomainError instead of SearchInconclusive when
-    ``_geom_has_member`` proves it has none.
-    ``set_distances`` answers for a whole point list, with two calls per
-    maximal run of at least three consecutive points on these lines.
+    arithmetic gives the nearest members below and above x, at any distance.
+    The result is the search's: the same value and witness (ties go to the
+    smaller point).  A family with no member in the space raises
+    DomainError.  Other complements, sublevel sets, the tail families and
+    the other spaces are searched.  On ``TwoTails`` a named family that
+    ``_tails_has_member`` proves empty raises DomainError before the search.
+    On ``GeomLine`` a named family whose search finds no member raises
+    DomainError instead of SearchInconclusive when ``_geom_has_member``
+    proves it has none.  ``set_distances`` answers for a whole point list,
+    with two calls per maximal run of at least three consecutive points on
+    these lines.
     """
     space.check(x)
     if A.points is not None:
@@ -903,7 +899,6 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
             raise DomainError(f"set {A.name} has no members in {space.name}")
         best = min(members, key=lambda a: (space._dist(x, a), a))
         return Evaluation(space._dist(x, best), True, witness=best)
-    budget = window.radius
     near = None
     if type(space) in (NatLine, IntLine) and A.family is not None:
         near = _line_candidates(A.family, x[0])
@@ -912,10 +907,6 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
         if not members:
             raise DomainError(f"set {A.name} has no members in {space.name}")
         d, best = min((abs(a - x[0]), a) for a in members)
-        if d > budget:
-            raise SearchInconclusive(
-                f"no member of {A.name} within {budget} of {x}",
-                window_radius=budget)
         return Evaluation(d, True, witness=(best,))
     _set_on(space, A)
     if A.contains(x):
@@ -925,26 +916,23 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet, window: Window) -> Ev
         raise DomainError(f"set {A.name} has no members in {space.name}")
     r = 1
     while True:
-        r = min(r, budget)
         ball = space.points_within(x, r)
         candidates = [p for p in ball if A.contains(p)]
         if candidates:
             best = min(candidates, key=lambda a: (space._dist(x, a), a))
             return Evaluation(space._dist(x, best), True, witness=best)
-        if r >= budget or len(ball) > SEARCH_POINT_CAP:
+        if r >= SEARCH_RADIUS_CAP or len(ball) > SEARCH_POINT_CAP:
             if (type(space) is GeomLine and A.family is not None
                     and _geom_has_member(A.family) is False):
                 raise DomainError(f"set {A.name} has no members in {space.name}")
             raise SearchInconclusive(
-                f"no member of {A.name} within {r} of {x}"
-                + (f" ({len(ball)} points searched)" if r < budget else ""),
+                f"no member of {A.name} within {r} of {x} ({len(ball)} points searched)",
                 window_radius=r)
         r *= 2
 
 
 def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list:
-    """[dist_to_set(space, p, A, UNBOUNDED).value for p in pts] for a point
-    list pts.
+    """[dist_to_set(space, p, A).value for p in pts] for a point list pts.
 
     On ``NatLine`` and ``IntLine`` a list of three or more points is split
     into its maximal runs of consecutive coordinates, lo, lo + 1, ..., hi,
@@ -964,17 +952,17 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
     predicate over the run.  A run of one or two points is searched per
     point, so a list of k maximal runs makes at most 2k searches.  A
     ``_Run`` (a ball's enumeration on these lines) whose length fits its
-    ends is one run, with
-    no split and no check of its points; any other list is checked once by
-    ``space.check`` before any search, so a point outside the space raises
-    DomainError there.  A set with no member raises as ``dist_to_set`` at a
-    run's first point does.  The sweep also answers where a point's own
-    search would stop at SEARCH_POINT_CAP.  Other spaces and shorter lists
-    take ``dist_to_set`` per point.
+    ends is one run, with no split and no check of its points; any other
+    list is checked once by ``space.check`` before any search, so a point
+    outside the space raises DomainError there.  A set with no member
+    raises as ``dist_to_set`` at a run's first point does.  The sweep also
+    answers where a point's own search would stop, at a member-free ball of
+    more than SEARCH_POINT_CAP points.  Other spaces and shorter lists take
+    ``dist_to_set`` per point, and stop where it does.
     """
     n = len(pts)
     if type(space) not in (NatLine, IntLine) or n < 3:
-        return [dist_to_set(space, p, A, UNBOUNDED).value for p in pts]
+        return [dist_to_set(space, p, A).value for p in pts]
     if type(pts) is _Run and pts[-1][0] - pts[0][0] == n - 1:
         runs = [pts]
     else:
@@ -984,9 +972,9 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
     out = []
     for run in runs:
         if len(run) < 3:
-            out += [dist_to_set(space, p, A, UNBOUNDED).value for p in run]
+            out += [dist_to_set(space, p, A).value for p in run]
             continue
-        first, last = (dist_to_set(space, p, A, UNBOUNDED).value for p in (run[0], run[-1]))
+        first, last = (dist_to_set(space, p, A).value for p in (run[0], run[-1]))
         member = list(map(A._contains, run)) if A.run_flags is None else A.run_flags(run)
         d = first - 1
         swept = [d := 0 if m else d + 1 for m in member]

@@ -160,16 +160,19 @@ def revalidate(verdict: Verdict) -> bool:
 
     Shares no code with the searchers: it only replays the witness
     inequality (or growth/stability predicate) against the frozen series.
+    A series too short to show its claim fails: an empty ``dominates``
+    series, and a ``strict_growth`` or ``stable`` one of fewer than three
+    entries, the radii of one sweep.
     """
     if verdict.status is not Status.CERTIFIED:
         return True
     series = verdict.series()
     if verdict.check_kind == CHECK_DOMINATES:
-        return verdict.witness is not None and verdict.witness.dominates(series)
+        return bool(series) and verdict.witness is not None and verdict.witness.dominates(series)
     if verdict.check_kind == CHECK_STRICT_GROWTH:
         vals = [v for _, v in series]
         return len(vals) >= 3 and all(b > a for a, b in zip(vals, vals[1:]))
     if verdict.check_kind == CHECK_STABLE:
         vals = [v for _, v in series]
-        return len(vals) >= 1 and all(v == vals[0] for v in vals)
+        return len(vals) >= 3 and all(v == vals[0] for v in vals)
     return False

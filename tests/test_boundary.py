@@ -24,7 +24,7 @@ from coarsedouble.ideals import ApproximateUnit
 from coarsedouble.measure import DensityInterval
 from coarsedouble.scenarios import run_scenario
 from coarsedouble.serialize import kernel_from_json, level_from_json, parse_kernel, parse_set
-from coarsedouble.space import (UNBOUNDED, CustomSpace, MetricSpace, PointSet,
+from coarsedouble.space import (CustomSpace, MetricSpace, PointSet,
                                 PredicateSpace, Window, as_rational, neighborhood, ruler,
                                 set_distances, set_family, set_from_json, space_by_name,
                                 space_from_json)
@@ -69,8 +69,7 @@ KERNEL_CALLS = {
 CASES = {
     "distance": lambda: NATLINE.distance(GOOD, BAD),
     "window_points": lambda: window_points(NATLINE, Window(3, (-1,))),
-    "dist_to_set": lambda: dist_to_set(NATLINE, BAD, PointSet.from_points([(0,)]),
-                                       UNBOUNDED),
+    "dist_to_set": lambda: dist_to_set(NATLINE, BAD, PointSet.from_points([(0,)])),
     "point_metric": lambda: PointMetric(NATLINE, BAD),
     "custom_points_within": lambda: CustomSpace([(0, 0), (1, 0)]).points_within((5, 5), 2),
     "geomline_non_power": lambda: space_by_name("GeomLine").distance((2,), (2.0,)),
@@ -129,7 +128,7 @@ CASES.update({
     "set_spec_unknown": lambda: parse_set(NATLINE, "nope"),
     "set_spec_tail_on_a_line": lambda: parse_set(NATLINE, "tailplus"),
     "subset_empty_in_space": lambda: subset_metric(GEOMLINE, PointSet.from_points([(3,)])),
-    "tail_dist_to_set_on_a_line": lambda: dist_to_set(NATLINE, (3,), TAIL, UNBOUNDED),
+    "tail_dist_to_set_on_a_line": lambda: dist_to_set(NATLINE, (3,), TAIL),
     "tail_set_distances_on_a_line": lambda: set_distances(NATLINE,
                                                           window_points(NATLINE, W), TAIL),
     "tail_levels_on_a_line": lambda: levels_from_subset(NATLINE, TAIL).levels([(1,)]),
@@ -148,11 +147,12 @@ CASES.update({
     "level_kind_unknown": lambda: level_from_json(NATLINE, {"kind": "nope"}),
     "levels_fail_validation": lambda: level_from_json(QUARTER,
                                                       {"kind": "expression", "expr": "log2"}),
-    "delta_payload_unknown": lambda: kernel_from_json(NATLINE, {"kind": "delta",
-                                                                "delta": {"kind": "nope"}}),
+    "delta_payload_unknown": lambda: kernel_from_json(NATLINE, {
+        "kind": "delta", "space": NATLINE.to_json(), "delta": {"kind": "nope"}}),
     # d(0, 2') = 3 lies below d_X(0, 2) + 1 = 9, so the revalidation fails
     "kernel_fails_axioms": lambda: kernel_from_json(CubedLine(), {
-        "kind": "delta", "delta": {"kind": "const", "value": 1}}),
+        "kind": "delta", "space": CubedLine().to_json(),
+        "delta": {"kind": "const", "value": 1}}),
     "witness_kind_unknown": lambda: witness_from_json({"kind": "nope"}),
     "kernel_doc_of_another_space": lambda: kernel_from_json(
         NATLINE, parse_kernel(INTLINE, "delta:subset:odds").to_json()),
@@ -181,9 +181,11 @@ MALFORMED_DOCS = {
         NATLINE, {"kind": "max", "of": [PointMetric(NATLINE).to_json()]}),
     "kernel_compose_of_a_bad_part": lambda: kernel_from_json(
         NATLINE, {"kind": "compose", "of": [PointMetric(NATLINE).to_json(),
-                                            {"kind": "zero_at"}]}),
+                                            {"kind": "zero_at", "space": NATLINE.to_json()}]}),
     "kernel_without_kind": lambda: kernel_from_json(NATLINE, {}),
-    "kernel_point_not_a_list": lambda: kernel_from_json(NATLINE, {"kind": "zero_at", "x0": 5}),
+    "kernel_point_not_a_list": lambda: kernel_from_json(
+        NATLINE, {"kind": "zero_at", "space": NATLINE.to_json(), "x0": 5}),
+    "kernel_leaf_without_space": lambda: kernel_from_json(NATLINE, {"kind": "zero_at", "x0": [0]}),
     "kernel_not_a_mapping": lambda: kernel_from_json(NATLINE, "zero"),
     "level_meet_of_nothing": lambda: level_from_json(NATLINE, {"kind": "meet", "of": []}),
     "level_subset_without_set": lambda: level_from_json(NATLINE, {"kind": "subset"}),

@@ -15,7 +15,8 @@ from coarsedouble.reporting import canonical_dumps, canonical_reload, report_to_
 from coarsedouble.scenarios import run_scenario
 from coarsedouble.serialize import parse_levels
 from coarsedouble.space import space_by_name
-from conftest import assert_revalidates
+from coarsedouble.verdicts import revalidate
+from conftest import assert_revalidates, certified_verdict_docs, rebuilt_verdict
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +73,28 @@ def test_compare_power_law_strict_exit(capsys):
     code, out = run_cli(capsys, "--strict", *args, "--mode", "quasi")
     assert code == 3
     assert json.loads(out)["results"]["verdict"]["status"] == "inconclusive"
+
+
+def test_revalidate_rejects_a_cut_series(capsys):
+    # certified verdicts of a scenario and of compare, rebuilt from their
+    # JSON: each revalidates as written, and fails once its dominates series
+    # is emptied or its stable series cut to one or two radii
+    cut = {"dominates": lambda s: [[]], "stable": lambda s: [s[:1], s[:2]]}
+    tampered = []
+    for argv in (["scenario", "run", "ex2"],
+                 ["compare", "--space", "NatLine", "--left", "expr:ceil-sqrt", "--right",
+                  "expr:ceil-cbrt", "--radius", "1024", "--mode", "coarse"],
+                 ["compare", "--space", "NatLine", "--left", "subset:evens", "--right",
+                  "subset:odds", "--mode", "coarse"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        for v in certified_verdict_docs(json.loads(out)):
+            series = v["diagnostics"]["series"]
+            assert revalidate(rebuilt_verdict(v, series)), v
+            for short in cut[v["check"]](series):
+                assert not revalidate(rebuilt_verdict(v, short)), (v["claim"], short)
+                tampered.append(v["check"])
+    assert sorted(set(tampered)) == ["dominates", "stable"] and len(tampered) == 8
 
 
 def test_inexact_eval_strict_exit(capsys):

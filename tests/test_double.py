@@ -11,9 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coarsedouble import (AdjointMetric, ClosedFormMetric, ComposedMetric,
-                          DeltaMetric, DoubleMetric, MaxMetric, MinGlueMetric,
-                          PointMetric, SubsetMetric, check_axioms, compose,
+from coarsedouble import (AdjointMetric, ClosedFormMetric, DeltaMetric, MaxMetric,
+                          MinGlueMetric, PointMetric, SubsetMetric, check_axioms, compose,
                           const_delta, evaluate, evaluate_exact, levels_from_subset,
                           metric_from_levels, metric_join, metric_meet,
                           projection_criterion, space_by_name, subset_metric, zero_levels)
@@ -212,16 +211,18 @@ def test_escalation_of_a_noncoercive_kernel_names_its_one_window(natline, monkey
     assert (err.value.window_radius, err.value.required_radius) == seen[-1]
 
 
-def test_escalation_out_of_budget_names_the_last_window(natline, monkeypatch):
-    # a coercive kernel whose sub-evaluations stay inexact: with a budget of
-    # two windows the error names the second, not the radius after it
-    monkeypatch.setattr(double, "_MAX_DOUBLINGS", 2)
+def test_escalation_at_the_radius_cap_names_the_last_window(natline, monkeypatch):
+    # a coercive kernel that certifies only at radius 70: with the radius
+    # cap at 40 the windows are 9 and 35, the first's required radius, and
+    # the error names the second, not the radius 70 after it, which would
+    # pass the cap
+    monkeypatch.setattr(double, "SEARCH_RADIUS_CAP", 40)
     m0 = metric_from_levels(zero_levels(natline))
     d = compose(m0, m0)
     seen = _record_windows(d, monkeypatch)
     with pytest.raises(SearchInconclusive) as err:
         evaluate_exact(d, (7,), (9,))
-    assert len(seen) == 2 and seen[1][0] > seen[0][0] == 9
+    assert [r for r, _ in seen] == [9, 35]
     assert (err.value.window_radius, err.value.required_radius) == seen[-1]
 
 
@@ -1286,25 +1287,6 @@ def test_every_kinds_axiom_report_matches_its_recorded_digest(space_name):
                    if label.split()[0] == space_name}
 
 
-def _reference_bound(d, x, y):
-    """Each kind's certified bound at one cell, written from its formula."""
-    dist = d.space.distance
-    if isinstance(d, DeltaMetric):  # MinGlueMetric too
-        return dist(x, y) + 1
-    if isinstance(d, PointMetric):
-        return dist(x, d.x0) + 1 + dist(d.x0, y)
-    if isinstance(d, SubsetMetric):
-        return 1
-    if isinstance(d, ClosedFormMetric):
-        return d.eps
-    if isinstance(d, AdjointMetric):
-        return _reference_bound(d.inner, y, x)
-    if isinstance(d, MaxMetric):
-        return max(_reference_bound(d.d1, x, y), _reference_bound(d.d2, x, y))
-    assert isinstance(d, ComposedMetric)
-    return d.eps if d.coercive_c is None else dist(x, y) + d.coercive_c
-
-
 def _assert_exact_array(mat, n):
     assert isinstance(mat, np.ndarray) and mat.shape == (n, n)
     if mat.dtype == np.int64:
@@ -1326,19 +1308,22 @@ def test_cross_matrix_is_an_exact_array(space_name):
 
 
 @pytest.mark.parametrize("space_name", sorted(_CONTRACT_SPACES))
-def test_lower_bound_matrix_is_each_kinds_formula(space_name):
+def test_every_kind_meets_the_base_bound(space_name):
+    # every kind's cross values are at least d_X + coercive_c, or eps for a
+    # kind with no c: the bound the searches certify with and check_axioms
+    # checks; a point kernel's are its closed form, cell by cell
     make, w = _CONTRACT_SPACES[space_name]
     space = make()
     pts = window_points(space, w)
-    bmat = _distance_matrix(space, pts, pts)
-    # each kind states its bound once, as an array
-    assert not hasattr(DoubleMetric, "lower_bound")
+    dist = space.distance
     for name, d in _every_kind(space, pts).items():
-        lb = d.lower_bound_matrix(pts, bmat)
-        _assert_exact_array(lb, len(pts))
-        assert lb.tolist() == [[_reference_bound(d, x, y) for y in pts] for x in pts], name
         mat, _ = d.cross_matrix(pts, w)
-        assert (lb <= mat).all(), name
+        c = d.coercive_c
+        assert all(mat.item(i, j) >= (d.eps if c is None else dist(x, y) + c)
+                   for i, x in enumerate(pts) for j, y in enumerate(pts)), name
+        if isinstance(d, PointMetric):
+            assert mat.tolist() == [[dist(x, d.x0) + 1 + dist(d.x0, y) for y in pts]
+                                    for x in pts]
 
 
 # -- distance matrices from l1 coordinates ------------------------------------

@@ -395,8 +395,11 @@ def _defining(method):
 
 
 def test_kernel_facts_are_stated_once():
-    assert _defining("lower_bound_matrix") == sorted(
-        ["DoubleMetric", "PointMetric", "AdjointMetric", "MaxMetric"])
+    # every kind's bound is the base rule of its coercive_c and eps, so no
+    # kind states a bound of its own
+    bounds = [f"{cls.name}.{node.name}" for cls in _double_classes() for node in cls.body
+              if isinstance(node, ast.FunctionDef) and "bound" in node.name]
+    assert not bounds, f"bounds stated per kind: {bounds}"
     assert _defining("adjoint") == sorted(
         ["DoubleMetric", "AdjointMetric", "MaxMetric", "ComposedMetric"])
     properties = [f"{cls.name}.{node.name}" for cls in _double_classes()

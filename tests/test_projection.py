@@ -23,7 +23,7 @@ from coarsedouble.errors import DomainError
 from coarsedouble.ideals import ApproximateUnit, recovered_levels
 from coarsedouble.projection import LevelFunction, levels_from_expression
 from coarsedouble.serialize import expression_levels
-from coarsedouble.space import (UNBOUNDED, CustomSpace, PointSet, Window, dist_to_set,
+from coarsedouble.space import (CustomSpace, PointSet, Window, dist_to_set,
                                 set_distances, set_family, space_by_name, window_points)
 from coarsedouble.verdicts import revalidate
 
@@ -45,7 +45,7 @@ def test_levels_from_subset_examples(natline, geomline):
     eg = levels_from_subset(geomline, set_family("powers", base=4))
     # oracle-frozen: d(2*4^k, {4^j}) = 4^k, so the level is 2*4^k
     assert eg.level((8,)) == 2 * dist_to_set(
-        geomline, (8,), set_family("powers", base=4), UNBOUNDED).value
+        geomline, (8,), set_family("powers", base=4)).value
     assert eg.level((8,)) == 8
     assert eg.level((32,)) == 32
     # and the mirror computation the other way round
@@ -62,7 +62,7 @@ def test_levels_from_subset_rounds_fraction_distances_up():
     A = PointSet.from_points([(0,)])
     e = levels_from_subset(space, A)
     pts = [(i,) for i in range(4)]
-    want = [max(1, math.ceil(2 * dist_to_set(space, x, A, UNBOUNDED).value)) for x in pts]
+    want = [max(1, math.ceil(2 * dist_to_set(space, x, A).value)) for x in pts]
     assert want == [1, 1, 2, 4]
     assert e.levels(pts) == want and all(type(v) is int for v in e.levels(pts))
 
@@ -121,7 +121,8 @@ def test_projection_criterion_takes_a_delta_with_no_serialized_form(natline):
     assert two.is_selfadjoint()
     want = projection_criterion(DeltaMetric(natline, const_delta(natline, 2)), w).to_json()
     assert projection_criterion(two, w).to_json() == want
-    # a kernel that is not symmetric still compares its adjoint's document
+    # structure decides: compose(b_evens, zero_at 0)* is compose(zero_at 0,
+    # b_evens), another kernel, so this one is not its own adjoint
     asym = compose(subset_metric(natline, set_family("evens")), PointMetric(natline, (0,)))
     assert not asym.is_selfadjoint()
 
@@ -314,7 +315,7 @@ def test_classify_type_reads_its_window_once(natline, counted, spec, n_cores):
     v = classify_type(e, Window(256))
     assert v.value == ("type-I" if spec == "evens" else "unclassified")
     cores = {f"[{e.name}<={n}]" for n in range(1, 9)}
-    core_searches = [(A.name, x) for _, x, A, _ in searches if A.name in cores]
+    core_searches = [(A.name, x) for _, x, A in searches if A.name in cores]
     assert len(windows) == 1
     assert len(core_searches) == len(set(core_searches)) == 2 * n_cores
 

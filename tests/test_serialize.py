@@ -79,10 +79,15 @@ def test_deserialization_revalidates(natline):
 ], ids=["tail_plus", "complement-of-tail_minus"])
 @pytest.mark.parametrize("from_json", [level_from_json, kernel_from_json])
 def test_tail_sets_need_a_space_of_pairs(natline, intline, twotails, set_doc, from_json):
+    def doc(space):
+        # a kernel document states its space, a level document does not
+        return {"kind": "subset", "set": set_doc, **(
+            {"space": space.to_json()} if from_json is kernel_from_json else {})}
+
     for space in (natline, intline):
         with pytest.raises(DomainError, match="needs a space of pairs"):
-            from_json(space, {"kind": "subset", "set": set_doc})
-    from_json(twotails, {"kind": "subset", "set": set_doc})
+            from_json(space, doc(space))
+    from_json(twotails, doc(twotails))
 
 
 def test_parse_shorthands(natline):

@@ -18,7 +18,7 @@ from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.projection import levels_from_subset
 from coarsedouble.serialize import level_from_json
 from coarsedouble import space as space_module
-from coarsedouble.space import (UNBOUNDED, Evaluation, PointSet, Window, dist_to_set, ruler,
+from coarsedouble.space import (SEARCH_RADIUS_CAP, Evaluation, PointSet, dist_to_set, ruler,
                                 set_distances, set_family, set_from_json, space_by_name)
 from conftest import BRUTE_WINDOWS, brute_set_distance
 
@@ -61,7 +61,7 @@ def _assert_single_search(space, A, x, member):
     assert A.contains(member) and space.contains(member)
     pts = BRUTE_WINDOWS[space.name](x, space.distance(x, member))
     want = brute_set_distance(space, x, [p for p in pts if A.contains(p)])
-    ev = dist_to_set(space, x, A, UNBOUNDED)
+    ev = dist_to_set(space, x, A)
     assert ev.exact and ev.value == want
     assert A.contains(ev.witness) and space.distance(x, ev.witness) == want
     assert SubsetMetric(space, A).set_distance(x) == want
@@ -108,39 +108,42 @@ def test_line_families_match_brute_force(name, spec, v):
     _assert_single_search(space, A, x, member)
 
 
-def _outcome(space, x, A, window):
-    try:
-        return dist_to_set(space, x, A, window)
-    except SearchInconclusive as err:
-        return "inconclusive", err.window_radius
-
-
 @given(name=st.sampled_from(["NatLine", "IntLine"]), spec=CLOSED_FORM_FAMILIES,
-       v=st.integers(-1500, 1500), radius=st.none() | st.integers(0, 64))
-@example(name="IntLine", spec=("multiples", {"k": 4, "r": 0}), v=-2, radius=None)
-@example(name="NatLine", spec=("multiples", {"k": 4, "r": 0}), v=6, radius=None)
-@example(name="NatLine", spec=("multiples", {"k": 5, "r": 4}), v=1, radius=None)
-@example(name="NatLine", spec=("powers_tail", {"base": 2, "scale": 1, "k0": 3}),
-         v=3, radius=None)
-@example(name="IntLine", spec=("powers", {"base": 5, "scale": 3}), v=200, radius=8)
+       v=st.integers(-1500, 1500))
+@example(name="IntLine", spec=("multiples", {"k": 4, "r": 0}), v=-2)
+@example(name="NatLine", spec=("multiples", {"k": 4, "r": 0}), v=6)
+@example(name="NatLine", spec=("multiples", {"k": 5, "r": 4}), v=1)
+@example(name="NatLine", spec=("powers_tail", {"base": 2, "scale": 1, "k0": 3}), v=3)
+@example(name="IntLine", spec=("powers", {"base": 5, "scale": 3}), v=200)
 @example(name="IntLine", spec=("complement", {"of": {"family": "multiples", "k": 2, "r": 0}}),
-         v=-6, radius=None)
+         v=-6)
 @example(name="NatLine", spec=("complement", {"of": {"family": "multiples", "k": 3, "r": 0}}),
-         v=0, radius=None)
+         v=0)
 @example(name="IntLine", spec=("complement", {"of": {"family": "half_line", "sign": -1,
-                                                     "bound": 9}}), v=-40, radius=16)
+                                                     "bound": 9}}), v=-40)
 @settings(max_examples=300, deadline=None)
-def test_closed_form_matches_search(name, spec, v, radius):
+def test_closed_form_matches_search(name, spec, v):
     # the copy has no family, so it is searched; ties, lower candidates
-    # below 0 on NatLine, a k0 above 1 and an inconclusive budget are
-    # pinned by the examples
+    # below 0 on NatLine, a k0 above 1 and a member far from x are pinned by
+    # the examples
     space = space_by_name(name)
     x = (abs(v),) if name == "NatLine" else (v,)
     A = set_family(spec[0], **spec[1])
     assume(space.contains((_member_from(A.family, x[0]),)))
     searched = PointSet.from_predicate(A.name, A.contains)
-    window = UNBOUNDED if radius is None else Window(radius)
-    assert _outcome(space, x, A, window) == _outcome(space, x, searched, window)
+    assert dist_to_set(space, x, A) == dist_to_set(space, x, searched)
+
+
+def test_line_closed_forms_answer_at_any_distance():
+    # integer arithmetic reads the nearest member however far it lies; the
+    # search for the same set stops at a ball of SEARCH_POINT_CAP points
+    far = 10 ** 30
+    for name in ("NatLine", "IntLine"):
+        space = space_by_name(name)
+        ev = dist_to_set(space, (0,), set_family("half_line", sign=1, bound=far))
+        assert (ev.value, ev.exact, ev.witness) == (far, True, (far,))
+        with pytest.raises(SearchInconclusive, match="points searched"):
+            dist_to_set(space, (0,), PointSet.from_predicate("far", lambda p: p[0] >= far))
 
 
 @given(base_log=st.integers(1, 3), scale_log=st.integers(0, 2), n=st.integers(1, 40))
@@ -162,7 +165,7 @@ def test_powers_on_geometric_line(base_log, scale_log, n):
 @settings(max_examples=200, deadline=None)
 def test_geometric_line_families_match_brute_force(spec, depth, n):
     # membership of 2^j in the families drawn here is settled by j < 100;
-    # a family without a member raises DomainError, whatever the budget
+    # a family without a member raises DomainError
     space = space_by_name("GeomLine")
     doc = set_family(spec[0], **spec[1]).family
     for _ in range(depth):
@@ -171,22 +174,23 @@ def test_geometric_line_families_match_brute_force(spec, depth, n):
     members = [2 ** j for j in range(1, 100) if A.contains((2 ** j,))]
     x = (2 ** n,)
     if not members:
-        for window in (Window(64), UNBOUNDED):
-            with pytest.raises(DomainError, match="no members in GeomLine"):
-                dist_to_set(space, x, A, window)
+        with pytest.raises(DomainError, match="no members in GeomLine"):
+            dist_to_set(space, x, A)
         return
     want = min(abs(m - x[0]) for m in members)
-    ev = dist_to_set(space, x, A, UNBOUNDED)
+    ev = dist_to_set(space, x, A)
     assert ev.exact and ev.value == want
     assert A.contains(ev.witness) and space.distance(x, ev.witness) == want
 
 
-@pytest.mark.parametrize("window", [Window(64), UNBOUNDED])
-def test_member_beyond_the_budget_on_geometric_line_is_inconclusive(window):
-    # 2^j = 84 (mod 101) first at j = 80: a member exists past the search cap
+def test_member_beyond_the_radius_cap_on_geometric_line_is_inconclusive():
+    # 2^j = 84 (mod 101) first at j = 80: a member exists past the search
+    # cap, and the ball of radius 2^62 around 2 holds only 62 points, so the
+    # search stops at that radius
     geom = space_by_name("GeomLine")
-    with pytest.raises(SearchInconclusive):
-        dist_to_set(geom, (2,), set_family("multiples", k=101, r=84), window)
+    with pytest.raises(SearchInconclusive, match=r"\(62 points searched\)") as err:
+        dist_to_set(geom, (2,), set_family("multiples", k=101, r=84))
+    assert err.value.window_radius == SEARCH_RADIUS_CAP
 
 
 @given(n=st.integers(1, 300), sign=st.sampled_from([-1, 1]),
@@ -207,7 +211,7 @@ def test_empty_complement_raises(of):
     nat = space_by_name("NatLine")
     A = set_family("complement", of=of)
     with pytest.raises(DomainError, match="no members in NatLine"):
-        dist_to_set(nat, (3,), A, Window(64))
+        dist_to_set(nat, (3,), A)
 
 
 def test_double_complement_of_an_empty_set_raises():
@@ -216,7 +220,7 @@ def test_double_complement_of_an_empty_set_raises():
     doc = {"family": "complement", "of": {"family": "complement", "of": {
         "family": "half_line", "sign": -1, "bound": -5}}}
     with pytest.raises(DomainError, match="no members in NatLine"):
-        dist_to_set(nat, (3,), set_from_json(doc), Window(64))
+        dist_to_set(nat, (3,), set_from_json(doc))
     with pytest.raises(DomainError, match="no members in NatLine"):
         level_from_json(nat, {"kind": "subset", "set": doc})
 
@@ -235,17 +239,16 @@ def test_nested_complements_of_multiples_match_brute_force(name, depth, k, r, v)
     # multiple, and two consecutive points a non-multiple
     members = [p for p in BRUTE_WINDOWS[name](x, k) if A.contains(p)]
     want = brute_set_distance(space, x, members)
-    ev = dist_to_set(space, x, A, UNBOUNDED)
+    ev = dist_to_set(space, x, A)
     assert ev.exact and ev.value == want
     assert ev.witness == min(p for p in members if space.distance(x, p) == want)
 
 
-@pytest.mark.parametrize("window", [Window(8), UNBOUNDED])
-def test_explicit_set_outside_the_space_raises(window):
+def test_explicit_set_outside_the_space_raises():
     nat = space_by_name("NatLine")
     A = PointSet.from_points([(-3,), (-7,)])
     with pytest.raises(DomainError, match="no members in NatLine"):
-        dist_to_set(nat, (5,), A, window)
+        dist_to_set(nat, (5,), A)
 
 
 def _nearest_line_member(space, x, A):
@@ -267,20 +270,19 @@ EXPLICIT_POINTS = st.lists(st.one_of(
 
 
 @given(name=st.sampled_from(["NatLine", "IntLine"]), points=EXPLICIT_POINTS,
-       v=st.integers(-50, 50), radius=st.none() | st.integers(0, 8))
-@example(name="NatLine", points=[(-3,), (5, 1), (9,)], v=2, radius=None)
-@example(name="IntLine", points=[(2,), (6,)], v=4, radius=None)            # a tie
-@example(name="NatLine", points=[(-3,), (-1, 2)], v=2, radius=None)        # none in NatLine
-@example(name="IntLine", points=[(Fraction(3, 2),), (4,)], v=2, radius=0)
+       v=st.integers(-50, 50))
+@example(name="NatLine", points=[(-3,), (5, 1), (9,)], v=2)
+@example(name="IntLine", points=[(2,), (6,)], v=4)            # a tie
+@example(name="NatLine", points=[(-3,), (-1, 2)], v=2)        # none in NatLine
+@example(name="IntLine", points=[(Fraction(3, 2),), (4,)], v=2)
 @settings(max_examples=300, deadline=None)
-def test_explicit_sets_on_the_lines_are_read_whatever_the_budget(name, points, v, radius):
+def test_explicit_sets_on_the_lines_are_read_directly(name, points, v):
     # members outside the space (negative on NatLine, two coordinates, a
-    # Fraction coordinate) are passed over; any budget gives the nearest
-    # member, and a set with none in the space raises DomainError
+    # Fraction coordinate) are passed over; the nearest member is read
+    # directly, and a set with none in the space raises DomainError
     space = space_by_name(name)
     x = (abs(v),) if name == "NatLine" else (v,)
     A = PointSet.from_points(points)
-    window = UNBOUNDED if radius is None else Window(radius)
 
     def outcome(read):
         try:
@@ -288,7 +290,7 @@ def test_explicit_sets_on_the_lines_are_read_whatever_the_budget(name, points, v
         except DomainError as err:
             return str(err)
 
-    assert (outcome(lambda: dist_to_set(space, x, A, window))
+    assert (outcome(lambda: dist_to_set(space, x, A))
             == outcome(lambda: _nearest_line_member(space, x, A)))
 
 
@@ -312,7 +314,7 @@ TAIL_FAMILIES = st.one_of(
 def test_two_tails_families_without_members_raise(spec, depth, n):
     # a member, when there is one, has n < 400 here (members of a powers
     # family come in every other k, and 12 * 9^4 < 400^2); a family without
-    # one raises DomainError before any search, whatever the budget
+    # one raises DomainError before any search
     tails = space_by_name("TwoTails")
     doc = set_family(spec[0], **spec[1]).family
     for _ in range(depth):
@@ -320,11 +322,10 @@ def test_two_tails_families_without_members_raise(spec, depth, n):
     A = set_from_json(doc)
     x = _tail_point(n, 1)
     if _tail_members(A):
-        assert dist_to_set(tails, x, A, UNBOUNDED).exact
+        assert dist_to_set(tails, x, A).exact
         return
-    for window in (Window(4), UNBOUNDED):
-        with pytest.raises(DomainError, match="no members in TwoTails"):
-            dist_to_set(tails, x, A, window)
+    with pytest.raises(DomainError, match="no members in TwoTails"):
+        dist_to_set(tails, x, A)
 
 
 def test_two_tails_member_past_the_search_cap_is_inconclusive():
@@ -332,7 +333,7 @@ def test_two_tails_member_past_the_search_cap_is_inconclusive():
     tails = space_by_name("TwoTails")
     A = set_family("powers_tail", base=4, scale=1, k0=20)
     with pytest.raises(SearchInconclusive, match="points searched"):
-        dist_to_set(tails, (1, 1), A, UNBOUNDED)
+        dist_to_set(tails, (1, 1), A)
 
 
 def test_square_residues_are_computed_once_per_modulus():
@@ -344,7 +345,7 @@ def test_square_residues_are_computed_once_per_modulus():
     pts = tails.points_within(_tail_point(1, 1), 64)
     searched = [p for p in pts if not A.contains(p)]
     assert len(searched) > 2
-    assert set_distances(tails, pts, A) == [dist_to_set(tails, p, A, UNBOUNDED).value
+    assert set_distances(tails, pts, A) == [dist_to_set(tails, p, A).value
                                             for p in pts]
     info = space_module._square_residues.cache_info()
     assert (info.misses, info.hits) == (1, 2 * len(searched) - 1)

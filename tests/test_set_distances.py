@@ -31,7 +31,7 @@ from coarsedouble.projection import (join, levels_from_subset, meet, unit_levels
                                      zero_levels)
 from coarsedouble.serialize import expression_levels
 from coarsedouble.reporting import canonical_dumps, pretty_dumps
-from coarsedouble.space import (SEARCH_POINT_CAP, UNBOUNDED, PointSet, Window, _Run,
+from coarsedouble.space import (SEARCH_POINT_CAP, PointSet, Window, _Run,
                                 dist_to_set, set_distances, set_family, set_from_json,
                                 space_by_name, window_points)
 from test_set_distance import LINE_FAMILIES
@@ -47,7 +47,7 @@ def _outcome(read):
 
 
 def _per_point(space, pts, A):
-    return _outcome(lambda: [dist_to_set(space, p, A, UNBOUNDED).value for p in pts])
+    return _outcome(lambda: [dist_to_set(space, p, A).value for p in pts])
 
 
 def _swept(space, pts, A):
@@ -307,7 +307,7 @@ def test_sweep_answers_past_the_search_cap():
     A = PointSet.from_predicate("ends", lambda p: p[0] <= 0 or p[0] >= far)
     assert far // 2 > SEARCH_POINT_CAP // 2
     with pytest.raises(SearchInconclusive):
-        dist_to_set(space, (far // 2,), A, UNBOUNDED)
+        dist_to_set(space, (far // 2,), A)
     pts = [(i,) for i in range(far + 1)]
     assert set_distances(space, pts, A) == [min(i, far - i) for i in range(far + 1)]
 
@@ -462,7 +462,7 @@ def test_sweep_of_a_sliced_family_calls_no_predicate(name, lo):
     squares = PointSet.from_predicate("squares", lambda p: seen.append(p) or contains(p))
     assert squares.run_flags is None
     for p in (pts[0], pts[-1]):
-        dist_to_set(space, p, squares, UNBOUNDED)
+        dist_to_set(space, p, squares)
     ends, seen[:] = list(seen), []
     assert set_distances(space, pts, squares) == _per_point(space, pts, set_family("squares"))
     assert seen == ends + pts

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsedouble.errors import DomainError, IncompleteEnumeration, SearchInconclusive
-from coarsedouble.space import (SEARCH_POINT_CAP, UNBOUNDED, CustomSpace, PointSet,
+from coarsedouble.space import (SEARCH_POINT_CAP, CustomSpace, PointSet,
                                 PredicateSpace, Window, _geom_has_member, _line_candidates,
                                 _line_members, _named_family, _tails_has_member,
                                 dist_to_set, neighborhood, rational_to_json, ruler,
@@ -79,27 +79,27 @@ def test_ruler_function():
 
 
 def test_dist_to_set_examples(natline, twotails):
-    w = Window(32)
-    assert dist_to_set(natline, (7,), set_family("evens"), w).value == 1
-    assert dist_to_set(twotails, (4, 2), set_family("tail_plus"), w).value == 0
+    assert dist_to_set(natline, (7,), set_family("evens")).value == 1
+    assert dist_to_set(twotails, (4, 2), set_family("tail_plus")).value == 0
     # paper-checked: distance from (n^2, phi(n)) to the minus tail is 2 phi(n)
-    assert dist_to_set(twotails, (4, 2), set_family("tail_minus"), w).value == 4
+    assert dist_to_set(twotails, (4, 2), set_family("tail_minus")).value == 4
 
 
 def test_dist_to_set_exactness_and_failure(natline):
-    ev = dist_to_set(natline, (7,), set_family("evens"), Window(4))
+    ev = dist_to_set(natline, (7,), set_family("evens"))
     assert ev.exact and ev.witness in {(6,), (8,)}
+    # the ball of radius 2^16 around 0 is the first of more than
+    # SEARCH_POINT_CAP points, and holds no member: the search stops there
     far = PointSet.from_predicate("far", lambda p: p[0] >= 10 ** 6)
-    with pytest.raises(SearchInconclusive) as err:
-        dist_to_set(natline, (0,), far, Window(64))
-    assert err.value.window_radius == 64
+    with pytest.raises(SearchInconclusive, match="65537 points searched") as err:
+        dist_to_set(natline, (0,), far)
+    assert err.value.window_radius == SEARCH_POINT_CAP
 
 
 def test_dist_to_set_zero_iff_member(natline):
     A = set_family("squares")
-    w = Window(64)
     for x in window_points(natline, Window(20)):
-        ev = dist_to_set(natline, x, A, w)
+        ev = dist_to_set(natline, x, A)
         assert (ev.value == 0) == A.contains(x)
 
 
@@ -250,7 +250,7 @@ def test_geomline_search_without_a_rule_gives_up(geomline):
     # no 2^j is a multiple of the odd prime 65539, and the rule leaves that
     # cycle to the search, which stops at the search cap
     with pytest.raises(SearchInconclusive):
-        dist_to_set(geomline, (2,), set_family("multiples", k=65539), UNBOUNDED)
+        dist_to_set(geomline, (2,), set_family("multiples", k=65539))
 
 
 def test_complemented_half_line_is_the_flipped_half_line():

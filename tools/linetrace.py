@@ -1,21 +1,32 @@
-"""Lines of the library that a test run never executes.
+"""Lines of the library that a test run, or the benchmark's traffic, never
+executes.
 
     python3 tools/linetrace.py [PYTEST_ARGS ...]
+    python3 tools/linetrace.py --traffic
 
 Starts a ``sys.settrace`` collector (and ``threading.settrace``, for the
 tests' worker threads) before the library is imported, runs pytest in this
 process with the given arguments (by default the whole ``tests`` directory,
 quiet), and then prints, per module of ``src/coarsedouble``, each executable
-line that never ran, followed by the totals.  A line is executable when a
-code object compiled from the module lists it in ``co_lines``; an abstract
-stub, a line that reads ``raise NotImplementedError``, is counted apart,
-since it runs only when a subclass forgets a method.
+line that never ran and the module's count, followed by the totals.  A line
+is executable when a code object compiled from the module lists it in
+``co_lines``; an abstract stub, a line that reads ``raise
+NotImplementedError``, is counted apart, since it runs only when a subclass
+forgets a method.
 
-Every other line is expected to run.  The few that may stay never-run are
-listed in ``KEEP`` below, keyed by module and stripped line text, each with
-the reason it stays; a listed line is printed with its reason.  The exit
-status is pytest's when the tests fail, else 1 when a line that is neither
-a stub nor listed never ran, else 0.
+Under pytest every other line is expected to run.  The few that may stay
+never-run are listed in ``KEEP`` below, keyed by module and stripped line
+text, each with the reason it stays; a listed line is printed with its
+reason.  The exit status is pytest's when the tests fail, else 1 when a
+line that is neither a stub nor listed never ran, else 0.
+
+With ``--traffic`` the same collector runs the benchmark's traffic in place
+of pytest: ``bench/workloads.py``, imported and not changed, builds each
+workload on each seed of ``SEEDS`` (1 and the held-out 7955) and runs and
+checks one round of it, as ``bench/run.py`` checks its reference round.  The
+lines it never runs are the ones no workload needs, which a change that
+deletes a path can cite.  The exit status is 1 when an answer fails its
+check, else 0, however many lines never ran.
 
 Python 3.11 has no ``sys.monitoring``, so every traced line costs a Python
 call: a full test run takes several times as long as an untraced one.  This
@@ -33,6 +44,8 @@ STUB = "raise NotImplementedError"
 # (module, stripped line text) -> why the line may stay never-run
 KEEP = {
 }
+# the benchmark's default seed and its held-out seed
+SEEDS = (1, 7955)
 
 
 def executable_lines(path):
@@ -45,7 +58,24 @@ def executable_lines(path):
     return lines
 
 
+def traffic():
+    """One checked round of each benchmark workload on each seed of SEEDS,
+    construction included; the number of answers that fail their check."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    wrong = 0
+    for seed in SEEDS:
+        for name, make in workloads.WORKLOADS.items():
+            workload = make(seed)
+            answers = [workload.run(q) for q in workload.deck]
+            bad = sum(reason is not None for reason in workload.check(answers))
+            print(f"{name} seed {seed}: {len(answers)} queries, {bad} failed their check")
+            wrong += bad
+    return wrong
+
+
 def main(argv):
+    on_traffic = argv == ["--traffic"]
     lib = str(LIB) + "/"
     seen = set()
     traced = {}  # code object -> whether its file is a library module
@@ -66,8 +96,11 @@ def main(argv):
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        import pytest
-        status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        if on_traffic:
+            status = min(traffic(), 1)
+        else:
+            import pytest
+            status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -85,10 +118,12 @@ def main(argv):
             kept += reason is not None
             note = f"  [kept: {reason}]" if reason else ""
             print(f"{path.relative_to(ROOT)}:{n}: {text}{note}")
+        print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(lines)} never ran")
     others = never - stubs
+    run_by = "traffic" if on_traffic else "pytest"
     print(f"{never} of {total} executable lines never ran: {stubs} abstract stubs "
-          f"and {others} others, {kept} of them kept (pytest exit status {int(status)})")
-    if status:
+          f"and {others} others, {kept} of them kept ({run_by} exit status {int(status)})")
+    if status or on_traffic:
         return int(status)
     return 1 if others > kept else 0
 
