@@ -862,10 +862,10 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
 
     Everything is an exact array over the n window points: d_X, the cross
     matrix, the kernel's bound and the two triangle minima
-    (``_triangle_minima``).  On every l1 space (``metric``
-    "manhattan": the lines, TwoTails, predicate and Manhattan custom
-    spaces) d_X is a coordinate broadcast, with no distance call per cell;
-    table and rounded-Euclidean spaces call ``_dist`` per cell.  The window
+    (``_triangle_minima``).  On every l1 space (``metric`` "manhattan": the
+    lines, TwoTails, predicate and Manhattan custom spaces) d_X is a
+    coordinate broadcast, with no distance call per cell; table and
+    rounded-Euclidean spaces call ``_dist`` per cell.  The window
     points are enumerated, so they are not checked again, and their
     coordinates are converted once.  A delta kernel's matrix is
     ``_delta_cross_matrix`` on the same coordinates and d_X, which is

@@ -161,7 +161,7 @@ def revalidate(verdict: Verdict) -> bool:
     Shares no code with the searchers: it only replays the witness
     inequality (or growth/stability predicate) against the frozen series.
     A series too short to show its claim fails: an empty ``dominates``
-    series, and a ``strict_growth`` or ``stable`` one of fewer than three
+    series, and a ``strict-growth`` or ``stable`` one of fewer than three
     entries, the radii of one sweep.
     """
     if verdict.status is not Status.CERTIFIED:
