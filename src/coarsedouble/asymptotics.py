@@ -261,20 +261,16 @@ def _equivalent_on(e1, e2, mode: str, window: Window, radii: Sequence[Rational],
                    for n, vals in escapes],
     }
     table_stable = bool(stable) and frac >= STABLE_FRACTION and min(series)[0] in stable
+    # coarse mode's witness is the merged table; quasi mode's the stable affine one
     if mode == "coarse":
-        if table_stable:
-            return Verdict(Status.CERTIFIED, claim, window=window, value=mode,
-                           witness=TabulatedWitness(tuple(series)),
-                           diagnostics=diagnostics, check_kind=CHECK_DOMINATES)
-        reason = "escape" if escapes and not stable else "unstable transfer"
-        return Verdict(Status.INCONCLUSIVE, claim, window=window, value=mode,
-                       diagnostics=dict(diagnostics, reason=reason))
-    w_last, agreed = _stable_affine(merged_list, diagnostics)
+        witness, agreed = TabulatedWitness(tuple(series)), True
+    else:
+        witness, agreed = _stable_affine(merged_list, diagnostics)
     if table_stable and agreed:
         return Verdict(Status.CERTIFIED, claim, window=window, value=mode,
-                       witness=w_last, diagnostics=diagnostics,
+                       witness=witness, diagnostics=diagnostics,
                        check_kind=CHECK_DOMINATES)
-    if w_last is None:
+    if witness is None:
         reason = "no affine witness in grid"
     elif not table_stable:
         reason = "escape" if escapes and not stable else "unstable transfer"

@@ -18,8 +18,7 @@ from typing import Callable, List, Sequence, Tuple
 from .asymptotics import equivalent, sweep_radii, sweep_windows
 from .errors import DomainError
 from .projection import (LevelFunction, join, meet, unit_levels, zero_levels)
-from .space import (MetricSpace, PointSet, Window, rational_to_json,
-                    set_family, window_points)
+from .space import PointSet, Window, rational_to_json, set_family
 from .verdicts import (CHECK_DOMINATES, CHECK_STABLE, CHECK_STRICT_GROWTH,
                        Status, TabulatedWitness, Verdict)
 
@@ -237,18 +236,6 @@ class FilterBase:
         if not (1 <= k <= self.depth):
             raise DomainError(f"filter index {k} out of range 1..{self.depth}")
         return self.member_set(k)
-
-    def validate(self, space: MetricSpace, window: Window) -> dict:
-        """Window evidence for the chain conditions: decreasing and nonempty."""
-        pts = window_points(space, window)
-        traces = []
-        for k in range(1, self.depth + 1):
-            fk = self.level_set(k)
-            traces.append({x for x in pts if fk.contains(x)})
-        decreasing = all(b <= a for a, b in zip(traces, traces[1:]))
-        return {"decreasing": decreasing,
-                "trace_sizes": [len(t) for t in traces],
-                "passed": decreasing}
 
 
 def powers_tail_base(base: int, scale: int = 1, depth: int = 8) -> FilterBase:

@@ -29,12 +29,7 @@ class DeltaFunction(_PointFunction):
     """Exact copy-gap function delta: X -> [1, oo), read as a level function is."""
 
     what = "delta"
-
-    def __call__(self, u: Point) -> Rational:
-        v = self._cache.get(u)
-        if v is None:
-            v = self._miss(u)
-        return v
+    __call__ = _PointFunction._value
 
 
 def const_delta(space: MetricSpace, value: Rational = 1) -> DeltaFunction:
@@ -464,25 +459,27 @@ def evaluate_exact(d: DoubleMetric, x: Point, y: Point,
     SEARCH_RADIUS_CAP, and after the first window for a kernel with no
     coercive bound, which no window certifies.
     """
-    return _escalate(d, lambda w: d.cross(x, y, w), (x, y), "evaluation",
-                     start_radius)
+    return _escalate(d, x, y, start_radius)
 
 
-def _escalate(d: DoubleMetric, evaluate: Callable[[Window], Evaluation],
-              points: tuple, what: str, start_radius: Rational = 8) -> Evaluation:
-    """evaluate(Window(r)) from the smallest r >= start_radius whose window
-    holds the points, doubling r (or jumping to the required radius) until
-    the result is certified.  The search stops where the next window's
-    radius would pass SEARCH_RADIUS_CAP, the stopping radius of
-    ``dist_to_set`` too, and a kernel without a coercive bound stops after
-    its first window, since a larger window cannot certify it either.  The
-    SearchInconclusive raised then names the radius of the last window
-    evaluated and that evaluation's required radius.
+def _escalate(d: DoubleMetric, x: Point, y: Optional[Point] = None,
+              start_radius: Rational = 8) -> Evaluation:
+    """d.cross(x, y, Window(r)), or d.dist_to_copy(x, Window(r)) when y is
+    None, from the smallest r >= start_radius whose window holds the
+    points, doubling r (or jumping to the required radius) until the result
+    is certified.  The search stops where the next window's radius would
+    pass SEARCH_RADIUS_CAP, the stopping radius of ``dist_to_set`` too, and
+    a kernel without a coercive bound stops after its first window, since a
+    larger window cannot certify it either.  The SearchInconclusive raised
+    then names the "evaluation" (or "dist-to-copy") at the points, the
+    radius of the last window evaluated and that evaluation's required
+    radius.
     """
+    points = (x,) if y is None else (x, y)
     base = d.space.basepoint
     r = max(start_radius, *(d.space.distance(p, base) for p in points))
     while True:
-        ev = evaluate(Window(r))
+        ev = d.dist_to_copy(x, Window(r)) if y is None else d.cross(x, y, Window(r))
         if ev.exact:
             return ev
         grown = max(2 * r, ev.required_radius or 0)
@@ -490,6 +487,7 @@ def _escalate(d: DoubleMetric, evaluate: Callable[[Window], Evaluation],
             break
         r = grown
     where = ",".join(str(p) for p in points)
+    what = "dist-to-copy" if y is None else "evaluation"
     raise SearchInconclusive(
         f"{what} of {d.kind} kernel at ({where}) not certifiable",
         window_radius=r, required_radius=ev.required_radius)

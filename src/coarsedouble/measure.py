@@ -71,11 +71,9 @@ class DensityMeasure:
     """Counting (or weighted) density within balls around the basepoint."""
 
     def __init__(self, space: MetricSpace,
-                 weight: Optional[Callable[[Point], Rational]] = None,
-                 name: str = "natural"):
+                 weight: Optional[Callable[[Point], Rational]] = None):
         self.space = space
         self.weight = weight
-        self.name = name
         self._ball_cache = {}
 
     @classmethod

@@ -18,8 +18,8 @@ from .asymptotics import (TransferTable, _common_space, _equivalent_on, _window_
 from .double import (DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, SubsetMetric, _escalate, evaluate_exact)
 from .errors import DomainError, SearchInconclusive
-from .space import (IntLine, MetricSpace, NatLine, Point, PointSet, Rational, Window,
-                    _PointFunction, rational_to_json, set_distances, window_points)
+from .space import (Evaluation, IntLine, MetricSpace, NatLine, Point, PointSet, Rational,
+                    Window, _PointFunction, rational_to_json, set_distances, window_points)
 from .verdicts import (CHECK_DOMINATES, AffineWitness, Status, TabulatedWitness,
                        Verdict)
 
@@ -45,17 +45,12 @@ class LevelFunction(_PointFunction):
         super().__init__(space, fn, name, payload)
         self.kind = kind
 
-    def level(self, x: Point) -> int:
-        v = self._cache.get(x)
-        if v is None:
-            v = self._miss(x)
-        return v
-
+    level = _PointFunction._value
     levels = _PointFunction.values
 
     def sublevel(self, n: int) -> PointSet:
         """A_n = {x : level(x) <= n} as a decidable set."""
-        return PointSet.from_predicate(
+        return PointSet(
             f"[{self.name}<={n}]", lambda p, n=n: self.space.contains(p) and self.level(p) <= n)
 
     def validate(self, window: Window) -> dict:
@@ -105,24 +100,25 @@ def zero_levels(space: MetricSpace, x0: Optional[Point] = None) -> LevelFunction
 
 
 def levels_from_subset(space: MetricSpace, A: PointSet) -> LevelFunction:
-    """Levels of the expanding sequence A_n = N_{n/2}(A): max(1, ceil(2 d(x,A))).
-    A point list reads its distances through ``set_distances``.  On
-    ``NatLine`` and ``IntLine`` every distance d is an int, which gives 2 d,
-    or 1 at d = 0, with no type test per distance."""
-
-    if type(space) in (NatLine, IntLine):
-        def fn(pts):
-            return [2 * d or 1 for d in set_distances(space, pts, A)]
-    else:
-        def fn(pts):
-            return [max(1, math.ceil(2 * d)) for d in set_distances(space, pts, A)]
-
+    """Levels of the expanding sequence A_n = N_{n/2}(A), by
+    ``_subset_levels`` from the distances that a point list reads through
+    ``set_distances``."""
     payload = None
     try:
         payload = {"kind": "subset", "set": A.to_json()}
     except DomainError:
         pass
-    return LevelFunction(space, fn, f"E[{A.name}]", "from-subset", payload)
+    return LevelFunction(space, lambda pts: _subset_levels(space, set_distances(space, pts, A)),
+                         f"E[{A.name}]", "from-subset", payload)
+
+
+def _subset_levels(space: MetricSpace, dists) -> list:
+    """The levels max(1, ceil(2 d)) of N_{n/2}(A) at the distances d to A.
+    On ``NatLine`` and ``IntLine`` every distance d is an int, which gives
+    2 d, or 1 at d = 0, with no type test per distance."""
+    if type(space) in (NatLine, IntLine):
+        return [2 * d or 1 for d in dists]
+    return [max(1, math.ceil(2 * d)) for d in dists]
 
 
 def levels_from_expression(space: MetricSpace, name: str,
@@ -132,15 +128,23 @@ def levels_from_expression(space: MetricSpace, name: str,
 
 
 def levels_from_metric(d: DoubleMetric, window: Optional[Window] = None) -> LevelFunction:
-    """lambda(x) = min{n : d(x,x') <= n}.  Without a window the diagonal
-    values are certified by escalation; with one they are the window's."""
+    """lambda(x) = min{n : d(x,x') <= n}, by ``_kernel_levels`` over the
+    diagonal values d(x, x'): ``evaluate_exact`` without a window."""
+    return _kernel_levels(d, window, lambda x: evaluate_exact(d, x, x),
+                          lambda x, w: d.cross(x, x, w), f"lv[{d.kind}]",
+                          "from-metric" if window is None else "from-metric-window")
 
-    def fn(x):
-        ev = evaluate_exact(d, x, x) if window is None else d.cross(x, x, window)
-        return max(1, math.ceil(ev.value))
 
-    kind = "from-metric" if window is None else "from-metric-window"
-    return LevelFunction(d.space, lambda pts: list(map(fn, pts)), f"lv[{d.kind}]", kind)
+def _kernel_levels(d: DoubleMetric, window: Optional[Window],
+                   exact: Callable[[Point], Evaluation],
+                   windowed: Callable[[Point, Window], Evaluation],
+                   name: str, kind: str) -> LevelFunction:
+    """The levels max(1, ceil(v)) of one kernel value v per point x: without
+    a window v is exact(x), certified by escalation; with one it is the
+    window's value windowed(x, window)."""
+    read = exact if window is None else (lambda x: windowed(x, window))
+    return LevelFunction(d.space, lambda pts: [max(1, math.ceil(read(x).value)) for x in pts],
+                         name, kind)
 
 
 def delta_from_levels(L: LevelFunction) -> DeltaFunction:
@@ -185,7 +189,7 @@ def projection_criterion(d: DoubleMetric, window: Window,
     for x in pts:
         try:
             diag = evaluate_exact(d, x, x)
-            copy = _escalate(d, lambda w: d.dist_to_copy(x, w), (x,), "dist-to-copy")
+            copy = _escalate(d, x)
         except SearchInconclusive:
             certifiable = False
             diag = d.cross(x, x, window)
@@ -336,17 +340,10 @@ def _require_projection(d, window):
 
 
 def source_projection(d: DoubleMetric, window: Optional[Window] = None) -> LevelFunction:
-    """Levels of A_n = {x : d(x, X') <= n}.  Without a window the values
-    d(x, X') are certified by escalation; with one they are the window's."""
-
-    def fn(x):
-        if window is None:
-            ev = _escalate(d, lambda w: d.dist_to_copy(x, w), (x,), "dist-to-copy")
-        else:
-            ev = d.dist_to_copy(x, window)
-        return max(1, math.ceil(ev.value))
-
-    return LevelFunction(d.space, lambda pts: list(map(fn, pts)), f"src[{d.kind}]", "from-metric")
+    """Levels of A_n = {x : d(x, X') <= n}, by ``_kernel_levels`` over the
+    values d(x, X'): ``_escalate`` without a window."""
+    return _kernel_levels(d, window, lambda x: _escalate(d, x), d.dist_to_copy,
+                          f"src[{d.kind}]", "from-metric")
 
 
 # -- type classification ----------------------------------------------------
@@ -392,9 +389,9 @@ def classify_type(e: LevelFunction, window: Window,
         # d_X(x, A_n) on the widest list, read once and shared by ecore (the
         # levels of levels_from_subset(space, core)), the k table and the growth
         core_dist = dict(zip(widest, set_distances(space, widest, core)))
-        ecore = LevelFunction(space, lambda pts: [max(1, math.ceil(2 * core_dist[x]))
-                                                  for x in pts],
-                              f"E[{core.name}]", "from-subset")
+        ecore = LevelFunction(
+            space, lambda pts: _subset_levels(space, map(core_dist.__getitem__, pts)),
+            f"E[{core.name}]", "from-subset")
         v = _equivalent_on(e, ecore, "coarse", window, radii, windows)
 
         def k_table_of(tab):  # m -> max of d_X(x, A_n) over levels <= m <= TYPE_M_MAX

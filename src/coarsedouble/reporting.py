@@ -33,14 +33,14 @@ class RunReport:
     def passed(self) -> bool:
         return not self.mismatches
 
-    def to_json(self, include_meta: bool = True) -> dict:
+    def to_json(self) -> dict:
         doc = {"schema": SCHEMA, "command": self.command, "results": self.results,
                "passed": self.passed}
         if self.expected is not None:
             doc["expected"] = self.expected
         if self.mismatches:
             doc["mismatches"] = self.mismatches
-        if include_meta and self.meta:
+        if self.meta:
             doc["meta"] = self.meta
         return doc
 

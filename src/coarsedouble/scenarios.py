@@ -22,8 +22,8 @@ from .projection import (classify_type, f_map, check_cm, cm_join, cm_meet,
                          zero_levels)
 from .reporting import RunReport, diff_against
 from .serialize import expression_levels
-from .space import (PointSet, Window, neighborhood, set_distances, set_family,
-                    space_by_name, window_points)
+from .space import (PointSet, Window, dist_to_set, neighborhood, set_distances,
+                    set_family, space_by_name, window_points)
 
 SCENARIO_NAMES = ("typeI", "ex1", "ex2", "lattice-laws", "measure-demo")
 
@@ -66,13 +66,12 @@ def scenario_typeI() -> dict:
 
 
 def _far_set(space, A: PointSet, j: int) -> PointSet:
-    """X - N_j(A), the points with no member of A within j.  For A with a
-    member in the space that is d(p, A) > j, so a run's flags come from one
-    ``set_distances`` sweep of A over the run, not from a ball listed per
-    point."""
+    """X - N_j(A), the points with no member of A within j: d(p, A) > j, for
+    an A with a member in the space.  A point reads it from ``dist_to_set``
+    and a run's flags from one ``set_distances`` sweep of A over the run,
+    with no ball listed per point."""
     return PointSet(
-        f"X-N_{j}({A.name})",
-        lambda p: not any(A.contains(q) for q in space.points_within(p, j)),
+        f"X-N_{j}({A.name})", lambda p: dist_to_set(space, p, A).value > j,
         run_flags=lambda run: [d > j for d in set_distances(space, run, A)])
 
 

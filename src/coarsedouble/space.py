@@ -247,18 +247,15 @@ class TwoTails(MetricSpace):
     def points_within(self, center, radius):
         a0 = center[0]
         out = []
-        n = 1
-        while True:
-            sq = n * n
-            if sq - a0 > radius:
-                break
-            # |sq - a0| <= radius is necessary since the second coordinate
-            # contributes nonnegatively to the Manhattan distance.
-            if abs(sq - a0) <= radius:
-                for sign in (-1, 1):
-                    p = (sq, sign * ruler(n))
-                    if self._dist(p, center) <= radius:
-                        out.append(p)
+        # |n^2 - a0| <= radius is necessary since the second coordinate
+        # contributes nonnegatively to the Manhattan distance: n runs from
+        # the least n >= 1 with n^2 >= a0 - radius while n^2 <= a0 + radius
+        n = math.isqrt(max(math.ceil(a0 - radius) - 1, 0)) + 1
+        while (sq := n * n) - a0 <= radius:
+            for sign in (-1, 1):
+                p = (sq, sign * ruler(n))
+                if self._dist(p, center) <= radius:
+                    out.append(p)
             n += 1
         out.sort()
         return out
@@ -467,11 +464,6 @@ class PointSet:
         return cls(label, pts.__contains__, points=pts,
                    family={"family": "explicit", "points": [list(p) for p in sorted(pts)]})
 
-    @classmethod
-    def from_predicate(cls, name: str, fn: Callable[[Point], bool],
-                       family: Optional[dict] = None) -> "PointSet":
-        return cls(name, fn, family=family)
-
     def contains(self, p: Point) -> bool:
         return self._contains(tuple(p))
 
@@ -490,6 +482,9 @@ class PointSet:
 class _PointFunction:
     """An exact function >= 1 on points with its cache, shared by level and copy-gap
     functions; ``fn`` maps a point list to a value list, ``what`` names the kind.
+    ``values`` reads a point list and ``_value`` one point; the subclasses
+    bind them under their own names (``LevelFunction.levels`` and ``level``,
+    ``DeltaFunction.__call__``).
 
     The cache is a dict from points to values plus at most one pending pair:
     a copy of the list of the first whole-list read and a tuple of its
@@ -528,13 +523,15 @@ class _PointFunction:
             self._read(missing)
         return list(map(cache.__getitem__, pts))
 
-    def _miss(self, x: Point):
-        """The value at a point that the dict did not hold: from the dict once
-        the pending pair is settled, else from one ``fn`` call."""
-        self._settle()
+    def _value(self, x: Point):
+        """The value at one point: from the dict, else from the dict once the
+        pending pair is settled, else from one ``fn`` call."""
         v = self._cache.get(x)
         if v is None:
-            (v,) = self._read((x,))
+            self._settle()
+            v = self._cache.get(x)
+            if v is None:
+                (v,) = self._read((x,))
         return v
 
     def _settle(self) -> None:
@@ -586,7 +583,7 @@ def set_family(family: str, **args) -> PointSet:
         k, r = args["k"], args.get("r", 0)
         if k < 1:
             raise DomainError("multiples need k >= 1")
-        return PointSet.from_predicate(
+        return PointSet(
             f"{k}Z+{r}" if r else f"{k}Z",
             lambda p: (p[0] - r) % k == 0,
             family={"family": "multiples", "k": k, "r": r})
@@ -595,21 +592,20 @@ def set_family(family: str, **args) -> PointSet:
     if family == "odds":
         return set_family("multiples", k=2, r=1)
     if family == "squares":
-        return PointSet.from_predicate("squares", lambda p: _is_square(p[0]),
-                                       family={"family": "squares"})
+        return PointSet("squares", lambda p: _is_square(p[0]), family={"family": "squares"})
     if family in ("powers", "powers_tail"):
         base, scale = args["base"], args.get("scale", 1)
         if base < 2 or scale < 1 or args.get("k0", 0) < 0:
             raise DomainError("powers need base >= 2, scale >= 1 and k0 >= 0")
     if family == "powers":
         label = f"{{{scale}*{base}^k}}" if scale != 1 else f"{{{base}^k}}"
-        return PointSet.from_predicate(
+        return PointSet(
             label, lambda p: _is_scaled_power(p[0], base, scale),
             family={"family": "powers", "base": base, "scale": scale})
     if family == "powers_tail":
         k0 = args["k0"]
         label = f"{{{scale}*{base}^k : k>={k0}}}"
-        return PointSet.from_predicate(
+        return PointSet(
             label,
             lambda p: _is_scaled_power(p[0], base, scale) and p[0] >= scale * base ** k0,
             family={"family": "powers_tail", "base": base, "scale": scale, "k0": k0})
@@ -619,14 +615,14 @@ def set_family(family: str, **args) -> PointSet:
         if sign not in (-1, 1):
             raise DomainError("half_line sign must be +-1")
         label = f"{{x{'<=' if sign < 0 else '>='}{bound}}}"
-        return PointSet.from_predicate(
+        return PointSet(
             label,
             (lambda p: p[0] <= bound) if sign < 0 else (lambda p: p[0] >= bound),
             family={"family": "half_line", "sign": sign, "bound": bound})
     if family == "tail_plus":
-        return PointSet.from_predicate("A+", lambda p: p[1] > 0, family={"family": "tail_plus"})
+        return PointSet("A+", lambda p: p[1] > 0, family={"family": "tail_plus"})
     if family == "tail_minus":
-        return PointSet.from_predicate("A-", lambda p: p[1] < 0, family={"family": "tail_minus"})
+        return PointSet("A-", lambda p: p[1] < 0, family={"family": "tail_minus"})
     if family == "explicit":
         return PointSet.from_points([tuple(p) for p in args["points"]])
     if family == "complement":
@@ -873,58 +869,60 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet) -> Evaluation:
     has one stopping rule: it stops at the first ball that holds a member,
     and otherwise at a member-free ball of more than SEARCH_POINT_CAP points
     or of radius SEARCH_RADIUS_CAP, raising SearchInconclusive that names
-    the ball's radius.  Explicit sets are scanned directly, and raise
-    DomainError when no member lies in the space.
+    the ball's radius.  Explicit sets are scanned directly.
 
     On ``NatLine`` and ``IntLine`` the named families ``half_line``,
     ``multiples`` (so ``evens`` and ``odds``), ``squares``, ``powers`` and
     ``powers_tail`` with integer parameters, and the complements of
     ``half_line`` and ``multiples`` (at any depth), are not searched: integer
     arithmetic gives the nearest members below and above x, at any distance.
-    The result is the search's: the same value and witness (ties go to the
-    smaller point).  A family with no member in the space raises
-    DomainError.  Other complements, sublevel sets, the tail families and
-    the other spaces are searched.  On ``TwoTails`` a named family that
-    ``_tails_has_member`` proves empty raises DomainError before the search.
-    On ``GeomLine`` a named family whose search finds no member raises
-    DomainError instead of SearchInconclusive when ``_geom_has_member``
-    proves it has none.  ``set_distances`` answers for a whole point list,
-    with two calls per maximal run of at least three consecutive points on
-    these lines.
+    Other complements, sublevel sets, the tail families and the other
+    spaces are searched.  Each route yields members (``_members_near``),
+    and one finish picks the nearest, ties going to the smaller point, so a
+    closed form's value and witness are the search's.  A set that yields no
+    member raises DomainError: an explicit set or a line family with none in
+    the space, on ``TwoTails`` a named family that ``_tails_has_member``
+    proves empty, before the search, and on ``GeomLine`` a named family whose
+    search finds no member when ``_geom_has_member`` proves it has none (in
+    place of SearchInconclusive).  ``set_distances`` answers for a whole
+    point list, with two calls per maximal run of at least three
+    consecutive points on these lines.
     """
     space.check(x)
+    members = _members_near(space, x, A)
+    if not members:
+        raise DomainError(f"set {A.name} has no members in {space.name}")
+    d, best = min((space._dist(x, a), a) for a in members)
+    return Evaluation(d, True, witness=best)
+
+
+def _members_near(space: MetricSpace, x: Point, A: PointSet) -> list:
+    """Members of A in the space among which lie its nearest to x: every
+    member of an explicit set, the closed form's candidates on the lines, x
+    itself, or the members in the first searched ball that holds one; []
+    when a rule proves that A has no member in the space."""
     if A.points is not None:
-        members = [p for p in A.points if space.contains(p)]
-        if not members:
-            raise DomainError(f"set {A.name} has no members in {space.name}")
-        best = min(members, key=lambda a: (space._dist(x, a), a))
-        return Evaluation(space._dist(x, best), True, witness=best)
-    near = None
+        return [p for p in A.points if space.contains(p)]
     if type(space) in (NatLine, IntLine) and A.family is not None:
         near = _line_candidates(A.family, x[0])
-    if near is not None:
-        members = [a for a in near if space.contains((a,))]
-        if not members:
-            raise DomainError(f"set {A.name} has no members in {space.name}")
-        d, best = min((abs(a - x[0]), a) for a in members)
-        return Evaluation(d, True, witness=(best,))
+        if near is not None:
+            return [p for p in zip(near) if space.contains(p)]
     _set_on(space, A)
     if A.contains(x):
-        return Evaluation(0, True, witness=tuple(x))
+        return [tuple(x)]
     if (type(space) is TwoTails and A.family is not None
             and _tails_has_member(A.family) is False):
-        raise DomainError(f"set {A.name} has no members in {space.name}")
+        return []
     r = 1
     while True:
         ball = space.points_within(x, r)
-        candidates = [p for p in ball if A.contains(p)]
-        if candidates:
-            best = min(candidates, key=lambda a: (space._dist(x, a), a))
-            return Evaluation(space._dist(x, best), True, witness=best)
+        members = [p for p in ball if A.contains(p)]
+        if members:
+            return members
         if r >= SEARCH_RADIUS_CAP or len(ball) > SEARCH_POINT_CAP:
             if (type(space) is GeomLine and A.family is not None
                     and _geom_has_member(A.family) is False):
-                raise DomainError(f"set {A.name} has no members in {space.name}")
+                return []
             raise SearchInconclusive(
                 f"no member of {A.name} within {r} of {x} ({len(ball)} points searched)",
                 window_radius=r)

@@ -162,17 +162,21 @@ def revalidate(verdict: Verdict) -> bool:
     inequality (or growth/stability predicate) against the frozen series.
     A series too short to show its claim fails: an empty ``dominates``
     series, and a ``strict-growth`` or ``stable`` one of fewer than three
-    entries, the radii of one sweep.
+    entries, the radii of one sweep.  The witness is bound to its series:
+    a ``strict-growth`` witness table equals the series, and the values of
+    a ``stable`` witness table sum to every series value.
     """
     if verdict.status is not Status.CERTIFIED:
         return True
     series = verdict.series()
     if verdict.check_kind == CHECK_DOMINATES:
         return bool(series) and verdict.witness is not None and verdict.witness.dominates(series)
+    table = list(getattr(verdict.witness, "table", ()))
+    vals = [v for _, v in series]
     if verdict.check_kind == CHECK_STRICT_GROWTH:
-        vals = [v for _, v in series]
-        return len(vals) >= 3 and all(b > a for a, b in zip(vals, vals[1:]))
+        return (len(vals) >= 3 and table == series
+                and all(b > a for a, b in zip(vals, vals[1:])))
     if verdict.check_kind == CHECK_STABLE:
-        vals = [v for _, v in series]
-        return len(vals) >= 3 and all(v == vals[0] for v in vals)
+        total = sum(v for _, v in table)
+        return len(vals) >= 3 and bool(table) and all(v == total for v in vals)
     return False

@@ -118,9 +118,11 @@ def test_revalidate_rejects_an_unknown_check_kind():
 
 
 def test_filter_base_validation(geomline):
+    # the chain F_1 >= ... >= F_5 decreases, and each F_k meets the window
     F = powers_tail_base(4, depth=5)
-    rep = F.validate(geomline, Window(4096))
-    assert rep["passed"]
+    pts = window_points(geomline, Window(4096))
+    traces = [{x for x in pts if F.level_set(k).contains(x)} for k in range(1, 6)]
+    assert all(traces) and all(b <= a for a, b in zip(traces, traces[1:]))
     with pytest.raises(DomainError):
         F.level_set(9)
 

@@ -11,7 +11,7 @@ import pytest
 
 from coarsedouble import measure, scenarios
 from coarsedouble.cli import build_parser, main
-from coarsedouble.reporting import canonical_dumps, canonical_reload, report_to_csv
+from coarsedouble.reporting import canonical_reload, report_to_csv
 from coarsedouble.scenarios import run_scenario
 from coarsedouble.serialize import parse_levels
 from coarsedouble.space import space_by_name
@@ -95,6 +95,36 @@ def test_revalidate_rejects_a_cut_series(capsys):
                 assert not revalidate(rebuilt_verdict(v, short)), (v["claim"], short)
                 tampered.append(v["check"])
     assert sorted(set(tampered)) == ["dominates", "stable"] and len(tampered) == 8
+
+
+def test_revalidate_binds_growth_and_stable_witnesses_to_their_series(capsys):
+    # certified strict-growth and stable verdicts (tau values 0 and 1),
+    # rebuilt from their JSON: each revalidates as written, and fails once
+    # the last value of its witness table moves up by one
+    checked = []
+    for argv in (["scenario", "run", "ex2"],
+                 ["algebra", "atoms", "--space", "NatLine", "--generators",
+                  "subset:powers:4;subset:powers:4:2", "--radius", "1024"],
+                 ["algebra", "atoms", "--space", "NatLine", "--generators",
+                  "subset:powers:2;subset:powers:3", "--radius", "1024"],
+                 ["tau", "--space", "GeomLine", "--filter-base", "4", "--levels",
+                  "subset:powers:4:2", "--radius", "1024"],
+                 ["tau", "--space", "GeomLine", "--filter-base", "4", "--levels",
+                  "expr:log2", "--radius", "1024"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        for v in certified_verdict_docs(json.loads(out)):
+            if v["check"] == "dominates":
+                continue
+            series = v["diagnostics"]["series"]
+            assert revalidate(rebuilt_verdict(v, series)), v
+            *head, (n, value) = v["witness"]["table"]
+            moved = dict(v, witness={"kind": "tabulated", "table": [*head, [n, value + 1]]})
+            assert not revalidate(rebuilt_verdict(moved, series)), v["claim"]
+            checked.append((v["check"], v["value"]))
+    assert sorted(set(checked)) == [("stable", 0), ("stable", 1),
+                                    ("strict-growth", "nonzero")]
+    assert len(checked) == 10
 
 
 def test_inexact_eval_strict_exit(capsys):
@@ -356,9 +386,9 @@ def test_scenario_command_and_csv(capsys):
 
 def test_report_round_trip_is_stable():
     rep = run_scenario("lattice-laws")
-    text1 = canonical_dumps(rep.to_json(include_meta=False))
+    text1 = canonical_reload(rep.to_json())
     rep2 = run_scenario("lattice-laws")
-    assert text1 == canonical_dumps(rep2.to_json(include_meta=False))
+    assert text1 == canonical_reload(rep2.to_json())
 
 
 def test_diff_against_reports_drift():

@@ -17,9 +17,11 @@ propagate.  Single-pair infima run one search: every
 its constant and no ``Evaluation``, so no caller picks probes or computes a
 candidate radius.  A ``LevelFunction`` has one reader, the ``fn`` it is
 built with, from a point list to its levels; its constructor takes no
-second one.  A ``DeltaFunction`` has no constructor of its own: it shares
-the level function's cache-and-read class and adds only its one-point
-read.  Every reader of a whole window of levels (``tabulate``,
+second one.  A ``DeltaFunction`` defines no method: it shares the level
+function's cache-and-read class, and its ``__call__`` is that class's
+one-point read, as ``LevelFunction.level`` is.  The subset level rule
+``2 * d or 1`` and the empty-set message ``has no members in`` each appear
+once in the package.  Every reader of a whole window of levels (``tabulate``,
 ``validate``, the equivalence, transfer, zero, tau and type verdicts, the
 approximate-unit checks, ``ratio_series`` and the lattice-law scenario)
 reads each window through one ``levels(...)`` call, and ``.level(...)`` is
@@ -60,6 +62,8 @@ from pathlib import Path
 import pytest
 
 from coarsedouble import space as space_module
+from coarsedouble.double import DeltaFunction
+from coarsedouble.projection import LevelFunction
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coarsedouble"
@@ -294,10 +298,21 @@ def test_level_function_has_one_reader():
 
 
 def test_delta_function_has_one_reader():
-    # the constructor, cache, check and serialization are the shared class's
+    # the constructor, cache, check, one-point read and serialization are the
+    # shared class's
     cls = _definition(SRC / "double.py", "DeltaFunction")
     assert [ast.unparse(b) for b in cls.bases] == ["_PointFunction"]
-    assert [n.name for n in cls.body if isinstance(n, ast.FunctionDef)] == ["__call__"]
+    assert [n.name for n in cls.body if isinstance(n, ast.FunctionDef)] == []
+    read = space_module._PointFunction._value
+    assert DeltaFunction.__dict__["__call__"] is read
+    assert LevelFunction.__dict__["level"] is read
+
+
+@pytest.mark.parametrize("text", ["2 * d or 1", "has no members in"])
+def test_point_value_rule_is_stated_once(text):
+    sites = [path.name for path in MODULES
+             for _ in range(path.read_text(encoding="utf-8").count(text))]
+    assert len(sites) == 1, f"{text!r} in {sites}"
 
 
 # each reader of a window of levels, and the whole-window read it makes:

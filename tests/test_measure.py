@@ -175,7 +175,7 @@ def test_each_level_function_is_read_once(monkeypatch, intline):
 
 
 def test_weighted_measure(natline):
-    mu = DensityMeasure(natline, lambda p: Fraction(1, p[0] + 1), "harmonic")
+    mu = DensityMeasure(natline, lambda p: Fraction(1, p[0] + 1))
     iv = density(mu, set_family("evens"), default_schedule(8, 4))
     assert all(0 < v < 1 for _, v in iv.series)
 
@@ -221,7 +221,7 @@ def _rescanned_rows(mu, level, schedule, n_max):
 def test_ratio_series_matches_rescan(name, weight, schedule, table, n_max):
     # unsorted and repeated radii come from the list strategy
     space = space_by_name(name)
-    mu = DensityMeasure(space, WEIGHTS[weight], weight)
+    mu = DensityMeasure(space, WEIGHTS[weight])
 
     def level(p):
         return table[sum(abs(c) for c in p) % len(table)]
@@ -255,13 +255,13 @@ def test_ratio_series_on_a_line_reads_slices(monkeypatch, name):
     assert calls == {"levels": 1}
     assert rows == _rescanned_rows(DensityMeasure.natural(space), level, schedule, 3)
     # a weighted measure still scans point by point, to the same rows
-    mu = DensityMeasure(space, WEIGHTS["int"], "int")
+    mu = DensityMeasure(space, WEIGHTS["int"])
     assert mu.ratio_series(levels, schedule, 3) == _rescanned_rows(mu, level, schedule, 3)
 
 
 @pytest.mark.parametrize("call", ["density", "nu_hat", "check_modularity"])
 def test_nonpositive_weight_raises(natline, call):
-    mu = DensityMeasure(natline, lambda p: 0 if p == (5,) else 1, "holed")
+    mu = DensityMeasure(natline, lambda p: 0 if p == (5,) else 1)
     e = levels_from_subset(natline, set_family("evens"))
     run = {"density": lambda: density(mu, set_family("evens")),
            "nu_hat": lambda: nu_hat(mu, e),
@@ -299,7 +299,7 @@ def test_nu_hat_orders_masses_as_the_ratios(name, weight):
     # monotone_exact reads the member masses; the ratios at one radius share
     # its positive ball mass, so the report equals one built from the ratios
     space = space_by_name(name)
-    mu = DensityMeasure(space, WEIGHTS[weight], weight)
+    mu = DensityMeasure(space, WEIGHTS[weight])
     schedule = default_schedule(8, 4)
     for spec in NU_HAT_SPECS:
         if name == "TwoTails" and spec.startswith(("subset:evens", "subset:multiples")):
@@ -316,7 +316,7 @@ def test_nu_hat_orders_masses_as_the_ratios(name, weight):
 def test_nu_hat_sees_masses_that_fall_with_n(monkeypatch, natline, weight):
     # sublevel masses cannot fall with n, so rows that fall are planted: the
     # mass test and the ratio test both see them, at any radius
-    mu = DensityMeasure(natline, WEIGHTS[weight], weight)
+    mu = DensityMeasure(natline, WEIGHTS[weight])
     schedule = default_schedule(8, 4)
     e = levels_from_subset(natline, set_family("evens"))
     rows = mu.ratio_series(e.levels, schedule, 4)
@@ -398,7 +398,7 @@ def test_nu_bar_and_modularity_match_the_composition(name, weight):
     # functions read through nu_hat give, field for field; each side reads
     # level functions of its own, so no cache is shared
     space = space_by_name(name)
-    mu = DensityMeasure(space, WEIGHTS[weight], weight)
+    mu = DensityMeasure(space, WEIGHTS[weight])
     schedule = default_schedule(8, 4)
 
     def gens():

@@ -23,7 +23,7 @@ def test_scenario_matches_expected(name):
         assert revalidate(v)
         doc = v.to_json()
         assert json.loads(json.dumps(doc)) == doc
-    doc = rep.to_json(include_meta=False)
+    doc = rep.to_json()
     assert json.loads(canonical_dumps(doc)) == doc
 
 

@@ -130,7 +130,7 @@ def test_closed_form_matches_search(name, spec, v):
     x = (abs(v),) if name == "NatLine" else (v,)
     A = set_family(spec[0], **spec[1])
     assume(space.contains((_member_from(A.family, x[0]),)))
-    searched = PointSet.from_predicate(A.name, A.contains)
+    searched = PointSet(A.name, A.contains)
     assert dist_to_set(space, x, A) == dist_to_set(space, x, searched)
 
 
@@ -143,7 +143,7 @@ def test_line_closed_forms_answer_at_any_distance():
         ev = dist_to_set(space, (0,), set_family("half_line", sign=1, bound=far))
         assert (ev.value, ev.exact, ev.witness) == (far, True, (far,))
         with pytest.raises(SearchInconclusive, match="points searched"):
-            dist_to_set(space, (0,), PointSet.from_predicate("far", lambda p: p[0] >= far))
+            dist_to_set(space, (0,), PointSet("far", lambda p: p[0] >= far))
 
 
 @given(base_log=st.integers(1, 3), scale_log=st.integers(0, 2), n=st.integers(1, 40))

@@ -83,7 +83,7 @@ def test_sweep_matches_per_point_search(name, doc, searched, data):
     space = space_by_name(name)
     A = set_from_json(doc)
     if searched:  # no family and no point list: the search path
-        A = PointSet.from_predicate(A.name, A.contains)
+        A = PointSet(A.name, A.contains)
     pts = data.draw(point_lists(name), label="pts")
     assert _swept(space, pts, A) == _per_point(space, pts, A)
 
@@ -121,7 +121,7 @@ def test_sweep_examples(name, pts, doc):
     ("NatLine", set_family("complement", of={"family": "half_line", "sign": 1, "bound": 0})),
     ("NatLine", PointSet.from_points([(-3,), (-7,)])),
     ("IntLine", set_family("complement", of={"family": "multiples", "k": 1, "r": 0})),
-    ("NatLine", PointSet.from_predicate("none", lambda p: False)),
+    ("NatLine", PointSet("none", lambda p: False)),
 ], ids=["empty-complement", "explicit-outside", "empty-multiples-complement", "searched"])
 def test_set_without_members_raises_alike(name, A):
     space = space_by_name(name)
@@ -286,7 +286,7 @@ def test_any_line_list_matches_per_point_search(name, doc, searched, data):
     space = space_by_name(name)
     A = set_from_json(doc)
     if searched:
-        A = PointSet.from_predicate(A.name, A.contains)
+        A = PointSet(A.name, A.contains)
     pts = data.draw(line_lists(name), label="pts")
     want = _expected(space, pts, A)
     with pytest.MonkeyPatch.context() as mp:
@@ -304,7 +304,7 @@ def test_sweep_answers_past_the_search_cap():
     # ends are members, and the sweep reads its distance exactly
     space = space_by_name("IntLine")
     far = 70_000
-    A = PointSet.from_predicate("ends", lambda p: p[0] <= 0 or p[0] >= far)
+    A = PointSet("ends", lambda p: p[0] <= 0 or p[0] >= far)
     assert far // 2 > SEARCH_POINT_CAP // 2
     with pytest.raises(SearchInconclusive):
         dist_to_set(space, (far // 2,), A)
@@ -459,7 +459,7 @@ def test_sweep_of_a_sliced_family_calls_no_predicate(name, lo):
     # its predicate over the run, after the searches at the run's two ends
     seen = []
     contains = set_family("squares")._contains
-    squares = PointSet.from_predicate("squares", lambda p: seen.append(p) or contains(p))
+    squares = PointSet("squares", lambda p: seen.append(p) or contains(p))
     assert squares.run_flags is None
     for p in (pts[0], pts[-1]):
         dist_to_set(space, p, squares)
@@ -499,7 +499,8 @@ def test_sparse_family_run_flags_equal_the_predicate(spec, depth, name, below, n
        data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_far_set_flags_equal_the_ball_predicate(name, spec, j, data):
-    # X - N_j(A) flags a run by d(p, A) > j; its predicate lists ball(p, j)
+    # X - N_j(A) flags a run, and reads a point, by d(p, A) > j; the
+    # reference lists ball(p, j)
     space = space_by_name(name)
     lo = data.draw(st.integers(0 if name == "NatLine" else -80, 80))
     run = [(x,) for x in range(lo, lo + data.draw(st.integers(1, 40)))]
@@ -509,4 +510,5 @@ def test_far_set_flags_equal_the_ball_predicate(name, spec, j, data):
         flags = far.run_flags(run)
     except DomainError:  # A has no member in the space
         assume(False)
-    assert flags == list(map(far.contains, run)), (A.family, j)
+    ball = [not any(A.contains(q) for q in space.points_within(p, j)) for p in run]
+    assert flags == list(map(far.contains, run)) == ball, (A.family, j)

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 
 from coarsedouble.errors import DomainError, IncompleteEnumeration, SearchInconclusive
 from coarsedouble.space import (SEARCH_POINT_CAP, CustomSpace, PointSet,
-                                PredicateSpace, Window, _geom_has_member, _line_candidates,
+                                PredicateSpace, TwoTails, Window, _geom_has_member, _line_candidates,
                                 _line_members, _named_family, _tails_has_member,
                                 dist_to_set, neighborhood, rational_to_json, ruler,
                                 set_family, space_by_name, space_from_json, window_points)
-from conftest import BRUTE_WINDOWS
+from conftest import BRUTE_WINDOWS, brute_window_tails
 
 
 def test_window_examples(natline, geomline, twotails):
@@ -27,6 +28,37 @@ def test_window_oracle_equivalence(name, radius):
     space = space_by_name(name)
     got = window_points(space, Window(radius))
     assert got == BRUTE_WINDOWS[name](space.basepoint, radius)
+
+
+@pytest.mark.parametrize("radius", [0, Fraction(1, 2), 1, 3, 8, Fraction(33, 2), 40])
+def test_two_tails_balls_match_the_oracle_off_the_basepoint(twotails, radius):
+    for n in range(1, 13):
+        for sign in (-1, 1):
+            centre = (n * n, sign * ruler(n))
+            assert twotails.points_within(centre, radius) == brute_window_tails(centre, radius)
+
+
+def test_two_tails_lists_only_the_squares_near_its_centre(twotails):
+    # a ball far from the basepoint walks the squares near its centre, not
+    # every n from 1: the listing's line events are counted, with no timing
+    n = 10 ** 5
+    centre = (n * n, ruler(n))
+    code = TwoTails.points_within.__code__
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        ball = twotails.points_within(centre, 3)
+    finally:
+        sys.settrace(outer)
+    assert ball == [centre]
+    assert lines < 50, lines
 
 
 @pytest.mark.parametrize("name", ["NatLine", "IntLine", "GeomLine", "TwoTails"])
@@ -90,7 +122,7 @@ def test_dist_to_set_exactness_and_failure(natline):
     assert ev.exact and ev.witness in {(6,), (8,)}
     # the ball of radius 2^16 around 0 is the first of more than
     # SEARCH_POINT_CAP points, and holds no member: the search stops there
-    far = PointSet.from_predicate("far", lambda p: p[0] >= 10 ** 6)
+    far = PointSet("far", lambda p: p[0] >= 10 ** 6)
     with pytest.raises(SearchInconclusive, match="65537 points searched") as err:
         dist_to_set(natline, (0,), far)
     assert err.value.window_radius == SEARCH_POINT_CAP
