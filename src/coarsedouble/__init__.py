@@ -10,17 +10,17 @@ density measures.
 
 __version__ = "0.1.0"
 
-from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
+from .errors import DomainError, SearchInconclusive
 from .space import (Evaluation, MetricSpace, PointSet, Window, dist_to_set,
                     neighborhood, set_distances, set_family, space_by_name,
                     window_points)
 from .double import (AdjointMetric, ClosedFormMetric, ComposedMetric,
                      DeltaFunction, DeltaMetric, DoubleMetric, MaxMetric,
                      MinGlueMetric, PointMetric, SubsetMetric, check_axioms,
-                     compose, const_delta, evaluate, evaluate_exact)
-from .projection import (CmFunction, LevelFunction, check_cm, classify_type,
-                         cm_join, cm_meet, delta_from_levels, f_map, join,
-                         levels_from_metric, levels_from_subset, meet,
+                     cm_join, cm_meet, compose, const_delta, evaluate,
+                     evaluate_exact, f_map)
+from .projection import (LevelFunction, check_cm, classify_type, delta_from_levels,
+                         join, levels_from_metric, levels_from_subset, meet,
                          metric_from_levels, metric_join, metric_meet,
                          projection_criterion, source_projection,
                          subset_metric, unit_levels, zero_levels)

@@ -27,7 +27,8 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
-from .space import MetricSpace, Rational, Window, rational_to_json, window_points
+from .space import (MetricSpace, Rational, Window, _common_space, rational_to_json,
+                    window_points)
 from .verdicts import (CHECK_DOMINATES, AffineWitness, Status, TabulatedWitness,
                        Verdict)
 
@@ -132,12 +133,6 @@ def transfer(e1, e2, window: Window) -> TransferTable:
     """Transfer table of e1 against e2 on the window; exact."""
     pts = window_points(_common_space(e1, e2), window)
     return TransferTable.from_levels(zip(e1.levels(pts), e2.levels(pts)))
-
-
-def _common_space(e1, e2) -> MetricSpace:
-    if e1.space != e2.space:
-        raise DomainError("level functions live on different spaces")
-    return e1.space
 
 
 def _merged_samples(t12: TransferTable, t21: TransferTable) -> dict:

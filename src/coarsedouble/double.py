@@ -17,16 +17,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, IncompleteEnumeration, SearchInconclusive
+from .errors import DomainError, SearchInconclusive
 from .space import (SEARCH_POINT_CAP, SEARCH_RADIUS_CAP, Evaluation, LineSpace,
-                    MetricSpace, Point, PointSet, Rational, Window, _PointFunction,
-                    dist_to_set, rational_to_json, window_points)
+                    MetricSpace, Point, PointSet, Rational, Window, _combine_levels,
+                    _common_space, _PointFunction, dist_to_set, rational_to_json,
+                    window_points)
 
 _INT_SAFE = 1 << 60
 
 
 class DeltaFunction(_PointFunction):
-    """Exact copy-gap function delta: X -> [1, oo), read as a level function is."""
+    """Exact copy-gap function delta: X -> [1, oo), read as a level function
+    is: a kernel's delta, F(d) of a kernel (``f_map``) and their meets and
+    joins (``cm_meet``, ``cm_join``)."""
 
     what = "delta"
     __call__ = _PointFunction._value
@@ -144,16 +147,16 @@ def _certified_min(space: MetricSpace, x: Point, z: Optional[Point], window: Win
     evaluated first, inside the window or not, and their minimum best sets
     the candidate radius r_cand = best - c (never negative, since best >= c).
     The candidate rule lists the smaller of two balls: ball(x, r_cand) when
-    r_cand is at most the window radius and ``space.enumerable(x, r_cand)``,
-    kept to the window unless it passes the certificate rule; otherwise the
-    window, as always with c None (no coercive bound: nothing is pruned or
-    certified).  A candidate with s > r_cand cannot beat best, so it is
-    skipped unevaluated: either way the candidates evaluated are the points
-    of ball(x, r_cand) in the window.  The minimum is exact when the ball
-    passes the rule and every evaluated term is exact; otherwise
-    required_radius is the window radius that would hold the ball.  Ties go
-    to the smaller point, probes included.  No point is checked here: x and
-    z are checked where they enter, and candidates are enumerated members.
+    r_cand is at most the window radius, kept to the window unless it passes
+    the certificate rule; otherwise the window, as always with c None (no
+    coercive bound: nothing is pruned or certified).  A candidate with s >
+    r_cand cannot beat best, so it is skipped unevaluated: either way the
+    candidates evaluated are the points of ball(x, r_cand) in the window.
+    The minimum is exact when the ball passes the rule and every evaluated
+    term is exact; otherwise required_radius is the window radius that
+    would hold the ball.  Ties go to the smaller point, probes included.  No
+    point is checked here: x and z are checked where they enter, and
+    candidates are enumerated members.
     """
     dist = space._dist
     best = arg = None
@@ -167,7 +170,7 @@ def _certified_min(space: MetricSpace, x: Point, z: Optional[Point], window: Win
     dxb = dist(x, base)
     r_cand = None if c is None else best - c
     complete = r_cand is not None and _certified(dxb, r_cand, window.radius)
-    ball = r_cand is not None and r_cand <= window.radius and space.enumerable(x, r_cand)
+    ball = r_cand is not None and r_cand <= window.radius
     cand = space.points_within(x, r_cand) if ball else window_points(space, window)
     if ball and not complete:
         cand = [u for u in cand if dist(u, base) <= window.radius]
@@ -192,8 +195,7 @@ class DeltaMetric(DoubleMetric):
 
     def __init__(self, space: MetricSpace, delta: DeltaFunction):
         super().__init__(space)
-        if delta.space is not space and delta.space != space:
-            raise DomainError("delta defined on a different space")
+        _common_space(self, delta)
         self.delta = delta
 
     def _term(self, u, s):
@@ -318,9 +320,7 @@ class MaxMetric(DoubleMetric):
     kind = "max"
 
     def __init__(self, d1: DoubleMetric, d2: DoubleMetric):
-        if d1.space != d2.space:
-            raise DomainError("operands live on different spaces")
-        super().__init__(d1.space)
+        super().__init__(_common_space(d1, d2))
         self.d1, self.d2 = d1, d2
         cs = [c for c in (d1.coercive_c, d2.coercive_c) if c is not None]
         self.coercive_c = max(cs) if cs else None
@@ -346,23 +346,16 @@ class MaxMetric(DoubleMetric):
 
 
 class MinGlueMetric(DeltaMetric):
-    """Join representative: the infimum kernel with middle term
-    min(d1(u,u'), d2(u,u')).  On the diagonal this evaluates to
-    min(d1(x,x'), d2(x,x')) exactly.
+    """Join representative: the delta kernel whose delta is the copy-gap
+    join ``cm_join(f_map(d1), f_map(d2))``, u -> min(d1(u,u'), d2(u,u')).
+    On the diagonal this evaluates to min(d1(x,x'), d2(x,x')) exactly.
     """
 
     kind = "min_glue"
 
     def __init__(self, d1: DoubleMetric, d2: DoubleMetric):
-        if d1.space != d2.space:
-            raise DomainError("operands live on different spaces")
         self.d1, self.d2 = d1, d2
-
-        def middle(pts):
-            return [min(evaluate_exact(d1, u, u).value, evaluate_exact(d2, u, u).value)
-                    for u in pts]
-
-        super().__init__(d1.space, DeltaFunction(d1.space, middle, "min-diagonal"))
+        super().__init__(_common_space(d1, d2), cm_join(f_map(d1), f_map(d2)))
 
     def to_json(self):
         return {"kind": "min_glue", "of": [self.d1.to_json(), self.d2.to_json()]}
@@ -374,9 +367,7 @@ class ComposedMetric(DoubleMetric):
     kind = "compose"
 
     def __init__(self, d: DoubleMetric, rho: DoubleMetric):
-        if d.space != rho.space:
-            raise DomainError("operands live on different spaces")
-        super().__init__(d.space)
+        super().__init__(_common_space(d, rho))
         self.d, self.rho = d, rho
         if d.coercive_c is not None and rho.coercive_c is not None:
             self.coercive_c = d.coercive_c + rho.coercive_c
@@ -496,6 +487,29 @@ def _escalate(d: DoubleMetric, x: Point, y: Optional[Point] = None,
 def compose(d: DoubleMetric, rho: DoubleMetric) -> DoubleMetric:
     """Kernel of (x, z) -> inf_y [d(x,y') + rho(y,z')]."""
     return ComposedMetric(d, rho)
+
+
+# ---------------------------------------------------------------------------
+# The copy-gap function lattice
+
+
+def f_map(d: DoubleMetric) -> DeltaFunction:
+    """F(d): x -> d(x, x'), the copy-gap function of a kernel, each value
+    certified by ``evaluate_exact``."""
+    return DeltaFunction(d.space, lambda pts: [evaluate_exact(d, x, x).value for x in pts],
+                         f"F({d.kind})")
+
+
+def cm_meet(f: DeltaFunction, g: DeltaFunction) -> DeltaFunction:
+    """The pointwise max of two copy-gap functions."""
+    return DeltaFunction(_common_space(f, g), lambda pts: _combine_levels(
+        "meet", f.values(pts), g.values(pts)), f"({f.name} ^ {g.name})")
+
+
+def cm_join(f: DeltaFunction, g: DeltaFunction) -> DeltaFunction:
+    """The pointwise min of two copy-gap functions."""
+    return DeltaFunction(_common_space(f, g), lambda pts: _combine_levels(
+        "join", f.values(pts), g.values(pts)), f"({f.name} v {g.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -633,13 +647,13 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window, buf, frame=No
     y and a universe: the ball around the window base enlarged by the
     largest probe value, which holds the candidate ball of every cell whose
     row point lies in the window.  It is listed to at most SEARCH_POINT_CAP
-    past the window radius, further only where that listing holds at most
-    SEARCH_POINT_CAP points (GeomLine), and is the window where the space
-    cannot enumerate it.  Rows certify by the radius listed; the others
-    hold minima over the universe, upper bounds of the infima.  delta is
-    read by one ``values`` call over pts and one over the universe; a mask
-    drops midpoints with delta(u) >= that value, which cannot beat u = x (if
-    none is left, the matrix is a copy of the seed of the probes u = x, y).
+    past the window radius, and further only where that listing holds at
+    most SEARCH_POINT_CAP points (GeomLine).  Rows certify by the radius
+    listed; the others hold minima over the universe, upper bounds of the
+    infima.  delta is read by one ``values`` call over pts and one over the
+    universe; a mask drops midpoints with delta(u) >= that value, which
+    cannot beat u = x (if none is left, the matrix is a copy of the seed of
+    the probes u = x, y).
     frame is (coordinates, d_X) of pts from ``_frame``, which
     ``check_axioms`` shares; without it they are computed here.  The
     distances come from ``_distance_matrix``, a coordinate broadcast on
@@ -668,14 +682,11 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window, buf, frame=No
     row_max = seed.max(axis=1)
     vmax = max(row_max.tolist())
     radius, cap = window.radius + vmax - 1, window.radius + SEARCH_POINT_CAP
-    try:
-        universe = space.points_within(base, min(radius, cap))
-        if radius > cap and len(universe) > SEARCH_POINT_CAP:
-            radius = cap
-        elif radius > cap:
-            universe = space.points_within(base, radius)
-    except IncompleteEnumeration:
-        universe, radius = window_points(space, window), window.radius
+    universe = space.points_within(base, min(radius, cap))
+    if radius > cap and len(universe) > SEARCH_POINT_CAP:
+        radius = cap
+    elif radius > cap:
+        universe = space.points_within(base, radius)
     weights = _exact_array(d.delta.values(universe))
     # midpoints with delta(u) >= vmax can never beat the u=x candidate
     keep = weights < vmax

@@ -7,10 +7,6 @@ class DomainError(ValueError):
     """An argument lies outside the operation's domain (wrong space, empty set, ...)."""
 
 
-class IncompleteEnumeration(DomainError):
-    """A custom space cannot certify that a ball enumeration is complete."""
-
-
 class SearchInconclusive(Exception):
     """A bounded search exhausted its window without certifying an answer.
 

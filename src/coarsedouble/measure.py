@@ -11,11 +11,12 @@ stay in the report).
 ``nu_hat``, ``nu_bar`` and ``check_modularity`` read each level function
 once, with one ``levels`` call on the largest schedule ball, and work on
 level lists from there: the list of a meet is the elementwise max of its
-operands' lists and that of a join the elementwise min (``_combine_levels``,
-the rule of ``projection.meet`` and ``join``), and ``ratio_series`` scans
-each distinct list once.  ``ratio_series`` returns masses only; a ratio is
-built where it is reported (``density`` its one row, ``nu_hat`` the row of
-its deepest sublevel, ``NuHatReport.per_n`` when read).
+operands' lists and that of a join the elementwise min (``_combine_levels``
+in ``space``, the rule of ``projection.meet`` and ``join``), and
+``ratio_series`` scans each distinct list once.  ``ratio_series`` returns
+masses only; a ratio is built where it is reported (``density`` its one
+row, ``nu_hat`` the row of its deepest sublevel, ``NuHatReport.per_n`` when
+read).
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
-from .asymptotics import _check_radii, _common_space
+from .asymptotics import _check_radii
 from .boolalg import FormalSum
 from .errors import DomainError
-from .projection import LevelFunction, _combine_levels, unit_levels
+from .projection import LevelFunction, unit_levels
 from .space import (LineSpace, MetricSpace, Point, PointSet, Rational, Window,
-                    rational_to_json, window_points)
+                    _combine_levels, _common_space, rational_to_json, window_points)
 
 DEFAULT_SCHEDULE_BASE = 32
 DEFAULT_SCHEDULE_STEPS = 6

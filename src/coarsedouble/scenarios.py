@@ -14,12 +14,11 @@ from importlib import resources
 from . import boolalg, measure
 from .asymptotics import sweep_radii, sweep_windows
 from .boolalg import FilterBase, _below, powers_tail_base, tau
-from .double import compose
+from .double import cm_join, cm_meet, compose, f_map
 from .errors import DomainError
-from .projection import (classify_type, f_map, check_cm, cm_join, cm_meet,
-                         join, levels_from_metric, levels_from_subset, meet,
-                         metric_join, metric_meet, subset_metric, unit_levels,
-                         zero_levels)
+from .projection import (check_cm, classify_type, join, levels_from_metric,
+                         levels_from_subset, meet, metric_join, metric_meet,
+                         subset_metric, unit_levels, zero_levels)
 from .reporting import RunReport, diff_against
 from .serialize import expression_levels
 from .space import (PointSet, Window, dist_to_set, neighborhood, set_distances,
@@ -224,11 +223,11 @@ def scenario_lattice_laws() -> dict:
                and check_cm(cm_join(f1, f2), window)["passed"])
     dm = metric_meet(d1, d2, window)
     dj = metric_join(d1, d2, window)
-    fm, fj = f_map(dm), f_map(dj)
-    f_compat = True
-    for x in window_points(space, window):
-        f_compat = f_compat and fm.value(x) == max(f1.value(x), f2.value(x))
-        f_compat = f_compat and fj.value(x) == min(f1.value(x), f2.value(x))
+    # each copy-gap function reads the window in one values call
+    pts = window_points(space, window)
+    v1, v2 = f1.values(pts), f2.values(pts)
+    f_compat = (f_map(dm).values(pts) == list(map(max, v1, v2))
+                and f_map(dj).values(pts) == list(map(min, v1, v2)))
     summary = {"laws_pass": laws_pass, "cm_closure_pass": cm_pass,
                "f_compat_pass": f_compat}
     return {"summary": summary,

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import filterfalse
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import DomainError, IncompleteEnumeration, SearchInconclusive, _malformed
+from .errors import DomainError, SearchInconclusive, _malformed
 
 Point = tuple
 Rational = Union[int, Fraction]
@@ -125,10 +125,6 @@ class MetricSpace:
         in place (see ``window_points``).
         """
         raise NotImplementedError
-
-    def enumerable(self, center: Point, radius: Rational) -> bool:
-        """Whether ``points_within(center, radius)`` lists, not raises."""
-        return True
 
     def to_json(self):
         return {"space": self.name}
@@ -344,15 +340,18 @@ class CustomSpace(MetricSpace):
 
 
 class PredicateSpace(MetricSpace):
-    """Custom space given by a coordinate predicate on a bounded integer box
-    of one or two coordinates, with the Manhattan metric.
-
-    Enumeration is certified only up to ``coverage_radius``; asking for a
-    larger ball raises IncompleteEnumeration.
+    """Finite custom space: the points of one or two integer coordinates
+    that satisfy a predicate and lie within ``coverage_radius`` of the
+    basepoint, with the Manhattan metric.  A ball is listed by scanning only
+    its part inside the box of that radius around the basepoint.  A
+    predicate has no document, so two predicate spaces are equal only when
+    they are one object.
     """
 
     name = "CustomPredicate"
     metric = "manhattan"
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, predicate: Callable[[Point], bool], dim: int,
                  coverage_radius: int, basepoint: Point):
@@ -367,32 +366,25 @@ class PredicateSpace(MetricSpace):
 
     def contains(self, p):
         return (isinstance(p, tuple) and len(p) == self.dim
-                and all(isinstance(c, int) for c in p) and self.predicate(p))
+                and all(isinstance(c, int) for c in p) and self._inside(p))
+
+    def _inside(self, p):
+        return self._dist(p, self.basepoint) <= self.coverage_radius and self.predicate(p)
 
     def _dist(self, x, y):
         return sum(abs(a - b) for a, b in zip(x, y))
 
-    def enumerable(self, center, radius):
-        return self.distance(self.basepoint, center) + radius <= self.coverage_radius
-
     def points_within(self, center, radius):
-        if not self.enumerable(center, radius):
-            raise IncompleteEnumeration(
-                f"incomplete enumeration: ball({center}, {radius}) exceeds "
-                f"coverage radius {self.coverage_radius}")
-        r = math.floor(radius)
+        r, cover, base = math.floor(radius), self.coverage_radius, self.basepoint
+        # each coordinate's range is clipped to the box, in lexicographic order
+        lo, hi = max(center[0] - r, base[0] - cover), min(center[0] + r, base[0] + cover)
         if self.dim == 1:
-            rng = range(center[0] - r, center[0] + r + 1)
-            out = [(i,) for i in rng if self.predicate((i,))]
+            scan = zip(range(lo, hi + 1))
         else:
-            out = []
-            for a in range(center[0] - r, center[0] + r + 1):
-                rem = r - abs(a - center[0])
-                for b in range(center[1] - rem, center[1] + rem + 1):
-                    p = (a, b)
-                    if self.predicate(p):
-                        out.append(p)
-        return [p for p in sorted(out) if self._dist(p, center) <= radius]
+            scan = ((a, b) for a in range(lo, hi + 1)
+                    for b in range(max(center[1] - r + abs(a - center[0]), base[1] - cover),
+                                   min(center[1] + r - abs(a - center[0]), base[1] + cover) + 1))
+        return list(filter(self._inside, scan))
 
 
 _BUILTINS = None
@@ -559,6 +551,26 @@ class _PointFunction:
         if self.payload is not None:
             return dict(self.payload, name=self.name)
         raise DomainError(f"{self.what} {self.name!r} has no serializable form")
+
+
+def _combine_levels(op: str, a: Sequence, b: Sequence) -> list:
+    """The value list of a meet ("meet": elementwise max) or a join
+    ("join": elementwise min) of two value lists of the same points, as
+    level and copy-gap functions combine.  Each is written as the
+    comparison max(x, y) or min(x, y) makes (y only when y > x, or y < x),
+    which a list comprehension runs several times faster than
+    ``map(max, ...)``."""
+    if op == "meet":
+        return [y if y > x else x for x, y in zip(a, b)]
+    return [y if y < x else x for x, y in zip(a, b)]
+
+
+def _common_space(a, b) -> MetricSpace:
+    """The space of two operands (kernels, level or copy-gap functions), or
+    DomainError when they live on different spaces."""
+    if a.space is not b.space and a.space != b.space:
+        raise DomainError("operands live on different spaces")
+    return a.space
 
 
 def _is_square(v: int) -> bool:

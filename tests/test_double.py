@@ -20,9 +20,10 @@ from coarsedouble import double
 from coarsedouble.double import (DeltaFunction, _coordinates, _distance_matrix,
                                  _exact_array, _line_columns, _line_delta_min,
                                  _line_transform, _min_plus)
-from coarsedouble.errors import DomainError, IncompleteEnumeration, SearchInconclusive
-from coarsedouble.space import (SEARCH_POINT_CAP, CustomSpace, IntLine, NatLine, PointSet,
-                                PredicateSpace, TwoTails, Window, set_family, window_points)
+from coarsedouble.errors import DomainError, SearchInconclusive
+from coarsedouble.space import (SEARCH_POINT_CAP, CustomSpace, Evaluation, IntLine, NatLine,
+                                PointSet, PredicateSpace, TwoTails, Window, set_family,
+                                window_points)
 from coarsedouble.serialize import parse_levels, parse_set
 from conftest import BRUTE_WINDOWS, brute_delta_cross
 
@@ -337,34 +338,55 @@ def test_space_mismatch_rejected(natline, intline):
         MaxMetric(PointMetric(natline, (0,)), PointMetric(intline, (0,)))
 
 
-def test_delta_batch_does_not_certify_truncated_scan():
-    # balls past radius 10 cannot be enumerated, so the batch scan falls back
-    # to the window, where every midpoint costs 40; u = 8 gives 2 + 1 + 2 = 5
+def test_predicate_spaces_compare_by_identity():
+    # a predicate has no document, so two predicate spaces are two spaces:
+    # (1,) is a point of a and not of b, and no kernel takes one operand on each
+    a = PredicateSpace(lambda p: True, 1, 10, (0,))
+    b = PredicateSpace(lambda p: p[0] % 2 == 0, 1, 10, (0,))
+    assert a == a and a != b and len({a, b}) == 2
+    for build in (lambda: DeltaMetric(a, const_delta(b, 2)),
+                  lambda: MaxMetric(PointMetric(a), PointMetric(b)),
+                  lambda: compose(PointMetric(a), PointMetric(b)),
+                  lambda: MinGlueMetric(PointMetric(a), PointMetric(b))):
+        with pytest.raises(DomainError, match="operands live on different spaces"):
+            build()
+
+
+def test_delta_batch_lists_the_whole_predicate_space():
+    # the space is the integers within 10 of 0; every window midpoint costs
+    # 40, and u = 8 gives 2 + 1 + 2 = 5.  The single-pair search scans the
+    # window and cannot certify; the batch universe, ball(0, 57) clipped to
+    # the box, holds the whole space, so its matrix is exact everywhere
     sp = PredicateSpace(lambda p: True, 1, 10, (0,))
     d = DeltaMetric(sp, DeltaFunction(
         sp, lambda pts: [1 if abs(u[0]) >= 8 else 40 for u in pts], "far"))
     w = Window(6)
     single = evaluate(d, (6,), (6,), w)
-    assert not single.exact and single.required_radius == 45
+    assert (single.value, single.exact, single.required_radius) == (40, False, 45)
+    assert evaluate_exact(d, (6,), (6,)) == Evaluation(5, True, witness=(8,))
     pts = window_points(sp, w)
     mat, exact = d.cross_matrix(pts, w)
-    assert mat[pts.index((6,))][pts.index((6,))] == 40
-    assert not exact
-    assert not check_axioms(d, Window(10)).exact
+    assert exact
+    assert mat.tolist() == [[evaluate_exact(d, x, y).value for y in pts] for x in pts]
+    assert mat[pts.index((6,))][pts.index((6,))] == 5
+    assert check_axioms(d, Window(10)).exact
 
 
 def test_uncertified_evaluation_on_a_predicate_space():
-    # coverage radius 10: a candidate ball no wider than the window is listed
-    # where the space can list it, and the window otherwise, so a window the
-    # space cannot enumerate raises only when the ball is the wider one
+    # coverage radius 10: the space is the integers in [-10, 10].  A candidate
+    # ball no wider than the window is listed and kept to the window, and a
+    # wider one is the window, clipped to the box; the certificate rule reads
+    # the window, not the box
     sp = PredicateSpace(lambda p: True, 1, 10, (0,))
     d3, d6 = (DeltaMetric(sp, const_delta(sp, v)) for v in (3, 6))
     assert evaluate(d3, (3,), (3,), Window(4, (4,))).exact
-    for x, w, required in [((3,), Window(4, (9,)), 8), ((9,), Window(10), 11)]:
-        ev = evaluate(d3, x, x, w)
-        assert (ev.value, ev.exact, ev.required_radius, ev.witness) == (3, False, required, x)
-    with pytest.raises(IncompleteEnumeration):
-        evaluate(d6, (3,), (3,), Window(4, (9,)))
+    assert window_points(sp, Window(4, (9,))) == [(5,), (6,), (7,), (8,), (9,), (10,)]
+    for d, x, w, value, required in [(d3, (3,), Window(4, (9,)), 3, 8),
+                                      (d3, (9,), Window(10), 3, 11),
+                                      (d6, (3,), Window(4, (9,)), 6, 11)]:
+        ev = evaluate(d, x, x, w)
+        assert (ev.value, ev.exact, ev.required_radius, ev.witness) == (value, False, required, x)
+        assert evaluate_exact(d, x, x) == Evaluation(value, True, witness=x)
 
 
 def _spied_searches(monkeypatch, space):

@@ -9,10 +9,10 @@ Points are checked against their space in one place: an ``if not
 <space>.contains(<point>)`` that raises DomainError appears only in
 ``MetricSpace.check``.  Sweep radii become point lists in one place: a
 ``Window(<r>, <w>.basepoint)`` call appears only in
-``asymptotics.sweep_windows``.  IncompleteEnumeration is caught in one
-place, ``double._delta_cross_matrix``, whose universe falls back to the
-window; every other listing either fits its space or lets the error
-propagate.  Single-pair infima run one search: every
+``asymptotics.sweep_windows``.  Every space lists every ball, and every
+copy-gap function is a ``DeltaFunction``: the names
+``IncompleteEnumeration``, ``enumerable`` and ``CmFunction`` appear nowhere
+in ``src/``.  Single-pair infima run one search: every
 ``_certified_min`` call in ``double.py`` passes a kind's ``coercive_c`` as
 its constant and no ``Evaluation``, so no caller picks probes or computes a
 candidate radius.  A ``LevelFunction`` has one reader, the ``fn`` it is
@@ -20,10 +20,11 @@ built with, from a point list to its levels; its constructor takes no
 second one.  A ``DeltaFunction`` defines no method: it shares the level
 function's cache-and-read class, and its ``__call__`` is that class's
 one-point read, as ``LevelFunction.level`` is.  The subset level rule
-``2 * d or 1`` and the empty-set message ``has no members in`` each appear
-once in the package.  Every reader of a whole window of levels (``tabulate``,
-``validate``, the equivalence, transfer, zero, tau and type verdicts, the
-approximate-unit checks, ``ratio_series`` and the lattice-law scenario)
+``2 * d or 1``, the empty-set message ``has no members in`` and the meet
+rule ``y if y > x else x`` each appear once in the package.  Every reader
+of a whole window of levels (``tabulate``, ``validate``, the equivalence,
+transfer, zero, tau and type verdicts, the approximate-unit checks,
+``ratio_series`` and the lattice-law scenario)
 reads each window through one ``levels(...)`` call, and ``.level(...)`` is
 called only at the per-point sites: sublevel membership, the neighbour read
 of ``validate`` and ``ApproximateUnit.set_distance_capped``, which returns 0
@@ -253,18 +254,13 @@ def test_one_sweep_reader():
     assert where == [("asymptotics.py", "sweep_windows")], f"sweep windows: {sites}"
 
 
-def _catches_incomplete_enumeration(node):
-    """An ``except`` clause naming IncompleteEnumeration, alone or in a tuple."""
-    if not isinstance(node, ast.ExceptHandler) or node.type is None:
-        return False
-    return any(isinstance(n, ast.Name) and n.id == "IncompleteEnumeration"
-               for n in ast.walk(node.type))
-
-
-def test_incomplete_enumeration_is_caught_in_one_place():
-    sites = _package_sites(_catches_incomplete_enumeration)
-    where = [(name, scope) for name, scope, _ in sites]
-    assert where == [("double.py", "_delta_cross_matrix")], f"handlers: {sites}"
+@pytest.mark.parametrize("name", ["IncompleteEnumeration", "enumerable", "CmFunction"])
+def test_one_ball_contract_and_one_copy_gap_class(name):
+    sites = [f"{path.relative_to(ROOT)}:{line}" for path in sorted((ROOT / "src").rglob("*"))
+             if path.is_file() and path.suffix in (".py", ".json")
+             for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if name in text]
+    assert not sites, f"{name!r} in {sites}"
 
 
 def _calls_to(tree, name):
@@ -308,7 +304,7 @@ def test_delta_function_has_one_reader():
     assert LevelFunction.__dict__["level"] is read
 
 
-@pytest.mark.parametrize("text", ["2 * d or 1", "has no members in"])
+@pytest.mark.parametrize("text", ["2 * d or 1", "has no members in", "y if y > x else x"])
 def test_point_value_rule_is_stated_once(text):
     sites = [path.name for path in MODULES
              for _ in range(path.read_text(encoding="utf-8").count(text))]

@@ -5,7 +5,7 @@ import pytest
 from coarsedouble import levels_from_subset, unit_levels, zero_levels
 from coarsedouble.ideals import (ApproximateUnit, check_au, recovered_levels,
                                  recovery_transfer)
-from coarsedouble.errors import DomainError, IncompleteEnumeration
+from coarsedouble.errors import DomainError
 from coarsedouble.projection import levels_from_expression
 from coarsedouble.space import (CustomSpace, PredicateSpace, Window, set_family,
                                 window_points)
@@ -23,15 +23,19 @@ def test_unit_value_examples(natline):
 
 
 def test_unit_value_on_a_2n_lists_no_ball():
-    # (10,) lies on the coverage edge, so its radius-1 ball cannot be listed;
-    # u_n = 1 on A_2n needs only the point's own level
+    # u_n = 1 on A_2n needs only the point's own level; off A_2n the radius-1
+    # ball of (10,), on the edge of the space [-10, 10], is listed once
     space = PredicateSpace(lambda p: True, 1, 10, (0,))
+    listed = []
+    space.points_within = lambda c, r: listed.append((c, r)) or PredicateSpace.points_within(
+        space, c, r)
     e = levels_from_expression(space, "quarter", lambda p: 1 + abs(p[0]) // 4)
     unit = ApproximateUnit(e)
     assert e.level((10,)) == 3
-    assert unit.value(2, (10,)) == 1
-    with pytest.raises(IncompleteEnumeration):
-        unit.value(1, (10,))
+    assert unit.value(2, (10,)) == 1 and listed == []
+    assert unit.value(1, (10,)) == 0
+    assert listed == [((10,), 1)]
+    assert PredicateSpace.points_within(space, (10,), 1) == [(9,), (10,)]
 
 
 def test_unit_fractional_value():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsedouble import (CmFunction, PointMetric, check_axioms, check_cm,
+from coarsedouble import (PointMetric, check_axioms, check_cm,
                           classify_type, cm_join, cm_meet, compose,
                           const_delta, delta_from_levels, evaluate,
                           evaluate_exact, f_map, join, levels_from_metric,
@@ -178,11 +178,11 @@ def test_f_map_and_check_cm(natline):
     w = Window(24)
     z = PointMetric(natline, (0,))
     f = f_map(z)
-    assert [f.value((x,)) for x in range(4)] == [1, 3, 5, 7]
+    assert [f((x,)) for x in range(4)] == [1, 3, 5, 7]
     assert check_cm(f, w)["passed"]
     d1 = DeltaMetric(natline, const_delta(natline))
     assert check_cm(f_map(d1), w)["passed"]
-    steep = CmFunction(natline, lambda p: 3 * p[0] + 1, "steep")
+    steep = DeltaFunction(natline, lambda pts: [3 * p[0] + 1 for p in pts], "steep")
     rep = check_cm(steep, w)
     assert not rep["passed"]
     assert rep["violation"]["x"] in ([0], [1]) and rep["violation"]["gap"] == 3
@@ -260,8 +260,8 @@ def test_metric_meet_join(natline):
     f1, f2 = f_map(d1), f_map(d2)
     fm, fj = f_map(dm), f_map(dj)
     for x in window_points(natline, Window(16)):
-        assert fm.value(x) == max(f1.value(x), f2.value(x))
-        assert fj.value(x) == min(f1.value(x), f2.value(x))
+        assert fm(x) == max(f1(x), f2(x))
+        assert fj(x) == min(f1(x), f2(x))
     nonproj = compose(subset_metric(natline, set_family("evens")),
                       subset_metric(natline, set_family("odds")))
     with pytest.raises(DomainError):
@@ -631,7 +631,7 @@ def test_meet_and_join_need_one_space(natline, intline):
     e, f = unit_levels(natline), unit_levels(intline)
     for op in (meet, join):
         for a, b in ((e, f), (f, e)):
-            with pytest.raises(DomainError, match="level functions live on different spaces"):
+            with pytest.raises(DomainError, match="operands live on different spaces"):
                 op(a, b)
 
 

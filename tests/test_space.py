@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsedouble.errors import DomainError, IncompleteEnumeration, SearchInconclusive
+from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.space import (SEARCH_POINT_CAP, CustomSpace, PointSet,
                                 PredicateSpace, TwoTails, Window, _geom_has_member, _line_candidates,
                                 _line_members, _named_family, _tails_has_member,
@@ -206,6 +206,12 @@ def test_custom_space_json_roundtrip():
     clone = space_from_json(doc)
     assert clone.distance((0,), (5,)) == 5
     assert window_points(clone, Window(3)) == [(0,), (2,)]
+    # a table metric writes its table, Fractions as strings
+    half = Fraction(3, 2)
+    table = CustomSpace([(0,), (1,), (2,)], metric="table",
+                        table=[[0, 1, half], [1, 0, 1], [half, 1, 0]], name="Path3")
+    clone = space_from_json(json.loads(json.dumps(table.to_json())))
+    assert clone == table and clone.distance((0,), (2,)) == half
 
 
 @pytest.mark.parametrize("metric", ["manhattan", "euclidean-rounded"])
@@ -217,12 +223,34 @@ def test_custom_space_points_have_one_length(metric):
         space_from_json({"points": [[0], [0, 5], [3]]})
 
 
-def test_predicate_space_incomplete_enumeration():
+def test_predicate_space_is_its_box():
     space = PredicateSpace(lambda p: p[0] % 3 == 0, dim=1, coverage_radius=30,
                            basepoint=(0,))
     assert window_points(space, Window(10)) == [(-9,), (-6,), (-3,), (0,), (3,), (6,), (9,)]
-    with pytest.raises(IncompleteEnumeration):
-        window_points(space, Window(100))
+    assert window_points(space, Window(100)) == [(v,) for v in range(-30, 31, 3)]
+    assert space.contains((30,)) and not space.contains((33,))
+    with pytest.raises(DomainError, match="not a point of"):
+        space.check((33,))
+
+
+def _box_ball(space, center, radius):
+    """The ball listed point by point over the whole box, as the oracle."""
+    cover, base = space.coverage_radius, space.basepoint
+    box = [(a, b) for a in range(base[0] - cover, base[0] + cover + 1)
+           for b in range(base[1] - cover, base[1] + cover + 1)]
+    return [p for p in box if space.contains(p) and space._dist(p, center) <= radius]
+
+
+def test_predicate_space_balls_match_the_box_oracle():
+    # two coordinates: each ball is scanned only inside the box, and equals
+    # the ball listed over the whole box, in lexicographic order
+    space = PredicateSpace(lambda p: (p[0] + 2 * p[1]) % 3 == 0, dim=2, coverage_radius=6,
+                           basepoint=(1, 1))
+    centers = [p for p in _box_ball(space, space.basepoint, 6) if p[0] % 2 == 0]
+    assert centers
+    for center in centers:
+        for radius in (0, Fraction(3, 2), 4, 9, 40):
+            assert space.points_within(center, radius) == _box_ball(space, center, radius)
 
 
 def test_predicate_space_rejects_dimension_at_construction():
