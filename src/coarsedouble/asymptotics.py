@@ -1,11 +1,12 @@
 """Window-certified verdicts for asymptotic comparisons of level functions.
 
 Certification policy.  Every claim is evaluated at the three nested radii
-of ``sweep_radii`` (R/16, R/4, R), or at given radii, which must increase
-strictly and stay within the window's radius; ``sweep_windows``, the one
-reader of a sweep, enumerates the largest window once.  A transfer entry is
-*stable* when its value agrees at the two largest radii; sublevel sets only
-gain points as the radius grows, so a stable entry has stopped moving.
+of ``sweep_radii`` (R/16, R/4, R), or, for ``projection.classify_type``, at
+given radii, which must increase strictly and stay within the window's
+radius; ``sweep_windows``, the one reader of a sweep, enumerates the
+largest window once.  A transfer entry is *stable* when its value agrees
+at the two largest radii; sublevel sets only gain points as the radius
+grows, so a stable entry has stopped moving.
 Equivalence is certified only when the stable entries dominate the
 comparison (at least the fraction STABLE_FRACTION of the common table,
 including its smallest entry); quasi-equivalence additionally requires the
@@ -206,19 +207,18 @@ def _stable_affine(samples_by_radius: Sequence[dict], diagnostics: dict):
     return w_last, w_last is not None and w_mid == w_last
 
 
-def equivalent(e1, e2, mode: str, window: Window,
-               radii: Optional[list] = None) -> Verdict:
+def equivalent(e1, e2, mode: str, window: Window) -> Verdict:
     """Certify [e1] == [e2] (quasi or coarse) from transfer tables.
 
     In quasi mode the certificate is a single affine witness dominating
     both transfer directions; in coarse mode it is the merged tabulated
     transfer function.  Both require the three-radius stability policy,
-    read at ``_window_radii(window, radii)``.
+    read at ``sweep_radii(window)``.
     """
     if mode not in ("quasi", "coarse"):
         raise DomainError(f"unknown equivalence mode {mode!r}")
     space = _common_space(e1, e2)
-    radii = _window_radii(window, radii)
+    radii = sweep_radii(window)
     return _equivalent_on(e1, e2, mode, window, radii, sweep_windows(space, window, radii))
 
 

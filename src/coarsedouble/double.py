@@ -807,14 +807,12 @@ def _min_plus(a, b=None):
     k runs one at a time, so each step costs one len(a) x len(b[0]) sum and
     one np.minimum into buffers kept across steps, whatever the dtypes;
     mixing int64 with object gives object, which stays exact.  On the line
-    spaces delta kernels do not come here (see ``_line_delta_min``), the
-    cross-vs-base triangle check never does, and the base-vs-cross check
-    does only with the columns that fail its column test (see
-    ``_triangle_minima``), so a passing kernel makes no product.  Elsewhere
-    a delta kernel's n x m product over its universe and the two n^3
-    triangle products of ``check_axioms`` do, and set its cost; on TwoTails
-    and the other l1 spaces their distance operands are coordinate
-    broadcasts.
+    spaces delta kernels do not come here (see ``_line_delta_min``), and a
+    triangle check does only when it fails (see ``_triangle_minima``), so a
+    passing kernel makes no product.  Elsewhere a delta kernel's n x m
+    product over its universe and the two n^3 triangle products of
+    ``check_axioms`` do, and set its cost; on TwoTails and the other l1
+    spaces their distance operands are coordinate broadcasts.
     """
     # rows of b are read once per step, so they are made contiguous once
     b = np.ascontiguousarray(a.T if b is None else b)
@@ -882,12 +880,13 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
     the lines the two triangle minima are n^3 min-plus products, which set
     the cost.  On the line spaces a delta kernel's cross matrix comes from
     the distance-transform sweep and its range-minimum table, and both
-    triangle checks from one monotone pass over the cross matrix's columns
-    (``_line_columns``): a passing kernel runs no distance transform and no
-    min-plus product, nothing runs once per row or cell in Python, and
-    memory stays O(n^2) plus the universe; the space type picks that path.
-    Violations are located only when a check fails.  Certification
-    (``exact``) is the cross matrix's, unchanged.
+    triangle checks are decided by one monotone pass over the cross
+    matrix's columns (``_line_columns``): a passing kernel runs no min-plus
+    product, nothing runs once per row or cell in Python, and memory stays
+    O(n^2) plus the universe; the space type picks that path.  A check that
+    fails takes its min-plus product, as on the other spaces, which locates
+    the violation.  Certification (``exact``) is the cross matrix's,
+    unchanged.
 
     On a line window of at least 128 points the int64 n x n intermediates
     (d_X, the seed and the range-minimum table of a delta kernel, the
@@ -950,77 +949,51 @@ def check_axioms(d: DoubleMetric, window: Window) -> AxiomReport:
 
 def _triangle_minima(space: MetricSpace, a, bmat, dmat, buf):
     """The arrays the two triangle checks compare bmat and dmat against, or
-    None for a check already decided as passed.  Each array is below its
-    left side at exactly the cells where the true minimum is: min over k of
-    dmat[i, k] + dmat[j, k] for bmat, and min over k of bmat[i, k] +
-    dmat[k, j] for dmat.
+    None for a check already decided as passed: the min-plus products min
+    over k of dmat[i, k] + dmat[j, k] for bmat, and min over k of bmat[i, k]
+    + dmat[k, j] for dmat.
 
-    Elsewhere these are the two min-plus products.  On the line spaces, with
-    c = a[:, 0] the coordinates in increasing order, as ``window_points``
-    lists them, one pass of ``_line_columns`` (P and Q in buffers 1 and 2 of
-    buf) decides both.  When dmat is monotone the second check passes;
-    otherwise its array is the distance transform ``_line_transform`` of
-    that pass's P and Q, the same as the product.  The first is the product
-    over only the failing columns: a column outside them holds no violation,
-    so the restricted product is below bmat at the same cells, and
-    ``_triangle``, whose k scan reads dmat, names the same first y.  With no
-    failing column the first check passes, with no product.
+    On the line spaces, with c = a[:, 0] the coordinates in increasing
+    order, as ``window_points`` lists them, one pass of ``_line_columns``
+    (in buffers 1 and 2 of buf) first decides which checks pass; only a
+    check that fails takes its product, which locates the violation as on
+    the other spaces.
     """
     if not isinstance(space, LineSpace):
         return _min_plus(dmat), _min_plus(bmat, dmat)
-    c = a[:, 0]
-    monotone, cols, p, q = _line_columns(c, dmat, buf)
-    base_mins = _min_plus(dmat[:, cols], dmat[:, cols].T) if len(cols) else None
-    return base_mins, None if monotone else _line_transform(c, p, q)
-
-
-def _line_transform(c, p, q):
-    """min over k of |c_i - c_k| + g[k, j], for coordinates c in increasing
-    order, from P = g - c[:, None] and Q = g + c[:, None] as
-    ``_line_columns`` returns them: a distance transform down each column
-    of g, as a prefix minimum of P over k <= i plus c_i and a suffix minimum
-    of Q over k >= i minus c_i, taken in place with no n x n temporary (the
-    result is P; P and Q are spent).  Equal to ``_min_plus(abs(c[:, None] -
-    c), g)``, cell for cell and in dtype; with entries typed by
-    ``_exact_array``, every intermediate stays below 2**62.
-    """
-    np.minimum.accumulate(p, axis=0, out=p)
-    p += c[:, None]
-    np.minimum.accumulate(q[::-1], axis=0, out=q[::-1])
-    q -= c[:, None]
-    return np.minimum(p, q, out=p)
+    monotone, fails = _line_columns(a[:, 0], dmat, buf)
+    return (_min_plus(dmat) if fails else None,
+            None if monotone else _min_plus(bmat, dmat))
 
 
 def _line_columns(c, g, buf=_NO_BUFFERS):
-    """(monotone, failing columns, P, Q) of g over coordinates c in
-    increasing order, with P = g - c[:, None] and Q = g + c[:, None].
+    """(monotone, fails) of g over coordinates c in increasing order, from
+    P = g - c[:, None] and Q = g + c[:, None], buffers 1 and 2 of buf, the
+    getter of ``_workspace``, when int64.
 
     monotone: every column of P is non-increasing and every column of Q
     non-decreasing down the rows, that is |g[i+1, k] - g[i, k]| <= c[i+1] -
     c[i] on adjacent rows.  By telescoping this then holds on every pair of
-    rows, so monotone is exactly g <= ``_line_transform(c, P, Q)``
+    rows, so monotone is exactly g <= ``_min_plus(abs(c[:, None] - c), g)``
     everywhere, an O(n^2) test with no running minimum.
 
-    failing columns: the k where |c_i - c_j| <= g[i, k] + g[j, k] fails for
-    some i, j, as an index array.  Since |c_i - c_j| is the larger of c_i -
-    c_j and c_j - c_i, column k passes exactly when min over i of P[i, k]
-    plus min over j of Q[j, k] is at least 0: one O(n^2) test in place of
-    the n^3 product ``_min_plus(g)``.  On a monotone g those minima are the
-    last row of P and the first row of Q, so the test is O(n).  P and Q are
-    buffers 1 and 2 of buf, the getter of ``_workspace``, when int64, and
-    are returned for ``_line_transform``.
+    fails: some k, i, j have |c_i - c_j| > g[i, k] + g[j, k].  Since |c_i -
+    c_j| is the larger of c_i - c_j and c_j - c_i, column k holds no such
+    i, j exactly when min over i of P[i, k] plus min over j of Q[j, k] is at
+    least 0: one O(n^2) test in place of the n^3 product ``_min_plus(g)``.
+    On a monotone g those minima are the last row of P and the first row of
+    Q, so the test is O(n).
     """
     p = np.subtract(g, c[:, None], out=buf(1, g, c))
     q = np.add(g, c[:, None], out=buf(2, g, c))
     monotone = bool(np.all(p[1:] <= p[:-1]) and np.all(q[1:] >= q[:-1]))
     low_p, low_q = (p[-1], q[0]) if monotone else (p.min(axis=0), q.min(axis=0))
-    return monotone, np.flatnonzero(low_p + low_q < 0), p, q
+    return monotone, bool(np.any(low_p + low_q < 0))
 
 
 def _triangle(pts, lhs, mins, rhs, names):
-    """Check lhs[i, j] <= mins[i, j], where mins is below lhs at exactly the
-    cells where the minimum over k of rhs(i, j, k) is; mins None is a check
-    already decided as passed.
+    """Check lhs[i, j] <= mins[i, j], the minimum over k of rhs(i, j, k);
+    mins None is a check already decided as passed.
 
     A failure reports the first violating (i, j, k) in that order, naming
     pts[i], pts[j], pts[k] by names.

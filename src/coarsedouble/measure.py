@@ -16,7 +16,8 @@ in ``space``, the rule of ``projection.meet`` and ``join``), and
 ``ratio_series`` scans each distinct list once.  ``ratio_series`` returns
 masses only; a ratio is built where it is reported (``density`` its one
 row, ``nu_hat`` the row of its deepest sublevel, ``NuHatReport.per_n`` when
-read).
+read).  Each entry point checks, before it reads a level, that its level
+functions (``density`` its set) fit the measure's space.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ from .boolalg import FormalSum
 from .errors import DomainError
 from .projection import LevelFunction, unit_levels
 from .space import (LineSpace, MetricSpace, Point, PointSet, Rational, Window,
-                    _combine_levels, _common_space, rational_to_json, window_points)
+                    _combine_levels, _common_space, _set_on, rational_to_json,
+                    window_points)
 
 DEFAULT_SCHEDULE_BASE = 32
 DEFAULT_SCHEDULE_STEPS = 6
 
 
-def default_schedule(base: int = DEFAULT_SCHEDULE_BASE,
-                     steps: int = DEFAULT_SCHEDULE_STEPS) -> List[int]:
-    """Geometric radius schedule R, 2R, ..., 2^(steps-1) R."""
-    return [base * 2 ** i for i in range(steps)]
+def default_schedule(base: int = DEFAULT_SCHEDULE_BASE) -> List[int]:
+    """Geometric radius schedule R, 2R, ..., 2^(DEFAULT_SCHEDULE_STEPS-1) R."""
+    return [base * 2 ** i for i in range(DEFAULT_SCHEDULE_STEPS)]
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,11 @@ class DensityInterval:
 
 
 class DensityMeasure:
-    """Counting (or weighted) density within balls around the basepoint."""
+    """Counting density within balls around the basepoint: the mass of a
+    set of points is their number."""
 
-    def __init__(self, space: MetricSpace,
-                 weight: Optional[Callable[[Point], Rational]] = None):
+    def __init__(self, space: MetricSpace):
         self.space = space
-        self.weight = weight
         self._ball_cache = {}
 
     @classmethod
@@ -88,43 +88,35 @@ class DensityMeasure:
             self._ball_cache[radius] = pts
         return pts
 
-    def _weight(self, p: Point) -> Rational:
-        w = self.weight(p)
-        if w <= 0:
-            raise DomainError("weights must be positive")
-        return w
-
     def ratio_series(self, levels: Callable[[Sequence[Point]], Sequence[int]],
                      schedule: Sequence[Rational], n_max: int) -> list:
-        """Sublevel masses for every schedule radius and level, exact.
+        """Sublevel point counts for every schedule radius and level, exact.
 
         levels maps a point list to the points' levels, as
         ``LevelFunction.levels`` does.  Row n - 1 (n = 1..n_max) holds, per
         radius r in schedule order, the tuple (r, member_mass, ball_mass):
-        the mass of {p in B_r : level(p) <= n} and the mass of B_r.  No ratio
-        is built here; each caller divides the masses it reports.
+        the number of points of {p in B_r : level(p) <= n} and of B_r.  No
+        ratio is built here; each caller divides the masses it reports.
 
         The largest ball is read once: one ``levels`` call for all of its
         points (on the integer lines, subset levels take one
         distance-transform sweep of the ball, see ``set_distances``).  Each
         point goes to the bucket of the smallest schedule radius whose ball
-        holds it and of min(level, n_max + 1).  On a ``LineSpace`` with the
-        natural measure, B_r is the slice of the sorted ball between
-        (b - r,) and (b + r,) for the basepoint b, so the ring of each radius
-        is at most two slices of the level list, and a ``Counter`` per slice
-        fills its buckets.  Elsewhere, and for a weighted measure, each point
-        takes one distance to the basepoint (a point lies in B_r iff it is at
-        most r, since balls are enumerated completely) and one weight.
-        Prefix sums over radii and levels then give every row.  The schedule
-        may be unsorted and may repeat radii.
+        holds it and of min(level, n_max + 1).  On a ``LineSpace``, B_r is
+        the slice of the sorted ball between (b - r,) and (b + r,) for the
+        basepoint b, so the ring of each radius is at most two slices of the
+        level list, and a ``Counter`` per slice fills its buckets.  Elsewhere
+        each point takes one distance to the basepoint (a point lies in B_r
+        iff it is at most r, since balls are enumerated completely).  Prefix
+        sums over radii and levels then give every row.  The schedule may be
+        unsorted and may repeat radii.
         """
         radii = sorted(set(schedule))
         width = n_max + 1
-        zero = 0 if self.weight is None else Fraction(0)
-        buckets = [zero] * (len(radii) * width)
+        buckets = [0] * (len(radii) * width)
         ball = self.ball(radii[-1])
         lvs = levels(ball)
-        if self.weight is None and isinstance(self.space, LineSpace):
+        if isinstance(self.space, LineSpace):
             (b,) = self.space.basepoint
             lo = hi = bisect_left(ball, (b,))   # B_r is ball[lo:hi]
             for i, r in enumerate(radii):
@@ -136,16 +128,15 @@ class DensityMeasure:
                     buckets[i * width + (lv if lv < width else width) - 1] += count
         else:
             base, dist = self.space.basepoint, self.space._dist
-            weigh = self._weight if self.weight is not None else None
             for p, lv in zip(ball, lvs):
-                i = bisect_left(radii, dist(p, base)) * width + (lv if lv < width else width) - 1
-                buckets[i] += 1 if weigh is None else weigh(p)
-        inner = [zero] * width     # per level, the mass of the balls so far
+                buckets[bisect_left(radii, dist(p, base)) * width
+                        + (lv if lv < width else width) - 1] += 1
+        inner = [0] * width     # per level, the mass of the balls so far
         member, total = {}, {}
         for i, r in enumerate(radii):
             inner = [a + b for a, b in zip(inner, buckets[i * width:(i + 1) * width])]
             member[r] = list(itertools.accumulate(inner[:n_max]))
-            total[r] = sum(inner, zero)
+            total[r] = sum(inner)
         return [[(r, member[r][n], total[r]) for r in schedule] for n in range(n_max)]
 
 
@@ -162,12 +153,12 @@ def _schedule(schedule: Optional[Sequence[Rational]]) -> Sequence[Rational]:
     return schedule
 
 
-def density(mu: DensityMeasure, A: PointSet,
-            schedule: Optional[Sequence[Rational]] = None) -> DensityInterval:
-    """Exact per-radius density of A with a tail interval."""
-    schedule = _schedule(schedule)
+def density(mu: DensityMeasure, A: PointSet) -> DensityInterval:
+    """Exact per-radius density of A on the default schedule, with a tail
+    interval."""
+    A = _set_on(mu.space, A)
     rows = mu.ratio_series(lambda pts: [1 if A.contains(p) else 2 for p in pts],
-                           schedule, 1)[0]
+                           default_schedule(), 1)[0]
     return DensityInterval.from_series([(r, Fraction(m, t)) for r, m, t in rows])
 
 
@@ -220,6 +211,7 @@ def nu_hat(mu: DensityMeasure, e: LevelFunction, n_max: int = 8,
     """
     schedule = _schedule(schedule)
     _check_n_max(n_max)
+    _common_space(mu, e)
     return _nu_hat(mu, e.levels(mu.ball(max(schedule))), n_max, schedule)
 
 
@@ -281,6 +273,8 @@ def nu_bar(mu: DensityMeasure, s: FormalSum, n_max: int = 8,
                 "sigma": [], "sum": s.label(),
                 "series": [[rational_to_json(r), 0] for r in schedule]}
     _check_n_max(n_max)
+    for k in s.terms:
+        _common_space(mu, s.generators[k])
     ball = mu.ball(max(schedule))
     read = {}
 
@@ -298,7 +292,6 @@ def _nu_bar(s: FormalSum, levels: Callable[[int], list],
     """``nu_bar`` of a nonempty sum after validation; levels(k) is the level
     list of generator k on the largest ball, and report gives a level list's
     ``nu_hat`` report."""
-    gens = s.generators
     totals = [Fraction(0)] * len(schedule)
     sigma_report = []
     for size in range(1, len(s.terms) + 1):
@@ -307,7 +300,6 @@ def _nu_bar(s: FormalSum, levels: Callable[[int], list],
         for combo in itertools.combinations(s.terms, size):
             lv = levels(combo[0])
             for k in combo[1:]:
-                _common_space(gens[combo[0]], gens[k])
                 lv = _combine_levels("meet", lv, levels(k))
             vals = [v for _, v in report(lv).interval.series]
             sigma_vals = [a + b for a, b in zip(sigma_vals, vals)]
@@ -340,13 +332,14 @@ def check_modularity(mu: DensityMeasure, e: LevelFunction, f: LevelFunction,
     """
     schedule = _schedule(schedule)
     _check_n_max(n_max)
+    _common_space(mu, e)
+    _common_space(mu, f)
     ball = mu.ball(max(schedule))
     report = _reports(mu, n_max, schedule)
     le = e.levels(ball)
     he = report(le)
     lf = f.levels(ball)
     hf = report(lf)
-    _common_space(e, f)
     hm, hj = (report(_combine_levels(op, le, lf)) for op in ("meet", "join"))
     raw_exact = all(m + j == a + b
                     for rows in zip(he.masses, hf.masses, hm.masses, hj.masses)

@@ -314,11 +314,11 @@ def classify_type(e: LevelFunction, window: Window,
     <= m), read from the transfer table of level against that distance.
     Type II is never certified, only evidenced by required neighborhood radii
     that grow at every window enlargement.  Hand radii are checked by
-    ``_window_radii``, as in ``equivalent``.  One enumeration serves the
-    sweep and the k table's window: the window's radius joins the sweep when
-    it is the larger, and otherwise it is the largest sweep radius.  That
-    largest list is read with one ``levels`` call, and its distances to each
-    core A_n with one ``set_distances`` call.
+    ``_window_radii``.  One enumeration serves the sweep and the k table's
+    window: the window's radius joins the sweep when it is the larger, and
+    otherwise it is the largest sweep radius.  That largest list is read
+    with one ``levels`` call, and its distances to each core A_n with one
+    ``set_distances`` call.
     """
     space = e.space
     radii = _window_radii(window, radii)

@@ -17,13 +17,16 @@ from coarsedouble import (ClosedFormMetric, DeltaMetric, MaxMetric,
                           dist_to_set, enumerate_atoms, equivalent, evaluate,
                           evaluate_exact, levels_from_subset, metric_meet,
                           subset_metric, unit_levels, window_points)
-from coarsedouble.boolalg import AtomPattern, TwoValuedHom, atom_nonzero, check_hom
+from coarsedouble.boolalg import (AtomPattern, FormalSum, TwoValuedHom, atom_nonzero,
+                                  check_hom)
 from coarsedouble.cli import _dispatch, build_parser, main
 from coarsedouble.errors import DomainError
 from coarsedouble.ideals import ApproximateUnit
-from coarsedouble.measure import DensityInterval
+from coarsedouble.measure import (DensityInterval, DensityMeasure, check_modularity, density,
+                                  nu_bar, nu_hat)
 from coarsedouble.scenarios import run_scenario
-from coarsedouble.serialize import kernel_from_json, level_from_json, parse_kernel, parse_set
+from coarsedouble.serialize import (kernel_from_json, level_from_json, parse_kernel,
+                                   parse_levels, parse_set)
 from coarsedouble.space import (CustomSpace, MetricSpace, PointSet,
                                 PredicateSpace, Window, as_rational, neighborhood, ruler,
                                 set_distances, set_family, set_from_json, space_by_name,
@@ -82,6 +85,7 @@ for _kind, _make in KERNELS.items():
 INTLINE = space_by_name("IntLine")
 GEOMLINE = space_by_name("GeomLine")
 TAIL = set_family("tail_plus")
+NAT_MU = DensityMeasure.natural(NATLINE)
 # distance 1/4 between levels 1 and 4: a half-step neighbour three levels up
 QUARTER = CustomSpace([(0,), (7,)], metric="table", table=[[0, "1/4"], ["1/4", 0]])
 
@@ -161,6 +165,18 @@ CASES.update({
     "tabulated_witness_empty": lambda: TabulatedWitness(()).bound(1),
     "certified_without_witness": lambda: Verdict(Status.CERTIFIED, "claim"),
     "density_series_empty": lambda: DensityInterval.from_series([]),
+    # measures: each operand on the measure's space, checked before any level
+    # is read
+    "nu_hat_expression_of_another_space": lambda: nu_hat(
+        NAT_MU, parse_levels(GEOMLINE, "expr:log2")),
+    "nu_hat_unit_of_another_space": lambda: nu_hat(NAT_MU, unit_levels(GEOMLINE)),
+    "nu_hat_subset_of_another_space": lambda: nu_hat(
+        NAT_MU, parse_levels(INTLINE, "subset:evens")),
+    "nu_bar_generator_of_another_space": lambda: nu_bar(
+        NAT_MU, FormalSum((unit_levels(GEOMLINE),), (0,))),
+    "modularity_of_another_space": lambda: check_modularity(
+        NAT_MU, unit_levels(GEOMLINE), unit_levels(GEOMLINE)),
+    "density_tail_on_a_line": lambda: density(NAT_MU, TAIL),
     # the Boolean fragment
     "atom_index_outside": lambda: AtomPattern(frozenset({3}), 2),
     "hom_length_mismatch": lambda: TwoValuedHom(("a",), (0, 1)),

@@ -19,7 +19,7 @@ from coarsedouble import (AdjointMetric, ClosedFormMetric, DeltaMetric, MaxMetri
 from coarsedouble import double
 from coarsedouble.double import (DeltaFunction, _coordinates, _distance_matrix,
                                  _exact_array, _line_columns, _line_delta_min,
-                                 _line_transform, _min_plus)
+                                 _min_plus)
 from coarsedouble.errors import DomainError, SearchInconclusive
 from coarsedouble.space import (SEARCH_POINT_CAP, CustomSpace, Evaluation, IntLine, NatLine,
                                 PointSet, PredicateSpace, TwoTails, Window, set_family,
@@ -936,38 +936,20 @@ def test_line_triangle_failures_match_generic_path(space_name, one, request):
             assert rep.checks[check]["violation"]["y"] == list(pts[len(pts) // 2])
 
 
-def test_failing_line_kernel_hands_min_plus_its_failing_columns(natline, monkeypatch):
-    # the flat kernel fails the column test at one column only
-    shapes = _count_min_plus(monkeypatch)
+def test_failing_line_check_takes_the_full_product(natline, monkeypatch):
+    # one monotone pass decides both triangle checks (a passing kernel makes
+    # no product, see test_check_axioms_on_a_line_makes_no_per_cell_calls);
+    # a check that fails takes its whole min-plus product, and the one that
+    # passes takes none
     w = Window(30)
-    flat = _triangle_failures(window_points(natline, w), 1)["triangle_base_vs_cross"]
-    rep = check_axioms(ClosedFormMetric(natline, flat, "flat"), w)
-    assert not rep.checks["triangle_base_vs_cross"]["passed"]
-    assert shapes == [((31, 1), (1, 31))]
-
-
-def test_passing_line_kernel_runs_no_transform_and_no_product(natline, monkeypatch):
-    # one monotone pass decides both triangle checks of a passing kernel; a
-    # kernel failing the cross-vs-base check takes the distance transform
-    transforms = []
-    line_transform = double._line_transform
-
-    def counted(c, p, q):
-        transforms.append(p.shape)
-        return line_transform(c, p, q)
-
-    monkeypatch.setattr(double, "_line_transform", counted)
+    products = {"triangle_base_vs_cross": [((31, 31), None)],
+                "triangle_cross_vs_base": [((31, 31), (31, 31))]}
     shapes = _count_min_plus(monkeypatch)
-    d = metric_from_levels(levels_from_subset(natline, set_family("evens")))
-    rep = check_axioms(d, Window(250))
-    assert rep.n_points == 251 and rep.passed and rep.exact
-    assert transforms == [] and shapes == []
-    w = Window(30)
-    bump = _triangle_failures(window_points(natline, w), 1)["triangle_cross_vs_base"]
-    rep = check_axioms(ClosedFormMetric(natline, bump, "bump"), w)
-    assert [name for name, c in rep.checks.items() if not c["passed"]] == [
-        "triangle_cross_vs_base"]
-    assert transforms == [(31, 31)] and shapes == []
+    for check, fn in _triangle_failures(window_points(natline, w), 1).items():
+        shapes.clear()
+        rep = check_axioms(ClosedFormMetric(natline, fn, check), w)
+        assert [name for name, c in rep.checks.items() if not c["passed"]] == [check]
+        assert shapes == products[check], check
 
 
 def test_line_check_converts_the_window_once(natline, monkeypatch):
@@ -1158,21 +1140,16 @@ def test_line_triangle_forms_match_min_plus(kind):
             g[rng.randrange(n)][rng.randrange(n)] -= rng.randint(0, 6)
         ca, ga = _exact_array(c), _exact_array(g)
         assert ga.dtype == (np.int64 if kind == "int" else object)
+        cells = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+        # some y' lies too close to two far points; some d(x, y') exceeds
+        # d_X(x, z) + d(z, y')
+        fails = any(abs(c[i] - c[j]) > g[i][k] + g[j][k] for i, j, k in cells)
+        monotone = all(g[i][j] <= abs(c[i] - c[k]) + g[k][j] for i, j, k in cells)
+        assert _line_columns(ca, ga) == (monotone, fails), (c, g)
         bmat = abs(ca[:, None] - ca[None, :])
-        want = [k for k in range(n)
-                if any(bmat[i, j] > g[i][k] + g[j][k] for i in range(n) for j in range(n))]
-        monotone, cols, p, q = _line_columns(ca, ga)
-        assert cols.tolist() == want, (c, g)
-        assert (len(cols) == 0) == bool(np.all(bmat <= _min_plus(ga)))
-        assert monotone == bool(np.all(ga <= _min_plus(bmat, ga))), (c, g)
-        if monotone:
-            # the end-rows rule (last row of P, first of Q) names the columns
-            # the column minima do
-            minima = np.min(ga - ca[:, None], axis=0) + np.min(ga + ca[:, None], axis=0)
-            assert cols.tolist() == np.flatnonzero(minima < 0).tolist(), (c, g)
-        outcomes.add((monotone, len(cols) == 0))
-        got, ref = _line_transform(ca, p, q), _min_plus(bmat, ga)
-        assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), (c, g)
+        assert fails == bool(np.any(bmat > _min_plus(ga)))
+        assert monotone == bool(np.all(ga <= _min_plus(bmat, ga)))
+        outcomes.add((monotone, fails))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 

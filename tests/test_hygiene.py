@@ -36,7 +36,11 @@ delta kernel's batch path ``_delta_cross_matrix`` reads delta only through
 and every name ``__init__.py`` exports is referenced in a package module or
 a ``bench/`` file besides its definition and the export line, or is listed
 in ``KEPT_EXPORTS`` with the reason a library user needs it; a reference
-from the tests alone does not count.  The benchmark's tracer
+from the tests alone does not count.  Every option has a caller: each
+parameter with a default of a public function, a public method or a public
+class's ``__init__`` is passed, by keyword or by position, by some call in
+the package or a ``bench/`` file, or is listed in ``KEPT_OPTIONS`` with its
+reason.  The benchmark's tracer
 (``bench/tracing.py``) finds every method and function it wraps.  Each kernel
 kind states ``coercive_c``, ``eps`` and ``symmetric`` once, as data, and
 ``DoubleMetric`` derives the bound and the adjoint from them: only the kinds
@@ -552,3 +556,112 @@ def test_one_indented_emitter():
               and getattr(n.func, "attr", None) == "dumps"]
     assert [ast.unparse(n.args[0]) for n in others] == ["{'error': str(exc)}"], \
         [ast.unparse(n) for n in others]
+
+
+# options that no package module or benchmark file passes, kept with the
+# reason a caller needs them
+KEPT_OPTIONS = {
+    ("projection_criterion", "grid"): "acceptance criterion 04 asks whether (0, 2) in "
+                                      "particular certifies",
+    ("source_projection", "window"): "it mirrors levels_from_metric's window",
+    ("ClosedFormMetric.__init__", "symmetric"): "only tests construct the class, and "
+                                                "bench/tracing.py pins it",
+}
+
+
+def _defaulted(fn, qualname, skip):
+    """(qualname, parameter, position) of each parameter of fn with a
+    default; the position counts from the first parameter after the skip
+    (self or cls) ones, and is None for a keyword-only parameter."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    return ([(qualname, p.arg, i - skip) for i, p in enumerate(positional)
+             if i >= max(first, skip)]
+            + [(qualname, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+               if d is not None])
+
+
+def _options():
+    """The parameters with a default of the package's public functions,
+    public methods and public classes' ``__init__``."""
+    out = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                out += _defaulted(node, node.name, 0)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (
+                            fn.name == "__init__" or not fn.name.startswith("_")):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in fn.decorator_list)
+                        out += _defaulted(fn, f"{node.name}.{fn.name}", 0 if static else 1)
+    return out
+
+
+def _call_targets(call, cls, in_classmethod, bases):
+    """The qualified names a call may reach, resolved by name: a function, a
+    class (its ``__init__``) or any method of that name; ``cls(...)`` only
+    inside its class's classmethods, and ``super().__init__(...)`` as the
+    bases' ``__init__``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        if func.id == "cls" and in_classmethod:
+            return {f"{cls}.__init__"}
+        return {func.id, f"{func.id}.__init__"}
+    if not isinstance(func, ast.Attribute):
+        return set()
+    if (func.attr == "__init__" and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super"):
+        return {f"{b}.__init__" for b in bases.get(cls, ())}
+    return {func.attr, f"{func.attr}.__init__", f"*.{func.attr}"}
+
+
+def _calls():
+    """(targets, positional count, keywords) of each call in the package and
+    the benchmark; a ``*`` argument counts as every position and a ``**``
+    one as every keyword."""
+    out = []
+    for path in MODULES + BENCH:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bases = {node.name: [ast.unparse(b).split(".")[-1] for b in node.bases]
+                 for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+        def visit(node, cls, in_classmethod):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, child.name, False)
+                    continue
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, cls, any(getattr(d, "id", None) == "classmethod"
+                                          for d in child.decorator_list))
+                    continue
+                if isinstance(child, ast.Call):
+                    starred = any(isinstance(a, ast.Starred) for a in child.args)
+                    out.append((_call_targets(child, cls, in_classmethod, bases),
+                                float("inf") if starred else len(child.args),
+                                {k.arg for k in child.keywords}))
+                visit(child, cls, in_classmethod)
+
+        visit(tree, None, False)
+    return out
+
+
+def test_every_option_has_a_caller():
+    calls = _calls()
+
+    def passed(qualname, param, position):
+        owner, _, name = qualname.rpartition(".")
+        key = f"*.{name}" if owner and name != "__init__" else qualname
+        return any(key in targets
+                   and (param in keywords or None in keywords
+                        or (position is not None and count > position))
+                   for targets, count, keywords in calls)
+
+    options = _options()
+    assert len(options) >= 20
+    assert set(KEPT_OPTIONS) <= {(q, p) for q, p, _ in options}
+    missing = [f"{q}({p})" for q, p, pos in options
+               if (q, p) not in KEPT_OPTIONS and not passed(q, p, pos)]
+    assert not missing, "options that only tests pass: " + ", ".join(missing)

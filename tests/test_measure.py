@@ -29,6 +29,8 @@ def int_mu(intline):
 
 def test_density_evens(nat_mu):
     iv = density(nat_mu, set_family("evens"))
+    # density reads the default schedule, R = 32 doubled five times
+    assert [r for r, _ in iv.series] == default_schedule() == [32, 64, 128, 256, 512, 1024]
     # |evens in [0,R]| / (R+1) = (R/2 + 1)/(R + 1) for even R
     for r, v in iv.series:
         assert v == Fraction(r // 2 + 1, r + 1)
@@ -47,15 +49,12 @@ def test_density_squares_thin(nat_mu):
 def test_density_bounded_set(nat_mu):
     iv = density(nat_mu, PointSet.from_points([(0,), (5,)]))
     assert iv.hi <= Fraction(2, 257)
-    with pytest.raises(DomainError):
-        density(nat_mu, set_family("evens"), schedule=[8, 16])
 
 
-@pytest.mark.parametrize("schedule", [[8, 8, 8], [8, 16, 16, 32], [32, 16, 64]])
+@pytest.mark.parametrize("schedule", [[8, 16], [8, 8, 8], [8, 16, 16, 32], [32, 16, 64]])
 def test_schedules_must_grow(nat_mu, natline, schedule):
-    # equal radii would make every sublevel look bounded, and so of mass 0
-    with pytest.raises(DomainError):
-        density(nat_mu, set_family("evens"), schedule=schedule)
+    # the bounded-set rule reads three radii; equal radii would make every
+    # sublevel look bounded, and so of mass 0
     with pytest.raises(DomainError):
         nu_hat(nat_mu, unit_levels(natline), 2, schedule)
 
@@ -155,7 +154,7 @@ def test_each_level_function_is_read_once(monkeypatch, intline):
     from coarsedouble import projection
     monkeypatch.setattr(projection, "_combined", None)
     mu = DensityMeasure.natural(intline)
-    schedule = default_schedule(16, 4)
+    schedule = [16, 32, 64, 128]
     calls = Counter()
 
     def fresh(name):
@@ -174,66 +173,51 @@ def test_each_level_function_is_read_once(monkeypatch, intline):
         assert calls == {gens[k].name: 1 for k in set(terms)}, terms
 
 
-def test_weighted_measure(natline):
-    mu = DensityMeasure(natline, lambda p: Fraction(1, p[0] + 1))
-    iv = density(mu, set_family("evens"), default_schedule(8, 4))
-    assert all(0 < v < 1 for _, v in iv.series)
-
-
 def test_interval_from_series():
     iv = DensityInterval.from_series([(8, Fraction(1, 2)), (16, Fraction(1, 3)),
                                       (32, Fraction(1, 4)), (64, Fraction(1, 5))])
     assert iv.lo == Fraction(1, 5) and iv.hi == Fraction(1, 4)
 
 
-WEIGHTS = {
-    "natural": None,
-    "int": lambda p: 1 + abs(p[0]) % 3,
-    "fraction": lambda p: Fraction(1, 1 + abs(p[-1]) % 4),
-}
+# a schedule of four radii, short enough for the differential tests
+SCHEDULE = [8, 16, 32, 64]
 
 
-def _rescanned_rows(mu, level, schedule, n_max):
+def _rescanned_rows(space, level, schedule, n_max):
     """Rows of ratio_series by a rescan of every ball once per sublevel n."""
-    def mass(pts):
-        if mu.weight is None:
-            return len(pts)
-        return sum((mu.weight(p) for p in pts), Fraction(0))
-
     rows = []
     for n in range(1, n_max + 1):
         row = []
         for r in schedule:
-            ball = window_points(mu.space, Window(r))
-            inside = [p for p in ball if level(p) <= n]
-            row.append((r, mass(inside), mass(ball)))
+            ball = window_points(space, Window(r))
+            row.append((r, sum(level(p) <= n for p in ball), len(ball)))
         rows.append(row)
     return rows
 
 
 @given(name=st.sampled_from(["NatLine", "IntLine", "GeomLine", "TwoTails"]),
-       weight=st.sampled_from(sorted(WEIGHTS)),
        schedule=st.lists(st.integers(0, 150) | st.fractions(0, 150, max_denominator=4),
                          min_size=1, max_size=5),
        table=st.lists(st.integers(1, 9), min_size=1, max_size=13),
        n_max=st.integers(1, 7))
 @settings(max_examples=150, deadline=None)
-def test_ratio_series_matches_rescan(name, weight, schedule, table, n_max):
-    # unsorted and repeated radii come from the list strategy
+def test_ratio_series_matches_rescan(name, schedule, table, n_max):
+    # unsorted and repeated radii come from the list strategy; TwoTails
+    # takes the per-point path, the lines the ring slices
     space = space_by_name(name)
-    mu = DensityMeasure(space, WEIGHTS[weight])
+    mu = DensityMeasure(space)
 
     def level(p):
         return table[sum(abs(c) for c in p) % len(table)]
 
     got = mu.ratio_series(lambda pts: [level(p) for p in pts], schedule, n_max)
-    assert got == _rescanned_rows(mu, level, schedule, n_max)
+    assert got == _rescanned_rows(space, level, schedule, n_max)
 
 
 @pytest.mark.parametrize("name", ["NatLine", "IntLine", "GeomLine"])
 def test_ratio_series_on_a_line_reads_slices(monkeypatch, name):
-    # with the natural measure each ring is read as slices of the ball's
-    # level list: no distance to the basepoint per point, one levels call
+    # each ring is read as slices of the ball's level list: no distance to
+    # the basepoint per point, one levels call
     calls = Counter()
     dist = LineSpace._dist
 
@@ -253,21 +237,7 @@ def test_ratio_series_on_a_line_reads_slices(monkeypatch, name):
     schedule = [40, 3, Fraction(17, 2), 40, 0, 130]
     rows = DensityMeasure.natural(space).ratio_series(levels, schedule, 3)
     assert calls == {"levels": 1}
-    assert rows == _rescanned_rows(DensityMeasure.natural(space), level, schedule, 3)
-    # a weighted measure still scans point by point, to the same rows
-    mu = DensityMeasure(space, WEIGHTS["int"])
-    assert mu.ratio_series(levels, schedule, 3) == _rescanned_rows(mu, level, schedule, 3)
-
-
-@pytest.mark.parametrize("call", ["density", "nu_hat", "check_modularity"])
-def test_nonpositive_weight_raises(natline, call):
-    mu = DensityMeasure(natline, lambda p: 0 if p == (5,) else 1)
-    e = levels_from_subset(natline, set_family("evens"))
-    run = {"density": lambda: density(mu, set_family("evens")),
-           "nu_hat": lambda: nu_hat(mu, e),
-           "check_modularity": lambda: check_modularity(mu, e, unit_levels(natline))}
-    with pytest.raises(DomainError, match="weights must be positive"):
-        run[call]()
+    assert rows == _rescanned_rows(space, level, schedule, 3)
 
 
 def _reference_nu_hat(mu, e, n_max, schedule):
@@ -293,14 +263,13 @@ NU_HAT_SPECS = ("subset:evens", "subset:halfline:+:40", "subset:multiples:5:2",
                 "subset:squares", "zero", "unit", "expr:ceil-sqrt")
 
 
-@pytest.mark.parametrize("weight", ["natural", "int", "fraction"])
 @pytest.mark.parametrize("name", ["NatLine", "IntLine", "GeomLine", "TwoTails"])
-def test_nu_hat_orders_masses_as_the_ratios(name, weight):
+def test_nu_hat_orders_masses_as_the_ratios(name):
     # monotone_exact reads the member masses; the ratios at one radius share
     # its positive ball mass, so the report equals one built from the ratios
     space = space_by_name(name)
-    mu = DensityMeasure(space, WEIGHTS[weight])
-    schedule = default_schedule(8, 4)
+    mu = DensityMeasure(space)
+    schedule = SCHEDULE
     for spec in NU_HAT_SPECS:
         if name == "TwoTails" and spec.startswith(("subset:evens", "subset:multiples")):
             spec = "subset:tailplus"
@@ -312,12 +281,11 @@ def test_nu_hat_orders_masses_as_the_ratios(name, weight):
         assert got.masses == want.masses and got.ball_masses == want.ball_masses
 
 
-@pytest.mark.parametrize("weight", ["natural", "fraction"])
-def test_nu_hat_sees_masses_that_fall_with_n(monkeypatch, natline, weight):
+def test_nu_hat_sees_masses_that_fall_with_n(monkeypatch, natline):
     # sublevel masses cannot fall with n, so rows that fall are planted: the
     # mass test and the ratio test both see them, at any radius
-    mu = DensityMeasure(natline, WEIGHTS[weight])
-    schedule = default_schedule(8, 4)
+    mu = DensityMeasure(natline)
+    schedule = SCHEDULE
     e = levels_from_subset(natline, set_family("evens"))
     rows = mu.ratio_series(e.levels, schedule, 4)
     for i in range(len(schedule)):
@@ -391,15 +359,14 @@ DIFFERENTIAL_LEVELS = {
 DIFFERENTIAL_TERMS = [(), (0,), (1,), (0, 0), (0, 1), (1, 0, 1), (0, 1, 2), (2, 3, 0)]
 
 
-@pytest.mark.parametrize("weight", sorted(WEIGHTS))
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_LEVELS))
-def test_nu_bar_and_modularity_match_the_composition(name, weight):
+def test_nu_bar_and_modularity_match_the_composition(name):
     # the level lists of meets and joins give what meet/join level
     # functions read through nu_hat give, field for field; each side reads
     # level functions of its own, so no cache is shared
     space = space_by_name(name)
-    mu = DensityMeasure(space, WEIGHTS[weight])
-    schedule = default_schedule(8, 4)
+    mu = DensityMeasure(space)
+    schedule = SCHEDULE
 
     def gens():
         return tuple(parse_levels(space, spec) for spec in DIFFERENTIAL_LEVELS[name])

@@ -14,12 +14,11 @@ and ``equivalent(f, e)``, ``classify_type`` of ``meet(e, f)`` and of
 
 On the same four spaces, pointwise larger levels give sublevel sets that
 are no larger: ``nu_hat``'s member masses of meet(e, f) are at most those of
-e, and those of e at most those of join(e, f), at every radius and level,
-for the natural and a weighted measure.  The two sides of a comparison are
-computed on different schedules, and for the natural measure also by the
-two paths of ``ratio_series`` (ring slices, and the per-point scan of a
-weight of 1), so that a miscounted ring, which would miscount both sides
-alike on one path and one schedule, breaks the relation.
+e, and those of e at most those of join(e, f), at every radius and level.
+Each comparison is made both ways between two views: ``nu_hat``'s masses,
+on a schedule with radii between the compared ones, and a rescan that
+counts each compared ball's sublevel points, so that a miscounted ring,
+which would miscount both sides alike in one view, breaks the relation.
 
 A certified answer holds at every larger window: on NatLine, IntLine and
 GeomLine, each verdict producer (``is_zero``, ``equivalent`` in both modes
@@ -50,7 +49,7 @@ from coarsedouble import (DensityMeasure, classify_type, compose, equivalent, is
 from coarsedouble.boolalg import AtomPattern, atom_nonzero
 from coarsedouble.errors import DomainError
 from coarsedouble.serialize import parse_levels
-from coarsedouble.space import Window, space_by_name
+from coarsedouble.space import Window, space_by_name, window_points
 
 INTLINE = space_by_name("IntLine")
 SHIFTS = (5, -12)
@@ -174,38 +173,37 @@ def test_is_zero_of_join_is_symmetric(space_name, mode):
             _full_outcome(is_zero(join(f, e), mode, SYMMETRY_WINDOW)), (e.name, f.name)
 
 
-# Two views of one measure, on schedules that share the radii 8, 40, 64 and
-# 100: the natural measure's masses come from ring slices of the ball on the
-# lines, and a weight of 1 gives the same masses by the per-point path.
-MASS_VIEWS = {
-    "natural": ((None, [3, 8, 17, 40, 64, 100]), (lambda p: 1, [8, 23, 40, 64, 81, 100])),
-    "weighted": ((lambda p: 1 + abs(p[-1]) % 3, [3, 8, 17, 40, 64, 100]),
-                 (lambda p: 1 + abs(p[-1]) % 3, [8, 23, 40, 64, 81, 100])),
-}
+# Masses are compared at the radii 8, 40, 64 and 100; nu_hat reads them from
+# a schedule that puts other radii between them, so rings of several widths
+# are counted: slices of the ball on the lines, point by point on TwoTails.
+MASS_SCHEDULE = [3, 8, 17, 40, 64, 100]
 SHARED_RADII = (8, 40, 64, 100)
 
 
-def _masses(space, view, lf):
-    """nu_hat's member masses of lf per level, at the shared radii."""
-    weight, schedule = view
-    rep = nu_hat(DensityMeasure(space, weight), lf, 6, schedule)
-    return [[row[schedule.index(r)] for r in SHARED_RADII] for row in rep.masses]
+def _nu_hat_masses(space, lf):
+    """nu_hat's member masses of lf per level n <= 6, at the shared radii."""
+    rep = nu_hat(DensityMeasure(space), lf, 6, MASS_SCHEDULE)
+    return [[row[MASS_SCHEDULE.index(r)] for r in SHARED_RADII] for row in rep.masses]
 
 
-@pytest.mark.parametrize("weight", sorted(MASS_VIEWS))
+def _rescanned_masses(space, lf):
+    """The same masses by a count of each shared ball's sublevel points."""
+    balls = [lf.levels(window_points(space, Window(r))) for r in SHARED_RADII]
+    return [[sum(lv <= n for lv in ball) for ball in balls] for n in range(1, 7)]
+
+
 @pytest.mark.parametrize("space_name", sorted(SYMMETRY_LEVELS))
-def test_larger_levels_give_no_larger_masses(space_name, weight):
+def test_larger_levels_give_no_larger_masses(space_name):
     # meet(e, f) >= e >= join(e, f) pointwise, and e >= e; each side of a
     # comparison is computed in the other view, so e against itself checks
     # that the two views agree
     space = space_by_name(space_name)
     levels = [parse_levels(space, spec) for spec in SYMMETRY_LEVELS[space_name]]
-    views = MASS_VIEWS[weight]
+    views = (_nu_hat_masses, _rescanned_masses)
     for e, f in list(combinations(levels, 2)) + [(e, e) for e in levels]:
         for larger, smaller in ((meet(e, f), e), (e, join(e, f))):
             for big, small in (views, views[::-1]):
-                assert all(a <= b for rows in zip(_masses(space, big, larger),
-                                                  _masses(space, small, smaller))
+                assert all(a <= b for rows in zip(big(space, larger), small(space, smaller))
                            for a, b in zip(*rows)), (e.name, f.name)
 
 
