@@ -179,8 +179,13 @@ def test_interval_from_series():
     assert iv.lo == Fraction(1, 5) and iv.hi == Fraction(1, 4)
 
 
-# a schedule of four radii, short enough for the differential tests
-SCHEDULE = [8, 16, 32, 64]
+# schedules of four radii, short enough for the differential tests: the
+# default schedule's doubling, uneven integer steps, and fractional radii
+SCHEDULES = {
+    "doubling": [8, 16, 32, 64],
+    "uneven": [5, 12, 40, 90],
+    "fraction": [Fraction(7, 2), Fraction(33, 4), 20, Fraction(129, 2)],
+}
 
 
 def _rescanned_rows(space, level, schedule, n_max):
@@ -263,13 +268,14 @@ NU_HAT_SPECS = ("subset:evens", "subset:halfline:+:40", "subset:multiples:5:2",
                 "subset:squares", "zero", "unit", "expr:ceil-sqrt")
 
 
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @pytest.mark.parametrize("name", ["NatLine", "IntLine", "GeomLine", "TwoTails"])
-def test_nu_hat_orders_masses_as_the_ratios(name):
+def test_nu_hat_orders_masses_as_the_ratios(name, schedule):
     # monotone_exact reads the member masses; the ratios at one radius share
     # its positive ball mass, so the report equals one built from the ratios
     space = space_by_name(name)
     mu = DensityMeasure(space)
-    schedule = SCHEDULE
+    schedule = SCHEDULES[schedule]
     for spec in NU_HAT_SPECS:
         if name == "TwoTails" and spec.startswith(("subset:evens", "subset:multiples")):
             spec = "subset:tailplus"
@@ -281,11 +287,12 @@ def test_nu_hat_orders_masses_as_the_ratios(name):
         assert got.masses == want.masses and got.ball_masses == want.ball_masses
 
 
-def test_nu_hat_sees_masses_that_fall_with_n(monkeypatch, natline):
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+def test_nu_hat_sees_masses_that_fall_with_n(monkeypatch, natline, schedule):
     # sublevel masses cannot fall with n, so rows that fall are planted: the
     # mass test and the ratio test both see them, at any radius
     mu = DensityMeasure(natline)
-    schedule = SCHEDULE
+    schedule = SCHEDULES[schedule]
     e = levels_from_subset(natline, set_family("evens"))
     rows = mu.ratio_series(e.levels, schedule, 4)
     for i in range(len(schedule)):
@@ -359,14 +366,15 @@ DIFFERENTIAL_LEVELS = {
 DIFFERENTIAL_TERMS = [(), (0,), (1,), (0, 0), (0, 1), (1, 0, 1), (0, 1, 2), (2, 3, 0)]
 
 
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_LEVELS))
-def test_nu_bar_and_modularity_match_the_composition(name):
+def test_nu_bar_and_modularity_match_the_composition(name, schedule):
     # the level lists of meets and joins give what meet/join level
     # functions read through nu_hat give, field for field; each side reads
     # level functions of its own, so no cache is shared
     space = space_by_name(name)
     mu = DensityMeasure(space)
-    schedule = SCHEDULE
+    schedule = SCHEDULES[schedule]
 
     def gens():
         return tuple(parse_levels(space, spec) for spec in DIFFERENTIAL_LEVELS[name])

@@ -16,7 +16,7 @@ On the same four spaces, pointwise larger levels give sublevel sets that
 are no larger: ``nu_hat``'s member masses of meet(e, f) are at most those of
 e, and those of e at most those of join(e, f), at every radius and level.
 Each comparison is made both ways between two views: ``nu_hat``'s masses,
-on a schedule with radii between the compared ones, and a rescan that
+on a schedule with or without radii between the compared ones, and a rescan that
 counts each compared ball's sublevel points, so that a miscounted ring,
 which would miscount both sides alike in one view, breaks the relation.
 
@@ -174,16 +174,21 @@ def test_is_zero_of_join_is_symmetric(space_name, mode):
 
 
 # Masses are compared at the radii 8, 40, 64 and 100; nu_hat reads them from
-# a schedule that puts other radii between them, so rings of several widths
-# are counted: slices of the ball on the lines, point by point on TwoTails.
-MASS_SCHEDULE = [3, 8, 17, 40, 64, 100]
+# those radii alone or from a schedule that puts other radii between them, so
+# rings of several widths are counted: slices of the ball on the lines, point
+# by point on TwoTails.
 SHARED_RADII = (8, 40, 64, 100)
+MASS_SCHEDULES = {"shared": list(SHARED_RADII), "between": [3, 8, 17, 40, 64, 100]}
 
 
-def _nu_hat_masses(space, lf):
-    """nu_hat's member masses of lf per level n <= 6, at the shared radii."""
-    rep = nu_hat(DensityMeasure(space), lf, 6, MASS_SCHEDULE)
-    return [[row[MASS_SCHEDULE.index(r)] for r in SHARED_RADII] for row in rep.masses]
+def _nu_hat_masses(schedule):
+    """The view of nu_hat's member masses on a schedule: per level n <= 6,
+    at the shared radii."""
+    def masses(space, lf):
+        rep = nu_hat(DensityMeasure(space), lf, 6, schedule)
+        return [[row[schedule.index(r)] for r in SHARED_RADII] for row in rep.masses]
+
+    return masses
 
 
 def _rescanned_masses(space, lf):
@@ -192,14 +197,15 @@ def _rescanned_masses(space, lf):
     return [[sum(lv <= n for lv in ball) for ball in balls] for n in range(1, 7)]
 
 
+@pytest.mark.parametrize("schedule", sorted(MASS_SCHEDULES))
 @pytest.mark.parametrize("space_name", sorted(SYMMETRY_LEVELS))
-def test_larger_levels_give_no_larger_masses(space_name):
+def test_larger_levels_give_no_larger_masses(space_name, schedule):
     # meet(e, f) >= e >= join(e, f) pointwise, and e >= e; each side of a
     # comparison is computed in the other view, so e against itself checks
     # that the two views agree
     space = space_by_name(space_name)
     levels = [parse_levels(space, spec) for spec in SYMMETRY_LEVELS[space_name]]
-    views = (_nu_hat_masses, _rescanned_masses)
+    views = (_nu_hat_masses(MASS_SCHEDULES[schedule]), _rescanned_masses)
     for e, f in list(combinations(levels, 2)) + [(e, e) for e in levels]:
         for larger, smaller in ((meet(e, f), e), (e, join(e, f))):
             for big, small in (views, views[::-1]):
