@@ -18,10 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, SearchInconclusive
-from .space import (SEARCH_POINT_CAP, SEARCH_RADIUS_CAP, Evaluation, LineSpace,
-                    MetricSpace, Point, PointSet, Rational, Window, _combine_levels,
-                    _common_space, _PointFunction, dist_to_set, rational_to_json,
-                    window_points)
+from .space import (SEARCH_RADIUS_CAP, Evaluation, LineSpace, MetricSpace, Point,
+                    PointSet, Rational, Window, _combine_levels, _common_space,
+                    _PointFunction, dist_to_set, rational_to_json, window_points)
 
 _INT_SAFE = 1 << 60
 
@@ -447,8 +446,8 @@ def evaluate_exact(d: DoubleMetric, x: Point, y: Point,
                    start_radius: Rational = 8) -> Evaluation:
     """Evaluate with expanding windows until the result is certified, by
     ``_escalate``: SearchInconclusive when the next window would pass
-    SEARCH_RADIUS_CAP, and after the first window for a kernel with no
-    coercive bound, which no window certifies.
+    SEARCH_RADIUS_CAP, after the first window for a kernel with no coercive
+    bound, which no window certifies, and at a listing over the budget.
     """
     return _escalate(d, x, y, start_radius)
 
@@ -464,7 +463,7 @@ def _escalate(d: DoubleMetric, x: Point, y: Optional[Point] = None,
     larger window cannot certify it either.  The SearchInconclusive raised
     then names the "evaluation" (or "dist-to-copy") at the points, the
     radius of the last window evaluated and that evaluation's required
-    radius.
+    radius.  A ball over the listing budget ends it with its own error.
     """
     points = (x,) if y is None else (x, y)
     base = d.space.basepoint
@@ -646,14 +645,14 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window, buf, frame=No
     Each cell is the minimum of d_X(x,u) + delta(u) + d_X(u,y) over u in x,
     y and a universe: the ball around the window base enlarged by the
     largest probe value, which holds the candidate ball of every cell whose
-    row point lies in the window.  It is listed to at most SEARCH_POINT_CAP
-    past the window radius, and further only where that listing holds at
-    most SEARCH_POINT_CAP points (GeomLine).  Rows certify by the radius
-    listed; the others hold minima over the universe, upper bounds of the
-    infima.  delta is read by one ``values`` call over pts and one over the
-    universe; a mask drops midpoints with delta(u) >= that value, which
-    cannot beat u = x (if none is left, the matrix is a copy of the seed of
-    the probes u = x, y).
+    row point lies in the window.  Over the listing budget the universe is
+    the window's ball, as for a single pair whose candidate ball leaves the
+    window, so each cell equals ``evaluate`` on its pair and window.  Rows
+    certify by the radius listed; the others hold minima over the
+    universe, upper bounds of the infima.  delta is read by one ``values``
+    call over pts and one over the universe; a mask drops midpoints with
+    delta(u) >= that value, which cannot beat u = x (if none is left, the
+    matrix is a copy of the seed of the probes u = x, y).
     frame is (coordinates, d_X) of pts from ``_frame``, which
     ``check_axioms`` shares; without it they are computed here.  The
     distances come from ``_distance_matrix``, a coordinate broadcast on
@@ -681,11 +680,11 @@ def _delta_cross_matrix(d: DeltaMetric, pts: list, window: Window, buf, frame=No
     seed = np.add(dist, np.minimum(deltas[:, None], deltas[None, :], out=into), out=into)
     row_max = seed.max(axis=1)
     vmax = max(row_max.tolist())
-    radius, cap = window.radius + vmax - 1, window.radius + SEARCH_POINT_CAP
-    universe = space.points_within(base, min(radius, cap))
-    if radius > cap and len(universe) > SEARCH_POINT_CAP:
-        radius = cap
-    elif radius > cap:
+    radius = window.radius + vmax - 1
+    try:
+        universe = space.points_within(base, radius)
+    except SearchInconclusive:  # over the listing budget: the window's own ball
+        radius = window.radius
         universe = space.points_within(base, radius)
     weights = _exact_array(d.delta.values(universe))
     # midpoints with delta(u) >= vmax can never beat the u=x candidate

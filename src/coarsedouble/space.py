@@ -84,6 +84,22 @@ class Window:
         return doc
 
 
+# The listing budget of ``MetricSpace.points_within``, and the radius at
+# which the doubling searches (``dist_to_set``, ``_escalate`` in double.py)
+# stop where balls grow too slowly to meet it (GeomLine: 62 points within
+# 2^62 of 2).
+SEARCH_POINT_CAP = 1 << 16
+SEARCH_RADIUS_CAP = 1 << 62
+
+
+def _within_budget(center: Point, radius: Rational, size: int) -> None:
+    """SearchInconclusive naming the ball and the budget if size > SEARCH_POINT_CAP."""
+    if size > SEARCH_POINT_CAP:
+        raise SearchInconclusive(
+            f"the ball of radius {radius} around {center} may hold {size} points, "
+            f"over the listing budget of {SEARCH_POINT_CAP}", window_radius=radius)
+
+
 class MetricSpace:
     """Base class: exact distance plus certified ball enumeration.  Public
     entry points pass the points their callers supply to ``check``, once;
@@ -120,9 +136,14 @@ class MetricSpace:
         """All points at distance <= radius from center, sorted lexicographically.
 
         The enumeration is complete: no point of the space outside the
-        returned list lies within the radius.  ``NatLine`` and ``IntLine``
-        return a ``_Run``; like every enumeration, it must not be changed
-        in place (see ``window_points``).
+        returned list lies within the radius.  A ball over the listing
+        budget, one that may hold more than SEARCH_POINT_CAP points, is not
+        listed: ``NatLine``, ``IntLine`` and ``TwoTails`` raise
+        SearchInconclusive naming centre, radius and size before building
+        any point (GeomLine balls below radius 2^63 hold under 64 points;
+        custom and predicate spaces list their own finite sets).  ``NatLine``
+        and ``IntLine`` return a ``_Run``; no enumeration may be changed in
+        place (see ``window_points``).
         """
         raise NotImplementedError
 
@@ -157,6 +178,13 @@ class _Run(list):
     __slots__ = ()
 
 
+def _run(center: Point, radius: Rational, lo: int) -> _Run:
+    """The line ball [lo, center + radius] as a ``_Run``, within the listing budget."""
+    hi = math.floor(center[0] + radius)
+    _within_budget(center, radius, hi - lo + 1)
+    return _Run(zip(range(lo, hi + 1)))
+
+
 class NatLine(LineSpace):
     """{0, 1, 2, ...} with |x - y|."""
 
@@ -168,10 +196,7 @@ class NatLine(LineSpace):
 
     def points_within(self, center, radius):
         """The ball as a ``_Run``."""
-        c = center[0]
-        lo = max(0, math.ceil(c - radius))
-        hi = math.floor(c + radius)
-        return _Run(zip(range(lo, hi + 1)))
+        return _run(center, radius, max(0, math.ceil(center[0] - radius)))
 
 
 class IntLine(LineSpace):
@@ -185,10 +210,7 @@ class IntLine(LineSpace):
 
     def points_within(self, center, radius):
         """The ball as a ``_Run``."""
-        c = center[0]
-        lo = math.ceil(c - radius)
-        hi = math.floor(c + radius)
-        return _Run(zip(range(lo, hi + 1)))
+        return _run(center, radius, math.ceil(center[0] - radius))
 
 
 class GeomLine(LineSpace):
@@ -242,19 +264,16 @@ class TwoTails(MetricSpace):
 
     def points_within(self, center, radius):
         a0 = center[0]
-        out = []
         # |n^2 - a0| <= radius is necessary since the second coordinate
         # contributes nonnegatively to the Manhattan distance: n runs from
-        # the least n >= 1 with n^2 >= a0 - radius while n^2 <= a0 + radius
-        n = math.isqrt(max(math.ceil(a0 - radius) - 1, 0)) + 1
-        while (sq := n * n) - a0 <= radius:
-            for sign in (-1, 1):
-                p = (sq, sign * ruler(n))
-                if self._dist(p, center) <= radius:
-                    out.append(p)
-            n += 1
-        out.sort()
-        return out
+        # the least n >= 1 with n^2 >= a0 - radius to the greatest with
+        # n^2 <= a0 + radius, two points each at most, which come out sorted
+        # (n^2 rises with n, and -phi(n) < phi(n))
+        lo = math.isqrt(max(math.ceil(a0 - radius) - 1, 0)) + 1
+        hi = math.isqrt(max(math.floor(a0 + radius), 0))
+        _within_budget(center, radius, 2 * (hi - lo + 1))
+        return [p for n in range(lo, hi + 1) for p in ((n * n, -ruler(n)), (n * n, ruler(n)))
+                if self._dist(p, center) <= radius]
 
     def to_json(self):
         return {"space": self.name, "phi": "ruler"}
@@ -834,7 +853,8 @@ def _tails_has_member(family: dict) -> Optional[bool]:
 
 
 def window_points(space: MetricSpace, window: Window) -> list:
-    """All space points of the window, lexicographically sorted.
+    """All space points of the window, lexicographically sorted, within the
+    listing budget of ``MetricSpace.points_within``.
 
     On ``NatLine`` and ``IntLine`` the list is a ``_Run``, which
     ``set_distances`` sweeps as one run from its ends and length alone, and
@@ -861,16 +881,6 @@ class Evaluation:
         return doc
 
 
-# The stops of dist_to_set's doubling search.  A member-free ball of more
-# than SEARCH_POINT_CAP points ends it, so that a set with no member in the
-# space ({2*3^k} on TwoTails) cannot grow balls until memory runs out.  A
-# member-free ball of radius SEARCH_RADIUS_CAP ends it too, where balls grow
-# slowly (GeomLine holds 62 points within 2^62 of 2); ``_escalate`` in
-# double.py stops its windows at the same radius.
-SEARCH_POINT_CAP = 1 << 16
-SEARCH_RADIUS_CAP = 1 << 62
-
-
 def dist_to_set(space: MetricSpace, x: Point, A: PointSet) -> Evaluation:
     """Exact d_X(x, A).
 
@@ -879,9 +889,10 @@ def dist_to_set(space: MetricSpace, x: Point, A: PointSet) -> Evaluation:
     distance D <= r with the ball of radius r fully enumerated, no point
     outside the ball can be closer, so the minimum is certified.  The search
     has one stopping rule: it stops at the first ball that holds a member,
-    and otherwise at a member-free ball of more than SEARCH_POINT_CAP points
-    or of radius SEARCH_RADIUS_CAP, raising SearchInconclusive that names
-    the ball's radius.  Explicit sets are scanned directly.
+    and otherwise at the last member-free ball it lists, before a ball over
+    the listing budget or at radius SEARCH_RADIUS_CAP, raising
+    SearchInconclusive that names its radius and size.  Explicit sets are
+    scanned directly.
 
     On ``NatLine`` and ``IntLine`` the named families ``half_line``,
     ``multiples`` (so ``evens`` and ``odds``), ``squares``, ``powers`` and
@@ -927,18 +938,23 @@ def _members_near(space: MetricSpace, x: Point, A: PointSet) -> list:
         return []
     r = 1
     while True:
-        ball = space.points_within(x, r)
+        try:
+            ball = space.points_within(x, r)
+        except SearchInconclusive:  # over the listing budget: the last ball listed
+            r //= 2
+            break
         members = [p for p in ball if A.contains(p)]
         if members:
             return members
-        if r >= SEARCH_RADIUS_CAP or len(ball) > SEARCH_POINT_CAP:
-            if (type(space) is GeomLine and A.family is not None
-                    and _geom_has_member(A.family) is False):
-                return []
-            raise SearchInconclusive(
-                f"no member of {A.name} within {r} of {x} ({len(ball)} points searched)",
-                window_radius=r)
+        if r >= SEARCH_RADIUS_CAP:
+            break
         r *= 2
+    if (type(space) is GeomLine and A.family is not None
+            and _geom_has_member(A.family) is False):
+        return []
+    raise SearchInconclusive(
+        f"no member of {A.name} within {r} of {x} ({len(ball)} points searched)",
+        window_radius=r)
 
 
 def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list:
@@ -966,9 +982,9 @@ def set_distances(space: MetricSpace, pts: Sequence[Point], A: PointSet) -> list
     list is checked once by ``space.check`` before any search, so a point
     outside the space raises DomainError there.  A set with no member
     raises as ``dist_to_set`` at a run's first point does.  The sweep also
-    answers where a point's own search would stop, at a member-free ball of
-    more than SEARCH_POINT_CAP points.  Other spaces and shorter lists take
-    ``dist_to_set`` per point, and stop where it does.
+    answers where a point's own search would stop at the listing budget.
+    Other spaces and shorter lists take ``dist_to_set`` per point, and stop
+    where it does.
     """
     n = len(pts)
     if type(space) not in (NatLine, IntLine) or n < 3:
@@ -1001,7 +1017,7 @@ def neighborhood(space: MetricSpace, A: PointSet, r: Rational, window: Window) -
     """N_r(A) restricted to the window, as an explicit set.
 
     Exact: a window point x belongs iff some member lies in ball(x, r), and
-    that ball is enumerated completely.
+    that ball is enumerated completely, within the listing budget.
     """
     if r < 0:
         raise DomainError("neighborhood radius must be nonnegative")

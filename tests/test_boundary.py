@@ -6,6 +6,8 @@ Every other ``raise`` on outside input has its row in ``CASES`` too: a
 malformed space, set, witness, verdict, document or parameter raises
 DomainError from the public call that receives it, and, where the command
 line reaches that raise, ``COMMANDS`` gives a command line that exits 2.
+A window or schedule over the listing budget is no usage error: the
+command lines of ``OVER_BUDGET`` exit 3 and name the budget.
 """
 
 import json
@@ -253,6 +255,14 @@ COMMANDS = {
 }
 
 
+# command lines whose window or schedule ball is over the listing budget
+OVER_BUDGET = {
+    "window": ["space", "show", "--space", "IntLine", "--radius", "40000"],
+    "schedule": ["measure", "nu-hat", "--space", "IntLine", "--levels", "unit",
+                 "--schedule-base", "1024"],
+}
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_outside_input_rejected(case):
     with pytest.raises(DomainError):
@@ -283,3 +293,9 @@ def test_command_line_exits_2(case, tmp_path, capsys):
         argv.append(arg)
     assert main(argv) == 2
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case", list(OVER_BUDGET))
+def test_command_line_over_the_listing_budget_exits_3(case, capsys):
+    assert main(OVER_BUDGET[case]) == 3
+    assert "over the listing budget of 65536" in json.loads(capsys.readouterr().err)["error"]

@@ -520,15 +520,16 @@ def test_far_points_list_balls_no_wider_than_their_candidates(monkeypatch, space
 @pytest.mark.parametrize("space", [NatLine(), IntLine()], ids=["NatLine", "IntLine"])
 def test_huge_delta_lists_no_universe(monkeypatch, space):
     # delta near 2**40 would make a universe of about 2**41 points; no
-    # listing may exceed the window radius plus SEARCH_POINT_CAP, and the
-    # batch and single-pair values are the window minima, uncertified (no
-    # midpoint past the window beats them here)
+    # listing returns more than SEARCH_POINT_CAP points, and the batch and
+    # single-pair values are the window minima, uncertified (no midpoint
+    # past the window beats them here)
     w = Window(10)
     listing = type(space).points_within
 
     def bounded(sp, center, radius):
-        assert radius <= w.radius + SEARCH_POINT_CAP, radius
-        return listing(sp, center, radius)
+        ball = listing(sp, center, radius)
+        assert len(ball) <= SEARCH_POINT_CAP, (center, radius)
+        return ball
 
     monkeypatch.setattr(type(space), "points_within", bounded)
     big = 1 << 40
@@ -546,35 +547,36 @@ def test_huge_delta_lists_no_universe(monkeypatch, space):
 
 
 @pytest.mark.parametrize("space", [NatLine(), IntLine()], ids=["NatLine", "IntLine"])
-def test_huge_delta_batch_is_a_minimum_over_its_capped_universe(monkeypatch, space):
-    # delta is 2**40 - 1000 on 20 < |u| <= 30 and far smaller past the window
-    # radius plus SEARCH_POINT_CAP, 2**40 elsewhere: the batch takes u = +-21
-    # from its capped universe, and does not certify, though the infimum lies
-    # past the cap; a single pair lists its window and keeps its minimum
+def test_huge_delta_batch_over_budget_is_the_single_pair_search(monkeypatch, space):
+    # delta is 2**40 - 1000 on 20 < |u| <= 30, far smaller past the listing
+    # budget, 2**40 elsewhere: the batch's universe ball is over the budget,
+    # so it takes the window's own ball, as the single-pair search does, and
+    # every cell, exact or not, equals evaluate on the same pair and window
     big, w = 1 << 40, Window(10)
-    cap = w.radius + SEARCH_POINT_CAP
     listing = type(space).points_within
 
     def bounded(sp, center, radius):
-        assert radius <= cap, radius
-        return listing(sp, center, radius)
+        ball = listing(sp, center, radius)
+        assert len(ball) <= SEARCH_POINT_CAP, (center, radius)
+        return ball
 
     monkeypatch.setattr(type(space), "points_within", bounded)
 
     def delta(u):
-        return (big - 1000 if 20 < abs(u) <= 30 else big - 10 ** 7 if abs(u) > cap
-                else big)
+        return big - 1000 if 20 < abs(u) <= 30 else big - 10 ** 7 if abs(u) > 1 << 16 else big
 
     d = DeltaMetric(space, DeltaFunction(space, lambda pts: [delta(p[0]) for p in pts],
                                          "tiers"))
     pts = window_points(space, w)
     mat, exact = d.cross_matrix(pts, w)
     assert not exact
-    assert mat.tolist() == [[big - 958 - abs(x + y) for (y,) in pts] for (x,) in pts]
-    infimum = 2 * (cap + 1) + big - 10 ** 7  # at u = cap + 1, for x = y = 0
+    single = [[evaluate(d, x, y, w) for y in pts] for x in pts]
+    assert mat.tolist() == [[ev.value for ev in row] for row in single]
+    assert mat.tolist() == [[big + abs(x - y) for (y,) in pts] for (x,) in pts]
+    infimum = 2 * ((1 << 16) + 1) + big - 10 ** 7  # at u = 2**16 + 1, for x = y = 0
     assert infimum < mat[pts.index((0,))][pts.index((0,))]
     assert not check_axioms(d, w).exact
-    ev = evaluate(d, (3,), (2,), w)
+    ev = single[pts.index((3,))][pts.index((2,))]
     assert (ev.value, ev.exact, ev.witness) == (big + 1, False, (2,))
 
 

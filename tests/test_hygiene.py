@@ -12,7 +12,9 @@ Points are checked against their space in one place: an ``if not
 ``asymptotics.sweep_windows``.  Every space lists every ball, and every
 copy-gap function is a ``DeltaFunction``: the names
 ``IncompleteEnumeration``, ``enumerable`` and ``CmFunction`` appear nowhere
-in ``src/``.  Single-pair infima run one search: every
+in ``src/``.  The listing budget is kept where balls are listed: no
+module but ``space.py`` names ``SEARCH_POINT_CAP``.  Single-pair infima
+run one search: every
 ``_certified_min`` call in ``double.py`` passes a kind's ``coercive_c`` as
 its constant and no ``Evaluation``, so no caller picks probes or computes a
 candidate radius.  A ``LevelFunction`` has one reader, the ``fn`` it is
@@ -265,6 +267,12 @@ def test_one_ball_contract_and_one_copy_gap_class(name):
              for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if name in text]
     assert not sites, f"{name!r} in {sites}"
+
+
+def test_one_listing_budget():
+    sites = [path.name for path in MODULES + [SRC / "__init__.py"]
+             if "SEARCH_POINT_CAP" in path.read_text(encoding="utf-8")]
+    assert sites == ["space.py"], sites
 
 
 def _calls_to(tree, name):

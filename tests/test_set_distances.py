@@ -300,7 +300,7 @@ def test_any_line_list_matches_per_point_search(name, doc, searched, data):
 
 def test_sweep_answers_past_the_search_cap():
     # the middle point's nearest member is 35,000 away, so its own search
-    # gives up at a ball of more than SEARCH_POINT_CAP points; the run's
+    # gives up at the listing budget of SEARCH_POINT_CAP points; the run's
     # ends are members, and the sweep reads its distance exactly
     space = space_by_name("IntLine")
     far = 70_000

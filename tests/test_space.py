@@ -120,12 +120,15 @@ def test_dist_to_set_examples(natline, twotails):
 def test_dist_to_set_exactness_and_failure(natline):
     ev = dist_to_set(natline, (7,), set_family("evens"))
     assert ev.exact and ev.witness in {(6,), (8,)}
-    # the ball of radius 2^16 around 0 is the first of more than
-    # SEARCH_POINT_CAP points, and holds no member: the search stops there
+    # the ball of radius 2^16 around 0 is the first over the listing budget
+    # of SEARCH_POINT_CAP points, so the search stops at the last ball it
+    # lists, of radius 2^15, which holds no member
     far = PointSet("far", lambda p: p[0] >= 10 ** 6)
-    with pytest.raises(SearchInconclusive, match="65537 points searched") as err:
+    with pytest.raises(SearchInconclusive,
+                       match=r"^no member of far within 32768 of \(0,\) "
+                             r"\(32769 points searched\)$") as err:
         dist_to_set(natline, (0,), far)
-    assert err.value.window_radius == SEARCH_POINT_CAP
+    assert err.value.window_radius == SEARCH_POINT_CAP // 2
 
 
 def test_dist_to_set_zero_iff_member(natline):
